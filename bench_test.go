@@ -11,7 +11,6 @@ import (
 	"context"
 	"io"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -195,7 +194,7 @@ func ablationTune(b *testing.B, mutate func(*core.Config)) {
 		cfg.Seed = o.Seed + int64(i)
 		cfg.EmitKernels = false
 		mutate(&cfg)
-		meter := harness.NewMeter(fx.Sim, harness.DefaultCostModel(), o.BudgetS)
+		meter := engine.New(fx.Sim, engine.WithBudget(o.BudgetS))
 		rep, err := core.TuneCtx(context.Background(), meter, fx.DS, cfg, meter.Exhausted)
 		if err != nil {
 			b.Fatal(err)
@@ -229,67 +228,3 @@ func BenchmarkAblationNoApproximation(b *testing.B) {
 func BenchmarkAblationWideSampling(b *testing.B) {
 	ablationTune(b, func(cfg *core.Config) { cfg.Sampling.Ratio = 0.5 })
 }
-
-// ---- Evaluation-engine microbenchmarks ------------------------------------
-// The engine is the single measurement path of every tuner, so its per-call
-// overhead (cache hit, cache miss, batch dispatch) bounds how fast any
-// search can iterate on the simulated testbed.
-
-func engineBench(b *testing.B) (*engine.Engine, []Setting) {
-	b.Helper()
-	fx := benchFixture(b, benchOptions())
-	rng := rand.New(rand.NewSource(17))
-	sets := make([]Setting, 64)
-	for i := range sets {
-		sets[i] = fx.Space.Random(rng)
-	}
-	return engine.New(fx.Sim), sets
-}
-
-func BenchmarkEngineMeasureUncached(b *testing.B) {
-	eng, sets := engineBench(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		fresh := engine.New(eng.Unwrap())
-		b.StartTimer()
-		for _, s := range sets {
-			fresh.Measure(s)
-		}
-	}
-	b.ReportMetric(float64(len(sets)), "settings/op")
-}
-
-func BenchmarkEngineMeasureCached(b *testing.B) {
-	eng, sets := engineBench(b)
-	for _, s := range sets {
-		eng.Measure(s) // warm the cache
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range sets {
-			eng.Measure(s)
-		}
-	}
-	b.ReportMetric(float64(len(sets)), "settings/op")
-}
-
-func benchmarkEngineBatch(b *testing.B, size int) {
-	eng, sets := engineBench(b)
-	batch := make([]Setting, size)
-	for i := range batch {
-		batch[i] = sets[i%len(sets)]
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		fresh := engine.New(eng.Unwrap())
-		b.StartTimer()
-		fresh.MeasureBatch(batch)
-	}
-	b.ReportMetric(float64(size), "settings/op")
-}
-
-func BenchmarkEngineBatch1(b *testing.B)  { benchmarkEngineBatch(b, 1) }
-func BenchmarkEngineBatch8(b *testing.B)  { benchmarkEngineBatch(b, 8) }
-func BenchmarkEngineBatch64(b *testing.B) { benchmarkEngineBatch(b, 64) }

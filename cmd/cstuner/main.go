@@ -16,9 +16,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/gpu"
 	"repro/internal/grouping"
-	"repro/internal/harness"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/space"
@@ -97,9 +97,9 @@ func main() {
 
 	var obj sim.Objective = simulator
 	stop := func() bool { return false }
-	var meter *harness.Meter
+	var meter *engine.Engine
 	if *budget > 0 {
-		meter = harness.NewMeter(simulator, harness.DefaultCostModel(), *budget)
+		meter = engine.New(simulator, engine.WithBudget(*budget))
 		obj = meter
 		stop = meter.Exhausted
 	}

@@ -16,7 +16,7 @@ var allowRe = regexp.MustCompile(`^//cstlint:allow\s+([A-Za-z][A-Za-z0-9_]*)\((.
 
 // orderRe is the lock-order declaration grammar: //cstlint:lockorder a < b,
 // where a and b are lock class names as lockorder renders them
-// ("engine.mu", "cacheShard.mu"). It declares that a is always acquired
+// ("engine.mu", "shard.mu"). It declares that a is always acquired
 // before b; lockorder reports any observed acquisition edge contradicting
 // it.
 var orderRe = regexp.MustCompile(`^//cstlint:lockorder\s+([A-Za-z_][A-Za-z0-9_]*\.[A-Za-z_][A-Za-z0-9_]*)\s*<\s*([A-Za-z_][A-Za-z0-9_]*\.[A-Za-z_][A-Za-z0-9_]*)\s*$`)

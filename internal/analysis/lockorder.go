@@ -171,7 +171,7 @@ func loCollect(pass *GlobalPass) (map[*types.Func]*loFunc, []*types.Func) {
 						return true
 					}
 					if fn, isFn := calleeObj(pkg.Info, call).(*types.Func); isFn {
-						lf.calls = append(lf.calls, loCall{pos: call.Pos(), callee: fn})
+						lf.calls = append(lf.calls, loCall{pos: call.Pos(), callee: fn.Origin()})
 					}
 					return true
 				})

@@ -1,6 +1,6 @@
 // Package lo is the lockorder fixture: a cycle between alpha.mu and
-// beta.mu, contradictions of declared orders (direct and through a call
-// chain), and properly ordered/suppressed negatives. Each case uses its own
+// beta.mu, contradictions of declared orders (direct, through a call chain
+// and through a generic method), and properly ordered/suppressed negatives. Each case uses its own
 // lock pair — a contradiction plus a correct use of the same pair would be
 // a real cycle, not the case under test.
 package lo
@@ -11,6 +11,7 @@ import "sync"
 //cstlint:lockorder eps.mu < zeta.mu
 //cstlint:lockorder kappa.mu < lambda.mu
 //cstlint:lockorder theta.mu < omega.mu
+//cstlint:lockorder boxed.mu < holder.mu
 
 type alpha struct{ mu sync.Mutex }
 
@@ -90,6 +91,27 @@ func rightOrder(k *kappa, l *lambda) {
 	defer k.mu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+}
+
+type holder struct{ mu sync.Mutex }
+
+type boxed[V any] struct {
+	mu sync.Mutex
+	v  V
+}
+
+func (b *boxed[V]) set(v V) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.v = v
+}
+
+// viaGeneric reaches boxed.mu through a method of an instantiated generic
+// type: the call graph must resolve it to the generic declaration.
+func viaGeneric(h *holder, b *boxed[int]) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	b.set(1) // want lockorder "contradicting the declared order boxed.mu < holder.mu"
 }
 
 type theta struct{ mu sync.Mutex }

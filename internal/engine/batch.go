@@ -69,8 +69,8 @@ func (e *Engine) MeasureBatchCtx(ctx context.Context, settings []space.Setting) 
 		// Lock-free cache probe first: the common duplicate-heavy batch never
 		// touches a mutex for its already-measured keys. Hits are not counted
 		// here — phase 2 serves (and counts) them in input order.
-		if !e.noCache && e.cache.containsMeasure(keys[i]) {
-			continue
+		if _, _, hit := measureView(e.cache.Load(keys[i])); hit {
+			continue // noCache engines never publish, so they never hit here
 		}
 		if e.quarantined(keys[i], false) {
 			continue // refusal is served (and counted) in phase 2
@@ -137,7 +137,7 @@ func (e *Engine) Run(s space.Setting) (*sim.Result, error) {
 	}
 	key := s.Key()
 	if !e.noCache {
-		if res, err, ok := e.cache.runLookup(key); ok {
+		if res, err, ok := runView(e.cache.Load(key)); ok {
 			e.cacheHits.Add(1)
 			return res, err
 		}
@@ -148,11 +148,11 @@ func (e *Engine) Run(s space.Setting) (*sim.Result, error) {
 	}
 	if err != nil {
 		if !errors.Is(err, ErrBudget) {
-			e.cache.storeErr(key, err)
+			e.cache.Update(key, withErr(err))
 		}
 		return nil, err
 	}
-	e.cache.storeRun(key, res)
+	e.cache.Update(key, withRun(res))
 	return res, nil
 }
 

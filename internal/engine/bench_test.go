@@ -20,8 +20,9 @@ func benchVariant(sp *space.Space, i int) space.Setting {
 	return variant(sp, 1+i%998, i/998)
 }
 
-// BenchmarkMeasureCacheHit is the memoized re-probe path: one map lookup
-// under the engine lock, no objective call, no accounting.
+// BenchmarkMeasureCacheHit is the memoized re-probe path: the key rendered
+// into stack scratch and one lock-free stripe.Map probe, no objective call,
+// no accounting.
 func BenchmarkMeasureCacheHit(b *testing.B) {
 	f := newFake(b)
 	e := New(f)

@@ -1,25 +1,13 @@
 package engine
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/sim"
 )
 
-// This file is the engine's memo store: a sharded, read-mostly cache that
-// serves hits without taking any lock (DESIGN.md §12). The design splits the
-// former times/errs/results maps — which lived under the accounting mutex —
-// into cacheShards independent shards selected by a hash of the setting key.
-//
-// Each shard publishes an immutable read map through an atomic pointer. A
-// probe loads the pointer and indexes the map: zero locks, zero allocations
-// (byte-slice probes use the compiler's map[string(b)] optimization). Writes
-// go to a small mutex-guarded dirty overlay; the published snapshot's
-// amended flag tells lock-free missers whether the overlay could hold the
-// key. Once the overlay reaches half the read map's size it is promoted —
-// merged into a fresh immutable map and published — so insertion cost stays
-// amortized O(1) and the read path never observes a map being mutated.
+// This file is the engine's memo store: an internal/stripe Map from setting
+// key to *cacheEntry, which serves hits without taking any lock (DESIGN.md
+// §12). Hits are lock-free reads of atomically published immutable entries
+// and never touch Engine.mu.
 //
 // Entries are write-once-per-field and merged, never mutated in place: a
 // published *cacheEntry is immutable. The same key may carry a measured time
@@ -34,15 +22,12 @@ import (
 // those sequential decisions already produced.
 
 // The engine's accounting mutex always nests outside the shard locks:
-// storePublishLocked and friends write through to shards while holding
-// Engine.mu, and no shard method ever calls back into the engine.
+// accountEpisode publishes to the cache while holding Engine.mu, and no Map
+// method ever calls back into the engine. measureCtxSlow re-checks the
+// cache under the singleflight lock, which nests that one outside as well.
 //
-//cstlint:lockorder engine.mu < cacheShard.mu
-
-// cacheShards is the stripe count. 64 shards keep shard-lock contention
-// negligible at the engine's worker-count ceiling while the per-shard maps
-// stay large enough to amortize promotion copies.
-const cacheShards = 64
+//cstlint:lockorder engine.mu < shard.mu
+//cstlint:lockorder engine.sfMu < shard.mu
 
 // cacheEntry is one immutable published outcome for a setting key.
 type cacheEntry struct {
@@ -52,130 +37,12 @@ type cacheEntry struct {
 	res     *sim.Result
 }
 
-// readMap is one shard's immutable published snapshot.
-type readMap struct {
-	m map[string]*cacheEntry
-	// amended reports that the shard's dirty overlay may hold keys absent
-	// from m, so a lock-free miss is not definitive.
-	amended bool
-}
-
-type cacheShard struct {
-	read  atomic.Pointer[readMap]
-	mu    sync.Mutex
-	dirty map[string]*cacheEntry
-}
-
-type stripedCache struct {
-	shards [cacheShards]cacheShard
-}
-
-func newStripedCache() *stripedCache {
-	c := &stripedCache{}
-	empty := &readMap{m: map[string]*cacheEntry{}}
-	for i := range c.shards {
-		// Shards may share one empty snapshot: readMaps are immutable.
-		c.shards[i].read.Store(empty)
-	}
-	return c
-}
-
-func (c *stripedCache) shardFor(h uint64) *cacheShard {
-	return &c.shards[h&(cacheShards-1)]
-}
-
-// load returns the published entry for key, if any. The fast path — key in
-// the read map, or a definitive miss on an unamended snapshot — takes no
-// locks; only a miss racing pending writes consults the overlay under the
-// shard lock.
-func (sh *cacheShard) load(key string) (*cacheEntry, bool) {
-	r := sh.read.Load()
-	if e, ok := r.m[key]; ok {
-		return e, true
-	}
-	if !r.amended {
-		return nil, false
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	// Re-load under the lock: a promotion may have raced the probe.
-	r = sh.read.Load()
-	if e, ok := r.m[key]; ok {
-		return e, true
-	}
-	e, ok := sh.dirty[key]
-	return e, ok
-}
-
-// loadBytes is load for a key rendered into a byte slice; the string
-// conversions below sit directly in map index expressions, which the
-// compiler serves without allocating.
-func (sh *cacheShard) loadBytes(key []byte) (*cacheEntry, bool) {
-	r := sh.read.Load()
-	if e, ok := r.m[string(key)]; ok {
-		return e, true
-	}
-	if !r.amended {
-		return nil, false
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r = sh.read.Load()
-	if e, ok := r.m[string(key)]; ok {
-		return e, true
-	}
-	e, ok := sh.dirty[string(key)]
-	return e, ok
-}
-
-// store merges upd into the entry for key and publishes it. Fields are
-// merged — a Run result lands beside an already-cached time — and the merged
-// entry is a fresh allocation, so previously returned entries stay immutable.
-func (sh *cacheShard) store(key string, upd func(*cacheEntry)) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r := sh.read.Load()
-	var merged cacheEntry
-	if e, ok := sh.dirty[key]; ok {
-		merged = *e
-	} else if e, ok := r.m[key]; ok {
-		merged = *e
-	}
-	// The upd callbacks are the package-internal field-setters in
-	// storeTime/storeErr/storeRun — three-line closures that never block,
-	// never re-enter the cache, and must run under the shard lock so the
-	// read-merge-publish of an entry is atomic.
-	upd(&merged) //cstlint:allow lockcall(internal non-blocking field-setter; must merge atomically under shard lock)
-	if sh.dirty == nil {
-		sh.dirty = make(map[string]*cacheEntry)
-	}
-	sh.dirty[key] = &merged
-	if len(sh.dirty) >= 1+len(r.m)/2 {
-		// Promote: merge read+dirty into a fresh immutable snapshot. The
-		// threshold grows with the read map, so total copy work over n
-		// inserts is O(n) amortized (geometric growth, like append).
-		nm := make(map[string]*cacheEntry, len(r.m)+len(sh.dirty))
-		for k, v := range r.m {
-			nm[k] = v
-		}
-		for k, v := range sh.dirty {
-			nm[k] = v
-		}
-		sh.read.Store(&readMap{m: nm})
-		sh.dirty = nil
-		return
-	}
-	if !r.amended {
-		// First pending write since the last promotion: warn lock-free
-		// missers that the overlay is live.
-		sh.read.Store(&readMap{m: r.m, amended: true})
-	}
-}
-
-// measureView projects an entry onto the Measure result surface, preserving
-// the historical map precedence: a cached time wins over a cached error.
-func measureView(e *cacheEntry) (float64, error, bool) {
+// measureView projects a cache probe onto the Measure result surface,
+// preserving the historical map precedence: a cached time wins over a
+// cached error.
+func measureView(e *cacheEntry, ok bool) (float64, error, bool) {
 	switch {
+	case !ok:
 	case e.hasTime:
 		return e.ms, nil, true
 	case e.err != nil:
@@ -184,38 +51,12 @@ func measureView(e *cacheEntry) (float64, error, bool) {
 	return 0, nil, false
 }
 
-// measureLookup serves the Measure cache view for a string key.
-func (c *stripedCache) measureLookup(key string) (float64, error, bool) {
-	if e, ok := c.shardFor(keyHash(key)).load(key); ok {
-		return measureView(e)
-	}
-	return 0, nil, false
-}
-
-// measureLookupBytes is measureLookup for a stack-rendered key: the
-// allocation-free fast path of MeasureCtx.
-func (c *stripedCache) measureLookupBytes(key []byte) (float64, error, bool) {
-	if e, ok := c.shardFor(keyHashBytes(key)).loadBytes(key); ok {
-		return measureView(e)
-	}
-	return 0, nil, false
-}
-
-// containsMeasure reports whether a Measure probe for key would be served
-// from cache, without counting a hit — the batch phase-1 pre-filter.
-func (c *stripedCache) containsMeasure(key string) bool {
-	e, ok := c.shardFor(keyHash(key)).load(key)
-	return ok && (e.hasTime || e.err != nil)
-}
-
-// runLookup serves the Run cache view: a stored metric result, else a cached
-// error. A bare measured time is not a Run hit (Run needs the full metrics).
-func (c *stripedCache) runLookup(key string) (*sim.Result, error, bool) {
-	e, ok := c.shardFor(keyHash(key)).load(key)
-	if !ok {
-		return nil, nil, false
-	}
+// runView projects a cache probe onto the Run surface: a stored metric
+// result, else a cached error. A bare measured time is not a Run hit (Run
+// needs the full metrics).
+func runView(e *cacheEntry, ok bool) (*sim.Result, error, bool) {
 	switch {
+	case !ok:
 	case e.res != nil:
 		return e.res, nil, true
 	case e.err != nil:
@@ -224,36 +65,32 @@ func (c *stripedCache) runLookup(key string) (*sim.Result, error, bool) {
 	return nil, nil, false
 }
 
-// storeTime publishes a successful measurement.
-func (c *stripedCache) storeTime(key string, ms float64) {
-	c.shardFor(keyHash(key)).store(key, func(e *cacheEntry) {
-		e.ms, e.hasTime = ms, true
-	})
-}
-
-// storeErr publishes a cached (permanent) measurement error.
-func (c *stripedCache) storeErr(key string, err error) {
-	c.shardFor(keyHash(key)).store(key, func(e *cacheEntry) {
-		e.err = err
-	})
-}
-
-// storeRun publishes an offline collection result, pre-warming the Measure
-// view with its time (historical Run behaviour).
-func (c *stripedCache) storeRun(key string, res *sim.Result) {
-	c.shardFor(keyHash(key)).store(key, func(e *cacheEntry) {
-		e.res = res
-		e.ms, e.hasTime = res.TimeMS, true
-	})
-}
-
-// keyHashBytes is keyHash over an unmaterialized key; the two must agree
-// byte-for-byte so stack-rendered probes select the same shard.
-func keyHashBytes(key []byte) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
+// merge returns the stripe.Map.Update closure that publishes a copy of a
+// key's entry with set applied: a Run result lands beside an already-cached
+// time, and previously returned entries stay immutable.
+func merge(set func(*cacheEntry)) func(*cacheEntry, bool) (*cacheEntry, bool) {
+	return func(old *cacheEntry, ok bool) (*cacheEntry, bool) {
+		var e cacheEntry
+		if ok {
+			e = *old
+		}
+		set(&e)
+		return &e, true
 	}
-	return h
+}
+
+// withTime publishes a successful measurement.
+func withTime(ms float64) func(*cacheEntry, bool) (*cacheEntry, bool) {
+	return merge(func(e *cacheEntry) { e.ms, e.hasTime = ms, true })
+}
+
+// withErr publishes a cached (permanent) measurement error.
+func withErr(err error) func(*cacheEntry, bool) (*cacheEntry, bool) {
+	return merge(func(e *cacheEntry) { e.err = err })
+}
+
+// withRun publishes an offline collection result, pre-warming the Measure
+// view with its time (historical Run behaviour).
+func withRun(res *sim.Result) func(*cacheEntry, bool) (*cacheEntry, bool) {
+	return merge(func(e *cacheEntry) { e.res, e.ms, e.hasTime = res, res.TimeMS, true })
 }

@@ -34,6 +34,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stripe"
 )
 
 // ErrBudget re-exports the transient budget error tuners test for.
@@ -185,18 +186,18 @@ type Engine struct {
 	jr             *journal.Journal
 	clock          Clock
 
-	// cache is the sharded memo store (cache.go): hits are lock-free reads
-	// of atomically-published immutable entries and never touch mu. The hit
+	// cache is the memo store (cache.go): hits are lock-free reads of
+	// atomically-published immutable entries and never touch mu. The hit
 	// counter rides beside it as an atomic so the hot path stays lock-free;
 	// Stats() folds it back into the snapshot.
-	cache     *stripedCache
+	cache     *stripe.Map[*cacheEntry]
 	cacheHits atomic.Int64
 
 	// store is the optional cross-campaign result store (store.go):
 	// consulted on a memo-cache miss before measuring, published back on
 	// every successful episode. Probes are lock-free; the counters are
 	// atomics folded in by statsLocked, like cacheHits.
-	store       resultStore
+	store       ResultStore
 	storePrefix string
 	storeHits   atomic.Int64
 	storeMisses atomic.Int64
@@ -239,7 +240,7 @@ func New(obj sim.Objective, opts ...Option) *Engine {
 		best:      -1,
 		retry:     DefaultRetryPolicy(),
 		quarAfter: DefaultQuarantineAfter,
-		cache:     newStripedCache(),
+		cache:     stripe.New[*cacheEntry](),
 		permFails: map[string]int{},
 		quar:      map[string]struct{}{},
 		spans:     map[string]*Span{},
@@ -300,13 +301,13 @@ func (e *Engine) Measure(s space.Setting) (float64, error) {
 }
 
 // lookup consults the cache; ok=false means the setting must be measured.
-// Hits are lock-free reads of the striped store — the engine mutex guards
+// Hits are lock-free reads of the striped index — the engine mutex guards
 // accounting only, never the memo maps (DESIGN.md §12).
 func (e *Engine) lookup(key string) (float64, error, bool) {
 	if e.noCache {
 		return 0, nil, false
 	}
-	if ms, err, ok := e.cache.measureLookup(key); ok {
+	if ms, err, ok := measureView(e.cache.Load(key)); ok {
 		e.cacheHits.Add(1)
 		return ms, err, true
 	}

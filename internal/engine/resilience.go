@@ -289,7 +289,7 @@ func (e *Engine) backoffFor(key string, attempt int) float64 {
 	}
 	d := p.BackoffS * math.Pow(mult, float64(attempt))
 	if p.Jitter > 0 {
-		h := stats.Mix64(e.seed ^ keyHash(key) ^ stats.Mix64(uint64(attempt)+1))
+		h := stats.Mix64(e.seed ^ stats.KeyHash(key) ^ stats.Mix64(uint64(attempt)+1))
 		u := float64(h>>11) / float64(1<<53)
 		j := p.Jitter
 		if j > 1 {
@@ -298,16 +298,6 @@ func (e *Engine) backoffFor(key string, attempt int) float64 {
 		d *= 1 + j*(2*u-1)
 	}
 	return d
-}
-
-// keyHash is a stateless FNV-1a over the setting key.
-func keyHash(key string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // quarantined reports whether the key is quarantined, optionally counting
@@ -387,7 +377,7 @@ func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float6
 			e.traj = append(e.traj, Point{CostS: e.spentS, Evals: e.evals, BestMS: e.best})
 		}
 		if !e.noCache {
-			e.cache.storeTime(key, ep.ms)
+			e.cache.Update(key, withTime(ep.ms))
 		}
 		if e.quarAfter > 0 {
 			delete(e.permFails, key) // a served success clears the streak
@@ -432,7 +422,7 @@ func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float6
 			e.stats.Invalid++
 			e.stats.SpentS = e.spentS
 			if !e.noCache {
-				e.cache.storeErr(key, ep.err)
+				e.cache.Update(key, withErr(ep.err))
 			}
 			e.noteFailureLocked(key)
 			return 0, ep.err
@@ -448,7 +438,7 @@ func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float6
 	}
 	e.traj = append(e.traj, Point{CostS: e.spentS, Evals: e.evals, BestMS: e.best})
 	if !e.noCache {
-		e.cache.storeTime(key, ep.ms)
+		e.cache.Update(key, withTime(ep.ms))
 	}
 	// Publish the paid-for measurement to the shared store (sequentially —
 	// see storePublishLocked). Replayed episodes publish too: the min-merge
@@ -473,7 +463,7 @@ const keyScratch = 128
 // The cache probe is the hot path — tuning traffic is dominated by re-probes
 // of already-measured settings — and takes zero locks and zero allocations:
 // the key is rendered into a stack buffer and looked up in the striped
-// store's published read map; only a miss materializes the key string and
+// index's published read map; only a miss materializes the key string and
 // enters the slow path.
 //
 // Concurrent requests for the same uncached key collapse onto one episode:
@@ -484,7 +474,7 @@ func (e *Engine) MeasureCtx(ctx context.Context, s space.Setting) (float64, erro
 	if !e.noCache {
 		var kb [keyScratch]byte
 		key := s.AppendKey(kb[:0])
-		if ms, err, ok := e.cache.measureLookupBytes(key); ok {
+		if ms, err, ok := measureView(e.cache.LoadBytes(key)); ok {
 			e.cacheHits.Add(1)
 			return ms, err
 		}
@@ -522,6 +512,14 @@ func (e *Engine) measureCtxSlow(ctx context.Context, s space.Setting, key string
 			return e.accountEpisode(s, key, ep)
 		}
 		e.sfMu.Lock()
+		if _, _, hit := measureView(e.cache.Load(key)); hit {
+			// A competing episode published and released the key between
+			// this caller's cache miss and here: it publishes before it
+			// takes sfMu to delete its in-flight entry, so this re-check
+			// closes the check-then-claim gap. Loop to serve the hit.
+			e.sfMu.Unlock()
+			continue
+		}
 		wait, inflight := e.inflight[key]
 		if !inflight {
 			done := make(chan struct{})

@@ -24,7 +24,10 @@ import "sync"
 // count. During a batch's parallel phase the store content an episode can
 // observe is stable: this engine only publishes from the sequential
 // accounting phase, and other processes' records are only loaded at Open.
-type resultStore interface {
+
+// ResultStore is the store surface the engine consumes; *store.Store
+// implements it.
+type ResultStore interface {
 	// GetBytes probes a composite key rendered into a caller-owned buffer;
 	// it must be safe for concurrent use and lock-free on the hot path.
 	GetBytes(key []byte) (float64, bool)
@@ -35,12 +38,6 @@ type resultStore interface {
 	// nothing persists. The engine counts publishes made in that state
 	// (Stats.StorePutDrops) so operators can see the durability gap grow.
 	Degraded() bool
-}
-
-// ResultStore is the store surface the engine consumes; *store.Store
-// implements it.
-type ResultStore interface {
-	resultStore
 }
 
 // WithStore attaches a shared result store. prefix is the campaign's
@@ -89,11 +86,6 @@ func (e *Engine) storeProbe(key string) (float64, bool) {
 	return ms, ok
 }
 
-// storeKey materializes the composite store key for a setting key.
-func (e *Engine) storeKey(key string) string {
-	return e.storePrefix + key
-}
-
 // storePublishLocked pushes one successful episode's scored time to the
 // shared store. Called from the sequential accounting section (callers hold
 // e.mu): publishing there — never from the parallel measurement phase —
@@ -109,7 +101,7 @@ func (e *Engine) storePublishLocked(key string, ms float64) {
 	// never calls back into the engine, so holding e.mu across it is safe:
 	// lock order is e.mu → store shard lock, and nothing acquires them in
 	// the other order.
-	e.store.Put(e.storeKey(key), ms)
+	e.store.Put(e.storePrefix+key, ms)
 	if e.store.Degraded() {
 		// Read-only-degraded store: the index took the record (this run and
 		// its neighbors keep their hits), but nothing reached disk.

@@ -253,19 +253,9 @@ func (in *Injector) count(f func(*Counts)) {
 // a pure function of (seed, key, attempt, salt).
 func (in *Injector) u(key string, attempt int, salt uint64) float64 {
 	h := stats.Mix64(in.cfg.Seed ^ salt)
-	h = stats.Mix64(h ^ fnv64(key))
+	h = stats.Mix64(h ^ stats.KeyHash(key))
 	h = stats.Mix64(h ^ uint64(attempt+1))
 	return float64(h>>11) / float64(1<<53)
-}
-
-// fnv64 is FNV-1a over the setting key.
-func fnv64(key string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 var (

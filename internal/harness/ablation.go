@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // AblationRow is one (stencil, variant) cell of the design-choice ablation.
@@ -50,7 +51,7 @@ func Ablation(w io.Writer, o Options) ([]AblationRow, error) {
 				cfg.Seed = seed
 				cfg.EmitKernels = false
 				v.mutate(&cfg)
-				meter := NewMeter(fx.Sim, DefaultCostModel(), o.BudgetS)
+				meter := engine.New(fx.Sim, engine.WithBudget(o.BudgetS))
 				rep, err := core.Tune(meter, fx.DS, cfg, meter.Exhausted)
 				if err != nil {
 					return nil, err

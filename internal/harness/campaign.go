@@ -16,6 +16,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/vfs"
 )
@@ -137,14 +138,11 @@ func CampaignFingerprint(fx *Fixture, cfg CampaignConfig) string {
 	if len(cfg.WarmStart) > 0 {
 		// Warm seeds steer which settings the search measures, so they are
 		// campaign identity; digesting the keys keeps the fingerprint short.
-		h := uint64(1469598103934665603)
+		var keys strings.Builder
 		for _, w := range cfg.WarmStart {
-			for _, b := range []byte(w.Key() + "\n") {
-				h ^= uint64(b)
-				h *= 1099511628211
-			}
+			keys.WriteString(w.Key() + "\n")
 		}
-		fp += fmt.Sprintf("|warm=%d,%016x", len(cfg.WarmStart), h)
+		fp += fmt.Sprintf("|warm=%d,%016x", len(cfg.WarmStart), stats.KeyHash(keys.String()))
 	}
 	return fp
 }
@@ -196,7 +194,6 @@ func PrepareCampaign(fx *Fixture, cfg CampaignConfig) (*CampaignRun, error) {
 		return nil, err
 	}
 	opts := []engine.Option{
-		engine.WithCost(DefaultCostModel()),
 		engine.WithBudget(cfg.BudgetS),
 		engine.WithSeed(uint64(cfg.Seed)),
 	}

@@ -1,3 +1,17 @@
+// Package harness runs the paper's evaluation (Sec. V): the motivation
+// studies (Figs. 2–4), the iso-iteration and iso-time comparisons of the
+// four auto-tuning methods (Figs. 8–10), the sampling-ratio sensitivity
+// sweep (Fig. 11), the overhead breakdown (Fig. 12), and the two tables.
+//
+// Because the GPU is simulated, auto-tuning "time" is metered with a
+// virtual clock: every measured setting is charged a compilation cost plus
+// its kernel runs, every rejected setting a constraint-check cost. The
+// iso-time protocol compares methods at equal virtual seconds, exactly as
+// the paper compares them at equal wall-clock seconds on the testbed.
+//
+// The metering itself lives in internal/engine — the unified evaluation
+// engine every tuner measures through; the harness "meter" is an engine
+// with the default cost model and a budget.
 package harness
 
 import (
@@ -16,6 +30,7 @@ import (
 	"repro/internal/baselines/garvey"
 	"repro/internal/baselines/opentuner"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gpu"
 	"repro/internal/plot"
 	"repro/internal/stencil"
@@ -281,7 +296,7 @@ func Fig12(w io.Writer, o Options) ([]Fig12Row, error) {
 		// The meter forwards the simulator's architecture, so code
 		// generation runs inside the pipeline while measurements are
 		// charged to the virtual clock.
-		meter := NewMeter(fx.Sim, DefaultCostModel(), o.BudgetS)
+		meter := engine.New(fx.Sim, engine.WithBudget(o.BudgetS))
 		rep, err := core.Tune(meter, fx.DS, cs.Cfg, meter.Exhausted)
 		if err != nil {
 			return nil, fmt.Errorf("fig12 %s: %w", st.Name, err)

@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/baselines/cstuner"
+	"repro/internal/engine"
 	"repro/internal/gpu"
-	"repro/internal/sim"
 	"repro/internal/space"
 	"repro/internal/stencil"
 )
@@ -26,8 +26,8 @@ func fixture(t testing.TB) *Fixture {
 
 func TestMeterAccounting(t *testing.T) {
 	fx := fixture(t)
-	cost := CostModel{CompileS: 2, Reps: 4, CheckS: 0.5}
-	m := NewMeter(fx.Sim, cost, 0)
+	cost := engine.CostModel{CompileS: 2, Reps: 4, CheckS: 0.5}
+	m := engine.New(fx.Sim, engine.WithCost(cost))
 
 	set := fx.Space.Default()
 	ms, err := m.Measure(set)
@@ -63,7 +63,7 @@ func TestMeterAccounting(t *testing.T) {
 
 func TestMeterBudget(t *testing.T) {
 	fx := fixture(t)
-	m := NewMeter(fx.Sim, CostModel{CompileS: 10, Reps: 1}, 15)
+	m := engine.New(fx.Sim, engine.WithCost(engine.CostModel{CompileS: 10, Reps: 1}), engine.WithBudget(15))
 	set := fx.Space.Default()
 	if _, err := m.Measure(set); err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestMeterBudget(t *testing.T) {
 	// A fresh setting is refused once the budget is spent...
 	fresh := set.Clone()
 	fresh[space.TBX] = 16
-	if _, err := m.Measure(fresh); !errors.Is(err, ErrBudget) {
+	if _, err := m.Measure(fresh); !errors.Is(err, engine.ErrBudget) {
 		t.Fatalf("expected ErrBudget, got %v", err)
 	}
 	// ...but re-probing an already-measured setting is a free cache hit —
@@ -101,7 +101,7 @@ func TestMeterBudget(t *testing.T) {
 
 func TestMeterTrajectoryQueries(t *testing.T) {
 	fx := fixture(t)
-	m := NewMeter(fx.Sim, CostModel{CompileS: 1, Reps: 0}, 0)
+	m := engine.New(fx.Sim, engine.WithCost(engine.CostModel{CompileS: 1, Reps: 0}))
 	sets := []space.Setting{fx.Space.Default()}
 	a := fx.Space.Default()
 	a[space.TBX] = 32
@@ -139,7 +139,7 @@ func TestMeterTrajectoryQueries(t *testing.T) {
 
 func TestMeterForwardsArchitecture(t *testing.T) {
 	fx := fixture(t)
-	m := NewMeter(fx.Sim, DefaultCostModel(), 0)
+	m := engine.New(fx.Sim)
 	if m.Architecture() == nil || m.Architecture().Name != "A100" {
 		t.Fatal("meter should forward the simulator's architecture")
 	}
@@ -342,5 +342,3 @@ func TestRankMethods(t *testing.T) {
 		t.Fatalf("RankMethods = %v", order)
 	}
 }
-
-var _ sim.Objective = (*Meter)(nil)

@@ -49,7 +49,7 @@ func NewFixture(st *stencil.Stencil, arch *gpu.Arch, dsSize int, seed int64) (*F
 // Missing points (method finished early, paper's "missing points mean the
 // settings were evaluated completely") are NaN.
 func IsoIterationCurve(ctx context.Context, t baselines.Tuner, fx *Fixture, iterations, popSize int, seed int64) ([]float64, error) {
-	meter := NewMeter(fx.Sim, DefaultCostModel(), 0)
+	meter := engine.New(fx.Sim)
 	evalCap := iterations * popSize
 	stop := func() bool { return meter.Evals() >= evalCap }
 	_, _, err := t.Tune(ctx, meter, fx.DS, seed, stop)
@@ -80,7 +80,7 @@ type IsoTimeResult struct {
 // IsoTimeRun races one tuner against a virtual budget of budgetS seconds and
 // samples its best-so-far trajectory on gridN uniform time points.
 func IsoTimeRun(ctx context.Context, t baselines.Tuner, fx *Fixture, budgetS float64, gridN int, seed int64) (*IsoTimeResult, error) {
-	meter := NewMeter(fx.Sim, DefaultCostModel(), budgetS)
+	meter := engine.New(fx.Sim, engine.WithBudget(budgetS))
 	_, _, err := t.Tune(ctx, meter, fx.DS, seed, meter.Exhausted)
 	// Budget-stop is the expected way for a run to end; only hard errors
 	// with nothing measured are fatal.

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 // FuzzJournalRecord throws arbitrary bytes at Open: whatever the file
@@ -40,7 +42,7 @@ func FuzzJournalRecord(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
-	f.Add(seed[:frameHeaderLen+3])
+	f.Add(seed[:frame.HeaderLen+3])
 	mut := append([]byte(nil), seed...)
 	mut[len(mut)/2] ^= 0x40
 	f.Add(mut)

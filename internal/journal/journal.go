@@ -6,7 +6,7 @@
 // effects reach any in-memory state, so a run killed at any instant can be
 // replayed deterministically up to its last durable record.
 //
-// On-disk format. The file is a sequence of frames:
+// On-disk format. The file is a sequence of internal/frame frames:
 //
 //	[u32le payload length][u32le CRC32C of payload][payload]
 //
@@ -32,16 +32,15 @@
 package journal
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/frame"
 	"repro/internal/vfs"
 )
 
@@ -50,12 +49,6 @@ const (
 	Magic = "csjournal"
 	// Version is the current record-format version.
 	Version = 1
-
-	// maxPayload bounds a single frame; anything larger is corruption (a
-	// torn or flipped length prefix), not a legitimate record.
-	maxPayload = 64 << 20
-
-	frameHeaderLen = 8
 )
 
 // DefaultCheckpointEvery is the default compaction period, in appended
@@ -179,8 +172,6 @@ type record struct {
 	Ckpt *Checkpoint `json:"ckpt,omitempty"`
 }
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // Journal is one campaign's crash-safe measurement log. It is safe for
 // concurrent use; the engine appends under its own accounting lock, so
 // record order matches accounting order.
@@ -230,7 +221,7 @@ func CreateFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
 		hdr:       Header{Magic: Magic, Version: Version, Fingerprint: fingerprint},
 		ckptEvery: DefaultCheckpointEvery,
 	}
-	if err := j.writeFrame(record{T: "hdr", Hdr: &j.hdr}); err != nil {
+	if err := writeFrame(f, record{T: "hdr", Hdr: &j.hdr}); err != nil {
 		_ = f.Close()
 		// Best-effort cleanup of the half-created file; if it survives,
 		// OpenOrCreate treats a zero-length journal as never-created.
@@ -268,7 +259,7 @@ func OpenFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
 
 	// The header frame must be intact and trusted; everything after it is
 	// recoverable.
-	payload, next, err := readFrame(data, 0)
+	payload, next, err := frame.Next(data, 0)
 	if err != nil {
 		_ = f.Close()
 		return nil, fmt.Errorf("%w: unreadable header frame: %v", ErrCorrupt, err)
@@ -295,7 +286,7 @@ func OpenFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
 	var history []Episode
 	good := next
 	for next < len(data) {
-		payload, n, err := readFrame(data, next)
+		payload, n, err := frame.Next(data, next)
 		if err != nil {
 			break // torn or corrupt tail: recover the intact prefix
 		}
@@ -373,42 +364,10 @@ func OpenOrCreateFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
 	return CreateFS(fsys, path, fingerprint)
 }
 
-// readFrame decodes the frame starting at off and returns its payload and
-// the offset of the next frame.
-func readFrame(data []byte, off int) ([]byte, int, error) {
-	if off+frameHeaderLen > len(data) {
-		return nil, 0, fmt.Errorf("short frame header at %d", off)
-	}
-	n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-	sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-	if n == 0 || n > maxPayload {
-		return nil, 0, fmt.Errorf("implausible frame length %d at %d", n, off)
-	}
-	start := off + frameHeaderLen
-	if start+n > len(data) {
-		return nil, 0, fmt.Errorf("short frame payload at %d", off)
-	}
-	payload := data[start : start+n]
-	if crc32.Checksum(payload, castagnoli) != sum {
-		return nil, 0, fmt.Errorf("crc mismatch at %d", off)
-	}
-	return payload, start + n, nil
-}
-
-// writeFrame marshals and appends one frame at the current file position.
-func (j *Journal) writeFrame(r record) error {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("journal: marshal: %w", err)
-	}
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	if _, err := j.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("journal: write: %w", err)
-	}
-	if _, err := j.f.Write(payload); err != nil {
-		return fmt.Errorf("journal: write: %w", err)
+// writeFrame appends one record frame at w's current position.
+func writeFrame(w io.Writer, r record) error {
+	if err := frame.Write(w, r); err != nil {
+		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
 }
@@ -422,7 +381,7 @@ func (j *Journal) Append(ep Episode) error {
 	if j.closed {
 		return ErrClosed
 	}
-	if err := j.writeFrame(record{T: "ep", Ep: &ep}); err != nil {
+	if err := writeFrame(j.f, record{T: "ep", Ep: &ep}); err != nil {
 		return err
 	}
 	if err := j.f.Sync(); err != nil {
@@ -480,16 +439,15 @@ func (j *Journal) checkpointLocked(sum Summary) error {
 	if err != nil {
 		return fmt.Errorf("journal: checkpoint temp: %w", err)
 	}
-	nj := &Journal{fs: j.fs, path: tmpPath, f: tmp}
 	cp := Checkpoint{Episodes: j.history, Summary: sum}
-	if err := nj.writeFrame(record{T: "hdr", Hdr: &j.hdr}); err != nil {
+	if err := writeFrame(tmp, record{T: "hdr", Hdr: &j.hdr}); err != nil {
 		_ = tmp.Close()
 		// Leftover tmp cleanup is best-effort: the next checkpoint opens it
 		// with O_TRUNC, and recovery never reads *.tmp.
 		_ = j.fs.Remove(tmpPath)
 		return err
 	}
-	if err := nj.writeFrame(record{T: "ckpt", Ckpt: &cp}); err != nil {
+	if err := writeFrame(tmp, record{T: "ckpt", Ckpt: &cp}); err != nil {
 		_ = tmp.Close()
 		_ = j.fs.Remove(tmpPath)
 		return err

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 func tmpPath(t *testing.T) string {
@@ -161,7 +163,7 @@ func countFrames(t *testing.T, path string) int {
 	}
 	frames := 0
 	for off := 0; off < len(data); {
-		_, next, err := readFrame(data, off)
+		_, next, err := frame.Next(data, off)
 		if err != nil {
 			t.Fatalf("frame %d at %d: %v", frames, off, err)
 		}
@@ -257,7 +259,7 @@ func TestCorruptionRecovery(t *testing.T) {
 	var bounds []int // offset of each frame start, then len(data)
 	for off := 0; off < len(data); {
 		bounds = append(bounds, off)
-		_, next, err := readFrame(data, off)
+		_, next, err := frame.Next(data, off)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +297,7 @@ func TestCorruptionRecovery(t *testing.T) {
 		{
 			name: "flipped payload byte in middle episode drops the tail",
 			mutate: func(b []byte) []byte {
-				b[bounds[2]+frameHeaderLen+2] ^= 0x01
+				b[bounds[2]+frame.HeaderLen+2] ^= 0x01
 				return b
 			},
 			recovered: 1,
@@ -318,7 +320,7 @@ func TestCorruptionRecovery(t *testing.T) {
 		},
 		{
 			name:    "corrupted header frame",
-			mutate:  func(b []byte) []byte { b[frameHeaderLen+1] ^= 0xff; return b },
+			mutate:  func(b []byte) []byte { b[frame.HeaderLen+1] ^= 0xff; return b },
 			corrupt: true,
 		},
 		{

@@ -31,3 +31,21 @@ func Mix64(x uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
+
+// KeyHash is the repo's one hash over a key string: an FNV-1a loop (64-bit
+// prime, xor-then-multiply per byte) that picks cache and store shards and
+// feeds backoff jitter and fault decisions, so journaled retry schedules
+// and fault streams depend on its values. Its offset basis,
+// 1469598103934665603, is the standard FNV-64 basis with its last digit
+// dropped — a historical slip now frozen by those journals and the engine's
+// replay tests — so it does not equal hash/fnv's New64a. The string and
+// []byte forms agree byte for byte, which is what lets a key rendered into
+// stack scratch select the same shard as its materialized string.
+func KeyHash[K ~string | ~[]byte](key K) uint64 {
+	h := uint64(1469598103934665603)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	return h
+}

@@ -1,6 +1,9 @@
 package stats
 
 import (
+	"encoding"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -319,6 +322,34 @@ func TestMix64Stateless(t *testing.T) {
 	}
 	if Mix64(5) == Mix64(6) {
 		t.Fatal("Mix64 adjacent inputs should differ")
+	}
+}
+
+// TestKeyHashIsFNV1a says why jitter and fault streams survive the
+// hash's consolidation: KeyHash is hash/fnv's FNV-1a started from the
+// repo's frozen offset basis, and its string and []byte forms agree.
+func TestKeyHashIsFNV1a(t *testing.T) {
+	const basis = 1469598103934665603
+	if std := fnv.New64a().Sum64(); std == basis {
+		t.Fatalf("basis %d unexpectedly equals the standard FNV basis", std)
+	}
+	for _, key := range []string{"", "a", "8,8,1,2,0,1,1,0,32", "x|y|z", "hello, world", "\xff\x00\x80"} {
+		ref := fnv.New64a()
+		state, err := ref.(encoding.BinaryMarshaler).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.BigEndian.PutUint64(state[len(state)-8:], basis)
+		if err := ref.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+			t.Fatal(err)
+		}
+		ref.Write([]byte(key))
+		if got, want := KeyHash(key), ref.Sum64(); got != want {
+			t.Errorf("KeyHash(%q) = %#x, hash/fnv from the basis = %#x", key, got, want)
+		}
+		if KeyHash([]byte(key)) != KeyHash(key) {
+			t.Errorf("KeyHash(%q): []byte and string forms differ", key)
+		}
 	}
 }
 

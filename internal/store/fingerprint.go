@@ -1,10 +1,12 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
 	"repro/internal/gpu"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -58,22 +60,15 @@ func ShapeFingerprint(st *stencil.Stencil) string {
 	if st == nil {
 		return "shape:nil"
 	}
-	h := uint64(1469598103934665603)
-	mix := func(v int) {
-		for i := 0; i < 8; i++ {
-			h ^= uint64(byte(v >> (8 * i)))
-			h *= 1099511628211
-		}
-	}
+	taps := make([]byte, 0, 40*len(st.Taps))
 	for _, t := range st.Taps {
-		mix(t.Array)
-		mix(t.DX)
-		mix(t.DY)
-		mix(t.DZ)
 		// Coefficients scale arithmetic, not time-shaping structure, but
 		// fold their bits in anyway: cheaper than arguing they never matter.
-		mix(int(int64(t.Coeff * 1e9)))
+		for _, v := range []int{t.Array, t.DX, t.DY, t.DZ, int(int64(t.Coeff * 1e9))} {
+			taps = binary.LittleEndian.AppendUint64(taps, uint64(v))
+		}
 	}
+	h := stats.KeyHash(taps)
 	return fmt.Sprintf(
 		"shape:%s;grid=%dx%dx%d;ord=%d;flops=%d;io=%d+%d;coef=%d;taps=%d,%016x",
 		sanitize(st.Name),

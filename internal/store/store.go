@@ -9,7 +9,7 @@
 // point once per fleet instead of once per run.
 //
 // On-disk format. The store is a directory of segment files (*.seg), each a
-// sequence of CRC-framed records exactly like the campaign journal:
+// sequence of internal/frame frames, the codec the campaign journal uses:
 //
 //	[u32le payload length][u32le CRC32C of payload][JSON payload]
 //
@@ -27,28 +27,26 @@
 // frame), and a segment whose header frame cannot be trusted is quarantined
 // to <name>.bad and skipped rather than failing Open.
 //
-// The in-memory index reuses the engine cache's lock-free read-path design
-// (internal/engine/cache.go, DESIGN.md §12): 64 shards, each publishing an
-// immutable read map through an atomic pointer with a mutex-guarded dirty
-// overlay and geometric promotion. Get/Contains on the hot path take zero
-// locks, so a cross-campaign hit costs about what an engine cache hit costs
-// (pinned by BenchmarkStoreLookupHit).
+// The in-memory index is an internal/stripe Map, the lock-free index the
+// engine's memo cache also uses (DESIGN.md §12). Get/Contains on the hot
+// path take zero locks, so a cross-campaign hit costs about what an engine
+// cache hit costs (pinned by BenchmarkStoreLookupHit).
 package store
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/frame"
+	"repro/internal/stripe"
 	"repro/internal/vfs"
 )
 
@@ -58,18 +56,9 @@ const (
 	// Version is the current record-format version.
 	Version = 1
 
-	// maxPayload bounds a single frame; records are tiny, so anything large
-	// is a torn or flipped length prefix.
-	maxPayload = 1 << 20
-
-	frameHeaderLen = 8
-
 	// flushEvery bounds how many buffered records may sit in the bufio
 	// writer before a flush makes them visible to concurrent readers.
 	flushEvery = 32
-
-	// storeShards is the index stripe count, matching the engine cache.
-	storeShards = 64
 )
 
 // ErrClosed is returned by writes on a closed store.
@@ -94,117 +83,6 @@ type record struct {
 	T   string  `json:"t"` // "hdr" or "rec"
 	Hdr *Header `json:"hdr,omitempty"`
 	Rec *Record `json:"rec,omitempty"`
-}
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// readMap is one index shard's immutable published snapshot.
-type readMap struct {
-	m map[string]float64
-	// amended reports that the dirty overlay may hold keys absent from m.
-	amended bool
-}
-
-type shard struct {
-	read  atomic.Pointer[readMap]
-	mu    sync.Mutex
-	dirty map[string]float64
-}
-
-// get returns the stored minimum for key. The fast path — key present, or a
-// definitive miss on an unamended snapshot — takes no locks.
-func (sh *shard) get(key string) (float64, bool) {
-	r := sh.read.Load()
-	if ms, ok := r.m[key]; ok {
-		return ms, true
-	}
-	if !r.amended {
-		return 0, false
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r = sh.read.Load()
-	if ms, ok := r.m[key]; ok {
-		return ms, true
-	}
-	ms, ok := sh.dirty[key]
-	return ms, ok
-}
-
-// getBytes is get for a stack-rendered key; the string conversions sit in
-// map index expressions, which the compiler serves without allocating.
-func (sh *shard) getBytes(key []byte) (float64, bool) {
-	r := sh.read.Load()
-	if ms, ok := r.m[string(key)]; ok {
-		return ms, true
-	}
-	if !r.amended {
-		return 0, false
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r = sh.read.Load()
-	if ms, ok := r.m[string(key)]; ok {
-		return ms, true
-	}
-	ms, ok := sh.dirty[string(key)]
-	return ms, ok
-}
-
-// insertMin merges (key, ms) into the shard keeping the minimum, and
-// reports whether the shard changed (new key or improvement). The merge is
-// commutative and idempotent, which is what makes multi-segment loads
-// order-independent.
-func (sh *shard) insertMin(key string, ms float64) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r := sh.read.Load()
-	if old, ok := sh.dirty[key]; ok {
-		if old <= ms {
-			return false
-		}
-	} else if old, ok := r.m[key]; ok && old <= ms {
-		return false
-	}
-	if sh.dirty == nil {
-		sh.dirty = make(map[string]float64)
-	}
-	sh.dirty[key] = ms
-	if len(sh.dirty) >= 1+len(r.m)/2 {
-		// Promote: merge read+dirty into a fresh immutable snapshot; the
-		// geometric threshold keeps total copy work O(n) amortized.
-		nm := make(map[string]float64, len(r.m)+len(sh.dirty))
-		for k, v := range r.m {
-			nm[k] = v
-		}
-		for k, v := range sh.dirty {
-			nm[k] = v
-		}
-		sh.read.Store(&readMap{m: nm})
-		sh.dirty = nil
-		return true
-	}
-	if !r.amended {
-		sh.read.Store(&readMap{m: r.m, amended: true})
-	}
-	return true
-}
-
-// snapshotInto appends every (key, ms) the shard holds into dst.
-func (sh *shard) snapshotInto(dst map[string]float64) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r := sh.read.Load()
-	for k, v := range r.m {
-		if d, ok := sh.dirty[k]; ok {
-			dst[k] = d
-			continue
-		}
-		dst[k] = v
-	}
-	for k, v := range sh.dirty {
-		dst[k] = v
-	}
 }
 
 // Stats is the store's observability snapshot (the /v1/store endpoint body).
@@ -238,9 +116,9 @@ type Stats struct {
 // Store is one shared result database. All methods are safe for concurrent
 // use; Get/GetBytes/Contains are lock-free on the hot path.
 type Store struct {
-	fs     vfs.FS
-	dir    string
-	shards [storeShards]shard
+	fs    vfs.FS
+	dir   string
+	index *stripe.Map[float64] // composite key → minimum ms
 
 	mu       sync.Mutex
 	f        vfs.File
@@ -273,31 +151,33 @@ func OpenFS(fsys vfs.FS, dir string) (*Store, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
-	s := &Store{fs: fsys, dir: dir, ownMin: map[string]float64{}}
-	empty := &readMap{m: map[string]float64{}}
-	for i := range s.shards {
-		// Shards may share one empty snapshot: readMaps are immutable.
-		s.shards[i].read.Store(empty)
-	}
+	s := &Store{fs: fsys, dir: dir, index: stripe.New[float64](), ownMin: map[string]float64{}}
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: scan: %w", err)
 	}
+	mins := map[string]float64{}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".seg") {
 			continue
 		}
-		s.loadSegment(filepath.Join(dir, e.Name()))
+		s.loadSegment(filepath.Join(dir, e.Name()), mins)
+	}
+	// Each key enters the index once, already min-merged across segments:
+	// overwriting a published key copies its shard, a cost a load would
+	// otherwise pay for every superseded record.
+	for k, ms := range mins {
+		s.insertMin(k, ms)
 	}
 	return s, nil
 }
 
-// loadSegment merges one segment file into the index. An empty file is a
-// concurrent writer's just-created segment and is skipped silently; a
-// non-empty file whose header frame cannot be trusted is quarantined; a
-// torn or corrupt tail ends the scan without truncating the file (it may be
-// a live writer's partially-flushed frame).
-func (s *Store) loadSegment(path string) {
+// loadSegment min-merges one segment file's records into mins. An empty
+// file is a concurrent writer's just-created segment and is skipped
+// silently; a non-empty file whose header frame cannot be trusted is
+// quarantined; a torn or corrupt tail ends the scan without truncating the
+// file (it may be a live writer's partially-flushed frame).
+func (s *Store) loadSegment(path string, mins map[string]float64) {
 	data, err := s.fs.ReadFile(path)
 	if err != nil {
 		s.quarantine(path, fmt.Sprintf("unreadable: %v", err))
@@ -306,7 +186,7 @@ func (s *Store) loadSegment(path string) {
 	if len(data) == 0 {
 		return
 	}
-	payload, next, err := readFrame(data, 0)
+	payload, next, err := frame.Next(data, 0)
 	if err != nil {
 		s.quarantine(path, fmt.Sprintf("unreadable header frame: %v", err))
 		return
@@ -319,7 +199,7 @@ func (s *Store) loadSegment(path string) {
 	}
 	s.segments++
 	for next < len(data) {
-		payload, n, err := readFrame(data, next)
+		payload, n, err := frame.Next(data, next)
 		if err != nil {
 			s.skipped++
 			return
@@ -329,7 +209,9 @@ func (s *Store) loadSegment(path string) {
 			s.skipped++
 			return
 		}
-		s.shardFor(r.Rec.Key).insertMin(r.Rec.Key, r.Rec.MS)
+		if old, ok := mins[r.Rec.Key]; !ok || r.Rec.MS < old {
+			mins[r.Rec.Key] = r.Rec.MS
+		}
 		s.loaded++
 		next = n
 	}
@@ -359,24 +241,30 @@ func (s *Store) syncDirLocked(path string) {
 	}
 }
 
-func (s *Store) shardFor(key string) *shard {
-	return &s.shards[keyHash(key)&(storeShards-1)]
+// insertMin merges (key, ms) into the index keeping the minimum, and
+// reports whether the index changed (new key or improvement). The merge is
+// commutative and idempotent, which is what makes multi-segment loads
+// order-independent.
+func (s *Store) insertMin(key string, ms float64) bool {
+	return s.index.Update(key, func(old float64, ok bool) (float64, bool) {
+		return ms, !ok || ms < old
+	})
 }
 
 // Get returns the stored minimum ms for the composite key.
 func (s *Store) Get(key string) (float64, bool) {
-	return s.shardFor(key).get(key)
+	return s.index.Load(key)
 }
 
 // GetBytes is Get for a stack-rendered key: the allocation-free probe the
 // engine's measurement path uses.
 func (s *Store) GetBytes(key []byte) (float64, bool) {
-	return s.shards[keyHashBytes(key)&(storeShards-1)].getBytes(key)
+	return s.index.LoadBytes(key)
 }
 
 // Contains reports whether the composite key is stored.
 func (s *Store) Contains(key string) bool {
-	_, ok := s.shardFor(key).get(key)
+	_, ok := s.index.Load(key)
 	return ok
 }
 
@@ -387,7 +275,7 @@ func (s *Store) Contains(key string) bool {
 // failures are sticky and surface in Stats, never as a Put error: the store
 // is a cache, and losing its durability must not fail a campaign.
 func (s *Store) Put(key string, ms float64) {
-	if key == "" || !s.shardFor(key).insertMin(key, ms) {
+	if key == "" || !s.insertMin(key, ms) {
 		return
 	}
 	s.mu.Lock()
@@ -584,19 +472,7 @@ func (s *Store) Stats() Stats {
 		st.WriteErr = s.writeErr.Error()
 	}
 	s.mu.Unlock()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		r := sh.read.Load()
-		n := len(r.m)
-		for k := range sh.dirty {
-			if _, ok := r.m[k]; !ok {
-				n++
-			}
-		}
-		sh.mu.Unlock()
-		st.Keys += n
-	}
+	s.index.Range(func(string, float64) { st.Keys++ })
 	return st
 }
 
@@ -611,25 +487,19 @@ type Entry struct {
 // Best returns up to n stored entries for the given shape fingerprint,
 // lowest ms first, restricted to one arch fingerprint when arch != "".
 // Deterministic: ties break by (arch, setting key). This is the warm-start
-// query — rare, so it walks the shards under their locks.
+// query — rare, so it walks the whole index.
 func (s *Store) Best(shape, arch string, n int) []Entry {
 	if n <= 0 {
 		return nil
 	}
-	all := map[string]float64{}
-	for i := range s.shards {
-		s.shards[i].snapshotInto(all)
-	}
 	out := make([]Entry, 0, n)
-	// Map order is laundered out by the full sort below (the sanctioned
+	// Index order is laundered out by the full sort below (the sanctioned
 	// append-then-sort idiom).
-	for k, ms := range all {
-		a, sh, set, ok := SplitKey(k)
-		if !ok || sh != shape || (arch != "" && a != arch) {
-			continue
+	s.index.Range(func(k string, ms float64) {
+		if a, sh, set, ok := SplitKey(k); ok && sh == shape && (arch == "" || a == arch) {
+			out = append(out, Entry{Arch: a, Shape: sh, Setting: set, MS: ms})
 		}
-		out = append(out, Entry{Arch: a, Shape: sh, Setting: set, MS: ms})
-	}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].MS != out[j].MS {
 			return out[i].MS < out[j].MS
@@ -645,62 +515,10 @@ func (s *Store) Best(shape, arch string, n int) []Entry {
 	return out
 }
 
-// readFrame decodes the frame starting at off and returns its payload and
-// the offset of the next frame.
-func readFrame(data []byte, off int) ([]byte, int, error) {
-	if off+frameHeaderLen > len(data) {
-		return nil, 0, fmt.Errorf("short frame header at %d", off)
-	}
-	n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-	sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-	if n == 0 || n > maxPayload {
-		return nil, 0, fmt.Errorf("implausible frame length %d at %d", n, off)
-	}
-	start := off + frameHeaderLen
-	if start+n > len(data) {
-		return nil, 0, fmt.Errorf("short frame payload at %d", off)
-	}
-	payload := data[start : start+n]
-	if crc32.Checksum(payload, castagnoli) != sum {
-		return nil, 0, fmt.Errorf("crc mismatch at %d", off)
-	}
-	return payload, start + n, nil
-}
-
-// writeFrame marshals and writes one frame.
-func writeFrame(w *bufio.Writer, r record) error {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("store: marshal: %w", err)
-	}
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("store: write: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("store: write: %w", err)
+// writeFrame writes one record frame to w.
+func writeFrame(w io.Writer, r record) error {
+	if err := frame.Write(w, r); err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 	return nil
-}
-
-// keyHash is a stateless FNV-1a; keyHashBytes must agree byte-for-byte so
-// stack-rendered probes select the same shard.
-func keyHash(key string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-func keyHashBytes(key []byte) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 // The two-process test re-execs this test binary with childDirEnv set; the
@@ -379,7 +381,7 @@ func TestStoreCorruption(t *testing.T) {
 		{
 			name: "bit flip in header payload",
 			mutate: func(b []byte) []byte {
-				b[frameHeaderLen+2] ^= 0x40
+				b[frame.HeaderLen+2] ^= 0x40
 				return b
 			},
 			wantKeys: 0, wantQuar: true, wantGone: true,

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
+
+	"repro/internal/stats"
 )
 
 // ErrInjected tags every fault FaultFS injects, so tests can tell an
@@ -205,21 +207,10 @@ func contains(s, sub string) bool {
 }
 
 // faultU hashes (seed, op, path base, index) to [0, 1) — the pure decision
-// function behind Rate rules. FNV-1a over the op and base name, mixed with
-// the seed and index splitmix64-style.
+// function behind Rate rules. stats.KeyHash over "op|base", mixed with the
+// seed and index splitmix64-style.
 func faultU(seed uint64, op Op, base string, idx int64) float64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(op); i++ {
-		h ^= uint64(op[i])
-		h *= 1099511628211
-	}
-	h ^= '|'
-	h *= 1099511628211
-	for i := 0; i < len(base); i++ {
-		h ^= uint64(base[i])
-		h *= 1099511628211
-	}
-	x := h ^ seed ^ uint64(idx)*0x9e3779b97f4a7c15
+	x := stats.KeyHash(string(op)+"|"+base) ^ seed ^ uint64(idx)*0x9e3779b97f4a7c15
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
