@@ -1,18 +1,11 @@
 // Command cstlint runs the repo's static-analysis suite (internal/analysis)
 // over the module containing the working directory and prints findings as
-// "file:line: [analyzer] message". Exit status: 0 clean (or all findings
-// baselined), 1 new findings, 2 when the tree fails to load or type-check.
+// "file:line: [analyzer] message". Exit status: 0 clean, 1 findings, 2 when
+// the tree fails to load or type-check.
 //
 // Usage:
 //
-//	cstlint [flags] [./...]
-//
-// Flags:
-//
-//	-json                 emit findings as a JSON array instead of text
-//	-baseline file        suppress findings listed in file; fail only on new ones
-//	-write-baseline file  write the current findings to file in baseline format
-//	-workers n            bound the analysis worker pool (0 = auto)
+//	cstlint [./...]
 //
 // The package-pattern argument is accepted for familiarity but the suite
 // always lints the whole module: its invariants (determinism, accounting,
@@ -40,12 +33,7 @@ func main() {
 }
 
 func run() (int, error) {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
-	baselinePath := flag.String("baseline", "", "suppress findings listed in `file`; fail only on new ones")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to `file` in baseline format and exit 0")
-	workers := flag.Int("workers", 0, "analysis worker pool size (0 = auto)")
-	flag.Parse()
-
+	flag.Parse() // no flags: rejects unknown ones, serves -h
 	wd, err := os.Getwd()
 	if err != nil {
 		return 0, err
@@ -54,55 +42,16 @@ func run() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := analysis.Run(analysis.Config{Root: root, ModulePath: modPath, Workers: *workers})
+	res, err := analysis.Run(analysis.Config{Root: root, ModulePath: modPath})
 	if err != nil {
 		return 0, err
 	}
-
-	// Baseline keys are root-relative so the committed file is portable
-	// across checkouts regardless of the invocation directory.
-	if *writeBaseline != "" {
-		var sb strings.Builder
-		sb.WriteString("# cstlint baseline: one accepted finding per line, matched without line numbers.\n")
-		for _, line := range res.BaselineLines(root) {
-			sb.WriteString(line)
-			sb.WriteByte('\n')
-		}
-		if err := os.WriteFile(*writeBaseline, []byte(sb.String()), 0o644); err != nil {
-			return 0, err
-		}
-		fmt.Fprintf(os.Stderr, "cstlint: wrote %d finding(s) to %s\n", len(res.Diags), *writeBaseline)
-		return 0, nil
-	}
-
-	suppressed := 0
-	if *baselinePath != "" {
-		base, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			return 0, err
-		}
-		res, suppressed = res.ApplyBaseline(base, root)
-	}
-
 	w := bufio.NewWriter(os.Stdout)
-	if *jsonOut {
-		data, err := res.FormatJSON(wd)
-		if err != nil {
-			return 0, err
-		}
-		w.Write(data)
-		w.WriteByte('\n')
-	} else {
-		for _, line := range res.Format(wd) {
-			fmt.Fprintln(w, line)
-		}
-		if len(res.Diags) > 0 {
-			fmt.Fprintf(w, "cstlint: %d finding(s)", len(res.Diags))
-			if suppressed > 0 {
-				fmt.Fprintf(w, " (%d baselined)", suppressed)
-			}
-			fmt.Fprintln(w)
-		}
+	for _, line := range res.Format(wd) {
+		fmt.Fprintln(w, line)
+	}
+	if len(res.Diags) > 0 {
+		fmt.Fprintf(w, "cstlint: %d finding(s)\n", len(res.Diags))
 	}
 	if err := w.Flush(); err != nil {
 		return 0, err

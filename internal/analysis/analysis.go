@@ -11,8 +11,6 @@
 //     or measurements;
 //   - errdrop: no silently discarded error returns from internal/os/io
 //     calls (an explicit `_ =` is the visible opt-out);
-//   - lockcall: no objective measurements or user callbacks invoked while
-//     an engine mutex is held;
 //   - rawfs: no direct os/ioutil filesystem calls in the durable-storage
 //     packages (internal/journal, internal/store, internal/campaign) —
 //     every disk touch goes through the internal/vfs seam so the chaos
@@ -20,20 +18,19 @@
 //   - goleak: every spawned goroutine is joined, watching a cancel signal,
 //     or handing its result to the spawner, and an in-scope context flows
 //     into context-aware callees instead of being dropped;
-//   - lockorder (whole-program): the static lock-acquisition graph is
-//     acyclic and consistent with declared //cstlint:lockorder orderings;
-//   - atomicmix (whole-program): fields accessed via sync/atomic anywhere
-//     are never read or written plainly elsewhere;
+//   - lockorder: no objective measurements or user callbacks invoked while
+//     a mutex is held, and the static lock-acquisition graph is acyclic and
+//     consistent with declared //cstlint:lockorder orderings;
+//   - atomicmix: fields accessed via sync/atomic anywhere are never read or
+//     written plainly elsewhere (copies of typed atomics are go vet's
+//     copylocks check);
 //   - directive: every //cstlint:allow and //cstlint:lockorder annotation
 //     is well-formed, names a real analyzer, and still applies to something.
 //
 // The driver is pure stdlib (go/parser, go/ast, go/types, go/token): it
-// loads every package in the module from source (parsing in parallel across
-// a bounded worker pool), type-checks it, runs the per-package suite on each
-// package concurrently and the whole-program suite over all of them, applies
-// allow directives, and reports findings as "file:line: [analyzer] message"
-// — byte-identically at any worker count. A committed baseline file can
-// subtract accepted findings (see baseline.go) so only new findings fail.
+// loads and type-checks every package in the module from source, runs each
+// analyzer once over all of them, applies allow directives, and reports
+// findings as "file:line: [analyzer] message" in position order.
 package analysis
 
 import (
@@ -50,27 +47,56 @@ type Diagnostic struct {
 	Message  string
 }
 
-// Analyzer is one named check. Run inspects the pass's package and reports
-// findings through pass.Reportf.
+// Analyzer is one named check. Run inspects every package of the pass and
+// reports findings through pass.Reportf.
 type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass)
 }
 
-// Pass is one (analyzer, package) execution.
+// Pass is one analyzer's execution over the whole tree.
 type Pass struct {
 	Analyzer *Analyzer
-	Pkg      *Package
-
-	// ResultAffecting marks packages whose behaviour reaches tuning results
-	// (the driver's scope predicate; nodeterm only fires inside it).
-	ResultAffecting bool
-	// ModulePath scopes errdrop's "own module" test ("repro" for real runs,
-	// "repro" again for fixtures via their stub tree).
+	// Pkgs is every loaded package, sorted by import path.
+	Pkgs []*Package
+	Fset *token.FileSet
+	// ModulePath scopes errdrop's "own module" test; empty for bare fixture
+	// trees.
 	ModulePath string
+	// Orders is the declared lock-order set parsed from
+	// //cstlint:lockorder directives across the whole tree.
+	Orders []*OrderDecl
 
+	funcs []funcDecl
 	diags *[]Diagnostic
+}
+
+// funcDecl is one function declaration with a body.
+type funcDecl struct {
+	obj  *types.Func
+	decl *ast.FuncDecl
+	pkg  *Package
+}
+
+// collectFuncs lists every function declaration with a body: packages in
+// path order, files and declarations in source order.
+func collectFuncs(pkgs []*Package) []funcDecl {
+	var out []funcDecl
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					out = append(out, funcDecl{obj: obj, decl: fd, pkg: pkg})
+				}
+			}
+		}
+	}
+	return out
 }
 
 // Reportf records one finding at pos.
@@ -80,11 +106,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// TypeOf returns the static type of expr, or nil when unknown.
-func (p *Pass) TypeOf(expr ast.Expr) types.Type {
-	return p.Pkg.Info.TypeOf(expr)
 }
 
 // calleeObj resolves the object a call expression invokes: the *types.Func
@@ -146,57 +167,46 @@ func returnsError(obj types.Object) bool {
 	return false
 }
 
-// hasMethod reports whether t (or *t) has a method or embedded field named
-// name — used to recognize objective-shaped receivers.
-func hasMethod(t types.Type, name string) bool {
+// objectiveMethods are the measurement entry points of sim.Objective and the
+// engine.
+var objectiveMethods = map[string]bool{
+	"Measure": true, "MeasureCtx": true, "MeasureBatch": true, "MeasureBatchCtx": true,
+}
+
+// isObjectiveCall recognizes objective measurements: the Measure* method
+// family on any receiver, plus Run/RunBatch on objective-shaped receivers
+// (those that also have a Space method or field). maporder and lockorder
+// share this one rule.
+func isObjectiveCall(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	if objectiveMethods[fn.Name()] {
+		return true
+	}
+	if fn.Name() != "Run" && fn.Name() != "RunBatch" {
+		return false
+	}
+	t := info.TypeOf(sel.X)
 	if t == nil {
 		return false
 	}
-	obj, _, _ := types.LookupFieldOrMethod(t, true, nil, name)
-	return obj != nil
+	space, _, _ := types.LookupFieldOrMethod(t, true, nil, "Space")
+	return space != nil
 }
 
-// GlobalAnalyzer is one whole-program check: unlike an Analyzer, which sees
-// one package at a time, its Run observes every loaded package at once and
-// can follow the cross-package call graph (lockorder's held-lock
-// propagation, atomicmix's atomic-field registry).
-type GlobalAnalyzer struct {
-	Name string
-	Doc  string
-	Run  func(*GlobalPass)
-}
-
-// GlobalPass is one whole-program analyzer execution over the full tree.
-type GlobalPass struct {
-	Analyzer *GlobalAnalyzer
-	// Pkgs is every loaded package, sorted by import path.
-	Pkgs []*Package
-	Fset *token.FileSet
-	// Orders is the declared lock-order set parsed from
-	// //cstlint:lockorder directives across the whole tree.
-	Orders []*OrderDecl
-
-	diags *[]Diagnostic
-}
-
-// Reportf records one finding at pos.
-func (p *GlobalPass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      pos,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// DefaultAnalyzers returns the per-package suite in reporting order. The
-// directive validator is not in the list: it runs inside the driver, after
-// suppression, because it must observe which allows were used.
+// DefaultAnalyzers returns the suite in run order. The directive validator
+// is not in the list: it runs inside the driver, after suppression, because
+// it must observe which allows were used.
 func DefaultAnalyzers() []*Analyzer {
-	return []*Analyzer{NoDeterm, MapOrder, ErrDrop, LockCall, RawFS, GoLeak}
-}
-
-// DefaultGlobalAnalyzers returns the whole-program suite run after the
-// per-package analyzers.
-func DefaultGlobalAnalyzers() []*GlobalAnalyzer {
-	return []*GlobalAnalyzer{LockOrder, AtomicMix}
+	return []*Analyzer{NoDeterm, MapOrder, ErrDrop, RawFS, GoLeak, LockOrder, AtomicMix}
 }

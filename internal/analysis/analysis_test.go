@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -194,29 +193,6 @@ func TestCycleWitnessChains(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminism proves the worker pool is invisible in the output:
-// the same tree analyzed sequentially and with the pool saturated formats
-// byte-identically.
-func TestParallelDeterminism(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("testdata", "src", "lockorder"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	format := func(workers int) string {
-		res, err := Run(Config{Root: root, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.Join(res.Format(root), "\n")
-	}
-	seq := format(1)
-	for i := 0; i < 3; i++ {
-		if par := format(8); par != seq {
-			t.Fatalf("parallel output differs from sequential\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
-		}
-	}
-}
-
 // TestTypeCheckError drives the driver over a package that does not
 // type-check and requires a positioned error, the condition under which
 // cstlint exits 2.
@@ -243,82 +219,6 @@ func f() int { return "not an int" }
 	}
 	if !strings.Contains(msg, "type-checking") {
 		t.Errorf("error %q does not say it is a type-checking failure", msg)
-	}
-}
-
-// TestBaselineSuppression covers both baseline paths: known findings are
-// suppressed (exit-0 path) and a finding absent from the baseline survives
-// (fail-on-new path). Matching is line-number-free, so a baseline keyed on
-// an old line still matches after unrelated edits move the finding.
-func TestBaselineSuppression(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("testdata", "golden", "src"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(Config{Root: root})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Diags) < 2 {
-		t.Fatalf("golden tree produced %d findings, need at least 2", len(res.Diags))
-	}
-
-	// Full baseline (with comment/blank noise): everything suppressed.
-	lines := res.BaselineLines(root)
-	full := ParseBaseline([]byte("# header\n\n" + strings.Join(lines, "\n") + "\n"))
-	if full.Len() != len(lines) {
-		t.Fatalf("baseline parsed %d entries, want %d", full.Len(), len(lines))
-	}
-	kept, suppressed := res.ApplyBaseline(full, root)
-	if len(kept.Diags) != 0 || suppressed != len(res.Diags) {
-		t.Errorf("full baseline kept %d findings (suppressed %d), want 0 kept", len(kept.Diags), suppressed)
-	}
-
-	// Partial baseline: the omitted finding must survive.
-	partial := ParseBaseline([]byte(strings.Join(lines[1:], "\n")))
-	kept, suppressed = res.ApplyBaseline(partial, root)
-	if len(kept.Diags) != 1 || suppressed != len(res.Diags)-1 {
-		t.Fatalf("partial baseline kept %d findings (suppressed %d), want exactly 1 kept", len(kept.Diags), suppressed)
-	}
-	if got := kept.BaselineLines(root)[0]; got != lines[0] {
-		t.Errorf("surviving finding = %q, want the omitted %q", got, lines[0])
-	}
-}
-
-// TestFormatJSON pins the -json rendering: an array of objects with file,
-// line, analyzer and message fields, and [] (not null) when clean.
-func TestFormatJSON(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("testdata", "golden", "src"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(Config{Root: root})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := res.FormatJSON(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []JSONDiagnostic
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatalf("output is not a JSON array of diagnostics: %v\n%s", err, data)
-	}
-	if len(got) != len(res.Diags) {
-		t.Fatalf("JSON has %d findings, text has %d", len(got), len(res.Diags))
-	}
-	for _, d := range got {
-		if d.File == "" || d.Line == 0 || d.Analyzer == "" || d.Message == "" {
-			t.Errorf("incomplete JSON diagnostic: %+v", d)
-		}
-	}
-	empty := &Result{Fset: res.Fset}
-	data, err = empty.FormatJSON(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(string(data)) != "[]" {
-		t.Errorf("empty result renders %q, want []", data)
 	}
 }
 

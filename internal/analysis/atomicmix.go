@@ -18,23 +18,23 @@ import (
 //     atomic-only; every other direct read, write or address-of of the same
 //     field is a finding;
 //   - typed atomic fields (atomic.Int64, atomic.Pointer[T], atomic.Value,
-//     …): method calls (s.f.Load()) and address-of (&s.f — the sharing
-//     idiom) are the sanctioned accesses; copying or overwriting the value
-//     itself is a finding (the copy's state is torn loose from the original
-//     and go vet's copylocks does not see every route).
+//     …): resetting one by assigning a composite literal (c.gauge =
+//     atomic.Int64{}) is a finding. Copies of a typed atomic are go vet's
+//     copylocks check (they carry a noCopy marker), which CI runs; vet
+//     accepts the literal assignment, so this analyzer keeps it.
 //
 // Initialization scope is exempt: accesses inside a constructor (a
 // package-level function whose name starts with New/new/make/Make) or an
 // init function, and fields set in composite literals, are single-goroutine
 // by convention. Indirect aliasing (a plain pointer to the field captured
 // outside an atomic call) is a documented false-negative boundary.
-var AtomicMix = &GlobalAnalyzer{
+var AtomicMix = &Analyzer{
 	Name: "atomicmix",
 	Doc:  "flags plain reads/writes of struct fields that are elsewhere accessed via sync/atomic",
 	Run:  runAtomicMix,
 }
 
-func runAtomicMix(pass *GlobalPass) {
+func runAtomicMix(pass *Pass) {
 	// Pass 1: register function-form atomic fields and mark their sanctioned
 	// &field argument nodes across the whole tree.
 	atomicFields := map[*types.Var]bool{}
@@ -108,21 +108,7 @@ func runAtomicMix(pass *GlobalPass) {
 						fieldDisplay(v))
 					return true
 				}
-				if isTypedAtomic(v.Type()) {
-					switch p := parent.(type) {
-					case *ast.SelectorExpr:
-						if p.X == sel {
-							return true // s.f.Load() / deeper selection: sanctioned
-						}
-					case *ast.UnaryExpr:
-						if p.Op.String() == "&" {
-							return true // &s.f: the sharing idiom
-						}
-					case *ast.KeyValueExpr:
-						if p.Key == sel {
-							return true // composite-literal field name, not an access
-						}
-					}
+				if as, isAssign := parent.(*ast.AssignStmt); isAssign && isTypedAtomic(v.Type()) && assignsLiteral(as, sel) {
 					pass.Reportf(sel.Pos(),
 						"field %s has atomic type %s; copying or reassigning the value bypasses its atomicity — call its methods or share &%s",
 						fieldDisplay(v), v.Type().String(), sel.Sel.Name)
@@ -174,10 +160,24 @@ func isTypedAtomic(t types.Type) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
 }
 
-// fieldDisplay renders a field as Type.name for findings.
+// assignsLiteral reports whether as assigns a composite literal to lhs.
+func assignsLiteral(as *ast.AssignStmt, lhs ast.Expr) bool {
+	if len(as.Lhs) != len(as.Rhs) {
+		return false
+	}
+	for i, l := range as.Lhs {
+		if l == lhs {
+			_, ok := ast.Unparen(as.Rhs[i]).(*ast.CompositeLit)
+			return ok
+		}
+	}
+	return false
+}
+
+// fieldDisplay renders a field as pkg.field for findings: the field's owner
+// type is not reachable from the Var, and the package-qualified name is
+// unambiguous enough.
 func fieldDisplay(v *types.Var) string {
-	// The field's owner is not directly reachable from the Var; render the
-	// package-qualified field name, which is unambiguous enough in findings.
 	if v.Pkg() != nil {
 		return v.Pkg().Name() + "." + v.Name()
 	}

@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// DirectivePrefix introduces every cstlint control comment.
-const DirectivePrefix = "//cstlint:"
+// directivePrefix introduces every cstlint control comment.
+const directivePrefix = "//cstlint:"
 
 // allowRe is the allow-directive grammar: //cstlint:allow name(reason).
 // The reason is mandatory — an unexplained suppression is itself a finding.
@@ -41,11 +41,10 @@ type directive struct {
 }
 
 // OrderDecl is one declared lock ordering, surfaced to the lockorder
-// analyzer through GlobalPass.Orders.
+// analyzer through Pass.Orders.
 type OrderDecl struct {
 	// Before must always be acquired before After.
 	Before, After string
-	Pos           token.Pos
 
 	d *directive
 }
@@ -62,7 +61,7 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) []*directive {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(c.Text)
-				if !strings.HasPrefix(text, DirectivePrefix) {
+				if !strings.HasPrefix(text, directivePrefix) {
 					continue
 				}
 				p := fset.Position(c.Pos())
@@ -100,7 +99,7 @@ func orderDecls(dirs []*directive) []*OrderDecl {
 	var out []*OrderDecl
 	for _, d := range dirs {
 		if d.kind == dirOrder && d.malform == "" {
-			out = append(out, &OrderDecl{Before: d.before, After: d.after, Pos: d.pos, d: d})
+			out = append(out, &OrderDecl{Before: d.before, After: d.after, d: d})
 		}
 	}
 	return out
@@ -131,9 +130,9 @@ func applyDirectives(fset *token.FileSet, diags []Diagnostic, dirs []*directive)
 	return kept
 }
 
-// DirectiveName is the reserved analyzer name for directive-validation
+// directiveName is the reserved analyzer name for directive-validation
 // findings; it cannot itself be allow-suppressed.
-const DirectiveName = "directive"
+const directiveName = "directive"
 
 // directiveFindings validates the package's directives after suppression:
 // malformed comments, unknown analyzer names, and stale allows that no
@@ -147,17 +146,17 @@ func directiveFindings(dirs []*directive, known map[string]bool) []Diagnostic {
 	for _, d := range dirs {
 		switch {
 		case d.malform != "":
-			out = append(out, Diagnostic{Pos: d.pos, Analyzer: DirectiveName, Message: d.malform})
+			out = append(out, Diagnostic{Pos: d.pos, Analyzer: directiveName, Message: d.malform})
 		case d.kind == dirOrder:
 			if !d.used {
-				out = append(out, Diagnostic{Pos: d.pos, Analyzer: DirectiveName,
+				out = append(out, Diagnostic{Pos: d.pos, Analyzer: directiveName,
 					Message: "stale lockorder declaration: no mutex matches class " + d.before + " or " + d.after + "; update or delete the directive"})
 			}
 		case !known[d.analyzer]:
-			out = append(out, Diagnostic{Pos: d.pos, Analyzer: DirectiveName,
+			out = append(out, Diagnostic{Pos: d.pos, Analyzer: directiveName,
 				Message: "allow names unknown analyzer \"" + d.analyzer + "\""})
 		case !d.used:
-			out = append(out, Diagnostic{Pos: d.pos, Analyzer: DirectiveName,
+			out = append(out, Diagnostic{Pos: d.pos, Analyzer: directiveName,
 				Message: "stale allow: no " + d.analyzer + " finding is suppressed here; delete the directive"})
 		}
 	}

@@ -21,32 +21,33 @@ var ErrDrop = &Analyzer{
 }
 
 func runErrDrop(pass *Pass) {
-	info := pass.Pkg.Info
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var call *ast.CallExpr
-			var how string
-			switch st := n.(type) {
-			case *ast.ExprStmt:
-				call, how = asCall(st.X), "discards"
-			case *ast.DeferStmt:
-				call, how = st.Call, "defers and discards"
-			case *ast.GoStmt:
-				call, how = st.Call, "discards (in a goroutine)"
-			default:
+	for _, pkg := range pass.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var call *ast.CallExpr
+				var how string
+				switch st := n.(type) {
+				case *ast.ExprStmt:
+					call, how = asCall(st.X), "discards"
+				case *ast.DeferStmt:
+					call, how = st.Call, "defers and discards"
+				case *ast.GoStmt:
+					call, how = st.Call, "discards (in a goroutine)"
+				default:
+					return true
+				}
+				if call == nil {
+					return true
+				}
+				obj := calleeObj(pkg.Info, call)
+				if obj == nil || !returnsError(obj) || !errScoped(pass.ModulePath, pkg.PkgPath, obj) {
+					return true
+				}
+				pass.Reportf(call.Pos(),
+					"%s the error returned by %s; handle it or assign it to _ explicitly", how, calleeName(call, obj))
 				return true
-			}
-			if call == nil {
-				return true
-			}
-			obj := calleeObj(info, call)
-			if obj == nil || !returnsError(obj) || !pass.errScoped(obj) {
-				return true
-			}
-			pass.Reportf(call.Pos(),
-				"%s the error returned by %s; handle it or assign it to _ explicitly", how, calleeName(call, obj))
-			return true
-		})
+			})
+		}
 	}
 }
 
@@ -56,17 +57,17 @@ func asCall(x ast.Expr) *ast.CallExpr {
 }
 
 // errScoped reports whether the callee is inside errdrop's jurisdiction:
-// this module (any package under ModulePath, including the package being
-// analyzed), os, or io.
-func (p *Pass) errScoped(obj types.Object) bool {
+// this module (any package under modulePath, including the package being
+// analyzed, self), os, or io.
+func errScoped(modulePath, self string, obj types.Object) bool {
 	path := pkgPath(obj)
 	switch {
 	case path == "os" || path == "io":
 		return true
-	case path == p.Pkg.PkgPath:
+	case path == self:
 		return true
-	case p.ModulePath != "" &&
-		(path == p.ModulePath || strings.HasPrefix(path, p.ModulePath+"/")):
+	case modulePath != "" &&
+		(path == modulePath || strings.HasPrefix(path, modulePath+"/")):
 		return true
 	}
 	return false

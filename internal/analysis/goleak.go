@@ -45,22 +45,20 @@ var GoLeak = &Analyzer{
 }
 
 func runGoLeak(pass *Pass) {
-	info := pass.Pkg.Info
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkGoStmts(pass, info, fd)
-			checkCtxFlow(pass, info, fd)
-		}
+	bodies := map[*types.Func]*ast.BlockStmt{}
+	for _, fn := range pass.funcs {
+		bodies[fn.obj] = fn.decl.Body
+	}
+	for _, fn := range pass.funcs {
+		checkGoStmts(pass, fn, bodies)
+		checkCtxFlow(pass, fn.pkg.Info, fn.decl)
 	}
 }
 
 // checkGoStmts applies the goroutine-lifecycle rules to every go statement
-// in fd.
-func checkGoStmts(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
+// in fn. bodies holds every declared function's body, for named callees.
+func checkGoStmts(pass *Pass, fn funcDecl, bodies map[*types.Func]*ast.BlockStmt) {
+	info, fd := fn.pkg.Info, fn.decl
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		g, ok := n.(*ast.GoStmt)
 		if !ok {
@@ -81,8 +79,8 @@ func checkGoStmts(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 				return true
 			}
 		}
-		if callee, ok := calleeObj(info, g.Call).(*types.Func); ok {
-			if body := funcBodyIn(pass.Pkg, callee); body != nil && goroutineGoverned(info, body, fd.Body) {
+		if callee, ok := calleeObj(info, g.Call).(*types.Func); ok && callee.Pkg() == fn.pkg.Types {
+			if body := bodies[callee]; body != nil && goroutineGoverned(info, body, fd.Body) {
 				return true
 			}
 		}
@@ -183,18 +181,6 @@ func isContextType(t types.Type) bool {
 	}
 	obj := n.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// funcBodyIn returns fn's body when it is declared in pkg, else nil.
-func funcBodyIn(pkg *Package, fn *types.Func) *ast.BlockStmt {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil && pkg.Info.Defs[fd.Name] == fn {
-				return fd.Body
-			}
-		}
-	}
-	return nil
 }
 
 // checkCtxFlow flags calls inside a context-accepting function that drop

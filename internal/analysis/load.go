@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, type-checked package.
@@ -19,11 +18,9 @@ type Package struct {
 	// PkgPath is the package's import path (module-qualified for module
 	// loads, root-relative for bare fixture trees).
 	PkgPath string
-	// Dir is the absolute directory the sources were read from.
-	Dir   string
-	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
+	Files   []*ast.File
+	Types   *types.Package
+	Info    *types.Info
 }
 
 // Loader loads packages from a source tree with no toolchain dependency
@@ -44,19 +41,6 @@ type Loader struct {
 	std     types.Importer
 	pkgs    map[string]*Package
 	loading map[string]bool
-
-	// parsed caches per-directory parse results, filled concurrently by the
-	// pre-parse phase of LoadAll (token.FileSet is safe for concurrent
-	// AddFile) and read sequentially during type-checking. Parsing is the
-	// bulk of the loader's work, so this is where parallelism pays.
-	parsedMu sync.Mutex
-	parsed   map[string]parsedDir
-}
-
-// parsedDir is one directory's parse outcome.
-type parsedDir struct {
-	files []*ast.File
-	err   error
 }
 
 // NewLoader returns a loader over root; modulePath may be empty for bare
@@ -70,7 +54,6 @@ func NewLoader(root, modulePath string) *Loader {
 		std:        importer.ForCompiler(fset, "source", nil),
 		pkgs:       map[string]*Package{},
 		loading:    map[string]bool{},
-		parsed:     map[string]parsedDir{},
 	}
 }
 
@@ -84,10 +67,8 @@ func skipDir(name string) bool {
 }
 
 // LoadAll walks Root and loads every package directory (non-test .go files
-// present), returning packages sorted by import path. With workers > 1 the
-// tree's files are parsed concurrently before the (inherently sequential,
-// dependency-ordered) type-checking pass consumes them.
-func (l *Loader) LoadAll(workers int) ([]*Package, error) {
+// present), returning packages sorted by import path.
+func (l *Loader) LoadAll() ([]*Package, error) {
 	var paths []string
 	err := filepath.Walk(l.Root, func(path string, fi os.FileInfo, err error) error {
 		if err != nil {
@@ -113,9 +94,6 @@ func (l *Loader) LoadAll(workers int) ([]*Package, error) {
 		return nil, err
 	}
 	sort.Strings(paths)
-	if workers > 1 {
-		l.preparse(paths, workers)
-	}
 	out := make([]*Package, 0, len(paths))
 	for _, p := range paths {
 		pkg, err := l.Load(p)
@@ -125,37 +103,6 @@ func (l *Loader) LoadAll(workers int) ([]*Package, error) {
 		out = append(out, pkg)
 	}
 	return out, nil
-}
-
-// preparse parses every listed package's files across a bounded worker
-// pool, filling the parse cache Load consults. Parse errors are cached too
-// and surface from Load in the same deterministic (path-sorted) order the
-// sequential path reports them.
-func (l *Loader) preparse(paths []string, workers int) {
-	if workers > len(paths) {
-		workers = len(paths)
-	}
-	var wg sync.WaitGroup
-	ch := make(chan string)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for p := range ch {
-				if dir := l.dirFor(p); dir != "" {
-					files, err := l.parseDir(dir)
-					l.parsedMu.Lock()
-					l.parsed[dir] = parsedDir{files: files, err: err}
-					l.parsedMu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, p := range paths {
-		ch <- p
-	}
-	close(ch)
-	wg.Wait()
 }
 
 // parseDir parses a directory's non-test Go files in name order.
@@ -251,17 +198,10 @@ func (l *Loader) Load(path string) (*Package, error) {
 	l.loading[path] = true
 	defer delete(l.loading, path)
 
-	l.parsedMu.Lock()
-	pd, cached := l.parsed[dir]
-	l.parsedMu.Unlock()
-	if !cached {
-		pd.files, pd.err = l.parseDir(dir)
+	files, err := l.parseDir(dir)
+	if err != nil {
+		return nil, err
 	}
-	if pd.err != nil {
-		return nil, pd.err
-	}
-	files := pd.files
-
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -281,7 +221,7 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
 	}
-	p := &Package{PkgPath: path, Dir: dir, Files: files, Types: tpkg, Info: info}
+	p := &Package{PkgPath: path, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = p
 	return p, nil
 }

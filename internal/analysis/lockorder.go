@@ -9,23 +9,32 @@ import (
 	"strings"
 )
 
-// LockOrder infers the repo's static lock-acquisition graph and reports
-// potential deadlocks and contradictions of declared orderings.
+// LockOrder checks the repo's lock discipline from one per-function
+// collection of lock events and held intervals.
 //
-// Every sync.Mutex/RWMutex acquisition is resolved to a lock *class*
-// ("engine.mu" — the owning type, first rune lowered, dot, field name; see
-// mutexClass). Per function, the shared interval machinery reconstructs the
-// regions during which each class is held; a monomorphic call graph built
-// from go/types resolution then propagates "locks this function may
-// acquire" bottom-up, so an acquisition reached through any chain of direct
-// calls while another class is held becomes an edge A -> B in the global
-// acquisition graph, carrying the witness call chain that produced it.
+// Calls under a held lock: an objective measurement (the Measure* family,
+// or Run/RunBatch on an objective-shaped receiver) or a user callback (a
+// call through a func-typed struct field or function parameter) made while
+// any mutex is held is a finding. A measurement can block for a full kernel
+// benchmark, serializing every other worker behind a GPU-length critical
+// section, and a callback that re-enters the engine deadlocks. Every
+// mutex opens intervals here, classified or not, and functions following
+// the repo's *Locked naming convention are held over their whole body.
+//
+// The acquisition graph: every sync.Mutex/RWMutex acquisition is resolved
+// to a lock *class* ("engine.mu" — the owning type, first rune lowered,
+// dot, field name; see mutexClass). A monomorphic call graph built from
+// go/types resolution propagates "locks this function may acquire"
+// bottom-up, so an acquisition reached through any chain of direct calls
+// while another class is held becomes an edge A -> B, carrying the witness
+// call chain that produced it.
 //
 // Findings:
 //
-//   - any cycle in the acquisition graph is a potential deadlock, reported
-//     once per strongly-connected component with every edge's witness chain
-//     printed;
+//   - a risky call inside a held interval, naming the lock;
+//   - any cycle in the acquisition graph is a potential deadlock,
+//     reported once per strongly-connected component with every edge's
+//     witness chain printed;
 //   - any edge that contradicts a declared //cstlint:lockorder a < b
 //     directive (an acquisition of a while b is held) is an ordering
 //     violation, reported at the outermost witness frame.
@@ -34,27 +43,25 @@ import (
 // (a callee's acquisitions count even when its locked region is not on the
 // executed path), function literals are opaque (a goroutine does not
 // inherit its spawner's held set — correct — but a synchronously invoked
-// closure's acquisitions are also not propagated — a false-negative
+// closure's acquisitions and calls are also not seen — a false-negative
 // boundary), interface method calls do not resolve to implementations, and
 // read/write sides of one RWMutex collapse onto one class (writer-vs-reader
 // cycles through one RWMutex are still deadlocks, so collapsing is
 // conservative in the right direction).
-var LockOrder = &GlobalAnalyzer{
+var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "infers the static lock-acquisition graph; reports cycles and declared-order contradictions",
+	Doc:  "flags measurements and callbacks under a held mutex; reports lock-order cycles and declared-order contradictions",
 	Run:  runLockOrder,
 }
 
 // loFunc is one analyzed function body.
 type loFunc struct {
-	obj  *types.Func
-	decl *ast.FuncDecl
-	pkg  *Package
+	obj *types.Func
 
 	// locks are the class-resolved direct acquisitions (evLock events).
 	locks []loLock
-	// intervals are the class-resolved held regions.
-	intervals []loInterval
+	// intervals are the held regions, classified or not.
+	intervals []lockInterval
 	// calls are the monomorphically resolved call sites, in position order.
 	calls []loCall
 
@@ -67,12 +74,6 @@ type loFunc struct {
 type loLock struct {
 	class string
 	pos   token.Pos
-}
-
-type loInterval struct {
-	from, to token.Pos
-	class    string
-	key      string
 }
 
 type loCall struct {
@@ -95,14 +96,14 @@ type loEdge struct {
 	chain    string    // rendered witness call chain
 }
 
-func runLockOrder(pass *GlobalPass) {
-	funcs, order := loCollect(pass)
-	loPropagate(funcs, order)
-	edges := loEdges(pass, funcs, order)
+func runLockOrder(pass *Pass) {
+	funcs := loCollect(pass)
+	loPropagate(pass, funcs)
+	edges := loEdges(pass, funcs)
 
 	classes := map[string]bool{}
-	for _, fn := range order {
-		for _, lk := range funcs[fn].locks {
+	for _, fn := range pass.funcs {
+		for _, lk := range funcs[fn.obj].locks {
 			classes[lk.class] = true
 		}
 	}
@@ -125,72 +126,114 @@ func runLockOrder(pass *GlobalPass) {
 }
 
 // loCollect builds the per-function lock/call facts for every function in
-// the tree, returning the deterministic processing order (packages sorted by
-// path, files and declarations in source order).
-func loCollect(pass *GlobalPass) (map[*types.Func]*loFunc, []*types.Func) {
+// the tree and reports risky calls made inside a held interval along the
+// way.
+func loCollect(pass *Pass) map[*types.Func]*loFunc {
 	funcs := map[*types.Func]*loFunc{}
-	var order []*types.Func
-	for _, pkg := range pass.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+	for _, fn := range pass.funcs {
+		info, fd := fn.pkg.Info, fn.decl
+		lf := &loFunc{obj: fn.obj, acquires: map[string]loStep{}}
+		if isLockedConvention(fd) {
+			lf.intervals = append(lf.intervals, lockInterval{
+				from: fd.Body.Pos(), to: fd.Body.End(),
+				key: "the receiver's lock (the *Locked naming convention)",
+			})
+		}
+		events := collectLockEvents(info, fd.Body)
+		for _, ev := range events {
+			if ev.kind == evLock && ev.class != "" {
+				lf.locks = append(lf.locks, loLock{class: ev.class, pos: ev.pos})
+				if _, ok := lf.acquires[ev.class]; !ok {
+					lf.acquires[ev.class] = loStep{direct: true, pos: ev.pos}
 				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
+			}
+		}
+		lf.intervals = append(lf.intervals, pairIntervals(events, fd.Body.End())...)
+		params := paramObjects(info, fd)
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if _, isLit := n.(*ast.FuncLit); isLit {
+				return false // closures run at an unknown time; see doc
+			}
+			call, isCall := n.(*ast.CallExpr)
+			if !isCall {
+				return true
+			}
+			if callee, isFn := calleeObj(info, call).(*types.Func); isFn {
+				lf.calls = append(lf.calls, loCall{pos: call.Pos(), callee: callee.Origin()})
+			}
+			if len(lf.intervals) == 0 {
+				return true
+			}
+			what := riskyCall(info, call, params)
+			if what == "" {
+				return true
+			}
+			for _, iv := range lf.intervals {
+				if call.Pos() > iv.from && call.Pos() < iv.to {
+					pass.Reportf(call.Pos(),
+						"%s invoked while %s is held; release the lock around long-running or re-entrant calls", what, iv.key)
+					break
 				}
-				lf := &loFunc{obj: obj, decl: fd, pkg: pkg, acquires: map[string]loStep{}}
-				events := collectLockEvents(pkg.Info, fd.Body)
-				for _, ev := range events {
-					if ev.kind != evLock {
-						continue
-					}
-					if class := mutexClass(pkg.Info, ev.expr); class != "" {
-						lf.locks = append(lf.locks, loLock{class: class, pos: ev.pos})
-						if _, ok := lf.acquires[class]; !ok {
-							lf.acquires[class] = loStep{direct: true, pos: ev.pos}
-						}
-					}
-				}
-				for _, iv := range pairIntervals(events, fd.Body.End()) {
-					if iv.expr == nil {
-						continue
-					}
-					if class := mutexClass(pkg.Info, iv.expr); class != "" {
-						lf.intervals = append(lf.intervals, loInterval{from: iv.from, to: iv.to, class: class, key: iv.key})
-					}
-				}
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if _, isLit := n.(*ast.FuncLit); isLit {
-						return false // closures run at an unknown time; see doc
-					}
-					call, isCall := n.(*ast.CallExpr)
-					if !isCall {
-						return true
-					}
-					if fn, isFn := calleeObj(pkg.Info, call).(*types.Func); isFn {
-						lf.calls = append(lf.calls, loCall{pos: call.Pos(), callee: fn.Origin()})
-					}
-					return true
-				})
-				funcs[obj] = lf
-				order = append(order, obj)
+			}
+			return true
+		})
+		funcs[fn.obj] = lf
+	}
+	return funcs
+}
+
+// paramObjects collects fd's parameter objects so calls through func-typed
+// parameters (caller-supplied callbacks) can be recognized.
+func paramObjects(info *types.Info, fd *ast.FuncDecl) map[types.Object]bool {
+	out := map[types.Object]bool{}
+	if fd.Type.Params == nil {
+		return out
+	}
+	for _, field := range fd.Type.Params.List {
+		for _, name := range field.Names {
+			if obj := info.Defs[name]; obj != nil {
+				out[obj] = true
 			}
 		}
 	}
-	return funcs, order
+	return out
+}
+
+// riskyCall classifies a call that must not run under a lock: an objective
+// measurement or a user callback (a call through a func-typed struct field
+// or function parameter — values the engine does not control). Local
+// closures are not flagged: they are this function's own code and visible
+// in review.
+func riskyCall(info *types.Info, call *ast.CallExpr, params map[types.Object]bool) string {
+	if isObjectiveCall(info, call) {
+		return "objective " + types.ExprString(ast.Unparen(call.Fun))
+	}
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		if obj, ok := info.Uses[fun.Sel].(*types.Var); ok && obj.IsField() && isFuncTyped(obj) {
+			return "callback field " + types.ExprString(fun)
+		}
+	case *ast.Ident:
+		if obj, ok := info.Uses[fun].(*types.Var); ok && params[obj] && isFuncTyped(obj) {
+			return "callback parameter " + fun.Name
+		}
+	}
+	return ""
+}
+
+func isFuncTyped(v *types.Var) bool {
+	_, ok := v.Type().Underlying().(*types.Signature)
+	return ok
 }
 
 // loPropagate computes each function's transitive may-acquire set as a
 // fixpoint over the call graph. Recursion converges because the class
 // universe is finite and sets only grow.
-func loPropagate(funcs map[*types.Func]*loFunc, order []*types.Func) {
+func loPropagate(pass *Pass, funcs map[*types.Func]*loFunc) {
 	for changed := true; changed; {
 		changed = false
-		for _, fn := range order {
-			lf := funcs[fn]
+		for _, fn := range pass.funcs {
+			lf := funcs[fn.obj]
 			for _, c := range lf.calls {
 				callee := funcs[c.callee]
 				if callee == nil {
@@ -209,7 +252,7 @@ func loPropagate(funcs map[*types.Func]*loFunc, order []*types.Func) {
 
 // loChain renders the witness call chain for acquiring class starting at
 // lf's frame, following the per-function first-step pointers.
-func loChain(pass *GlobalPass, funcs map[*types.Func]*loFunc, lf *loFunc, class string) string {
+func loChain(pass *Pass, funcs map[*types.Func]*loFunc, lf *loFunc, class string) string {
 	var frames []string
 	seen := map[*loFunc]bool{}
 	for lf != nil && !seen[lf] {
@@ -241,7 +284,7 @@ func shortFile(path string) string {
 // class A, a nested direct acquisition of B, or a call whose callee may
 // acquire B, yields A -> B. Edges are deduplicated on (A, B), keeping the
 // first witness in deterministic order.
-func loEdges(pass *GlobalPass, funcs map[*types.Func]*loFunc, order []*types.Func) []loEdge {
+func loEdges(pass *Pass, funcs map[*types.Func]*loFunc) []loEdge {
 	var edges []loEdge
 	seen := map[[2]string]bool{}
 	add := func(from, to string, pos token.Pos, chain string) {
@@ -255,12 +298,15 @@ func loEdges(pass *GlobalPass, funcs map[*types.Func]*loFunc, order []*types.Fun
 		seen[k] = true
 		edges = append(edges, loEdge{from: from, to: to, pos: pos, chain: chain})
 	}
-	for _, fn := range order {
-		lf := funcs[fn]
+	for _, fn := range pass.funcs {
+		lf := funcs[fn.obj]
 		if len(lf.intervals) == 0 {
 			continue
 		}
 		for _, iv := range lf.intervals {
+			if iv.class == "" {
+				continue
+			}
 			for _, lk := range lf.locks {
 				if lk.pos > iv.from && lk.pos < iv.to {
 					p := pass.Fset.Position(lk.pos)
@@ -295,7 +341,7 @@ func loEdges(pass *GlobalPass, funcs map[*types.Func]*loFunc, order []*types.Fun
 // finding per strongly-connected component, with every in-cycle edge's
 // witness chain printed. The classic two-lock inversion (A -> B and B -> A)
 // therefore prints both witness call chains in one diagnostic.
-func loReportCycles(pass *GlobalPass, edges []loEdge) {
+func loReportCycles(pass *Pass, edges []loEdge) {
 	adj := map[string][]loEdge{}
 	nodes := map[string]bool{}
 	for _, e := range edges {

@@ -10,12 +10,11 @@ import (
 	"unicode/utf8"
 )
 
-// This file is the lock machinery shared by lockcall (calls under a held
-// mutex) and lockorder (the whole-program acquisition graph): classifying
-// sync.Mutex/RWMutex method calls into lock/unlock events, pairing events
-// into held intervals, and resolving a locked expression to its stable
-// "class" name (the identity the acquisition graph and the
-// //cstlint:lockorder directives speak in).
+// This file is lockorder's lock machinery: classifying sync.Mutex/RWMutex
+// method calls into lock/unlock events, pairing events into held intervals,
+// and resolving a locked expression to its stable "class" name (the
+// identity the acquisition graph and the //cstlint:lockorder directives
+// speak in).
 
 const (
 	evLock = iota
@@ -25,11 +24,10 @@ const (
 
 // lockEvent is one sync.Mutex/RWMutex Lock/Unlock-family call.
 type lockEvent struct {
-	pos  token.Pos
-	key  string   // rendered mutex expression, read locks suffixed " (read)"
-	expr ast.Expr // the locked expression itself, for class resolution
-	read bool
-	kind int
+	pos   token.Pos
+	key   string // rendered mutex expression, read locks suffixed " (read)"
+	class string // mutexClass of the locked expression; "" when unclassified
+	kind  int
 }
 
 // syncLockCall classifies a call as a mutex acquisition or release. Write
@@ -47,21 +45,20 @@ func syncLockCall(info *types.Info, call *ast.CallExpr) (lockEvent, bool) {
 	if !isFn || pkgPath(fn) != "sync" {
 		return lockEvent{}, false
 	}
-	ev := lockEvent{pos: call.Pos(), expr: sel.X}
+	ev := lockEvent{pos: call.Pos(), key: types.ExprString(sel.X)}
 	switch fn.Name() {
 	case "Lock", "TryLock":
-		ev.kind, ev.key = evLock, types.ExprString(sel.X)
+		ev.kind = evLock
 	case "RLock", "TryRLock":
-		ev.kind, ev.read = evLock, true
-		ev.key = types.ExprString(sel.X) + " (read)"
+		ev.kind, ev.key = evLock, ev.key+" (read)"
 	case "Unlock":
-		ev.kind, ev.key = evUnlock, types.ExprString(sel.X)
+		ev.kind = evUnlock
 	case "RUnlock":
-		ev.kind, ev.read = evUnlock, true
-		ev.key = types.ExprString(sel.X) + " (read)"
+		ev.kind, ev.key = evUnlock, ev.key+" (read)"
 	default:
 		return lockEvent{}, false
 	}
+	ev.class = mutexClass(info, sel.X)
 	return ev, true
 }
 
@@ -95,8 +92,8 @@ func collectLockEvents(info *types.Info, body *ast.BlockStmt) []lockEvent {
 // lockInterval is one source region during which the keyed mutex is held.
 type lockInterval struct {
 	from, to token.Pos
-	key      string   // rendered mutex expression, e.g. "e.mu"
-	expr     ast.Expr // locked expression of the opening event (nil for *Locked)
+	key      string // rendered mutex expression, e.g. "e.mu"
+	class    string // lock class of the opening event; "" when unclassified
 }
 
 // pairIntervals reconstructs held regions from position-ordered events: each
@@ -121,7 +118,7 @@ func pairIntervals(events []lockEvent, bodyEnd token.Pos) []lockInterval {
 			if ev.kind == evDeferUnlock {
 				to = bodyEnd // deferred unlock holds to function exit
 			}
-			out = append(out, lockInterval{from: open.pos, to: to, key: ev.key, expr: open.expr})
+			out = append(out, lockInterval{from: open.pos, to: to, key: ev.key, class: open.class})
 		}
 	}
 	keys := make([]string, 0, len(held))
@@ -131,7 +128,7 @@ func pairIntervals(events []lockEvent, bodyEnd token.Pos) []lockInterval {
 	sort.Strings(keys)
 	for _, key := range keys {
 		for _, open := range held[key] {
-			out = append(out, lockInterval{from: open.pos, to: bodyEnd, key: key, expr: open.expr})
+			out = append(out, lockInterval{from: open.pos, to: bodyEnd, key: key, class: open.class})
 		}
 	}
 	return out
@@ -174,8 +171,9 @@ func namedTypeName(t types.Type) string {
 //   - a struct embedding sync.Mutex locked through its promoted method
 //     gives "<type>.Mutex";
 //   - locals, parameters and anything else give "" — unclassified locks
-//     take part in lockcall's interval tracking but not in the global
-//     graph (a local mutex cannot be re-acquired by a callee).
+//     still open held intervals for the calls-under-lock check but stay out
+//     of the acquisition graph (a local mutex cannot be re-acquired by a
+//     callee).
 //
 // Two types with the same name in different packages collapse onto one
 // class; the repo's type names are distinct, and a collision only ever

@@ -22,42 +22,32 @@ var MapOrder = &Analyzer{
 }
 
 func runMapOrder(pass *Pass) {
-	info := pass.Pkg.Info
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	for _, fn := range pass.funcs {
+		info, fd := fn.pkg.Info, fn.decl
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			rs, ok := n.(*ast.RangeStmt)
+			if !ok {
+				return true
 			}
-			runMapOrderFunc(pass, info, fd)
-		}
+			t := info.TypeOf(rs.X)
+			if t == nil {
+				return true
+			}
+			if _, isMap := t.Underlying().(*types.Map); !isMap {
+				return true
+			}
+			if msg, pos := orderLeak(info, fd, rs); msg != "" {
+				pass.Reportf(pos, "map iteration order %s; sort keys first or annotate //cstlint:allow maporder(reason)", msg)
+			}
+			return true
+		})
 	}
-}
-
-func runMapOrderFunc(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		rs, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		t := info.TypeOf(rs.X)
-		if t == nil {
-			return true
-		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		if msg, pos := orderLeak(pass, info, fd, rs); msg != "" {
-			pass.Reportf(pos, "map iteration order %s; sort keys first or annotate //cstlint:allow maporder(reason)", msg)
-		}
-		return true
-	})
 }
 
 // orderLeak inspects a map-range body for sinks that make iteration order
 // observable. It returns a description of the first leak found ("" when the
 // loop is order-safe) and the position to report.
-func orderLeak(pass *Pass, info *types.Info, fd *ast.FuncDecl, rs *ast.RangeStmt) (msg string, pos token.Pos) {
+func orderLeak(info *types.Info, fd *ast.FuncDecl, rs *ast.RangeStmt) (msg string, pos token.Pos) {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		if msg != "" {
 			return false
@@ -77,7 +67,7 @@ func orderLeak(pass *Pass, info *types.Info, fd *ast.FuncDecl, rs *ast.RangeStmt
 			}
 		case isOutputCall(info, call):
 			msg, pos = "reaches program output", rs.For
-		case isObjectiveCall(pass, info, call):
+		case isObjectiveCall(info, call):
 			msg, pos = "decides objective measurement order", rs.For
 		}
 		return true
@@ -153,38 +143,6 @@ func isOutputCall(info *types.Info, call *ast.CallExpr) bool {
 	switch fn.Name() {
 	case "Write", "WriteString", "WriteByte", "WriteRune":
 		return true
-	}
-	return false
-}
-
-// objectiveMethods are the measurement entry points of sim.Objective and the
-// engine; calling one per map-range iteration orders measurements by map
-// order.
-var objectiveMethods = map[string]bool{
-	"Measure": true, "MeasureCtx": true, "MeasureBatch": true, "MeasureBatchCtx": true,
-}
-
-// isObjectiveCall recognizes objective measurements: the Measure* method
-// family on any receiver, plus Run/RunBatch on objective-shaped receivers
-// (those that also have a Space method).
-func isObjectiveCall(pass *Pass, info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	if objectiveMethods[fn.Name()] {
-		return true
-	}
-	if fn.Name() == "Run" || fn.Name() == "RunBatch" {
-		return hasMethod(pass.TypeOf(sel.X), "Space")
 	}
 	return false
 }

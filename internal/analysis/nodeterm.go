@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // NoDeterm flags nondeterminism sources in result-affecting packages: raw
@@ -25,47 +26,55 @@ var randSourceCtors = map[string]bool{
 	"NewSource": true, "NewPCG": true, "NewChaCha8": true,
 }
 
+// resultAffecting is nodeterm's scope: packages with an "internal" path
+// segment, whose behaviour reaches tuning results.
+func resultAffecting(pkgPath string) bool {
+	return strings.Contains("/"+pkgPath+"/", "/internal/")
+}
+
 func runNoDeterm(pass *Pass) {
-	if !pass.ResultAffecting {
-		return
-	}
-	info := pass.Pkg.Info
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if isPkgFunc(info, call, "time", "Now", "Since", "Until") {
-				obj := calleeObj(info, call)
-				pass.Reportf(call.Pos(),
-					"time.%s called in a result-affecting package; read wall time through the engine.Clock seam (engine.Now / engine.Time)", obj.Name())
-				return true
-			}
-			for _, randPath := range []string{"math/rand", "math/rand/v2"} {
-				obj := calleeObj(info, call)
-				fn, ok := obj.(*types.Func)
-				if !ok || pkgPath(fn) != randPath {
-					continue
+	for _, pkg := range pass.Pkgs {
+		if !resultAffecting(pkg.PkgPath) {
+			continue
+		}
+		info := pkg.Info
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
 				}
-				if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-					continue // methods on a seeded *rand.Rand are fine
-				}
-				switch {
-				case fn.Name() == "New":
-					if !seededSourceArg(info, call, randPath) {
-						pass.Reportf(call.Pos(),
-							"rand.New whose source is not a direct rand.NewSource(seed) call; seed provenance must be evident at the construction site")
-					}
-				case randSourceCtors[fn.Name()] || fn.Name() == "NewZipf":
-					// Source constructors carry the seed; fine on their own.
-				default:
+				if isPkgFunc(info, call, "time", "Now", "Since", "Until") {
+					obj := calleeObj(info, call)
 					pass.Reportf(call.Pos(),
-						"global math/rand.%s call shares process-wide state; draw from a seeded rand.New(rand.NewSource(seed)) instead", fn.Name())
+						"time.%s called in a result-affecting package; read wall time through the engine.Clock seam (engine.Now / engine.Time)", obj.Name())
+					return true
 				}
-			}
-			return true
-		})
+				for _, randPath := range []string{"math/rand", "math/rand/v2"} {
+					obj := calleeObj(info, call)
+					fn, ok := obj.(*types.Func)
+					if !ok || pkgPath(fn) != randPath {
+						continue
+					}
+					if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
+						continue // methods on a seeded *rand.Rand are fine
+					}
+					switch {
+					case fn.Name() == "New":
+						if !seededSourceArg(info, call, randPath) {
+							pass.Reportf(call.Pos(),
+								"rand.New whose source is not a direct rand.NewSource(seed) call; seed provenance must be evident at the construction site")
+						}
+					case randSourceCtors[fn.Name()] || fn.Name() == "NewZipf":
+						// Source constructors carry the seed; fine on their own.
+					default:
+						pass.Reportf(call.Pos(),
+							"global math/rand.%s call shares process-wide state; draw from a seeded rand.New(rand.NewSource(seed)) instead", fn.Name())
+					}
+				}
+				return true
+			})
+		}
 	}
 }
 

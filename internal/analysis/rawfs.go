@@ -69,35 +69,38 @@ func rawFSScoped(pkgPath string) bool {
 }
 
 func runRawFS(pass *Pass) {
-	if !rawFSScoped(pass.Pkg.PkgPath) {
-		return
-	}
-	info := pass.Pkg.Info
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			obj := calleeObj(info, call)
-			switch pkgPath(obj) {
-			case "os":
-				// Package-level fs functions only. os.File methods are not
-				// re-flagged: the handle could only have come from an os.Open
-				// call, which is already a finding.
-				if !isPkgFunc(info, call, "os", obj.Name()) || !osFSFuncs[obj.Name()] {
+	for _, pkg := range pass.Pkgs {
+		if !rawFSScoped(pkg.PkgPath) {
+			continue
+		}
+		info := pkg.Info
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
 					return true
 				}
-			case "io/ioutil":
-				// Everything left in io/ioutil is either a filesystem touch or
-				// deprecated in favour of io/os; neither belongs here.
-			default:
+				obj := calleeObj(info, call)
+				switch pkgPath(obj) {
+				case "os":
+					// Package-level fs functions only. os.File methods are not
+					// re-flagged: the handle could only have come from an
+					// os.Open call, which is already a finding.
+					if !isPkgFunc(info, call, "os", obj.Name()) || !osFSFuncs[obj.Name()] {
+						return true
+					}
+				case "io/ioutil":
+					// Everything left in io/ioutil is either a filesystem
+					// touch or deprecated in favour of io/os; neither belongs
+					// here.
+				default:
+					return true
+				}
+				pass.Reportf(call.Pos(),
+					"calls %s directly; durable-storage packages must go through internal/vfs so faults stay injectable",
+					calleeName(call, obj))
 				return true
-			}
-			pass.Reportf(call.Pos(),
-				"calls %s directly; durable-storage packages must go through internal/vfs so faults stay injectable",
-				calleeName(call, obj))
-			return true
-		})
+			})
+		}
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"go/token"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Config controls one driver run.
@@ -16,19 +14,6 @@ type Config struct {
 	Root string
 	// ModulePath is the module's import path; empty for bare fixture trees.
 	ModulePath string
-	// ResultAffecting overrides the scope predicate for nodeterm. Nil means
-	// the default: any package with an "internal" path segment.
-	ResultAffecting func(pkgPath string) bool
-	// Analyzers overrides the per-package suite; nil means DefaultAnalyzers.
-	Analyzers []*Analyzer
-	// Globals overrides the whole-program suite; nil means
-	// DefaultGlobalAnalyzers.
-	Globals []*GlobalAnalyzer
-	// Workers bounds the worker pool for file parsing and per-package
-	// analysis. 0 means GOMAXPROCS capped at 8; 1 forces sequential
-	// execution. Output is byte-identical at any worker count: diagnostics
-	// are gathered per package and position-sorted at the end.
-	Workers int
 }
 
 // Result is one driver run's output.
@@ -37,113 +22,35 @@ type Result struct {
 	Diags []Diagnostic
 }
 
-// Run loads every package under cfg.Root, runs the per-package analyzer
-// suite on each (in parallel across Workers), runs the whole-program
-// analyzers, applies allow directives, validates the directives themselves,
-// and returns the position-sorted findings.
+// Run loads every package under cfg.Root, runs each analyzer over all of
+// them, applies allow directives, validates the directives themselves, and
+// returns the position-sorted findings. Loading dominates the run: nearly
+// all of it is type-checking the standard library from source.
 func Run(cfg Config) (*Result, error) {
-	analyzers := cfg.Analyzers
-	if analyzers == nil {
-		analyzers = DefaultAnalyzers()
-	}
-	globals := cfg.Globals
-	if globals == nil {
-		globals = DefaultGlobalAnalyzers()
-	}
-	ra := cfg.ResultAffecting
-	if ra == nil {
-		ra = func(pkgPath string) bool {
-			return strings.Contains("/"+pkgPath+"/", "/internal/")
-		}
-	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
-	}
-	known := map[string]bool{}
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-	for _, g := range globals {
-		known[g.Name] = true
-	}
-
 	l := NewLoader(cfg.Root, cfg.ModulePath)
-	pkgs, err := l.LoadAll(workers)
+	pkgs, err := l.LoadAll()
 	if err != nil {
 		return nil, err
 	}
-
-	// Per-package phase: each package's analysis is independent and
-	// read-only on the shared type information, so packages fan out across
-	// the pool. Results land in per-index slots — merge order (and the final
-	// position sort) make output independent of scheduling.
-	type pkgOut struct {
-		diags []Diagnostic
-		dirs  []*directive
-	}
-	outs := make([]pkgOut, len(pkgs))
-	runPkg := func(i int) {
-		pkg := pkgs[i]
-		var diags []Diagnostic
-		for _, a := range analyzers {
-			a.Run(&Pass{
-				Analyzer:        a,
-				Pkg:             pkg,
-				ResultAffecting: ra(pkg.PkgPath),
-				ModulePath:      cfg.ModulePath,
-				diags:           &diags,
-			})
-		}
-		outs[i] = pkgOut{diags: diags, dirs: parseDirectives(l.Fset, pkg.Files)}
-	}
-	if workers <= 1 || len(pkgs) <= 1 {
-		for i := range pkgs {
-			runPkg(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		n := workers
-		if n > len(pkgs) {
-			n = len(pkgs)
-		}
-		wg.Add(n)
-		for w := 0; w < n; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runPkg(i)
-				}
-			}()
-		}
-		for i := range pkgs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+	var dirs []*directive
+	for _, pkg := range pkgs {
+		dirs = append(dirs, parseDirectives(l.Fset, pkg.Files)...)
 	}
 
 	var all []Diagnostic
-	var dirs []*directive
-	for i := range outs {
-		all = append(all, outs[i].diags...)
-		dirs = append(dirs, outs[i].dirs...)
-	}
-
-	// Whole-program phase: sequential — the global analyzers see every
-	// package at once and are cheap relative to loading.
+	funcs := collectFuncs(pkgs)
 	orders := orderDecls(dirs)
-	for _, g := range globals {
-		g.Run(&GlobalPass{
-			Analyzer: g,
-			Pkgs:     pkgs,
-			Fset:     l.Fset,
-			Orders:   orders,
-			diags:    &all,
+	known := map[string]bool{}
+	for _, a := range DefaultAnalyzers() {
+		known[a.Name] = true
+		a.Run(&Pass{
+			Analyzer:   a,
+			Pkgs:       pkgs,
+			Fset:       l.Fset,
+			ModulePath: cfg.ModulePath,
+			Orders:     orders,
+			funcs:      funcs,
+			diags:      &all,
 		})
 	}
 
@@ -166,23 +73,17 @@ func Run(cfg Config) (*Result, error) {
 	return &Result{Fset: l.Fset, Diags: all}, nil
 }
 
-// relFile renders a finding's file path relative to base when possible.
-func relFile(file, base string) string {
-	if base != "" {
-		if rel, err := filepath.Rel(base, file); err == nil && !strings.HasPrefix(rel, "..") {
-			file = rel
-		}
-	}
-	return filepath.ToSlash(file)
-}
-
 // Format renders the findings as "file:line: [analyzer] message" lines, with
 // file paths relative to base when possible.
 func (r *Result) Format(base string) []string {
 	out := make([]string, 0, len(r.Diags))
 	for _, d := range r.Diags {
 		p := r.Fset.Position(d.Pos)
-		out = append(out, fmt.Sprintf("%s:%d: [%s] %s", relFile(p.Filename, base), p.Line, d.Analyzer, d.Message))
+		file := p.Filename
+		if rel, err := filepath.Rel(base, file); base != "" && err == nil && !strings.HasPrefix(rel, "..") {
+			file = rel
+		}
+		out = append(out, fmt.Sprintf("%s:%d: [%s] %s", filepath.ToSlash(file), p.Line, d.Analyzer, d.Message))
 	}
 	return out
 }

@@ -1,7 +1,7 @@
-// Package lc is the lockcall fixture: objective measurements and user
-// callbacks invoked inside Lock/Unlock regions, defer-Unlock regions, and
-// *Locked-convention functions, plus after-unlock and local-closure
-// negatives.
+// Package lc is lockorder's calls-under-lock fixture: objective
+// measurements and user callbacks invoked inside Lock/Unlock regions,
+// defer-Unlock regions, and *Locked-convention functions, plus after-unlock
+// and local-closure negatives.
 package lc
 
 import "sync"
@@ -22,30 +22,30 @@ type engine struct {
 
 func (e *engine) UnderLock(k int) {
 	e.mu.Lock()
-	_, _ = e.o.Measure(k) // want lockcall "objective e.o.Measure"
+	_, _ = e.o.Measure(k) // want lockorder "objective e.o.Measure"
 	e.mu.Unlock()
 }
 
 func (e *engine) DeferUnlock(k int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	_ = e.o.Run(k) // want lockcall "objective e.o.Run"
+	_ = e.o.Run(k) // want lockorder "objective e.o.Run"
 }
 
 func (e *engine) CallbackUnderLock(k int) {
 	e.mu.Lock()
-	e.callback(k) // want lockcall "callback field e.callback"
+	e.callback(k) // want lockorder "callback field e.callback"
 	e.mu.Unlock()
 }
 
 func (e *engine) ParamUnderLock(f func() error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	_ = f() // want lockcall "callback parameter f"
+	_ = f() // want lockorder "callback parameter f"
 }
 
 func (e *engine) bestLocked(k int) float64 {
-	v, _ := e.o.Measure(k) // want lockcall "objective e.o.Measure"
+	v, _ := e.o.Measure(k) // want lockorder "objective e.o.Measure"
 	return v
 }
 
@@ -67,7 +67,7 @@ func (e *engine) LocalClosure(k int) {
 func (e *engine) Suppressed(k int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	//cstlint:allow lockcall(fixture demonstrates suppression)
+	//cstlint:allow lockorder(fixture demonstrates suppression)
 	e.callback(k)
 }
 
@@ -81,7 +81,7 @@ type store struct {
 func (s *store) TryLockHeld(k int) {
 	if s.rw.TryLock() {
 		defer s.rw.Unlock()
-		_, _ = s.o.Measure(k) // want lockcall "objective s.o.Measure"
+		_, _ = s.o.Measure(k) // want lockorder "objective s.o.Measure"
 	}
 }
 
@@ -90,7 +90,7 @@ func (s *store) TryLockHeld(k int) {
 func (s *store) ReadHeld(k int) {
 	s.rw.RLock()
 	defer s.rw.RUnlock()
-	_, _ = s.o.Measure(k) // want lockcall "while s.rw (read) is held"
+	_, _ = s.o.Measure(k) // want lockorder "while s.rw (read) is held"
 }
 
 // ReadReleased pairs RLock with RUnlock correctly: a write-side Unlock must
@@ -99,4 +99,13 @@ func (s *store) ReadReleased(k int) {
 	s.rw.RLock()
 	s.rw.RUnlock()
 	_, _ = s.o.Measure(k)
+}
+
+// LocalMutex measures under a function-local mutex: it has no lock class and
+// stays out of the acquisition graph, but it still opens a held interval.
+func (e *engine) LocalMutex(k int) {
+	var mu sync.Mutex
+	mu.Lock()
+	_, _ = e.o.Measure(k) // want lockorder "objective e.o.Measure invoked while mu is held"
+	mu.Unlock()
 }

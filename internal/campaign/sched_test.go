@@ -36,42 +36,34 @@ func TestSchedulerWeightedShares(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	const totalGrants = 600
+	const totalGrants, workers = 600, 4
 	var granted atomic.Int64
 	counts := map[string]*atomic.Int64{"heavy": {}, "light": {}}
 	weights := map[string]float64{"heavy": 3, "light": 1}
 
-	// Every worker performs one uncounted warmup acquire before the barrier,
-	// so both tenants are registered and backlogged from the first counted
-	// grant onward (the regime WFQ reasons about) — otherwise the whole
-	// counted phase can finish before the other tenant's goroutines are even
-	// scheduled.
-	start := make(chan struct{})
-	var armed, wg sync.WaitGroup
+	// backlogged reports whether every worker that holds no slot is blocked
+	// in Acquire. A holder waits for it before releasing, so each grant is
+	// chosen between two backlogged tenants (the regime WFQ reasons about),
+	// not by which goroutines the runtime happened to run: a worker still
+	// queued on s.mu at Acquire's entry is not in s.waiting yet.
+	backlogged := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.waiting["heavy"]+s.waiting["light"]+s.inUse == len(weights)*workers
+	}
+	var wg sync.WaitGroup
 	for tenant, w := range weights {
-		for i := 0; i < 4; i++ {
-			armed.Add(1)
+		for i := 0; i < workers; i++ {
 			wg.Add(1)
 			go func(tenant string, w float64) {
 				defer wg.Done()
-				if err := s.Acquire(ctx, tenant, w); err != nil {
-					t.Errorf("%s warmup: %v", tenant, err)
-					armed.Done()
-					return
-				}
-				s.Release()
-				armed.Done()
-				<-start
 				for {
 					if err := s.Acquire(ctx, tenant, w); err != nil {
 						return
 					}
-					// Hold the slot across a yield, like a real measurement
-					// holds it for its duration: the other workers pile into
-					// the waiting set and the grant order is decided by
-					// virtual time, not by goroutine scheduling. Without
-					// saturation WFQ has nothing to arbitrate.
-					runtime.Gosched()
+					for !backlogged() && ctx.Err() == nil {
+						runtime.Gosched()
+					}
 					n := granted.Add(1)
 					counts[tenant].Add(1)
 					s.Release()
@@ -83,8 +75,6 @@ func TestSchedulerWeightedShares(t *testing.T) {
 			}(tenant, w)
 		}
 	}
-	armed.Wait()
-	close(start)
 	wg.Wait()
 
 	heavy, light := counts["heavy"].Load(), counts["light"].Load()

@@ -228,7 +228,7 @@ func (e *Engine) summaryLocked() journal.Summary {
 		StoreHits:       st.StoreHits,
 		StoreMisses:     st.StoreMisses,
 		WarmStartSeeds:  st.WarmStartSeeds,
-		//cstlint:allow lockcall(the injected clock is a sub-microsecond read that never re-enters the engine)
+		//cstlint:allow lockorder(the injected clock is a sub-microsecond read that never re-enters the engine)
 		WallUnixNano: e.clock().UnixNano(),
 	}
 	if e.best >= 0 {

@@ -244,7 +244,7 @@ func (in *Injector) MeasureCtx(ctx context.Context, s space.Setting) (float64, e
 
 func (in *Injector) count(f func(*Counts)) {
 	in.mu.Lock()
-	//cstlint:allow lockcall(count's callers are all in this file and pass short counter-increment closures)
+	//cstlint:allow lockorder(count's callers are all in this file and pass short counter-increment closures)
 	f(&in.counts)
 	in.mu.Unlock()
 }

@@ -390,7 +390,7 @@ func (j *Journal) Append(ep Episode) error {
 	j.history = append(j.history, ep)
 	j.sinceCkpt++
 	if j.OnDurable != nil {
-		//cstlint:allow lockcall(OnDurable's documented contract is test-only, fast, and runs under j.mu by design)
+		//cstlint:allow lockorder(OnDurable's documented contract is test-only, fast, and runs under j.mu by design)
 		j.OnDurable(len(j.history))
 	}
 	return nil
@@ -467,7 +467,7 @@ func (j *Journal) checkpointLocked(sum Summary) error {
 	j.f = tmp
 	j.sinceCkpt = 0
 	if j.OnDurable != nil {
-		//cstlint:allow lockcall(OnDurable's documented contract is test-only, fast, and runs under j.mu by design)
+		//cstlint:allow lockorder(OnDurable's documented contract is test-only, fast, and runs under j.mu by design)
 		j.OnDurable(len(j.history))
 	}
 	return nil

@@ -101,7 +101,7 @@ func (m *Map[V]) Update(key string, fn func(old V, ok bool) (V, bool)) bool {
 	if !ok {
 		old, ok = r.m[key]
 	}
-	v, store := fn(old, ok) //cstlint:allow lockcall(Update's contract: fn is a short non-blocking merge that must run under the shard lock)
+	v, store := fn(old, ok) //cstlint:allow lockorder(Update's contract: fn is a short non-blocking merge that must run under the shard lock)
 	if !store {
 		return false
 	}
