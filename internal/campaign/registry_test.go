@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -163,13 +164,19 @@ func TestRegistryPauseResume(t *testing.T) {
 
 func TestRegistryCancelAndDoubleCancel(t *testing.T) {
 	reg := openTestRegistry(t, t.TempDir(), Options{Slots: 1})
+	// Hold the only measurement slot: the campaign cannot get past its
+	// first live measurement, so the cancel always lands while it runs.
+	if err := reg.Scheduler().Acquire(context.Background(), "holder", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Scheduler().Release()
 	spec := testSpec("acme", 4)
-	spec.BudgetS = 50 // long enough that cancel lands while running
+	spec.BudgetS = 50
 	c, err := reg.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
+	waitState(t, reg, c.ID, StateRunning)
 	if err := reg.Cancel(c.ID); err != nil {
 		t.Fatal(err)
 	}

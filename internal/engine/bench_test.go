@@ -1,11 +1,15 @@
 package engine
 
 import (
+	"math/rand"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/gpu"
 	"repro/internal/journal"
+	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stencil"
 	"repro/internal/store"
 )
 
@@ -71,6 +75,43 @@ func BenchmarkMeasureMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Measure(benchVariant(f.sp, i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMeasureMissSim is the miss path over the real objective: each
+// Measure runs sim.Simulator (kernel.Build plus the execution-time model)
+// on a distinct valid rhs4center setting on the A100. The pool is drawn
+// before the timer starts; when it wraps, a fresh engine is built off the
+// clock, so every timed Measure is a miss.
+func BenchmarkMeasureMissSim(b *testing.B) {
+	sp, err := space.New(stencil.RHS4Center())
+	if err != nil {
+		b.Fatal(err)
+	}
+	obj := sim.New(sp, gpu.A100())
+	rng := rand.New(rand.NewSource(1))
+	pool := make([]space.Setting, 0, 1024)
+	seen := map[string]bool{}
+	for len(pool) < cap(pool) {
+		s := sp.Random(rng)
+		if _, err := obj.Measure(s); err != nil || seen[s.Key()] {
+			continue
+		}
+		seen[s.Key()] = true
+		pool = append(pool, s)
+	}
+	e := New(obj)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%len(pool) == 0 {
+			b.StopTimer()
+			e = New(obj)
+			b.StartTimer()
+		}
+		if _, err := e.Measure(pool[i%len(pool)]); err != nil {
 			b.Fatal(err)
 		}
 	}

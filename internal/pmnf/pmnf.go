@@ -159,13 +159,41 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
-// Predict evaluates the fitted function on a setting.
+// Predict evaluates the fitted function on a setting. It adds up the same
+// products in the same order as dot(m.Coef, standardized featureRow(s)),
+// one group term at a time, so it returns the same bits without building
+// the row.
 func (m *Model) Predict(s space.Setting) float64 {
-	row := featureRow(s, m.Groups, m.I, m.J)
-	for c := 1; c < len(row); c++ {
-		row[c] = (row[c] - m.Mean[c]) / m.Std[c]
+	sum := 0.0
+	sum += m.Coef[0] * 1
+	for gi, g := range m.Groups {
+		term := 1.0
+		for _, p := range g {
+			v := float64(s[p])
+			f := powInt(v, m.I)
+			if m.J > 0 {
+				f *= powInt(stats.Log2(v)+1, m.J)
+			}
+			term *= f
+		}
+		c := gi + 1
+		sum += m.Coef[c] * ((term - m.Mean[c]) / m.Std[c])
 	}
-	return dot(m.Coef, row)
+	return sum
+}
+
+// powInt returns math.Pow(x, n). For n = 0, 1 and 2 it computes 1, x and
+// x*x directly, which is exactly what Pow returns for those exponents.
+func powInt(x float64, n int) float64 {
+	switch n {
+	case 0:
+		return 1
+	case 1:
+		return x
+	case 2:
+		return x * x
+	}
+	return math.Pow(x, float64(n))
 }
 
 // String summarizes the selected function.

@@ -134,6 +134,71 @@ func TestPredictMatchesTraining(t *testing.T) {
 	}
 }
 
+// rowPredict is the row formula Predict must reproduce bit for bit: the
+// standardized feature row dotted with the coefficients.
+func rowPredict(m *Model, s space.Setting) float64 {
+	row := featureRow(s, m.Groups, m.I, m.J)
+	for c := 1; c < len(row); c++ {
+		row[c] = (row[c] - m.Mean[c]) / m.Std[c]
+	}
+	return dot(m.Coef, row)
+}
+
+// TestPredictBitIdentical checks Predict against the row formula under
+// math.Float64bits for every exponent pair in {0..3}×{0..2}, including the
+// math.Pow fallback at i = 3, on both fitted and randomly drawn models.
+func TestPredictBitIdentical(t *testing.T) {
+	groups := [][]int{
+		{space.TBX, space.TBY, space.TBZ}, {space.UFX, space.BMX}, {space.UFY, space.BMY},
+		{space.UFZ, space.BMZ}, {space.UseShared, space.UseStreaming}, {space.SB, space.SD},
+		{space.CMX, space.CMY, space.CMZ}, {space.UseConstant}, {space.UseRetiming},
+	}
+	rng := rand.New(rand.NewSource(21))
+	ds, target := synthDataset(t, groups, 1, 1, rng)
+	sp, err := space.New(stencil.Hypterm())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= 3; i++ {
+		for j := 0; j <= 2; j++ {
+			models := []*Model{{Groups: groups, I: i, J: j}}
+			m := models[0]
+			for c := 0; c <= len(groups); c++ {
+				m.Coef = append(m.Coef, rng.NormFloat64()*100)
+				m.Mean = append(m.Mean, rng.NormFloat64()*1000)
+				m.Std = append(m.Std, math.Exp(rng.NormFloat64()*5))
+			}
+			if fitted, err := fitOne(ds, groups, target, i, j); err == nil {
+				models = append(models, fitted)
+			}
+			for _, m := range models {
+				for n := 0; n < 200; n++ {
+					s := sp.Random(rng)
+					got, want := m.Predict(s), rowPredict(m, s)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("(i=%d,j=%d) %s: Predict = %v (%#x), row formula %v (%#x)",
+							i, j, s.Key(), got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestPredictAllocs(t *testing.T) {
+	groups := [][]int{{space.TBX, space.TBY}, {space.UFX}, {space.UseShared}}
+	rng := rand.New(rand.NewSource(3))
+	ds, target := synthDataset(t, groups, 2, 1, rng)
+	m, err := Fit(ds, groups, target, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ds.Samples[0].Setting
+	if n := testing.AllocsPerRun(100, func() { _ = m.Predict(s) }); n != 0 {
+		t.Fatalf("Predict allocates %v times per call, want 0", n)
+	}
+}
+
 func TestFitOnSimulatorMetrics(t *testing.T) {
 	// End-to-end: fit occupancy from a real simulated dataset; the model
 	// must beat the trivial constant predictor.

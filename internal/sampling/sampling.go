@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/dataset"
 	"repro/internal/metrics"
@@ -148,17 +149,28 @@ func FromSettings(settings []space.Setting, groups [][]int) *Sampled {
 	return s
 }
 
-// reindex computes Values: the sorted distinct tuples per group.
+// reindex computes Values: the sorted distinct tuples per group. Each
+// tuple is keyed by its values rendered into one reused buffer, so only
+// the first sighting of a tuple allocates.
 func (s *Sampled) reindex() {
 	s.Values = make([][][]int, len(s.Groups))
+	var key []byte
 	for gi, g := range s.Groups {
 		seen := map[string][]int{}
 		for _, set := range s.Settings {
+			key = key[:0]
+			for _, p := range g {
+				key = strconv.AppendInt(key, int64(set[p]), 10)
+				key = append(key, ',')
+			}
+			if _, dup := seen[string(key)]; dup {
+				continue
+			}
 			tuple := make([]int, len(g))
 			for i, p := range g {
 				tuple[i] = set[p]
 			}
-			seen[tupleKey(tuple)] = tuple
+			seen[string(key)] = tuple
 		}
 		tuples := make([][]int, 0, len(seen))
 		for _, t := range seen {
@@ -167,14 +179,6 @@ func (s *Sampled) reindex() {
 		sort.Slice(tuples, func(a, b int) bool { return lessTuple(tuples[a], tuples[b]) })
 		s.Values[gi] = tuples
 	}
-}
-
-func tupleKey(t []int) string {
-	k := ""
-	for _, v := range t {
-		k += fmt.Sprintf("%d,", v)
-	}
-	return k
 }
 
 func lessTuple(a, b []int) bool {
