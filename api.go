@@ -164,9 +164,9 @@ func (s *Session) TuneCtx(ctx context.Context, cfg Config) (*Report, error) {
 
 // TuneWithBudget runs csTuner under a virtual auto-tuning budget (seconds of
 // compile+run time, as metered by the engine cost model). The offline
-// stencil dataset is collected unmetered through a throwaway engine,
-// matching the paper's accounting (metric collection is a one-time offline
-// step, Sec. V-F) and keeping the collection cache out of the budgeted run.
+// stencil dataset is collected unmetered on the simulator, matching the
+// paper's accounting (metric collection is a one-time offline step,
+// Sec. V-F) and keeping collection out of the budgeted run.
 func (s *Session) TuneWithBudget(cfg Config, budgetS float64) (*Report, error) {
 	return s.TuneWithBudgetCtx(context.Background(), cfg, budgetS)
 }
@@ -175,11 +175,11 @@ func (s *Session) TuneWithBudget(cfg Config, budgetS float64) (*Report, error) {
 // budget and the context deadline race, and whichever trips first ends the
 // run.
 func (s *Session) TuneWithBudgetCtx(ctx context.Context, cfg Config, budgetS float64) (*Report, error) {
-	ds, err := dataset.CollectBatch(engine.New(s.sim), rand.New(rand.NewSource(cfg.Seed)), cfg.DatasetSize, 0)
+	ds, err := dataset.Collect(s.sim, rand.New(rand.NewSource(cfg.Seed)), cfg.DatasetSize, 0)
 	if err != nil {
 		return nil, err
 	}
-	eng := engine.New(s.sim, engine.WithCost(engine.DefaultCostModel()), engine.WithBudget(budgetS))
+	eng := engine.New(s.sim, engine.WithBudget(budgetS))
 	return core.TuneCtx(ctx, eng, ds, cfg, eng.Exhausted)
 }
 
@@ -213,7 +213,7 @@ func (s *Session) ResumeTune(ctx context.Context, path string, cfg Config, budge
 		cfg.GA.PopSize *= cfg.GA.SubPopulations
 		cfg.GA.SubPopulations = 1
 	}
-	ds, err := dataset.CollectBatch(engine.New(s.sim), rand.New(rand.NewSource(cfg.Seed)), cfg.DatasetSize, 0)
+	ds, err := dataset.Collect(s.sim, rand.New(rand.NewSource(cfg.Seed)), cfg.DatasetSize, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +224,6 @@ func (s *Session) ResumeTune(ctx context.Context, path string, cfg Config, budge
 	//cstlint:allow errdrop(teardown close after the last fsynced frame; no caller can act on the error)
 	defer jr.Close()
 	eng := engine.New(s.sim,
-		engine.WithCost(engine.DefaultCostModel()),
 		engine.WithBudget(budgetS),
 		engine.WithSeed(uint64(cfg.Seed)),
 		engine.WithJournal(jr))
@@ -285,7 +284,7 @@ func (s *Session) RunComparatorCtx(ctx context.Context, method string, budgetS f
 	if err != nil {
 		return nil, 0, err
 	}
-	eng := engine.New(fx.Sim, engine.WithCost(engine.DefaultCostModel()), engine.WithBudget(budgetS))
+	eng := engine.New(fx.Sim, engine.WithBudget(budgetS))
 	_, _, tuneErr := t.Tune(ctx, eng, fx.DS, seed, eng.Exhausted)
 	set, ms, ok := eng.Best()
 	if !ok {

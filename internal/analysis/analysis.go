@@ -1,9 +1,10 @@
 // Package analysis is the repo-native static-analysis suite behind
 // cmd/cstlint. The reproduction's value rests on invariants no test can
-// exhaustively check — results byte-identical across worker counts and
-// resumes, every measurement charged before state mutates, generated kernels
-// consistent with the priced resource model — so this package proves the
-// code-level preconditions of those invariants statically, on every commit:
+// exhaustively check — results byte-identical across goroutine
+// interleavings and resumes, every measurement charged before state
+// mutates, generated kernels consistent with the priced resource model — so
+// this package proves the code-level preconditions of those invariants
+// statically, on every commit:
 //
 //   - nodeterm: no raw wall-clock or global-RNG reads in result-affecting
 //     packages (the engine.Clock seam is the one sanctioned path);
@@ -170,11 +171,11 @@ func returnsError(obj types.Object) bool {
 // objectiveMethods are the measurement entry points of sim.Objective and the
 // engine.
 var objectiveMethods = map[string]bool{
-	"Measure": true, "MeasureCtx": true, "MeasureBatch": true, "MeasureBatchCtx": true,
+	"Measure": true, "MeasureCtx": true,
 }
 
 // isObjectiveCall recognizes objective measurements: the Measure* method
-// family on any receiver, plus Run/RunBatch on objective-shaped receivers
+// family on any receiver, plus Run on objective-shaped receivers
 // (those that also have a Space method or field). maporder and lockorder
 // share this one rule.
 func isObjectiveCall(info *types.Info, call *ast.CallExpr) bool {
@@ -193,7 +194,7 @@ func isObjectiveCall(info *types.Info, call *ast.CallExpr) bool {
 	if objectiveMethods[fn.Name()] {
 		return true
 	}
-	if fn.Name() != "Run" && fn.Name() != "RunBatch" {
+	if fn.Name() != "Run" {
 		return false
 	}
 	t := info.TypeOf(sel.X)

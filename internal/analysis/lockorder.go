@@ -13,7 +13,7 @@ import (
 // collection of lock events and held intervals.
 //
 // Calls under a held lock: an objective measurement (the Measure* family,
-// or Run/RunBatch on an objective-shaped receiver) or a user callback (a
+// or Run on an objective-shaped receiver) or a user callback (a
 // call through a func-typed struct field or function parameter) made while
 // any mutex is held is a finding. A measurement can block for a full kernel
 // benchmark, serializing every other worker behind a GPU-length critical

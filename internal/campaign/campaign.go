@@ -97,7 +97,6 @@ func (c *Campaign) config(wrap func(sim.Objective) sim.Objective) harness.Campai
 		Method:          c.Spec.Method,
 		BudgetS:         c.Spec.BudgetS,
 		Seed:            c.Spec.Seed,
-		Workers:         c.Spec.Workers,
 		Repeats:         c.Spec.Repeats,
 		Quarantine:      c.Spec.Quarantine,
 		CheckpointEvery: c.Spec.CheckpointEvery,

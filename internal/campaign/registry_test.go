@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -136,18 +137,21 @@ func TestRegistryPauseResume(t *testing.T) {
 	golden := goldenCanonical(t, spec)
 
 	reg := openTestRegistry(t, t.TempDir(), Options{Slots: 1})
+	// Hold the only measurement slot: the campaign cannot complete before
+	// the pause lands.
+	if err := reg.Scheduler().Acquire(context.Background(), "holder", 1); err != nil {
+		t.Fatal(err)
+	}
 	c, err := reg.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(40 * time.Millisecond)
+	waitState(t, reg, c.ID, StateRunning)
 	if err := reg.Pause(c.ID); err != nil {
-		if c.State() == StateCompleted {
-			t.Skip("campaign completed before the pause landed")
-		}
 		t.Fatal(err)
 	}
 	waitState(t, reg, c.ID, StatePaused)
+	reg.Scheduler().Release()
 	if err := reg.ResumeCampaign(c.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +163,62 @@ func TestRegistryPauseResume(t *testing.T) {
 	// Resuming a completed campaign is an illegal transition.
 	if err := reg.ResumeCampaign(c.ID); !errors.Is(err, ErrTransition) {
 		t.Fatalf("resume of completed campaign: got %v, want ErrTransition", err)
+	}
+}
+
+// TestRegistryResumesSpecWithRetiredWorkersField reopens a campaign whose
+// spec.json still carries the retired "workers" knob. The unknown field is
+// ignored on load, so the campaign resumes and completes to the same
+// canonical result as a fresh run of the spec.
+func TestRegistryResumesSpecWithRetiredWorkersField(t *testing.T) {
+	spec := testSpec("acme", 9)
+	golden := goldenCanonical(t, spec)
+
+	dir := t.TempDir()
+	reg, err := Open(dir, Options{Slots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold the only slot so the campaign is still running when the
+	// registry closes, as after a process death.
+	if err := reg.Scheduler().Acquire(context.Background(), "holder", 1); err != nil {
+		t.Fatal(err)
+	}
+	c, err := reg.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := c.ID
+	waitState(t, reg, id, StateRunning)
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, id, "spec.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["workers"] = 4
+	if raw, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg2 := openTestRegistry(t, dir, Options{Slots: 1})
+	waitState(t, reg2, id, StateCompleted)
+	c2, err := reg2.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, canonical, _ := c2.Result(); canonical != golden {
+		t.Fatalf("resumed canonical differs from a fresh run:\n%s\n%s", canonical, golden)
 	}
 }
 

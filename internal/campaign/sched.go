@@ -15,9 +15,9 @@ import (
 // are granted to the waiting tenant with the lowest virtual time — a
 // classic weighted-fair-queueing discipline where each granted measurement
 // advances the tenant's virtual time by 1/weight. The effect is that
-// MeasureBatch work from hundreds of concurrent campaigns interleaves at
-// measurement granularity, with tenants progressing in proportion to their
-// weights, instead of campaigns draining FIFO.
+// hundreds of concurrent campaigns interleave at measurement granularity,
+// with tenants progressing in proportion to their weights, instead of
+// campaigns draining FIFO.
 //
 // Fairness never touches results: a campaign's measurement outcomes,
 // accounting and journal are a pure function of its own spec (the engine's

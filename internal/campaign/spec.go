@@ -36,9 +36,8 @@ type Spec struct {
 	BudgetS float64 `json:"budget_s"`
 	// Seed drives the tuner and the engine's deterministic jitter.
 	Seed int64 `json:"seed"`
-	// Workers, Repeats, Quarantine and CheckpointEvery forward to
+	// Repeats, Quarantine and CheckpointEvery forward to
 	// harness.CampaignConfig (all optional).
-	Workers         int `json:"workers,omitempty"`
 	Repeats         int `json:"repeats,omitempty"`
 	Quarantine      int `json:"quarantine,omitempty"`
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`

@@ -28,16 +28,6 @@ import (
 	"repro/internal/space"
 )
 
-// Collector is the optional self-collection surface: objectives that can
-// produce full metric reports (the simulator and the GEMM/CPU/temporal
-// workloads) implement it, letting Tune build its offline dataset when the
-// caller passes none. It matches dataset.Runner, so any Collector plugs
-// straight into dataset.Collect.
-type Collector interface {
-	Run(s space.Setting) (*sim.Result, error)
-	Space() *space.Space
-}
-
 // Config bundles the pipeline's knobs; DefaultConfig mirrors the paper's
 // evaluation setup (Sec. V-A2).
 type Config struct {
@@ -129,8 +119,8 @@ type Report struct {
 //
 // ds is the offline stencil dataset (metric collection is a one-time offline
 // step, paper Sec. V-F); pass nil to have Tune collect cfg.DatasetSize
-// samples through the objective's Collector surface — the simulator and the
-// GEMM/CPU/temporal workloads all self-collect. stop is polled between
+// samples through the objective's dataset.Runner surface — the simulator and
+// the GEMM/CPU/temporal workloads all self-collect. stop is polled between
 // evaluations — the harness uses it to enforce iso-time budgets; pass nil
 // for no budget.
 func Tune(obj sim.Objective, ds *dataset.Dataset, cfg Config, stop func() bool) (*Report, error) {
@@ -162,10 +152,9 @@ func TuneCtx(ctx context.Context, obj sim.Objective, ds *dataset.Dataset, cfg Co
 		}
 		stopSpan := eng.Time("dataset")
 		var err error
-		// Sequential collection on purpose: the pipeline rng continues into
-		// the sampling stage, so the draw stream must not depend on worker
-		// scheduling (batched collection lives in dataset.CollectBatch for
-		// callers with a dedicated rng).
+		// Collected through the engine with the pipeline rng, which
+		// continues into the sampling stage; the results pre-warm the
+		// measurement cache.
 		ds, err = dataset.Collect(eng, rng, cfg.DatasetSize, 0)
 		stopSpan()
 		if err != nil {

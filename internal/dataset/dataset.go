@@ -88,98 +88,6 @@ func labelArch(ds *Dataset, r Runner) {
 	}
 }
 
-// BatchRunner is the parallel measurement surface CollectBatch needs; the
-// evaluation engine (internal/engine) implements it over any Runner.
-type BatchRunner interface {
-	Runner
-	RunBatch(settings []space.Setting) ([]*sim.Result, []error)
-}
-
-// CollectBatch is Collect with the measurements dispatched through the
-// runner's worker pool. For a deterministic runner it selects exactly the
-// samples sequential Collect would: candidate settings are drawn from rng in
-// chunks, measured in parallel, then replayed in draw order against the same
-// dedup/try-budget rules. The one observable difference is that rng may be
-// drawn past the point where the n-th sample lands, so callers must not
-// share rng with a later pipeline stage — core.Tune's internal collection
-// stays sequential for precisely that reason.
-func CollectBatch(r BatchRunner, rng space.RNG, n, maxTries int) (*Dataset, error) {
-	if n <= 0 {
-		return nil, errors.New("dataset: non-positive sample count")
-	}
-	if maxTries <= 0 {
-		maxTries = 1000 * n
-	}
-	sp := r.Space()
-	ds := &Dataset{}
-	if sp.Stencil != nil {
-		ds.Stencil = sp.Stencil.Name
-	}
-	type outcome struct {
-		res *sim.Result
-		err error
-	}
-	seen := make(map[string]struct{}, n)
-	tries := 0
-	for len(ds.Samples) < n && tries < maxTries {
-		chunk := 2 * n
-		if chunk > maxTries-tries {
-			chunk = maxTries - tries
-		}
-		draws := make([]space.Setting, chunk)
-		keys := make([]string, chunk)
-		for i := range draws {
-			draws[i] = sp.Random(rng)
-			keys[i] = draws[i].Key()
-		}
-		// Measure each new key once, in parallel.
-		var toRun []space.Setting
-		pending := make(map[string]struct{}, chunk)
-		for i, set := range draws {
-			if _, dup := seen[keys[i]]; dup {
-				continue
-			}
-			if _, dup := pending[keys[i]]; dup {
-				continue
-			}
-			pending[keys[i]] = struct{}{}
-			toRun = append(toRun, set)
-		}
-		results, errs := r.RunBatch(toRun)
-		byKey := make(map[string]outcome, len(toRun))
-		for i, set := range toRun {
-			byKey[set.Key()] = outcome{res: results[i], err: errs[i]}
-		}
-		// Replay in draw order under the sequential rules; draws past the
-		// n-th accepted sample are not charged to the try budget, exactly
-		// as Collect never makes them.
-		for i, set := range draws {
-			if len(ds.Samples) == n {
-				break
-			}
-			tries++
-			if _, dup := seen[keys[i]]; dup {
-				continue
-			}
-			o := byKey[keys[i]]
-			if o.err != nil {
-				continue // implicit-constraint rejects are expected
-			}
-			seen[keys[i]] = struct{}{}
-			ds.Samples = append(ds.Samples, Sample{
-				Setting: set,
-				TimeMS:  o.res.TimeMS,
-				Metrics: o.res.Metrics,
-			})
-		}
-	}
-	if len(ds.Samples) < n {
-		return nil, fmt.Errorf("dataset: collected only %d/%d samples within try budget", len(ds.Samples), n)
-	}
-	labelArch(ds, r)
-	return ds, nil
-}
-
 // Best returns the sample with the lowest time. It panics on an empty
 // dataset; Collect never returns one.
 func (d *Dataset) Best() Sample {

@@ -117,53 +117,6 @@ func BenchmarkMeasureMissSim(b *testing.B) {
 	}
 }
 
-// BenchmarkMeasureBatch64 drives the worker-pool batch path with 64
-// distinct settings per iteration.
-func BenchmarkMeasureBatch64(b *testing.B) {
-	f := newFake(b)
-	e := New(f, WithWorkers(4))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch := make([]space.Setting, 64)
-		for j := range batch {
-			batch[j] = benchVariant(f.sp, i*64+j)
-		}
-		for _, r := range e.MeasureBatch(batch) {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-	}
-}
-
-// BenchmarkBatchCachedProbe64 re-submits the same fully-cached 64-setting
-// batch every iteration: phase 1 serves everything from the lock-free cache
-// probe, so this pins the cost of the probe-and-skip path that previously
-// took the engine mutex once per setting.
-func BenchmarkBatchCachedProbe64(b *testing.B) {
-	f := newFake(b)
-	e := New(f, WithWorkers(4))
-	batch := make([]space.Setting, 64)
-	for j := range batch {
-		batch[j] = benchVariant(f.sp, j)
-	}
-	for _, r := range e.MeasureBatch(batch) {
-		if r.Err != nil {
-			b.Fatal(r.Err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range e.MeasureBatch(batch) {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-	}
-}
-
 // BenchmarkJournalAppend is the durable episode path: each miss is framed,
 // CRC'd, appended and fsync'd to the write-ahead log before Measure
 // returns. This is the price of crash safety per evaluation.

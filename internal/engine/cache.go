@@ -17,9 +17,8 @@ import (
 // is not a Run hit).
 //
 // The cache carries no accounting state. Budget, counters, trajectory and
-// quarantine stay sequential under Engine.mu, which is what keeps batched
-// runs byte-identical at any worker count; the cache only memoizes outcomes
-// those sequential decisions already produced.
+// quarantine are updated under Engine.mu; the cache only memoizes outcomes
+// those decisions already produced.
 
 // The engine's accounting mutex always nests outside the shard locks:
 // accountEpisode publishes to the cache while holding Engine.mu, and no Map

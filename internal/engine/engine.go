@@ -17,14 +17,14 @@
 //     invalid settings, budget trips) and named timing spans that flow into
 //     core.Report.
 //
-// Parallel evaluation goes through MeasureBatch/RunBatch (engine_batch): a
-// bounded worker pool with deterministic, input-ordered results and
-// sequential accounting, so a parallel run is byte-identical to a serial one.
+// Measurements run on the caller's goroutine; the engine has no worker
+// pool. Callers that measure concurrently, such as the GA's islands, share
+// one lock-free cache, and per-key singleflight collapses their requests
+// for one uncached setting onto a single episode.
 package engine
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -138,14 +138,6 @@ func WithCost(c CostModel) Option { return func(e *Engine) { e.cost = c } }
 // 0 means unlimited (iso-iteration runs use evaluation counts instead).
 func WithBudget(budgetS float64) Option { return func(e *Engine) { e.budgetS = budgetS } }
 
-// WithWorkers bounds the batch worker pool (defaults to GOMAXPROCS, capped
-// at 16); n < 1 resets to the default.
-func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
-
-// WithoutCache disables memoization — every Measure reaches the objective.
-// Used by studies that want raw measurement counts.
-func WithoutCache() Option { return func(e *Engine) { e.noCache = true } }
-
 // WithRetry sets the transient-failure retry policy (defaults to
 // DefaultRetryPolicy; MaxAttempts 1 disables retries).
 func WithRetry(p RetryPolicy) Option { return func(e *Engine) { e.retry = p } }
@@ -170,14 +162,11 @@ func WithQuarantine(n int) Option { return func(e *Engine) { e.quarAfter = n } }
 const DefaultQuarantineAfter = 3
 
 // Engine implements sim.Objective over an inner objective. It is safe for
-// concurrent use: csTuner's GA measures from several goroutines, and the
-// batch APIs run a worker pool.
+// concurrent use: csTuner's GA measures from several goroutines.
 type Engine struct {
 	obj            sim.Objective
 	cost           CostModel
 	budgetS        float64
-	workers        int
-	noCache        bool
 	retry          RetryPolicy
 	seed           uint64
 	measureTimeout time.Duration
@@ -250,17 +239,6 @@ func New(obj sim.Objective, opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
-	if e.noCache {
-		// Uncached engines exist to count raw measurements; serving some of
-		// them from a shared store would change their semantics.
-		e.store = nil
-	}
-	if e.workers < 1 {
-		e.workers = runtime.GOMAXPROCS(0)
-		if e.workers > 16 {
-			e.workers = 16
-		}
-	}
 	if e.jr != nil {
 		e.initReplay()
 	}
@@ -304,9 +282,6 @@ func (e *Engine) Measure(s space.Setting) (float64, error) {
 // Hits are lock-free reads of the striped index — the engine mutex guards
 // accounting only, never the memo maps (DESIGN.md §12).
 func (e *Engine) lookup(key string) (float64, error, bool) {
-	if e.noCache {
-		return 0, nil, false
-	}
 	if ms, err, ok := measureView(e.cache.Load(key)); ok {
 		e.cacheHits.Add(1)
 		return ms, err, true
@@ -430,9 +405,6 @@ func (e *Engine) statsLocked() Stats {
 	}
 	return st
 }
-
-// Workers returns the batch worker-pool bound.
-func (e *Engine) Workers() int { return e.workers }
 
 // Time starts a named timing span and returns its stop function; repeated
 // spans of the same name aggregate. Pipeline stages use it so per-stage

@@ -152,85 +152,6 @@ func TestBudgetEnforcement(t *testing.T) {
 	}
 }
 
-// batchInputs builds a batch mixing fresh, duplicate and invalid settings.
-func batchInputs(sp *space.Space) []space.Setting {
-	var in []space.Setting
-	for i := 0; i < 24; i++ {
-		switch i % 4 {
-		case 0:
-			in = append(in, variant(sp, 32+i, 1))
-		case 1:
-			in = append(in, variant(sp, 999, i)) // invalid
-		case 2:
-			in = append(in, variant(sp, 32, 7)) // duplicate of one key
-		default:
-			in = append(in, variant(sp, 64, i))
-		}
-	}
-	return in
-}
-
-func TestMeasureBatchMatchesSequential(t *testing.T) {
-	fSeq := newFake(t)
-	in := batchInputs(fSeq.sp)
-
-	// Reference: one-by-one Measure on a sequential engine.
-	seq := New(fSeq, WithWorkers(1))
-	wantMS := make([]float64, len(in))
-	wantErr := make([]error, len(in))
-	for i, s := range in {
-		wantMS[i], wantErr[i] = seq.Measure(s)
-	}
-
-	for _, workers := range []int{1, 4, 16} {
-		f := newFake(t)
-		e := New(f, WithWorkers(workers))
-		out := e.MeasureBatch(in)
-		for i := range in {
-			if out[i].MS != wantMS[i] || (out[i].Err == nil) != (wantErr[i] == nil) {
-				t.Fatalf("workers=%d item %d: got %v/%v want %v/%v",
-					workers, i, out[i].MS, out[i].Err, wantMS[i], wantErr[i])
-			}
-		}
-		if got, want := e.Stats(), seq.Stats(); got != want {
-			t.Fatalf("workers=%d stats diverge: %+v vs %+v", workers, got, want)
-		}
-		gt, st := e.Trajectory(), seq.Trajectory()
-		if len(gt) != len(st) {
-			t.Fatalf("workers=%d trajectory length %d vs %d", workers, len(gt), len(st))
-		}
-		for i := range gt {
-			if gt[i] != st[i] {
-				t.Fatalf("workers=%d trajectory[%d] = %+v vs %+v", workers, i, gt[i], st[i])
-			}
-		}
-	}
-}
-
-func TestMeasureBatchBudgetCutoffInInputOrder(t *testing.T) {
-	f := newFake(t)
-	// Budget admits exactly two compilations.
-	e := New(f, WithCost(CostModel{CompileS: 10}), WithBudget(20), WithWorkers(8))
-	in := []space.Setting{
-		variant(f.sp, 32, 1), variant(f.sp, 64, 1),
-		variant(f.sp, 128, 1), variant(f.sp, 256, 1),
-	}
-	out := e.MeasureBatch(in)
-	for i := 0; i < 2; i++ {
-		if out[i].Err != nil {
-			t.Fatalf("item %d within budget errored: %v", i, out[i].Err)
-		}
-	}
-	for i := 2; i < 4; i++ {
-		if !errors.Is(out[i].Err, ErrBudget) {
-			t.Fatalf("item %d past budget: %v", i, out[i].Err)
-		}
-	}
-	if st := e.Stats(); st.Evaluations != 2 || st.BudgetTrips != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestConcurrentMeasureIsSafeAndConverges(t *testing.T) {
 	f := newFake(t)
 	e := New(f)
@@ -301,30 +222,6 @@ func TestRunIsUnmeteredAndPrewarmsCache(t *testing.T) {
 	}
 }
 
-func TestRunBatchOrdered(t *testing.T) {
-	sp, err := space.New(stencil.Helmholtz())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sim.New(sp, gpu.A100())
-	e := New(s, WithWorkers(8))
-	rng := rand.New(rand.NewSource(11))
-	in := make([]space.Setting, 32)
-	for i := range in {
-		in[i] = sp.Random(rng)
-	}
-	res, errs := e.RunBatch(in)
-	for i := range in {
-		if errs[i] != nil {
-			continue
-		}
-		want, err := s.Run(in[i])
-		if err != nil || res[i].TimeMS != want.TimeMS {
-			t.Fatalf("item %d: %v vs %v (%v)", i, res[i].TimeMS, want, err)
-		}
-	}
-}
-
 func TestRunWithoutRunner(t *testing.T) {
 	f := newFake(t)
 	e := New(f)
@@ -359,20 +256,6 @@ func TestSpansAggregate(t *testing.T) {
 	}
 	if spans[1].Count != 2 {
 		t.Fatalf("search span count = %d", spans[1].Count)
-	}
-}
-
-func TestWithoutCache(t *testing.T) {
-	f := newFake(t)
-	e := New(f, WithoutCache())
-	s := variant(f.sp, 64, 1)
-	e.Measure(s)
-	e.Measure(s)
-	if n := f.callCount(s); n != 2 {
-		t.Fatalf("WithoutCache inner calls = %d, want 2", n)
-	}
-	if e.Stats().CacheHits != 0 {
-		t.Fatal("cache hit counted with cache disabled")
 	}
 }
 

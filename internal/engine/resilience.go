@@ -103,7 +103,7 @@ func Classify(err error) Class {
 // measurements. Backoff time is charged to the virtual clock — a retried
 // measurement is not free — and the jitter is deterministic, derived from
 // the engine seed and the setting key, so retry schedules are identical
-// across worker counts and reruns.
+// across goroutine interleavings and reruns.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts per measurement episode
 	// (1 = no retries). Values below 1 behave as 1.
@@ -133,8 +133,8 @@ type CtxObjective interface {
 // episode is the outcome of one measurement episode: up to MaxAttempts
 // attempts at a single setting, with deterministic backoff between
 // transient failures. Episodes touch no engine state — accounting happens
-// separately and sequentially, which is what keeps batched runs
-// deterministic across worker counts.
+// separately, in one critical section, so which goroutine ran an episode
+// never shows in the results.
 type episode struct {
 	ms        float64 // scored time: the median across repeats
 	msSum     float64 // summed repeat time, what the cost model charges
@@ -161,7 +161,7 @@ func (e *Engine) measureEpisode(ctx context.Context, s space.Setting, key string
 	// measuring. The probe sits after journal replay — a resumed run replays
 	// its recorded ClassStore hits and never reaches here for them — and
 	// after every sequential gate, so gate outcomes are independent of store
-	// content. Lock-free and pure: safe from the parallel batch phase.
+	// content. Lock-free and pure: safe from concurrent callers.
 	if ms, ok := e.storeProbe(key); ok {
 		return episode{ms: ms, msSum: ms, fromStore: true}
 	}
@@ -300,9 +300,8 @@ func (e *Engine) backoffFor(key string, attempt int) float64 {
 	return d
 }
 
-// quarantined reports whether the key is quarantined, optionally counting
-// the refusal.
-func (e *Engine) quarantined(key string, count bool) bool {
+// quarantined reports whether the key is quarantined, counting the refusal.
+func (e *Engine) quarantined(key string) bool {
 	if e.quarAfter <= 0 {
 		return false
 	}
@@ -311,9 +310,7 @@ func (e *Engine) quarantined(key string, count bool) bool {
 	if _, ok := e.quar[key]; !ok {
 		return false
 	}
-	if count {
-		e.stats.QuarantineSkips++
-	}
+	e.stats.QuarantineSkips++
 	return true
 }
 
@@ -376,9 +373,7 @@ func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float6
 			e.bestSet = s.Clone()
 			e.traj = append(e.traj, Point{CostS: e.spentS, Evals: e.evals, BestMS: e.best})
 		}
-		if !e.noCache {
-			e.cache.Update(key, withTime(ep.ms))
-		}
+		e.cache.Update(key, withTime(ep.ms))
 		if e.quarAfter > 0 {
 			delete(e.permFails, key) // a served success clears the streak
 		}
@@ -421,9 +416,7 @@ func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float6
 			e.spentS += e.cost.CheckS
 			e.stats.Invalid++
 			e.stats.SpentS = e.spentS
-			if !e.noCache {
-				e.cache.Update(key, withErr(ep.err))
-			}
+			e.cache.Update(key, withErr(ep.err))
 			e.noteFailureLocked(key)
 			return 0, ep.err
 		}
@@ -437,9 +430,7 @@ func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float6
 		e.bestSet = s.Clone()
 	}
 	e.traj = append(e.traj, Point{CostS: e.spentS, Evals: e.evals, BestMS: e.best})
-	if !e.noCache {
-		e.cache.Update(key, withTime(ep.ms))
-	}
+	e.cache.Update(key, withTime(ep.ms))
 	// Publish the paid-for measurement to the shared store (sequentially —
 	// see storePublishLocked). Replayed episodes publish too: the min-merge
 	// is idempotent, and resume should backfill a store attached later.
@@ -471,16 +462,13 @@ const keyScratch = 128
 // this, two goroutines racing on one key could each measure and charge it —
 // a schedule-dependent history no journal replay could reproduce.
 func (e *Engine) MeasureCtx(ctx context.Context, s space.Setting) (float64, error) {
-	if !e.noCache {
-		var kb [keyScratch]byte
-		key := s.AppendKey(kb[:0])
-		if ms, err, ok := measureView(e.cache.LoadBytes(key)); ok {
-			e.cacheHits.Add(1)
-			return ms, err
-		}
-		return e.measureCtxSlow(ctx, s, string(key))
+	var kb [keyScratch]byte
+	key := s.AppendKey(kb[:0])
+	if ms, err, ok := measureView(e.cache.LoadBytes(key)); ok {
+		e.cacheHits.Add(1)
+		return ms, err
 	}
-	return e.measureCtxSlow(ctx, s, s.Key())
+	return e.measureCtxSlow(ctx, s, string(key))
 }
 
 // measureCtxSlow is the uncached gauntlet: quarantine, run context, budget,
@@ -493,7 +481,7 @@ func (e *Engine) measureCtxSlow(ctx context.Context, s space.Setting, key string
 		if ms, err, ok := e.lookup(key); ok {
 			return ms, err
 		}
-		if e.quarantined(key, true) {
+		if e.quarantined(key) {
 			return 0, ErrQuarantined
 		}
 		if err := ctx.Err(); err != nil {
@@ -504,12 +492,6 @@ func (e *Engine) measureCtxSlow(ctx context.Context, s space.Setting, key string
 		}
 		if e.exhausted(true) {
 			return 0, ErrBudget
-		}
-		if e.noCache {
-			// Uncached engines measure every request by design; collapsing
-			// duplicates would change their semantics.
-			ep := e.measureEpisode(ctx, s, key)
-			return e.accountEpisode(s, key, ep)
 		}
 		e.sfMu.Lock()
 		if _, _, hit := measureView(e.cache.Load(key)); hit {

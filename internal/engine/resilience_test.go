@@ -147,15 +147,17 @@ func TestQuarantineAfterRepeatedFailures(t *testing.T) {
 			t.Fatalf("episode %d: %v", i, err)
 		}
 	}
-	// Third probe is refused without touching the objective.
-	if _, err := e.Measure(s); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("after threshold: %v", err)
+	// Every later probe is refused without touching the objective.
+	for i := 0; i < 2; i++ {
+		if _, err := e.MeasureCtx(context.Background(), s); !errors.Is(err, ErrQuarantined) {
+			t.Fatalf("probe %d after threshold: %v", i, err)
+		}
 	}
 	if n := f.attemptsFor(s); n != 2 {
 		t.Fatalf("quarantined setting reached objective: %d attempts", n)
 	}
 	st := e.Stats()
-	if st.Quarantined != 1 || st.QuarantineSkips != 1 {
+	if st.Quarantined != 1 || st.QuarantineSkips != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if q := e.Quarantined(); len(q) != 1 || q[0] != s.Key() {
@@ -227,9 +229,18 @@ func TestRunCancellationChargesNothing(t *testing.T) {
 	if st.Canceled != 1 || st.Retries != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// A pre-cancelled context is refused before the objective is consulted.
-	if _, err := e.MeasureCtx(ctx, variant(f.sp, 8, 1)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled probe: %v", err)
+	// A pre-cancelled context refuses every uncached key before the
+	// objective is consulted.
+	for _, s := range []space.Setting{variant(f.sp, 8, 1), variant(f.sp, 16, 1)} {
+		if _, err := e.MeasureCtx(ctx, s); !errors.Is(err, context.Canceled) {
+			t.Fatalf("pre-cancelled probe %s: %v", s.Key(), err)
+		}
+		if n := f.attemptsFor(s); n != 0 {
+			t.Fatalf("pre-cancelled probe %s reached the objective: %d attempts", s.Key(), n)
+		}
+	}
+	if st := e.Stats(); st.Canceled != 3 {
+		t.Fatalf("Canceled = %d, want 3 (one abort, two refusals)", st.Canceled)
 	}
 	if len(e.Quarantined()) != 0 {
 		t.Fatal("cancellation counted toward quarantine")
@@ -339,36 +350,6 @@ func TestBestAtCostBoundaries(t *testing.T) {
 		got, ok := e.BestAtCost(tc.s)
 		if ok != tc.ok || (ok && got != tc.want) {
 			t.Errorf("BestAtCost(%v) = %v/%v, want %v/%v", tc.s, got, ok, tc.want, tc.ok)
-		}
-	}
-}
-
-func TestBatchSkipsQuarantinedAndCancels(t *testing.T) {
-	f := newFlaky(t, 1<<30, Transient(errors.New("always flaky")))
-	e := New(f, WithRetry(RetryPolicy{MaxAttempts: 1}), WithQuarantine(1))
-	bad := variant(f.sp, 56, 1)
-	if _, err := e.Measure(bad); Classify(err) != ClassTransient {
-		t.Fatalf("seed failure: %v", err)
-	}
-	if len(e.Quarantined()) != 1 {
-		t.Fatal("threshold 1 should quarantine after one failed episode")
-	}
-	out := e.MeasureBatch([]space.Setting{bad, bad})
-	for i, o := range out {
-		if !errors.Is(o.Err, ErrQuarantined) {
-			t.Fatalf("batch item %d: %v", i, o.Err)
-		}
-	}
-	if n := f.attemptsFor(bad); n != 1 {
-		t.Fatalf("quarantined batch item reached objective: %d attempts", n)
-	}
-	// A cancelled context refuses every uncached batch item.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out = e.MeasureBatchCtx(ctx, []space.Setting{variant(f.sp, 16, 1), variant(f.sp, 17, 1)})
-	for i, o := range out {
-		if !errors.Is(o.Err, context.Canceled) {
-			t.Fatalf("cancelled batch item %d: %v", i, o.Err)
 		}
 	}
 }

@@ -20,10 +20,8 @@ import "sync"
 // Store hits charge zero budget and do not count as Evaluations — the
 // measurement was paid for by whichever campaign published it — but they do
 // update best/trajectory and the memo cache, all inside the normal
-// sequential accounting section, so runs stay byte-identical at any worker
-// count. During a batch's parallel phase the store content an episode can
-// observe is stable: this engine only publishes from the sequential
-// accounting phase, and other processes' records are only loaded at Open.
+// accounting section. This engine publishes only from that section, and
+// other processes' records are only loaded at Open.
 
 // ResultStore is the store surface the engine consumes; *store.Store
 // implements it.
@@ -43,8 +41,7 @@ type ResultStore interface {
 // WithStore attaches a shared result store. prefix is the campaign's
 // composite-key prefix — store.Prefix(archFP, shapeFP) — prepended to every
 // setting key, so campaigns on different architectures or stencils never
-// alias. A nil store disables the integration; so does WithoutCache (raw
-// measurement counts are the point of an uncached engine).
+// alias. A nil store disables the integration.
 func WithStore(st ResultStore, prefix string) Option {
 	return func(e *Engine) {
 		if st == nil {
@@ -87,12 +84,10 @@ func (e *Engine) storeProbe(key string) (float64, bool) {
 }
 
 // storePublishLocked pushes one successful episode's scored time to the
-// shared store. Called from the sequential accounting section (callers hold
-// e.mu): publishing there — never from the parallel measurement phase —
-// keeps the store content an in-flight batch can observe frozen, which is
-// part of the worker-count determinism argument. Replayed episodes publish
-// too: the merge is min-idempotent, and a resumed campaign should backfill
-// a store that was attached after the original run.
+// shared store. Called from the accounting section (callers hold e.mu),
+// never from an in-flight episode. Replayed episodes publish too: the merge
+// is min-idempotent, and a resumed campaign should backfill a store that
+// was attached after the original run.
 func (e *Engine) storePublishLocked(key string, ms float64) {
 	if e.store == nil {
 		return

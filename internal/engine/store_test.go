@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/journal"
-	"repro/internal/space"
 	"repro/internal/store"
 )
 
@@ -100,82 +99,6 @@ func TestStoreDisabledIsByteIdentical(t *testing.T) {
 
 	if got, want := snap(nilStore), snap(base); !reflect.DeepEqual(got, want) {
 		t.Fatalf("nil store diverged:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-func TestWithoutCacheDisablesStore(t *testing.T) {
-	st := storeAt(t)
-	f := newFake(t)
-	s := variant(f.sp, 32, 2)
-	st.Put(testPrefix+s.Key(), 0.125) // would hit if the store were consulted
-
-	e := New(f, WithStore(st, testPrefix), WithoutCache())
-	ms, err := e.Measure(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms == 0.125 {
-		t.Fatal("uncached engine served a store hit")
-	}
-	if n := f.callCount(s); n != 1 {
-		t.Fatalf("objective calls = %d", n)
-	}
-	if est := e.Stats(); est.StoreHits != 0 || est.StoreMisses != 0 {
-		t.Fatalf("uncached engine touched the store: %+v", est)
-	}
-	// And it must not publish either: raw measurement counts are the point.
-	if _, ok := st.Get(testPrefix + variant(f.sp, 48, 3).Key()); ok {
-		t.Fatal("unexpected key in store")
-	}
-	if _, err := e.Measure(variant(f.sp, 48, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Get(testPrefix + variant(f.sp, 48, 3).Key()); ok {
-		t.Fatal("uncached engine published to the store")
-	}
-}
-
-// seedStore pre-loads a fresh store with the same deterministic content for
-// every determinism leg: every third valid batch input, at times cheaper
-// than the objective would report.
-func seedStore(t *testing.T, in []space.Setting) *store.Store {
-	t.Helper()
-	st := storeAt(t)
-	for i, s := range in {
-		if i%3 == 0 && s[space.TBX] != 999 {
-			st.Put(testPrefix+s.Key(), 0.25+float64(i)/100)
-		}
-	}
-	return st
-}
-
-// TestStoreBatchDeterministicAcrossWorkers is the integration's determinism
-// pin: identical store content + identical inputs must produce byte-identical
-// results, stats (store counters included) and trajectories at any worker
-// count.
-func TestStoreBatchDeterministicAcrossWorkers(t *testing.T) {
-	fRef := newFake(t)
-	in := batchInputs(fRef.sp)
-	ref := New(fRef, WithWorkers(1), WithStore(seedStore(t, in), testPrefix))
-	want := ref.MeasureBatch(in)
-	wantSnap := snap(ref)
-	if wantSnap.stats.StoreHits == 0 {
-		t.Fatalf("seeding produced no store hits: %+v", wantSnap.stats)
-	}
-
-	for _, workers := range []int{1, 4, 16, 64} {
-		f := newFake(t)
-		e := New(f, WithWorkers(workers), WithStore(seedStore(t, in), testPrefix))
-		out := e.MeasureBatch(in)
-		for i := range in {
-			if out[i].MS != want[i].MS || (out[i].Err == nil) != (want[i].Err == nil) {
-				t.Fatalf("workers=%d item %d: %v/%v want %v/%v",
-					workers, i, out[i].MS, out[i].Err, want[i].MS, want[i].Err)
-			}
-		}
-		if got := snap(e); !reflect.DeepEqual(got, wantSnap) {
-			t.Fatalf("workers=%d diverged:\n got %+v\nwant %+v", workers, got, wantSnap)
-		}
 	}
 }
 

@@ -1,17 +1,15 @@
-// Torture matrix for the lock-free measure hot path (DESIGN.md §12): the
-// striped cache, work-stealing batch scheduler and atomic hit counter must
-// leave the determinism contract untouched. Every leg fingerprints the full
-// observable outcome — per-item results, stats, trajectory, quarantine set —
-// into one string and requires byte-identical output at workers 1/4/16/64,
-// with duplicate-heavy batches, with fault injection on, and across journal
-// record/replay. Lives in package engine_test so it can drive the real
-// engine through the real fault injector.
+// Torture tests for the lock-free measure hot path (DESIGN.md §12): the
+// striped cache, per-key singleflight and atomic hit counter must leave the
+// determinism contract untouched. Duplicate-heavy inputs under fault
+// injection must replay from the journal to the recorded run's exact
+// outcome, and concurrent callers of one key must share one episode. Lives
+// in package engine_test so it can drive the real engine through the real
+// fault injector.
 package engine_test
 
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -25,13 +23,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/space"
 	"repro/internal/stencil"
-	"repro/internal/store"
 )
-
-// tortureWorkers is the worker matrix every leg must agree across. 64 is
-// deliberately far above runtime.NumCPU in CI so most workers start with an
-// empty or tiny deque and survive purely by stealing.
-var tortureWorkers = []int{1, 4, 16, 64}
 
 func tortureSpace(t testing.TB) (*space.Space, *sim.Simulator) {
 	t.Helper()
@@ -43,9 +35,9 @@ func tortureSpace(t testing.TB) (*space.Space, *sim.Simulator) {
 }
 
 // duplicateHeavyBatch samples n unique random settings and replicates each
-// three times, shuffled, so roughly two thirds of the batch are duplicate
-// keys — the worst case for the singleflight table and the striped cache's
-// publish path (every shard sees concurrent hits racing the first store).
+// three times, shuffled, so roughly two thirds of the list are duplicate
+// keys: most measurements are cache hits on a key measured (or failed)
+// earlier in the same run.
 func duplicateHeavyBatch(sp *space.Space, n int, seed int64) []space.Setting {
 	rng := rand.New(rand.NewSource(seed))
 	uniq := make([]space.Setting, 0, n)
@@ -61,7 +53,7 @@ func duplicateHeavyBatch(sp *space.Space, n int, seed int64) []space.Setting {
 }
 
 // hostileTortureConfig mirrors the faults package's hostile testbed: every
-// injected fault kind fires on a 3n-item batch.
+// injected fault kind fires on a 3n-item list.
 func hostileTortureConfig() faults.Config {
 	return faults.Config{
 		Seed:               11,
@@ -76,228 +68,76 @@ func hostileTortureConfig() faults.Config {
 	}
 }
 
-// fingerprint serializes everything the determinism contract covers into one
-// string, so matrix legs compare byte-for-byte rather than field-by-field.
-func fingerprint(res []engine.BatchResult, st engine.Stats, traj []engine.Point, quar []string) string {
+// fingerprint measures in one setting at a time and serializes everything
+// the determinism contract covers — per-item results, stats, trajectory,
+// quarantine set — into one string, so runs compare byte-for-byte rather
+// than field-by-field.
+func fingerprint(eng *engine.Engine, in []space.Setting) string {
 	var b strings.Builder
-	for i, r := range res {
+	for i, s := range in {
+		ms, err := eng.Measure(s)
 		errs := ""
-		if r.Err != nil {
-			errs = r.Err.Error()
+		if err != nil {
+			errs = err.Error()
 		}
-		fmt.Fprintf(&b, "res[%d] ms=%.9f err=%q\n", i, r.MS, errs)
+		fmt.Fprintf(&b, "res[%d] ms=%.9f err=%q\n", i, ms, errs)
 	}
-	fmt.Fprintf(&b, "stats %+v\n", st)
-	for i, p := range traj {
+	fmt.Fprintf(&b, "stats %+v\n", eng.Stats())
+	for i, p := range eng.Trajectory() {
 		fmt.Fprintf(&b, "traj[%d] %+v\n", i, p)
 	}
-	for i, q := range quar {
+	for i, q := range eng.Quarantined() {
 		fmt.Fprintf(&b, "quar[%d] %s\n", i, q)
 	}
 	return b.String()
 }
 
-// TestTortureDeterminismMatrix runs the same duplicate-heavy batch at every
-// worker count, with fault injection off and on, and requires the full
-// outcome fingerprint to be byte-identical to the workers=1 reference. Under
-// -race this simultaneously exercises the lock-free cache probes against the
-// accounting mutex and the work-stealing scheduler against itself.
-func TestTortureDeterminismMatrix(t *testing.T) {
-	sp, s := tortureSpace(t)
-	in := duplicateHeavyBatch(sp, 40, 20260808)
-
-	for _, faulty := range []bool{false, true} {
-		name := "clean"
-		if faulty {
-			name = "faults"
-		}
-		t.Run(name, func(t *testing.T) {
-			run := func(workers int) (string, faults.Counts) {
-				var obj sim.Objective = s
-				var inj *faults.Injector
-				if faulty {
-					inj = faults.New(s, hostileTortureConfig())
-					obj = inj
-				}
-				eng := engine.New(obj,
-					engine.WithWorkers(workers),
-					engine.WithSeed(7),
-					engine.WithMeasureTimeout(20*time.Millisecond),
-					engine.WithQuarantine(2),
-				)
-				res := eng.MeasureBatch(in)
-				var cnt faults.Counts
-				if inj != nil {
-					cnt = inj.Counts()
-				}
-				return fingerprint(res, eng.Stats(), eng.Trajectory(), eng.Quarantined()), cnt
-			}
-
-			ref, cnt := run(1)
-			if faulty && (cnt.Transient == 0 || cnt.Permanent == 0) {
-				t.Fatalf("hostile config exercised no faults: %+v", cnt)
-			}
-			for _, w := range tortureWorkers[1:] {
-				got, _ := run(w)
-				if got != ref {
-					t.Fatalf("workers=%d fingerprint diverged from workers=1:\n--- got ---\n%s\n--- want ---\n%s",
-						w, got, ref)
-				}
-			}
-		})
-	}
-}
-
-// TestTortureJournalReplayMatrix records a faulty duplicate-heavy batch into
-// a write-ahead journal, then resumes from a copy of that journal at every
-// worker count. Each resumed run must (a) replay every journaled episode
-// without touching the objective's fault schedule anew and (b) land on the
-// recorded run's exact fingerprint.
+// TestTortureJournalReplayMatrix records a faulty duplicate-heavy list into
+// a write-ahead journal, then resumes from that journal. The resumed run
+// must (a) replay every journaled episode without touching the objective's
+// fault schedule anew and (b) land on the recorded run's exact fingerprint.
 func TestTortureJournalReplayMatrix(t *testing.T) {
 	sp, s := tortureSpace(t)
 	in := duplicateHeavyBatch(sp, 30, 42)
-	dir := t.TempDir()
+	walPath := filepath.Join(t.TempDir(), "torture.wal")
 
-	runBatch := func(eng *engine.Engine) string {
-		res := eng.MeasureBatch(in)
-		return fingerprint(res, eng.Stats(), eng.Trajectory(), eng.Quarantined())
+	newEngine := func(j *journal.Journal) *engine.Engine {
+		return engine.New(faults.New(s, hostileTortureConfig()),
+			engine.WithSeed(7),
+			engine.WithMeasureTimeout(20*time.Millisecond),
+			engine.WithQuarantine(2),
+			engine.WithJournal(j),
+		)
 	}
-
 	// Record the reference run.
-	walPath := filepath.Join(dir, "torture.wal")
 	j, err := journal.Create(walPath, "torture")
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faults.New(s, hostileTortureConfig())
-	eng := engine.New(inj,
-		engine.WithWorkers(4),
-		engine.WithSeed(7),
-		engine.WithMeasureTimeout(20*time.Millisecond),
-		engine.WithQuarantine(2),
-		engine.WithJournal(j),
-	)
-	ref := runBatch(eng)
+	ref := fingerprint(newEngine(j), in)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(walPath)
+
+	// Resume from it.
+	j2, err := journal.Open(walPath, "torture")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for _, w := range tortureWorkers {
-		w := w
-		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			// Resume from a private copy: Open repairs torn tails and the
-			// resumed run appends, so legs must not share one file.
-			cp := filepath.Join(dir, fmt.Sprintf("resume-%d.wal", w))
-			if err := os.WriteFile(cp, raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			j2, err := journal.Open(cp, "torture")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer j2.Close()
-			inj2 := faults.New(s, hostileTortureConfig())
-			eng2 := engine.New(inj2,
-				engine.WithWorkers(w),
-				engine.WithSeed(7),
-				engine.WithMeasureTimeout(20*time.Millisecond),
-				engine.WithQuarantine(2),
-				engine.WithJournal(j2),
-			)
-			pending := eng2.ReplayPending()
-			if pending == 0 {
-				t.Fatal("journal recovered no episodes")
-			}
-			got := runBatch(eng2)
-			if got != ref {
-				t.Fatalf("workers=%d resumed fingerprint diverged:\n--- got ---\n%s\n--- want ---\n%s", w, got, ref)
-			}
-			if eng2.Replayed() != pending {
-				t.Fatalf("workers=%d replayed %d of %d recovered episodes", w, eng2.Replayed(), pending)
-			}
-			if eng2.ReplayPending() != 0 {
-				t.Fatalf("workers=%d left %d episodes unreplayed", w, eng2.ReplayPending())
-			}
-		})
+	defer j2.Close()
+	eng := newEngine(j2)
+	pending := eng.ReplayPending()
+	if pending == 0 {
+		t.Fatal("journal recovered no episodes")
 	}
-}
-
-// seedTortureStore builds a fresh store pre-loaded with the same
-// deterministic content for every matrix leg: every fourth unique key from
-// the batch, at times faster than the simulator reports, so store hits are
-// visible in the fingerprint (best/trajectory) and not just in the counters.
-func seedTortureStore(t testing.TB, in []space.Setting, prefix string) *store.Store {
-	t.Helper()
-	st, err := store.Open(filepath.Join(t.TempDir(), "store"))
-	if err != nil {
-		t.Fatal(err)
+	if got := fingerprint(eng, in); got != ref {
+		t.Fatalf("resumed fingerprint diverged:\n--- got ---\n%s\n--- want ---\n%s", got, ref)
 	}
-	t.Cleanup(func() { _ = st.Close() })
-	seen := make(map[string]bool)
-	for _, s := range in {
-		k := s.Key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if len(seen)%4 == 0 {
-			st.Put(prefix+k, 0.001+float64(len(seen))/1000)
-		}
+	if eng.Replayed() != pending {
+		t.Fatalf("replayed %d of %d recovered episodes", eng.Replayed(), pending)
 	}
-	return st
-}
-
-// TestTortureSharedStoreMatrix is the cross-campaign store under the same
-// hostility: duplicate-heavy batch, every fault kind firing, a pre-seeded
-// shared store on the measurement path, workers 1/4/16/64 — and the full
-// outcome fingerprint (store counters included in stats) must stay
-// byte-identical to the workers=1 reference. Each leg gets its own
-// identically-seeded store: the run publishes back, so sharing one store
-// across legs would let earlier legs warm later ones.
-func TestTortureSharedStoreMatrix(t *testing.T) {
-	sp, s := tortureSpace(t)
-	in := duplicateHeavyBatch(sp, 40, 20260808)
-	prefix := store.Prefix("arch:torture", "shape:torture")
-
-	for _, faulty := range []bool{false, true} {
-		name := "clean"
-		if faulty {
-			name = "faults"
-		}
-		t.Run(name, func(t *testing.T) {
-			run := func(workers int) (string, int) {
-				var obj sim.Objective = s
-				if faulty {
-					obj = faults.New(s, hostileTortureConfig())
-				}
-				st := seedTortureStore(t, in, prefix)
-				eng := engine.New(obj,
-					engine.WithWorkers(workers),
-					engine.WithSeed(7),
-					engine.WithMeasureTimeout(20*time.Millisecond),
-					engine.WithQuarantine(2),
-					engine.WithStore(st, prefix),
-				)
-				res := eng.MeasureBatch(in)
-				return fingerprint(res, eng.Stats(), eng.Trajectory(), eng.Quarantined()), eng.Stats().StoreHits
-			}
-
-			ref, hits := run(1)
-			if hits == 0 {
-				t.Fatal("seeded store produced no hits; the leg tests nothing")
-			}
-			for _, w := range tortureWorkers[1:] {
-				got, _ := run(w)
-				if got != ref {
-					t.Fatalf("workers=%d fingerprint diverged from workers=1:\n--- got ---\n%s\n--- want ---\n%s",
-						w, got, ref)
-				}
-			}
-		})
+	if eng.ReplayPending() != 0 {
+		t.Fatalf("left %d episodes unreplayed", eng.ReplayPending())
 	}
 }
 

@@ -7,7 +7,7 @@
 //
 // Every injection decision is a pure function of (seed, setting key,
 // per-key attempt number). The injector serializes only the per-key attempt
-// counters, so concurrent measurement schedules — any engine worker count —
+// counters, so concurrent measurement schedules (the GA's islands, for one)
 // observe exactly the same fault sequence per setting.
 package faults
 

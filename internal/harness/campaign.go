@@ -33,11 +33,6 @@ type CampaignConfig struct {
 	// Seed drives the tuner, the engine's backoff jitter, and (via the
 	// fingerprint) journal identity.
 	Seed int64
-	// Workers bounds the engine's batch worker pool (0 = engine default).
-	// Campaign outcomes are identical at any worker count; Workers is
-	// deliberately not part of the fingerprint, so a journal written at one
-	// worker count resumes at another.
-	Workers int
 	// Repeats is the engine's median-of-n measurement aggregation (0/1 = one
 	// call per attempt).
 	Repeats int
@@ -196,9 +191,6 @@ func PrepareCampaign(fx *Fixture, cfg CampaignConfig) (*CampaignRun, error) {
 	opts := []engine.Option{
 		engine.WithBudget(cfg.BudgetS),
 		engine.WithSeed(uint64(cfg.Seed)),
-	}
-	if cfg.Workers > 0 {
-		opts = append(opts, engine.WithWorkers(cfg.Workers))
 	}
 	if cfg.Repeats > 1 {
 		opts = append(opts, engine.WithRepeats(cfg.Repeats))

@@ -26,9 +26,8 @@ func chaosConfig() CampaignConfig {
 
 // runOnFS runs one journaled chaos campaign through fsys (nil = the real
 // filesystem) at path.
-func runOnFS(fx *Fixture, fsys vfs.FS, path string, workers int) (*CampaignResult, error) {
+func runOnFS(fx *Fixture, fsys vfs.FS, path string) (*CampaignResult, error) {
 	cfg := chaosConfig()
-	cfg.Workers = workers
 	cfg.JournalPath = path
 	cfg.FS = fsys
 	return RunCampaign(context.Background(), fx, cfg)
@@ -40,9 +39,9 @@ func runOnFS(fx *Fixture, fsys vfs.FS, path string, workers int) (*CampaignResul
 // quarantining the journal and starting fresh must reach the golden result.
 // Anything else (a panic, a non-corruption error, a diverging result) is a
 // poisoned recovery path.
-func recoverAndCheck(t *testing.T, fx *Fixture, path string, workers int, want, ctx string) {
+func recoverAndCheck(t *testing.T, fx *Fixture, path string, want, ctx string) {
 	t.Helper()
-	res, err := runOnFS(fx, nil, path, workers)
+	res, err := runOnFS(fx, nil, path)
 	if err != nil {
 		if !errors.Is(err, journal.ErrCorrupt) {
 			t.Fatalf("%s: recovery failed uncleanly: %v", ctx, err)
@@ -50,7 +49,7 @@ func recoverAndCheck(t *testing.T, fx *Fixture, path string, workers int, want, 
 		// Clean quarantine: drop the untrusted journal, start over.
 		_ = os.Remove(path)
 		_ = os.Remove(path + ".tmp")
-		res, err = runOnFS(fx, nil, path, workers)
+		res, err = runOnFS(fx, nil, path)
 		if err != nil {
 			t.Fatalf("%s: fresh run after quarantine failed: %v", ctx, err)
 		}
@@ -78,14 +77,12 @@ var chaosFlavors = []struct {
 // journaled campaign performs, re-runs the campaign with a single injected
 // fault at each operation in turn, and asserts the recovery invariant at
 // every swept point: the journal left behind resumes byte-identically, or
-// quarantines cleanly and a fresh run matches golden. Swept at worker
-// counts 1, 4 and 16 — journal traffic is accounting-ordered, so the op
-// enumeration is deterministic at any worker count.
+// quarantines cleanly and a fresh run matches golden.
 func TestCampaignFaultPointWalker(t *testing.T) {
 	fx := resumeFixture(t)
 
 	counter := vfs.NewFaultFS(vfs.OS, 0)
-	golden, err := runOnFS(fx, counter, filepath.Join(t.TempDir(), "golden.wal"), 1)
+	golden, err := runOnFS(fx, counter, filepath.Join(t.TempDir(), "golden.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,31 +93,29 @@ func TestCampaignFaultPointWalker(t *testing.T) {
 	}
 	t.Logf("walking %d fault points", n)
 
+	stride := int64(1)
+	if testing.Short() {
+		stride = 5
+	}
 	var injectedTotal int64
-	for _, wk := range []struct{ workers, stride int }{{1, 1}, {4, 3}, {16, 7}} {
-		stride := wk.stride
-		if testing.Short() {
-			stride *= 5
-		}
-		for i := int64(0); i < n; i += int64(stride) {
-			fl := chaosFlavors[int(i)%len(chaosFlavors)]
-			f := fl.fault
-			f.AtIndex = i
-			ff := vfs.NewFaultFS(vfs.OS, 0, f)
-			path := filepath.Join(t.TempDir(), "walk.wal")
-			ctx := fmt.Sprintf("workers=%d op=%d fault=%s", wk.workers, i, fl.name)
+	for i := int64(0); i < n; i += stride {
+		fl := chaosFlavors[int(i)%len(chaosFlavors)]
+		f := fl.fault
+		f.AtIndex = i
+		ff := vfs.NewFaultFS(vfs.OS, 0, f)
+		path := filepath.Join(t.TempDir(), "walk.wal")
+		ctx := fmt.Sprintf("op=%d fault=%s", i, fl.name)
 
-			res, err := runOnFS(fx, ff, path, wk.workers)
-			if err == nil {
-				// The fault was tolerated (dir-fsync, best-effort cleanup):
-				// the run itself must still be semantically golden.
-				if got := res.Canonical(); got != want {
-					t.Fatalf("%s: tolerated fault changed the result\n got: %s\nwant: %s", ctx, got, want)
-				}
+		res, err := runOnFS(fx, ff, path)
+		if err == nil {
+			// The fault was tolerated (dir-fsync, best-effort cleanup): the
+			// run itself must still be semantically golden.
+			if got := res.Canonical(); got != want {
+				t.Fatalf("%s: tolerated fault changed the result\n got: %s\nwant: %s", ctx, got, want)
 			}
-			injectedTotal += ff.Injected()
-			recoverAndCheck(t, fx, path, wk.workers, want, ctx)
 		}
+		injectedTotal += ff.Injected()
+		recoverAndCheck(t, fx, path, want, ctx)
 	}
 	if injectedTotal == 0 {
 		t.Fatal("walker injected nothing; the sweep proved nothing")
@@ -135,7 +130,7 @@ func TestCampaignPowerLossSweep(t *testing.T) {
 	fx := resumeFixture(t)
 
 	counter := vfs.NewFaultFS(vfs.OS, 0)
-	golden, err := runOnFS(fx, counter, filepath.Join(t.TempDir(), "golden.wal"), 1)
+	golden, err := runOnFS(fx, counter, filepath.Join(t.TempDir(), "golden.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +149,7 @@ func TestCampaignPowerLossSweep(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "cut.wal")
 		ctx := fmt.Sprintf("cut=%d keep=%g", i, keep)
 
-		res, err := runOnFS(fx, ff, path, 1)
+		res, err := runOnFS(fx, ff, path)
 		if err == nil {
 			// Power lost after the last semantically-relevant op (e.g. at the
 			// final close): the completed run must still be golden.
@@ -166,6 +161,6 @@ func TestCampaignPowerLossSweep(t *testing.T) {
 			// not rooted in the injected outage is a real bug.
 			t.Fatalf("%s: run failed outside the power-cut model: %v", ctx, err)
 		}
-		recoverAndCheck(t, fx, path, 1, want, ctx)
+		recoverAndCheck(t, fx, path, want, ctx)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/engine"
+	"repro/internal/dataset"
 	"repro/internal/space"
 	"repro/internal/stats"
 )
@@ -20,49 +20,16 @@ type MotivationSample struct {
 }
 
 // CollectMotivation randomly samples n valid settings of the fixture's
-// stencil and measures them (paper Sec. III samples >20,000 per stencil;
-// the sample size is a knob so tests stay fast). Measurement goes through a
-// throwaway evaluation engine so the chunks run on its worker pool; the
-// chunk-and-replay loop keeps sample selection identical to drawing and
-// measuring one setting at a time.
+// stencil and measures them one at a time (paper Sec. III samples >20,000
+// per stencil; the sample size is a knob so tests stay fast).
 func CollectMotivation(fx *Fixture, n int, seed int64) (*MotivationSample, error) {
-	rng := rand.New(rand.NewSource(seed))
-	eng := engine.New(fx.Sim)
-	ms := &MotivationSample{Stencil: fx.Stencil.Name}
-	seen := map[string]struct{}{}
-	tries := 0
-	maxTries := 1000 * n
-	for len(ms.Times) < n && tries < maxTries {
-		chunk := 2 * n
-		if chunk > maxTries-tries {
-			chunk = maxTries - tries
-		}
-		draws := make([]space.Setting, chunk)
-		for i := range draws {
-			draws[i] = fx.Space.Random(rng)
-		}
-		out := eng.MeasureBatch(draws) // memoized: repeated keys measure once
-		for i, set := range draws {
-			if len(ms.Times) == n {
-				break
-			}
-			tries++
-			if _, dup := seen[set.Key()]; dup {
-				continue
-			}
-			if out[i].Err != nil {
-				continue
-			}
-			seen[set.Key()] = struct{}{}
-			ms.Times = append(ms.Times, out[i].MS)
-			ms.Settings = append(ms.Settings, set)
-			if ms.BestMS == 0 || out[i].MS < ms.BestMS {
-				ms.BestMS = out[i].MS
-			}
-		}
+	ds, err := dataset.Collect(fx.Sim, rand.New(rand.NewSource(seed)), n, 1000*n)
+	if err != nil {
+		return nil, fmt.Errorf("harness: motivation sample: %w", err)
 	}
-	if len(ms.Times) < n {
-		return nil, fmt.Errorf("harness: sampled only %d/%d valid settings", len(ms.Times), n)
+	ms := &MotivationSample{Stencil: fx.Stencil.Name, Times: ds.Times(), BestMS: ds.Best().TimeMS}
+	for _, smp := range ds.Samples {
+		ms.Settings = append(ms.Settings, smp.Setting)
 	}
 	return ms, nil
 }

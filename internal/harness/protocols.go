@@ -33,10 +33,9 @@ func NewFixture(st *stencil.Stencil, arch *gpu.Arch, dsSize int, seed int64) (*F
 		return nil, err
 	}
 	s := sim.New(sp, arch)
-	// Collection parallelizes through a throwaway engine: the rng is local,
-	// so CollectBatch's overdraw is harmless, and the collection cache never
-	// leaks into the metered tuning runs built on this fixture.
-	ds, err := dataset.CollectBatch(engine.New(s), rand.New(rand.NewSource(seed)), dsSize, 0)
+	// Collected on the simulator itself, so nothing from collection leaks
+	// into the metered tuning runs built on this fixture.
+	ds, err := dataset.Collect(s, rand.New(rand.NewSource(seed)), dsSize, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -135,9 +136,10 @@ func TestServiceHappyPath(t *testing.T) {
 func TestServiceBadJSON(t *testing.T) {
 	ts, _ := newTestServer(t, campaign.Options{})
 	for name, body := range map[string]string{
-		"syntax":        `{"tenant": "acme",`,
-		"unknown-field": `{"tenant": "acme", "warp_factor": 9}`,
-		"wrong-type":    `{"tenant": 42}`,
+		"syntax":          `{"tenant": "acme",`,
+		"unknown-field":   `{"tenant": "acme", "warp_factor": 9}`,
+		"retired-workers": `{"tenant": "acme", "method": "opentuner", "stencil": "helmholtz", "arch": "a100", "budget_s": 4, "seed": 1, "workers": 4}`,
+		"wrong-type":      `{"tenant": 42}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", bytes.NewBufferString(body))
@@ -238,28 +240,33 @@ func TestServiceBudgetExhaustion(t *testing.T) {
 }
 
 func TestServicePauseResumeRoundTrip(t *testing.T) {
-	ts, _ := newTestServer(t, campaign.Options{Slots: 1})
 	spec := testSpec("acme", 4)
 	spec.BudgetS = 400
+	goldenTS, _ := newTestServer(t, campaign.Options{Slots: 1})
+	golden := pollUntil(t, goldenTS, submit(t, goldenTS, spec).ID, campaign.StateCompleted).Canonical
+
+	ts, reg := newTestServer(t, campaign.Options{Slots: 1})
+	// Hold the only measurement slot: the campaign cannot complete before
+	// the pause lands.
+	if err := reg.Scheduler().Acquire(context.Background(), "holder", 1); err != nil {
+		t.Fatal(err)
+	}
 	sr := submit(t, ts, spec)
-	time.Sleep(40 * time.Millisecond)
+	pollUntil(t, ts, sr.ID, campaign.StateRunning)
 	var ok OKResponse
 	code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/campaigns/"+sr.ID+"/pause", nil, &ok)
 	if code != http.StatusOK {
-		var st CampaignStatus
-		if c2, _ := doJSON(t, http.MethodGet, ts.URL+"/v1/campaigns/"+sr.ID, nil, &st); c2 == http.StatusOK && st.State == campaign.StateCompleted {
-			t.Skip("campaign completed before the pause landed")
-		}
 		t.Fatalf("pause: status %d body %s", code, raw)
 	}
 	pollUntil(t, ts, sr.ID, campaign.StatePaused)
+	reg.Scheduler().Release()
 	code, raw = doJSON(t, http.MethodPost, ts.URL+"/v1/campaigns/"+sr.ID+"/resume", nil, &ok)
 	if code != http.StatusOK {
 		t.Fatalf("resume: status %d body %s", code, raw)
 	}
 	st := pollUntil(t, ts, sr.ID, campaign.StateCompleted)
-	if st.Canonical == "" {
-		t.Fatal("resumed campaign has no canonical result")
+	if st.Canonical == "" || st.Canonical != golden {
+		t.Fatalf("pause/resume changed the result:\n%s\n%s", st.Canonical, golden)
 	}
 }
 

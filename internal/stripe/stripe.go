@@ -25,8 +25,9 @@ import (
 )
 
 // shards is the stripe count. 64 shards keep shard-lock contention
-// negligible at the engine's worker-count ceiling while the per-shard maps
-// stay large enough to amortize promotion copies.
+// negligible for the goroutines that share one engine cache or result
+// store while the per-shard maps stay large enough to amortize promotion
+// copies.
 const shards = 64
 
 // Map is a concurrent string-keyed index whose probes take no lock on the
