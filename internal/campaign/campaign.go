@@ -94,14 +94,13 @@ func (c *Campaign) loadResult() error {
 // fairness gate (nil for ungated runs).
 func (c *Campaign) config(wrap func(sim.Objective) sim.Objective) harness.CampaignConfig {
 	cfg := harness.CampaignConfig{
-		Method:          c.Spec.Method,
-		BudgetS:         c.Spec.BudgetS,
-		Seed:            c.Spec.Seed,
-		Repeats:         c.Spec.Repeats,
-		Quarantine:      c.Spec.Quarantine,
-		CheckpointEvery: c.Spec.CheckpointEvery,
-		JournalPath:     c.journalPath(),
-		FS:              c.fs,
+		Method:      c.Spec.Method,
+		BudgetS:     c.Spec.BudgetS,
+		Seed:        c.Spec.Seed,
+		Repeats:     c.Spec.Repeats,
+		Quarantine:  c.Spec.Quarantine,
+		JournalPath: c.journalPath(),
+		FS:          c.fs,
 	}
 	if wrap != nil {
 		cfg.Wrap = wrap

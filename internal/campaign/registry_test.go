@@ -167,8 +167,8 @@ func TestRegistryPauseResume(t *testing.T) {
 }
 
 // TestRegistryResumesSpecWithRetiredWorkersField reopens a campaign whose
-// spec.json still carries the retired "workers" knob. The unknown field is
-// ignored on load, so the campaign resumes and completes to the same
+// spec.json still carries the retired "workers" and "checkpoint_every"
+// knobs. The unknown fields are ignored on load, so the campaign resumes and completes to the same
 // canonical result as a fresh run of the spec.
 func TestRegistryResumesSpecWithRetiredWorkersField(t *testing.T) {
 	spec := testSpec("acme", 9)
@@ -204,6 +204,7 @@ func TestRegistryResumesSpecWithRetiredWorkersField(t *testing.T) {
 		t.Fatal(err)
 	}
 	fields["workers"] = 4
+	fields["checkpoint_every"] = 5
 	if raw, err = json.Marshal(fields); err != nil {
 		t.Fatal(err)
 	}

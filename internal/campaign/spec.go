@@ -36,11 +36,10 @@ type Spec struct {
 	BudgetS float64 `json:"budget_s"`
 	// Seed drives the tuner and the engine's deterministic jitter.
 	Seed int64 `json:"seed"`
-	// Repeats, Quarantine and CheckpointEvery forward to
-	// harness.CampaignConfig (all optional).
-	Repeats         int `json:"repeats,omitempty"`
-	Quarantine      int `json:"quarantine,omitempty"`
-	CheckpointEvery int `json:"checkpoint_every,omitempty"`
+	// Repeats and Quarantine forward to harness.CampaignConfig (both
+	// optional).
+	Repeats    int `json:"repeats,omitempty"`
+	Quarantine int `json:"quarantine,omitempty"`
 	// WarmStart requests up to that many warm-start seeds from the shared
 	// result store (0 = cold start). Ignored when the registry has no store.
 	WarmStart int `json:"warm_start,omitempty"`

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"sort"
 
 	"repro/internal/journal"
 	"repro/internal/sim"
@@ -120,7 +119,7 @@ func (e *Engine) Replayed() int {
 }
 
 // JournalErr returns the sticky journal-write error, if any: once an append
-// or checkpoint fails, the engine refuses further measurements rather than
+// fails, the engine refuses further measurements rather than
 // silently running an unjournaled (unresumable) campaign.
 func (e *Engine) JournalErr() error {
 	e.mu.Lock()
@@ -208,40 +207,6 @@ func (e *Engine) episodeCostS(ep episode) float64 {
 	return ep.backoffS + e.cost.CheckS
 }
 
-// summaryLocked snapshots the engine state for a checkpoint. Callers hold
-// e.mu.
-func (e *Engine) summaryLocked() journal.Summary {
-	st := e.statsLocked()
-	s := journal.Summary{
-		SpentS:          e.spentS,
-		BudgetS:         e.budgetS,
-		Evaluations:     st.Evaluations,
-		CacheHits:       st.CacheHits,
-		Invalid:         st.Invalid,
-		BudgetTrips:     st.BudgetTrips,
-		Transient:       st.Transient,
-		Retries:         st.Retries,
-		Timeouts:        st.Timeouts,
-		Quarantined:     st.Quarantined,
-		QuarantineSkips: st.QuarantineSkips,
-		Canceled:        st.Canceled,
-		StoreHits:       st.StoreHits,
-		StoreMisses:     st.StoreMisses,
-		WarmStartSeeds:  st.WarmStartSeeds,
-		//cstlint:allow lockorder(the injected clock is a sub-microsecond read that never re-enters the engine)
-		WallUnixNano: e.clock().UnixNano(),
-	}
-	if e.best >= 0 {
-		s.BestKey = e.bestSet.Key()
-		s.BestMS = e.best
-	}
-	for k := range e.quar {
-		s.Quarantine = append(s.Quarantine, k)
-	}
-	sort.Strings(s.Quarantine)
-	return s
-}
-
 // journalEpisodeLocked write-ahead logs one live finished episode: the
 // record is durable before accountEpisode mutates any state. A journal
 // write failure is sticky — the engine fails fast rather than silently
@@ -264,16 +229,4 @@ func (e *Engine) journalEpisodeLocked(key string, ep episode) error {
 		return err
 	}
 	return nil
-}
-
-// maybeCheckpointLocked compacts the journal on its configured period, with
-// the engine's post-accounting state as the checkpoint summary. Callers
-// hold e.mu.
-func (e *Engine) maybeCheckpointLocked() {
-	if e.jr == nil || e.journalErr != nil {
-		return
-	}
-	if err := e.jr.MaybeCheckpoint(e.summaryLocked()); err != nil {
-		e.journalErr = err
-	}
 }

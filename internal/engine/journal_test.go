@@ -228,43 +228,6 @@ func TestJournalWriteFailureIsStickyAndFailsFast(t *testing.T) {
 	}
 }
 
-func TestJournalCheckpointCompactionPreservesReplay(t *testing.T) {
-	j, path := journalAt(t, "fp")
-	j.SetCheckpointEvery(3)
-	obj := newFake(t)
-	sp := obj.Space()
-	eng := New(obj, WithJournal(j))
-	var seq []space.Setting
-	for i := 1; i <= 8; i++ {
-		s := variant(sp, i, i)
-		seq = append(seq, s)
-		if _, err := eng.Measure(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := snap(eng)
-	j.Close()
-
-	j2, err := journal.Open(path, "fp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if n := len(j2.Recovered()); n != 8 {
-		t.Fatalf("recovered %d episodes through checkpoints, want 8", n)
-	}
-	obj2 := newFake(t)
-	eng2 := New(obj2, WithJournal(j2))
-	for _, s := range seq {
-		if _, err := eng2.Measure(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := snap(eng2); !reflect.DeepEqual(got, want) {
-		t.Fatalf("resumed run diverged:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 func TestSingleflightCollapsesConcurrentSameKey(t *testing.T) {
 	obj := newFake(t)
 	sp := obj.Space()

@@ -358,7 +358,6 @@ func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float6
 	if err := e.journalEpisodeLocked(key, ep); err != nil {
 		return 0, err
 	}
-	defer e.maybeCheckpointLocked()
 	if ep.fromStore {
 		// A cross-campaign store hit: the measurement was paid for by a
 		// previous campaign, so the virtual clock, the evaluation count and

@@ -43,9 +43,6 @@ type CampaignConfig struct {
 	// are write-ahead logged there, and a journal already on disk is
 	// resumed.
 	JournalPath string
-	// CheckpointEvery overrides the journal's compaction period in episodes
-	// (0 = journal default; negative disables checkpoints).
-	CheckpointEvery int
 	// FS is the filesystem seam the journal performs every disk operation
 	// through (nil = the real filesystem, vfs.OS). It sits alongside the
 	// engine's Clock as an injectable environment edge: chaos tests plug a
@@ -212,9 +209,6 @@ func PrepareCampaign(fx *Fixture, cfg CampaignConfig) (*CampaignRun, error) {
 		jr, err = journal.OpenOrCreateFS(vfs.Or(cfg.FS), cfg.JournalPath, CampaignFingerprint(fx, cfg))
 		if err != nil {
 			return nil, err
-		}
-		if cfg.CheckpointEvery != 0 {
-			jr.SetCheckpointEvery(cfg.CheckpointEvery)
 		}
 		if cfg.OnJournal != nil {
 			cfg.OnJournal(jr)

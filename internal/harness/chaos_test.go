@@ -13,14 +13,12 @@ import (
 )
 
 // chaosConfig is the walker's campaign: small enough that the full fs-op
-// enumeration stays walkable, checkpointing aggressively so compaction's
-// temp-file + rename dance sits inside the swept window.
+// enumeration stays walkable.
 func chaosConfig() CampaignConfig {
 	return CampaignConfig{
-		Method:          "cstuner",
-		BudgetS:         8,
-		Seed:            5,
-		CheckpointEvery: 3,
+		Method:  "cstuner",
+		BudgetS: 8,
+		Seed:    5,
 	}
 }
 

@@ -94,12 +94,11 @@ func resumeFrom(t *testing.T, fx *Fixture, cfg CampaignConfig, dir string, snap 
 func TestCampaignResumeKillMatrix(t *testing.T) {
 	fx := resumeFixture(t)
 	base := CampaignConfig{
-		Method:          "cstuner",
-		BudgetS:         30,
-		Seed:            5,
-		Faults:          killFaults(),
-		Quarantine:      1, // every permanently-broken setting lands in quarantine
-		CheckpointEvery: 5,
+		Method:     "cstuner",
+		BudgetS:    30,
+		Seed:       5,
+		Faults:     killFaults(),
+		Quarantine: 1, // every permanently-broken setting lands in quarantine
 	}
 	golden, snaps := runGolden(t, fx, base)
 	want := golden.Canonical()

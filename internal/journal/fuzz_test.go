@@ -16,30 +16,15 @@ import (
 // appending an episode and reopening recovers exactly the recovered prefix
 // plus the new episode.
 func FuzzJournalRecord(f *testing.F) {
-	// Seed corpus: a real journal, its header alone, torn and corrupted
-	// variants, and adversarial non-journals.
-	dir := f.TempDir()
-	seedPath := filepath.Join(dir, "seed.wal")
-	j, err := Create(seedPath, "fuzz-fp")
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := j.Append(Episode{Key: string(rune('a' + i)), Class: ClassOK, MS: float64(i) + 0.5, MSSum: float64(i) + 0.5, Attempts: 1, Calls: 1, CostS: 1.5}); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := j.Checkpoint(Summary{Evaluations: 3}); err != nil {
-		f.Fatal(err)
-	}
-	if err := j.Append(Episode{Key: "d", Class: ClassTransient, Err: "flaky", Attempts: 3, Calls: 3, Transient: 3, BackoffS: 1.5, CostS: 1.505}); err != nil {
-		f.Fatal(err)
-	}
-	j.Close()
-	seed, err := os.ReadFile(seedPath)
-	if err != nil {
-		f.Fatal(err)
-	}
+	// Seed corpus: a journal in the legacy checkpointed layout, its header
+	// alone, torn and corrupted variants, and adversarial non-journals.
+	seed := legacyJournal(f, "fuzz-fp",
+		[]Episode{
+			{Key: "a", Class: ClassOK, MS: 0.5, MSSum: 0.5, Attempts: 1, Calls: 1, CostS: 1.5},
+			{Key: "b", Class: ClassOK, MS: 1.5, MSSum: 1.5, Attempts: 1, Calls: 1, CostS: 1.5},
+			{Key: "c", Class: ClassOK, MS: 2.5, MSSum: 2.5, Attempts: 1, Calls: 1, CostS: 1.5},
+		},
+		[]Episode{{Key: "d", Class: ClassTransient, Err: "flaky", Attempts: 3, Calls: 3, Transient: 3, BackoffS: 1.5, CostS: 1.505}})
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add(seed[:frame.HeaderLen+3])

@@ -11,19 +11,14 @@
 //	[u32le payload length][u32le CRC32C of payload][payload]
 //
 // The payload is a JSON-encoded tagged record: a header (magic, version,
-// campaign fingerprint), an evaluation episode, or a checkpoint. Appends are
-// fsync'd, so a crash can tear at most the final frame; Open verifies every
-// frame's CRC and truncates the torn tail back to the last intact record.
-// Corruption of the header itself (or a fingerprint that does not match the
-// resuming campaign's configuration) fails cleanly — never a panic, and
-// never a silently wrong resume.
-//
-// Checkpoints compact the log: every CheckpointEvery appended episodes the
-// journal rewrites itself as [header][checkpoint] — the checkpoint frame
-// carrying the full compacted episode history plus a summary of the engine
-// state (stats counters, budget meter, quarantine set) — via the classic
-// temp-file + rename + directory-fsync dance, so the file is replaced
-// atomically and subsequent episodes append after the checkpoint.
+// campaign fingerprint) or an evaluation episode. Appends are fsync'd, so a
+// crash can tear at most the final frame; Open verifies every frame's CRC
+// and truncates the torn tail back to the last intact record. Corruption of
+// the header itself (or a fingerprint that does not match the resuming
+// campaign's configuration) fails cleanly — never a panic, and never a
+// silently wrong resume. Journals written by older versions may also hold
+// checkpoint frames (the compacted history up to that point); Open still
+// decodes them, and nothing writes them any more.
 //
 // The journal stores measurement *outcomes*, not engine state machines:
 // resume works by re-running the (deterministic) campaign from the start
@@ -51,16 +46,10 @@ const (
 	Version = 1
 )
 
-// DefaultCheckpointEvery is the default compaction period, in appended
-// episodes. Checkpoints trade a full rewrite against faster recovery and a
-// bounded frame count; campaigns are measurement-bound, so a rewrite every
-// few dozen episodes is noise.
-const DefaultCheckpointEvery = 64
-
 var (
-	// ErrCorrupt is returned when the journal header (or a checkpoint the
-	// history depends on) cannot be trusted. Tail corruption is not an
-	// error: torn tails are truncated and the intact prefix recovered.
+	// ErrCorrupt is returned when the journal header cannot be trusted.
+	// Tail corruption is not an error: torn tails are truncated and the
+	// intact prefix recovered.
 	ErrCorrupt = errors.New("journal: corrupt journal")
 	// ErrFingerprint is returned when the journal was written by a campaign
 	// with a different configuration fingerprint: replaying it into the
@@ -128,48 +117,18 @@ type Episode struct {
 	CostS float64 `json:"cost_s"`
 }
 
-// Summary is the engine-state snapshot stored alongside a checkpoint's
-// compacted history: the budget meter, the counter block, and the
-// quarantine set. It exists for observability and post-mortem tooling; the
-// authoritative resume state is the episode history itself.
-type Summary struct {
-	SpentS          float64  `json:"spent_s"`
-	BudgetS         float64  `json:"budget_s"`
-	Evaluations     int      `json:"evaluations"`
-	CacheHits       int      `json:"cache_hits"`
-	Invalid         int      `json:"invalid"`
-	BudgetTrips     int      `json:"budget_trips"`
-	Transient       int      `json:"transient"`
-	Retries         int      `json:"retries"`
-	Timeouts        int      `json:"timeouts"`
-	Quarantined     int      `json:"quarantined"`
-	QuarantineSkips int      `json:"quarantine_skips"`
-	Canceled        int      `json:"canceled"`
-	StoreHits       int      `json:"store_hits,omitempty"`
-	StoreMisses     int      `json:"store_misses,omitempty"`
-	WarmStartSeeds  int      `json:"warm_start_seeds,omitempty"`
-	BestKey         string   `json:"best_key,omitempty"`
-	BestMS          float64  `json:"best_ms,omitempty"`
-	Quarantine      []string `json:"quarantine,omitempty"`
-	// WallUnixNano stamps when the checkpoint was taken, read through the
-	// engine's injectable clock (engine.Clock) — forensic only, never
-	// replayed, and deterministic under a fake clock.
-	WallUnixNano int64 `json:"wall_unix_nano,omitempty"`
-}
-
-// Checkpoint is one compaction point: the full episode history up to it,
-// plus the engine summary at the moment it was taken.
-type Checkpoint struct {
+// legacyCheckpoint is the part of an older version's checkpoint frame that
+// resume needs: the full episode history up to it.
+type legacyCheckpoint struct {
 	Episodes []Episode `json:"episodes"`
-	Summary  Summary   `json:"summary"`
 }
 
 // record is the tagged union every frame payload decodes into.
 type record struct {
-	T    string      `json:"t"` // "hdr", "ep" or "ckpt"
-	Hdr  *Header     `json:"hdr,omitempty"`
-	Ep   *Episode    `json:"ep,omitempty"`
-	Ckpt *Checkpoint `json:"ckpt,omitempty"`
+	T    string            `json:"t"` // "hdr", "ep" or the legacy "ckpt"
+	Hdr  *Header           `json:"hdr,omitempty"`
+	Ep   *Episode          `json:"ep,omitempty"`
+	Ckpt *legacyCheckpoint `json:"ckpt,omitempty"`
 }
 
 // Journal is one campaign's crash-safe measurement log. It is safe for
@@ -181,25 +140,21 @@ type Journal struct {
 	path      string
 	f         vfs.File
 	hdr       Header
-	history   []Episode // full campaign history: recovered + appended
-	recovered int       // len(history) at Open time
-	sinceCkpt int
-	ckptEvery int
+	recovered []Episode // the history recovered at Open time
+	records   int       // recovered plus appended episodes
 	closed    bool
 
-	// dirSyncErrs counts directory-fsync failures (create and checkpoint
-	// rename). These were once silently dropped; they are now counted so
-	// the engine can surface them as a degradation signal — the data is
-	// still durable in the file, but the *name* may not survive a power
-	// loss. Atomic so the engine can fold it into Stats without nesting
-	// locks with j.mu.
+	// dirSyncErrs counts directory-fsync failures at create. These were
+	// once silently dropped; they are now counted so the engine can surface
+	// them as a degradation signal — the data is still durable in the file,
+	// but the *name* may not survive a power loss. Atomic so the engine can
+	// fold it into Stats without nesting locks with j.mu.
 	dirSyncErrs atomic.Int64
 
 	// OnDurable, when set, is called (outside locks held by callers, but
-	// under the journal's own) after every durable write — an append's
-	// fsync or a checkpoint's rename — with the current record count. It
-	// exists for crash-matrix tests that snapshot the file at every
-	// durable point; production code leaves it nil.
+	// under the journal's own) after every append's fsync with the current
+	// record count. It exists for crash-matrix tests that snapshot the file
+	// at every durable point; production code leaves it nil.
 	OnDurable func(records int)
 }
 
@@ -215,11 +170,10 @@ func CreateFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
 		return nil, fmt.Errorf("journal: create: %w", err)
 	}
 	j := &Journal{
-		fs:        fsys,
-		path:      path,
-		f:         f,
-		hdr:       Header{Magic: Magic, Version: Version, Fingerprint: fingerprint},
-		ckptEvery: DefaultCheckpointEvery,
+		fs:   fsys,
+		path: path,
+		f:    f,
+		hdr:  Header{Magic: Magic, Version: Version, Fingerprint: fingerprint},
 	}
 	if err := writeFrame(f, record{T: "hdr", Hdr: &j.hdr}); err != nil {
 		_ = f.Close()
@@ -238,9 +192,9 @@ func CreateFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
 
 // Open opens an existing journal for resume: it validates the header,
 // rejects a foreign fingerprint (unless fingerprint is empty, which skips
-// the check), replays checkpoints and episode frames into the recovered
-// history, truncates any torn tail back to the last intact frame, and
-// positions the file for further appends.
+// the check), replays episode frames (and legacy checkpoints) into the
+// recovered history, truncates any torn tail back to the last intact frame,
+// and positions the file for further appends.
 func Open(path, fingerprint string) (*Journal, error) {
 	return OpenFS(vfs.OS, path, fingerprint)
 }
@@ -305,7 +259,7 @@ func OpenFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
 			if r.Ckpt == nil {
 				err = fmt.Errorf("checkpoint frame without checkpoint")
 			} else {
-				// A checkpoint compacts everything before it.
+				// A legacy checkpoint compacts everything before it.
 				history = append([]Episode(nil), r.Ckpt.Episodes...)
 			}
 		default:
@@ -332,9 +286,8 @@ func OpenFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
 		path:      path,
 		f:         f,
 		hdr:       hdr,
-		history:   history,
-		recovered: len(history),
-		ckptEvery: DefaultCheckpointEvery,
+		recovered: history,
+		records:   len(history),
 	}, nil
 }
 
@@ -387,88 +340,10 @@ func (j *Journal) Append(ep Episode) error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("journal: sync: %w", err)
 	}
-	j.history = append(j.history, ep)
-	j.sinceCkpt++
+	j.records++
 	if j.OnDurable != nil {
 		//cstlint:allow lockorder(OnDurable's documented contract is test-only, fast, and runs under j.mu by design)
-		j.OnDurable(len(j.history))
-	}
-	return nil
-}
-
-// SetCheckpointEvery sets the compaction period in appended episodes;
-// n <= 0 disables automatic checkpoints.
-func (j *Journal) SetCheckpointEvery(n int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.ckptEvery = n
-}
-
-// MaybeCheckpoint compacts the log when the checkpoint period has elapsed
-// since the last compaction; otherwise it is a no-op. The engine calls it
-// after every accounted episode with its current state summary.
-func (j *Journal) MaybeCheckpoint(sum Summary) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	if j.ckptEvery <= 0 || j.sinceCkpt < j.ckptEvery {
-		return nil
-	}
-	return j.checkpointLocked(sum)
-}
-
-// Checkpoint forces a compaction now.
-func (j *Journal) Checkpoint(sum Summary) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	return j.checkpointLocked(sum)
-}
-
-// checkpointLocked rewrites the journal as [header][checkpoint] through a
-// temp file renamed over the original, so the journal is replaced
-// atomically: a crash at any instant leaves either the old intact file or
-// the new intact file, never a hybrid.
-func (j *Journal) checkpointLocked(sum Summary) error {
-	tmpPath := j.path + ".tmp"
-	tmp, err := j.fs.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: checkpoint temp: %w", err)
-	}
-	cp := Checkpoint{Episodes: j.history, Summary: sum}
-	if err := writeFrame(tmp, record{T: "hdr", Hdr: &j.hdr}); err != nil {
-		_ = tmp.Close()
-		// Leftover tmp cleanup is best-effort: the next checkpoint opens it
-		// with O_TRUNC, and recovery never reads *.tmp.
-		_ = j.fs.Remove(tmpPath)
-		return err
-	}
-	if err := writeFrame(tmp, record{T: "ckpt", Ckpt: &cp}); err != nil {
-		_ = tmp.Close()
-		_ = j.fs.Remove(tmpPath)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		_ = j.fs.Remove(tmpPath)
-		return fmt.Errorf("journal: checkpoint sync: %w", err)
-	}
-	if err := j.fs.Rename(tmpPath, j.path); err != nil {
-		_ = tmp.Close()
-		_ = j.fs.Remove(tmpPath)
-		return fmt.Errorf("journal: checkpoint rename: %w", err)
-	}
-	j.syncDir()
-	_ = j.f.Close() // old pre-compaction handle; the rename made tmp authoritative
-	j.f = tmp
-	j.sinceCkpt = 0
-	if j.OnDurable != nil {
-		//cstlint:allow lockorder(OnDurable's documented contract is test-only, fast, and runs under j.mu by design)
-		j.OnDurable(len(j.history))
+		j.OnDurable(j.records)
 	}
 	return nil
 }
@@ -478,15 +353,7 @@ func (j *Journal) checkpointLocked(sum Summary) error {
 func (j *Journal) Recovered() []Episode {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return append([]Episode(nil), j.history[:j.recovered]...)
-}
-
-// Records returns the number of episodes in the campaign history
-// (recovered plus appended).
-func (j *Journal) Records() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.history)
+	return append([]Episode(nil), j.recovered...)
 }
 
 // Fingerprint returns the campaign fingerprint stored in the header.
@@ -507,8 +374,8 @@ func (j *Journal) Close() error {
 	return j.f.Close()
 }
 
-// syncDir fsyncs the directory containing the journal so a rename or
-// create is durable. A failure does not abort the operation — the data
+// syncDir fsyncs the directory containing the journal so its create is
+// durable. A failure does not abort the operation — the data
 // already hit the file — but it is no longer silently dropped: it is
 // counted in dirSyncErrs and surfaced through DirSyncErrs (and from there
 // the engine's Stats), because an unsynced directory entry is exactly the
@@ -519,7 +386,6 @@ func (j *Journal) syncDir() {
 	}
 }
 
-// DirSyncErrs returns the number of directory-fsync failures so far —
-// appends and checkpoints that are durable in the file but whose directory
-// entry may not survive a power loss.
+// DirSyncErrs returns the number of directory-fsync failures so far: a
+// created journal whose directory entry may not survive a power loss.
 func (j *Journal) DirSyncErrs() int64 { return j.dirSyncErrs.Load() }

@@ -1,14 +1,17 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/frame"
+	"repro/internal/vfs"
 )
 
 func tmpPath(t *testing.T) string {
@@ -42,9 +45,6 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 		if err := j.Append(e); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if j.Records() != len(want) {
-		t.Fatalf("Records = %d, want %d", j.Records(), len(want))
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -110,94 +110,63 @@ func TestOpenOrCreate(t *testing.T) {
 	}
 }
 
-func TestCheckpointCompactsAndRecovers(t *testing.T) {
-	path := tmpPath(t)
-	j := mustCreate(t, path, "fp")
-	j.SetCheckpointEvery(0) // manual checkpoints only
-	var want []Episode
-	for i := 0; i < 10; i++ {
-		e := ep(string(rune('a'+i)), float64(i))
-		want = append(want, e)
-		if err := j.Append(e); err != nil {
-			t.Fatal(err)
+// legacyJournal hand-writes the layout older versions left behind after a
+// checkpoint: [header][checkpoint][episodes appended after it]. The
+// checkpoint frame carries the compacted history plus an engine summary
+// that nothing reads any more.
+func legacyJournal(tb testing.TB, fp string, compacted, tail []Episode) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	frames := []any{
+		map[string]any{"t": "hdr", "hdr": Header{Magic: Magic, Version: Version, Fingerprint: fp}},
+		map[string]any{"t": "ckpt", "ckpt": map[string]any{
+			"episodes": compacted,
+			"summary":  map[string]any{"spent_s": 4.5, "evaluations": len(compacted)},
+		}},
+	}
+	for _, e := range tail {
+		frames = append(frames, map[string]any{"t": "ep", "ep": e})
+	}
+	for _, fr := range frames {
+		if err := frame.Write(&buf, fr); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	if got := countFrames(t, path); got != 11 { // header + 10 episodes
-		t.Fatalf("pre-checkpoint frames = %d, want 11", got)
-	}
-	if err := j.Checkpoint(Summary{Evaluations: 10, SpentS: 42}); err != nil {
+	return buf.Bytes()
+}
+
+// TestOpenRecoversLegacyCheckpoint: journals already on disk may hold a
+// checkpoint frame; resume must recover the compacted history and every
+// episode after it, and keep appending behind them.
+func TestOpenRecoversLegacyCheckpoint(t *testing.T) {
+	compacted := []Episode{ep("a", 1), ep("b", 2), ep("c", 3)}
+	tail := []Episode{{Key: "d", Class: ClassTransient, Err: "flaky", Attempts: 3, Calls: 3, Transient: 3, BackoffS: 1.5, CostS: 1.505}}
+	path := tmpPath(t)
+	if err := os.WriteFile(path, legacyJournal(t, "fp", compacted, tail), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := countFrames(t, path); got != 2 { // header + checkpoint
-		t.Fatalf("post-checkpoint frames = %d, want 2", got)
+	want := append(append([]Episode(nil), compacted...), tail...)
+	j, err := OpenFS(vfs.OS, path, "fp")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Appends continue after the checkpoint rewrite.
-	extra := ep("post-ckpt", 99)
-	want = append(want, extra)
+	if got := j.Recovered(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %+v\nwant %+v", got, want)
+	}
+	extra := ep("e", 5)
 	if err := j.Append(extra); err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
-
-	r, err := Open(path, "fp")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := Open(path, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	got := r.Recovered()
-	if len(got) != len(want) {
-		t.Fatalf("recovered %d episodes, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("episode %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func countFrames(t *testing.T, path string) int {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := 0
-	for off := 0; off < len(data); {
-		_, next, err := frame.Next(data, off)
-		if err != nil {
-			t.Fatalf("frame %d at %d: %v", frames, off, err)
-		}
-		off = next
-		frames++
-	}
-	return frames
-}
-
-func TestAutomaticCheckpointEvery(t *testing.T) {
-	path := tmpPath(t)
-	j := mustCreate(t, path, "fp")
-	j.SetCheckpointEvery(4)
-	for i := 0; i < 10; i++ {
-		if err := j.Append(ep(string(rune('a'+i)), float64(i))); err != nil {
-			t.Fatal(err)
-		}
-		if err := j.MaybeCheckpoint(Summary{Evaluations: i + 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	j.Close()
-	// Checkpoints fired at episodes 4 and 8, so the file holds header +
-	// checkpoint + episodes 9 and 10 — not the 11 frames of a raw log.
-	if frames := countFrames(t, path); frames != 4 {
-		t.Fatalf("automatic checkpoints did not compact: %d frames, want 4", frames)
-	}
-	r, err := Open(path, "fp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if len(r.Recovered()) != 10 {
-		t.Fatalf("recovered %d episodes, want 10", len(r.Recovered()))
+	defer j2.Close()
+	if got := j2.Recovered(); !reflect.DeepEqual(got, append(want, extra)) {
+		t.Fatalf("after append, recovered %+v", got)
 	}
 }
 
@@ -223,9 +192,6 @@ func TestClosedJournalRefusesWrites(t *testing.T) {
 	j.Close()
 	if err := j.Append(ep("a", 1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Close: %v", err)
-	}
-	if err := j.Checkpoint(Summary{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Checkpoint after Close: %v", err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("double Close: %v", err)

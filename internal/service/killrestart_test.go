@@ -98,7 +98,6 @@ func startChild(t *testing.T, root string) (*exec.Cmd, string) {
 
 func TestServiceKillRestartByteIdentical(t *testing.T) {
 	total := 120
-	killAfter := 50 * time.Millisecond
 	if testing.Short() {
 		total = 16
 	}
@@ -161,9 +160,10 @@ func TestServiceKillRestartByteIdentical(t *testing.T) {
 		}
 		subs = append(subs, sub{id: sr.ID, seed: int64(i % seeds)})
 	}
-	// Arbitrary kill point: early light campaigns have completed, the heavy
-	// ones are mid-episode, late submissions are still pending.
-	time.Sleep(killAfter)
+	// Kill point: as soon as a heavy campaign is running with accounted
+	// episodes, so at least one campaign is always cut mid-run. Early light
+	// campaigns have completed by then, and late submissions are pending.
+	waitHeavyRunning(t, client, base)
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -226,13 +226,13 @@ func TestServiceKillRestartByteIdentical(t *testing.T) {
 }
 
 // killSpec is the e2e campaign. Seeds below 8 are light (~30 evals, done in
-// tens of milliseconds); seeds 8+ are heavy (~200 evals) and are reliably
-// mid-run when the kill lands, so the restart genuinely exercises journal
+// tens of milliseconds); seeds 8+ are heavy (~2,000 evals) and are still
+// running when the kill lands, so the restart genuinely exercises journal
 // replay rather than just reloading finished results.
 func killSpec(tenant string, seed int64) campaign.Spec {
 	budget := 50.0
 	if seed >= 8 {
-		budget = 300
+		budget = 3000
 	}
 	return campaign.Spec{
 		Tenant:      tenant,
@@ -243,6 +243,28 @@ func killSpec(tenant string, seed int64) campaign.Spec {
 		BudgetS:     budget,
 		Seed:        seed,
 	}
+}
+
+// waitHeavyRunning polls the campaign list until a heavy campaign (seed 8+)
+// is running and has accounted at least one episode, which its journal then
+// holds.
+func waitHeavyRunning(t *testing.T, client *http.Client, base string) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for time.Now().Before(deadline) {
+		var lr ListResponse
+		code, raw, err := doJSONClient(client, http.MethodGet, base+"/v1/campaigns", nil, &lr)
+		if err != nil || code != http.StatusOK {
+			t.Fatalf("list: code %d err %v body %s", code, err, raw)
+		}
+		for _, st := range lr.Campaigns {
+			if st.Seed >= 8 && st.State == campaign.StateRunning && st.Evals > 0 {
+				return
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatal("no heavy campaign started measuring")
 }
 
 func waitTerminal(t *testing.T, c *campaign.Campaign) {

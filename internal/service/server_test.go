@@ -136,10 +136,11 @@ func TestServiceHappyPath(t *testing.T) {
 func TestServiceBadJSON(t *testing.T) {
 	ts, _ := newTestServer(t, campaign.Options{})
 	for name, body := range map[string]string{
-		"syntax":          `{"tenant": "acme",`,
-		"unknown-field":   `{"tenant": "acme", "warp_factor": 9}`,
-		"retired-workers": `{"tenant": "acme", "method": "opentuner", "stencil": "helmholtz", "arch": "a100", "budget_s": 4, "seed": 1, "workers": 4}`,
-		"wrong-type":      `{"tenant": 42}`,
+		"syntax":                   `{"tenant": "acme",`,
+		"unknown-field":            `{"tenant": "acme", "warp_factor": 9}`,
+		"retired-workers":          `{"tenant": "acme", "method": "opentuner", "stencil": "helmholtz", "arch": "a100", "budget_s": 4, "seed": 1, "workers": 4}`,
+		"retired-checkpoint-every": `{"tenant": "acme", "method": "opentuner", "stencil": "helmholtz", "arch": "a100", "budget_s": 4, "seed": 1, "checkpoint_every": 5}`,
+		"wrong-type":               `{"tenant": 42}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", bytes.NewBufferString(body))
