@@ -194,9 +194,10 @@ var (
 )
 
 // ResumeTune is the crash-safe TuneWithBudgetCtx: every measurement episode
-// is write-ahead logged to the journal at path before it is accounted, so a
-// run killed at any instant — preemption, OOM, Ctrl-C — can be re-run with
-// the same arguments and continue where it stopped. When path does not
+// is write-ahead logged to the journal at path before it is accounted, and
+// the journal is synced before ResumeTune returns, so a run killed at any
+// instant — preemption, OOM, Ctrl-C — can be re-run with the same
+// arguments and continue where it stopped. When path does not
 // exist a fresh campaign starts; when it holds a previous run's journal the
 // pipeline re-executes deterministically while the engine replays every
 // journaled episode instead of re-measuring it, producing a final Report
@@ -221,15 +222,16 @@ func (s *Session) ResumeTune(ctx context.Context, path string, cfg Config, budge
 	if err != nil {
 		return nil, err
 	}
-	//cstlint:allow errdrop(teardown close after the last fsynced frame; no caller can act on the error)
+	//cstlint:allow errdrop(teardown close after SyncJournal synced every frame; no caller can act on the error)
 	defer jr.Close()
 	eng := engine.New(s.sim,
 		engine.WithBudget(budgetS),
 		engine.WithSeed(uint64(cfg.Seed)),
 		engine.WithJournal(jr))
 	rep, err := core.TuneCtx(ctx, eng, ds, cfg, eng.Exhausted)
-	if jerr := eng.JournalErr(); jerr != nil {
-		return rep, jerr
+	// The report must not outrun the records behind it: sync on every path.
+	if serr := eng.SyncJournal(); serr != nil {
+		return rep, serr
 	}
 	return rep, err
 }

@@ -32,8 +32,8 @@
 // On SIGINT/SIGTERM the server stops accepting requests, drains in-flight
 // HTTP handlers, then closes the registry: running campaigns' contexts are
 // cancelled (cancelled measurements are never journaled, so the journal
-// holds exactly the paid-for prefix), runner goroutines drain, and every
-// journal append was already fsync'd. The next start re-scans the root and
+// holds exactly the paid-for prefix), and runner goroutines drain, each
+// syncing its journal before it exits. The next start re-scans the root and
 // resumes every interrupted campaign.
 package main
 
@@ -106,7 +106,7 @@ func run() error {
 	}
 
 	// HTTP first (no request may observe a closed registry), registry second
-	// (cancel runners, drain goroutines; journals are already durable).
+	// (cancel runners, drain goroutines; each runner syncs its journal).
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {

@@ -4,8 +4,9 @@
 // for the measurements it already made.
 //
 // The demo interrupts a run mid-flight with an aggressive context
-// deadline (a stand-in for kill -9: the journal is fsync'd before any
-// result is accounted, so the two are equivalent), then calls ResumeTune
+// deadline (a stand-in for kill -9: every episode is written to the journal
+// before it is accounted, and written bytes outlive a killed process, so
+// the two are equivalent), then calls ResumeTune
 // again with the same arguments. The resumed run replays every journaled
 // episode without touching the simulator and finishes with a report
 // identical to an uninterrupted run's.

@@ -12,10 +12,8 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/gpu"
 	"repro/internal/harness"
 	"repro/internal/journal"
-	"repro/internal/stencil"
 	"repro/internal/store"
 	"repro/internal/vfs"
 )
@@ -95,21 +93,6 @@ type Registry struct {
 	order     []string // submission order (directory scan order on restart)
 	seq       int
 	closed    bool
-
-	fixMu    sync.Mutex
-	fixtures map[fixtureKey]*fixtureEntry
-}
-
-type fixtureKey struct {
-	stencil, arch string
-	dsSize        int
-	seed          int64
-}
-
-type fixtureEntry struct {
-	once sync.Once
-	fx   *harness.Fixture
-	err  error
 }
 
 // Open creates (or reopens) the registry rooted at dir, scans existing
@@ -139,7 +122,6 @@ func Open(dir string, opts Options) (*Registry, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		campaigns:  map[string]*Campaign{},
-		fixtures:   map[fixtureKey]*fixtureEntry{},
 	}
 	if opts.EnableStore || opts.StoreDir != "" {
 		sdir := opts.StoreDir
@@ -389,34 +371,6 @@ func (r *Registry) Health() Health {
 	return h
 }
 
-// fixture returns the (cached) fixture for a spec. Fixtures are immutable
-// after construction and safe for concurrent use, so campaigns with the
-// same (stencil, arch, dataset, seed) share one.
-func (r *Registry) fixture(spec Spec) (*harness.Fixture, error) {
-	key := fixtureKey{stencil: spec.Stencil, arch: spec.Arch, dsSize: spec.DatasetSize, seed: spec.Seed}
-	r.fixMu.Lock()
-	e := r.fixtures[key]
-	if e == nil {
-		e = &fixtureEntry{}
-		r.fixtures[key] = e
-	}
-	r.fixMu.Unlock()
-	e.once.Do(func() {
-		st := stencil.ByName(spec.Stencil)
-		if st == nil {
-			e.err = fmt.Errorf("campaign: unknown stencil %q", spec.Stencil)
-			return
-		}
-		arch, err := gpu.ByName(spec.Arch)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.fx, e.err = harness.NewFixture(st, arch, spec.DatasetSize, spec.Seed)
-	})
-	return e.fx, e.err
-}
-
 // Submit validates and admits a new campaign: the tenant ledger reserves
 // its budget, the campaign directory and spec are persisted, and (unless
 // autostart is disabled) a runner starts it immediately.
@@ -557,7 +511,7 @@ func (r *Registry) run(ctx context.Context, c *Campaign) {
 		}
 	}
 
-	fx, err := r.fixture(c.Spec)
+	fx, err := c.Spec.fixture()
 	if err != nil {
 		c.mu.Lock()
 		c.cancel, c.intent = nil, ""
@@ -603,7 +557,7 @@ func (r *Registry) run(ctx context.Context, c *Campaign) {
 	c.mu.Unlock()
 
 	res, err := cr.Execute(ctx)
-	_ = cr.Close() // teardown after the last fsynced frame; nothing can act on the error
+	_ = cr.Close() // teardown after Execute synced every frame; nothing can act on the error
 	c.mu.Lock()
 	c.eng = nil
 	c.mu.Unlock()
@@ -780,10 +734,10 @@ func (r *Registry) ResumeCampaign(id string) error {
 // Close gracefully shuts the registry down: new submissions are refused,
 // every running campaign's context is cancelled (in-flight episodes abort
 // as ClassCanceled — never journaled, so at most unaccounted work is
-// re-measured on resume), runner goroutines are drained, and every journal
-// was already fsync'd by its last append. Campaign state files keep their
-// Running state on disk, which is precisely what makes the next Open resume
-// them.
+// re-measured on resume), and runner goroutines are drained; each runner's
+// Execute synced its journal before returning. Campaign state files keep
+// their Running state on disk, which is precisely what makes the next Open
+// resume them.
 func (r *Registry) Close() error {
 	r.mu.Lock()
 	if r.closed {

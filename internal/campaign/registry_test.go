@@ -103,13 +103,21 @@ func TestRegistryRestartResumesInterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := c.ID
-	time.Sleep(60 * time.Millisecond) // let some episodes reach the journal
-	interrupted := c.State() == StateRunning
+	// Let some episodes reach the journal: each accounted evaluation was
+	// journaled before it was accounted.
+	for deadline := time.Now().Add(30 * time.Second); c.Status().Evals == 0 && !c.State().Terminal(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("campaign never measured")
+		}
+	}
 	// Simulated crash: Close cancels runners without any state transition,
-	// exactly like process death after the last fsync.
+	// exactly like process death after the last journal write.
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Read after Close: a campaign still Running was cut mid-run, while one
+	// that completed first proves nothing about replay.
+	interrupted := c.State() == StateRunning
 
 	reg2 := openTestRegistry(t, dir, Options{Slots: 1})
 	c2, err := reg2.Get(id)

@@ -93,6 +93,22 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
+// fixture builds the spec's tuning fixture. Each run builds its own: specs
+// rarely share (stencil, arch, dataset size, seed), and a process-lifetime
+// cache would hold one fixture per campaign ever run. Persisted specs load
+// unvalidated, so unknown names are errors here too.
+func (s *Spec) fixture() (*harness.Fixture, error) {
+	st := stencil.ByName(s.Stencil)
+	if st == nil {
+		return nil, fmt.Errorf("campaign: unknown stencil %q", s.Stencil)
+	}
+	arch, err := gpu.ByName(s.Arch)
+	if err != nil {
+		return nil, err
+	}
+	return harness.NewFixture(st, arch, s.DatasetSize, s.Seed)
+}
+
 // persistedState is the state.json payload: the lifecycle position plus the
 // settled tenant spend, written atomically on every transition so a restart
 // reconstructs both the state machine and the ledger.

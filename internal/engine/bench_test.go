@@ -117,9 +117,10 @@ func BenchmarkMeasureMissSim(b *testing.B) {
 	}
 }
 
-// BenchmarkJournalAppend is the durable episode path: each miss is framed,
-// CRC'd, appended and fsync'd to the write-ahead log before Measure
-// returns. This is the price of crash safety per evaluation.
+// BenchmarkJournalAppend is the journaled episode path: each miss is
+// framed, CRC'd and appended to the write-ahead log before Measure returns,
+// and every journalSyncEvery-th miss also pays the fsync that makes its
+// batch durable. This is the price of crash safety per evaluation.
 func BenchmarkJournalAppend(b *testing.B) {
 	f := newFake(b)
 	j, err := journal.Create(filepath.Join(b.TempDir(), "bench.wal"), "bench-fp")

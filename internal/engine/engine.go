@@ -107,11 +107,11 @@ type Stats struct {
 	// WarmStartSeeds counts prior-best settings injected into this run's
 	// search from the store (sampling set + GA initial population).
 	WarmStartSeeds int
-	// DirSyncErrs counts the journal's directory-fsync failures: appends
-	// and checkpoints durable in the file whose directory entry may not
-	// survive a power loss. Environment weather, not run semantics — it is
-	// excluded from the campaign canonical string (a run on a flaky disk
-	// still computes the same result).
+	// DirSyncErrs counts the journal's directory-fsync failures: a journal
+	// created durably whose directory entry may not survive a power loss.
+	// Environment weather, not run semantics — it is excluded from the
+	// campaign canonical string (a run on a flaky disk still computes the
+	// same result).
 	DirSyncErrs int
 	// StorePutDrops counts publishes to a degraded (read-only) result
 	// store: the in-memory index took them, but nothing persisted.
@@ -197,11 +197,15 @@ type Engine struct {
 	permFails map[string]int
 	quar      map[string]struct{}
 
-	// journal replay/recording state (engine_journal).
+	// journal replay/recording state (journal.go). unsynced counts records
+	// appended since the last journal sync; queued holds the store
+	// publishes those records cover until that sync.
 	replay        map[string][]journal.Episode
 	replayPending int
 	replayed      int
 	journalErr    error
+	unsynced      int
+	queued        []storePut
 
 	// sfMu/inflight give MeasureCtx per-key singleflight: concurrent
 	// requests for one uncached key collapse onto a single measurement

@@ -10,9 +10,14 @@ import (
 // WithJournal attaches a campaign journal to the engine. Every finished
 // measurement episode (success, permanent failure, transient exhaustion,
 // budget refusal — everything except a context-cancelled abort, which is
-// the shutdown itself) is appended to the journal and fsync'd *before* its
-// effects reach the engine's accounting state, so a crash at any instant
-// loses at most work the engine never accounted.
+// the shutdown itself) is appended to the journal *before* its effects
+// reach the engine's accounting state, so a killed process loses at most
+// work the engine never accounted. The engine fsyncs the journal every
+// journalSyncEvery records and in SyncJournal, and holds back each live
+// episode's store publish until the sync that covers its record: whatever
+// another party can observe is durable first, and a power cut loses at
+// most journalSyncEvery-1 episodes, which resume re-measures with the same
+// outcomes.
 //
 // When the journal was opened on an existing file, its recovered episodes
 // become the engine's replay set: the first measurement request for each
@@ -118,13 +123,46 @@ func (e *Engine) Replayed() int {
 	return e.replayed
 }
 
-// JournalErr returns the sticky journal-write error, if any: once an append
-// fails, the engine refuses further measurements rather than
-// silently running an unjournaled (unresumable) campaign.
-func (e *Engine) JournalErr() error {
+// journalSyncEvery is how many journaled episodes share one fsync. It
+// counts records, not time, so the filesystem operations a run issues stay
+// a pure function of its accounting order.
+const journalSyncEvery = 32
+
+// SyncJournal makes every journaled episode durable and then publishes the
+// store results those records cover. Callers sync before anything outside
+// the engine can observe the run: a returned result, or a paused or
+// terminal state. It returns the sticky journal error, if any: once an
+// append or sync fails, the engine refuses further measurements rather than
+// silently running an unjournaled (unresumable) campaign. Unjournaled
+// engines return nil.
+func (e *Engine) SyncJournal() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.journalErr
+	return e.syncJournalLocked()
+}
+
+// syncJournalLocked syncs the journal and releases the queued store
+// publishes. A failed sync is sticky and drops the queue: the store is a
+// cache, and the campaign fails on the error. Callers hold e.mu.
+func (e *Engine) syncJournalLocked() error {
+	if e.jr == nil {
+		return nil
+	}
+	if e.journalErr == nil {
+		if err := e.jr.Sync(); err != nil {
+			e.journalErr = err
+		}
+	}
+	if e.journalErr != nil {
+		e.queued = nil
+		return e.journalErr
+	}
+	e.unsynced = 0
+	for _, p := range e.queued {
+		e.storePutLocked(p.key, p.ms)
+	}
+	e.queued = e.queued[:0]
+	return nil
 }
 
 // episodeFromRecord reconstructs the in-memory episode a journal record was
@@ -208,10 +246,10 @@ func (e *Engine) episodeCostS(ep episode) float64 {
 }
 
 // journalEpisodeLocked write-ahead logs one live finished episode: the
-// record is durable before accountEpisode mutates any state. A journal
+// record is written before accountEpisode mutates any state. A journal
 // write failure is sticky — the engine fails fast rather than silently
 // continuing a campaign whose journal no longer matches its state. Callers
-// hold e.mu; returns false when the caller must abort accounting.
+// hold e.mu; a non-nil error means the caller must abort accounting.
 func (e *Engine) journalEpisodeLocked(key string, ep episode) error {
 	if e.jr == nil || ep.replayed {
 		return nil
@@ -228,5 +266,15 @@ func (e *Engine) journalEpisodeLocked(key string, ep episode) error {
 		e.journalErr = err
 		return err
 	}
+	e.unsynced++
 	return nil
+}
+
+// maybeSyncJournalLocked closes a batch once journalSyncEvery records are
+// unsynced. A sync error stays sticky for the next measurement. Callers
+// hold e.mu.
+func (e *Engine) maybeSyncJournalLocked() {
+	if e.unsynced >= journalSyncEvery {
+		_ = e.syncJournalLocked() // sticky: the next measurement and SyncJournal report it
+	}
 }

@@ -212,8 +212,8 @@ func TestJournalWriteFailureIsStickyAndFailsFast(t *testing.T) {
 	if _, err := eng.Measure(variant(sp, 4, 2)); !errors.Is(err, journal.ErrClosed) {
 		t.Fatalf("err = %v, want journal.ErrClosed", err)
 	}
-	if eng.JournalErr() == nil {
-		t.Fatal("JournalErr not sticky")
+	if err := eng.SyncJournal(); !errors.Is(err, journal.ErrClosed) {
+		t.Fatalf("SyncJournal = %v, want the sticky journal.ErrClosed", err)
 	}
 	if _, err := eng.Measure(variant(sp, 8, 8)); !errors.Is(err, journal.ErrClosed) {
 		t.Fatalf("second err = %v, want sticky journal.ErrClosed", err)
@@ -258,14 +258,14 @@ func TestSingleflightCollapsesConcurrentSameKey(t *testing.T) {
 	}
 }
 
-// TestEngineKillAtEveryRecordBoundary snapshots the journal file at every
-// durable point of a mixed run and resumes each snapshot: every prefix must
-// replay to a state consistent with the original run's history (and the
-// full snapshot must reproduce it exactly).
+// TestEngineKillAtEveryRecordBoundary snapshots the journal file after every
+// written record of a mixed run — each a legal SIGKILL point — and resumes
+// each snapshot: every prefix must replay to a state consistent with the
+// original run's history (and the full snapshot must reproduce it exactly).
 func TestEngineKillAtEveryRecordBoundary(t *testing.T) {
 	j, path := journalAt(t, "fp")
 	var snaps [][]byte
-	j.OnDurable = func(int) {
+	j.OnAppend = func(int) {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Errorf("snapshot: %v", err)
@@ -281,7 +281,7 @@ func TestEngineKillAtEveryRecordBoundary(t *testing.T) {
 	j.Close()
 
 	if len(snaps) == 0 {
-		t.Fatal("no durable points captured")
+		t.Fatal("no kill points captured")
 	}
 	for i, data := range snaps {
 		p := filepath.Join(t.TempDir(), fmt.Sprintf("kill-%d.wal", i))

@@ -351,13 +351,16 @@ func (e *Engine) Quarantined() []string {
 func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// Write-ahead: the episode is durable in the campaign journal before any
+	// Write-ahead: the episode is in the campaign journal before any
 	// accounting state changes, so a crash between here and return loses at
 	// most an episode the engine never charged. Replay re-serves the journal
 	// through this same function, which is why it never re-appends.
 	if err := e.journalEpisodeLocked(key, ep); err != nil {
 		return 0, err
 	}
+	// Deferred so that the sync closing a batch also covers, and releases,
+	// this episode's store publish.
+	defer e.maybeSyncJournalLocked()
 	if ep.fromStore {
 		// A cross-campaign store hit: the measurement was paid for by a
 		// previous campaign, so the virtual clock, the evaluation count and
@@ -430,10 +433,9 @@ func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float6
 	}
 	e.traj = append(e.traj, Point{CostS: e.spentS, Evals: e.evals, BestMS: e.best})
 	e.cache.Update(key, withTime(ep.ms))
-	// Publish the paid-for measurement to the shared store (sequentially —
-	// see storePublishLocked). Replayed episodes publish too: the min-merge
-	// is idempotent, and resume should backfill a store attached later.
-	e.storePublishLocked(key, ep.ms)
+	// Publish the paid-for measurement to the shared store (sequentially,
+	// and after its journal sync — see storePublishLocked).
+	e.storePublishLocked(key, ep.ms, ep.replayed)
 	if e.quarAfter > 0 {
 		delete(e.permFails, key) // a success clears the failure streak
 	}

@@ -20,8 +20,9 @@ import "sync"
 // Store hits charge zero budget and do not count as Evaluations — the
 // measurement was paid for by whichever campaign published it — but they do
 // update best/trajectory and the memo cache, all inside the normal
-// accounting section. This engine publishes only from that section, and
-// other processes' records are only loaded at Open.
+// accounting section. This engine publishes only from that section — on a
+// journaled engine, only once the journal sync covering the episode has
+// returned — and other processes' records are only loaded at Open.
 
 // ResultStore is the store surface the engine consumes; *store.Store
 // implements it.
@@ -83,15 +84,35 @@ func (e *Engine) storeProbe(key string) (float64, bool) {
 	return ms, ok
 }
 
+// storePut is one store publish waiting for the journal sync that covers
+// its episode's record.
+type storePut struct {
+	key string // setting key, without the store prefix
+	ms  float64
+}
+
 // storePublishLocked pushes one successful episode's scored time to the
 // shared store. Called from the accounting section (callers hold e.mu),
-// never from an in-flight episode. Replayed episodes publish too: the merge
-// is min-idempotent, and a resumed campaign should backfill a store that
-// was attached after the original run.
-func (e *Engine) storePublishLocked(key string, ms float64) {
+// never from an in-flight episode. On a journaled engine a live episode's
+// publish waits for the sync that makes its record durable: Put makes it
+// visible to every campaign sharing the store at once, and a sibling that
+// journaled it as a store hit must never outlive the owner's record in a
+// power cut. Replayed episodes publish at once — their records are already
+// durable, the merge is min-idempotent, and a resumed campaign should
+// backfill a store that was attached after the original run.
+func (e *Engine) storePublishLocked(key string, ms float64, replayed bool) {
 	if e.store == nil {
 		return
 	}
+	if e.jr != nil && !replayed {
+		e.queued = append(e.queued, storePut{key: key, ms: ms})
+		return
+	}
+	e.storePutLocked(key, ms)
+}
+
+// storePutLocked publishes one result. Callers hold e.mu.
+func (e *Engine) storePutLocked(key string, ms float64) {
 	// The store's Put never blocks on I/O longer than a buffered write and
 	// never calls back into the engine, so holding e.mu across it is safe:
 	// lock order is e.mu → store shard lock, and nothing acquires them in

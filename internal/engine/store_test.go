@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/journal"
+	"repro/internal/space"
 	"repro/internal/store"
+	"repro/internal/vfs"
 )
 
 const testPrefix = "arch:test|shape:test|"
@@ -196,5 +198,92 @@ func TestStorePublishBackfillsOnReplay(t *testing.T) {
 	}
 	if got, ok := st.Get(testPrefix + s.Key()); !ok || got != ms {
 		t.Fatalf("replayed success not published: %v/%v want %v", got, ok, ms)
+	}
+}
+
+// TestStorePublishWaitsForJournalSync is the oracle for "visible ⇒ synced".
+// The journal runs on a FaultFS and the store on the real filesystem, which
+// models a store segment that survived writeback while the journal's
+// unsynced tail did not. For each episode k of a run that spans one full
+// sync batch and part of the next, the power is cut at the op just after
+// episode k; the store is flushed, both are reopened, and the same sequence
+// resumes. The resumed run must match the uninterrupted one exactly, with
+// no store hits: a measurement whose record the cut lost must not come back
+// to its owner as a free store hit.
+func TestStorePublishWaitsForJournalSync(t *testing.T) {
+	const n = journalSyncEvery + 8
+	seq := make([]space.Setting, n)
+	for i := range seq {
+		seq[i] = benchVariant(newFake(t).sp, i)
+	}
+	open := func(fsys vfs.FS, dir string, create bool) (*Engine, *journal.Journal, *store.Store) {
+		t.Helper()
+		path := filepath.Join(dir, "engine.wal")
+		var j *journal.Journal
+		var err error
+		if create {
+			j, err = journal.CreateFS(fsys, path, "fp")
+		} else {
+			j, err = journal.OpenFS(fsys, path, "fp")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := store.Open(filepath.Join(dir, "store"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return New(newFake(t), WithJournal(j), WithStore(st, testPrefix)), j, st
+	}
+
+	// The uninterrupted run, noting the op count after every episode.
+	counter := vfs.NewFaultFS(vfs.OS, 0)
+	e, j, st := open(counter, t.TempDir(), true)
+	opsAfter := make([]int64, n)
+	for i, s := range seq {
+		if _, err := e.Measure(s); err != nil {
+			t.Fatal(err)
+		}
+		opsAfter[i] = counter.Ops()
+	}
+	if err := e.SyncJournal(); err != nil {
+		t.Fatal(err)
+	}
+	want := snap(e)
+	_ = j.Close()
+	_ = st.Close()
+	if want.stats.StoreHits != 0 || want.stats.StoreMisses != n {
+		t.Fatalf("uninterrupted run stats = %+v", want.stats)
+	}
+
+	for k := 1; k < n; k++ {
+		dir := t.TempDir()
+		ff := vfs.NewFaultFS(vfs.OS, 0)
+		ff.CutAt(opsAfter[k-1], 0)
+		e, j, st := open(ff, dir, true)
+		for _, s := range seq {
+			e.Measure(s) //nolint:errcheck — every measurement after the cut fails
+		}
+		_ = j.Close()
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		_ = st.Close()
+
+		e2, j2, st2 := open(vfs.OS, dir, false)
+		for _, s := range seq {
+			if _, err := e2.Measure(s); err != nil {
+				t.Fatalf("cut after episode %d: resume: %v", k, err)
+			}
+		}
+		if err := e2.SyncJournal(); err != nil {
+			t.Fatal(err)
+		}
+		got := snap(e2)
+		_ = j2.Close()
+		_ = st2.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut after episode %d: resumed run diverged\n got %+v\nwant %+v", k, got.stats, want.stats)
+		}
 	}
 }

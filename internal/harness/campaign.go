@@ -236,12 +236,14 @@ func (r *CampaignRun) Journal() *journal.Journal { return r.jr }
 // canonical result. A cancelled ctx surfaces as ctx.Err() alongside the
 // partial result — the caller decides whether that is a pause, a cancel or
 // a shutdown. A budget-stop with at least one measurement is the normal end
-// of a campaign; an error with nothing measured is a hard failure.
+// of a campaign; an error with nothing measured is a hard failure. On every
+// path the journal is synced before Execute returns, so neither the result
+// nor the state the caller records next can outrun the records behind it.
 func (r *CampaignRun) Execute(ctx context.Context) (*CampaignResult, error) {
 	eng := r.eng
 	_, _, tuneErr := r.t.Tune(ctx, eng, r.fx.DS, r.cfg.Seed, eng.Exhausted)
-	if jerr := eng.JournalErr(); jerr != nil {
-		return nil, jerr
+	if err := eng.SyncJournal(); err != nil {
+		return nil, err
 	}
 	res := &CampaignResult{
 		Stats:      eng.Stats(),
@@ -260,8 +262,8 @@ func (r *CampaignRun) Execute(ctx context.Context) (*CampaignResult, error) {
 	return res, nil
 }
 
-// Close releases the journal handle. Every append already returned was
-// fsync'd before it returned, so Close has nothing to flush.
+// Close releases the journal handle, syncing any unsynced tail. After
+// Execute has returned there is none: Execute syncs on every path.
 func (r *CampaignRun) Close() error {
 	if r.jr == nil {
 		return nil
@@ -282,7 +284,7 @@ func RunCampaign(ctx context.Context, fx *Fixture, cfg CampaignConfig) (*Campaig
 	if err != nil {
 		return nil, err
 	}
-	//cstlint:allow errdrop(teardown close after the last fsynced frame; no caller can act on the error)
+	//cstlint:allow errdrop(teardown close after Execute synced every frame; no caller can act on the error)
 	defer r.Close()
 	res, err := r.Execute(ctx)
 	if res != nil && err != nil && errors.Is(err, ctx.Err()) {

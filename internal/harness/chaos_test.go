@@ -13,13 +13,37 @@ import (
 )
 
 // chaosConfig is the walker's campaign: small enough that the full fs-op
-// enumeration stays walkable.
+// enumeration stays walkable, long enough to journal more than two of the
+// engine's 32-record sync batches.
 func chaosConfig() CampaignConfig {
 	return CampaignConfig{
 		Method:  "cstuner",
-		BudgetS: 8,
+		BudgetS: 70,
 		Seed:    5,
 	}
+}
+
+// chaosGolden runs the chaos campaign once on an op-counting filesystem and
+// returns its canonical result and op count. It fails unless the run
+// journals more than two sync batches, so the sweeps fault and cut inside
+// at least two of them.
+func chaosGolden(t *testing.T, fx *Fixture) (string, int64) {
+	t.Helper()
+	counter := vfs.NewFaultFS(vfs.OS, 0)
+	cfg := chaosConfig()
+	cfg.JournalPath = filepath.Join(t.TempDir(), "golden.wal")
+	cfg.FS = counter
+	episodes := 0
+	cfg.OnJournal = func(j *journal.Journal) { j.OnAppend = func(n int) { episodes = n } }
+	golden, err := RunCampaign(context.Background(), fx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if episodes <= 2*32 {
+		t.Fatalf("chaos campaign journaled %d episodes; the sweeps need more than two 32-record batches", episodes)
+	}
+	t.Logf("golden run: %d episodes, %d fs ops", episodes, counter.Ops())
+	return golden.Canonical(), counter.Ops()
 }
 
 // runOnFS runs one journaled chaos campaign through fsys (nil = the real
@@ -46,7 +70,6 @@ func recoverAndCheck(t *testing.T, fx *Fixture, path string, want, ctx string) {
 		}
 		// Clean quarantine: drop the untrusted journal, start over.
 		_ = os.Remove(path)
-		_ = os.Remove(path + ".tmp")
 		res, err = runOnFS(fx, nil, path)
 		if err != nil {
 			t.Fatalf("%s: fresh run after quarantine failed: %v", ctx, err)
@@ -78,18 +101,7 @@ var chaosFlavors = []struct {
 // quarantines cleanly and a fresh run matches golden.
 func TestCampaignFaultPointWalker(t *testing.T) {
 	fx := resumeFixture(t)
-
-	counter := vfs.NewFaultFS(vfs.OS, 0)
-	golden, err := runOnFS(fx, counter, filepath.Join(t.TempDir(), "golden.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := golden.Canonical()
-	n := counter.Ops()
-	if n < 20 {
-		t.Fatalf("campaign performed only %d fs ops; nothing to walk", n)
-	}
-	t.Logf("walking %d fault points", n)
+	want, n := chaosGolden(t, fx)
 
 	stride := int64(1)
 	if testing.Short() {
@@ -126,14 +138,7 @@ func TestCampaignFaultPointWalker(t *testing.T) {
 // journal must reach the byte-identical golden result or quarantine cleanly.
 func TestCampaignPowerLossSweep(t *testing.T) {
 	fx := resumeFixture(t)
-
-	counter := vfs.NewFaultFS(vfs.OS, 0)
-	golden, err := runOnFS(fx, counter, filepath.Join(t.TempDir(), "golden.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := golden.Canonical()
-	n := counter.Ops()
+	want, n := chaosGolden(t, fx)
 
 	stride := int64(2)
 	if testing.Short() {

@@ -36,9 +36,10 @@ func resumeFixture(t testing.TB) *Fixture {
 	return fx
 }
 
-// snapshotter records the journal's on-disk bytes after every durable
+// snapshotter records the journal's on-disk bytes after every written
 // record: each snapshot is one legal kill point (the file exactly as a
-// crash immediately after that fsync would leave it).
+// SIGKILL immediately after that write would leave it — written bytes
+// outlive the process, synced or not).
 type snapshotter struct {
 	mu    sync.Mutex
 	path  string
@@ -47,7 +48,7 @@ type snapshotter struct {
 
 func (s *snapshotter) hook(j *journal.Journal) {
 	s.path = j.Path()
-	j.OnDurable = func(int) {
+	j.OnAppend = func(int) {
 		data, err := os.ReadFile(s.path)
 		if err != nil {
 			panic(err)
@@ -88,9 +89,9 @@ func resumeFrom(t *testing.T, fx *Fixture, cfg CampaignConfig, dir string, snap 
 }
 
 // TestCampaignResumeKillMatrix is the acceptance matrix: a csTuner campaign
-// under the fault testbed, killed at every record boundary the journal ever
-// fsynced, must resume to a byte-identical canonical result — best setting,
-// stats, trajectory and quarantine.
+// under the fault testbed, killed after every written record, must resume
+// to a byte-identical canonical result — best setting, stats, trajectory
+// and quarantine.
 func TestCampaignResumeKillMatrix(t *testing.T) {
 	fx := resumeFixture(t)
 	base := CampaignConfig{

@@ -4,21 +4,29 @@
 // them. The journal makes the measurement history durable: the engine
 // appends one record per finished evaluation episode *before* the episode's
 // effects reach any in-memory state, so a run killed at any instant can be
-// replayed deterministically up to its last durable record.
+// replayed deterministically up to its last written record.
+//
+// Group commit. Append writes the frame and returns; Sync fsyncs every
+// frame written since the last Sync, and Close syncs the unsynced tail. A
+// killed process loses nothing it wrote, because the OS still holds the
+// bytes. A power cut can lose the unsynced tail, and resume re-measures
+// those episodes with the same outcomes. The caller therefore decides when
+// to sync: before anything another party can observe depends on a record
+// (the engine syncs every few dozen records and before a run returns).
 //
 // On-disk format. The file is a sequence of internal/frame frames:
 //
 //	[u32le payload length][u32le CRC32C of payload][payload]
 //
 // The payload is a JSON-encoded tagged record: a header (magic, version,
-// campaign fingerprint) or an evaluation episode. Appends are fsync'd, so a
-// crash can tear at most the final frame; Open verifies every frame's CRC
-// and truncates the torn tail back to the last intact record. Corruption of
-// the header itself (or a fingerprint that does not match the resuming
-// campaign's configuration) fails cleanly — never a panic, and never a
-// silently wrong resume. Journals written by older versions may also hold
-// checkpoint frames (the compacted history up to that point); Open still
-// decodes them, and nothing writes them any more.
+// campaign fingerprint) or an evaluation episode. A crash can tear or drop
+// only frames after the last Sync; Open verifies every frame's CRC,
+// truncates the torn tail back to the last intact record, and syncs what it
+// recovered. Corruption of the header itself (or a fingerprint that does
+// not match the resuming campaign's configuration) fails cleanly — never a
+// panic, and never a silently wrong resume. Journals written by older
+// versions may also hold checkpoint frames (the compacted history up to
+// that point); Open still decodes them, and nothing writes them any more.
 //
 // The journal stores measurement *outcomes*, not engine state machines:
 // resume works by re-running the (deterministic) campaign from the start
@@ -27,6 +35,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -142,6 +151,7 @@ type Journal struct {
 	hdr       Header
 	recovered []Episode // the history recovered at Open time
 	records   int       // recovered plus appended episodes
+	unsynced  bool      // a frame was written since the last Sync
 	closed    bool
 
 	// dirSyncErrs counts directory-fsync failures at create. These were
@@ -151,11 +161,12 @@ type Journal struct {
 	// fold it into Stats without nesting locks with j.mu.
 	dirSyncErrs atomic.Int64
 
-	// OnDurable, when set, is called (outside locks held by callers, but
-	// under the journal's own) after every append's fsync with the current
-	// record count. It exists for crash-matrix tests that snapshot the file
-	// at every durable point; production code leaves it nil.
-	OnDurable func(records int)
+	// OnAppend, when set, is called (outside locks held by callers, but
+	// under the journal's own) after every appended frame is written, with
+	// the current record count. Each call is a legal SIGKILL point: the
+	// written bytes outlive the process. It exists for crash-matrix tests
+	// that snapshot the file at every record; production code leaves it nil.
+	OnAppend func(records int)
 }
 
 // Create starts a fresh journal at path, failing if the file exists.
@@ -194,7 +205,7 @@ func CreateFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
 // rejects a foreign fingerprint (unless fingerprint is empty, which skips
 // the check), replays episode frames (and legacy checkpoints) into the
 // recovered history, truncates any torn tail back to the last intact frame,
-// and positions the file for further appends.
+// syncs the recovered frames, and positions the file for further appends.
 func Open(path, fingerprint string) (*Journal, error) {
 	return OpenFS(vfs.OS, path, fingerprint)
 }
@@ -237,17 +248,32 @@ func OpenFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
 		return nil, fmt.Errorf("%w:\n  journal: %s\n  campaign: %s", ErrFingerprint, hdr.Fingerprint, fingerprint)
 	}
 
-	var history []Episode
-	good := next
-	for next < len(data) {
-		payload, n, err := frame.Next(data, next)
+	// Verify every frame up to the first bad one, then decode the intact
+	// payloads as one stream through a single json.Decoder, which allocates
+	// far less than a json.Unmarshal per frame.
+	type span struct{ end, next int } // payload end in stream, frame end in data
+	stream := make([]byte, 0, len(data)-next)
+	var spans []span
+	for off := next; off < len(data); {
+		payload, n, err := frame.Next(data, off)
 		if err != nil {
 			break // torn or corrupt tail: recover the intact prefix
 		}
+		stream = append(stream, payload...)
+		spans = append(spans, span{end: len(stream), next: n})
+		off = n
+	}
+	var history []Episode
+	good := next
+	dec := json.NewDecoder(bytes.NewReader(stream))
+	for _, sp := range spans {
 		var r record
-		if err := json.Unmarshal(payload, &r); err != nil {
+		// A CRC-valid but malformed payload must not run on into the next
+		// frame: each value has to end exactly at its payload's boundary.
+		if err := dec.Decode(&r); err != nil || dec.InputOffset() != int64(sp.end) {
 			break
 		}
+		var err error
 		switch r.T {
 		case "ep":
 			if r.Ep == nil {
@@ -260,7 +286,7 @@ func OpenFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
 				err = fmt.Errorf("checkpoint frame without checkpoint")
 			} else {
 				// A legacy checkpoint compacts everything before it.
-				history = append([]Episode(nil), r.Ckpt.Episodes...)
+				history = r.Ckpt.Episodes
 			}
 		default:
 			err = fmt.Errorf("unknown record type %q", r.T)
@@ -268,14 +294,20 @@ func OpenFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
 		if err != nil {
 			break
 		}
-		next = n
-		good = n
+		good = sp.next
 	}
 	if good < len(data) {
 		if err := f.Truncate(int64(good)); err != nil {
 			_ = f.Close()
 			return nil, fmt.Errorf("journal: truncate torn tail: %w", err)
 		}
+	}
+	// The recovered frames may still live only in the page cache — their
+	// writer can have been killed before its next sync — and replay is about
+	// to publish them to the result store.
+	if err := f.Sync(); err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("journal: sync: %w", err)
 	}
 	if _, err := f.Seek(int64(good), io.SeekStart); err != nil {
 		_ = f.Close()
@@ -325,9 +357,9 @@ func writeFrame(w io.Writer, r record) error {
 	return nil
 }
 
-// Append durably logs one evaluation episode: the frame is written and
-// fsync'd before Append returns, so a crash after it can always replay the
-// episode.
+// Append logs one evaluation episode: the frame is written before Append
+// returns, so a killed process can always replay the episode. It survives a
+// power cut only once a later Sync or Close returns.
 func (j *Journal) Append(ep Episode) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -337,14 +369,34 @@ func (j *Journal) Append(ep Episode) error {
 	if err := writeFrame(j.f, record{T: "ep", Ep: &ep}); err != nil {
 		return err
 	}
+	j.unsynced = true
+	j.records++
+	if j.OnAppend != nil {
+		//cstlint:allow lockorder(OnAppend's documented contract is test-only, fast, and runs under j.mu by design)
+		j.OnAppend(j.records)
+	}
+	return nil
+}
+
+// Sync makes every appended frame durable. It fsyncs only when a frame was
+// written since the last Sync.
+func (j *Journal) Sync() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.closed {
+		return ErrClosed
+	}
+	return j.syncLocked()
+}
+
+func (j *Journal) syncLocked() error {
+	if !j.unsynced {
+		return nil
+	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("journal: sync: %w", err)
 	}
-	j.records++
-	if j.OnDurable != nil {
-		//cstlint:allow lockorder(OnDurable's documented contract is test-only, fast, and runs under j.mu by design)
-		j.OnDurable(j.records)
-	}
+	j.unsynced = false
 	return nil
 }
 
@@ -362,8 +414,8 @@ func (j *Journal) Fingerprint() string { return j.hdr.Fingerprint }
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// Close releases the file handle. Appends already returned were durable
-// before Close; there is nothing to flush.
+// Close syncs the unsynced tail and releases the file handle. It returns
+// the sync error first, since that is the one that loses records.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -371,7 +423,12 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	return j.f.Close()
+	serr := j.syncLocked()
+	cerr := j.f.Close()
+	if serr != nil {
+		return serr
+	}
+	return cerr
 }
 
 // syncDir fsyncs the directory containing the journal so its create is

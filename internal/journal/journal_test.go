@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -170,11 +171,11 @@ func TestOpenRecoversLegacyCheckpoint(t *testing.T) {
 	}
 }
 
-func TestOnDurableHookFires(t *testing.T) {
+func TestOnAppendHookFires(t *testing.T) {
 	path := tmpPath(t)
 	j := mustCreate(t, path, "fp")
 	var counts []int
-	j.OnDurable = func(n int) { counts = append(counts, n) }
+	j.OnAppend = func(n int) { counts = append(counts, n) }
 	for i := 0; i < 3; i++ {
 		if err := j.Append(ep(string(rune('a'+i)), 1)); err != nil {
 			t.Fatal(err)
@@ -182,7 +183,79 @@ func TestOnDurableHookFires(t *testing.T) {
 	}
 	j.Close()
 	if len(counts) != 3 || counts[2] != 3 {
-		t.Fatalf("OnDurable counts = %v", counts)
+		t.Fatalf("OnAppend counts = %v", counts)
+	}
+}
+
+// TestSyncBoundsPowerCutLoss: appended frames survive a power cut only once
+// a Sync or Close covers them; Open recovers exactly the synced prefix.
+func TestSyncBoundsPowerCutLoss(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		close bool // Close instead of the cut after the third append
+		want  int
+	}{{"cut", false, 2}, {"close", true, 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ff := vfs.NewFaultFS(vfs.OS, 0)
+			path := tmpPath(t)
+			j, err := CreateFS(ff, path, "fp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if err := j.Append(ep(string(rune('a'+i)), 1)); err != nil {
+					t.Fatal(err)
+				}
+				if i == 1 {
+					if err := j.Sync(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if tc.close {
+				if err := j.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ff.CutAt(ff.Ops(), 0)
+			if _, err := ff.Stat(path); !errors.Is(err, vfs.ErrPowerCut) {
+				t.Fatalf("power cut did not fire: %v", err)
+			}
+			_ = j.Close() // after the cut: nothing more reaches the disk
+			r, err := Open(path, "fp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if got := len(r.Recovered()); got != tc.want {
+				t.Fatalf("recovered %d episodes, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestOpenStopsAtPayloadRunningIntoNextFrame: two CRC-valid frames whose
+// payloads only form a JSON value together must not decode as one record.
+func TestOpenStopsAtPayloadRunningIntoNextFrame(t *testing.T) {
+	_, data := writeJournal(t, 1)
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	for _, payload := range []string{`{"t":"ep","ep":{"key":"b","class":"ok"`, `,"attempts":1}}`} {
+		var hdr [frame.HeaderLen]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum([]byte(payload), castagnoli))
+		data = append(append(data, hdr[:]...), payload...)
+	}
+	path := tmpPath(t)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := Open(path, "fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if got := j.Recovered(); len(got) != 1 || got[0].Key != "a" {
+		t.Fatalf("recovered %+v, want only episode a", got)
 	}
 }
 
@@ -192,6 +265,9 @@ func TestClosedJournalRefusesWrites(t *testing.T) {
 	j.Close()
 	if err := j.Append(ep("a", 1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Close: %v", err)
+	}
+	if err := j.Sync(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Sync after Close: %v", err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("double Close: %v", err)

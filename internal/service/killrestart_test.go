@@ -17,8 +17,8 @@ import (
 )
 
 // The kill/restart end-to-end test runs a real server in a child process
-// (this same test binary re-exec'd with childRootEnv set), SIGKILLs it at
-// an arbitrary moment with ~100 campaigns in flight, then reopens the
+// (this same test binary re-exec'd with childRootEnv set), SIGKILLs it with
+// ~100 campaigns in flight once a heavy one is measuring, then reopens the
 // registry and requires every campaign to finish with a report
 // byte-identical to an uninterrupted run of the same spec.
 const (
