@@ -45,9 +45,14 @@ func writeKernelFields(w io.Writer, k *Kernel) {
 	}
 }
 
-func TestBuildSweepDigest(t *testing.T) {
-	h := fnv.New64a()
-	valid := 0
+// emitSweepDigest is the FNV-64a digest of EmitCUDA's text for every kernel
+// the Build sweep compiles. Emission rewrites must leave it byte for byte.
+const emitSweepDigest = "35db5a0f17f1f841"
+
+// sweepBuilds builds the sweep's 500 seeded random settings per Table III
+// stencil on the A100 and the V100 and hands each outcome to visit.
+func sweepBuilds(t *testing.T, visit func(arch *gpu.Arch, st *stencil.Stencil, s space.Setting, k *Kernel, err error)) {
+	t.Helper()
 	for _, arch := range []*gpu.Arch{gpu.A100(), gpu.V100()} {
 		for si, st := range stencil.Suite() {
 			sp, err := space.New(st)
@@ -57,22 +62,45 @@ func TestBuildSweepDigest(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + si)))
 			for n := 0; n < 500; n++ {
 				s := sp.Random(rng)
-				fmt.Fprintf(h, "%s %s %s: ", arch.Name, st.Name, s.Key())
 				k, err := Build(sp, s, arch)
-				if err != nil {
-					fmt.Fprintf(h, "error %v\n", err)
-					continue
-				}
-				valid++
-				writeKernelFields(h, k)
-				fmt.Fprintln(h)
+				visit(arch, st, s, k, err)
 			}
 		}
 	}
+}
+
+func TestBuildSweepDigest(t *testing.T) {
+	h := fnv.New64a()
+	valid := 0
+	sweepBuilds(t, func(arch *gpu.Arch, st *stencil.Stencil, s space.Setting, k *Kernel, err error) {
+		fmt.Fprintf(h, "%s %s %s: ", arch.Name, st.Name, s.Key())
+		if err != nil {
+			fmt.Fprintf(h, "error %v\n", err)
+			return
+		}
+		valid++
+		writeKernelFields(h, k)
+		fmt.Fprintln(h)
+	})
 	if valid < 1000 {
 		t.Fatalf("only %d of 8000 sweep settings built; the sweep no longer covers the model", valid)
 	}
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != buildSweepDigest {
 		t.Fatalf("Build sweep digest = %s, want %s (%d valid kernels)", got, buildSweepDigest, valid)
+	}
+}
+
+func TestEmitSweepDigest(t *testing.T) {
+	h := fnv.New64a()
+	valid := 0
+	sweepBuilds(t, func(arch *gpu.Arch, st *stencil.Stencil, s space.Setting, k *Kernel, err error) {
+		if err != nil {
+			return
+		}
+		valid++
+		fmt.Fprintf(h, "%s %s %s:\n%s", arch.Name, st.Name, s.Key(), k.EmitCUDA())
+	})
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != emitSweepDigest {
+		t.Fatalf("EmitCUDA sweep digest = %s, want %s (%d kernels)", got, emitSweepDigest, valid)
 	}
 }
