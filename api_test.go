@@ -145,3 +145,29 @@ func TestWriteTableIII(t *testing.T) {
 		t.Fatal("table missing addsgd6")
 	}
 }
+
+// maxTuneAllocs bounds the allocations of one rhs4center/a100 Session.Tune
+// at DatasetSize 64 and seed 1.
+const maxTuneAllocs = 30000
+
+func TestSessionTuneAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	s, err := NewSessionFor("rhs4center", "a100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.DatasetSize = 64
+	cfg.Seed = 1
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := s.Tune(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxTuneAllocs {
+		t.Fatalf("one Session.Tune made %.0f allocations, want at most %d", allocs, maxTuneAllocs)
+	}
+	t.Logf("one Session.Tune made %.0f allocations", allocs)
+}

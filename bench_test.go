@@ -228,3 +228,33 @@ func BenchmarkAblationNoApproximation(b *testing.B) {
 func BenchmarkAblationWideSampling(b *testing.B) {
 	ablationTune(b, func(cfg *core.Config) { cfg.Sampling.Ratio = 0.5 })
 }
+
+// BenchmarkSessionTune runs cstbench's library-tune mix once per iteration:
+// the eight Table III stencils on both GPUs at four seeds, DatasetSize 64,
+// one Session.Tune after another.
+func BenchmarkSessionTune(b *testing.B) {
+	var sessions []*Session
+	for _, st := range Suite() {
+		for _, arch := range []string{"a100", "v100"} {
+			s, err := NewSessionFor(st.Name, arch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sessions = append(sessions, s)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range sessions {
+			for seed := int64(1); seed <= 4; seed++ {
+				cfg := DefaultConfig()
+				cfg.DatasetSize = 64
+				cfg.Seed = seed
+				if _, err := s.Tune(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package ga
 
 import (
 	"math"
+	"sort"
 	"sync/atomic"
 	"testing"
 )
@@ -274,5 +275,25 @@ func TestSeedsSpreadAcrossIslands(t *testing.T) {
 	res := Minimize(1<<16, eval, opt)
 	if res.BestIndex != needles[0] || res.BestValue != 0 {
 		t.Fatalf("best seeded needle lost: %+v", res)
+	}
+}
+
+// TestRankByFitMatchesSortSlice pins the neighbour ranking to the order
+// sort.Slice gave it, over every assignment of ties, ±Inf and NaN.
+func TestRankByFitMatchesSortSlice(t *testing.T) {
+	fits := []float64{math.Inf(-1), 1, 2, math.Inf(1), math.NaN()}
+	for c := 0; c < 625; c++ {
+		var nbrs [4]individual
+		for i, code := 0, c; i < len(nbrs); i, code = i+1, code/len(fits) {
+			nbrs[i] = individual{gene: uint64(i), fit: fits[code%len(fits)]}
+		}
+		want := append([]individual(nil), nbrs[:]...)
+		sort.Slice(want, func(a, b int) bool { return want[a].fit < want[b].fit })
+		rankByFit(&nbrs)
+		for i := range nbrs {
+			if nbrs[i].gene != want[i].gene {
+				t.Fatalf("case %d: ranked %v, sort.Slice gives %v", c, nbrs, want)
+			}
+		}
 	}
 }

@@ -144,22 +144,22 @@ type Occupancy struct {
 // granularity), matching nvcc's allocation units closely enough for tuning.
 func (a *Arch) ComputeOccupancy(threadsPerBlock, regsPerThread, sharedPerBlock int) (Occupancy, error) {
 	if threadsPerBlock <= 0 {
-		return Occupancy{}, fmt.Errorf("gpu: non-positive block size %d", threadsPerBlock)
+		return Occupancy{}, &occupancyError{reason: blockNonPositive, a: threadsPerBlock}
 	}
 	if threadsPerBlock > 1024 {
-		return Occupancy{}, fmt.Errorf("gpu: block size %d exceeds 1024", threadsPerBlock)
+		return Occupancy{}, &occupancyError{reason: blockTooLarge, a: threadsPerBlock}
 	}
 	if regsPerThread <= 0 {
 		regsPerThread = 1
 	}
 	if sharedPerBlock < 0 {
-		return Occupancy{}, fmt.Errorf("gpu: negative shared memory %d", sharedPerBlock)
+		return Occupancy{}, &occupancyError{reason: sharedNegative, a: sharedPerBlock}
 	}
 	if sharedPerBlock > a.SharedMemPerBlock {
-		return Occupancy{}, fmt.Errorf("gpu: shared memory %dB exceeds per-block max %dB", sharedPerBlock, a.SharedMemPerBlock)
+		return Occupancy{}, &occupancyError{reason: sharedTooLarge, a: sharedPerBlock, b: a.SharedMemPerBlock}
 	}
 	if regsPerThread > a.MaxRegsPerThread {
-		return Occupancy{}, fmt.Errorf("gpu: %d registers/thread exceeds cap %d", regsPerThread, a.MaxRegsPerThread)
+		return Occupancy{}, &occupancyError{reason: regsOverCap, a: regsPerThread, b: a.MaxRegsPerThread}
 	}
 
 	warpsPerBlock := ceilDiv(threadsPerBlock, a.WarpSize)
@@ -186,7 +186,7 @@ func (a *Arch) ComputeOccupancy(threadsPerBlock, regsPerThread, sharedPerBlock i
 		blocks, limiter = byShared, "shared"
 	}
 	if blocks < 1 {
-		return Occupancy{}, fmt.Errorf("gpu: configuration fits zero blocks per SM (limiter %s)", limiter)
+		return Occupancy{}, &occupancyError{reason: zeroBlocks, limiter: limiter}
 	}
 
 	warpsPerSM := blocks * warpsPerBlock
@@ -200,6 +200,42 @@ func (a *Arch) ComputeOccupancy(threadsPerBlock, regsPerThread, sharedPerBlock i
 		Achieved:      float64(warpsPerSM) / float64(a.MaxWarpsPerSM),
 		Limiter:       limiter,
 	}, nil
+}
+
+// occupancyError is a configuration the occupancy calculation rejects. It
+// keeps its operands and renders the text only when Error is called, so the
+// tuners' build checks, which only test for nil, never format one.
+type occupancyError struct {
+	reason  occupancyReason
+	a, b    int
+	limiter string
+}
+
+type occupancyReason uint8
+
+const (
+	blockNonPositive occupancyReason = iota
+	blockTooLarge
+	sharedNegative
+	sharedTooLarge
+	regsOverCap
+	zeroBlocks
+)
+
+func (e *occupancyError) Error() string {
+	switch e.reason {
+	case blockNonPositive:
+		return fmt.Sprintf("gpu: non-positive block size %d", e.a)
+	case blockTooLarge:
+		return fmt.Sprintf("gpu: block size %d exceeds 1024", e.a)
+	case sharedNegative:
+		return fmt.Sprintf("gpu: negative shared memory %d", e.a)
+	case sharedTooLarge:
+		return fmt.Sprintf("gpu: shared memory %dB exceeds per-block max %dB", e.a, e.b)
+	case regsOverCap:
+		return fmt.Sprintf("gpu: %d registers/thread exceeds cap %d", e.a, e.b)
+	}
+	return fmt.Sprintf("gpu: configuration fits zero blocks per SM (limiter %s)", e.limiter)
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -105,20 +106,22 @@ func TestOccupancyBlockCountLimited(t *testing.T) {
 
 func TestOccupancyErrors(t *testing.T) {
 	a := A100()
-	if _, err := a.ComputeOccupancy(0, 32, 0); err == nil {
-		t.Fatal("zero threads should error")
-	}
-	if _, err := a.ComputeOccupancy(2048, 32, 0); err == nil {
-		t.Fatal(">1024 threads should error")
-	}
-	if _, err := a.ComputeOccupancy(256, 300, 0); err == nil {
-		t.Fatal(">255 registers should error")
-	}
-	if _, err := a.ComputeOccupancy(256, 32, -1); err == nil {
-		t.Fatal("negative shared should error")
-	}
-	if _, err := a.ComputeOccupancy(256, 32, a.SharedMemPerBlock+1); err == nil {
-		t.Fatal("over-max shared should error")
+	for _, c := range []struct {
+		threads, regs, shared int
+		want                  string
+	}{
+		{0, 32, 0, "gpu: non-positive block size 0"},
+		{2048, 32, 0, "gpu: block size 2048 exceeds 1024"},
+		{256, 300, 0, "gpu: 300 registers/thread exceeds cap 255"},
+		{256, 32, -1, "gpu: negative shared memory -1"},
+		{256, 32, a.SharedMemPerBlock + 1, fmt.Sprintf("gpu: shared memory %dB exceeds per-block max %dB",
+			a.SharedMemPerBlock+1, a.SharedMemPerBlock)},
+		{1024, 128, 0, "gpu: configuration fits zero blocks per SM (limiter registers)"},
+	} {
+		_, err := a.ComputeOccupancy(c.threads, c.regs, c.shared)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("ComputeOccupancy(%d, %d, %d) error %v, want %q", c.threads, c.regs, c.shared, err, c.want)
+		}
 	}
 	// Zero/negative registers are clamped to 1, not an error.
 	if _, err := a.ComputeOccupancy(256, 0, 0); err != nil {

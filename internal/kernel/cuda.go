@@ -2,7 +2,7 @@ package kernel
 
 import (
 	"bytes"
-	"fmt"
+	"strconv"
 
 	"repro/internal/space"
 )
@@ -32,58 +32,90 @@ func (k *Kernel) EmitCUDA() string {
 func (k *Kernel) emitCUDA(b *bytes.Buffer) {
 	st := k.Stencil
 	s := k.Setting
+	w := cudaText{b}
 
-	fmt.Fprintf(b, "// %s: auto-generated stencil kernel\n", st.Name)
-	fmt.Fprintf(b, "// setting: %s\n", s.String())
-	fmt.Fprintf(b, "// regs/thread (est) %d, smem/block %dB, grid %d blocks x %d threads\n\n",
-		k.RegsPerThread, k.SharedPerBlock, k.GridBlocks, k.ThreadsPerBlock)
+	w.str("// ").str(st.Name).str(": auto-generated stencil kernel\n")
+	b.WriteString("// setting: ")
+	b.Write(s.AppendString(b.AvailableBuffer()))
+	w.str("\n// regs/thread (est) ").dec(k.RegsPerThread).str(", smem/block ").dec(k.SharedPerBlock).
+		str("B, grid ").dec(k.GridBlocks).str(" blocks x ").dec(k.ThreadsPerBlock).str(" threads\n\n")
 
-	fmt.Fprintf(b, "#define NX %d\n#define NY %d\n#define NZ %d\n", st.NX, st.NY, st.NZ)
-	fmt.Fprintf(b, "#define TBX %d\n#define TBY %d\n#define TBZ %d\n",
-		s[space.TBX], s[space.TBY], s[space.TBZ])
-	fmt.Fprintf(b, "#define IDX(x,y,z) (((z)+%d)*((NY)+%d)*((NX)+%d) + ((y)+%d)*((NX)+%d) + ((x)+%d))\n\n",
-		st.Order, 2*st.Order, 2*st.Order, st.Order, 2*st.Order, st.Order)
+	w.str("#define NX ").dec(st.NX).str("\n#define NY ").dec(st.NY).str("\n#define NZ ").dec(st.NZ).str("\n")
+	w.str("#define TBX ").dec(s[space.TBX]).str("\n#define TBY ").dec(s[space.TBY]).
+		str("\n#define TBZ ").dec(s[space.TBZ]).str("\n")
+	w.str("#define IDX(x,y,z) (((z)+").dec(st.Order).str(")*((NY)+").dec(2 * st.Order).
+		str(")*((NX)+").dec(2 * st.Order).str(") + ((y)+").dec(st.Order).
+		str(")*((NX)+").dec(2 * st.Order).str(") + ((x)+").dec(st.Order).str("))\n\n")
 
 	if k.UsesConstant {
-		fmt.Fprintf(b, "__constant__ double c_coeff[%d];\n\n", st.Coeffs)
+		w.str("__constant__ double c_coeff[").dec(st.Coeffs).str("];\n\n")
 	}
 
-	// Kernel signature: one pointer per I/O array, written in place instead
-	// of joining a scratch []string.
-	fmt.Fprintf(b, "__global__ void __launch_bounds__(%d)\n%s_kernel(", k.ThreadsPerBlock, st.Name)
+	// Kernel signature: one pointer per I/O array.
+	w.str("__global__ void __launch_bounds__(").dec(k.ThreadsPerBlock).str(")\n").str(st.Name).str("_kernel(")
 	for i := 0; i < st.Inputs; i++ {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(b, "const double* __restrict__ in%d", i)
+		w.str("const double* __restrict__ in").dec(i)
 	}
 	for i := 0; i < st.Outputs; i++ {
 		if st.Inputs+i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(b, "double* __restrict__ out%d", i)
+		w.str("double* __restrict__ out").dec(i)
 	}
 	b.WriteString(") {\n")
 
 	if k.UsesShared {
-		fmt.Fprintf(b, "  extern __shared__ double smem[]; // %dB staged tile + halo\n", k.SharedPerBlock)
+		w.str("  extern __shared__ double smem[]; // ").dec(k.SharedPerBlock).str("B staged tile + halo\n")
 	}
 
 	// Global thread coordinates.
 	b.WriteString("  const int tx = blockIdx.x * TBX + threadIdx.x;\n")
 	b.WriteString("  const int ty = blockIdx.y * TBY + threadIdx.y;\n")
 	if k.Streaming {
-		fmt.Fprintf(b, "  // 2.5-D streaming along %s: %d concurrent tiles of %d points\n",
-			dimName(k.SDim), k.SBTiles, k.TileLen)
-		fmt.Fprintf(b, "  const int tile = blockIdx.z;           // concurrent-streaming tile (SB=%d)\n", k.SBTiles)
-		fmt.Fprintf(b, "  const int tile_lo = tile * %d;\n", k.TileLen)
+		w.str("  // 2.5-D streaming along ").str(dimName(k.SDim)).str(": ").dec(k.SBTiles).
+			str(" concurrent tiles of ").dec(k.TileLen).str(" points\n")
+		w.str("  const int tile = blockIdx.z;           // concurrent-streaming tile (SB=").dec(k.SBTiles).str(")\n")
+		w.str("  const int tile_lo = tile * ").dec(k.TileLen).str(";\n")
 	} else {
 		b.WriteString("  const int tz = blockIdx.z * TBZ + threadIdx.z;\n")
 	}
 	b.WriteString("\n")
 
-	emitMergeLoops(b, k)
+	emitMergeLoops(w, k)
 	b.WriteString("}\n")
+}
+
+// cudaText appends kernel source to a buffer. Its methods chain, so one
+// statement writes one emitted line, and render numbers with strconv exactly
+// as fmt's %d, %+d and %g verbs do.
+type cudaText struct{ b *bytes.Buffer }
+
+func (w cudaText) str(v string) cudaText {
+	w.b.WriteString(v)
+	return w
+}
+
+// dec writes v as %d does.
+func (w cudaText) dec(v int) cudaText {
+	w.b.Write(strconv.AppendInt(w.b.AvailableBuffer(), int64(v), 10))
+	return w
+}
+
+// signed writes v as %+d does.
+func (w cudaText) signed(v int) cudaText {
+	if v >= 0 {
+		w.b.WriteByte('+')
+	}
+	return w.dec(v)
+}
+
+// float writes v as %g does.
+func (w cudaText) float(v float64) cudaText {
+	w.b.Write(strconv.AppendFloat(w.b.AvailableBuffer(), v, 'g', -1, 64))
+	return w
 }
 
 func dimName(d int) string {
@@ -100,101 +132,76 @@ func dimName(d int) string {
 
 // emitMergeLoops renders the cyclic/adjacent merge structure and the fully
 // unrolled tap accumulation.
-func emitMergeLoops(b *bytes.Buffer, k *Kernel) {
+func emitMergeLoops(w cudaText, k *Kernel) {
 	st := k.Stencil
-	s := k.Setting
 
-	indent := "  "
+	// The deepest nesting is the streaming loop, three cyclic and three
+	// adjacent loops, two spaces each on top of the body's two.
+	const indents = "                "
+	depth := 2
+	indent := func() string { return indents[:depth] }
 	if k.Streaming {
-		fmt.Fprintf(b, "%sfor (int it = 0; it < %d; ++it) { // serial streaming steps\n",
-			indent, k.IterationsPerBlock)
-		indent += "  "
+		w.str(indent()).str("for (int it = 0; it < ").dec(k.IterationsPerBlock).str("; ++it) { // serial streaming steps\n")
+		depth += 2
 		if k.Prefetch {
-			fmt.Fprintf(b, "%s// prefetch: next-plane loads issued before the current FMAs retire\n", indent)
-			fmt.Fprintf(b, "%sdouble pf[%d];\n", indent, starArrays(st)*2)
+			w.str(indent()).str("// prefetch: next-plane loads issued before the current FMAs retire\n")
+			w.str(indent()).str("double pf[").dec(starArrays(st) * 2).str("];\n")
 		}
 	}
 	// Cyclic merge loops (unrolled by the generator).
-	for d, cm := range []int{k.CycX, k.CycY, k.CycZ} {
+	for d, cm := range [3]int{k.CycX, k.CycY, k.CycZ} {
 		if cm > 1 {
-			fmt.Fprintf(b, "%s#pragma unroll\n%sfor (int c%s = 0; c%s < %d; ++c%s) { // cyclic merge\n",
-				indent, indent, dimName(d+1), dimName(d+1), cm, dimName(d+1))
-			indent += "  "
+			n := dimName(d + 1)
+			w.str(indent()).str("#pragma unroll\n").str(indent()).str("for (int c").str(n).str(" = 0; c").str(n).
+				str(" < ").dec(cm).str("; ++c").str(n).str(") { // cyclic merge\n")
+			depth += 2
 		}
 	}
 	// Adjacent (unroll x block-merge) loops.
-	adj := []struct {
-		n    int
-		name string
-	}{{k.AdjX, "x"}, {k.AdjY, "y"}, {k.AdjZ, "z"}}
-	for _, a := range adj {
-		if a.n > 1 {
-			fmt.Fprintf(b, "%s#pragma unroll %d\n%sfor (int u%s = 0; u%s < %d; ++u%s) {\n",
-				indent, a.n, indent, a.name, a.name, a.n, a.name)
-			indent += "  "
+	for d, a := range [3]int{k.AdjX, k.AdjY, k.AdjZ} {
+		if a > 1 {
+			n := dimName(d + 1)
+			w.str(indent()).str("#pragma unroll ").dec(a).str("\n").str(indent()).str("for (int u").str(n).
+				str(" = 0; u").str(n).str(" < ").dec(a).str("; ++u").str(n).str(") {\n")
+			depth += 2
 		}
 	}
 
 	if k.UsesShared {
-		fmt.Fprintf(b, "%s// cooperative tile staging\n%s__syncthreads();\n", indent, indent)
+		w.str(indent()).str("// cooperative tile staging\n").str(indent()).str("__syncthreads();\n")
 	}
 
 	// Tap accumulation (shown per output array; retiming reorders the
 	// accumulation into homogenized sub-sums).
 	if k.Retiming {
-		fmt.Fprintf(b, "%s// retiming: accumulation split into %d homogenized sub-computations\n",
-			indent, st.Order+1)
+		w.str(indent()).str("// retiming: accumulation split into ").dec(st.Order + 1).str(" homogenized sub-computations\n")
 	}
-	fmt.Fprintf(b, "%sdouble acc = 0.0;\n", indent)
-	limit := len(st.Taps)
-	shown := limit
-	if shown > 6 {
-		shown = 6
-	}
-	for i := 0; i < shown; i++ {
-		t := st.Taps[i]
-		src := fmt.Sprintf("in%d[IDX(x%+d, y%+d, z%+d)]", t.Array, t.DX, t.DY, t.DZ)
-		if k.UsesShared && i > 0 {
-			src = fmt.Sprintf("smem[SIDX(%+d,%+d,%+d)]", t.DX, t.DY, t.DZ)
-		}
-		coeff := fmt.Sprintf("%g", t.Coeff)
+	w.str(indent()).str("double acc = 0.0;\n")
+	shown := min(len(st.Taps), 6)
+	for i, t := range st.Taps[:shown] {
+		w.str(indent()).str("acc += ")
 		if k.UsesConstant {
-			coeff = fmt.Sprintf("c_coeff[%d]", i%max(1, st.Coeffs))
+			w.str("c_coeff[").dec(i % max(1, st.Coeffs)).str("]")
+		} else {
+			w.float(t.Coeff)
 		}
-		fmt.Fprintf(b, "%sacc += %s * %s;\n", indent, coeff, src)
+		if k.UsesShared && i > 0 {
+			w.str(" * smem[SIDX(").signed(t.DX).str(",").signed(t.DY).str(",").signed(t.DZ).str(")];\n")
+		} else {
+			w.str(" * in").dec(t.Array).str("[IDX(x").signed(t.DX).str(", y").signed(t.DY).
+				str(", z").signed(t.DZ).str(")];\n")
+		}
 	}
-	if limit > shown {
-		fmt.Fprintf(b, "%s/* ... %d more taps elided ... */\n", indent, limit-shown)
+	if len(st.Taps) > shown {
+		w.str(indent()).str("/* ... ").dec(len(st.Taps) - shown).str(" more taps elided ... */\n")
 	}
 	for o := 0; o < st.Outputs; o++ {
-		fmt.Fprintf(b, "%sout%d[IDX(x, y, z)] = acc * %g;\n", indent, o, 1.0+0.5*float64(o))
+		w.str(indent()).str("out").dec(o).str("[IDX(x, y, z)] = acc * ").float(1.0 + 0.5*float64(o)).str(";\n")
 	}
 
 	// Close all opened loops.
-	opens := 0
-	if k.Streaming {
-		opens++
+	for depth > 2 {
+		depth -= 2
+		w.str(indent()).str("}\n")
 	}
-	for _, cm := range []int{k.CycX, k.CycY, k.CycZ} {
-		if cm > 1 {
-			opens++
-		}
-	}
-	for _, a := range []int{k.AdjX, k.AdjY, k.AdjZ} {
-		if a > 1 {
-			opens++
-		}
-	}
-	for i := 0; i < opens; i++ {
-		indent = indent[:len(indent)-2]
-		fmt.Fprintf(b, "%s}\n", indent)
-	}
-	_ = s
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -73,12 +73,16 @@ type Kernel struct {
 // Build compiles the setting. sp must be the space of k.Stencil; the setting
 // is validated against both the explicit (space) and implicit (resource)
 // constraints. On success the returned kernel is ready for simulation.
+//
+// The kernel is assembled on the stack around the caller's setting and
+// copied to the heap, with a copy of the setting, only once every
+// constraint holds: a rejection costs no more than its error value.
 func Build(sp *space.Space, s space.Setting, arch *gpu.Arch) (*Kernel, error) {
 	if err := sp.Validate(s); err != nil {
 		return nil, err
 	}
 	st := sp.Stencil
-	k := &Kernel{Stencil: st, Setting: s.Clone(), Arch: arch}
+	k := Kernel{Stencil: st, Setting: s, Arch: arch}
 
 	k.AdjX = s[space.UFX] * s[space.BMX]
 	k.AdjY = s[space.UFY] * s[space.BMY]
@@ -98,8 +102,7 @@ func Build(sp *space.Space, s space.Setting, arch *gpu.Arch) (*Kernel, error) {
 	// a spill, and the exact union computation below would only be slower.
 	adjPoints := k.AdjX * k.AdjY * k.AdjZ
 	if 2*adjPoints*st.Outputs > 4*arch.MaxRegsPerThread {
-		return nil, fmt.Errorf("%w: %d merged points x %d outputs cannot fit the register file",
-			ErrResource, adjPoints, st.Outputs)
+		return nil, &resourceError{reason: registerFile, a: adjPoints, b: st.Outputs}
 	}
 
 	if err := k.layoutGeometry(s); err != nil {
@@ -112,12 +115,53 @@ func Build(sp *space.Space, s space.Setting, arch *gpu.Arch) (*Kernel, error) {
 
 	occ, err := arch.ComputeOccupancy(k.ThreadsPerBlock, k.RegsPerThread, k.SharedPerBlock)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrResource, err)
+		return nil, &resourceError{reason: occupancy, occ: err}
 	}
 	k.Occ = occ
 	k.estimateAccessPattern(star)
-	return k, nil
+
+	built := k
+	built.Setting = s.Clone()
+	return &built, nil
 }
+
+// resourceError is an implicit-constraint violation; errors.Is reports it
+// as ErrResource. It keeps its operands and renders the text only when
+// Error is called, so the tuners, which only test for nil, never format one.
+type resourceError struct {
+	reason resourceReason
+	a, b   int
+	occ    error // the occupancy calculation's rejection
+}
+
+type resourceReason uint8
+
+const (
+	registerFile resourceReason = iota // a merged points × b outputs
+	emptyGrid
+	regSpill     // a registers/thread over the spill limit b
+	sharedMemory // a bytes over the per-block maximum b
+	occupancy
+)
+
+func (e *resourceError) Error() string {
+	var detail string
+	switch e.reason {
+	case registerFile:
+		detail = fmt.Sprintf("%d merged points x %d outputs cannot fit the register file", e.a, e.b)
+	case emptyGrid:
+		detail = "empty grid"
+	case regSpill:
+		detail = fmt.Sprintf("%d registers/thread would spill (limit %d)", e.a, e.b)
+	case sharedMemory:
+		detail = fmt.Sprintf("%dB shared memory exceeds per-block max %dB", e.a, e.b)
+	case occupancy:
+		detail = e.occ.Error()
+	}
+	return ErrResource.Error() + ": " + detail
+}
+
+func (e *resourceError) Unwrap() error { return ErrResource }
 
 // layoutGeometry derives the grid of thread blocks, the per-block streaming
 // iteration count, and the active fraction of the padded iteration space.
@@ -158,7 +202,7 @@ func (k *Kernel) layoutGeometry(s space.Setting) error {
 	}
 
 	if blocks <= 0 {
-		return fmt.Errorf("%w: empty grid", ErrResource)
+		return &resourceError{reason: emptyGrid}
 	}
 	k.GridBlocks = blocks
 	k.GuardFrac = active

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -59,8 +58,7 @@ func (k *Kernel) estimateResources(star int) error {
 	}
 
 	if regs > arch.SpillRegsPerThread {
-		return fmt.Errorf("%w: %d registers/thread would spill (limit %d)",
-			ErrResource, regs, arch.SpillRegsPerThread)
+		return &resourceError{reason: regSpill, a: regs, b: arch.SpillRegsPerThread}
 	}
 	k.RegsPerThread = regs
 
@@ -93,8 +91,7 @@ func (k *Kernel) estimateResources(star int) error {
 		}
 		bytes := tx * ty * tz * 8 * star
 		if bytes > arch.SharedMemPerBlock {
-			return fmt.Errorf("%w: %dB shared memory exceeds per-block max %dB",
-				ErrResource, bytes, arch.SharedMemPerBlock)
+			return &resourceError{reason: sharedMemory, a: bytes, b: arch.SharedMemPerBlock}
 		}
 		k.SharedPerBlock = bytes
 	}

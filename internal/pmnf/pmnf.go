@@ -169,10 +169,9 @@ func (m *Model) Predict(s space.Setting) float64 {
 	for gi, g := range m.Groups {
 		term := 1.0
 		for _, p := range g {
-			v := float64(s[p])
-			f := powInt(v, m.I)
+			f := powInt(float64(s[p]), m.I)
 			if m.J > 0 {
-				f *= powInt(stats.Log2(v)+1, m.J)
+				f *= powInt(log2p1(s[p]), m.J)
 			}
 			term *= f
 		}
@@ -180,6 +179,23 @@ func (m *Model) Predict(s space.Setting) float64 {
 		sum += m.Coef[c] * ((term - m.Mean[c]) / m.Std[c])
 	}
 	return sum
+}
+
+// log2p1Table holds stats.Log2(v)+1 for the small integers every Table I
+// parameter value falls in.
+var log2p1Table = func() (t [1025]float64) {
+	for v := range t {
+		t[v] = stats.Log2(float64(v)) + 1
+	}
+	return t
+}()
+
+// log2p1 returns stats.Log2(float64(v)) + 1, from the table when v is in it.
+func log2p1(v int) float64 {
+	if v >= 0 && v < len(log2p1Table) {
+		return log2p1Table[v]
+	}
+	return stats.Log2(float64(v)) + 1
 }
 
 // powInt returns math.Pow(x, n). For n = 0, 1 and 2 it computes 1, x and

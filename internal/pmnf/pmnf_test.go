@@ -9,6 +9,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -284,6 +285,17 @@ func BenchmarkFit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Fit(ds, groups, times, nil, nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestLog2p1MatchesLog2 pins the lookup table, and the fallback past its
+// end, to the stats.Log2 call it replaces in Predict.
+func TestLog2p1MatchesLog2(t *testing.T) {
+	for v := -2; v <= 3*len(log2p1Table); v++ {
+		got, want := log2p1(v), stats.Log2(float64(v))+1
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("log2p1(%d) = %v, want %v", v, got, want)
 		}
 	}
 }

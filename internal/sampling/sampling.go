@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -77,20 +78,29 @@ func Build(ds *dataset.Dataset, sp *space.Space, groups [][]int,
 	}
 
 	// Candidate pool: the measured dataset settings plus fresh random
-	// valid settings, deduplicated.
-	pool := make([]space.Setting, 0, cfg.PoolSize+len(ds.Samples))
-	seen := map[string]struct{}{}
+	// valid settings, deduplicated. A candidate is looked up by its Hash and
+	// told apart from colliding entries by Equal, so none renders a key:
+	// head maps a hash to 1 + the last pool index with that hash, and
+	// prev[i] links pool index i to the one before it (0 ends the chain).
+	size := cfg.PoolSize + len(ds.Samples)
+	pool := make([]space.Setting, 0, size)
+	head := make(map[uint64]int, size)
+	prev := make([]int, 0, size)
 	add := func(s space.Setting) {
-		k := s.Key()
-		if _, dup := seen[k]; !dup {
-			seen[k] = struct{}{}
-			pool = append(pool, s)
+		h := s.Hash()
+		for i := head[h]; i > 0; i = prev[i-1] {
+			if pool[i-1].Equal(s) {
+				return
+			}
 		}
+		prev = append(prev, head[h])
+		head[h] = len(pool) + 1
+		pool = append(pool, s)
 	}
 	for _, s := range ds.Samples {
 		add(s.Setting) // measured settings passed every constraint already
 	}
-	for tries := 0; len(pool) < cfg.PoolSize+len(ds.Samples) && tries < 50*cfg.PoolSize; tries++ {
+	for tries := 0; len(pool) < size && tries < 50*cfg.PoolSize; tries++ {
 		cand := sp.Random(rng)
 		if cfg.Prefilter != nil && !cfg.Prefilter(cand) {
 			continue
@@ -100,9 +110,9 @@ func Build(ds *dataset.Dataset, sp *space.Space, groups [][]int,
 
 	// Score: z-scored model predictions, signed by time correlation.
 	score := make([]float64, len(pool))
+	preds := make([]float64, len(pool))
 	for _, sel := range selected {
 		m := models[sel.Name]
-		preds := make([]float64, len(pool))
 		for i, s := range pool {
 			preds[i] = m.Predict(s)
 		}
@@ -120,12 +130,7 @@ func Build(ds *dataset.Dataset, sp *space.Space, groups [][]int,
 		}
 	}
 
-	order := make([]int, len(pool))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return score[order[a]] < score[order[b]] })
-
+	order := rank(score)
 	keep := int(math.Ceil(cfg.Ratio * float64(len(pool))))
 	if keep < 1 {
 		keep = 1
@@ -133,12 +138,40 @@ func Build(ds *dataset.Dataset, sp *space.Space, groups [][]int,
 	if keep > len(pool) {
 		keep = len(pool)
 	}
-	out := &Sampled{Groups: groups}
-	for _, i := range order[:keep] {
-		out.Settings = append(out.Settings, pool[i])
+	out := &Sampled{Groups: groups, Settings: make([]space.Setting, 0, keep)}
+	for _, r := range order[:keep] {
+		out.Settings = append(out.Settings, pool[r.index])
 	}
 	out.reindex()
 	return out, nil
+}
+
+// ranked is one pool candidate's combined score and pool index.
+type ranked struct {
+	score float64
+	index int
+}
+
+// rank orders the candidates by ascending score, ties in pool order.
+// slices.SortStableFunc runs the blocks-of-20 insertion sort and symMerge of
+// sort.SliceStable and tests only cmp < 0, so with a cmp that is negative
+// exactly when a < b the permutation is the one sort.SliceStable gives,
+// NaN scores included.
+func rank(score []float64) []ranked {
+	order := make([]ranked, len(score))
+	for i := range order {
+		order[i] = ranked{score: score[i], index: i}
+	}
+	slices.SortStableFunc(order, func(a, b ranked) int {
+		switch {
+		case a.score < b.score:
+			return -1
+		case a.score > b.score:
+			return 1
+		}
+		return 0
+	})
+	return order
 }
 
 // FromSettings builds a Sampled directly from explicit settings (tests and

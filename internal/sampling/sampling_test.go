@@ -1,7 +1,9 @@
 package sampling
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -269,6 +271,36 @@ func TestTupleIndexMissAndBounds(t *testing.T) {
 	for gi := range s.Groups {
 		if got := s.TupleIndex(weird, gi); got != -1 {
 			t.Fatalf("absent tuple indexed at group %d: %d", gi, got)
+		}
+	}
+}
+
+// TestRankMatchesSliceStable pins rank to the permutation sort.SliceStable
+// gave the pool, over scores with many ties, ±Inf and NaN, at sizes on both
+// sides of the 20-element insertion-sort blocks.
+func TestRankMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	values := []float64{-1, 0, 0.5, 2, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, n := range []int{1, 7, 20, 21, 64, 333, 4160} {
+		for rep := 0; rep < 20; rep++ {
+			score := make([]float64, n)
+			for i := range score {
+				if rng.Intn(2) == 0 {
+					score[i] = values[rng.Intn(len(values))]
+				} else {
+					score[i] = rng.NormFloat64()
+				}
+			}
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			sort.SliceStable(want, func(a, b int) bool { return score[want[a]] < score[want[b]] })
+			for i, r := range rank(score) {
+				if r.index != want[i] {
+					t.Fatalf("n=%d rep %d: rank position %d holds %d, sort.SliceStable %d", n, rep, i, r.index, want[i])
+				}
+			}
 		}
 	}
 }

@@ -7,14 +7,6 @@ import (
 	"repro/internal/kernel"
 )
 
-// metricsInput carries the model's internal state into the metric report.
-type metricsInput struct {
-	computeNS, memNS, smemNS, syncNS, totalNS float64
-	dramBytes, loadBytes, storeBytes          float64
-	l2Hit, coalEff, waves, ilp                float64
-	points                                    float64
-}
-
 // MetricNames returns the Nsight-Compute-style metric identifiers the
 // simulator reports, in stable sorted order. The csTuner pipeline's metric
 // combination stage (Algorithm 2) consumes these exactly as it would consume
@@ -52,8 +44,8 @@ var metricDoc = map[string]string{
 	"memory__ilp":                  "memory-level parallelism factor",
 }
 
-// metrics builds the per-run metric report.
-func (sim *Simulator) metrics(k *kernel.Kernel, timeMS float64, in metricsInput) map[string]float64 {
+// metrics builds the per-run metric report from one evaluation of the model.
+func (sim *Simulator) metrics(k *kernel.Kernel, in *model) map[string]float64 {
 	a := sim.Arch
 	st := k.Stencil
 

@@ -1,6 +1,8 @@
 // Package sim is the GPU execution-time simulator standing in for the real
 // A100/V100 testbed (see DESIGN.md §1). Given a built kernel it produces a
 // deterministic kernel time and a Nsight-Compute-like metric report.
+// Measure, the path every tuner searches through, runs only the time model;
+// Run and RunKernel add the metric report.
 //
 // The model composes occupancy, a compute-throughput term (FP64 pipes, ILP,
 // constant-memory broadcast), a memory term (coalescing, L1/L2 reuse, DRAM
@@ -88,13 +90,14 @@ func (sim *Simulator) Space() *space.Space { return sim.Sp }
 // objective that ultimately measures on a simulator.
 func (sim *Simulator) Architecture() *gpu.Arch { return sim.Arch }
 
-// Measure implements Objective.
+// Measure implements Objective. It builds the kernel and runs the
+// execution-time model only: tuners need the time, not the metric report.
 func (sim *Simulator) Measure(s space.Setting) (float64, error) {
-	r, err := sim.Run(s)
+	k, err := kernel.Build(sim.Sp, s, sim.Arch)
 	if err != nil {
 		return 0, err
 	}
-	return r.TimeMS, nil
+	return sim.model(k).timeMS, nil
 }
 
 // Run builds the kernel for the setting and simulates one launch.
@@ -106,8 +109,25 @@ func (sim *Simulator) Run(s space.Setting) (*Result, error) {
 	return sim.RunKernel(k), nil
 }
 
-// RunKernel simulates a launch of an already-built kernel.
+// RunKernel simulates a launch of an already-built kernel and reports its
+// metrics.
 func (sim *Simulator) RunKernel(k *kernel.Kernel) *Result {
+	m := sim.model(k)
+	return &Result{TimeMS: m.timeMS, Kernel: k, Metrics: sim.metrics(k, &m)}
+}
+
+// model is one evaluation of the execution-time model: the kernel time and
+// the intermediate terms the metric report is derived from.
+type model struct {
+	computeNS, memNS, smemNS, syncNS, totalNS float64
+	dramBytes, loadBytes, storeBytes          float64
+	l2Hit, coalEff, waves, ilp                float64
+	points                                    float64
+	timeMS                                    float64
+}
+
+// model runs the execution-time model for k.
+func (sim *Simulator) model(k *kernel.Kernel) model {
 	a := sim.Arch
 	st := k.Stencil
 
@@ -190,15 +210,13 @@ func (sim *Simulator) RunKernel(k *kernel.Kernel) *Result {
 	u := float64(h>>11) / float64(1<<53)
 	totalNS *= 1 + sim.NoiseAmp*(2*u-1)
 
-	timeMS := totalNS / 1e6
-	res := &Result{TimeMS: timeMS, Kernel: k}
-	res.Metrics = sim.metrics(k, timeMS, metricsInput{
+	return model{
 		computeNS: computeNS, memNS: memNS, smemNS: smemNS, syncNS: syncNS,
 		totalNS: totalNS, dramBytes: dramBytes, l2Hit: l2Hit,
 		coalEff: coalEff, waves: waves, ilp: ilp,
 		loadBytes: loadBytes, storeBytes: storeBytes, points: points,
-	})
-	return res
+		timeMS: totalNS / 1e6,
+	}
 }
 
 // coalescingEfficiency models the fraction of fetched DRAM sectors that

@@ -58,6 +58,30 @@ func TestMeasureDeterministic(t *testing.T) {
 	}
 }
 
+// TestMeasureMatchesRun pins Measure, which skips the metric report, to
+// Run's time bit for bit, and its rejections to Run's error text.
+func TestMeasureMatchesRun(t *testing.T) {
+	for _, arch := range []*gpu.Arch{gpu.A100(), gpu.V100()} {
+		for _, st := range stencil.Suite() {
+			s := simFor(t, st, arch)
+			rng := rand.New(rand.NewSource(3))
+			for n := 0; n < 50; n++ {
+				set := s.Space().Random(rng)
+				ms, err := s.Measure(set)
+				r, rerr := s.Run(set)
+				switch {
+				case (err == nil) != (rerr == nil):
+					t.Fatalf("%s %s: Measure error %v, Run error %v", st.Name, set.Key(), err, rerr)
+				case err != nil && err.Error() != rerr.Error():
+					t.Fatalf("%s %s: Measure error %q, Run error %q", st.Name, set.Key(), err, rerr)
+				case err == nil && math.Float64bits(ms) != math.Float64bits(r.TimeMS):
+					t.Fatalf("%s %s: Measure %v, Run %v", st.Name, set.Key(), ms, r.TimeMS)
+				}
+			}
+		}
+	}
+}
+
 func TestMeasureInvalidSetting(t *testing.T) {
 	s := simFor(t, stencil.J3D7PT(), gpu.A100())
 	bad := s.Space().Default()
