@@ -1,7 +1,11 @@
 package campaign
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/vfs"
@@ -50,4 +54,51 @@ func TestRegistryJournalFaultFailsOnlyCampaign(t *testing.T) {
 		t.Fatalf("registry refused work after an isolated journal fault: %v", err)
 	}
 	waitState(t, reg, retry.ID, StateCompleted)
+}
+
+// dirOpFS is an FS that logs every MkdirAll and SyncDir, in order.
+type dirOpFS struct {
+	vfs.FS
+	mu  sync.Mutex
+	ops []string
+}
+
+func (f *dirOpFS) log(op string) {
+	f.mu.Lock()
+	f.ops = append(f.ops, op)
+	f.mu.Unlock()
+}
+
+func (f *dirOpFS) MkdirAll(path string, perm os.FileMode) error {
+	f.log("mkdir " + path)
+	return f.FS.MkdirAll(path, perm)
+}
+
+func (f *dirOpFS) SyncDir(dir string) error {
+	f.log("syncdir " + dir)
+	return f.FS.SyncDir(dir)
+}
+
+// TestSubmitSyncsRootAfterMkdir requires Submit to fsync the registry root
+// after creating the campaign directory, before it returns: without that
+// sync a power cut after the 201 can lose the whole directory. FaultFS does
+// not model directory entries, so no fault sweep can catch the omission.
+func TestSubmitSyncsRootAfterMkdir(t *testing.T) {
+	root := t.TempDir()
+	fsys := &dirOpFS{FS: vfs.OS}
+	reg := openTestRegistry(t, root, Options{FS: fsys, DisableAutostart: true})
+	c, err := reg.Submit(testSpec("acme", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys.mu.Lock()
+	ops := append([]string(nil), fsys.ops...)
+	fsys.mu.Unlock()
+	mkdir := slices.Index(ops, "mkdir "+filepath.Join(root, c.ID))
+	if mkdir < 0 {
+		t.Fatalf("Submit never created %s: %q", c.ID, ops)
+	}
+	if !slices.Contains(ops[mkdir+1:], "syncdir "+root) {
+		t.Fatalf("Submit did not fsync the root %s after creating %s: %q", root, c.ID, ops)
+	}
 }

@@ -402,7 +402,7 @@ func (r *Registry) Submit(spec Spec) (*Campaign, error) {
 		r.evict(c)
 		return nil, fmt.Errorf("campaign: mkdir: %w", err)
 	}
-	r.syncDir(filepath.Join(c.dir, "spec.json")) // durably record the new directory in the root
+	r.syncDir(c.dir) // fsyncs the root, durably recording the new directory in it
 	if err := c.persistSpec(); err != nil {
 		r.evict(c)
 		return nil, err
