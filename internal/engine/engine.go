@@ -293,26 +293,42 @@ func (e *Engine) lookup(key string) (float64, error, bool) {
 	return 0, nil, false
 }
 
-// exhausted reports whether the budget is spent, optionally counting the
-// refusal as a budget trip.
-func (e *Engine) exhausted(trip bool) bool {
+// budgetRefuses is the budget gate for a caller whose lookup of key missed:
+// it reports whether the budget is spent and counts the refusal as a budget
+// trip. When a competing episode has cached key since that lookup, possibly
+// spending the last of the budget on it, the gate lets the caller through
+// to be served the hit, as a sequential second call would be.
+func (e *Engine) budgetRefuses(key string) bool {
 	if e.budgetS <= 0 {
 		return false
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.spentS < e.budgetS {
+	if e.spentS < e.budgetS || e.cachedLocked(key) {
 		return false
 	}
-	if trip {
-		e.stats.BudgetTrips++
-	}
+	e.stats.BudgetTrips++
 	return true
+}
+
+// cachedLocked reports whether key has a cached Measure outcome. Callers
+// hold e.mu, under which every episode's accounting and its cache publish
+// happen together, so a gate that reads both sees either neither or both.
+func (e *Engine) cachedLocked(key string) bool {
+	_, _, ok := measureView(e.cache.Load(key))
+	return ok
 }
 
 // Exhausted reports whether the budget has been spent; tuners poll this as
 // their stop function.
-func (e *Engine) Exhausted() bool { return e.exhausted(false) }
+func (e *Engine) Exhausted() bool {
+	if e.budgetS <= 0 {
+		return false
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.spentS >= e.budgetS
+}
 
 // SpentS returns the virtual seconds consumed so far.
 func (e *Engine) SpentS() float64 {
