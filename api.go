@@ -202,8 +202,10 @@ var (
 // pipeline re-executes deterministically while the engine replays every
 // journaled episode instead of re-measuring it, producing a final Report
 // identical to the uninterrupted run's and only then measuring new
-// settings. A journal from a differently-configured campaign is refused
-// with ErrJournalFingerprint.
+// settings. Constraint rejections are not journaled: they are a pure
+// function of the setting and the GPU, so the re-executed pipeline
+// re-checks them at the same points. A journal from a
+// differently-configured campaign is refused with ErrJournalFingerprint.
 //
 // Crash-safety requires a deterministic measurement order, so ResumeTune
 // folds the GA's sub-populations into one sequential population of the same

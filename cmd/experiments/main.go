@@ -13,8 +13,9 @@
 //	experiments -fig 12           # pre-processing overhead breakdown
 //	experiments -all -quick       # everything at smoke scale
 //
-// Crash-safe campaigns journal every measurement episode so a killed run
-// resumes where it stopped (DESIGN.md §6):
+// Crash-safe campaigns journal every measurement episode but constraint
+// rejections, which resume re-checks, so a killed run resumes where it
+// stopped (DESIGN.md §6):
 //
 //	experiments -campaign cstuner -journal run.wal -budget 40   # start
 //	experiments -campaign cstuner -journal run.wal -budget 40 -resume

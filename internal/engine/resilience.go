@@ -365,7 +365,8 @@ func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float6
 	// Write-ahead: the episode is in the campaign journal before any
 	// accounting state changes, so a crash between here and return loses at
 	// most an episode the engine never charged. Replay re-serves the journal
-	// through this same function, which is why it never re-appends.
+	// through this same function, which is why it never re-appends. A
+	// constraint rejection gets no record: resume re-checks it live.
 	if err := e.journalEpisodeLocked(key, ep); err != nil {
 		return 0, err
 	}

@@ -41,7 +41,8 @@ type CampaignConfig struct {
 	Quarantine int
 	// JournalPath, when non-empty, makes the campaign crash-safe: episodes
 	// are write-ahead logged there, and a journal already on disk is
-	// resumed.
+	// resumed. Constraint rejections get no record; the resumed run
+	// re-checks them (engine.WithJournal).
 	JournalPath string
 	// FS is the filesystem seam the journal performs every disk operation
 	// through (nil = the real filesystem, vfs.OS). It sits alongside the

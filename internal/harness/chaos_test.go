@@ -18,7 +18,7 @@ import (
 func chaosConfig() CampaignConfig {
 	return CampaignConfig{
 		Method:  "cstuner",
-		BudgetS: 70,
+		BudgetS: 100,
 		Seed:    5,
 	}
 }

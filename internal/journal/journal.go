@@ -4,7 +4,9 @@
 // them. The journal makes the measurement history durable: the engine
 // appends one record per finished evaluation episode *before* the episode's
 // effects reach any in-memory state, so a run killed at any instant can be
-// replayed deterministically up to its last written record.
+// replayed deterministically up to its last written record. The engine
+// writes no record for what a resumed run recomputes anyway: a constraint
+// rejection, or a cancelled abort.
 //
 // Group commit. Append writes the frame and returns; Sync fsyncs every
 // frame written since the last Sync, and Close syncs the unsynced tail. A
