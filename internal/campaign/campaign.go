@@ -30,6 +30,11 @@ type Campaign struct {
 	fs          vfs.FS
 	dirSyncErrs *atomic.Int64
 
+	// persistMu serializes state.json writes. A finishing runner and the
+	// caller resuming or cancelling the campaign can write it at once, and
+	// the writes share one temp file.
+	persistMu sync.Mutex
+
 	mu        sync.Mutex
 	cancel    context.CancelFunc // non-nil while a runner owns the campaign
 	intent    State              // StatePaused or StateCanceled when an interrupt was requested
@@ -47,22 +52,29 @@ func (c *Campaign) journalPath() string { return filepath.Join(c.dir, "journal.w
 // State returns the campaign's current lifecycle state.
 func (c *Campaign) State() State { return c.lc.State() }
 
-// persistState writes state.json atomically: the lifecycle position plus
-// the settled spend, everything a restart needs beyond spec and journal.
-func (c *Campaign) persistState() error {
+// specFile is spec.json as it stands.
+func (c *Campaign) specFile() jsonFile { return jsonFile{path: c.specPath(), v: c.Spec} }
+
+// persistState writes state.json atomically, after the files in with,
+// which share its directory fsync: the lifecycle position plus the settled
+// spend, everything a restart needs beyond spec and journal. The state is
+// read under persistMu, so the last write renders the latest state.
+func (c *Campaign) persistState(with ...jsonFile) error {
+	c.persistMu.Lock()
+	defer c.persistMu.Unlock()
 	c.mu.Lock()
 	settled := c.settledS
 	c.mu.Unlock()
-	return writeJSONAtomic(c.fs, c.statePath(), persistedState{
+	return writeFileAtomic(c.fs, c.dirSyncErrs, append(with, jsonFile{path: c.statePath(), v: persistedState{
 		State:       c.lc.State(),
 		SettledS:    settled,
 		Transitions: c.lc.History(),
-	}, c.dirSyncErrs)
+	}})...)
 }
 
 // persistSpec writes spec.json atomically.
 func (c *Campaign) persistSpec() error {
-	return writeJSONAtomic(c.fs, c.specPath(), c.Spec, c.dirSyncErrs)
+	return writeFileAtomic(c.fs, c.dirSyncErrs, c.specFile())
 }
 
 // persistedResult is the result.json payload: the canonical string the
@@ -75,7 +87,7 @@ type persistedResult struct {
 
 // persistResult writes result.json atomically.
 func (c *Campaign) persistResult(res *harness.CampaignResult) error {
-	return writeJSONAtomic(c.fs, c.resultPath(), persistedResult{Canonical: res.Canonical(), Result: res}, c.dirSyncErrs)
+	return writeFileAtomic(c.fs, c.dirSyncErrs, jsonFile{path: c.resultPath(), v: persistedResult{Canonical: res.Canonical(), Result: res}})
 }
 
 // loadResult restores a completed campaign's result from result.json.

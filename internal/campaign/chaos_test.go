@@ -56,7 +56,8 @@ func TestRegistryJournalFaultFailsOnlyCampaign(t *testing.T) {
 	waitState(t, reg, retry.ID, StateCompleted)
 }
 
-// dirOpFS is an FS that logs every MkdirAll and SyncDir, in order.
+// dirOpFS is an FS that logs every MkdirAll, SyncDir, Rename, create and
+// file Sync, in order, each with its path.
 type dirOpFS struct {
 	vfs.FS
 	mu  sync.Mutex
@@ -69,6 +70,12 @@ func (f *dirOpFS) log(op string) {
 	f.mu.Unlock()
 }
 
+func (f *dirOpFS) logged() []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]string(nil), f.ops...)
+}
+
 func (f *dirOpFS) MkdirAll(path string, perm os.FileMode) error {
 	f.log("mkdir " + path)
 	return f.FS.MkdirAll(path, perm)
@@ -77,6 +84,33 @@ func (f *dirOpFS) MkdirAll(path string, perm os.FileMode) error {
 func (f *dirOpFS) SyncDir(dir string) error {
 	f.log("syncdir " + dir)
 	return f.FS.SyncDir(dir)
+}
+
+func (f *dirOpFS) Rename(oldpath, newpath string) error {
+	f.log("rename " + oldpath)
+	return f.FS.Rename(oldpath, newpath)
+}
+
+func (f *dirOpFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	if flag&os.O_CREATE != 0 {
+		f.log("create " + name)
+	}
+	fh, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncLogFile{File: fh, fs: f}, nil
+}
+
+// syncLogFile logs its Syncs to the dirOpFS that opened it.
+type syncLogFile struct {
+	vfs.File
+	fs *dirOpFS
+}
+
+func (f syncLogFile) Sync() error {
+	f.fs.log("sync " + f.Name())
+	return f.File.Sync()
 }
 
 // TestSubmitSyncsRootAfterMkdir requires Submit to fsync the registry root
@@ -91,14 +125,87 @@ func TestSubmitSyncsRootAfterMkdir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys.mu.Lock()
-	ops := append([]string(nil), fsys.ops...)
-	fsys.mu.Unlock()
+	ops := fsys.logged()
 	mkdir := slices.Index(ops, "mkdir "+filepath.Join(root, c.ID))
 	if mkdir < 0 {
 		t.Fatalf("Submit never created %s: %q", c.ID, ops)
 	}
 	if !slices.Contains(ops[mkdir+1:], "syncdir "+root) {
 		t.Fatalf("Submit did not fsync the root %s after creating %s: %q", root, c.ID, ops)
+	}
+}
+
+// registryFsyncs keeps the file and directory fsyncs of ops that the
+// registry makes itself: it drops the journal's syncs and the directory
+// sync that follows the journal's creation.
+func registryFsyncs(ops []string) []string {
+	var out []string
+	for i, op := range ops {
+		journal := strings.HasSuffix(op, "journal.wal")
+		if strings.HasPrefix(op, "syncdir ") && i > 0 && strings.HasSuffix(ops[i-1], "journal.wal") {
+			journal = true
+		}
+		if !journal && (strings.HasPrefix(op, "sync ") || strings.HasPrefix(op, "syncdir ")) {
+			out = append(out, op)
+		}
+	}
+	return out
+}
+
+// TestRegistryFsyncsPerCampaign pins the registry's own fsyncs for one
+// completed campaign without a store: 5 file and 5 directory fsyncs, the
+// journal's not counted. Submit writes spec.json and the Pending state.json
+// under one directory fsync, and starting the campaign writes no state.
+func TestRegistryFsyncsPerCampaign(t *testing.T) {
+	root := t.TempDir()
+	fsys := &dirOpFS{FS: vfs.OS}
+	reg := openTestRegistry(t, root, Options{Slots: 1, FS: fsys, DisableAutostart: true})
+	c, err := reg.Submit(testSpec("acme", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, c.ID)
+	file := func(name string) string { return "sync " + filepath.Join(dir, name) }
+	submit := fsys.logged()
+	want := []string{file("spec.json.tmp"), file("state.json.tmp"), "syncdir " + dir, "syncdir " + root}
+	if got := registryFsyncs(submit); !slices.Equal(got, want) {
+		t.Fatalf("Submit fsyncs:\n got %q\nwant %q", got, want)
+	}
+
+	reg.StartPending()
+	waitState(t, reg, c.ID, StateCompleted)
+	if err := reg.Close(); err != nil { // waits for the terminal state write
+		t.Fatal(err)
+	}
+	ops := fsys.logged()
+	run := ops[len(submit):]
+	created := slices.Index(run, "create "+filepath.Join(dir, "journal.wal"))
+	if created < 0 {
+		t.Fatalf("the run never created its journal: %q", run)
+	}
+	for _, op := range run[:created] {
+		if strings.Contains(op, ".json") && !strings.Contains(op, "spec.json") {
+			t.Fatalf("the run wrote %q before its journal; only the fingerprint's spec.json rewrite may", op)
+		}
+	}
+	want = []string{file("spec.json.tmp"), "syncdir " + dir}
+	if got := registryFsyncs(run[:created]); !slices.Equal(got, want) {
+		t.Fatalf("fsyncs before the journal:\n got %q\nwant %q", got, want)
+	}
+	want = []string{file("result.json.tmp"), "syncdir " + dir, file("state.json.tmp"), "syncdir " + dir}
+	if got := registryFsyncs(run[created:]); !slices.Equal(got, want) {
+		t.Fatalf("fsyncs after the journal:\n got %q\nwant %q", got, want)
+	}
+
+	files, dirs := 0, 0
+	for _, op := range registryFsyncs(ops) {
+		if strings.HasPrefix(op, "syncdir ") {
+			dirs++
+		} else {
+			files++
+		}
+	}
+	if files != 5 || dirs != 5 {
+		t.Fatalf("one campaign made %d file and %d directory fsyncs, want 5 and 5: %q", files, dirs, ops)
 	}
 }

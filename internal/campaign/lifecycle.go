@@ -100,11 +100,14 @@ func NewLifecycle(clock engine.Clock) *Lifecycle {
 }
 
 // RestoreLifecycle rebuilds a lifecycle from persisted state: the recorded
-// history is kept verbatim and the current state trusted. A persisted
-// StateRunning means the owning process died mid-run, so it is restored as
+// history is kept verbatim and the current state trusted, except for a
+// campaign whose owning process died mid-run. That campaign is restored as
 // StatePending (the registry re-runs it through journal replay) with the
-// restoration stamped into the history.
-func RestoreLifecycle(clock engine.Clock, state State, hist []Transition) (*Lifecycle, error) {
+// restoration stamped into the history. It is a persisted StateRunning, or
+// a persisted StatePending whose journal exists (journaled): the registry
+// does not write the Pending → Running transition, and only a run creates
+// the journal.
+func RestoreLifecycle(clock engine.Clock, state State, hist []Transition, journaled bool) (*Lifecycle, error) {
 	if clock == nil {
 		clock = time.Now // value use: the sanctioned wall-clock seam (engine.Clock)
 	}
@@ -112,7 +115,7 @@ func RestoreLifecycle(clock engine.Clock, state State, hist []Transition) (*Life
 		return nil, fmt.Errorf("campaign: restore: unknown state %q", state)
 	}
 	l := &Lifecycle{clock: clock, state: state, hist: append([]Transition(nil), hist...)}
-	if state == StateRunning {
+	if state == StateRunning || (state == StatePending && journaled) {
 		l.state = StatePending
 		l.hist = append(l.hist, Transition{
 			From: StateRunning, To: StatePending,

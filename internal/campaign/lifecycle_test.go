@@ -92,7 +92,7 @@ func TestRestoreLifecycleMapsRunningToPending(t *testing.T) {
 	if err := lc.To(StateRunning, ""); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreLifecycle(fakeClock(), lc.State(), lc.History())
+	restored, err := RestoreLifecycle(fakeClock(), lc.State(), lc.History(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRestoreLifecycleMapsRunningToPending(t *testing.T) {
 	if err := lc.To(StateCompleted, ""); err != nil {
 		t.Fatal(err)
 	}
-	restored, err = RestoreLifecycle(fakeClock(), lc.State(), lc.History())
+	restored, err = RestoreLifecycle(fakeClock(), lc.State(), lc.History(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRestoreLifecycleMapsRunningToPending(t *testing.T) {
 }
 
 func TestRestoreLifecycleRejectsGarbage(t *testing.T) {
-	if _, err := RestoreLifecycle(fakeClock(), State("bogus"), nil); err == nil {
+	if _, err := RestoreLifecycle(fakeClock(), State("bogus"), nil, false); err == nil {
 		t.Fatal("bogus state restored without error")
 	}
 }

@@ -230,9 +230,18 @@ func (r *Registry) load(id string) (*Campaign, error) {
 	}
 
 	var ps persistedState
-	switch err := readJSON(r.fs, c.statePath(), &ps); {
-	case err == nil:
-		lc, lerr := RestoreLifecycle(r.clock, ps.State, ps.Transitions)
+	serr := readJSON(r.fs, c.statePath(), &ps)
+	// The journal of a campaign that may not be terminal is validated below,
+	// and its existence tells a Pending campaign that was running when its
+	// process died from one that never started (RestoreLifecycle).
+	journaled := false
+	if serr != nil || !ps.State.Terminal() {
+		_, statErr := r.fs.Stat(c.journalPath())
+		journaled = statErr == nil
+	}
+	switch {
+	case serr == nil:
+		lc, lerr := RestoreLifecycle(r.clock, ps.State, ps.Transitions, journaled)
 		if lerr != nil {
 			c.lc = NewLifecycle(r.clock)
 			r.failLoaded(c, fmt.Sprintf("unreadable state.json: %v", lerr))
@@ -240,13 +249,13 @@ func (r *Registry) load(id string) (*Campaign, error) {
 		}
 		c.lc = lc
 		c.settledS = ps.SettledS
-	case errors.Is(err, os.ErrNotExist):
+	case errors.Is(serr, os.ErrNotExist):
 		// Crash between mkdir and the first state write: a fresh pending
 		// campaign.
 		c.lc = NewLifecycle(r.clock)
 	default:
 		c.lc = NewLifecycle(r.clock)
-		r.failLoaded(c, fmt.Sprintf("unreadable state.json: %v", err))
+		r.failLoaded(c, fmt.Sprintf("unreadable state.json: %v", serr))
 		return c, nil
 	}
 
@@ -254,19 +263,17 @@ func (r *Registry) load(id string) (*Campaign, error) {
 	// ErrCorrupt (untrustable header) and ErrFingerprint (journal from a
 	// differently-configured campaign) quarantine this one campaign; torn
 	// tails are not errors — journal.Open truncates and recovers them.
-	if !c.lc.State().Terminal() {
-		if _, statErr := r.fs.Stat(c.journalPath()); statErr == nil {
-			jr, jerr := journal.OpenFS(r.fs, c.journalPath(), c.Spec.Fingerprint)
-			switch {
-			case jerr == nil:
-				_ = jr.Close() // validation-only open; nothing was written
-			case errors.Is(jerr, journal.ErrCorrupt), errors.Is(jerr, journal.ErrFingerprint):
-				r.quarantineJournal(c, jerr)
-				return c, nil
-			default:
-				r.failLoaded(c, fmt.Sprintf("journal unreadable: %v", jerr))
-				return c, nil
-			}
+	if journaled && !c.lc.State().Terminal() {
+		jr, jerr := journal.OpenFS(r.fs, c.journalPath(), c.Spec.Fingerprint)
+		switch {
+		case jerr == nil:
+			_ = jr.Close() // validation-only open; nothing was written
+		case errors.Is(jerr, journal.ErrCorrupt), errors.Is(jerr, journal.ErrFingerprint):
+			r.quarantineJournal(c, jerr)
+			return c, nil
+		default:
+			r.failLoaded(c, fmt.Sprintf("journal unreadable: %v", jerr))
+			return c, nil
 		}
 	}
 
@@ -402,15 +409,12 @@ func (r *Registry) Submit(spec Spec) (*Campaign, error) {
 		r.evict(c)
 		return nil, fmt.Errorf("campaign: mkdir: %w", err)
 	}
+	// spec.json and the Pending state.json share one directory fsync.
+	if err := c.persistState(c.specFile()); err != nil {
+		r.evict(c)
+		return nil, err
+	}
 	r.syncDir(c.dir) // fsyncs the root, durably recording the new directory in it
-	if err := c.persistSpec(); err != nil {
-		r.evict(c)
-		return nil, err
-	}
-	if err := c.persistState(); err != nil {
-		r.evict(c)
-		return nil, err
-	}
 	if !r.opts.DisableAutostart {
 		r.start(c)
 	}
@@ -468,6 +472,9 @@ func (r *Registry) start(c *Campaign) {
 	c.cancel = cancel
 	c.intent = ""
 	c.mu.Unlock()
+	// Owning c.cancel, this runner is the only one that can move c out of
+	// Pending or Paused toward Running.
+	resumed := c.lc.State() == StatePaused
 	if err := c.lc.To(StateRunning, ""); err != nil {
 		c.mu.Lock()
 		c.cancel, c.intent = nil, ""
@@ -478,9 +485,14 @@ func (r *Registry) start(c *Campaign) {
 	}
 	r.wg.Add(1)
 	r.mu.Unlock()
-	// Persistence trouble is not fatal to the run: the journal still makes
-	// the campaign resumable, at worst from Pending.
-	_ = c.persistState()
+	// Running is advisory on disk, like live progress. Pending → Running
+	// writes nothing: load restores a Pending campaign whose journal exists
+	// as interrupted. Paused → Running must be written, or a crash would
+	// bring the resumed campaign back paused. Persistence trouble is not
+	// fatal to the run: the journal still makes the campaign resumable.
+	if resumed {
+		_ = c.persistState()
+	}
 	go func() {
 		defer r.wg.Done()
 		defer cancel()
@@ -505,9 +517,9 @@ func (r *Registry) run(ctx context.Context, c *Campaign) {
 				_ = c.persistState() // best-effort; journal already holds the episodes
 			}
 		default:
-			// Registry shutdown: no transition — the persisted Running
-			// state is exactly what makes the next Open resume this
-			// campaign.
+			// Registry shutdown: no transition. The persisted state is
+			// Pending (with a journal, or never started) or Running (after
+			// a resume from pause), and the next Open resumes either.
 		}
 	}
 
@@ -735,9 +747,10 @@ func (r *Registry) ResumeCampaign(id string) error {
 // every running campaign's context is cancelled (in-flight episodes abort
 // as ClassCanceled — never journaled, so at most unaccounted work is
 // re-measured on resume), and runner goroutines are drained; each runner's
-// Execute synced its journal before returning. Campaign state files keep
-// their Running state on disk, which is precisely what makes the next Open
-// resume them.
+// Execute synced its journal before returning. No state file is written:
+// on disk an interrupted campaign is still Pending (or Running after a
+// resume from pause), which is precisely what makes the next Open resume
+// it.
 func (r *Registry) Close() error {
 	r.mu.Lock()
 	if r.closed {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -144,7 +145,8 @@ func TestRegistryPauseResume(t *testing.T) {
 	spec.BudgetS = 400
 	golden := goldenCanonical(t, spec)
 
-	reg := openTestRegistry(t, t.TempDir(), Options{Slots: 1})
+	root := t.TempDir()
+	reg := openTestRegistry(t, root, Options{Slots: 1})
 	// Hold the only measurement slot: the campaign cannot complete before
 	// the pause lands.
 	if err := reg.Scheduler().Acquire(context.Background(), "holder", 1); err != nil {
@@ -162,6 +164,12 @@ func TestRegistryPauseResume(t *testing.T) {
 	reg.Scheduler().Release()
 	if err := reg.ResumeCampaign(c.ID); err != nil {
 		t.Fatal(err)
+	}
+	// Resuming from pause is written before ResumeCampaign returns: a
+	// Paused state.json would bring the campaign back paused after a crash.
+	var ps persistedState
+	if err := readJSON(nil, filepath.Join(root, c.ID, "state.json"), &ps); err != nil || ps.State == StatePaused {
+		t.Fatalf("state.json after resume: %v, %v", ps.State, err)
 	}
 	waitState(t, reg, c.ID, StateCompleted)
 	_, canonical, _ := c.Result()
@@ -481,5 +489,134 @@ func TestRegistrySubmitAfterCloseRefused(t *testing.T) {
 	}
 	if _, err := reg.Submit(testSpec("acme", 1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("got %v, want ErrClosed", err)
+	}
+}
+
+// TestRegistryRestartClassifiesOnDiskState opens a root holding one
+// campaign per pair of on-disk state.json and journal, all of one spec,
+// and checks how Open classifies each before anything runs. A Pending
+// campaign with a journal was running when its process died: the registry
+// does not write the Pending → Running transition. Every resumable
+// campaign then completes to the spec's uninterrupted result.
+func TestRegistryRestartClassifiesOnDiskState(t *testing.T) {
+	spec := testSpec("acme", 11)
+	spec.BudgetS = 40
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	// One uninterrupted run provides the golden result and the files the
+	// rows are built from; half its journal is a mid-run kill point, whose
+	// torn tail Open truncates.
+	goldRoot := t.TempDir()
+	gold := openTestRegistry(t, goldRoot, Options{Slots: 1})
+	gc, err := gold.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, gold, gc.ID, StateCompleted)
+	if err := gold.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, golden, _ := gc.Result()
+	read := func(name string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(goldRoot, gc.ID, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	goldSpec, goldJournal := read("spec.json"), read("journal.wal")
+	killed := goldJournal[:len(goldJournal)/2]
+
+	const interrupted = "interrupted by process death; queued for deterministic resume"
+	rows := []struct {
+		name    string
+		path    []State // transitions from Pending to the on-disk state
+		journal []byte  // nil: no journal.wal
+		state   State   // after Open
+		last    Transition
+	}{
+		{"pending-no-journal", nil, nil, StatePending, Transition{To: StatePending}},
+		{"pending-journal", nil, killed, StatePending, Transition{From: StateRunning, To: StatePending, Reason: interrupted}},
+		{"running-journal", []State{StateRunning}, killed, StatePending, Transition{From: StateRunning, To: StatePending, Reason: interrupted}},
+		{"paused-journal", []State{StateRunning, StatePaused}, killed, StatePaused, Transition{From: StateRunning, To: StatePaused}},
+		{"completed", nil, goldJournal, StateCompleted, Transition{From: StateRunning, To: StateCompleted}},
+	}
+	root := t.TempDir()
+	for i, row := range rows {
+		dir := filepath.Join(root, fmt.Sprintf("c%06d", i+1))
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{"spec.json": goldSpec, "journal.wal": row.journal}
+		if row.journal == nil {
+			// Never started: no fingerprint yet either.
+			c := &Campaign{Spec: spec, dir: dir}
+			if err := c.persistSpec(); err != nil {
+				t.Fatal(err)
+			}
+			delete(files, "spec.json")
+		}
+		if row.state == StateCompleted {
+			files["state.json"], files["result.json"] = read("state.json"), read("result.json")
+		} else {
+			c := &Campaign{dir: dir, lc: NewLifecycle(nil)}
+			for _, s := range row.path {
+				if err := c.lc.To(s, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.persistState(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, data := range files {
+			if data == nil {
+				continue
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	reg := openTestRegistry(t, root, Options{Slots: 2, DisableAutostart: true})
+	camps := make([]*Campaign, len(rows))
+	for i, row := range rows {
+		c, err := reg.Get(fmt.Sprintf("c%06d", i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		camps[i] = c
+		hist := c.Status().History
+		last := hist[len(hist)-1]
+		last.AtUnixNano = 0
+		if c.State() != row.state || last != row.last {
+			t.Errorf("%s: loaded as %s, last transition %+v; want %s, %+v", row.name, c.State(), last, row.state, row.last)
+		}
+	}
+	if _, canonical, ok := camps[4].Result(); !ok || canonical != golden {
+		t.Errorf("completed: result not restored (ok %v)", ok)
+	}
+	if t.Failed() {
+		return
+	}
+
+	reg.StartPending()
+	if err := reg.ResumeCampaign(camps[3].ID); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		c := camps[i]
+		waitState(t, reg, c.ID, StateCompleted)
+		st := c.Status()
+		if st.Canonical != golden {
+			t.Errorf("%s: canonical differs from the uninterrupted run:\n%s\n%s", row.name, st.Canonical, golden)
+		}
+		if row.journal != nil && row.state != StateCompleted && st.Replayed == 0 {
+			t.Errorf("%s: resumed without replaying its journal", row.name)
+		}
 	}
 }

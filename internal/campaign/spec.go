@@ -110,8 +110,9 @@ func (s *Spec) fixture() (*harness.Fixture, error) {
 }
 
 // persistedState is the state.json payload: the lifecycle position plus the
-// settled tenant spend, written atomically on every transition so a restart
-// reconstructs both the state machine and the ledger.
+// settled tenant spend, written atomically at submit, at pause, at resume
+// from pause and at the terminal state, so a restart reconstructs both the
+// state machine and the ledger.
 type persistedState struct {
 	State State `json:"state"`
 	// SettledS is the virtual spend settled against the tenant ledger when
@@ -120,53 +121,68 @@ type persistedState struct {
 	Transitions []Transition `json:"transitions"`
 }
 
-// writeFileAtomic writes data to path via the temp-file + rename + dir-sync
-// dance, so a kill -9 at any instant leaves either the old intact file or
-// the new intact file, never a torn hybrid. A directory-fsync failure after
-// the rename does not fail the write (the bytes are durable in the file);
-// it bumps dirSyncErrs (when non-nil) so the degradation is visible instead
-// of silently dropped.
-func writeFileAtomic(fsys vfs.FS, path string, data []byte, dirSyncErrs *atomic.Int64) error {
+// jsonFile is one file for writeFileAtomic: its path and the value it holds
+// as indented JSON.
+type jsonFile struct {
+	path string
+	v    any
+}
+
+// writeFileAtomic writes files, which share one directory, via the
+// temp-file + rename + dir-sync dance: every temp file is written and
+// fsynced, then each is renamed into place, then one directory fsync makes
+// all the renames durable. A kill -9 at any instant leaves each file either
+// old and intact or new and intact, never a torn hybrid. A directory-fsync
+// failure after the renames does not fail the write (the bytes are durable
+// in the files); it bumps dirSyncErrs (when non-nil) so the degradation is
+// visible instead of silently dropped.
+func writeFileAtomic(fsys vfs.FS, dirSyncErrs *atomic.Int64, files ...jsonFile) error {
 	fsys = vfs.Or(fsys) // nil-tolerant: hand-built campaigns default to the real fs
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("campaign: write %s: %w", filepath.Base(path), err)
+	data := make([][]byte, len(files))
+	for i, f := range files {
+		b, err := json.MarshalIndent(f.v, "", "  ")
+		if err != nil {
+			return fmt.Errorf("campaign: marshal %s: %w", filepath.Base(f.path), err)
+		}
+		data[i] = append(b, '\n')
 	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		// Leftover-tmp cleanup is best-effort everywhere in this helper: the
-		// next atomic write reopens it with O_TRUNC, and loads never read
-		// *.tmp names.
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("campaign: write %s: %w", filepath.Base(path), err)
+	// Leftover-tmp cleanup is best-effort everywhere in this helper: the
+	// next atomic write reopens a temp file with O_TRUNC, and loads never
+	// read *.tmp names.
+	removeTmps := func(files []jsonFile) {
+		for _, f := range files {
+			_ = fsys.Remove(f.path + ".tmp")
+		}
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("campaign: sync %s: %w", filepath.Base(path), err)
+	for i, f := range files {
+		fh, err := fsys.OpenFile(f.path+".tmp", os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+		if err != nil {
+			removeTmps(files[:i])
+			return fmt.Errorf("campaign: write %s: %w", filepath.Base(f.path), err)
+		}
+		op := "write"
+		_, err = fh.Write(data[i])
+		if err == nil {
+			op, err = "sync", fh.Sync()
+		}
+		if cerr := fh.Close(); err == nil && cerr != nil {
+			op, err = "close", cerr
+		}
+		if err != nil {
+			removeTmps(files[:i+1])
+			return fmt.Errorf("campaign: %s %s: %w", op, filepath.Base(f.path), err)
+		}
 	}
-	if err := f.Close(); err != nil {
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("campaign: close %s: %w", filepath.Base(path), err)
+	for i, f := range files {
+		if err := fsys.Rename(f.path+".tmp", f.path); err != nil {
+			removeTmps(files[i:])
+			return fmt.Errorf("campaign: rename %s: %w", filepath.Base(f.path), err)
+		}
 	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("campaign: rename %s: %w", filepath.Base(path), err)
-	}
-	if err := vfs.SyncDirOf(fsys, path); err != nil && dirSyncErrs != nil {
+	if err := vfs.SyncDirOf(fsys, files[0].path); err != nil && dirSyncErrs != nil {
 		dirSyncErrs.Add(1)
 	}
 	return nil
-}
-
-// writeJSONAtomic marshals v and writes it atomically to path.
-func writeJSONAtomic(fsys vfs.FS, path string, v any, dirSyncErrs *atomic.Int64) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return fmt.Errorf("campaign: marshal %s: %w", filepath.Base(path), err)
-	}
-	return writeFileAtomic(fsys, path, append(data, '\n'), dirSyncErrs)
 }
 
 // readJSON reads and unmarshals path into v.
