@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -66,8 +67,8 @@ func DefaultConfig() Config {
 		DatasetSize:          128,
 		NumMetricCollections: 4,
 		MaxGroupSize:         4,
-		IS:                   pmnf.DefaultI,
-		JS:                   pmnf.DefaultJ,
+		IS:                   slices.Clone(pmnf.DefaultI),
+		JS:                   slices.Clone(pmnf.DefaultJ),
 		Sampling:             sampling.DefaultConfig(),
 		GA:                   ga.DefaultOptions(),
 		Seed:                 1,
@@ -206,16 +207,22 @@ func TuneCtx(ctx context.Context, obj sim.Objective, ds *dataset.Dataset, cfg Co
 	}
 	rep.SelectedMetrics = selected
 
-	for _, sel := range selected {
-		col, err := ds.MetricColumn(sel.Name)
-		if err != nil {
+	cols := make([][]float64, len(selected))
+	for k, sel := range selected {
+		if cols[k], err = ds.MetricColumn(sel.Name); err != nil {
 			return nil, err
 		}
-		m, err := pmnf.Fit(ds, groups, col, cfg.IS, cfg.JS)
-		if err != nil {
-			return nil, fmt.Errorf("core: PMNF fit for %s: %w", sel.Name, err)
+	}
+	models, err := pmnf.Fit(ds, groups, cols, cfg.IS, cfg.JS)
+	if err != nil {
+		var te *pmnf.TargetError
+		if errors.As(err, &te) {
+			return nil, fmt.Errorf("core: PMNF fit for %s: %w", selected[te.Target].Name, te.Err)
 		}
-		rep.Models[sel.Name] = m
+		return nil, fmt.Errorf("core: PMNF fit: %w", err)
+	}
+	for k, sel := range selected {
+		rep.Models[sel.Name] = models[k]
 	}
 
 	// Note on the implicit-constraint prefilter: Config.Sampling.Prefilter

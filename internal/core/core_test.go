@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -169,5 +170,17 @@ func TestGroupOrderLargestFirst(t *testing.T) {
 	}
 	if len(rep.GroupOrder) != len(rep.Groups) {
 		t.Fatalf("group order covers %d of %d groups", len(rep.GroupOrder), len(rep.Groups))
+	}
+}
+
+// TestDefaultConfigExponentsAreCopies edits one default config's exponent
+// ranges and checks that the next default config, and with it pmnf.Fit's
+// fallback, still has the paper's ranges.
+func TestDefaultConfigExponentsAreCopies(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.IS[0], cfg.JS[0] = 7, 7
+	next := DefaultConfig()
+	if !slices.Equal(next.IS, []int{0, 1, 2}) || !slices.Equal(next.JS, []int{0, 1}) {
+		t.Fatalf("DefaultConfig after an edit: IS %v JS %v, want [0 1 2] [0 1]", next.IS, next.JS)
 	}
 }

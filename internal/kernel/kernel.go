@@ -109,7 +109,7 @@ func Build(sp *space.Space, s space.Setting, arch *gpu.Arch) (*Kernel, error) {
 		return nil, err
 	}
 	star := starArrays(st)
-	if err := k.estimateResources(star); err != nil {
+	if err := k.estimateResources(sp, star); err != nil {
 		return nil, err
 	}
 
@@ -118,7 +118,7 @@ func Build(sp *space.Space, s space.Setting, arch *gpu.Arch) (*Kernel, error) {
 		return nil, &resourceError{reason: occupancy, occ: err}
 	}
 	k.Occ = occ
-	k.estimateAccessPattern(star)
+	k.estimateAccessPattern(sp, star)
 
 	built := k
 	built.Setting = s.Clone()

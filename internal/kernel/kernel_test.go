@@ -223,13 +223,13 @@ func TestMergingReducesLoadsPerPoint(t *testing.T) {
 
 func TestUnionTaps(t *testing.T) {
 	st := stencil.J3D7PT() // order-1 star, 7 taps
-	if got := unionTaps(st, 1, 1, 1); got != 7 {
-		t.Fatalf("unionTaps(1,1,1) = %d, want 7", got)
+	if got := st.Footprint(1, 1, 1); got != 7 {
+		t.Fatalf("Footprint(1,1,1) = %d, want 7", got)
 	}
 	// Two adjacent x-points: centres 2, x-arm 2r+... union along x = 4,
 	// y-arms 2 per point = 4, z-arms 4 → 12.
-	if got := unionTaps(st, 2, 1, 1); got != 12 {
-		t.Fatalf("unionTaps(2,1,1) = %d, want 12", got)
+	if got := st.Footprint(2, 1, 1); got != 12 {
+		t.Fatalf("Footprint(2,1,1) = %d, want 12", got)
 	}
 }
 

@@ -3,6 +3,8 @@ package kernel
 import (
 	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/gpu"
@@ -10,7 +12,7 @@ import (
 	"repro/internal/stencil"
 )
 
-// mapUnionTaps is the set definition of unionTaps: one (array, x, y, z)
+// mapUnionTaps is the set definition of Stencil.Footprint: one (array, x, y, z)
 // entry per tap and cluster point, counted by a hash set. It is the oracle
 // the bitset arithmetic must match exactly.
 func mapUnionTaps(st *stencil.Stencil, ax, ay, az int) int {
@@ -126,11 +128,26 @@ func clusterShape(r *rand.Rand, maxPoints int) (int, int, int) {
 	return ext[0], ext[1], ext[2]
 }
 
+// TestUnionTapsMatchesSetDefinition checks Stencil.Footprint against the set
+// definition, and reads every cluster twice through a fresh space's memo:
+// the first read of a power-of-two cluster misses and fills its slot, the
+// second hits it. Other clusters, like the corners at 57, 60 and 65, are
+// counted directly both times.
 func TestUnionTapsMatchesSetDefinition(t *testing.T) {
 	check := func(st *stencil.Stencil, ax, ay, az int) {
 		t.Helper()
-		if got, want := unionTaps(st, ax, ay, az), mapUnionTaps(st, ax, ay, az); got != want {
-			t.Fatalf("%s: unionTaps(%d,%d,%d) = %d, set definition %d", st.Name, ax, ay, az, got, want)
+		want := mapUnionTaps(st, ax, ay, az)
+		if got := st.Footprint(ax, ay, az); got != want {
+			t.Fatalf("%s: Footprint(%d,%d,%d) = %d, set definition %d", st.Name, ax, ay, az, got, want)
+		}
+		sp, err := space.New(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, read := range []string{"first", "second"} {
+			if got := sp.Footprint(ax, ay, az); got != want {
+				t.Fatalf("%s: %s memo read of (%d,%d,%d) = %d, set definition %d", st.Name, read, ax, ay, az, got, want)
+			}
 		}
 	}
 	r := rand.New(rand.NewSource(7))
@@ -194,4 +211,62 @@ func TestBuildAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBuildConcurrentFootprintMemo builds the same random settings from
+// several goroutines on one space, which fill its footprint memo together,
+// and checks every outcome against a serial build on a fresh space.
+func TestBuildConcurrentFootprintMemo(t *testing.T) {
+	const goroutines = 4
+	arch := gpu.A100()
+	for si, st := range stencil.Suite() {
+		serial, err := space.New(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(500 + si)))
+		settings := make([]space.Setting, 200)
+		want := make([]string, len(settings))
+		for i := range settings {
+			settings[i] = serial.Random(rng)
+			want[i] = buildOutcome(serial, settings[i], arch)
+		}
+
+		shared, err := space.New(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([][]string, goroutines)
+		var wg sync.WaitGroup
+		for g := range goroutines {
+			got[g] = make([]string, len(settings))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := range settings {
+					i := (n + g*len(settings)/goroutines) % len(settings)
+					got[g][i] = buildOutcome(shared, settings[i], arch)
+				}
+			}()
+		}
+		wg.Wait()
+		for g := range got {
+			for i := range settings {
+				if got[g][i] != want[i] {
+					t.Fatalf("%s: goroutine %d built setting %d as\n%s\nserially\n%s", st.Name, g, i, got[g][i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// buildOutcome renders Build's kernel fields, or its error.
+func buildOutcome(sp *space.Space, s space.Setting, arch *gpu.Arch) string {
+	var b strings.Builder
+	k, err := Build(sp, s, arch)
+	if err != nil {
+		return "error " + err.Error()
+	}
+	writeKernelFields(&b, k)
+	return b.String()
 }

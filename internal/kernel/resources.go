@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"math"
-	"math/bits"
 
 	"repro/internal/space"
 	"repro/internal/stencil"
@@ -25,9 +24,9 @@ const (
 )
 
 // estimateResources fills RegsPerThread and SharedPerBlock and enforces the
-// implicit constraints (spill-free registers, shared memory capacity). star
-// is starArrays(k.Stencil).
-func (k *Kernel) estimateResources(star int) error {
+// implicit constraints (spill-free registers, shared memory capacity). sp is
+// the space of k.Stencil, and star is starArrays(k.Stencil).
+func (k *Kernel) estimateResources(sp *space.Space, star int) error {
 	st := k.Stencil
 	arch := k.Arch
 
@@ -43,7 +42,7 @@ func (k *Kernel) estimateResources(star int) error {
 		// handful of values in flight between smem loads and FMAs.
 		regs += regsPerFP64 * (st.Inputs + 2)
 	} else {
-		union := unionTaps(st, k.AdjX, k.AdjY, k.AdjZ)
+		union := sp.Footprint(k.AdjX, k.AdjY, k.AdjZ)
 		live := livenessDiscount * pow(float64(union), livenessExponent)
 		if k.Retiming && st.Order >= 2 {
 			live *= retimingDiscount
@@ -141,113 +140,10 @@ func starArrays(st *stencil.Stencil) int {
 	return n
 }
 
-// planeWords is the stack capacity, in 64-bit words, of unionTaps's
-// footprint bitset. Over random settings of the Table III stencils, at most
-// 1.3% of a stencil's arrays need more, and those go to the heap.
-const planeWords = 512
-
-// unionTaps returns the size of the union of tap footprints over a cluster
-// of ax × ay × az adjacent output points, across all input arrays. This is
-// exactly the set of distinct values a fully-unrolled thread must load, and
-// therefore the driver of both register pressure (no shared memory) and
-// intra-thread reuse.
-//
-// Arrays are counted one at a time in a bitset over the array's box of
-// tap offsets padded by the cluster: one row per (y, z) of the box, one bit
-// per x. Each tap ORs the run [dx, dx+ax) into the ay × az rows it reaches,
-// and the popcount of the rows is the array's footprint.
-func unionTaps(st *stencil.Stencil, ax, ay, az int) int {
-	var boxBuf [16]tapBox
-	boxes := boxBuf[:]
-	if st.Inputs > len(boxBuf) {
-		boxes = make([]tapBox, st.Inputs)
-	}
-	for i, t := range st.Taps {
-		boxes[t.Array].add(i, t)
-	}
-
-	var planeBuf [planeWords]uint64
-	buf := planeBuf[:]
-	total := 0
-	for a := range boxes {
-		b := &boxes[a]
-		if !b.used {
-			continue
-		}
-		words := (b.x1 - b.x0 + ax + 63) >> 6
-		h := b.y1 - b.y0 + ay
-		n := h * (b.z1 - b.z0 + az) * words
-		if n > len(buf) {
-			buf = make([]uint64, n)
-		}
-		plane := buf[:n]
-
-		// Consecutive taps on the same row whose runs touch are
-		// coalesced into one run before it is spread over the rows.
-		y, z, lo, hi := 0, 0, 0, 0
-		for _, t := range st.Taps[b.first : b.last+1] {
-			if t.Array != a {
-				continue
-			}
-			ty, tz, tlo := t.DY-b.y0, t.DZ-b.z0, t.DX-b.x0
-			if hi > lo && ty == y && tz == z && tlo <= hi && tlo+ax >= lo {
-				lo, hi = min(lo, tlo), max(hi, tlo+ax)
-				continue
-			}
-			orRun(plane, words, h, y, z, ay, az, lo, hi)
-			y, z, lo, hi = ty, tz, tlo, tlo+ax
-		}
-		orRun(plane, words, h, y, z, ay, az, lo, hi)
-
-		for i, v := range plane {
-			total += bits.OnesCount64(v)
-			plane[i] = 0
-		}
-	}
-	return total
-}
-
-// tapBox is the bounding box of one input array's tap offsets and the
-// span [first, last] of st.Taps that holds its taps.
-type tapBox struct {
-	x0, x1, y0, y1, z0, z1 int
-	first, last            int
-	used                   bool
-}
-
-func (b *tapBox) add(i int, t stencil.Tap) {
-	if !b.used {
-		*b = tapBox{t.DX, t.DX, t.DY, t.DY, t.DZ, t.DZ, i, i, true}
-		return
-	}
-	b.x0, b.x1 = min(b.x0, t.DX), max(b.x1, t.DX)
-	b.y0, b.y1 = min(b.y0, t.DY), max(b.y1, t.DY)
-	b.z0, b.z1 = min(b.z0, t.DZ), max(b.z1, t.DZ)
-	b.last = i
-}
-
-// orRun sets bits [lo, hi) in each of the ay × az rows starting at row
-// (y, z) of a plane with h rows per z and words words per row.
-func orRun(plane []uint64, words, h, y, z, ay, az, lo, hi int) {
-	for lo < hi {
-		w, bit := lo>>6, lo&63
-		n := min(hi-lo, 64-bit)
-		mask := ^uint64(0) >> (64 - n) << bit
-		for zz := z; zz < z+az; zz++ {
-			i := (zz*h+y)*words + w
-			for range ay {
-				plane[i] |= mask
-				i += words
-			}
-		}
-		lo += n
-	}
-}
-
 // estimateAccessPattern computes LoadsPerPoint (global load instructions per
-// output point after all reuse) and InstrPerPoint. starCount is
-// starArrays(k.Stencil).
-func (k *Kernel) estimateAccessPattern(starCount int) {
+// output point after all reuse) and InstrPerPoint. sp is the space of
+// k.Stencil, and starCount is starArrays(k.Stencil).
+func (k *Kernel) estimateAccessPattern(sp *space.Space, starCount int) {
 	st := k.Stencil
 
 	loads := 0.0
@@ -294,12 +190,12 @@ func (k *Kernel) estimateAccessPattern(starCount int) {
 			case 3:
 				az *= window
 			}
-			u := unionTaps(st, ax, ay, az)
+			u := sp.Footprint(ax, ay, az)
 			vol := float64(ax * ay * az)
 			loads += (float64(u) - float64(centerArrays)*vol) / vol
 		default:
 			// Register-only reuse within the adjacent cluster.
-			u := unionTaps(st, k.AdjX, k.AdjY, k.AdjZ)
+			u := sp.Footprint(k.AdjX, k.AdjY, k.AdjZ)
 			adj := float64(k.AdjX * k.AdjY * k.AdjZ)
 			loads += (float64(u) - float64(centerArrays)*adj) / adj
 		}

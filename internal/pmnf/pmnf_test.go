@@ -1,6 +1,7 @@
 package pmnf
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -106,10 +107,11 @@ func TestFitRecoversSyntheticFunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, exp := range []struct{ i, j int }{{1, 0}, {2, 0}, {1, 1}, {0, 1}} {
 		ds, target := synthDataset(t, groups, exp.i, exp.j, rng)
-		m, err := Fit(ds, groups, target, nil, nil)
+		ms, err := Fit(ds, groups, [][]float64{target}, nil, nil)
 		if err != nil {
 			t.Fatalf("(i=%d,j=%d): %v", exp.i, exp.j, err)
 		}
+		m := ms[0]
 		if m.I != exp.i || m.J != exp.j {
 			t.Errorf("recovered (i=%d,j=%d), want (%d,%d); RSE=%g", m.I, m.J, exp.i, exp.j, m.RSE)
 		}
@@ -123,10 +125,11 @@ func TestPredictMatchesTraining(t *testing.T) {
 	groups := [][]int{{space.TBX}, {space.UFY, space.BMY}}
 	rng := rand.New(rand.NewSource(13))
 	ds, target := synthDataset(t, groups, 1, 1, rng)
-	m, err := Fit(ds, groups, target, nil, nil)
+	ms, err := Fit(ds, groups, [][]float64{target}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := ms[0]
 	for k := 0; k < 10; k++ {
 		got := m.Predict(ds.Samples[k].Setting)
 		if math.Abs(got-target[k]) > 1e-6*(1+math.Abs(target[k])) {
@@ -190,10 +193,11 @@ func TestPredictAllocs(t *testing.T) {
 	groups := [][]int{{space.TBX, space.TBY}, {space.UFX}, {space.UseShared}}
 	rng := rand.New(rand.NewSource(3))
 	ds, target := synthDataset(t, groups, 2, 1, rng)
-	m, err := Fit(ds, groups, target, nil, nil)
+	ms, err := Fit(ds, groups, [][]float64{target}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := ms[0]
 	s := ds.Samples[0].Setting
 	if n := testing.AllocsPerRun(100, func() { _ = m.Predict(s) }); n != 0 {
 		t.Fatalf("Predict allocates %v times per call, want 0", n)
@@ -226,10 +230,11 @@ func TestFitOnSimulatorMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Fit(ds, groups, col, nil, nil)
+	ms, err := Fit(ds, groups, [][]float64{col}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := ms[0]
 	// Constant-predictor RSE = stddev-ish; the fit must improve on it.
 	mean := 0.0
 	for _, v := range col {
@@ -249,13 +254,28 @@ func TestFitOnSimulatorMetrics(t *testing.T) {
 func TestFitErrors(t *testing.T) {
 	sp, _ := space.New(stencil.J3D7PT())
 	ds := &dataset.Dataset{}
-	if _, err := Fit(ds, [][]int{{0}}, nil, nil, nil); err == nil {
+	if _, err := Fit(ds, [][]int{{0}}, [][]float64{nil}, nil, nil); err == nil {
 		t.Fatal("empty dataset should error")
 	}
 	rng := rand.New(rand.NewSource(1))
 	ds.Samples = append(ds.Samples, dataset.Sample{Setting: sp.Random(rng), TimeMS: 1})
-	if _, err := Fit(ds, [][]int{{0}}, []float64{1, 2}, nil, nil); err == nil {
+	if _, err := Fit(ds, [][]int{{0}}, [][]float64{{1, 2}}, nil, nil); err == nil {
 		t.Fatal("target length mismatch should error")
+	}
+	if _, err := Fit(ds, [][]int{{0}}, nil, nil, nil); err == nil {
+		t.Fatal("no targets should error")
+	}
+
+	// A target no candidate fits is named by its index; a fittable target
+	// before it does not hide it.
+	groups := [][]int{{space.TBX, space.TBY}, {space.UFX}}
+	ds, target := synthDataset(t, groups, 1, 0, rng)
+	bad := append([]float64(nil), target...)
+	bad[3] = math.NaN()
+	_, err := Fit(ds, groups, [][]float64{target, bad}, nil, nil)
+	var te *TargetError
+	if !errors.As(err, &te) || te.Target != 1 {
+		t.Fatalf("Fit with a NaN second target: %v, want a TargetError for target 1", err)
 	}
 }
 
@@ -266,6 +286,9 @@ func TestModelString(t *testing.T) {
 	}
 }
 
+// BenchmarkFit fits cheby/a100 models on a 128-sample dataset: kernel time
+// over three groups, and the metrics metrics.Select picks over the grouping
+// stage's groups, the fit a tune makes.
 func BenchmarkFit(b *testing.B) {
 	sp, err := space.New(stencil.Cheby())
 	if err != nil {
@@ -276,17 +299,29 @@ func BenchmarkFit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	groups := [][]int{
-		{space.TBX, space.TBY}, {space.UFX, space.BMX}, {space.UseShared, space.UseStreaming},
-	}
-	times := ds.Times()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fit(ds, groups, times, nil, nil); err != nil {
-			b.Fatal(err)
+	b.Run("time", func(b *testing.B) {
+		groups := [][]int{
+			{space.TBX, space.TBY}, {space.UFX, space.BMX}, {space.UseShared, space.UseStreaming},
 		}
-	}
+		targets := [][]float64{ds.Times()}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Fit(ds, groups, targets, nil, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("selected", func(b *testing.B) {
+		groups, sel := groupsAndSelected(b, ds, sp)
+		targets := metricColumns(b, ds, sel)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := Fit(ds, groups, targets, nil, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestLog2p1MatchesLog2 pins the lookup table, and the fallback past its

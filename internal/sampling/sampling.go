@@ -72,50 +72,23 @@ func Build(ds *dataset.Dataset, sp *space.Space, groups [][]int,
 		return nil, errors.New("sampling: no selected metrics")
 	}
 	for _, sel := range selected {
-		if models[sel.Name] == nil {
+		m := models[sel.Name]
+		if m == nil {
 			return nil, fmt.Errorf("sampling: no model for metric %q", sel.Name)
 		}
+		if !slices.EqualFunc(m.Groups, groups, slices.Equal[[]int]) {
+			return nil, fmt.Errorf("sampling: model for metric %q was fitted over other groups", sel.Name)
+		}
 	}
 
-	// Candidate pool: the measured dataset settings plus fresh random
-	// valid settings, deduplicated. A candidate is looked up by its Hash and
-	// told apart from colliding entries by Equal, so none renders a key:
-	// head maps a hash to 1 + the last pool index with that hash, and
-	// prev[i] links pool index i to the one before it (0 ends the chain).
-	size := cfg.PoolSize + len(ds.Samples)
-	pool := make([]space.Setting, 0, size)
-	head := make(map[uint64]int, size)
-	prev := make([]int, 0, size)
-	add := func(s space.Setting) {
-		h := s.Hash()
-		for i := head[h]; i > 0; i = prev[i-1] {
-			if pool[i-1].Equal(s) {
-				return
-			}
-		}
-		prev = append(prev, head[h])
-		head[h] = len(pool) + 1
-		pool = append(pool, s)
-	}
-	for _, s := range ds.Samples {
-		add(s.Setting) // measured settings passed every constraint already
-	}
-	for tries := 0; len(pool) < size && tries < 50*cfg.PoolSize; tries++ {
-		cand := sp.Random(rng)
-		if cfg.Prefilter != nil && !cfg.Prefilter(cand) {
-			continue
-		}
-		add(cand)
-	}
+	pool := candidates(ds, sp, rng, cfg)
 
 	// Score: z-scored model predictions, signed by time correlation.
+	indexed := pmnf.NewPool(sp, groups, pool)
 	score := make([]float64, len(pool))
 	preds := make([]float64, len(pool))
 	for _, sel := range selected {
-		m := models[sel.Name]
-		for i, s := range pool {
-			preds[i] = m.Predict(s)
-		}
+		indexed.Predict(models[sel.Name], preds)
 		mu, _ := stats.Mean(preds)
 		sd, _ := stats.StdDev(preds)
 		if sd == 0 {
@@ -144,6 +117,41 @@ func Build(ds *dataset.Dataset, sp *space.Space, groups [][]int,
 	}
 	out.reindex()
 	return out, nil
+}
+
+// candidates returns the pool Build scores: the measured dataset settings
+// plus fresh random valid settings, deduplicated. A candidate is looked up
+// by its Hash and told apart from colliding entries by Equal, so none
+// renders a key: head maps a hash to 1 + the last pool index with that
+// hash, and prev[i] links pool index i to the one before it (0 ends the
+// chain).
+func candidates(ds *dataset.Dataset, sp *space.Space, rng space.RNG, cfg Config) []space.Setting {
+	size := cfg.PoolSize + len(ds.Samples)
+	pool := make([]space.Setting, 0, size)
+	head := make(map[uint64]int, size)
+	prev := make([]int, 0, size)
+	add := func(s space.Setting) {
+		h := s.Hash()
+		for i := head[h]; i > 0; i = prev[i-1] {
+			if pool[i-1].Equal(s) {
+				return
+			}
+		}
+		prev = append(prev, head[h])
+		head[h] = len(pool) + 1
+		pool = append(pool, s)
+	}
+	for _, s := range ds.Samples {
+		add(s.Setting) // measured settings passed every constraint already
+	}
+	for tries := 0; len(pool) < size && tries < 50*cfg.PoolSize; tries++ {
+		cand := sp.Random(rng)
+		if cfg.Prefilter != nil && !cfg.Prefilter(cand) {
+			continue
+		}
+		add(cand)
+	}
+	return pool
 }
 
 // ranked is one pool candidate's combined score and pool index.

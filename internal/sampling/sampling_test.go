@@ -17,42 +17,52 @@ import (
 )
 
 // pipelineTo builds everything sampling needs from a real simulated dataset.
-func pipelineTo(t *testing.T) (*dataset.Dataset, *space.Space, [][]int, []metrics.Selected, map[string]*pmnf.Model, *sim.Simulator) {
-	t.Helper()
+func pipelineTo(tb testing.TB) (*dataset.Dataset, *space.Space, [][]int, []metrics.Selected, map[string]*pmnf.Model, *sim.Simulator) {
+	tb.Helper()
 	sp, err := space.New(stencil.Helmholtz())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
 	ds, err := dataset.Collect(s, rand.New(rand.NewSource(41)), 96, 0)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	groups, sel, models := fitModels(tb, ds, sp)
+	return ds, sp, groups, sel, models, s
+}
+
+// fitModels runs the grouping, metric-selection and fitting stages of a
+// tune on the dataset.
+func fitModels(tb testing.TB, ds *dataset.Dataset, sp *space.Space) ([][]int, []metrics.Selected, map[string]*pmnf.Model) {
+	tb.Helper()
 	groups := grouping.Groups(grouping.PairCVs(ds, sp), 4)
 	if err := grouping.Validate(groups); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	pairs, err := metrics.PairPCCs(ds, sim.MetricNames())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	sel, err := metrics.Select(ds, metrics.Combine(pairs, 4))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
+	}
+	cols := make([][]float64, len(sel))
+	for k, m := range sel {
+		if cols[k], err = ds.MetricColumn(m.Name); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	fits, err := pmnf.Fit(ds, groups, cols, nil, nil)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	models := map[string]*pmnf.Model{}
-	for _, m := range sel {
-		col, err := ds.MetricColumn(m.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fit, err := pmnf.Fit(ds, groups, col, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		models[m.Name] = fit
+	for k, m := range sel {
+		models[m.Name] = fits[k]
 	}
-	return ds, sp, groups, sel, models, s
+	return groups, sel, models
 }
 
 func TestBuildRespectsRatio(t *testing.T) {
@@ -123,6 +133,9 @@ func TestBuildArgumentValidation(t *testing.T) {
 	}
 	if _, err := Build(ds, sp, groups, sel, map[string]*pmnf.Model{}, rng, Config{Ratio: 0.1}); err == nil {
 		t.Fatal("missing model should error")
+	}
+	if _, err := Build(ds, sp, groups[1:], sel, models, rng, Config{Ratio: 0.1}); err == nil {
+		t.Fatal("models fitted over other groups should error")
 	}
 }
 
@@ -301,6 +314,61 @@ func TestRankMatchesSliceStable(t *testing.T) {
 					t.Fatalf("n=%d rep %d: rank position %d holds %d, sort.SliceStable %d", n, rep, i, r.index, want[i])
 				}
 			}
+		}
+	}
+}
+
+// TestPoolScoringMatchesPredict scores the real candidate pools of tunes of
+// every Table III stencil on the A100 and the V100 at seeds 1 and 2 and
+// checks every candidate's prediction against Model.Predict, bit for bit.
+// One extra candidate holds a value Param.Index cannot place, which forces
+// its groups onto setting-by-setting scoring.
+func TestPoolScoringMatchesPredict(t *testing.T) {
+	for _, arch := range []*gpu.Arch{gpu.A100(), gpu.V100()} {
+		for _, st := range stencil.Suite() {
+			for seed := int64(1); seed <= 2; seed++ {
+				sp, err := space.New(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(seed))
+				ds, err := dataset.Collect(sim.New(sp, arch), rng, 64, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				groups, sel, models := fitModels(t, ds, sp)
+				pool := candidates(ds, sp, rng, DefaultConfig())
+				odd := pool[0].Clone()
+				odd[space.TBX] = 3
+				for _, settings := range [][]space.Setting{pool, append(pool[:len(pool):len(pool)], odd)} {
+					indexed := pmnf.NewPool(sp, groups, settings)
+					preds := make([]float64, len(settings))
+					for _, m := range sel {
+						model := models[m.Name]
+						indexed.Predict(model, preds)
+						for i, s := range settings {
+							if want := model.Predict(s); math.Float64bits(preds[i]) != math.Float64bits(want) {
+								t.Fatalf("%s/%s seed %d, %s, candidate %d of %d: pool %v, Predict %v",
+									st.Name, arch.Name, seed, m.Name, i, len(settings), preds[i], want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkBuild samples the helmholtz/a100 fixture's space at the default
+// ratio and pool size.
+func BenchmarkBuild(b *testing.B) {
+	ds, sp, groups, sel, models, _ := pipelineTo(b)
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(ds, sp, groups, sel, models, rand.New(rand.NewSource(5)), cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -225,6 +225,8 @@ type Space struct {
 	CustomValidate func(Setting) error
 	CustomRepair   func(Setting, RNG)
 	CustomDefault  func() Setting
+
+	footprints *footprints // New's memo of Stencil.Footprint
 }
 
 // N returns the number of parameters in this space.
@@ -332,7 +334,7 @@ func New(st *stencil.Stencil) (*Space, error) {
 	for i := UFX; i <= BMZ; i++ {
 		params[i].Biased = true
 	}
-	return &Space{Stencil: st, Params: params, MaxThreadsPerBlock: 1024}, nil
+	return &Space{Stencil: st, Params: params, MaxThreadsPerBlock: 1024, footprints: new(footprints)}, nil
 }
 
 func minInt(a, b int) int {
