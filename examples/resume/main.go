@@ -9,7 +9,9 @@
 // the two are equivalent), then calls ResumeTune
 // again with the same arguments. The resumed run replays every journaled
 // episode without touching the simulator and finishes with a report
-// identical to an uninterrupted run's.
+// identical to an uninterrupted run's. Deadlines are scaled to the
+// uninterrupted run's wall time, so the run is cut on fast and slow
+// machines alike; the demo exits non-zero if it never was.
 //
 //	go run ./examples/resume
 package main
@@ -46,23 +48,37 @@ func main() {
 	defer func() { _ = os.RemoveAll(dir) }()
 
 	// Reference: one uninterrupted run.
+	start := time.Now()
 	golden, err := session.ResumeTune(context.Background(),
 		filepath.Join(dir, "golden.wal"), cfg, budgetS)
 	if err != nil {
 		log.Fatal(err)
 	}
+	wall := time.Since(start)
 	fmt.Printf("uninterrupted: best %.4f ms after %d evaluations\n",
 		golden.BestMS, golden.Engine.Evaluations)
 
-	// The same campaign, crashed over and over until it gets through.
+	// The same campaign, crashed over and over until it gets through. The
+	// first cut lands an eighth of the way into the run; each restart
+	// allows a little more, so the loop always makes progress.
 	journal := filepath.Join(dir, "campaign.wal")
 	crashes := 0
-	deadline := 20 * time.Millisecond
+	deadline := wall / 8
+	step := wall/16 + time.Millisecond
 	var rep *cstuner.Report
 	for {
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
 		rep, err = session.ResumeTune(ctx, journal, cfg, budgetS)
 		cancel()
+		if err == nil && crashes == 0 && deadline > time.Millisecond {
+			// Finished before any cut: nothing was resumed. Start over
+			// from an empty journal with a tighter deadline.
+			if err := os.Remove(journal); err != nil {
+				log.Fatal(err)
+			}
+			deadline /= 2
+			continue
+		}
 		if err == nil {
 			break
 		}
@@ -71,7 +87,10 @@ func main() {
 		}
 		crashes++
 		fmt.Printf("  crash %d: killed mid-run, journal holds the progress\n", crashes)
-		deadline += 10 * time.Millisecond
+		deadline += step
+	}
+	if crashes == 0 {
+		log.Fatal("every attempt finished before its deadline; nothing was resumed")
 	}
 	fmt.Printf("after %d crashes:  best %.4f ms after %d evaluations\n",
 		crashes, rep.BestMS, rep.Engine.Evaluations)

@@ -21,10 +21,6 @@ type LedgerSnapshot struct {
 	SpentS    float64 `json:"spent_s"`
 }
 
-// RemainingS returns the admittable headroom (meaningless for unmetered
-// tenants).
-func (s LedgerSnapshot) RemainingS() float64 { return s.BudgetS - s.ReservedS - s.SpentS }
-
 type tenantAcct struct {
 	budgetS   float64
 	hasBudget bool

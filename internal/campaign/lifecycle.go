@@ -163,15 +163,3 @@ func (l *Lifecycle) History() []Transition {
 	defer l.mu.Unlock()
 	return append([]Transition(nil), l.hist...)
 }
-
-// EnteredAt returns the stamp of the most recent entry into state s.
-func (l *Lifecycle) EnteredAt(s State) (time.Time, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := len(l.hist) - 1; i >= 0; i-- {
-		if l.hist[i].To == s {
-			return time.Unix(0, l.hist[i].AtUnixNano), true
-		}
-	}
-	return time.Time{}, false
-}

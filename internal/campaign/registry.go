@@ -506,7 +506,6 @@ func (r *Registry) run(ctx context.Context, c *Campaign) {
 	finishInterrupt := func() {
 		c.mu.Lock()
 		intent := c.intent
-		c.intent = ""
 		c.cancel, c.intent = nil, ""
 		c.mu.Unlock()
 		switch intent {

@@ -81,14 +81,11 @@ type Stats struct {
 	// was already spent.
 	BudgetTrips int
 	// Transient counts transient measurement errors observed from the
-	// objective (injected faults, flaky timers, per-measurement timeouts).
+	// objective (injected faults, flaky timers).
 	Transient int
 	// Retries counts re-attempts after transient failures (attempts beyond
 	// the first, across all measurement episodes).
 	Retries int
-	// Timeouts counts single attempts that exceeded the per-measurement
-	// deadline (a subset of Transient).
-	Timeouts int
 	// Quarantined counts settings the engine has permanently given up on.
 	Quarantined int
 	// QuarantineSkips counts measurements refused because the setting was
@@ -146,11 +143,6 @@ func WithRetry(p RetryPolicy) Option { return func(e *Engine) { e.retry = p } }
 // schedules are a pure function of seed, setting key and attempt number).
 func WithSeed(seed uint64) Option { return func(e *Engine) { e.seed = seed } }
 
-// WithMeasureTimeout bounds every single measurement attempt by a wall-clock
-// deadline; a timed-out attempt is classified transient and retried. 0 (the
-// default) disables the watchdog.
-func WithMeasureTimeout(d time.Duration) Option { return func(e *Engine) { e.measureTimeout = d } }
-
 // WithQuarantine quarantines a setting after n definitively-failed
 // measurement episodes (permanent errors or exhausted retries); n <= 0
 // disables quarantine. Defaults to DefaultQuarantineAfter.
@@ -164,16 +156,15 @@ const DefaultQuarantineAfter = 3
 // Engine implements sim.Objective over an inner objective. It is safe for
 // concurrent use: csTuner's GA measures from several goroutines.
 type Engine struct {
-	obj            sim.Objective
-	cost           CostModel
-	budgetS        float64
-	retry          RetryPolicy
-	seed           uint64
-	measureTimeout time.Duration
-	quarAfter      int
-	repeats        int
-	jr             *journal.Journal
-	clock          Clock
+	obj       sim.Objective
+	cost      CostModel
+	budgetS   float64
+	retry     RetryPolicy
+	seed      uint64
+	quarAfter int
+	repeats   int
+	jr        *journal.Journal
+	clock     Clock
 
 	// cache is the memo store (cache.go): hits are lock-free reads of
 	// atomically-published immutable entries and never touch mu. The hit
@@ -335,15 +326,6 @@ func (e *Engine) SpentS() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.spentS
-}
-
-// ChargeS adds out-of-band cost (e.g. csTuner's real pre-processing time)
-// to the virtual clock.
-func (e *Engine) ChargeS(s float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.spentS += s
-	e.stats.SpentS = e.spentS
 }
 
 // Evals returns the number of successful measurements.

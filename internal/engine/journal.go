@@ -179,7 +179,6 @@ func episodeFromRecord(r journal.Episode) episode {
 		attempts:  r.Attempts,
 		calls:     r.Calls,
 		transient: r.Transient,
-		timeouts:  r.Timeouts,
 		backoffS:  r.BackoffS,
 		replayed:  true,
 	}
@@ -207,7 +206,6 @@ func recordFromEpisode(key string, ep episode, costS float64) journal.Episode {
 		Attempts:  ep.attempts,
 		Calls:     ep.calls,
 		Transient: ep.transient,
-		Timeouts:  ep.timeouts,
 		BackoffS:  ep.backoffS,
 		CostS:     costS,
 	}

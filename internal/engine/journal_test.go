@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/journal"
 	"repro/internal/space"
 )
@@ -195,6 +197,55 @@ func TestJournalCanceledEpisodesAreNotJournaled(t *testing.T) {
 	defer j2.Close()
 	if n := len(j2.Recovered()); n != 1 {
 		t.Fatalf("journal holds %d episodes, want 1 (cancelled episode must not be recorded)", n)
+	}
+}
+
+// TestJournalReplaysRecordWithRetiredTimeoutsField: episode records written
+// while the engine had a per-measurement deadline carry a "timeouts" count.
+// A journal holding one still opens, and the episode replays through the
+// normal accounting path without reaching the objective.
+func TestJournalReplaysRecordWithRetiredTimeoutsField(t *testing.T) {
+	obj := newFake(t)
+	sp := obj.Space()
+	s := variant(sp, 2, 4) // fakeObj time 2.04 ms
+	const ms, backoffS = 2.04, 0.5
+	cost := DefaultCostModel()
+	costS := backoffS + (cost.CompileS + float64(cost.Reps)*ms/1000) // accountEpisode's order
+	var buf bytes.Buffer
+	for _, fr := range []any{
+		map[string]any{"t": "hdr", "hdr": journal.Header{Magic: journal.Magic, Version: journal.Version, Fingerprint: "fp"}},
+		map[string]any{"t": "ep", "ep": map[string]any{
+			"key": s.Key(), "class": journal.ClassOK, "ms": ms, "ms_sum": ms,
+			"attempts": 2, "calls": 2, "transient": 1, "timeouts": 1, "backoff_s": backoffS, "cost_s": costS,
+		}},
+	} {
+		if err := frame.Write(&buf, fr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "engine.wal")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := journal.Open(path, "fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	eng := New(obj, WithJournal(j))
+	if n := eng.ReplayPending(); n != 1 {
+		t.Fatalf("ReplayPending = %d, want 1", n)
+	}
+	if got, err := eng.Measure(s); err != nil || got != ms {
+		t.Fatalf("Measure = %v/%v, want %v replayed", got, err, ms)
+	}
+	if n := obj.callCount(s); n != 0 {
+		t.Fatalf("replayed episode reached the objective %d times", n)
+	}
+	st := eng.Stats()
+	if eng.Replayed() != 1 || st.Evaluations != 1 || st.Transient != 1 || st.Retries != 1 || st.SpentS != costS {
+		t.Fatalf("replayed %d, stats %+v; want 1 replayed evaluation with 1 transient, 1 retry, SpentS %v",
+			eng.Replayed(), st, costS)
 	}
 }
 

@@ -15,12 +15,6 @@ import (
 // handed to the objective again for the lifetime of this engine.
 var ErrQuarantined = errors.New("engine: setting quarantined after repeated failures")
 
-// ErrTimeout is returned when a single measurement exceeded the engine's
-// per-measurement deadline (WithMeasureTimeout). It is classified transient:
-// a timeout on a real testbed is usually a hung compile or a wedged device,
-// and a retry frequently succeeds.
-var ErrTimeout = errors.New("engine: measurement deadline exceeded")
-
 // TransientError is the marker interface objectives (and fault injectors)
 // use to flag an error as retryable. Errors without the marker are treated
 // as permanent — the historical behaviour, under which an invalid setting
@@ -55,8 +49,7 @@ const (
 	// toward quarantine, never retried.
 	ClassPermanent Class = iota
 	// ClassTransient: the measurement failed but the setting may be fine
-	// (injected fault, flaky timer, per-measurement timeout). Retried with
-	// backoff, never cached.
+	// (injected fault, flaky timer). Retried with backoff, never cached.
 	ClassTransient
 	// ClassBudget: the virtual evaluation budget is exhausted (sim.ErrBudget
 	// from this or a stacked engine). Never retried, never cached, never
@@ -89,8 +82,6 @@ func Classify(err error) Class {
 		return ClassBudget
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return ClassCanceled
-	case errors.Is(err, ErrTimeout):
-		return ClassTransient
 	}
 	var te TransientError
 	if errors.As(err, &te) && te.Transient() {
@@ -123,9 +114,11 @@ func DefaultRetryPolicy() RetryPolicy {
 }
 
 // CtxObjective is the optional context-aware measurement surface. Objectives
-// that implement it (e.g. the fault injector's simulated hangs) observe the
-// engine's per-measurement deadline and the run context directly; plain
-// objectives are bounded by a watchdog goroutine instead.
+// that implement it (the campaign gate's slot wait, the fault injector's slow
+// calls) observe the run context while they measure. A plain objective's
+// Measure runs to completion and its outcome is accounted like any other;
+// the engine checks the run context before every episode. Both run on the
+// caller's goroutine.
 type CtxObjective interface {
 	MeasureCtx(ctx context.Context, s space.Setting) (float64, error)
 }
@@ -142,7 +135,6 @@ type episode struct {
 	attempts  int
 	calls     int // objective invocations (attempts × repeats on success)
 	transient int
-	timeouts  int
 	backoffS  float64
 	replayed  bool // served from the campaign journal, not the objective
 	fromStore bool // served from the cross-campaign result store
@@ -182,9 +174,6 @@ func (e *Engine) measureEpisode(ctx context.Context, s space.Setting, key string
 		switch Classify(err) {
 		case ClassTransient:
 			ep.transient++
-			if errors.Is(err, ErrTimeout) {
-				ep.timeouts++
-			}
 			if ep.attempts >= max {
 				return ep
 			}
@@ -229,58 +218,14 @@ func (e *Engine) measureAttempt(ctx context.Context, s space.Setting) (ms, msSum
 	return ms, msSum, calls, nil
 }
 
-// measureOnce performs a single attempt, bounded by the per-measurement
-// deadline when one is configured. A deadline that fires while the run
-// context is still live is reported as the transient ErrTimeout; run-level
-// cancellation surfaces as the context's own error.
+// measureOnce performs a single objective call on the caller's goroutine: a
+// CtxObjective sees the run context, any other objective runs Measure to
+// completion and its outcome stands.
 func (e *Engine) measureOnce(ctx context.Context, s space.Setting) (float64, error) {
-	mctx := ctx
-	if e.measureTimeout > 0 {
-		var cancel context.CancelFunc
-		mctx, cancel = context.WithTimeout(ctx, e.measureTimeout)
-		defer cancel()
-	}
-	var ms float64
-	var err error
 	if co, ok := e.obj.(CtxObjective); ok {
-		ms, err = co.MeasureCtx(mctx, s)
-	} else if mctx.Done() == nil {
-		// No deadline and an uncancellable context: the historical direct
-		// call, with zero per-measurement overhead.
-		return e.obj.Measure(s)
-	} else {
-		type outcome struct {
-			ms  float64
-			err error
-		}
-		ch := make(chan outcome, 1)
-		go func() {
-			m, er := e.obj.Measure(s)
-			ch <- outcome{ms: m, err: er}
-		}()
-		select {
-		case o := <-ch:
-			ms, err = o.ms, o.err
-			if cerr := mctx.Err(); cerr != nil {
-				// The context has ended by the time the result is read:
-				// report the end, as the Done case does. A cancellation
-				// that happens before the measurement returns is then
-				// always accounted as one, whichever ready case the select
-				// picked.
-				ms, err = 0, cerr
-			}
-		case <-mctx.Done():
-			// The measurement goroutine is abandoned; its late result is
-			// discarded via the buffered channel. Simulated objectives are
-			// cheap, so the leak window is short.
-			ms, err = 0, mctx.Err()
-		}
+		return co.MeasureCtx(ctx, s)
 	}
-	if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-		// The per-measurement deadline fired, not the run context.
-		return 0, ErrTimeout
-	}
-	return ms, err
+	return e.obj.Measure(s)
 }
 
 // backoffFor returns the virtual backoff charged before retry number
@@ -401,7 +346,6 @@ func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float6
 	}
 	e.stats.Retries += ep.attempts - 1
 	e.stats.Transient += ep.transient
-	e.stats.Timeouts += ep.timeouts
 	e.spentS += ep.backoffS
 	if ep.err != nil {
 		switch Classify(ep.err) {

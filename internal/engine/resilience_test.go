@@ -5,9 +5,11 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/space"
 	"repro/internal/stencil"
 )
@@ -21,7 +23,7 @@ type flakyObj struct {
 
 	mu       sync.Mutex
 	attempts map[string]int
-	block    chan struct{} // when non-nil, Measure blocks on it
+	block    chan struct{} // when non-nil, MeasureCtx blocks on it or ctx
 }
 
 func newFlaky(t testing.TB, failN int, failErr error) *flakyObj {
@@ -36,13 +38,23 @@ func newFlaky(t testing.TB, failN int, failErr error) *flakyObj {
 func (f *flakyObj) Space() *space.Space { return f.sp }
 
 func (f *flakyObj) Measure(s space.Setting) (float64, error) {
+	return f.MeasureCtx(context.Background(), s)
+}
+
+// MeasureCtx implements CtxObjective: a blocked attempt ends with the run
+// context's error once that context is done.
+func (f *flakyObj) MeasureCtx(ctx context.Context, s space.Setting) (float64, error) {
 	f.mu.Lock()
 	f.attempts[s.Key()]++
 	n := f.attempts[s.Key()]
 	block := f.block
 	f.mu.Unlock()
 	if block != nil {
-		<-block
+		select {
+		case <-block:
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		}
 	}
 	if n <= f.failN {
 		return 0, f.failErr
@@ -65,7 +77,6 @@ func TestClassify(t *testing.T) {
 		{"plain error is permanent", errors.New("boom"), ClassPermanent},
 		{"wrapped transient", Transient(errors.New("flaky")), ClassTransient},
 		{"deeply wrapped transient", errors.Join(errors.New("ctx"), Transient(errors.New("flaky"))), ClassTransient},
-		{"measurement timeout", ErrTimeout, ClassTransient},
 		{"budget", ErrBudget, ClassBudget},
 		{"context canceled", context.Canceled, ClassCanceled},
 		{"context deadline", context.DeadlineExceeded, ClassCanceled},
@@ -185,25 +196,6 @@ func TestSuccessClearsQuarantineStreak(t *testing.T) {
 	}
 }
 
-func TestMeasureTimeoutIsTransient(t *testing.T) {
-	f := newFlaky(t, 0, nil)
-	f.block = make(chan struct{}) // every Measure hangs until released
-	e := New(f, WithMeasureTimeout(5*time.Millisecond), WithRetry(RetryPolicy{MaxAttempts: 2, BackoffS: 0, Jitter: 0}), WithQuarantine(0))
-	s := variant(f.sp, 24, 1)
-	_, err := e.Measure(s)
-	close(f.block)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("hung measurement returned %v, want ErrTimeout", err)
-	}
-	st := e.Stats()
-	if st.Timeouts != 2 || st.Transient != 2 || st.Retries != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.Canceled != 0 {
-		t.Fatal("a per-measurement timeout must not count as run cancellation")
-	}
-}
-
 func TestRunCancellationChargesNothing(t *testing.T) {
 	f := newFlaky(t, 0, nil)
 	f.block = make(chan struct{})
@@ -244,6 +236,118 @@ func TestRunCancellationChargesNothing(t *testing.T) {
 	}
 	if len(e.Quarantined()) != 0 {
 		t.Fatal("cancellation counted toward quarantine")
+	}
+}
+
+// cancelingObj is a plain objective, without MeasureCtx, whose Measure ends
+// the run context and then returns 5 ms: a cancellation that lands while a
+// measurement runs.
+type cancelingObj struct {
+	sp     *space.Space
+	cancel context.CancelFunc
+	calls  atomic.Int64
+}
+
+func (o *cancelingObj) Space() *space.Space { return o.sp }
+
+func (o *cancelingObj) Measure(space.Setting) (float64, error) {
+	o.calls.Add(1)
+	o.cancel()
+	return 5, nil
+}
+
+// TestPlainMeasureOutcomeStandsAfterCancel pins the contract for plain
+// objectives: Measure runs to completion on the caller's goroutine, and its
+// outcome is accounted, cached and journaled like any other even when the
+// run context ends while it runs. The cancellation is seen by the next
+// uncached key's gauntlet, which refuses it before the objective.
+func TestPlainMeasureOutcomeStandsAfterCancel(t *testing.T) {
+	for _, journaled := range []bool{false, true} {
+		name := "plain"
+		if journaled {
+			name = "journaled"
+		}
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			obj := &cancelingObj{sp: newFake(t).sp, cancel: cancel}
+			var j *journal.Journal
+			var path string
+			var opts []Option
+			if journaled {
+				j, path = journalAt(t, "fp")
+				opts = append(opts, WithJournal(j))
+			}
+			e := New(obj, opts...)
+			s := variant(obj.sp, 24, 1)
+			if ms, err := e.MeasureCtx(ctx, s); err != nil || ms != 5 {
+				t.Fatalf("MeasureCtx = %v/%v, want 5/nil", ms, err)
+			}
+			if st := e.Stats(); st.Evaluations != 1 || st.Canceled != 0 {
+				t.Fatalf("stats = %+v, want 1 evaluation and 0 canceled", st)
+			}
+			if ms, err := e.MeasureCtx(ctx, s); err != nil || ms != 5 || e.Stats().CacheHits != 1 {
+				t.Fatalf("cached re-probe = %v/%v, stats %+v", ms, err, e.Stats())
+			}
+			if _, err := e.MeasureCtx(ctx, variant(obj.sp, 32, 1)); !errors.Is(err, context.Canceled) {
+				t.Fatalf("next uncached key: err = %v, want context.Canceled", err)
+			}
+			if n := obj.calls.Load(); n != 1 {
+				t.Fatalf("objective called %d times, want 1", n)
+			}
+			if st := e.Stats(); st.Evaluations != 1 || st.Canceled != 1 {
+				t.Fatalf("stats = %+v, want 1 evaluation and 1 canceled", st)
+			}
+			if !journaled {
+				return
+			}
+			if err := e.SyncJournal(); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j2, err := journal.Open(path, "fp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j2.Close()
+			rec := j2.Recovered()
+			if len(rec) != 1 || rec[0].Key != s.Key() || rec[0].Class != journal.ClassOK || rec[0].MS != 5 {
+				t.Fatalf("journal holds %+v, want one ok record of 5 ms for %s", rec, s.Key())
+			}
+		})
+	}
+}
+
+// TestUncachedMeasureAllocsIgnoreCancellableContext: a plain objective is
+// measured on the caller's goroutine whatever the context, so a cancellable
+// run context costs an uncached MeasureCtx no allocation.
+func TestUncachedMeasureAllocsIgnoreCancellableContext(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	sp := newFake(t).sp
+	const runs = 200
+	settings := make([]space.Setting, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range settings {
+		settings[i] = benchVariant(sp, i)
+	}
+	allocs := func(ctx context.Context) float64 {
+		e := New(&clockObj{sp: sp})
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := e.MeasureCtx(ctx, settings[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	background := allocs(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if cancellable := allocs(ctx); cancellable > background {
+		t.Fatalf("uncached MeasureCtx allocates %v under a cancellable context, %v under Background", cancellable, background)
 	}
 }
 

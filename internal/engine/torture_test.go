@@ -64,7 +64,6 @@ func hostileTortureConfig() faults.Config {
 		NoiseAddMS:         0.01,
 		SlowRate:           0.10,
 		SlowDelay:          100 * time.Microsecond,
-		HangRate:           0.03,
 	}
 }
 
@@ -104,7 +103,6 @@ func TestTortureJournalReplayMatrix(t *testing.T) {
 	newEngine := func(j *journal.Journal) *engine.Engine {
 		return engine.New(faults.New(s, hostileTortureConfig()),
 			engine.WithSeed(7),
-			engine.WithMeasureTimeout(20*time.Millisecond),
 			engine.WithQuarantine(2),
 			engine.WithJournal(j),
 		)

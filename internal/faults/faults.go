@@ -1,9 +1,11 @@
 // Package faults is a composable, deterministic fault-injecting wrapper
 // around any sim.Objective — the adversarial testbed the evaluation engine
 // is hardened against. Real auto-tuning runs are dominated by hostile
-// measurements (failed compiles, crashed kernels, hung devices, noisy
-// timers); the injector reproduces all of them, seeded, so the engine's
-// retry/quarantine/deadline behaviour can be pinned by deterministic tests.
+// measurements (failed compiles, crashed kernels, slow devices, noisy
+// timers); the injector reproduces them, seeded, so the engine's
+// retry/quarantine behaviour can be pinned by deterministic tests. Slow
+// calls are the only context-aware fault: they end early with the run
+// context's error when it is cancelled.
 //
 // Every injection decision is a pure function of (seed, setting key,
 // per-key attempt number). The injector serializes only the per-key attempt
@@ -34,11 +36,6 @@ const (
 	// KindPermanent marks a setting that fails every time (deterministic
 	// compile error): a fixed pseudo-random slice of the space.
 	KindPermanent
-	// KindHang is a measurement that never returns on its own; it blocks
-	// until the caller's context expires. When the caller cannot be
-	// interrupted (no deadline or cancellation), it degrades to a
-	// transient error instead of deadlocking.
-	KindHang
 )
 
 // String names the kind for diagnostics.
@@ -48,15 +45,13 @@ func (k Kind) String() string {
 		return "transient"
 	case KindPermanent:
 		return "permanent"
-	case KindHang:
-		return "hang"
 	}
 	return "unknown"
 }
 
-// Error is one injected failure. Transient and degraded-hang errors carry
-// the engine's TransientError marker so they are retried; permanent errors
-// do not, so the engine caches and quarantines them.
+// Error is one injected failure. Transient errors carry the engine's
+// TransientError marker so they are retried; permanent errors do not, so
+// the engine caches and quarantines them.
 type Error struct {
 	Kind    Kind
 	Key     string
@@ -93,9 +88,6 @@ type Config struct {
 	SlowRate float64
 	// SlowDelay is the injected latency for slow calls.
 	SlowDelay time.Duration
-	// HangRate is the probability an attempt hangs until the context
-	// expires.
-	HangRate float64
 }
 
 // Default returns a moderately hostile testbed: frequent transient
@@ -116,7 +108,6 @@ type Counts struct {
 	Calls     int
 	Transient int
 	Permanent int
-	Hangs     int
 	Slow      int
 }
 
@@ -169,8 +160,7 @@ func (in *Injector) Counts() Counts {
 	return in.counts
 }
 
-// Measure implements sim.Objective. Without a context, hangs degrade to
-// transient errors (nothing could ever interrupt them).
+// Measure implements sim.Objective: MeasureCtx without a run context.
 func (in *Injector) Measure(s space.Setting) (float64, error) {
 	return in.MeasureCtx(context.Background(), s)
 }
@@ -178,7 +168,6 @@ func (in *Injector) Measure(s space.Setting) (float64, error) {
 // Salts decorrelate the per-decision hash streams.
 const (
 	saltPermanent = 0xf0a1
-	saltHang      = 0xf0a2
 	saltTransient = 0xf0a3
 	saltSlow      = 0xf0a4
 	saltNoiseMul  = 0xf0a5
@@ -186,7 +175,7 @@ const (
 )
 
 // MeasureCtx implements engine.CtxObjective: one measurement attempt with
-// fault injection, honouring ctx for hangs and slow calls.
+// fault injection, honouring ctx for slow calls.
 func (in *Injector) MeasureCtx(ctx context.Context, s space.Setting) (float64, error) {
 	key := s.Key()
 	in.mu.Lock()
@@ -200,14 +189,6 @@ func (in *Injector) MeasureCtx(ctx context.Context, s space.Setting) (float64, e
 	if in.cfg.PermanentRate > 0 && in.u(key, 0, saltPermanent) < in.cfg.PermanentRate {
 		in.count(func(c *Counts) { c.Permanent++ })
 		return 0, &Error{Kind: KindPermanent, Key: key, Attempt: attempt}
-	}
-	if in.cfg.HangRate > 0 && in.u(key, attempt, saltHang) < in.cfg.HangRate {
-		in.count(func(c *Counts) { c.Hangs++ })
-		if ctx.Done() == nil {
-			return 0, &Error{Kind: KindHang, Key: key, Attempt: attempt}
-		}
-		<-ctx.Done()
-		return 0, ctx.Err()
 	}
 	if in.cfg.TransientRate > 0 &&
 		(in.cfg.MaxTransientPerKey <= 0 || attempt < in.cfg.MaxTransientPerKey) &&

@@ -160,29 +160,6 @@ func TestNoiseBoundedAndPositive(t *testing.T) {
 	}
 }
 
-func TestHangHonoursContext(t *testing.T) {
-	sp, s := newSim(t)
-	inj := New(s, Config{Seed: 1, HangRate: 1})
-	set := sp.Default()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := inj.MeasureCtx(ctx, set)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("hang under deadline returned %v", err)
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("hang outlived its context")
-	}
-	// Without a cancellable context the hang degrades to a transient error
-	// instead of deadlocking.
-	_, err = inj.Measure(set)
-	var fe *Error
-	if !errors.As(err, &fe) || fe.Kind != KindHang || !fe.Transient() {
-		t.Fatalf("uninterruptible hang returned %v, want degraded transient", err)
-	}
-}
-
 func TestSlowCallDelaysButSucceeds(t *testing.T) {
 	sp, s := newSim(t)
 	inj := New(s, Config{Seed: 3, SlowRate: 1, SlowDelay: 2 * time.Millisecond})
@@ -193,6 +170,26 @@ func TestSlowCallDelaysButSucceeds(t *testing.T) {
 	}
 	if time.Since(start) < 2*time.Millisecond {
 		t.Fatal("slow call returned before its injected delay")
+	}
+	if c := inj.Counts(); c.Slow != 1 {
+		t.Fatalf("counts = %+v", c)
+	}
+}
+
+// TestSlowCallHonoursContext: a slow call ends with the run context's error
+// once that context is done, long before its injected delay.
+func TestSlowCallHonoursContext(t *testing.T) {
+	sp, s := newSim(t)
+	inj := New(s, Config{Seed: 3, SlowRate: 1, SlowDelay: time.Second})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := inj.MeasureCtx(ctx, sp.Default())
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("slow call under a 5 ms deadline returned %v, want context.DeadlineExceeded", err)
+	}
+	if waited := time.Since(start); waited > 500*time.Millisecond {
+		t.Fatalf("slow call returned after %v, past its context's deadline", waited)
 	}
 	if c := inj.Counts(); c.Slow != 1 {
 		t.Fatalf("counts = %+v", c)
@@ -221,17 +218,13 @@ func hostileConfig() Config {
 		NoiseAddMS:         0.01,
 		SlowRate:           0.10,
 		SlowDelay:          100 * time.Microsecond,
-		HangRate:           0.03,
 	}
 }
 
 func TestEngineSurvivesHostileObjective(t *testing.T) {
 	sp, s := newSim(t)
 	inj := New(s, hostileConfig())
-	eng := engine.New(inj,
-		engine.WithSeed(3),
-		engine.WithMeasureTimeout(20*time.Millisecond),
-	)
+	eng := engine.New(inj, engine.WithSeed(3))
 	rng := rand.New(rand.NewSource(17))
 	var ok, failed int
 	for i := 0; i < 120; i++ {

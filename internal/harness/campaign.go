@@ -124,9 +124,9 @@ func CampaignFingerprint(fx *Fixture, cfg CampaignConfig) string {
 	fp := fmt.Sprintf("cstuner-campaign|v1|stencil=%s|arch=%s|method=%s|seed=%d|budget=%g|repeats=%d|quar=%d|ds=%d",
 		fx.Stencil.Name, fx.Sim.Arch.Name, cfg.Method, cfg.Seed, cfg.BudgetS, cfg.Repeats, cfg.Quarantine, len(fx.DS.Samples))
 	if f := cfg.Faults; f != nil {
-		fp += fmt.Sprintf("|faults=%d,%g,%d,%g,%g,%g,%g,%v,%g",
+		fp += fmt.Sprintf("|faults=%d,%g,%d,%g,%g,%g,%g,%v",
 			f.Seed, f.TransientRate, f.MaxTransientPerKey, f.PermanentRate,
-			f.NoiseFrac, f.NoiseAddMS, f.SlowRate, f.SlowDelay, f.HangRate)
+			f.NoiseFrac, f.NoiseAddMS, f.SlowRate, f.SlowDelay)
 	}
 	if len(cfg.WarmStart) > 0 {
 		// Warm seeds steer which settings the search measures, so they are

@@ -116,10 +116,9 @@ type Episode struct {
 	// stateful objectives (see engine.AttemptRestorer).
 	Attempts int `json:"attempts"`
 	Calls    int `json:"calls"`
-	// Transient and Timeouts are the episode's transient-failure and
-	// deadline-expiry counts; BackoffS the virtual retry backoff charged.
+	// Transient is the episode's transient-failure count; BackoffS the
+	// virtual retry backoff charged.
 	Transient int     `json:"transient,omitempty"`
-	Timeouts  int     `json:"timeouts,omitempty"`
 	BackoffS  float64 `json:"backoff_s,omitempty"`
 	// CostS is the total virtual cost the engine charged for the episode
 	// (backoff plus compile/run or check cost). Informational: replay

@@ -531,9 +531,6 @@ func cyclicOf(sd int) int {
 	panic(fmt.Sprintf("space: invalid streaming dimension %d", sd))
 }
 
-// CyclicOf is exported for the kernel resource model.
-func CyclicOf(sd int) int { return cyclicOf(sd) }
-
 // RNG is the subset of math/rand.Rand the space needs, accepted as an
 // interface so deterministic test doubles can drive sampling.
 type RNG interface {
