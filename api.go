@@ -207,10 +207,13 @@ var (
 // re-checks them at the same points. A journal from a
 // differently-configured campaign is refused with ErrJournalFingerprint.
 //
-// Crash-safety requires a deterministic measurement order, so ResumeTune
-// folds the GA's sub-populations into one sequential population of the same
-// total size (the island model measures from concurrent goroutines, whose
-// interleaving no journal can reproduce).
+// ResumeTune folds the GA's sub-populations into one population of the same
+// total size, as cstuner campaigns do (harness.CampaignTuner). Crash-safety
+// needs a deterministic measurement order, which the island model has too:
+// its islands evolve in lockstep on the tuning goroutine. The fold stays
+// because dropping it changes what ResumeTune and the daemon's cstuner
+// campaigns find, and with them the daemon's digests; that change is to be
+// made on its own.
 func (s *Session) ResumeTune(ctx context.Context, path string, cfg Config, budgetS float64) (*Report, error) {
 	if cfg.GA.SubPopulations > 1 {
 		cfg.GA.PopSize *= cfg.GA.SubPopulations

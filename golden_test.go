@@ -170,13 +170,22 @@ func TestGoldenRunComparator(t *testing.T) {
 
 // tuneReportDigest is the FNV-64a digest of every deterministic field of
 // Session.Tune's report over the Table III stencils on both GPUs, at
-// DatasetSize 64 and seeds 1 and 2. The engine's CacheHits and SpentS are
-// left out: the two GA islands account their episodes in schedule order, so
-// those two may differ between identical runs.
+// DatasetSize 64 and seeds 1 and 2, except the engine's CacheHits and
+// SpentS. Those two go into tuneStatsDigest, so a change to the engine's
+// hit accounting or cost summation shows apart from a change in what the
+// tuner finds.
 const tuneReportDigest = "599508326f27f2aa"
 
-func TestTuneReportDigest(t *testing.T) {
-	h := fnv.New64a()
+// tuneStatsDigest is the FNV-64a digest of the engine's CacheHits and the
+// bits of its SpentS over the same 32 tunes. Both follow the order of
+// measurements, which the GA fixes by evolving its islands in lockstep on
+// the tuning goroutine, so identical runs give identical values.
+const tuneStatsDigest = "f3de62f55e5a623b"
+
+// suiteTunes runs Session.Tune over the Table III stencils on both GPUs at
+// DatasetSize 64 and seeds 1 and 2, and passes each report to visit.
+func suiteTunes(t *testing.T, visit func(stencil, arch string, seed int64, rep *Report)) {
+	t.Helper()
 	for _, st := range Suite() {
 		for _, arch := range []string{"a100", "v100"} {
 			s, err := NewSessionFor(st.Name, arch)
@@ -191,13 +200,31 @@ func TestTuneReportDigest(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fmt.Fprintf(h, "%s %s %d: %s %x sampled=%d order=%v evals=%d cuda=%d invalid=%d\n",
-					st.Name, arch, seed, rep.Best.Key(), math.Float64bits(rep.BestMS), rep.SampledSize,
-					rep.GroupOrder, rep.Evaluations, rep.GeneratedCUDA, rep.Engine.Invalid)
+				visit(st.Name, arch, seed, rep)
 			}
 		}
 	}
+}
+
+func TestTuneReportDigest(t *testing.T) {
+	h := fnv.New64a()
+	suiteTunes(t, func(stencil, arch string, seed int64, rep *Report) {
+		fmt.Fprintf(h, "%s %s %d: %s %x sampled=%d order=%v evals=%d cuda=%d invalid=%d\n",
+			stencil, arch, seed, rep.Best.Key(), math.Float64bits(rep.BestMS), rep.SampledSize,
+			rep.GroupOrder, rep.Evaluations, rep.GeneratedCUDA, rep.Engine.Invalid)
+	})
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != tuneReportDigest {
 		t.Fatalf("Session.Tune report digest = %s, want %s", got, tuneReportDigest)
+	}
+}
+
+func TestTuneReportStatsDigest(t *testing.T) {
+	h := fnv.New64a()
+	suiteTunes(t, func(stencil, arch string, seed int64, rep *Report) {
+		fmt.Fprintf(h, "%s %s %d: hits=%d spent=%x\n",
+			stencil, arch, seed, rep.Engine.CacheHits, math.Float64bits(rep.Engine.SpentS))
+	})
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != tuneStatsDigest {
+		t.Fatalf("Session.Tune engine stats digest = %s, want %s", got, tuneStatsDigest)
 	}
 }

@@ -335,8 +335,8 @@ func metricNames(ds *dataset.Dataset) []string {
 // fixed, then frozen at its winner.
 //
 // The engine carries the measurement cache, budget accounting and global
-// best-tracking, so search keeps no concurrent state of its own: the GA
-// sub-populations measure straight through the engine.
+// best-tracking, so search keeps no state of its own: the GA's
+// sub-populations measure straight through the engine, on this goroutine.
 func search(ctx context.Context, eng *engine.Engine, sampled *sampling.Sampled, ds *dataset.Dataset,
 	cfg Config, rep *Report, stop func() bool) (space.Setting, float64, error) {
 

@@ -25,7 +25,7 @@ func benchVariant(sp *space.Space, i int) space.Setting {
 }
 
 // BenchmarkMeasureCacheHit is the memoized re-probe path: the key rendered
-// into stack scratch and one lock-free stripe.Map probe, no objective call,
+// into stack scratch and one plain map probe, no lock, no objective call,
 // no accounting.
 func BenchmarkMeasureCacheHit(b *testing.B) {
 	f := newFake(b)
@@ -41,28 +41,6 @@ func BenchmarkMeasureCacheHit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkMeasureCacheHitParallel hammers the same cached key from every
-// GOMAXPROCS worker at once. On the striped cache a hit takes zero locks
-// (one atomic read-map load per probe), so this should scale flat instead
-// of serializing on the accounting mutex.
-func BenchmarkMeasureCacheHitParallel(b *testing.B) {
-	f := newFake(b)
-	e := New(f)
-	s := variant(f.sp, 64, 4)
-	if _, err := e.Measure(s); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := e.Measure(s); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkMeasureMiss is the full first-probe path: objective dispatch,

@@ -2,7 +2,7 @@
 // path every auto-tuner in this repository goes through. It wraps any
 // sim.Objective with
 //
-//   - a concurrency-safe memoizing cache keyed on the setting, which caches
+//   - a memoizing cache keyed on the setting, which caches
 //     invalid-setting errors (deterministic: the same setting always fails)
 //     but never sim.ErrBudget (transient: a later run of the same engine
 //     family may still measure the setting);
@@ -18,9 +18,10 @@
 //     core.Report.
 //
 // Measurements run on the caller's goroutine; the engine has no worker
-// pool. Callers that measure concurrently, such as the GA's islands, share
-// one lock-free cache, and per-key singleflight collapses their requests
-// for one uncached setting onto a single episode.
+// pool and starts no goroutine. One goroutine measures through an engine,
+// so the cache is a plain map and the measurement history is a pure
+// function of that goroutine's requests; other goroutines may read the
+// counters, best and trajectory while it runs.
 package engine
 
 import (
@@ -34,7 +35,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/sim"
 	"repro/internal/space"
-	"repro/internal/stripe"
 )
 
 // ErrBudget re-exports the transient budget error tuners test for.
@@ -153,8 +153,10 @@ func WithQuarantine(n int) Option { return func(e *Engine) { e.quarAfter = n } }
 // quarantine matters mainly for settings that keep failing transiently.
 const DefaultQuarantineAfter = 3
 
-// Engine implements sim.Objective over an inner objective. It is safe for
-// concurrent use: csTuner's GA measures from several goroutines.
+// Engine implements sim.Objective over an inner objective. One goroutine
+// calls Measure, MeasureCtx and Run; any goroutine may call Stats, Best,
+// SpentS, Trajectory, Spans and Exhausted meanwhile, as the daemon's
+// pollers do.
 type Engine struct {
 	obj       sim.Objective
 	cost      CostModel
@@ -166,11 +168,10 @@ type Engine struct {
 	jr        *journal.Journal
 	clock     Clock
 
-	// cache is the memo store (cache.go): hits are lock-free reads of
-	// atomically-published immutable entries and never touch mu. The hit
-	// counter rides beside it as an atomic so the hot path stays lock-free;
-	// Stats() folds it back into the snapshot.
-	cache     *stripe.Map[*cacheEntry]
+	// cache is the memo store (cache.go), touched only by the measuring
+	// goroutine. The hit counter beside it is an atomic so a hit never takes
+	// mu; Stats() folds it back into the snapshot.
+	cache     map[string]cacheEntry
 	cacheHits atomic.Int64
 
 	// store is the optional cross-campaign result store (store.go):
@@ -198,13 +199,6 @@ type Engine struct {
 	unsynced      int
 	queued        []storePut
 
-	// sfMu/inflight give MeasureCtx per-key singleflight: concurrent
-	// requests for one uncached key collapse onto a single measurement
-	// episode, so the measurement history is independent of goroutine
-	// scheduling — the property journal replay depends on.
-	sfMu     sync.Mutex
-	inflight map[string]chan struct{}
-
 	spentS  float64
 	evals   int
 	best    float64
@@ -224,11 +218,10 @@ func New(obj sim.Objective, opts ...Option) *Engine {
 		best:      -1,
 		retry:     DefaultRetryPolicy(),
 		quarAfter: DefaultQuarantineAfter,
-		cache:     stripe.New[*cacheEntry](),
+		cache:     map[string]cacheEntry{},
 		permFails: map[string]int{},
 		quar:      map[string]struct{}{},
 		spans:     map[string]*Span{},
-		inflight:  map[string]chan struct{}{},
 		clock:     time.Now, // value use: the sanctioned wall-clock seam (see Clock)
 	}
 	for _, o := range opts {
@@ -273,41 +266,19 @@ func (e *Engine) Measure(s space.Setting) (float64, error) {
 	return e.MeasureCtx(context.Background(), s)
 }
 
-// lookup consults the cache; ok=false means the setting must be measured.
-// Hits are lock-free reads of the striped index — the engine mutex guards
-// accounting only, never the memo maps (DESIGN.md §12).
-func (e *Engine) lookup(key string) (float64, error, bool) {
-	if ms, err, ok := measureView(e.cache.Load(key)); ok {
-		e.cacheHits.Add(1)
-		return ms, err, true
-	}
-	return 0, nil, false
-}
-
-// budgetRefuses is the budget gate for a caller whose lookup of key missed:
-// it reports whether the budget is spent and counts the refusal as a budget
-// trip. When a competing episode has cached key since that lookup, possibly
-// spending the last of the budget on it, the gate lets the caller through
-// to be served the hit, as a sequential second call would be.
-func (e *Engine) budgetRefuses(key string) bool {
+// budgetRefuses is the budget gate for an uncached setting: it reports
+// whether the budget is spent and counts the refusal as a budget trip.
+func (e *Engine) budgetRefuses() bool {
 	if e.budgetS <= 0 {
 		return false
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.spentS < e.budgetS || e.cachedLocked(key) {
+	if e.spentS < e.budgetS {
 		return false
 	}
 	e.stats.BudgetTrips++
 	return true
-}
-
-// cachedLocked reports whether key has a cached Measure outcome. Callers
-// hold e.mu, under which every episode's accounting and its cache publish
-// happen together, so a gate that reads both sees either neither or both.
-func (e *Engine) cachedLocked(key string) bool {
-	_, _, ok := measureView(e.cache.Load(key))
-	return ok
 }
 
 // Exhausted reports whether the budget has been spent; tuners poll this as
@@ -388,10 +359,10 @@ func (e *Engine) Stats() Stats {
 	return e.statsLocked()
 }
 
-// statsLocked folds the lock-free hit counter into the mutex-guarded
-// counters. Callers hold e.mu. Between concurrent operations the fold is a
-// consistent point-in-time sum; after a run quiesces it equals the
-// sequential count exactly, which is what the determinism goldens compare.
+// statsLocked folds the atomic counters into the mutex-guarded ones.
+// Callers hold e.mu. While a run is measuring the fold is a point-in-time
+// sum; once it returns, every counter is the run's exact count, which is
+// what the determinism goldens compare.
 func (e *Engine) statsLocked() Stats {
 	st := e.stats
 	st.CacheHits = int(e.cacheHits.Load())

@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"context"
 	"errors"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -150,96 +148,6 @@ func TestBudgetEnforcement(t *testing.T) {
 	st := e.Stats()
 	if st.BudgetTrips != 1 {
 		t.Fatalf("BudgetTrips = %d, want 1", st.BudgetTrips)
-	}
-}
-
-// gateCtx is a context whose first Err call blocks until release closes.
-// MeasureCtx makes that call in the gauntlet right after its cache lookup
-// and the quarantine gate, so a caller holding it is parked between a
-// cache miss and the budget gate.
-type gateCtx struct {
-	context.Context
-	once             sync.Once
-	reached, release chan struct{}
-}
-
-func (c *gateCtx) Err() error {
-	c.once.Do(func() {
-		close(c.reached)
-		<-c.release
-	})
-	return c.Context.Err()
-}
-
-// TestBudgetGateServesSiblingHit parks caller A after its cache miss, lets
-// caller B measure the same key with the episode that spends the whole
-// budget, then releases A. A sequential second call would hit the cache, so
-// A must be served B's time and must not count a budget trip.
-func TestBudgetGateServesSiblingHit(t *testing.T) {
-	f := newFake(t)
-	e := New(f, WithBudget(1))
-	s := variant(f.sp, 64, 4)
-	ctx := &gateCtx{Context: context.Background(), reached: make(chan struct{}), release: make(chan struct{})}
-	type outcome struct {
-		ms  float64
-		err error
-	}
-	done := make(chan outcome)
-	go func() {
-		ms, err := e.MeasureCtx(ctx, s)
-		done <- outcome{ms, err}
-	}()
-	<-ctx.reached
-	msB, err := e.Measure(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !e.Exhausted() {
-		t.Fatalf("spent %v of 1, one episode should exhaust the budget", e.SpentS())
-	}
-	close(ctx.release)
-	a := <-done
-	if a.err != nil || a.ms != msB {
-		t.Fatalf("parked caller got %v, %v; want the sibling's %v", a.ms, a.err, msB)
-	}
-	st := e.Stats()
-	if st.BudgetTrips != 0 || st.Evaluations != 1 || st.CacheHits != 1 {
-		t.Fatalf("stats %+v, want 0 budget trips, 1 evaluation, 1 cache hit", st)
-	}
-}
-
-func TestConcurrentMeasureIsSafeAndConverges(t *testing.T) {
-	f := newFake(t)
-	e := New(f)
-	sets := make([]space.Setting, 50)
-	for i := range sets {
-		sets[i] = variant(f.sp, 16+i, i%8)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for k := 0; k < 200; k++ {
-				s := sets[rng.Intn(len(sets))]
-				if ms, err := e.Measure(s); err != nil || ms <= 0 {
-					t.Errorf("measure: %v/%v", ms, err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	_, best, ok := e.Best()
-	if !ok || best != 16 { // variant(16, 0) is the fastest by construction
-		t.Fatalf("best = %v/%v, want 16", best, ok)
-	}
-	// Every key measured at most... the engine has no singleflight, so a
-	// concurrent first probe may double-measure; but the cache must bound it
-	// far below the 1600 total probes.
-	if st := e.Stats(); st.Evaluations > 2*len(sets) || st.CacheHits == 0 {
-		t.Fatalf("stats = %+v", st)
 	}
 }
 

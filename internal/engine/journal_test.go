@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/frame"
@@ -276,36 +275,6 @@ func TestJournalWriteFailureIsStickyAndFailsFast(t *testing.T) {
 	stats := eng.Stats()
 	if stats.Evaluations != 1 {
 		t.Fatalf("unjournaled measurement leaked into accounting: %+v", stats)
-	}
-}
-
-func TestSingleflightCollapsesConcurrentSameKey(t *testing.T) {
-	obj := newFake(t)
-	sp := obj.Space()
-	eng := New(obj)
-	s := variant(sp, 2, 4)
-	const callers = 16
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = eng.Measure(s)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("caller %d: %v", i, err)
-		}
-	}
-	if n := obj.callCount(s); n != 1 {
-		t.Fatalf("objective measured %d times for one key under concurrency, want 1", n)
-	}
-	stats := eng.Stats()
-	if stats.Evaluations != 1 || stats.CacheHits != callers-1 {
-		t.Fatalf("stats = %+v, want 1 evaluation and %d cache hits", stats, callers-1)
 	}
 }
 

@@ -125,9 +125,9 @@ type CtxObjective interface {
 
 // episode is the outcome of one measurement episode: up to MaxAttempts
 // attempts at a single setting, with deterministic backoff between
-// transient failures. Episodes touch no engine state — accounting happens
-// separately, in one critical section, so which goroutine ran an episode
-// never shows in the results.
+// transient failures. Running an episode changes no accounting state;
+// accountEpisode applies its outcome afterwards in one critical section,
+// so a concurrent reader of Stats or Best sees all of it or none.
 type episode struct {
 	ms        float64 // scored time: the median across repeats
 	msSum     float64 // summed repeat time, what the cost model charges
@@ -153,7 +153,7 @@ func (e *Engine) measureEpisode(ctx context.Context, s space.Setting, key string
 	// measuring. The probe sits after journal replay — a resumed run replays
 	// its recorded ClassStore hits and never reaches here for them — and
 	// after every sequential gate, so gate outcomes are independent of store
-	// content. Lock-free and pure: safe from concurrent callers.
+	// content.
 	if ms, ok := e.storeProbe(key); ok {
 		return episode{ms: ms, msSum: ms, fromStore: true}
 	}
@@ -253,17 +253,15 @@ func (e *Engine) backoffFor(key string, attempt int) float64 {
 	return d
 }
 
-// quarantined is the quarantine gate for a caller whose lookup of key
-// missed: it reports whether key is quarantined, counting the refusal. Like
-// budgetRefuses, it lets through a caller whose key a competing episode has
-// cached since that lookup, to be served the hit.
+// quarantined is the quarantine gate for an uncached key: it reports
+// whether key is quarantined, counting the refusal.
 func (e *Engine) quarantined(key string) bool {
 	if e.quarAfter <= 0 {
 		return false
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.quar[key]; !ok || e.cachedLocked(key) {
+	if _, ok := e.quar[key]; !ok {
 		return false
 	}
 	e.stats.QuarantineSkips++
@@ -301,9 +299,11 @@ func (e *Engine) Quarantined() []string {
 }
 
 // accountEpisode applies virtual cost, counters, caching, best tracking and
-// quarantine bookkeeping for one finished episode, in one critical section.
-// On the fault-free path (one successful or one permanently-failed attempt,
-// no backoff) it charges and caches exactly what the pre-fault engine did.
+// quarantine bookkeeping for one finished episode. Everything a reader can
+// see changes in one critical section under e.mu; the cache needs no lock,
+// since only the measuring goroutine, which runs this, touches it. On the
+// fault-free path (one successful or one permanently-failed attempt, no
+// backoff) it charges and caches exactly what the pre-fault engine did.
 func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -323,8 +323,8 @@ func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float6
 		// previous campaign, so the virtual clock, the evaluation count and
 		// the failure bookkeeping all stand still. The result still competes
 		// for best (with a trajectory point only on improvement — free hits
-		// advance neither axis) and lands in the memo cache so re-probes stay
-		// on the lock-free fast path.
+		// advance neither axis) and lands in the memo cache, so a re-probe is
+		// a cache hit.
 		e.storeHits.Add(1)
 		e.stats.SpentS = e.spentS
 		if e.best < 0 || ep.ms < e.best {
@@ -332,7 +332,7 @@ func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float6
 			e.bestSet = s.Clone()
 			e.traj = append(e.traj, Point{CostS: e.spentS, Evals: e.evals, BestMS: e.best})
 		}
-		e.cache.Update(key, withTime(ep.ms))
+		e.cacheTime(key, ep.ms)
 		if e.quarAfter > 0 {
 			delete(e.permFails, key) // a served success clears the streak
 		}
@@ -374,7 +374,7 @@ func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float6
 			e.spentS += e.cost.CheckS
 			e.stats.Invalid++
 			e.stats.SpentS = e.spentS
-			e.cache.Update(key, withErr(ep.err))
+			e.cacheErr(key, ep.err)
 			e.noteFailureLocked(key)
 			return 0, ep.err
 		}
@@ -388,7 +388,7 @@ func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float6
 		e.bestSet = s.Clone()
 	}
 	e.traj = append(e.traj, Point{CostS: e.spentS, Evals: e.evals, BestMS: e.best})
-	e.cache.Update(key, withTime(ep.ms))
+	e.cacheTime(key, ep.ms)
 	// Publish the paid-for measurement to the shared store (sequentially,
 	// and after its journal sync — see storePublishLocked).
 	e.storePublishLocked(key, ep.ms, ep.replayed)
@@ -409,19 +409,13 @@ const keyScratch = 128
 // runs against the inner objective.
 //
 // The cache probe is the hot path — tuning traffic is dominated by re-probes
-// of already-measured settings — and takes zero locks and zero allocations:
-// the key is rendered into a stack buffer and looked up in the striped
-// index's published read map; only a miss materializes the key string and
-// enters the slow path.
-//
-// Concurrent requests for the same uncached key collapse onto one episode:
-// the first caller measures, the rest wait and re-check the cache. Without
-// this, two goroutines racing on one key could each measure and charge it —
-// a schedule-dependent history no journal replay could reproduce.
+// of already-measured settings — and takes no lock and no allocation: the
+// key is rendered into a stack buffer and indexes the memo map directly;
+// only a miss materializes the key string and enters the slow path.
 func (e *Engine) MeasureCtx(ctx context.Context, s space.Setting) (float64, error) {
 	var kb [keyScratch]byte
 	key := s.AppendKey(kb[:0])
-	if ms, err, ok := measureView(e.cache.LoadBytes(key)); ok {
+	if ms, err, ok := measureView(e.cache[string(key)]); ok {
 		e.cacheHits.Add(1)
 		return ms, err
 	}
@@ -429,62 +423,19 @@ func (e *Engine) MeasureCtx(ctx context.Context, s space.Setting) (float64, erro
 }
 
 // measureCtxSlow is the uncached gauntlet: quarantine, run context, budget,
-// then the singleflight-collapsed measurement episode. A waiter loops back
-// through the (lock-free) cache lookup, so a cached success or permanent
-// error published while it slept is served exactly as a sequential second
-// call would see it. The quarantine and budget gates re-check the cache
-// under e.mu for the same reason: a competing episode may have cached the
-// key since this caller's lookup, and spent the last of the budget on it.
+// then one measurement episode and its accounting.
 func (e *Engine) measureCtxSlow(ctx context.Context, s space.Setting, key string) (float64, error) {
-	for {
-		if ms, err, ok := e.lookup(key); ok {
-			return ms, err
-		}
-		if e.quarantined(key) {
-			return 0, ErrQuarantined
-		}
-		if err := ctx.Err(); err != nil {
-			e.mu.Lock()
-			e.stats.Canceled++
-			e.mu.Unlock()
-			return 0, err
-		}
-		if e.budgetRefuses(key) {
-			return 0, ErrBudget
-		}
-		e.sfMu.Lock()
-		if _, _, hit := measureView(e.cache.Load(key)); hit {
-			// A competing episode published and released the key between
-			// this caller's cache miss and here: it publishes before it
-			// takes sfMu to delete its in-flight entry, so this re-check
-			// closes the check-then-claim gap. Loop to serve the hit.
-			e.sfMu.Unlock()
-			continue
-		}
-		wait, inflight := e.inflight[key]
-		if !inflight {
-			done := make(chan struct{})
-			e.inflight[key] = done
-			e.sfMu.Unlock()
-			ep := e.measureEpisode(ctx, s, key)
-			ms, err := e.accountEpisode(s, key, ep)
-			e.sfMu.Lock()
-			delete(e.inflight, key)
-			close(done)
-			e.sfMu.Unlock()
-			return ms, err
-		}
-		e.sfMu.Unlock()
-		select {
-		case <-wait:
-			// Loop: a cached success or permanent error is now served from
-			// the cache; an uncached outcome (transient exhaustion, budget)
-			// re-runs the gauntlet exactly as a sequential second call would.
-		case <-ctx.Done():
-			e.mu.Lock()
-			e.stats.Canceled++
-			e.mu.Unlock()
-			return 0, ctx.Err()
-		}
+	if e.quarantined(key) {
+		return 0, ErrQuarantined
 	}
+	if err := ctx.Err(); err != nil {
+		e.mu.Lock()
+		e.stats.Canceled++
+		e.mu.Unlock()
+		return 0, err
+	}
+	if e.budgetRefuses() {
+		return 0, ErrBudget
+	}
+	return e.accountEpisode(s, key, e.measureEpisode(ctx, s, key))
 }

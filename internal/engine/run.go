@@ -37,17 +37,20 @@ func (e *Engine) Run(s space.Setting) (*sim.Result, error) {
 		return nil, ErrNoRunner
 	}
 	key := s.Key()
-	if res, err, ok := runView(e.cache.Load(key)); ok {
+	if res, err, ok := runView(e.cache[key]); ok {
 		e.cacheHits.Add(1)
 		return res, err
 	}
 	res, err := r.Run(s)
 	if err != nil {
 		if !errors.Is(err, ErrBudget) {
-			e.cache.Update(key, withErr(err))
+			e.cacheErr(key, err)
 		}
 		return nil, err
 	}
-	e.cache.Update(key, withRun(res))
+	// A collected result also pre-warms the Measure view with its time.
+	c := e.cache[key]
+	c.res, c.ms, c.hasTime = res, res.TimeMS, true
+	e.cache[key] = c
 	return res, nil
 }

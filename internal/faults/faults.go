@@ -9,7 +9,7 @@
 //
 // Every injection decision is a pure function of (seed, setting key,
 // per-key attempt number). The injector serializes only the per-key attempt
-// counters, so concurrent measurement schedules (the GA's islands, for one)
+// counters, so any order of measurements, and any goroutines making them,
 // observe exactly the same fault sequence per setting.
 package faults
 

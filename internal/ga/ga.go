@@ -1,10 +1,13 @@
 // Package ga implements csTuner's customized multi-process genetic
-// algorithm (paper Sec. IV-E, Fig. 6): sub-populations evolve concurrently
-// (one goroutine per "process"), migrate their best individuals around a
-// single-ring topology through the mpi layer, breed by neighbourhood
-// selection + uniform crossover + bit mutation over binary genes, and stop
-// automatically when the coefficient of variation of the top-n fitness
-// values drops below a threshold (the approximation rule of Sec. III-C).
+// algorithm (paper Sec. IV-E, Fig. 6): sub-populations evolve in lockstep
+// on the caller's goroutine, migrate their best individuals around a
+// single-ring topology, breed by neighbourhood selection + uniform
+// crossover + bit mutation over binary genes, and stop automatically when
+// the coefficient of variation of the top-n fitness values drops below a
+// threshold (the approximation rule of Sec. III-C). The paper runs each
+// sub-population as an MPI process; the objective here answers in
+// microseconds, so a loop that visits the islands in rank order keeps the
+// ring migration and makes the probe sequence a pure function of the seed.
 //
 // The search domain is always a dense index range [0, Count) — the sampled
 // search space re-indexes every parameter group's value tuples into such a
@@ -17,9 +20,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sync"
 
-	"repro/internal/mpi"
 	"repro/internal/stats"
 )
 
@@ -68,8 +69,8 @@ type Result struct {
 }
 
 // Minimize searches the index range [0, count) for the smallest value of
-// eval. eval must be safe for concurrent calls from SubPopulations
-// goroutines; +Inf marks an invalid candidate. Results are memoized so
+// eval, which runs on the caller's goroutine in an order fixed by the
+// options; +Inf marks an invalid candidate. Results are memoized so
 // Evaluations counts distinct probes.
 func Minimize(count int, eval func(int) float64, opt Options) Result {
 	if count <= 0 {
@@ -81,12 +82,7 @@ func Minimize(count int, eval func(int) float64, opt Options) Result {
 		return exhaustive(count, memo)
 	}
 
-	comm, err := mpi.New(opt.SubPopulations)
-	if err != nil {
-		return exhaustive(count, memo)
-	}
-
-	gens := evolveIslands(count, memo, comm, opt)
+	gens := evolveIslands(count, memo, opt)
 	idx, val := memo.best()
 	return Result{
 		BestIndex: idx, BestValue: val,
@@ -112,7 +108,7 @@ type individual struct {
 }
 
 // evolveIslands runs the island-model loop and returns generations used.
-func evolveIslands(count int, m *memo, comm *mpi.Comm, opt Options) int {
+func evolveIslands(count int, m *memo, opt Options) int {
 	geneBits := bits.Len64(uint64(count - 1))
 	if geneBits == 0 {
 		geneBits = 1
@@ -149,36 +145,26 @@ func evolveIslands(count int, m *memo, comm *mpi.Comm, opt Options) int {
 		states[i%len(states)].pop[slot].gene = uint64(s)
 	}
 
-	evalPop := func(st *popState) {
-		for i := range st.pop {
-			st.pop[i].fit = m.get(int(st.pop[i].gene) % count)
-		}
-	}
-
+	n := len(states)
+	bests := make([]individual, n)
 	gen := 0
 	for ; gen < opt.MaxGenerations; gen++ {
-		var wg sync.WaitGroup
-		for r := range states {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				st := states[rank]
-				evalPop(st)
-
-				// Migration: best individual travels the ring both ways;
-				// immigrants replace the two worst residents.
-				best := bestOf(st.pop)
-				left, right, err := comm.RingExchange(rank, best)
-				if err == nil {
-					replaceWorst(st.pop, left.(individual))
-					replaceWorst(st.pop, right.(individual))
-				}
-
-				breed(st.spare, st.pop, st.rng, opt, geneBits, count, m)
-				st.pop, st.spare = st.spare, st.pop
-			}(r)
+		for r, st := range states {
+			for i := range st.pop {
+				st.pop[i].fit = m.get(int(st.pop[i].gene) % count)
+			}
+			bests[r] = bestOf(st.pop)
 		}
-		wg.Wait()
+		for r, st := range states {
+			// Migration: each island's best travels the ring both ways;
+			// immigrants replace the two worst residents. A lone island
+			// receives its own best twice.
+			replaceWorst(st.pop, bests[(r-1+n)%n])
+			replaceWorst(st.pop, bests[(r+1)%n])
+
+			breed(st.spare, st.pop, st.rng, opt, geneBits, count, m)
+			st.pop, st.spare = st.spare, st.pop
+		}
 
 		// Approximation stop: CV of the global top-n fitness values.
 		top := m.topValues(opt.TopN)
@@ -287,7 +273,6 @@ func rankByFit(nbrs *[4]individual) {
 
 // memo caches objective evaluations and tracks global order statistics.
 type memo struct {
-	mu   sync.Mutex
 	eval func(int) float64
 	vals map[int]float64
 }
@@ -297,28 +282,17 @@ func newMemo(eval func(int) float64) *memo {
 }
 
 func (m *memo) get(i int) float64 {
-	m.mu.Lock()
 	v, ok := m.vals[i]
-	m.mu.Unlock()
-	if ok {
-		return v
+	if !ok {
+		v = m.eval(i)
+		m.vals[i] = v
 	}
-	v = m.eval(i)
-	m.mu.Lock()
-	m.vals[i] = v
-	m.mu.Unlock()
 	return v
 }
 
-func (m *memo) count() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.vals)
-}
+func (m *memo) count() int { return len(m.vals) }
 
 func (m *memo) best() (int, float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	bi, bv := -1, math.Inf(1)
 	for i, v := range m.vals {
 		if v < bv || (v == bv && (bi < 0 || i < bi)) {
@@ -330,7 +304,6 @@ func (m *memo) best() (int, float64) {
 
 // topValues returns the n smallest finite evaluations seen so far.
 func (m *memo) topValues(n int) []float64 {
-	m.mu.Lock()
 	vals := make([]float64, 0, len(m.vals))
 	//cstlint:allow maporder(stats.TopN fully sorts vals, so collection order cannot reach the result)
 	for _, v := range m.vals {
@@ -338,6 +311,5 @@ func (m *memo) topValues(n int) []float64 {
 			vals = append(vals, v)
 		}
 	}
-	m.mu.Unlock()
 	return stats.TopN(vals, n)
 }

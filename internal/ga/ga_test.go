@@ -184,9 +184,9 @@ func BenchmarkMinimize4096(b *testing.B) {
 	}
 }
 
-// recordingEval wraps an objective and records the exact probe sequence —
-// meaningful only with SubPopulations == 1, where evaluation order is
-// deterministic.
+// recordingEval wraps an objective and records the exact probe sequence,
+// which the GA fixes for any sub-population count: the islands evolve in
+// lockstep on the caller's goroutine.
 func recordingEval(f func(int) float64) (func(int) float64, *[]int) {
 	var seq []int
 	return func(i int) float64 {
@@ -197,33 +197,36 @@ func recordingEval(f func(int) float64) (func(int) float64, *[]int) {
 
 // TestSeedsEmptyIsByteIdentical pins the warm-start no-op contract: no
 // seeds, an empty slice and all-out-of-range seeds must leave the classic
-// run untouched — same result AND same probe sequence.
+// run untouched — same result AND same probe sequence — both for one
+// population of 32 and for the paper's two islands of 16.
 func TestSeedsEmptyIsByteIdentical(t *testing.T) {
-	base := DefaultOptions()
-	base.SubPopulations = 1
-	base.PopSize = 32
-	base.MaxGenerations = 40
+	for _, shape := range []struct{ islands, size int }{{1, 32}, {2, 16}} {
+		base := DefaultOptions()
+		base.SubPopulations = shape.islands
+		base.PopSize = shape.size
+		base.MaxGenerations = 40
 
-	run := func(seeds []int) (Result, []int) {
-		opt := base
-		opt.Seeds = seeds
-		eval, seq := recordingEval(valley(1234))
-		res := Minimize(4096, eval, opt)
-		return res, *seq
-	}
+		run := func(seeds []int) (Result, []int) {
+			opt := base
+			opt.Seeds = seeds
+			eval, seq := recordingEval(valley(1234))
+			res := Minimize(4096, eval, opt)
+			return res, *seq
+		}
 
-	wantRes, wantSeq := run(nil)
-	for _, seeds := range [][]int{{}, {-1, 4096, 99999}} {
-		gotRes, gotSeq := run(seeds)
-		if gotRes != wantRes {
-			t.Fatalf("seeds %v changed the result: %+v vs %+v", seeds, gotRes, wantRes)
-		}
-		if len(gotSeq) != len(wantSeq) {
-			t.Fatalf("seeds %v changed probe count: %d vs %d", seeds, len(gotSeq), len(wantSeq))
-		}
-		for i := range gotSeq {
-			if gotSeq[i] != wantSeq[i] {
-				t.Fatalf("seeds %v changed probe %d: %d vs %d", seeds, i, gotSeq[i], wantSeq[i])
+		wantRes, wantSeq := run(nil)
+		for _, seeds := range [][]int{nil, {}, {-1, 4096, 99999}} {
+			gotRes, gotSeq := run(seeds)
+			if gotRes != wantRes {
+				t.Fatalf("%d×%d: seeds %v changed the result: %+v vs %+v", shape.islands, shape.size, seeds, gotRes, wantRes)
+			}
+			if len(gotSeq) != len(wantSeq) {
+				t.Fatalf("%d×%d: seeds %v changed probe count: %d vs %d", shape.islands, shape.size, seeds, len(gotSeq), len(wantSeq))
+			}
+			for i := range gotSeq {
+				if gotSeq[i] != wantSeq[i] {
+					t.Fatalf("%d×%d: seeds %v changed probe %d: %d vs %d", shape.islands, shape.size, seeds, i, gotSeq[i], wantSeq[i])
+				}
 			}
 		}
 	}

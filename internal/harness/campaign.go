@@ -141,10 +141,12 @@ func CampaignFingerprint(fx *Fixture, cfg CampaignConfig) string {
 }
 
 // CampaignTuner builds the baselines.Tuner for a campaign method. csTuner's
-// GA is pinned to a single sub-population: the island model measures from
-// concurrent goroutines, whose accounting order is scheduling-dependent —
-// harmless for the best-setting result, fatal for byte-identical resume.
-// The other three methods measure sequentially as published.
+// GA is pinned to a single sub-population of the paper's 32 individuals,
+// as Session.ResumeTune folds it. Byte-identical resume does not need the
+// pin, since the island model evolves its islands in lockstep on the tuning
+// goroutine; it stays because dropping it changes every cstuner campaign's
+// result and the daemon's digests, a change to be made on its own. The
+// other three methods measure sequentially as published.
 func CampaignTuner(method string) (baselines.Tuner, error) {
 	switch method {
 	case "cstuner":

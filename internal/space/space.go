@@ -115,7 +115,7 @@ func (s Setting) Key() string {
 }
 
 // AppendKey appends the Key representation to dst and returns the extended
-// slice. Hot paths (the engine's lock-free cache probe) render the key into
+// slice. Hot paths (the engine's cache probe) render the key into
 // a stack scratch buffer with it, so a cache hit never allocates. Values of
 // one or two digits — the overwhelming bulk of stencil parameters — are
 // rendered inline; anything else falls back to strconv.

@@ -27,10 +27,10 @@
 // frame), and a segment whose header frame cannot be trusted is quarantined
 // to <name>.bad and skipped rather than failing Open.
 //
-// The in-memory index is an internal/stripe Map, the lock-free index the
-// engine's memo cache also uses (DESIGN.md §12). Get/Contains on the hot
-// path take zero locks, so a cross-campaign hit costs about what an engine
-// cache hit costs (pinned by BenchmarkStoreLookupHit).
+// The in-memory index is an internal/stripe Map, a lock-free index built
+// for this store's many concurrent readers (DESIGN.md §13). Get/Contains on
+// the hot path take zero locks, so a cross-campaign hit costs about what an
+// engine cache hit costs (pinned by BenchmarkStoreLookupHit).
 package store
 
 import (

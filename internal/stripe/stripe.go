@@ -1,6 +1,7 @@
-// Package stripe is the repo's one lock-free read-mostly index: the engine's
-// memo cache and the cross-campaign result store both sit on it (DESIGN.md
-// §12). A Map is 64 independent shards selected by stats.KeyHash of the key.
+// Package stripe is the lock-free read-mostly index behind the
+// cross-campaign result store (internal/store, DESIGN.md §13), its only
+// user: every campaign of a daemon probes one store from its own goroutine.
+// A Map is 64 independent shards selected by stats.KeyHash of the key.
 //
 // Each shard publishes an immutable read map through an atomic pointer. A
 // probe loads the pointer and indexes the map: zero locks, zero allocations
@@ -25,9 +26,8 @@ import (
 )
 
 // shards is the stripe count. 64 shards keep shard-lock contention
-// negligible for the goroutines that share one engine cache or result
-// store while the per-shard maps stay large enough to amortize promotion
-// copies.
+// negligible for the campaign goroutines that share one result store while
+// the per-shard maps stay large enough to amortize promotion copies.
 const shards = 64
 
 // Map is a concurrent string-keyed index whose probes take no lock on the
