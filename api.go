@@ -229,10 +229,7 @@ func (s *Session) ResumeTune(ctx context.Context, path string, cfg Config, budge
 	}
 	//cstlint:allow errdrop(teardown close after SyncJournal synced every frame; no caller can act on the error)
 	defer jr.Close()
-	eng := engine.New(s.sim,
-		engine.WithBudget(budgetS),
-		engine.WithSeed(uint64(cfg.Seed)),
-		engine.WithJournal(jr))
+	eng := engine.New(s.sim, engine.WithBudget(budgetS), engine.WithJournal(jr))
 	rep, err := core.TuneCtx(ctx, eng, ds, cfg, eng.Exhausted)
 	// The report must not outrun the records behind it: sync on every path.
 	if serr := eng.SyncJournal(); serr != nil {

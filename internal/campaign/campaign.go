@@ -109,8 +109,6 @@ func (c *Campaign) config(wrap func(sim.Objective) sim.Objective) harness.Campai
 		Method:      c.Spec.Method,
 		BudgetS:     c.Spec.BudgetS,
 		Seed:        c.Spec.Seed,
-		Repeats:     c.Spec.Repeats,
-		Quarantine:  c.Spec.Quarantine,
 		JournalPath: c.journalPath(),
 		FS:          c.fs,
 	}

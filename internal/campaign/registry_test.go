@@ -183,9 +183,10 @@ func TestRegistryPauseResume(t *testing.T) {
 }
 
 // TestRegistryResumesSpecWithRetiredWorkersField reopens a campaign whose
-// spec.json still carries the retired "workers" and "checkpoint_every"
-// knobs. The unknown fields are ignored on load, so the campaign resumes and completes to the same
-// canonical result as a fresh run of the spec.
+// spec.json still carries the retired "workers", "checkpoint_every",
+// "repeats" and "quarantine" knobs. The unknown fields are ignored on load,
+// so the campaign resumes and completes to the same canonical result as a
+// fresh run of the spec.
 func TestRegistryResumesSpecWithRetiredWorkersField(t *testing.T) {
 	spec := testSpec("acme", 9)
 	golden := goldenCanonical(t, spec)
@@ -221,6 +222,8 @@ func TestRegistryResumesSpecWithRetiredWorkersField(t *testing.T) {
 	}
 	fields["workers"] = 4
 	fields["checkpoint_every"] = 5
+	fields["repeats"] = 3
+	fields["quarantine"] = 1
 	if raw, err = json.Marshal(fields); err != nil {
 		t.Fatal(err)
 	}

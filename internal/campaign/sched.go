@@ -148,11 +148,10 @@ func (s *Scheduler) VTimes() map[string]float64 {
 	return out
 }
 
-// gate wraps a campaign's objective chain so every live measurement passes
+// gate wraps a campaign's simulator so every live measurement passes
 // through the weighted-fair scheduler. It forwards the optional surfaces
-// the engine probes for — context-aware measurement, metric runs, the
-// architecture provider, and Unwrap (so journal replay can restore attempt
-// counters in a wrapped fault injector).
+// the engine probes for — context-aware measurement, metric runs and the
+// architecture provider.
 type gate struct {
 	inner  sim.Objective
 	sched  *Scheduler
@@ -210,9 +209,6 @@ func (g *gate) Architecture() *gpu.Arch {
 	}
 	return nil
 }
-
-// Unwrap exposes the inner objective (engine.AttemptRestorer discovery).
-func (g *gate) Unwrap() sim.Objective { return g.inner }
 
 var (
 	_ sim.Objective       = (*gate)(nil)

@@ -34,12 +34,8 @@ type Spec struct {
 	// BudgetS is the campaign's virtual tuning budget in seconds; it is
 	// also the amount reserved against the tenant's ledger. Required.
 	BudgetS float64 `json:"budget_s"`
-	// Seed drives the tuner and the engine's deterministic jitter.
+	// Seed drives the tuner and the fixture's dataset sample.
 	Seed int64 `json:"seed"`
-	// Repeats and Quarantine forward to harness.CampaignConfig (both
-	// optional).
-	Repeats    int `json:"repeats,omitempty"`
-	Quarantine int `json:"quarantine,omitempty"`
 	// WarmStart requests up to that many warm-start seeds from the shared
 	// result store (0 = cold start). Ignored when the registry has no store.
 	WarmStart int `json:"warm_start,omitempty"`

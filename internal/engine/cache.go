@@ -14,9 +14,9 @@ import (
 // historical lookup precedence of the separate maps (Measure: time before
 // error; Run: result before error, a bare time is not a Run hit).
 //
-// The cache carries no accounting state. Budget, counters, trajectory and
-// quarantine are updated under Engine.mu; the cache only memoizes outcomes
-// those decisions already produced.
+// The cache carries no accounting state. Budget, counters and trajectory
+// are updated under Engine.mu; the cache only memoizes outcomes those
+// decisions already produced.
 
 // cacheEntry is one key's memoized outcomes.
 type cacheEntry struct {

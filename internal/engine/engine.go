@@ -80,17 +80,6 @@ type Stats struct {
 	// BudgetTrips counts measurements refused because the virtual budget
 	// was already spent.
 	BudgetTrips int
-	// Transient counts transient measurement errors observed from the
-	// objective (injected faults, flaky timers).
-	Transient int
-	// Retries counts re-attempts after transient failures (attempts beyond
-	// the first, across all measurement episodes).
-	Retries int
-	// Quarantined counts settings the engine has permanently given up on.
-	Quarantined int
-	// QuarantineSkips counts measurements refused because the setting was
-	// already quarantined.
-	QuarantineSkips int
 	// Canceled counts measurements aborted or refused by run-level context
 	// cancellation.
 	Canceled int
@@ -135,38 +124,16 @@ func WithCost(c CostModel) Option { return func(e *Engine) { e.cost = c } }
 // 0 means unlimited (iso-iteration runs use evaluation counts instead).
 func WithBudget(budgetS float64) Option { return func(e *Engine) { e.budgetS = budgetS } }
 
-// WithRetry sets the transient-failure retry policy (defaults to
-// DefaultRetryPolicy; MaxAttempts 1 disables retries).
-func WithRetry(p RetryPolicy) Option { return func(e *Engine) { e.retry = p } }
-
-// WithSeed seeds the deterministic backoff jitter (defaults to 0; retry
-// schedules are a pure function of seed, setting key and attempt number).
-func WithSeed(seed uint64) Option { return func(e *Engine) { e.seed = seed } }
-
-// WithQuarantine quarantines a setting after n definitively-failed
-// measurement episodes (permanent errors or exhausted retries); n <= 0
-// disables quarantine. Defaults to DefaultQuarantineAfter.
-func WithQuarantine(n int) Option { return func(e *Engine) { e.quarAfter = n } }
-
-// DefaultQuarantineAfter is the default episode-failure threshold. With the
-// cache enabled a permanent error is memoized after its first episode, so
-// quarantine matters mainly for settings that keep failing transiently.
-const DefaultQuarantineAfter = 3
-
 // Engine implements sim.Objective over an inner objective. One goroutine
 // calls Measure, MeasureCtx and Run; any goroutine may call Stats, Best,
 // SpentS, Trajectory, Spans and Exhausted meanwhile, as the daemon's
 // pollers do.
 type Engine struct {
-	obj       sim.Objective
-	cost      CostModel
-	budgetS   float64
-	retry     RetryPolicy
-	seed      uint64
-	quarAfter int
-	repeats   int
-	jr        *journal.Journal
-	clock     Clock
+	obj     sim.Objective
+	cost    CostModel
+	budgetS float64
+	jr      *journal.Journal
+	clock   Clock
 
 	// cache is the memo store (cache.go), touched only by the measuring
 	// goroutine. The hit counter beside it is an atomic so a hit never takes
@@ -185,9 +152,7 @@ type Engine struct {
 	warmSeeds   atomic.Int64
 	storeDrops  atomic.Int64
 
-	mu        sync.Mutex
-	permFails map[string]int
-	quar      map[string]struct{}
+	mu sync.Mutex
 
 	// journal replay/recording state (journal.go). unsynced counts records
 	// appended since the last journal sync; queued holds the store
@@ -213,16 +178,12 @@ type Engine struct {
 // New wraps obj in a fresh engine.
 func New(obj sim.Objective, opts ...Option) *Engine {
 	e := &Engine{
-		obj:       obj,
-		cost:      DefaultCostModel(),
-		best:      -1,
-		retry:     DefaultRetryPolicy(),
-		quarAfter: DefaultQuarantineAfter,
-		cache:     map[string]cacheEntry{},
-		permFails: map[string]int{},
-		quar:      map[string]struct{}{},
-		spans:     map[string]*Span{},
-		clock:     time.Now, // value use: the sanctioned wall-clock seam (see Clock)
+		obj:   obj,
+		cost:  DefaultCostModel(),
+		best:  -1,
+		cache: map[string]cacheEntry{},
+		spans: map[string]*Span{},
+		clock: time.Now, // value use: the sanctioned wall-clock seam (see Clock)
 	}
 	for _, o := range opts {
 		o(e)
@@ -256,12 +217,9 @@ func (e *Engine) Architecture() *gpu.Arch {
 	return nil
 }
 
-// Unwrap returns the inner objective.
-func (e *Engine) Unwrap() sim.Objective { return e.obj }
-
-// Measure implements sim.Objective: cache lookup, then quarantine and budget
-// enforcement, then one retrying measurement episode against the inner
-// objective. It is MeasureCtx without a run context.
+// Measure implements sim.Objective: cache lookup, then the run-context and
+// budget gates, then one measurement episode against the inner objective.
+// It is MeasureCtx without a run context.
 func (e *Engine) Measure(s space.Setting) (float64, error) {
 	return e.MeasureCtx(context.Background(), s)
 }
@@ -365,6 +323,7 @@ func (e *Engine) Stats() Stats {
 // what the determinism goldens compare.
 func (e *Engine) statsLocked() Stats {
 	st := e.stats
+	st.SpentS = e.spentS
 	st.CacheHits = int(e.cacheHits.Load())
 	st.StoreHits = int(e.storeHits.Load())
 	st.StoreMisses = int(e.storeMisses.Load())

@@ -5,88 +5,51 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/kernel"
-	"repro/internal/sim"
 	"repro/internal/space"
 )
 
 // WithJournal attaches a campaign journal to the engine. Every finished
 // measurement episode a restart could not recompute (success, store hit,
-// budget refusal, transient exhaustion, any permanent failure other than a
-// constraint rejection) is appended to the journal *before* its effects
-// reach the engine's accounting state, so a killed process loses at most
-// work the engine never accounted. Two kinds of episode get no record: a
-// context-cancelled abort, which is the shutdown itself, and a constraint
-// rejection (see rejection), which the resumed run re-checks live at the
-// same point of its search. The engine fsyncs the journal every
-// journalSyncEvery records and in SyncJournal, and holds back each live
-// episode's store publish until the sync that covers its record: whatever
-// another party can observe is durable first, and a power cut loses at
-// most journalSyncEvery-1 episodes, which resume re-measures with the same
+// budget refusal, any permanent failure other than a constraint rejection)
+// is appended to the journal *before* its effects reach the engine's
+// accounting state, so a killed process loses at most work the engine
+// never accounted. Two kinds of episode get no record: a context-cancelled
+// abort, which is the shutdown itself, and a constraint rejection (see
+// rejection), which the resumed run re-checks live at the same point of
+// its search. The engine fsyncs the journal every journalSyncEvery records
+// and in SyncJournal, and holds back each live episode's store publish
+// until the sync that covers its record: whatever another party can
+// observe is durable first, and a power cut loses at most
+// journalSyncEvery-1 episodes, which resume re-measures with the same
 // outcomes.
 //
 // When the journal was opened on an existing file, its recovered episodes
 // become the engine's replay set: the first measurement request for each
 // journaled key is served from the journal — through the normal accounting
-// path, so cost, stats, trajectory, cache, and quarantine evolve exactly as
-// in the original run — instead of reaching the objective. Replay is
-// per-key FIFO, so duplicate episodes (transient failures later retried)
-// re-play in their original order; once a key's queue drains, further
-// requests measure live. Resume therefore requires the campaign itself to
-// be deterministic: the resumed run re-executes the same search and asks
-// for the same keys, and the journal answers for the prefix already paid
-// for (DESIGN.md §6).
+// path, so cost, stats, trajectory and cache evolve exactly as in the
+// original run — instead of reaching the objective. Replay is per-key
+// FIFO, so duplicate episodes (a stacked engine's budget refusal, later
+// measured) re-play in their original order; once a key's queue drains,
+// further requests measure live. Resume therefore requires the campaign
+// itself to be deterministic: the resumed run re-executes the same search
+// and asks for the same keys, and the journal answers for the prefix
+// already paid for (DESIGN.md §6).
 func WithJournal(j *journal.Journal) Option {
 	return func(e *Engine) { e.jr = j }
 }
 
-// WithRepeats makes every measurement attempt call the objective n times,
-// scoring the setting by the median (noise-robust, the standard benchmark
-// practice) while charging the virtual clock for every repeat. n <= 1 is a
-// single call per attempt — the historical behaviour, bit-for-bit.
-func WithRepeats(n int) Option {
-	return func(e *Engine) {
-		if n < 1 {
-			n = 1
-		}
-		e.repeats = n
-	}
-}
-
-// AttemptRestorer is implemented by stateful objectives (the fault
-// injector) whose behaviour depends on how often each setting was measured.
-// On resume the engine restores the per-key objective-call counts recorded
-// in the journal, so a wrapped objective's per-attempt decisions continue
-// exactly where the crashed run stopped.
-type AttemptRestorer interface {
-	RestoreAttempts(calls map[string]int)
-}
-
 // initReplay turns the journal's recovered episodes into per-key FIFO
-// replay queues and restores attempt counters down the objective chain.
-// Called once from New after options are applied.
+// replay queues. Called once from New after options are applied.
 func (e *Engine) initReplay() {
 	rec := e.jr.Recovered()
 	if len(rec) == 0 {
 		return
 	}
 	e.replay = make(map[string][]journal.Episode, len(rec))
-	calls := make(map[string]int, len(rec))
 	for _, r := range rec {
 		e.replay[r.Key] = append(e.replay[r.Key], r)
-		calls[r.Key] += r.Calls
 	}
 	e.replayPending = len(rec)
-	for obj := e.obj; obj != nil; {
-		if ar, ok := obj.(AttemptRestorer); ok {
-			ar.RestoreAttempts(calls)
-			break
-		}
-		u, ok := obj.(interface{ Unwrap() sim.Objective })
-		if !ok {
-			break
-		}
-		obj = u.Unwrap()
-	}
 }
 
 // replayPop serves the next journaled episode for key, if any.
@@ -173,25 +136,15 @@ func (e *Engine) syncJournalLocked() error {
 // episodeFromRecord reconstructs the in-memory episode a journal record was
 // written from. The error is rebuilt by class — Classify drives every
 // accounting decision, so class fidelity (plus the message) is all replay
-// needs.
+// needs. Fields that older versions wrote for retries and repeats are
+// ignored (DESIGN.md §6).
 func episodeFromRecord(r journal.Episode) episode {
-	ep := episode{
-		attempts:  r.Attempts,
-		calls:     r.Calls,
-		transient: r.Transient,
-		backoffS:  r.BackoffS,
-		replayed:  true,
-	}
+	ep := episode{replayed: true}
 	switch r.Class {
-	case journal.ClassOK:
-		ep.ms, ep.msSum = r.MS, r.MSSum
-	case journal.ClassStore:
-		ep.ms, ep.msSum = r.MS, r.MSSum
-		ep.fromStore = true
+	case journal.ClassOK, journal.ClassStore:
+		ep.ms, ep.fromStore = r.MS, r.Class == journal.ClassStore
 	case journal.ClassBudget:
 		ep.err = ErrBudget
-	case journal.ClassTransient:
-		ep.err = Transient(errors.New(r.Err))
 	default:
 		ep.err = errors.New(r.Err)
 	}
@@ -201,51 +154,33 @@ func episodeFromRecord(r journal.Episode) episode {
 // recordFromEpisode converts one finished episode into its durable record.
 // costS is the total virtual cost the episode is about to be charged.
 func recordFromEpisode(key string, ep episode, costS float64) journal.Episode {
-	r := journal.Episode{
-		Key:       key,
-		Attempts:  ep.attempts,
-		Calls:     ep.calls,
-		Transient: ep.transient,
-		BackoffS:  ep.backoffS,
-		CostS:     costS,
-	}
-	if ep.err == nil {
-		if ep.fromStore {
-			// A store hit is durable as its own class so a resumed run
-			// replays the hit instead of re-probing a store that may have
-			// grown since — resume must not depend on store content.
-			r.Class = journal.ClassStore
-		} else {
-			r.Class = journal.ClassOK
-		}
-		r.MS, r.MSSum = ep.ms, ep.msSum
-		return r
-	}
-	r.Err = ep.err.Error()
-	switch Classify(ep.err) {
-	case ClassBudget:
-		r.Class = journal.ClassBudget
-	case ClassTransient:
-		r.Class = journal.ClassTransient
+	r := journal.Episode{Key: key, CostS: costS}
+	switch {
+	case ep.fromStore:
+		// A store hit is durable as its own class so a resumed run replays
+		// the hit instead of re-probing a store that may have grown since —
+		// resume must not depend on store content.
+		r.Class, r.MS = journal.ClassStore, ep.ms
+	case ep.err == nil:
+		r.Class, r.MS = journal.ClassOK, ep.ms
+	case Classify(ep.err) == ClassBudget:
+		r.Class, r.Err = journal.ClassBudget, ep.err.Error()
 	default:
-		r.Class = journal.ClassPermanent
+		r.Class, r.Err = journal.ClassPermanent, ep.err.Error()
 	}
 	return r
 }
 
-// episodeCostS prices one finished episode exactly as accountEpisode will
-// charge it, so the journal record carries the true cost.
+// episodeCostS prices one journaled episode exactly as accountEpisode will
+// charge it, so the record carries the true cost.
 func (e *Engine) episodeCostS(ep episode) float64 {
-	if ep.fromStore {
+	switch {
+	case ep.fromStore:
 		return 0 // the measurement was paid for by a previous campaign
+	case ep.err == nil:
+		return e.cost.CompileS + float64(e.cost.Reps)*ep.ms/1000
 	}
-	if ep.err == nil {
-		return ep.backoffS + e.cost.CompileS + float64(e.cost.Reps)*ep.msSum/1000
-	}
-	if Classify(ep.err) == ClassCanceled {
-		return 0
-	}
-	return ep.backoffS + e.cost.CheckS
+	return e.cost.CheckS
 }
 
 // journalEpisodeLocked write-ahead logs one live finished episode, unless
@@ -285,11 +220,9 @@ func (e *Engine) journalEpisodeLocked(key string, ep episode) error {
 // rejection (space.ErrInvalid or kernel.ErrResource): a check that failed
 // before any code was generated. It is a pure function of (space, setting,
 // arch) that the engine caches, so a resumed run re-checks it at the same
-// point of its search, from the same attempt count, and charges the same
-// CheckS: a record would buy nothing (DESIGN.md §6 has the argument). Every
-// other permanent error keeps its record, since on a real testbed it may
-// follow a paid compile. The caller tests the class first, so a
-// Transient-wrapped rejection that exhausted its retries stays journaled.
+// point of its search and charges the same CheckS: a record would buy
+// nothing (DESIGN.md §6 has the argument). Every other permanent error
+// keeps its record, since on a real testbed it may follow a paid compile.
 func rejection(err error) bool {
 	return errors.Is(err, space.ErrInvalid) || errors.Is(err, kernel.ErrResource)
 }

@@ -1,5 +1,3 @@
-// Lives in package engine_test so the permanent fault below comes from the
-// real fault injector.
 package engine_test
 
 import (
@@ -10,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/kernel"
 	"repro/internal/sim"
@@ -34,9 +31,8 @@ func (o *scriptObj) Measure(s space.Setting) (float64, error) {
 	return float64(s[space.TBX]) + float64(s[space.TBY])/100, nil
 }
 
-// callCounter counts the calls that reach the objective chain below the
-// engine, per key. It unwraps, so a resumed engine still finds the fault
-// injector's AttemptRestorer.
+// callCounter counts the calls that reach the objective below the engine,
+// per key.
 type callCounter struct {
 	sim.Objective
 	mu    sync.Mutex
@@ -50,8 +46,6 @@ func (c *callCounter) Measure(s space.Setting) (float64, error) {
 	return c.Objective.Measure(s)
 }
 
-func (c *callCounter) Unwrap() sim.Objective { return c.Objective }
-
 func (c *callCounter) total() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -62,58 +56,42 @@ func (c *callCounter) total() int {
 	return n
 }
 
-// TestJournalConstraintRejectionsAreNotJournaled measures six outcomes
+// TestJournalConstraintRejectionsAreNotJournaled measures four outcomes
 // through a journaled engine: a success, a space.ErrInvalid and a
-// kernel.ErrResource rejection, a transient exhaustion whose error wraps
-// space.ErrInvalid, a plain permanent error and an injected permanent
-// fault. Only the two rejections get no record. Resuming re-checks them
-// live, once each, and replays every record; a journal that still holds
-// rejection records, as older versions wrote them, replays them all.
+// kernel.ErrResource rejection, and a plain permanent error. Only the two
+// rejections get no record. Resuming re-checks them live, once each, and
+// replays every record; a journal that still holds rejection records, as
+// older versions wrote them, replays them all.
 func TestJournalConstraintRejectionsAreNotJournaled(t *testing.T) {
 	sp, err := space.New(stencil.Helmholtz())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := faults.Config{Seed: 4, PermanentRate: 0.3}
-
-	// Pick five keys the injector passes through and one it always fails.
-	probe := faults.New(&scriptObj{sp: sp}, cfg)
-	var clean []space.Setting
-	var broken space.Setting
-	for tbx := 1; len(clean) < 5 || broken == nil; tbx++ {
+	var keys []space.Setting
+	for tbx := 1; tbx <= 4; tbx++ {
 		s := sp.Default()
 		s[space.TBX], s[space.TBY] = tbx, 2
-		var fe *faults.Error
-		if _, err := probe.Measure(s); errors.As(err, &fe) && fe.Kind == faults.KindPermanent {
-			if broken == nil {
-				broken = s
-			}
-		} else if len(clean) < 5 {
-			clean = append(clean, s)
-		}
+		keys = append(keys, s)
 	}
-	ok, invalid, resource, flaky, plain := clean[0], clean[1], clean[2], clean[3], clean[4]
+	ok, invalid, resource, plain := keys[0], keys[1], keys[2], keys[3]
 	invalidErr := fmt.Errorf("%w: tile exceeds the grid", space.ErrInvalid)
 	resourceErr := fmt.Errorf("%w: registers exceed the file", kernel.ErrResource)
 	errs := map[string]error{
 		invalid.Key():  invalidErr,
 		resource.Key(): resourceErr,
-		flaky.Key():    engine.Transient(fmt.Errorf("%w: flaky check", space.ErrInvalid)),
 		plain.Key():    errors.New("compile failed"),
 	}
 	rejected := map[string]bool{invalid.Key(): true, resource.Key(): true}
 
 	newEngine := func(j *journal.Journal) (*engine.Engine, *callCounter) {
-		c := &callCounter{Objective: faults.New(&scriptObj{sp: sp, errs: errs}, cfg), calls: map[string]int{}}
-		return engine.New(c, engine.WithJournal(j), engine.WithQuarantine(2), engine.WithSeed(3),
-			engine.WithRetry(engine.RetryPolicy{MaxAttempts: 2, BackoffS: 0.25, Multiplier: 2, Jitter: 0.5})), c
+		c := &callCounter{Objective: &scriptObj{sp: sp, errs: errs}, calls: map[string]int{}}
+		return engine.New(c, engine.WithJournal(j)), c
 	}
-	// Three passes: the flaky key's second episode replays after its first
-	// in per-key FIFO order and quarantines it, and the third pass is
-	// refused by quarantine. Every other key is cached after one episode.
+	// Two passes: every key is cached after its one episode, so the second
+	// pass is all cache hits.
 	var in []space.Setting
-	for pass := 0; pass < 3; pass++ {
-		in = append(in, ok, invalid, resource, flaky, plain, broken)
+	for pass := 0; pass < 2; pass++ {
+		in = append(in, keys...)
 	}
 	run := func(e *engine.Engine) string {
 		fp := fingerprint(e, in)
@@ -133,11 +111,11 @@ func TestJournalConstraintRejectionsAreNotJournaled(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := eng.Stats(); st.Invalid != 4 || st.Transient != 4 || len(eng.Quarantined()) != 1 {
-		t.Fatalf("the six outcomes did not happen as scripted:\n%s", want)
+	if best, _, _ := eng.Best(); best.Key() != ok.Key() || eng.Stats().Evaluations != 1 || eng.Stats().Invalid != 3 {
+		t.Fatalf("the four outcomes did not happen as scripted:\n%s", want)
 	}
-	if records != 5 { // ok, flaky twice, plain, broken
-		t.Fatalf("journaled %d records, want 5", records)
+	if records != 2 { // ok, plain
+		t.Fatalf("journaled %d records, want 2", records)
 	}
 
 	reopen := func(path string) *journal.Journal {
@@ -163,7 +141,7 @@ func TestJournalConstraintRejectionsAreNotJournaled(t *testing.T) {
 	if eng2.Replayed() != records || eng2.ReplayPending() != 0 {
 		t.Fatalf("Replayed = %d, pending %d; want %d, 0", eng2.Replayed(), eng2.ReplayPending(), records)
 	}
-	for _, s := range []space.Setting{ok, invalid, resource, flaky, plain, broken} {
+	for _, s := range keys {
 		wantCalls := 0
 		if rejected[s.Key()] {
 			wantCalls = 1 // re-checked live, then cached
@@ -183,8 +161,8 @@ func TestJournalConstraintRejectionsAreNotJournaled(t *testing.T) {
 	}
 	checkS := engine.DefaultCostModel().CheckS
 	eps := append([]journal.Episode{recovered[0],
-		{Key: invalid.Key(), Class: journal.ClassPermanent, Err: invalidErr.Error(), Attempts: 1, Calls: 1, CostS: checkS},
-		{Key: resource.Key(), Class: journal.ClassPermanent, Err: resourceErr.Error(), Attempts: 1, Calls: 1, CostS: checkS},
+		{Key: invalid.Key(), Class: journal.ClassPermanent, Err: invalidErr.Error(), CostS: checkS},
+		{Key: resource.Key(), Class: journal.ClassPermanent, Err: resourceErr.Error(), CostS: checkS},
 	}, recovered[1:]...)
 	for _, ep := range eps {
 		if err := lj.Append(ep); err != nil {

@@ -45,13 +45,12 @@ func runSequence(t *testing.T, eng *Engine, sp *space.Space) {
 type snapshot struct {
 	stats Stats
 	traj  []Point
-	quar  []string
 	best  string
 	ms    float64
 }
 
 func snap(e *Engine) snapshot {
-	s := snapshot{stats: e.Stats(), traj: e.Trajectory(), quar: e.Quarantined()}
+	s := snapshot{stats: e.Stats(), traj: e.Trajectory()}
 	if set, ms, ok := e.Best(); ok {
 		s.best, s.ms = set.Key(), ms
 	}
@@ -102,42 +101,6 @@ func TestJournalReplayReproducesRunWithoutObjectiveCalls(t *testing.T) {
 	}
 	if n := obj2.callCount(extra); n != 1 {
 		t.Fatalf("post-replay measurement hit the objective %d times, want 1", n)
-	}
-}
-
-func TestJournalReplayTransientExhaustionAndQuarantine(t *testing.T) {
-	j, path := journalAt(t, "fp")
-	inner := newFlaky(t, 1000, Transient(errors.New("always flaky")))
-	sp := inner.Space()
-	s := variant(sp, 3, 3)
-	eng := New(inner, WithJournal(j),
-		WithRetry(RetryPolicy{MaxAttempts: 2, BackoffS: 0.25, Multiplier: 2, Jitter: 0.5}),
-		WithQuarantine(2), WithSeed(11))
-	for i := 0; i < 3; i++ {
-		eng.Measure(s) //nolint:errcheck — failures are the point
-	}
-	want := snap(eng)
-	if len(want.quar) != 1 {
-		t.Fatalf("setting not quarantined in original run: %+v", want)
-	}
-	j.Close()
-
-	j2, err := journal.Open(path, "fp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	// Two journaled episodes (the third request was refused by quarantine,
-	// which is not an episode).
-	if eng2 := New(newFlaky(t, 1000, Transient(errors.New("always flaky"))), WithJournal(j2),
-		WithRetry(RetryPolicy{MaxAttempts: 2, BackoffS: 0.25, Multiplier: 2, Jitter: 0.5}),
-		WithQuarantine(2), WithSeed(11)); true {
-		for i := 0; i < 3; i++ {
-			eng2.Measure(s) //nolint:errcheck
-		}
-		if got := snap(eng2); !reflect.DeepEqual(got, want) {
-			t.Fatalf("resumed run diverged:\n got %+v\nwant %+v", got, want)
-		}
 	}
 }
 
@@ -200,22 +163,25 @@ func TestJournalCanceledEpisodesAreNotJournaled(t *testing.T) {
 }
 
 // TestJournalReplaysRecordWithRetiredTimeoutsField: episode records written
-// while the engine had a per-measurement deadline carry a "timeouts" count.
-// A journal holding one still opens, and the episode replays through the
-// normal accounting path without reaching the objective.
+// while the engine had a per-measurement deadline, retries and repeats carry
+// "timeouts", "attempts", "calls", "transient", "backoff_s" and "ms_sum". A
+// journal holding one still opens, the episode replays through the normal
+// accounting path without reaching the objective, and it is charged from
+// "ms" alone: one evaluation at CompileS + Reps·ms/1000, whatever its
+// recorded backoff, retries or summed repeats.
 func TestJournalReplaysRecordWithRetiredTimeoutsField(t *testing.T) {
 	obj := newFake(t)
 	sp := obj.Space()
 	s := variant(sp, 2, 4) // fakeObj time 2.04 ms
 	const ms, backoffS = 2.04, 0.5
 	cost := DefaultCostModel()
-	costS := backoffS + (cost.CompileS + float64(cost.Reps)*ms/1000) // accountEpisode's order
+	want := cost.CompileS + float64(cost.Reps)*ms/1000
 	var buf bytes.Buffer
 	for _, fr := range []any{
 		map[string]any{"t": "hdr", "hdr": journal.Header{Magic: journal.Magic, Version: journal.Version, Fingerprint: "fp"}},
 		map[string]any{"t": "ep", "ep": map[string]any{
-			"key": s.Key(), "class": journal.ClassOK, "ms": ms, "ms_sum": ms,
-			"attempts": 2, "calls": 2, "transient": 1, "timeouts": 1, "backoff_s": backoffS, "cost_s": costS,
+			"key": s.Key(), "class": journal.ClassOK, "ms": ms, "ms_sum": 3 * ms,
+			"attempts": 2, "calls": 2, "transient": 1, "timeouts": 1, "backoff_s": backoffS, "cost_s": backoffS + want,
 		}},
 	} {
 		if err := frame.Write(&buf, fr); err != nil {
@@ -242,9 +208,9 @@ func TestJournalReplaysRecordWithRetiredTimeoutsField(t *testing.T) {
 		t.Fatalf("replayed episode reached the objective %d times", n)
 	}
 	st := eng.Stats()
-	if eng.Replayed() != 1 || st.Evaluations != 1 || st.Transient != 1 || st.Retries != 1 || st.SpentS != costS {
-		t.Fatalf("replayed %d, stats %+v; want 1 replayed evaluation with 1 transient, 1 retry, SpentS %v",
-			eng.Replayed(), st, costS)
+	if eng.Replayed() != 1 || st.Evaluations != 1 || st.Invalid != 0 || st.SpentS != want {
+		t.Fatalf("replayed %d, stats %+v; want 1 replayed evaluation charged SpentS %v",
+			eng.Replayed(), st, want)
 	}
 }
 

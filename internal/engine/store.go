@@ -8,10 +8,10 @@ import "sync"
 // processes. WithStore slots it in as a second-level read-through cache on
 // the measurement path:
 //
-//	memo cache → journal replay → store probe → retry loop (objective)
+//	memo cache → journal replay → store probe → objective
 //
 // The probe lives inside measureEpisode, *after* journal replay and after
-// every sequential gate (quarantine, context, budget) has already run. That
+// every sequential gate (context, budget) has already run. That
 // placement is what keeps resume deterministic: gates never condition on
 // store content (which grows between runs), and a store hit is journaled as
 // its own episode class (journal.ClassStore), so a resumed run replays the
@@ -91,7 +91,7 @@ type storePut struct {
 	ms  float64
 }
 
-// storePublishLocked pushes one successful episode's scored time to the
+// storePublishLocked pushes one successful episode's measured time to the
 // shared store. Called from the accounting section (callers hold e.mu),
 // never from an in-flight episode. On a journaled engine a live episode's
 // publish waits for the sync that makes its record durable: Put makes it

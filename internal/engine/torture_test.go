@@ -1,24 +1,24 @@
 // Torture tests for the measure path (DESIGN.md §12): the memo cache and
 // the atomic hit counter must leave the determinism contract untouched.
-// Duplicate-heavy inputs under fault injection must replay from the
-// journal to the recorded run's exact outcome. Lives in package engine_test
-// so it can drive the real engine through the real fault injector.
+// Duplicate-heavy inputs with a journaled failure class must replay from
+// the journal to the recorded run's exact outcome. Lives in package
+// engine_test so it drives the engine through its exported surface only.
 package engine_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/engine"
-	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/journal"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -49,25 +49,23 @@ func duplicateHeavyBatch(sp *space.Space, n int, seed int64) []space.Setting {
 	return out
 }
 
-// hostileTortureConfig mirrors the faults package's hostile testbed: every
-// injected fault kind fires on a 3n-item list.
-func hostileTortureConfig() faults.Config {
-	return faults.Config{
-		Seed:               11,
-		TransientRate:      0.25,
-		MaxTransientPerKey: 2,
-		PermanentRate:      0.10,
-		NoiseFrac:          0.05,
-		NoiseAddMS:         0.01,
-		SlowRate:           0.10,
-		SlowDelay:          100 * time.Microsecond,
+// brokenTenth fails a fixed, hash-selected tenth of the settings its
+// objective measures with a plain error: a deterministic compile failure,
+// which is journaled, unlike a constraint rejection.
+type brokenTenth struct{ sim.Objective }
+
+func (b brokenTenth) Measure(s space.Setting) (float64, error) {
+	ms, err := b.Objective.Measure(s)
+	if err == nil && stats.Mix64(stats.KeyHash(s.Key()))%10 == 0 {
+		return 0, errors.New("compile failed")
 	}
+	return ms, err
 }
 
 // fingerprint measures in one setting at a time and serializes everything
-// the determinism contract covers — per-item results, stats, trajectory,
-// quarantine set — into one string, so runs compare byte-for-byte rather
-// than field-by-field.
+// the determinism contract covers — per-item results, stats, trajectory —
+// into one string, so runs compare byte-for-byte rather than
+// field-by-field.
 func fingerprint(eng *engine.Engine, in []space.Setting) string {
 	var b strings.Builder
 	for i, s := range in {
@@ -82,27 +80,21 @@ func fingerprint(eng *engine.Engine, in []space.Setting) string {
 	for i, p := range eng.Trajectory() {
 		fmt.Fprintf(&b, "traj[%d] %+v\n", i, p)
 	}
-	for i, q := range eng.Quarantined() {
-		fmt.Fprintf(&b, "quar[%d] %s\n", i, q)
-	}
 	return b.String()
 }
 
-// TestTortureJournalReplayMatrix records a faulty duplicate-heavy list into
-// a write-ahead journal, then resumes from that journal. The resumed run
-// must (a) replay every journaled episode without touching the objective's
-// fault schedule anew and (b) land on the recorded run's exact fingerprint.
+// TestTortureJournalReplayMatrix records a duplicate-heavy list with
+// successes, constraint rejections and compile failures into a write-ahead
+// journal, then resumes from that journal. The resumed run must (a) replay
+// every journaled episode and (b) land on the recorded run's exact
+// fingerprint.
 func TestTortureJournalReplayMatrix(t *testing.T) {
 	sp, s := tortureSpace(t)
 	in := duplicateHeavyBatch(sp, 30, 42)
 	walPath := filepath.Join(t.TempDir(), "torture.wal")
 
 	newEngine := func(j *journal.Journal) *engine.Engine {
-		return engine.New(faults.New(s, hostileTortureConfig()),
-			engine.WithSeed(7),
-			engine.WithQuarantine(2),
-			engine.WithJournal(j),
-		)
+		return engine.New(brokenTenth{s}, engine.WithJournal(j))
 	}
 	// Record the reference run.
 	j, err := journal.Create(walPath, "torture")
@@ -112,6 +104,20 @@ func TestTortureJournalReplayMatrix(t *testing.T) {
 	ref := fingerprint(newEngine(j), in)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+	classes := map[string]int{}
+	jr, err := journal.Open(walPath, "torture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range jr.Recovered() {
+		classes[r.Class]++
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if classes[journal.ClassOK] == 0 || classes[journal.ClassPermanent] == 0 {
+		t.Fatalf("journal classes %v: want both ok and permanent records", classes)
 	}
 
 	// Resume from it.

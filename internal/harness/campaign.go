@@ -12,7 +12,6 @@ import (
 	"repro/internal/baselines/garvey"
 	"repro/internal/baselines/opentuner"
 	"repro/internal/engine"
-	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/sim"
 	"repro/internal/space"
@@ -23,22 +22,15 @@ import (
 
 // CampaignConfig describes one resumable tuning campaign: a method racing a
 // virtual budget on a fixture, optionally journaled to disk so a killed run
-// can be resumed, and optionally hardened against an injected-fault testbed.
+// can be resumed.
 type CampaignConfig struct {
 	// Method is one of "cstuner", "opentuner", "garvey", "artemis".
 	Method string
 	// BudgetS is the virtual auto-tuning budget in seconds (0 = unlimited —
 	// only sensible for methods that terminate on their own).
 	BudgetS float64
-	// Seed drives the tuner, the engine's backoff jitter, and (via the
-	// fingerprint) journal identity.
+	// Seed drives the tuner and (via the fingerprint) journal identity.
 	Seed int64
-	// Repeats is the engine's median-of-n measurement aggregation (0/1 = one
-	// call per attempt).
-	Repeats int
-	// Quarantine, when > 0, quarantines a setting after that many
-	// definitively-failed episodes (engine.WithQuarantine).
-	Quarantine int
 	// JournalPath, when non-empty, makes the campaign crash-safe: episodes
 	// are write-ahead logged there, and a journal already on disk is
 	// resumed. Constraint rejections get no record; the resumed run
@@ -51,18 +43,13 @@ type CampaignConfig struct {
 	// enters the fingerprint — where the bytes land is environment, not
 	// campaign identity.
 	FS vfs.FS
-	// Faults, when non-nil, wraps the simulator in the seeded fault
-	// injector — the adversarial testbed the kill-matrix tests run under.
-	Faults *faults.Config
 	// OnJournal, when set, is invoked with the opened journal before any
 	// measurement — the seam crash-matrix tests use to install snapshot
 	// hooks. Production callers leave it nil.
 	OnJournal func(*journal.Journal)
-	// Wrap, when set, wraps the campaign's objective chain (simulator, then
-	// fault injector when configured) in one more layer before the engine is
-	// built on top. The campaign service uses it to insert its weighted-fair
-	// measurement gate; the wrapper must forward Unwrap so journal replay can
-	// still restore attempt counters down the chain. Wrap never enters the
+	// Wrap, when set, wraps the campaign's simulator in one more layer
+	// before the engine is built on top. The campaign service uses it to
+	// insert its weighted-fair measurement gate. Wrap never enters the
 	// campaign fingerprint: admission control changes when measurements run,
 	// never what they return.
 	Wrap func(sim.Objective) sim.Objective
@@ -89,7 +76,6 @@ type CampaignResult struct {
 	Found      bool
 	Stats      engine.Stats
 	Trajectory []engine.Point
-	Quarantine []string
 	// Replayed counts episodes served from the journal instead of the
 	// objective; informational, excluded from Canonical so an interrupted
 	// and an uninterrupted run compare equal.
@@ -109,7 +95,6 @@ func (r *CampaignResult) Canonical() string {
 	st := r.Stats
 	st.DirSyncErrs, st.StorePutDrops = 0, 0
 	fmt.Fprintf(&b, "stats=%+v\n", st)
-	fmt.Fprintf(&b, "quarantine=%v\n", r.Quarantine)
 	for i, p := range r.Trajectory {
 		fmt.Fprintf(&b, "traj[%d]=%.12g,%d,%.12g\n", i, p.CostS, p.Evals, p.BestMS)
 	}
@@ -121,13 +106,9 @@ func (r *CampaignResult) Canonical() string {
 // dumps, which would drag pointers (e.g. function-valued config fields)
 // into the identity.
 func CampaignFingerprint(fx *Fixture, cfg CampaignConfig) string {
-	fp := fmt.Sprintf("cstuner-campaign|v1|stencil=%s|arch=%s|method=%s|seed=%d|budget=%g|repeats=%d|quar=%d|ds=%d",
-		fx.Stencil.Name, fx.Sim.Arch.Name, cfg.Method, cfg.Seed, cfg.BudgetS, cfg.Repeats, cfg.Quarantine, len(fx.DS.Samples))
-	if f := cfg.Faults; f != nil {
-		fp += fmt.Sprintf("|faults=%d,%g,%d,%g,%g,%g,%g,%v",
-			f.Seed, f.TransientRate, f.MaxTransientPerKey, f.PermanentRate,
-			f.NoiseFrac, f.NoiseAddMS, f.SlowRate, f.SlowDelay)
-	}
+	// "repeats=0|quar=0" keeps journals written before those knobs were retired resumable.
+	fp := fmt.Sprintf("cstuner-campaign|v1|stencil=%s|arch=%s|method=%s|seed=%d|budget=%g|repeats=0|quar=0|ds=%d",
+		fx.Stencil.Name, fx.Sim.Arch.Name, cfg.Method, cfg.Seed, cfg.BudgetS, len(fx.DS.Samples))
 	if len(cfg.WarmStart) > 0 {
 		// Warm seeds steer which settings the search measures, so they are
 		// campaign identity; digesting the keys keeps the fingerprint short.
@@ -188,16 +169,7 @@ func PrepareCampaign(fx *Fixture, cfg CampaignConfig) (*CampaignRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := []engine.Option{
-		engine.WithBudget(cfg.BudgetS),
-		engine.WithSeed(uint64(cfg.Seed)),
-	}
-	if cfg.Repeats > 1 {
-		opts = append(opts, engine.WithRepeats(cfg.Repeats))
-	}
-	if cfg.Quarantine > 0 {
-		opts = append(opts, engine.WithQuarantine(cfg.Quarantine))
-	}
+	opts := []engine.Option{engine.WithBudget(cfg.BudgetS)}
 	if cfg.Store != nil {
 		opts = append(opts, engine.WithStore(cfg.Store,
 			store.Prefix(store.ArchFingerprint(fx.Sim.Arch), store.ShapeFingerprint(fx.Stencil))))
@@ -219,9 +191,6 @@ func PrepareCampaign(fx *Fixture, cfg CampaignConfig) (*CampaignRun, error) {
 		opts = append(opts, engine.WithJournal(jr))
 	}
 	var obj sim.Objective = fx.Sim
-	if cfg.Faults != nil {
-		obj = faults.New(obj, *cfg.Faults)
-	}
 	if cfg.Wrap != nil {
 		obj = cfg.Wrap(obj)
 	}
@@ -251,7 +220,6 @@ func (r *CampaignRun) Execute(ctx context.Context) (*CampaignResult, error) {
 	res := &CampaignResult{
 		Stats:      eng.Stats(),
 		Trajectory: eng.Trajectory(),
-		Quarantine: eng.Quarantined(),
 		Replayed:   eng.Replayed(),
 	}
 	if set, ms, ok := eng.Best(); ok {

@@ -20,11 +20,11 @@ func FuzzJournalRecord(f *testing.F) {
 	// alone, torn and corrupted variants, and adversarial non-journals.
 	seed := legacyJournal(f, "fuzz-fp",
 		[]Episode{
-			{Key: "a", Class: ClassOK, MS: 0.5, MSSum: 0.5, Attempts: 1, Calls: 1, CostS: 1.5},
-			{Key: "b", Class: ClassOK, MS: 1.5, MSSum: 1.5, Attempts: 1, Calls: 1, CostS: 1.5},
-			{Key: "c", Class: ClassOK, MS: 2.5, MSSum: 2.5, Attempts: 1, Calls: 1, CostS: 1.5},
+			{Key: "a", Class: ClassOK, MS: 0.5, CostS: 1.5},
+			{Key: "b", Class: ClassOK, MS: 1.5, CostS: 1.5},
+			{Key: "c", Class: ClassOK, MS: 2.5, CostS: 1.5},
 		},
-		[]Episode{{Key: "d", Class: ClassTransient, Err: "flaky", Attempts: 3, Calls: 3, Transient: 3, BackoffS: 1.5, CostS: 1.505}})
+		[]Episode{{Key: "d", Class: ClassPermanent, Err: "compile failed", CostS: 0.005}})
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add(seed[:frame.HeaderLen+3])
@@ -50,7 +50,7 @@ func FuzzJournalRecord(f *testing.F) {
 			return
 		}
 		before := jr.Recovered()
-		extra := Episode{Key: "fuzz-appended", Class: ClassOK, MS: 1, MSSum: 1, Attempts: 1, Calls: 1, CostS: 1.503}
+		extra := Episode{Key: "fuzz-appended", Class: ClassOK, MS: 1, CostS: 1.503}
 		if err := jr.Append(extra); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}

@@ -74,11 +74,10 @@ var (
 // episode is the shutdown itself, charges nothing, and is never journaled.
 const (
 	ClassOK        = "ok"
-	ClassTransient = "transient"
 	ClassPermanent = "permanent"
 	ClassBudget    = "budget"
 	// ClassStore marks an episode served from the cross-campaign result
-	// store instead of the objective: MS/MSSum are valid, but the episode
+	// store instead of the objective: MS is valid, but the episode
 	// charged zero virtual cost. Journaling the hit (rather than the probe)
 	// makes resume independent of how the shared store grew since the
 	// original run: replay re-serves the recorded hit and never re-probes.
@@ -95,35 +94,23 @@ type Header struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
-// Episode is one durable evaluation-episode record: the outcome of up to
-// MaxAttempts measurement attempts at one setting, exactly as the engine
-// accounted it.
+// Episode is one durable evaluation-episode record: the outcome of one
+// measurement at one setting, exactly as the engine accounted it. Records
+// written by older versions may also carry attempts, calls, transient,
+// backoff_s and ms_sum; decoding ignores them (DESIGN.md §6).
 type Episode struct {
 	// Key is the measured setting's space.Setting.Key().
 	Key string `json:"key"`
-	// Class is the outcome class (ClassOK/Transient/Permanent/Budget).
+	// Class is the outcome class (ClassOK/Permanent/Budget/Store).
 	Class string `json:"class"`
-	// MS is the scored kernel time (the median across repeats) and MSSum
-	// the summed repeat time the cost model charges; both valid only for
-	// ClassOK.
-	MS    float64 `json:"ms,omitempty"`
-	MSSum float64 `json:"ms_sum,omitempty"`
-	// Err is the failure message for non-OK classes.
+	// MS is the measured kernel time; valid only for ClassOK and ClassStore.
+	MS float64 `json:"ms,omitempty"`
+	// Err is the failure message for the failure classes.
 	Err string `json:"err,omitempty"`
-	// Attempts is the number of retry-loop attempts the episode used;
-	// Calls the number of objective invocations (attempts × repeats on the
-	// success path). Calls lets a resumed run restore per-setting state in
-	// stateful objectives (see engine.AttemptRestorer).
-	Attempts int `json:"attempts"`
-	Calls    int `json:"calls"`
-	// Transient is the episode's transient-failure count; BackoffS the
-	// virtual retry backoff charged.
-	Transient int     `json:"transient,omitempty"`
-	BackoffS  float64 `json:"backoff_s,omitempty"`
 	// CostS is the total virtual cost the engine charged for the episode
-	// (backoff plus compile/run or check cost). Informational: replay
-	// recomputes the charge from the same inputs, and the cost model is
-	// pinned by the campaign fingerprint.
+	// (compile/run or check cost). Informational: replay recomputes the
+	// charge from the same inputs, and the cost model is pinned by the
+	// campaign fingerprint.
 	CostS float64 `json:"cost_s"`
 }
 

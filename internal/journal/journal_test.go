@@ -30,7 +30,7 @@ func mustCreate(t *testing.T, path, fp string) *Journal {
 }
 
 func ep(key string, ms float64) Episode {
-	return Episode{Key: key, Class: ClassOK, MS: ms, MSSum: ms, Attempts: 1, Calls: 1, CostS: 1.5 + 3*ms/1000}
+	return Episode{Key: key, Class: ClassOK, MS: ms, CostS: 1.5 + 3*ms/1000}
 }
 
 func TestAppendRecoverRoundTrip(t *testing.T) {
@@ -38,9 +38,9 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	j := mustCreate(t, path, "fp1")
 	want := []Episode{
 		ep("1,2,3", 4.5),
-		{Key: "9,9,9", Class: ClassPermanent, Err: "bad setting", Attempts: 1, Calls: 1, CostS: 0.005},
-		{Key: "1,2,4", Class: ClassTransient, Err: "flaky", Attempts: 3, Calls: 3, Transient: 3, BackoffS: 1.25, CostS: 1.255},
-		{Key: "0,0,1", Class: ClassBudget, Err: "budget exhausted", Attempts: 1, Calls: 1, CostS: 0.005},
+		{Key: "9,9,9", Class: ClassPermanent, Err: "bad setting", CostS: 0.005},
+		{Key: "0,0,1", Class: ClassBudget, Err: "budget exhausted", CostS: 0.005},
+		{Key: "1,2,4", Class: ClassStore, MS: 2.5},
 	}
 	for _, e := range want {
 		if err := j.Append(e); err != nil {
@@ -141,7 +141,7 @@ func legacyJournal(tb testing.TB, fp string, compacted, tail []Episode) []byte {
 // episode after it, and keep appending behind them.
 func TestOpenRecoversLegacyCheckpoint(t *testing.T) {
 	compacted := []Episode{ep("a", 1), ep("b", 2), ep("c", 3)}
-	tail := []Episode{{Key: "d", Class: ClassTransient, Err: "flaky", Attempts: 3, Calls: 3, Transient: 3, BackoffS: 1.5, CostS: 1.505}}
+	tail := []Episode{{Key: "d", Class: ClassPermanent, Err: "compile failed", CostS: 0.005}}
 	path := tmpPath(t)
 	if err := os.WriteFile(path, legacyJournal(t, "fp", compacted, tail), 0o644); err != nil {
 		t.Fatal(err)

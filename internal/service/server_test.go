@@ -140,6 +140,8 @@ func TestServiceBadJSON(t *testing.T) {
 		"unknown-field":            `{"tenant": "acme", "warp_factor": 9}`,
 		"retired-workers":          `{"tenant": "acme", "method": "opentuner", "stencil": "helmholtz", "arch": "a100", "budget_s": 4, "seed": 1, "workers": 4}`,
 		"retired-checkpoint-every": `{"tenant": "acme", "method": "opentuner", "stencil": "helmholtz", "arch": "a100", "budget_s": 4, "seed": 1, "checkpoint_every": 5}`,
+		"retired-repeats":          `{"tenant": "acme", "method": "opentuner", "stencil": "helmholtz", "arch": "a100", "budget_s": 4, "seed": 1, "repeats": 3}`,
+		"retired-quarantine":       `{"tenant": "acme", "method": "opentuner", "stencil": "helmholtz", "arch": "a100", "budget_s": 4, "seed": 1, "quarantine": 1}`,
 		"wrong-type":               `{"tenant": 42}`,
 	} {
 		t.Run(name, func(t *testing.T) {
