@@ -185,9 +185,9 @@ func storeBenchEngine(b *testing.B, n int) (*Engine, *store.Store, []string) {
 }
 
 // BenchmarkStoreLookupHit is the cross-campaign hit primitive: render the
-// composite key into stack scratch and probe the store's lock-free striped
-// index. The acceptance bar is ~2x BenchmarkMeasureCacheHit — a shared-store
-// hit should cost about as much as a memo-cache hit.
+// composite key into pooled scratch and probe the store's map under its
+// read lock. The acceptance bar is ~2x BenchmarkMeasureCacheHit — a
+// shared-store hit should cost about as much as a memo-cache hit.
 func BenchmarkStoreLookupHit(b *testing.B) {
 	e, _, keys := storeBenchEngine(b, 4096)
 	b.ReportAllocs()
@@ -232,5 +232,52 @@ func BenchmarkStoreAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.Put(keys[i], 0.5)
+	}
+}
+
+// BenchmarkStoreOpen is a daemon restart's store load: Open reads one
+// segment shaped like the store a daemon-warm pass leaves behind — 8
+// stencils × 2 GPUs × 310 distinct random settings, 4,960 records with real
+// arch and shape fingerprints — and min-merges it into the index.
+func BenchmarkStoreOpen(b *testing.B) {
+	dir := filepath.Join(b.TempDir(), "store")
+	st, err := store.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, sten := range stencil.Suite() {
+		sp, err := space.New(sten)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, arch := range []*gpu.Arch{gpu.A100(), gpu.V100()} {
+			prefix := store.Prefix(store.ArchFingerprint(arch), store.ShapeFingerprint(sten))
+			for n := 0; n < 310; {
+				s := sp.Random(rng)
+				if st.Contains(prefix + s.Key()) {
+					continue
+				}
+				st.Put(prefix+s.Key(), 0.5+rng.Float64())
+				n++
+			}
+		}
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := store.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if k := st.Stats().Keys; k != 8*2*310 {
+			b.Fatalf("loaded %d keys, want %d", k, 8*2*310)
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -143,8 +143,8 @@ type Engine struct {
 
 	// store is the optional cross-campaign result store (store.go):
 	// consulted on a memo-cache miss before measuring, published back on
-	// every successful episode. Probes are lock-free; the counters are
-	// atomics folded in by statsLocked, like cacheHits.
+	// every successful episode. The counters are atomics folded in by
+	// statsLocked, like cacheHits.
 	store       ResultStore
 	storePrefix string
 	storeHits   atomic.Int64

@@ -28,7 +28,7 @@ import "sync"
 // implements it.
 type ResultStore interface {
 	// GetBytes probes a composite key rendered into a caller-owned buffer;
-	// it must be safe for concurrent use and lock-free on the hot path.
+	// it must be safe for concurrent use and must not retain the buffer.
 	GetBytes(key []byte) (float64, bool)
 	// Put publishes a successful measurement under a composite key.
 	Put(key string, ms float64)
@@ -68,9 +68,9 @@ var storeKeyScratch = sync.Pool{
 	New: func() any { b := make([]byte, 0, storeScratch); return &b },
 }
 
-// storeProbe consults the result store for a setting key. Lock-free and
-// allocation-free on the steady-state hit path: the composite key is
-// rendered into pooled scratch and probed via the byte-slice map path.
+// storeProbe consults the result store for a setting key. Allocation-free
+// on the steady-state path: the composite key is rendered into pooled
+// scratch and probed via the byte-slice map path.
 func (e *Engine) storeProbe(key string) (float64, bool) {
 	if e.store == nil {
 		return 0, false
@@ -115,7 +115,7 @@ func (e *Engine) storePublishLocked(key string, ms float64, replayed bool) {
 func (e *Engine) storePutLocked(key string, ms float64) {
 	// The store's Put never blocks on I/O longer than a buffered write and
 	// never calls back into the engine, so holding e.mu across it is safe:
-	// lock order is e.mu → store shard lock, and nothing acquires them in
+	// lock order is e.mu → the store's locks, and nothing acquires them in
 	// the other order.
 	e.store.Put(e.storePrefix+key, ms)
 	if e.store.Degraded() {

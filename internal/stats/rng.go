@@ -33,15 +33,13 @@ func Mix64(x uint64) uint64 {
 }
 
 // KeyHash is the repo's one hash over a key string: an FNV-1a loop (64-bit
-// prime, xor-then-multiply per byte) that picks result-store shards and
-// digests the tap pattern in store shape fingerprints and the warm-start
-// seeds in campaign fingerprints, so persisted store keys and journal
-// headers depend on its values. Its offset basis, 1469598103934665603, is
-// the standard FNV-64 basis with its last digit dropped — a historical slip
-// now frozen by those files — so it does not equal hash/fnv's New64a. The
-// string and []byte forms agree byte for byte, which is what lets a key
-// rendered into stack scratch select the same shard as its materialized
-// string.
+// prime, xor-then-multiply per byte) that digests the tap pattern in store
+// shape fingerprints and the warm-start seeds in campaign fingerprints, so
+// persisted store keys and journal headers depend on its values. Its offset
+// basis, 1469598103934665603, is the standard FNV-64 basis with its last
+// digit dropped — a historical slip now frozen by those files — so it does
+// not equal hash/fnv's New64a. The string and []byte forms agree byte for
+// byte.
 func KeyHash[K ~string | ~[]byte](key K) uint64 {
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(key); i++ {

@@ -27,26 +27,30 @@
 // frame), and a segment whose header frame cannot be trusted is quarantined
 // to <name>.bad and skipped rather than failing Open.
 //
-// The in-memory index is an internal/stripe Map, a lock-free index built
-// for this store's many concurrent readers (DESIGN.md §13). Get/Contains on
-// the hot path take zero locks, so a cross-campaign hit costs about what an
-// engine cache hit costs (pinned by BenchmarkStoreLookupHit).
+// The in-memory index is one plain map behind one sync.RWMutex, filled at
+// Open by a record decoder that reads Put's own bytes without reflection
+// (decode.go), and per-shape key lists keep the warm-start query Best off
+// the rest of the index (DESIGN.md §13). A probe takes the read lock, so a
+// cross-campaign hit costs about what an engine cache hit costs (pinned by
+// BenchmarkStoreLookupHit).
 package store
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/frame"
-	"repro/internal/stripe"
 	"repro/internal/vfs"
 )
 
@@ -114,11 +118,16 @@ type Stats struct {
 }
 
 // Store is one shared result database. All methods are safe for concurrent
-// use; Get/GetBytes/Contains are lock-free on the hot path.
+// use; Get/GetBytes/Contains take only the index's read lock.
 type Store struct {
-	fs    vfs.FS
-	dir   string
-	index *stripe.Map[float64] // composite key → minimum ms
+	fs  vfs.FS
+	dir string
+
+	// indexMu guards the index and the shape lists. Probes share its read
+	// side; Put takes the write side, before and never inside mu.
+	indexMu sync.RWMutex
+	index   map[string]float64  // composite key → minimum ms
+	shapes  map[string][]string // shape fingerprint → its keys, first-stored order
 
 	mu       sync.Mutex
 	f        vfs.File
@@ -151,33 +160,34 @@ func OpenFS(fsys vfs.FS, dir string) (*Store, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
-	s := &Store{fs: fsys, dir: dir, index: stripe.New[float64](), ownMin: map[string]float64{}}
+	s := &Store{
+		fs: fsys, dir: dir,
+		index: map[string]float64{}, shapes: map[string][]string{},
+		ownMin: map[string]float64{},
+	}
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: scan: %w", err)
 	}
-	mins := map[string]float64{}
+	// The load fills the index before the store is shared, so it takes no
+	// lock.
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".seg") {
 			continue
 		}
-		s.loadSegment(filepath.Join(dir, e.Name()), mins)
-	}
-	// Each key enters the index once, already min-merged across segments:
-	// overwriting a published key copies its shard, a cost a load would
-	// otherwise pay for every superseded record.
-	for k, ms := range mins {
-		s.insertMin(k, ms)
+		s.loadSegment(filepath.Join(dir, e.Name()))
 	}
 	return s, nil
 }
 
-// loadSegment min-merges one segment file's records into mins. An empty
-// file is a concurrent writer's just-created segment and is skipped
+// loadSegment min-merges one segment file's records into the index. An
+// empty file is a concurrent writer's just-created segment and is skipped
 // silently; a non-empty file whose header frame cannot be trusted is
 // quarantined; a torn or corrupt tail ends the scan without truncating the
-// file (it may be a live writer's partially-flushed frame).
-func (s *Store) loadSegment(path string, mins map[string]float64) {
+// file (it may be a live writer's partially-flushed frame). A record in
+// Put's own image takes decodeRecord's fast path; anything else goes
+// through json.Unmarshal, whose verdict decides whether the scan goes on.
+func (s *Store) loadSegment(path string) {
 	data, err := s.fs.ReadFile(path)
 	if err != nil {
 		s.quarantine(path, fmt.Sprintf("unreadable: %v", err))
@@ -204,17 +214,32 @@ func (s *Store) loadSegment(path string, mins map[string]float64) {
 			s.skipped++
 			return
 		}
-		var r record
-		if err := json.Unmarshal(payload, &r); err != nil || r.T != "rec" || r.Rec == nil || r.Rec.Key == "" {
-			s.skipped++
-			return
-		}
-		if old, ok := mins[r.Rec.Key]; !ok || r.Rec.MS < old {
-			mins[r.Rec.Key] = r.Rec.MS
+		if key, ms, ok := decodeRecord(payload); ok {
+			s.loadRecord(key, ms)
+		} else {
+			var r record
+			if err := json.Unmarshal(payload, &r); err != nil || r.T != "rec" || r.Rec == nil || r.Rec.Key == "" {
+				s.skipped++
+				return
+			}
+			s.loadRecord([]byte(r.Rec.Key), r.Rec.MS)
 		}
 		s.loaded++
 		next = n
 	}
+}
+
+// loadRecord min-merges one loaded record into the index. The key is
+// probed as a byte slice, so only a key new to the index is copied out of
+// the segment's bytes.
+func (s *Store) loadRecord(key []byte, ms float64) {
+	if old, ok := s.index[string(key)]; ok {
+		if ms < old {
+			s.index[string(key)] = ms
+		}
+		return
+	}
+	s.addKeyLocked(string(key), ms)
 }
 
 // quarantine renames a damaged segment to <name>.bad so Open keeps working
@@ -246,25 +271,52 @@ func (s *Store) syncDirLocked(path string) {
 // commutative and idempotent, which is what makes multi-segment loads
 // order-independent.
 func (s *Store) insertMin(key string, ms float64) bool {
-	return s.index.Update(key, func(old float64, ok bool) (float64, bool) {
-		return ms, !ok || ms < old
-	})
+	s.indexMu.Lock()
+	defer s.indexMu.Unlock()
+	old, ok := s.index[key]
+	switch {
+	case !ok:
+		s.addKeyLocked(key, ms)
+	case ms < old:
+		s.index[key] = ms
+	default:
+		return false
+	}
+	return true
+}
+
+// addKeyLocked indexes a key the index does not hold yet and lists it under
+// its shape for Best. A key SplitKey cannot split is indexed but never
+// listed, as Best never matched one. Callers hold indexMu for writing, or
+// are Open filling a store nothing else sees yet.
+func (s *Store) addKeyLocked(key string, ms float64) {
+	s.index[key] = ms
+	if _, shape, _, ok := SplitKey(key); ok {
+		s.shapes[shape] = append(s.shapes[shape], key)
+	}
 }
 
 // Get returns the stored minimum ms for the composite key.
 func (s *Store) Get(key string) (float64, bool) {
-	return s.index.Load(key)
+	s.indexMu.RLock()
+	defer s.indexMu.RUnlock()
+	ms, ok := s.index[key]
+	return ms, ok
 }
 
 // GetBytes is Get for a stack-rendered key: the allocation-free probe the
-// engine's measurement path uses.
+// engine's measurement path uses (the compiler serves m[string(b)] without
+// copying the key).
 func (s *Store) GetBytes(key []byte) (float64, bool) {
-	return s.index.LoadBytes(key)
+	s.indexMu.RLock()
+	defer s.indexMu.RUnlock()
+	ms, ok := s.index[string(key)]
+	return ms, ok
 }
 
 // Contains reports whether the composite key is stored.
 func (s *Store) Contains(key string) bool {
-	_, ok := s.index.Load(key)
+	_, ok := s.Get(key)
 	return ok
 }
 
@@ -273,9 +325,12 @@ func (s *Store) Contains(key string) bool {
 // appended to this process's own segment only when (key, ms) improved on
 // everything already stored, which keeps segments min-converging. Disk
 // failures are sticky and surface in Stats, never as a Put error: the store
-// is a cache, and losing its durability must not fail a campaign.
+// is a cache, and losing its durability must not fail a campaign. A NaN or
+// infinite ms is refused outright: JSON cannot encode it, so writing it
+// would degrade the whole store, and a NaN would pin its key for good, as
+// no time compares less than it.
 func (s *Store) Put(key string, ms float64) {
-	if key == "" || !s.insertMin(key, ms) {
+	if key == "" || math.IsNaN(ms) || math.IsInf(ms, 0) || !s.insertMin(key, ms) {
 		return
 	}
 	s.mu.Lock()
@@ -425,8 +480,8 @@ func (s *Store) Compact() error {
 }
 
 // Close flushes and releases this process's segment. The index stays
-// readable (lock-free probes never touch the writer state), but further
-// Puts are refused.
+// readable (probes never touch the writer state), but further Puts are
+// refused.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -472,7 +527,9 @@ func (s *Store) Stats() Stats {
 		st.WriteErr = s.writeErr.Error()
 	}
 	s.mu.Unlock()
-	s.index.Range(func(string, float64) { st.Keys++ })
+	s.indexMu.RLock()
+	st.Keys = len(s.index)
+	s.indexMu.RUnlock()
 	return st
 }
 
@@ -486,28 +543,32 @@ type Entry struct {
 
 // Best returns up to n stored entries for the given shape fingerprint,
 // lowest ms first, restricted to one arch fingerprint when arch != "".
-// Deterministic: ties break by (arch, setting key). This is the warm-start
-// query — rare, so it walks the whole index.
+// Deterministic: ties break by (arch, setting key), which within one shape
+// identify the key. This is the warm-start query: it reads only the shape's
+// own key list, never the rest of the index.
 func (s *Store) Best(shape, arch string, n int) []Entry {
 	if n <= 0 {
 		return nil
 	}
-	out := make([]Entry, 0, n)
-	// Index order is laundered out by the full sort below (the sanctioned
-	// append-then-sort idiom).
-	s.index.Range(func(k string, ms float64) {
-		if a, sh, set, ok := SplitKey(k); ok && sh == shape && (arch == "" || a == arch) {
-			out = append(out, Entry{Arch: a, Shape: sh, Setting: set, MS: ms})
+	s.indexMu.RLock()
+	keys := s.shapes[shape]
+	out := make([]Entry, 0, len(keys))
+	for _, k := range keys {
+		// A listed key is arch|shape|setting with no '|' in arch.
+		a := k[:strings.IndexByte(k, '|')]
+		if arch == "" || a == arch {
+			out = append(out, Entry{Arch: a, Shape: shape, Setting: k[len(a)+len(shape)+2:], MS: s.index[k]})
 		}
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].MS != out[j].MS {
-			return out[i].MS < out[j].MS
+	}
+	s.indexMu.RUnlock()
+	slices.SortFunc(out, func(a, b Entry) int {
+		if c := cmp.Compare(a.MS, b.MS); c != 0 {
+			return c
 		}
-		if out[i].Arch != out[j].Arch {
-			return out[i].Arch < out[j].Arch
+		if c := strings.Compare(a.Arch, b.Arch); c != 0 {
+			return c
 		}
-		return out[i].Setting < out[j].Setting
+		return strings.Compare(a.Setting, b.Setting)
 	})
 	if len(out) > n {
 		out = out[:n]

@@ -4,10 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/frame"
@@ -319,6 +323,204 @@ func TestStoreBest(t *testing.T) {
 	}
 	if s.Best("shapeA", "", 0) != nil {
 		t.Fatal("Best n=0 should be nil")
+	}
+}
+
+// bruteBest is Best's reference: every key of a plain min-merged map split
+// and filtered, then sorted by (ms, arch, setting).
+func bruteBest(ref map[string]float64, shape, arch string, n int) []Entry {
+	if n <= 0 {
+		return nil
+	}
+	var out []Entry
+	for k, ms := range ref {
+		if a, sh, set, ok := SplitKey(k); ok && sh == shape && (arch == "" || a == arch) {
+			out = append(out, Entry{Arch: a, Shape: sh, Setting: set, MS: ms})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].MS != out[j].MS {
+			return out[i].MS < out[j].MS
+		}
+		if out[i].Arch != out[j].Arch {
+			return out[i].Arch < out[j].Arch
+		}
+		return out[i].Setting < out[j].Setting
+	})
+	return out[:min(n, len(out))]
+}
+
+// TestStoreBestMatchesReference drives the store with seeded random Puts,
+// many of them improving or failing to improve a stored key, across a close
+// and reopen over two segments, and after every step checks Best for every
+// shape, both archs and "", and several n against bruteBest over a plain
+// map fed the same Puts.
+func TestStoreBestMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	archs := []string{"archA", "archB"}
+	shapes := []string{"shape0", "shape1", "shape2", "shape3"}
+	ref := map[string]float64{}
+	var s *Store
+	check := func(step string) {
+		t.Helper()
+		for _, shape := range append(shapes, "absent") {
+			for _, arch := range append(archs, "") {
+				all := bruteBest(ref, shape, arch, len(ref)+1)
+				for _, n := range []int{0, 1, 3, 17, len(ref) + 1} {
+					got, want := s.Best(shape, arch, n), all[:min(n, len(all))]
+					if len(got) != len(want) {
+						t.Fatalf("%s: Best(%s, %q, %d) has %d entries, want %d", step, shape, arch, n, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s: Best(%s, %q, %d)[%d] = %+v, want %+v", step, shape, arch, n, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	put := func(step string) {
+		setting := fmt.Sprintf("s%02d", rng.Intn(30))
+		if rng.Intn(10) == 0 {
+			setting += "|tail" // the setting part may itself hold '|'
+		}
+		key := Key(archs[rng.Intn(len(archs))], shapes[rng.Intn(len(shapes))], setting)
+		if rng.Intn(20) == 0 {
+			key = "unsplittable-" + setting[:3]
+		}
+		ms := float64(1+rng.Intn(40)) / 8 // coarse, so ties are common
+		s.Put(key, ms)
+		if old, ok := ref[key]; !ok || ms < old {
+			ref[key] = ms
+		}
+		check(step)
+	}
+	reopen := func(dir string) {
+		t.Helper()
+		if s != nil {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var err error
+		if s, err = Open(dir); err != nil {
+			t.Fatal(err)
+		}
+		check("reopen")
+	}
+
+	dir := t.TempDir()
+	for phase := 0; phase < 3; phase++ {
+		reopen(dir) // phase 1 loads the first segment, phase 2 both
+		for i := 0; i < 150; i++ {
+			put(fmt.Sprintf("phase %d put %d", phase, i))
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "*.seg")); len(segs) != 3 {
+		t.Fatalf("segments = %v, want one per phase", segs)
+	}
+}
+
+// TestStoreRefusesNonFinite pins that a NaN or infinite time never reaches
+// the index or a segment: it cannot degrade the store (JSON has no
+// encoding for it) or pin a key (no time compares less than NaN).
+func TestStoreRefusesNonFinite(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf, nan := Key("archA", "shapeA", "inf"), Key("archA", "shapeA", "nan")
+	s.Put(inf, math.Inf(1))
+	s.Put(nan, math.NaN())
+	s.Put(Key("archA", "shapeA", "neg"), math.Inf(-1))
+	if st := s.Stats(); st.Keys != 0 || s.Degraded() || st.WriteErr != "" {
+		t.Fatalf("non-finite Puts reached the store: degraded=%v, %+v", s.Degraded(), st)
+	}
+	s.Put(inf, 2)
+	s.Put(nan, 3)
+	s.Put(nan, math.NaN())
+	s.Put(nan, 1)
+	if st := s.Stats(); st.Keys != 2 || st.AppendedRecords != 3 || st.PutDrops != 0 || s.Degraded() {
+		t.Fatalf("finite Puts after non-finite ones: degraded=%v, %+v", s.Degraded(), st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for k, want := range map[string]float64{inf: 2, nan: 1} {
+		if ms, ok := r.Get(k); !ok || ms != want {
+			t.Fatalf("reopened %s = %v,%v want %v", k, ms, ok, want)
+		}
+	}
+	if st := r.Stats(); st.Keys != 2 || st.SkippedRecords != 0 {
+		t.Fatalf("reopened stats = %+v", st)
+	}
+}
+
+// TestStoreConcurrentMinMerge races writers, probes and Best over shared
+// keys: the final value of every key is its minimum, whatever the schedule.
+func TestStoreConcurrentMinMerge(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const writers, keys = 8, 200
+	key := func(i int) string { return Key("archA", "shapeA", fmt.Sprint("c", i)) }
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < keys; i++ {
+				s.Put(key(i), float64(w*keys+i))
+				if _, ok := s.GetBytes([]byte(key(i))); !ok {
+					t.Errorf("GetBytes(%s) missed its own write", key(i))
+				}
+				if i%50 == 0 && len(s.Best("shapeA", "", 5)) == 0 {
+					t.Errorf("Best missed every stored key")
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := s.Stats().Keys; n != keys {
+		t.Fatalf("%d keys, want %d", n, keys)
+	}
+	for i := 0; i < keys; i++ {
+		if ms, _ := s.Get(key(i)); ms != float64(i) {
+			t.Fatalf("%s = %v, want its minimum %d", key(i), ms, i)
+		}
+	}
+	if top := s.Best("shapeA", "archA", 1); len(top) != 1 || top[0].Setting != "c0" || top[0].MS != 0 {
+		t.Fatalf("Best after the race = %+v", top)
+	}
+}
+
+func TestStoreGetBytesAllocatesNothing(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 100; i++ {
+		s.Put(Key("archA", "shapeA", fmt.Sprint("a", i)), float64(i)+1)
+	}
+	hit, miss := []byte(Key("archA", "shapeA", "a42")), []byte(Key("archA", "shapeA", "nope"))
+	if n := testing.AllocsPerRun(100, func() {
+		s.GetBytes(hit)
+		s.GetBytes(miss)
+	}); n != 0 {
+		t.Fatalf("GetBytes allocates %v per probe pair", n)
 	}
 }
 
