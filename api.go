@@ -7,11 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 
-	"repro/internal/baselines"
-	"repro/internal/baselines/artemis"
-	"repro/internal/baselines/cstuner"
-	"repro/internal/baselines/garvey"
-	"repro/internal/baselines/opentuner"
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -175,12 +170,7 @@ func (s *Session) TuneWithBudget(cfg Config, budgetS float64) (*Report, error) {
 // budget and the context deadline race, and whichever trips first ends the
 // run.
 func (s *Session) TuneWithBudgetCtx(ctx context.Context, cfg Config, budgetS float64) (*Report, error) {
-	ds, err := dataset.Collect(s.sim, rand.New(rand.NewSource(cfg.Seed)), cfg.DatasetSize, 0)
-	if err != nil {
-		return nil, err
-	}
-	eng := engine.New(s.sim, engine.WithBudget(budgetS))
-	return core.TuneCtx(ctx, eng, ds, cfg, eng.Exhausted)
+	return s.tuneBudgeted(ctx, "", cfg, budgetS)
 }
 
 // ErrJournalCorrupt and ErrJournalFingerprint re-export the journal's
@@ -206,30 +196,30 @@ var (
 // function of the setting and the GPU, so the re-executed pipeline
 // re-checks them at the same points. A journal from a
 // differently-configured campaign is refused with ErrJournalFingerprint.
-//
-// ResumeTune folds the GA's sub-populations into one population of the same
-// total size, as cstuner campaigns do (harness.CampaignTuner). Crash-safety
-// needs a deterministic measurement order, which the island model has too:
-// its islands evolve in lockstep on the tuning goroutine. The fold stays
-// because dropping it changes what ResumeTune and the daemon's cstuner
-// campaigns find, and with them the daemon's digests; that change is to be
-// made on its own.
+// An empty path journals nothing, which is TuneWithBudgetCtx.
 func (s *Session) ResumeTune(ctx context.Context, path string, cfg Config, budgetS float64) (*Report, error) {
-	if cfg.GA.SubPopulations > 1 {
-		cfg.GA.PopSize *= cfg.GA.SubPopulations
-		cfg.GA.SubPopulations = 1
-	}
+	return s.tuneBudgeted(ctx, path, cfg, budgetS)
+}
+
+// tuneBudgeted collects the offline dataset unmetered and runs csTuner
+// through an engine under the virtual budget, journaled to path unless it
+// is empty.
+func (s *Session) tuneBudgeted(ctx context.Context, path string, cfg Config, budgetS float64) (*Report, error) {
 	ds, err := dataset.Collect(s.sim, rand.New(rand.NewSource(cfg.Seed)), cfg.DatasetSize, 0)
 	if err != nil {
 		return nil, err
 	}
-	jr, err := journal.OpenOrCreate(path, s.tuneFingerprint(cfg, budgetS))
-	if err != nil {
-		return nil, err
+	opts := []engine.Option{engine.WithBudget(budgetS)}
+	if path != "" {
+		jr, err := journal.OpenOrCreate(path, s.tuneFingerprint(cfg, budgetS))
+		if err != nil {
+			return nil, err
+		}
+		//cstlint:allow errdrop(teardown close after SyncJournal synced every frame; no caller can act on the error)
+		defer jr.Close()
+		opts = append(opts, engine.WithJournal(jr))
 	}
-	//cstlint:allow errdrop(teardown close after SyncJournal synced every frame; no caller can act on the error)
-	defer jr.Close()
-	eng := engine.New(s.sim, engine.WithBudget(budgetS), engine.WithJournal(jr))
+	eng := engine.New(s.sim, opts...)
 	rep, err := core.TuneCtx(ctx, eng, ds, cfg, eng.Exhausted)
 	// The report must not outrun the records behind it: sync on every path.
 	if serr := eng.SyncJournal(); serr != nil {
@@ -269,35 +259,25 @@ func (s *Session) RunComparator(method string, budgetS float64, seed int64) (Set
 
 // RunComparatorCtx is RunComparator under a caller context: cancellation
 // stops the comparator promptly, and the best setting it measured before
-// the cut is returned.
+// the cut is returned. It is one unjournaled harness.RunCampaign on a
+// 128-sample fixture; an unknown method is refused before the fixture is
+// collected.
 func (s *Session) RunComparatorCtx(ctx context.Context, method string, budgetS float64, seed int64) (Setting, float64, error) {
-	var t baselines.Tuner
-	switch method {
-	case MethodCsTuner:
-		t = cstuner.New()
-	case MethodOpenTuner:
-		t = opentuner.New()
-	case MethodGarvey:
-		t = garvey.New()
-	case MethodArtemis:
-		t = artemis.New()
-	default:
-		return nil, 0, fmt.Errorf("cstuner: unknown method %q", method)
+	if _, err := harness.CampaignTuner(method); err != nil {
+		return nil, 0, err
 	}
 	fx, err := harness.NewFixture(s.stencil, s.sim.Arch, 128, seed)
 	if err != nil {
 		return nil, 0, err
 	}
-	eng := engine.New(fx.Sim, engine.WithBudget(budgetS))
-	_, _, tuneErr := t.Tune(ctx, eng, fx.DS, seed, eng.Exhausted)
-	set, ms, ok := eng.Best()
-	if !ok {
-		if tuneErr != nil {
-			return nil, 0, tuneErr
-		}
+	res, err := harness.RunCampaign(ctx, fx, harness.CampaignConfig{Method: method, BudgetS: budgetS, Seed: seed})
+	if err != nil {
+		return nil, 0, err
+	}
+	if !res.Found {
 		return nil, 0, fmt.Errorf("cstuner: %s measured nothing within the budget", method)
 	}
-	return set, ms, nil
+	return res.Best, res.BestMS, nil
 }
 
 // GEMM is a tiled matrix-multiplication workload over a custom optimization
@@ -376,7 +356,7 @@ type CampaignStatus = campaign.Status
 type CampaignRegistry = campaign.Registry
 
 // RegistryOptions configures OpenCampaignRegistry (measurement slots,
-// default tenant budget, clock injection for tests).
+// default tenant budget, the shared result store, the filesystem seam).
 type RegistryOptions = campaign.Options
 
 // OpenCampaignRegistry opens (or reopens) a campaign registry rooted at

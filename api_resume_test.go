@@ -3,11 +3,15 @@ package cstuner
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/harness"
 )
 
 func resumeConfig() Config {
@@ -122,4 +126,94 @@ func TestResumeTuneCorruptHeaderRefused(t *testing.T) {
 	if !errors.Is(err, ErrJournalCorrupt) {
 		t.Fatalf("err = %v, want ErrJournalCorrupt", err)
 	}
+}
+
+// TestResumeTuneMatchesTuneWithBudget: on a fresh journal, ResumeTune is
+// TuneWithBudget with a journal attached, so both run the same 2×16 island
+// GA and must agree on the best setting, the bits of its time, the
+// evaluation count and every engine counter.
+func TestResumeTuneMatchesTuneWithBudget(t *testing.T) {
+	const budgetS = 200
+	for _, st := range Suite() {
+		for _, arch := range []string{"a100", "v100"} {
+			s, err := NewSessionFor(st.Name, arch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seed := range []int64{1, 2} {
+				cfg := DefaultConfig()
+				cfg.DatasetSize = 64
+				cfg.Seed = seed
+				want, err := s.TuneWithBudget(cfg, budgetS)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.ResumeTune(context.Background(), filepath.Join(t.TempDir(), "run.wal"), cfg, budgetS)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Best.Key() != want.Best.Key() || math.Float64bits(got.BestMS) != math.Float64bits(want.BestMS) ||
+					got.Evaluations != want.Evaluations || got.Engine != want.Engine {
+					t.Errorf("%s/%s seed %d: ResumeTune %v %v ms, %d evals, %+v\nTuneWithBudget %v %v ms, %d evals, %+v",
+						st.Name, arch, seed, got.Best, got.BestMS, got.Evaluations, got.Engine,
+						want.Best, want.BestMS, want.Evaluations, want.Engine)
+				}
+			}
+		}
+	}
+}
+
+// TestResumeTuneMatchesCampaign checks the daemon's cstuner campaign against
+// the library: a journaled harness.RunCampaign and ResumeTune on the same
+// stencil, GPU, seed, budget and 64-sample dataset run one search, so their
+// engine stats are equal. Their bests are equal too, except where the
+// report falls back to the dataset's best sample, which the engine never
+// measured; a campaign counts only settings it measured, so its best is
+// then no better than that sample.
+func TestResumeTuneMatchesCampaign(t *testing.T) {
+	var fallbacks []string
+	for _, name := range []string{"j3d7pt", "helmholtz", "hypterm", "rhs4center"} {
+		for _, arch := range []string{"a100", "v100"} {
+			s, err := NewSessionFor(name, arch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seed := range []int64{1, 2, 3} {
+				fx, err := harness.NewFixture(s.Stencil(), s.sim.Arch, 64, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dsBest := fx.DS.Best()
+				for _, budgetS := range []float64{100, 400} {
+					res, err := harness.RunCampaign(context.Background(), fx, harness.CampaignConfig{
+						Method: MethodCsTuner, BudgetS: budgetS, Seed: seed,
+						JournalPath: filepath.Join(t.TempDir(), "campaign.wal"),
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := DefaultConfig()
+					cfg.DatasetSize = 64
+					cfg.Seed = seed
+					rep, err := s.ResumeTune(context.Background(), filepath.Join(t.TempDir(), "tune.wal"), cfg, budgetS)
+					if err != nil {
+						t.Fatal(err)
+					}
+					at := fmt.Sprintf("%s/%s seed %d budget %g", name, arch, seed, budgetS)
+					if res.Stats != rep.Engine {
+						t.Errorf("%s: campaign stats %+v\nResumeTune engine %+v", at, res.Stats, rep.Engine)
+					}
+					switch {
+					case res.Best.Key() == rep.Best.Key() && res.BestMS == rep.BestMS:
+					case rep.Best.Key() == dsBest.Setting.Key() && rep.BestMS == dsBest.TimeMS && res.BestMS >= dsBest.TimeMS:
+						fallbacks = append(fallbacks, at)
+					default:
+						t.Errorf("%s: campaign best %v %v ms, ResumeTune best %v %v ms, dataset best %v ms",
+							at, res.Best, res.BestMS, rep.Best, rep.BestMS, dsBest.TimeMS)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d of 48 reports fell back to the dataset's best sample: %v", len(fallbacks), fallbacks)
 }

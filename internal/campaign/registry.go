@@ -34,11 +34,8 @@ var (
 
 // Options configures a registry.
 type Options struct {
-	// Clock is the wall-clock source for lifecycle stamps (nil = real time).
-	Clock engine.Clock
 	// Slots bounds concurrent live measurements across all campaigns
-	// (the weighted-fair scheduler's capacity). 0 defaults to 2×GOMAXPROCS
-	// via NewScheduler's caller, capped sensibly by Open.
+	// (the weighted-fair scheduler's capacity). 0 or less means 8.
 	Slots int
 	// TenantBudgetS is the default per-tenant virtual budget (0 = tenants
 	// are unmetered unless SetTenantBudget is called).
@@ -52,9 +49,6 @@ type Options struct {
 	// directory layout is multi-process safe — several registries may share
 	// one root.
 	EnableStore bool
-	// StoreDir overrides the store location (default <root>/store); implies
-	// EnableStore. Lets several registry roots share one store.
-	StoreDir string
 	// FS is the filesystem seam for every durable operation the registry,
 	// its campaigns' journals, and the shared store perform (nil = the real
 	// filesystem, vfs.OS). Chaos tests inject a vfs.FaultFS here.
@@ -69,14 +63,13 @@ type Options struct {
 // through the deterministic journal replay path, so the registry as a whole
 // survives kill -9 with no lost work beyond unaccounted episodes.
 type Registry struct {
-	root     string
-	fs       vfs.FS
-	clock    engine.Clock
-	sched    *Scheduler
-	ledgers  *Ledgers
-	opts     Options
-	store    *store.Store // shared result store; nil when disabled
-	storeDir string       // the store's directory; scan must not load it as a campaign
+	root    string
+	fs      vfs.FS
+	clock   engine.Clock
+	sched   *Scheduler
+	ledgers *Ledgers
+	opts    Options
+	store   *store.Store // shared result store; nil when disabled
 
 	// dirSyncErrs counts directory-fsync failures across the registry's own
 	// persistence (spec/state/result writes, quarantine renames) — durable
@@ -103,10 +96,6 @@ func Open(dir string, opts Options) (*Registry, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: open registry: %w", err)
 	}
-	clock := opts.Clock
-	if clock == nil {
-		clock = time.Now // value use: the sanctioned wall-clock seam (engine.Clock)
-	}
 	slots := opts.Slots
 	if slots <= 0 {
 		slots = 8
@@ -115,7 +104,7 @@ func Open(dir string, opts Options) (*Registry, error) {
 	r := &Registry{
 		root:       dir,
 		fs:         fsys,
-		clock:      clock,
+		clock:      time.Now, // value use: the sanctioned wall-clock seam (engine.Clock)
 		sched:      NewScheduler(slots),
 		ledgers:    NewLedgers(opts.TenantBudgetS),
 		opts:       opts,
@@ -123,18 +112,13 @@ func Open(dir string, opts Options) (*Registry, error) {
 		baseCancel: cancel,
 		campaigns:  map[string]*Campaign{},
 	}
-	if opts.EnableStore || opts.StoreDir != "" {
-		sdir := opts.StoreDir
-		if sdir == "" {
-			sdir = filepath.Join(dir, "store")
-		}
-		st, err := store.OpenFS(fsys, sdir)
+	if opts.EnableStore {
+		st, err := store.OpenFS(fsys, filepath.Join(dir, "store"))
 		if err != nil {
 			cancel()
 			return nil, err
 		}
 		r.store = st
-		r.storeDir = sdir
 	}
 	if err := r.scan(); err != nil {
 		cancel()
@@ -183,11 +167,11 @@ func (r *Registry) scan() error {
 		if !e.IsDir() {
 			continue
 		}
-		// The shared result store lives under the root too (default
-		// <root>/store); its directory is not a campaign. Skip the reserved
-		// name even when the store is disabled this run — a root that once
-		// ran with a store must not resurrect it as a failed campaign.
-		if e.Name() == "store" || (r.storeDir != "" && filepath.Join(r.root, e.Name()) == r.storeDir) {
+		// The shared result store lives under the root too, at <root>/store;
+		// its directory is not a campaign. Skip the reserved name even when
+		// the store is disabled this run — a root that once ran with a store
+		// must not resurrect it as a failed campaign.
+		if e.Name() == "store" {
 			continue
 		}
 		names = append(names, e.Name())

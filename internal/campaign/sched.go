@@ -54,18 +54,16 @@ func (s *Scheduler) Acquire(ctx context.Context, tenant string, weight float64) 
 	if weight <= 0 {
 		weight = 1
 	}
-	if done := ctx.Done(); done != nil {
-		// cond.Wait cannot select on ctx; a watcher converts cancellation
-		// into a broadcast. It exits with Acquire via stop.
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-done:
-				s.cond.Broadcast()
-			case <-stop:
-			}
-		}()
+	if ctx.Done() != nil {
+		// cond.Wait cannot select on ctx, so cancellation broadcasts. The
+		// callback holds s.mu, so it cannot land between the loop's ctx.Err
+		// check and cond.Wait, where the broadcast would wake nobody.
+		stop := context.AfterFunc(ctx, func() {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			s.cond.Broadcast()
+		})
+		defer stop()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

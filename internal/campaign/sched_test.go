@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -145,24 +146,97 @@ func TestSchedulerLatecomerJoinsAtFrontier(t *testing.T) {
 	}
 }
 
+// TestSchedulerAcquireHonorsCancel queues waiters of several tenants behind
+// held slots and cancels them from several goroutines: some before they
+// call Acquire, some while they race to block, and some once they wait in
+// cond.Wait. Every one must return context.Canceled.
 func TestSchedulerAcquireHonorsCancel(t *testing.T) {
-	s := NewScheduler(1)
-	if err := s.Acquire(context.Background(), "holder", 1); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() { errc <- s.Acquire(ctx, "blocked", 1) }()
-	cancel()
-	select {
-	case err := <-errc:
-		if err != context.Canceled {
-			t.Fatalf("got %v, want context.Canceled", err)
+	const slots, tenants, perGroup = 2, 3, 6
+	s := NewScheduler(slots)
+	for i := 0; i < slots; i++ {
+		if err := s.Acquire(context.Background(), "holder", 1); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled Acquire never returned")
 	}
-	s.Release()
+	type waiter struct {
+		cancel context.CancelFunc
+		errc   chan error
+	}
+	start := func(i int) waiter {
+		ctx, cancel := context.WithCancel(context.Background())
+		w := waiter{cancel, make(chan error, 1)}
+		go func() { w.errc <- s.Acquire(ctx, fmt.Sprintf("t%d", i%tenants), float64(1+i%tenants)) }()
+		return w
+	}
+	// cancelAll cancels ws from tenants goroutines, each taking every
+	// tenants-th waiter.
+	cancelAll := func(ws []waiter) {
+		var wg sync.WaitGroup
+		for g := 0; g < tenants; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := g; i < len(ws); i += tenants {
+					ws[i].cancel()
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+	expectCanceled := func(group string, ws []waiter) {
+		t.Helper()
+		for i, w := range ws {
+			select {
+			case err := <-w.errc:
+				if err != context.Canceled {
+					t.Fatalf("%s waiter %d: got %v, want context.Canceled", group, i, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s waiter %d: cancelled Acquire never returned", group, i)
+			}
+		}
+	}
+
+	var before, racing, blocked []waiter
+	for i := 0; i < perGroup; i++ {
+		w := start(i)
+		w.cancel()
+		before = append(before, w)
+		racing = append(racing, start(i))
+		blocked = append(blocked, start(i))
+	}
+	cancelAll(racing)
+	expectCanceled("before", before)
+	expectCanceled("racing", racing)
+
+	// Holding s.mu, a counted waiter can only be inside cond.Wait.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		n := 0
+		for _, c := range s.waiting {
+			n += c
+		}
+		s.mu.Unlock()
+		if n == len(blocked) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d waiters blocked", n, len(blocked))
+		}
+		runtime.Gosched()
+	}
+	cancelAll(blocked)
+	expectCanceled("blocked", blocked)
+
+	for i := 0; i < slots; i++ {
+		s.Release()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.inUse != 0 || len(s.waiting) != 0 {
+		t.Fatalf("after cancellation: inUse=%d waiting=%v", s.inUse, s.waiting)
+	}
 }
 
 func TestNilSchedulerIsUngated(t *testing.T) {

@@ -7,10 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/baselines"
-	"repro/internal/baselines/artemis"
 	"repro/internal/baselines/cstuner"
-	"repro/internal/baselines/garvey"
-	"repro/internal/baselines/opentuner"
 	"repro/internal/engine"
 	"repro/internal/journal"
 	"repro/internal/sim"
@@ -121,26 +118,14 @@ func CampaignFingerprint(fx *Fixture, cfg CampaignConfig) string {
 	return fp
 }
 
-// CampaignTuner builds the baselines.Tuner for a campaign method. csTuner's
-// GA is pinned to a single sub-population of the paper's 32 individuals,
-// as Session.ResumeTune folds it. Byte-identical resume does not need the
-// pin, since the island model evolves its islands in lockstep on the tuning
-// goroutine; it stays because dropping it changes every cstuner campaign's
-// result and the daemon's digests, a change to be made on its own. The
-// other three methods measure sequentially as published.
+// CampaignTuner returns a fresh tuner for a campaign method: the
+// Methods() entry of that name, as published (csTuner runs
+// core.DefaultConfig()'s 2×16 island GA).
 func CampaignTuner(method string) (baselines.Tuner, error) {
-	switch method {
-	case "cstuner":
-		t := cstuner.New()
-		t.Cfg.GA.SubPopulations = 1
-		t.Cfg.GA.PopSize = 32 // keep the paper's 32-individual population
-		return t, nil
-	case "opentuner":
-		return opentuner.New(), nil
-	case "garvey":
-		return garvey.New(), nil
-	case "artemis":
-		return artemis.New(), nil
+	for _, t := range Methods() {
+		if t.Name() == method {
+			return t, nil
+		}
 	}
 	return nil, fmt.Errorf("harness: unknown campaign method %q", method)
 }

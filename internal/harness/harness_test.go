@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/baselines/cstuner"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gpu"
 	"repro/internal/space"
@@ -333,6 +335,24 @@ func TestMethodsList(t *testing.T) {
 		if !seen[want] {
 			t.Fatalf("missing method %s", want)
 		}
+	}
+}
+
+// TestCampaignTunerLooksUpMethods: a campaign runs the Methods() tuner of
+// its name, so csTuner campaigns carry core.DefaultConfig()'s island GA.
+func TestCampaignTunerLooksUpMethods(t *testing.T) {
+	for _, m := range Methods() {
+		got, err := CampaignTuner(m.Name())
+		if err != nil || got.Name() != m.Name() || !reflect.DeepEqual(got, m) {
+			t.Fatalf("CampaignTuner(%q) = %+v, %v; want %+v", m.Name(), got, err, m)
+		}
+	}
+	ct, _ := CampaignTuner("cstuner")
+	if ga := ct.(*cstuner.Tuner).Cfg.GA; !reflect.DeepEqual(ga, core.DefaultConfig().GA) {
+		t.Fatalf("cstuner campaign GA %+v, want %+v", ga, core.DefaultConfig().GA)
+	}
+	if _, err := CampaignTuner("banana"); err == nil {
+		t.Fatal("unknown method accepted")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/baselines/cstuner"
 	"repro/internal/gpu"
 	"repro/internal/journal"
 	"repro/internal/sim"
@@ -248,6 +249,103 @@ func TestCampaignResumePrefixSweep(t *testing.T) {
 	if res.Canonical() != want {
 		t.Fatalf("full-journal resume diverged")
 	}
+}
+
+// foldedCsTuner is csTuner as cstuner campaigns ran it before they ran the
+// paper's island GA: one population of 32 instead of two islands of 16.
+func foldedCsTuner() *cstuner.Tuner {
+	t := cstuner.New()
+	t.Cfg.GA.SubPopulations = 1
+	t.Cfg.GA.PopSize = 32
+	return t
+}
+
+// TestCampaignResumeFoldedJournal: a cstuner journal written while
+// campaigns folded the GA into one population of 32 carries the same
+// CampaignFingerprint, so an upgraded process resumes it into the 2×16
+// search instead of quarantining it. That is safe because replay is per key
+// and every journaled outcome is a pure function of (space, setting, arch):
+// keys the new search asks for replay as a live measurement would answer,
+// and the rest are never replayed. A folded campaign is cut after every
+// record k, and each cut must resume to the uninterrupted 2×16 campaign's
+// canonical result.
+func TestCampaignResumeFoldedJournal(t *testing.T) {
+	stride := 1
+	if testing.Short() {
+		stride = 7
+	}
+	differs, cuts := 0, 0
+	for _, st := range []*stencil.Stencil{stencil.Helmholtz(), stencil.Hypterm(), stencil.J3D7PT()} {
+		for _, seed := range []int64{1, 5} {
+			fx, err := NewFixture(st, gpu.A100(), 64, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := CampaignConfig{Method: "cstuner", BudgetS: 60, Seed: seed}
+			golden, err := RunCampaign(context.Background(), fx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := golden.Canonical()
+
+			// runFolded journals the folded campaign to path, cancelling it
+			// once record cutAt is written (0 = never), and returns its
+			// result and the number of records written.
+			runFolded := func(path string, cutAt int) (*CampaignResult, int) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				records := 0
+				folded := cfg
+				folded.JournalPath = path
+				folded.OnJournal = func(j *journal.Journal) {
+					j.OnAppend = func(n int) {
+						if records = n; n == cutAt {
+							cancel()
+						}
+					}
+				}
+				r, err := PrepareCampaign(fx, folded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.t = foldedCsTuner()
+				res, err := r.Execute(ctx)
+				if err != nil && !errors.Is(err, context.Canceled) {
+					t.Fatal(err)
+				}
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return res, records
+			}
+			full, n := runFolded(filepath.Join(t.TempDir(), "full.wal"), 0)
+			if full.Canonical() != want {
+				differs++
+			}
+			for k := 1; k <= n; k += stride {
+				path := filepath.Join(t.TempDir(), "cut.wal")
+				runFolded(path, k)
+				resumed := cfg
+				resumed.JournalPath = path
+				res, err := RunCampaign(context.Background(), fx, resumed)
+				if err != nil {
+					t.Fatalf("%s seed %d cut %d/%d: %v", st.Name, seed, k, n, err)
+				}
+				if got := res.Canonical(); got != want {
+					t.Fatalf("%s seed %d cut %d/%d: resumed folded journal diverged\n got: %s\nwant: %s",
+						st.Name, seed, k, n, got, want)
+				}
+				if res.Replayed == 0 {
+					t.Fatalf("%s seed %d cut %d/%d: resume replayed nothing", st.Name, seed, k, n)
+				}
+				cuts++
+			}
+		}
+	}
+	if differs == 0 {
+		t.Fatal("every folded campaign matched its 2×16 campaign; the test would prove nothing")
+	}
+	t.Logf("%d cuts resumed; %d of 6 folded campaigns differ from their 2×16 campaign", cuts, differs)
 }
 
 // TestCampaignFingerprintPinned pins the journal identity. Journals and

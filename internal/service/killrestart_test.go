@@ -160,10 +160,17 @@ func TestServiceKillRestartByteIdentical(t *testing.T) {
 		}
 		subs = append(subs, sub{id: sr.ID, seed: int64(i % seeds)})
 	}
-	// Kill point: as soon as a heavy campaign is running with accounted
-	// episodes, so at least one campaign is always cut mid-run. Early light
-	// campaigns have completed by then, and late submissions are pending.
-	waitHeavyRunning(t, client, base)
+	// Kill point: as soon as the last heavy campaign submitted is running
+	// with accounted episodes, so at least one campaign is always cut
+	// mid-run. Early light campaigns have completed by then, and late
+	// submissions are pending.
+	lastHeavy := ""
+	for _, s := range subs {
+		if s.seed >= 8 {
+			lastHeavy = s.id
+		}
+	}
+	waitHeavyRunning(t, client, base+"/v1/campaigns/"+lastHeavy)
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -245,26 +252,30 @@ func killSpec(tenant string, seed int64) campaign.Spec {
 	}
 }
 
-// waitHeavyRunning polls the campaign list until a heavy campaign (seed 8+)
-// is running and has accounted at least one episode, which its journal then
-// holds.
-func waitHeavyRunning(t *testing.T, client *http.Client, base string) {
+// waitHeavyRunning polls one heavy campaign (seed 8+) at url until it is
+// running and has accounted at least one episode, which its journal then
+// holds. It polls that campaign alone: the list of every campaign carries
+// each completed heavy campaign's canonical, a line per trajectory point,
+// and took so long to fetch that the heavy campaigns it showed running
+// could all finish before the kill.
+func waitHeavyRunning(t *testing.T, client *http.Client, url string) {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		var lr ListResponse
-		code, raw, err := doJSONClient(client, http.MethodGet, base+"/v1/campaigns", nil, &lr)
+		var st CampaignStatus
+		code, raw, err := doJSONClient(client, http.MethodGet, url, nil, &st)
 		if err != nil || code != http.StatusOK {
-			t.Fatalf("list: code %d err %v body %s", code, err, raw)
+			t.Fatalf("poll: code %d err %v body %s", code, err, raw)
 		}
-		for _, st := range lr.Campaigns {
-			if st.Seed >= 8 && st.State == campaign.StateRunning && st.Evals > 0 {
-				return
-			}
+		if st.State == campaign.StateRunning && st.Evals > 0 {
+			return
+		}
+		if st.State.Terminal() {
+			t.Fatalf("heavy campaign %s ended %s before it was seen measuring", st.ID, st.State)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatal("no heavy campaign started measuring")
+	t.Fatal("the heavy campaign never started measuring")
 }
 
 func waitTerminal(t *testing.T, c *campaign.Campaign) {

@@ -1,106 +1,11 @@
 package store
 
 import (
-	"fmt"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/vfs"
 )
-
-// chaosKeys is the fixed key set the compact sweep publishes.
-func chaosKeys(n int) []string {
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("arch0|shape0|s%02d", i)
-	}
-	return keys
-}
-
-// TestCompactFaultSweep proves Compact's temp-file + rename replacement is
-// atomic under every single-op disk fault: whatever op the fault hits,
-// every published record must survive a clean reopen — served either by the
-// old append-log segment or by the fully-landed compacted one, never lost
-// to a half-applied rewrite — and a failed compaction must leave the store
-// writable (not degraded) with no quarantined segments.
-func TestCompactFaultSweep(t *testing.T) {
-	keys := chaosKeys(10)
-
-	// Enumeration pass: count the ops one compaction costs. The workload is
-	// deterministic, so indices are stable across runs.
-	counter := vfs.NewFaultFS(vfs.OS, 0)
-	s, err := OpenFS(counter, filepath.Join(t.TempDir(), "store"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		s.Put(k, float64(i)+1)
-	}
-	pre := counter.Ops()
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	compactOps := counter.Ops() - pre
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if compactOps < 4 {
-		t.Fatalf("compaction cost only %d ops; the sweep would prove nothing", compactOps)
-	}
-
-	flavors := []struct {
-		name  string
-		fault vfs.Fault
-	}{
-		{"eio", vfs.Fault{Err: vfs.EIO()}},
-		{"enospc", vfs.Fault{Err: vfs.ENoSpace()}},
-		{"short", vfs.Fault{Op: vfs.OpWrite, Err: vfs.EIO(), Short: true}},
-	}
-	const extraKey = "arch0|shape0|post-compact"
-	for _, fl := range flavors {
-		for i := int64(0); i < compactOps; i++ {
-			ctx := fmt.Sprintf("flavor=%s op=%d", fl.name, i)
-			f := fl.fault
-			f.AtIndex = pre + i
-			ff := vfs.NewFaultFS(vfs.OS, 0, f)
-			dir := filepath.Join(t.TempDir(), "store")
-			s, err := OpenFS(ff, dir)
-			if err != nil {
-				t.Fatalf("%s: open: %v", ctx, err)
-			}
-			for i, k := range keys {
-				s.Put(k, float64(i)+1)
-			}
-			cerr := s.Compact()
-			// Compaction failure must not flip the store read-only: the old
-			// segment is still valid and appends still land.
-			if s.Degraded() {
-				t.Fatalf("%s: compact fault (err=%v) degraded the store", ctx, cerr)
-			}
-			s.Put(extraKey, 42)
-			if err := s.Close(); err != nil {
-				t.Fatalf("%s: close after compact fault (err=%v): %v", ctx, cerr, err)
-			}
-
-			re, err := OpenFS(vfs.OS, dir)
-			if err != nil {
-				t.Fatalf("%s: reopen: %v", ctx, err)
-			}
-			for i, k := range keys {
-				if ms, ok := re.Get(k); !ok || ms != float64(i)+1 {
-					t.Fatalf("%s: key %s lost to a half-applied compact (ok=%v ms=%g, compact err=%v)", ctx, k, ok, ms, cerr)
-				}
-			}
-			if ms, ok := re.Get(extraKey); !ok || ms != 42 {
-				t.Fatalf("%s: post-compact append lost (ok=%v ms=%g)", ctx, ok, ms)
-			}
-			if q := re.Stats().Quarantined; len(q) != 0 {
-				t.Fatalf("%s: compact fault poisoned a segment: %v", ctx, q)
-			}
-			_ = re.Close()
-		}
-	}
-}
 
 // TestStoreDegradedReadOnly drives the store into read-only-degraded mode
 // (segment creation refused with ENOSPC) and proves the degradation

@@ -46,7 +46,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -111,9 +110,9 @@ type Stats struct {
 	// not persisted because the writer was already degraded (sticky
 	// WriteErr) — the size of the durability gap a degraded store accrues.
 	PutDrops int `json:"put_drops,omitempty"`
-	// DirSyncErrs counts directory-fsync failures after quarantine or
-	// compaction renames: the rename happened, but its directory entry may
-	// not survive a power loss.
+	// DirSyncErrs counts directory-fsync failures after quarantine
+	// renames: the rename happened, but its directory entry may not survive
+	// a power loss.
 	DirSyncErrs int `json:"dir_sync_errs,omitempty"`
 }
 
@@ -132,10 +131,9 @@ type Store struct {
 	mu       sync.Mutex
 	f        vfs.File
 	w        *bufio.Writer
-	segPath  string
 	pending  int
 	appended int
-	ownMin   map[string]float64 // this process's published minima (compaction source)
+	ownMin   map[string]float64 // this process's appended minima; see Put
 	writeErr error
 	closed   bool
 
@@ -252,18 +250,13 @@ func (s *Store) quarantine(path, reason string) {
 		s.quarantined = append(s.quarantined, fmt.Sprintf("%s (rename failed: %v; %s)", filepath.Base(path), err, reason))
 		return
 	}
-	s.syncDirLocked(path)
-	s.quarantined = append(s.quarantined, fmt.Sprintf("%s: %s", filepath.Base(bad), reason))
-}
-
-// syncDirLocked fsyncs path's directory so a rename is durable. Best-effort
-// — the renamed bytes are already in the file — but no longer silent: a
-// failure is counted in Stats.DirSyncErrs. Called from Open (before the
-// store is shared) and from Compact (under s.mu).
-func (s *Store) syncDirLocked(path string) {
+	// The directory fsync makes the rename durable. It is best-effort — the
+	// renamed bytes are already in the file — but a failure is counted in
+	// Stats.DirSyncErrs.
 	if err := vfs.SyncDirOf(s.fs, path); err != nil {
 		s.dirSyncErrs++
 	}
+	s.quarantined = append(s.quarantined, fmt.Sprintf("%s: %s", filepath.Base(bad), reason))
 }
 
 // insertMin merges (key, ms) into the index keeping the minimum, and
@@ -344,6 +337,8 @@ func (s *Store) Put(key string, ms float64) {
 		s.putDrops++
 		return
 	}
+	// Two Puts of one key can pass insertMin and then take s.mu in either
+	// order; the one that comes second must not append a superseded time.
 	if old, ok := s.ownMin[key]; ok && old <= ms {
 		return
 	}
@@ -394,7 +389,7 @@ func (s *Store) ensureWriterLocked() error {
 			s.writeErr = fmt.Errorf("store: segment header: %w", err)
 			return s.writeErr
 		}
-		s.f, s.w, s.segPath = f, w, path
+		s.f, s.w = f, w
 		s.segments++
 		return nil
 	}
@@ -422,61 +417,6 @@ func (s *Store) Flush() error {
 	}
 	s.flushLocked()
 	return s.writeErr
-}
-
-// Compact rewrites this process's own segment from its current per-key
-// minima, dropping superseded records, via the temp-file + rename +
-// dir-fsync dance — atomic, and safe under concurrent campaigns because no
-// other process ever writes this segment. A store that never wrote is a
-// no-op.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.f == nil || s.writeErr != nil {
-		return s.writeErr
-	}
-	keys := make([]string, 0, len(s.ownMin))
-	for k := range s.ownMin {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys) // deterministic segment bytes for a given history
-	tmpPath := s.segPath + ".tmp"
-	tmp, err := s.fs.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compact temp: %w", err)
-	}
-	w := bufio.NewWriter(tmp)
-	err = writeFrame(w, record{T: "hdr", Hdr: &Header{Magic: Magic, Version: Version}})
-	for _, k := range keys {
-		if err != nil {
-			break
-		}
-		err = writeFrame(w, record{T: "rec", Rec: &Record{Key: k, MS: s.ownMin[k]}})
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		_ = tmp.Close()
-		// Best-effort; a leftover tmp is invisible to Open (no .seg suffix).
-		_ = s.fs.Remove(tmpPath)
-		return fmt.Errorf("store: compact write: %w", err)
-	}
-	if err := s.fs.Rename(tmpPath, s.segPath); err != nil {
-		_ = tmp.Close()
-		_ = s.fs.Remove(tmpPath)
-		return fmt.Errorf("store: compact rename: %w", err)
-	}
-	s.syncDirLocked(s.segPath)
-	_ = s.f.Close() // old pre-compaction handle; the rename made tmp authoritative
-	s.f, s.w, s.pending = tmp, w, 0
-	return nil
 }
 
 // Close flushes and releases this process's segment. The index stays

@@ -240,54 +240,6 @@ func TestStoreTwoProcessSharedDir(t *testing.T) {
 	}
 }
 
-func TestStoreCompact(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A strictly improving sequence appends every step — worst case bloat.
-	for i := 0; i < 100; i++ {
-		s.Put(Key("archA", "shapeA", "hot"), float64(100-i))
-		s.Put(Key("archA", "shapeA", fmt.Sprintf("k%03d", i)), float64(i)+1)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
-	if len(segs) != 1 {
-		t.Fatalf("segments = %v", segs)
-	}
-	before, _ := os.Stat(segs[0])
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := os.Stat(segs[0])
-	if after.Size() >= before.Size() {
-		t.Fatalf("compaction did not shrink: %d -> %d", before.Size(), after.Size())
-	}
-	// The store keeps writing through the compacted segment.
-	s.Put(Key("archA", "shapeA", "post-compact"), 0.5)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if ms, _ := m.Get(Key("archA", "shapeA", "hot")); ms != 1 {
-		t.Fatalf("hot after compact+reopen = %v want 1", ms)
-	}
-	if ms, _ := m.Get(Key("archA", "shapeA", "post-compact")); ms != 0.5 {
-		t.Fatalf("post-compact record lost: %v", ms)
-	}
-	if st := m.Stats(); st.Keys != 102 || st.SkippedRecords != 0 {
-		t.Fatalf("stats after compact = %+v", st)
-	}
-}
-
 func TestStoreBest(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
