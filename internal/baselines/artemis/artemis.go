@@ -8,15 +8,12 @@ package artemis
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"sort"
 
-	"repro/internal/baselines"
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/sim"
 	"repro/internal/space"
 )
 
@@ -39,28 +36,11 @@ type candidate struct {
 }
 
 // Tune implements baselines.Tuner.
-func (t *Tuner) Tune(ctx context.Context, obj sim.Objective, _ *dataset.Dataset, seed int64, stop func() bool) (space.Setting, float64, error) {
-	if stop == nil {
-		stop = func() bool { return false }
-	}
-	userStop := stop
-	stop = func() bool { return userStop() || ctx.Err() != nil }
-	eng := engine.From(obj) // memoized: re-probing a known setting is free
+func (t *Tuner) Tune(ctx context.Context, eng *engine.Engine, _ *dataset.Dataset, seed int64, stop func() bool) error {
+	stop = engine.Stop(ctx, stop)
+	measure := eng.Probe(ctx, stop) // memoized: re-probing a known setting is free
 	sp := eng.Space()
 	rng := rand.New(rand.NewSource(seed))
-	var track baselines.Tracker
-
-	measure := func(s space.Setting) float64 {
-		if stop() {
-			return math.Inf(1)
-		}
-		ms, err := eng.MeasureCtx(ctx, s)
-		if err != nil {
-			return math.Inf(1)
-		}
-		track.Observe(s, ms)
-		return ms
-	}
 
 	// ---- Level 1: high impact — thread-block geometry × streaming -------
 	level1 := t.tbStreamingCandidates(sp)
@@ -79,7 +59,7 @@ func (t *Tuner) Tune(ctx context.Context, obj sim.Objective, _ *dataset.Dataset,
 	}
 	pool = top(pool, t.TopK)
 	if len(pool) == 0 {
-		return nil, 0, errors.New("artemis: no valid level-1 candidate")
+		return nil // no valid level-1 candidate: nothing to refine
 	}
 
 	// ---- Level 2: medium impact — shared memory × unrolling -------------
@@ -134,11 +114,7 @@ func (t *Tuner) Tune(ctx context.Context, obj sim.Objective, _ *dataset.Dataset,
 			}
 		}
 	}
-
-	if !track.Found() {
-		return nil, 0, errors.New("artemis: no valid setting found")
-	}
-	return track.BestSet, track.BestMS, nil
+	return nil
 }
 
 // tbStreamingCandidates enumerates the expert-curated high-impact level:

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/space"
@@ -62,10 +63,11 @@ func TestTopOrdering(t *testing.T) {
 func TestTuneHierarchyImproves(t *testing.T) {
 	obj := objective(t, stencil.AddSGD6())
 	a := New()
-	best, ms, err := a.Tune(context.Background(), obj, nil, 4, nil)
-	if err != nil {
+	eng := engine.New(obj)
+	if err := a.Tune(context.Background(), eng, nil, 4, nil); err != nil {
 		t.Fatal(err)
 	}
+	best, ms, _ := eng.Best()
 	def, err := obj.Measure(obj.Space().Default())
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +83,13 @@ func TestTuneHierarchyImproves(t *testing.T) {
 func TestTuneStopsImmediately(t *testing.T) {
 	obj := objective(t, stencil.J3D7PT())
 	a := New()
-	_, _, err := a.Tune(context.Background(), obj, nil, 1, func() bool { return true })
-	// With stop always true, nothing gets measured: must error, not hang
-	// or return garbage.
-	if err == nil {
-		t.Fatal("expected an error when stopped before any measurement")
+	eng := engine.New(obj)
+	// With stop always true, nothing gets measured: Tune must return
+	// without hanging, and the engine must hold no best.
+	if err := a.Tune(context.Background(), eng, nil, 1, func() bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := eng.Best(); ok || eng.Stats() != (engine.Stats{}) {
+		t.Fatalf("stopped before any measurement, yet the engine measured: %+v", eng.Stats())
 	}
 }

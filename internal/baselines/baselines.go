@@ -8,8 +8,7 @@ import (
 	"context"
 
 	"repro/internal/dataset"
-	"repro/internal/sim"
-	"repro/internal/space"
+	"repro/internal/engine"
 )
 
 // Tuner is one auto-tuning method. Implementations must honour stop() —
@@ -19,31 +18,11 @@ import (
 // a given seed (ctx permitting).
 type Tuner interface {
 	Name() string
-	// Tune searches for the fastest setting. ds is the offline stencil
-	// dataset; methods that do not use one (OpenTuner, Artemis) ignore it.
-	// A cancelled ctx stops the search promptly; the best setting measured
-	// before cancellation is returned.
-	Tune(ctx context.Context, obj sim.Objective, ds *dataset.Dataset, seed int64, stop func() bool) (space.Setting, float64, error)
+	// Tune searches for the fastest setting, measuring only through eng:
+	// the engine's Best, Trajectory and Stats are the run's outcome. ds is
+	// the offline stencil dataset; methods that do not use one (OpenTuner,
+	// Artemis) ignore it. Tune returns an error only when the method cannot
+	// run; a search that was stopped, cancelled or found no valid setting
+	// returns nil and leaves the verdict to the caller's engine.
+	Tune(ctx context.Context, eng *engine.Engine, ds *dataset.Dataset, seed int64, stop func() bool) error
 }
-
-// Tracker accumulates the best observation across measurements; shared by
-// the tuner implementations.
-type Tracker struct {
-	BestSet space.Setting
-	BestMS  float64
-	Evals   int
-	found   bool
-}
-
-// Observe records one measurement result.
-func (t *Tracker) Observe(s space.Setting, ms float64) {
-	t.Evals++
-	if !t.found || ms < t.BestMS {
-		t.found = true
-		t.BestMS = ms
-		t.BestSet = s.Clone()
-	}
-}
-
-// Found reports whether any valid measurement was observed.
-func (t *Tracker) Found() bool { return t.found }

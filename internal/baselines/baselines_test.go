@@ -3,6 +3,7 @@ package baselines_test
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/baselines/garvey"
 	"repro/internal/baselines/opentuner"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/space"
@@ -43,6 +45,17 @@ func allTuners() []baselines.Tuner {
 	return []baselines.Tuner{cs, ot, garvey.New(), artemis.New()}
 }
 
+// tune runs tn on a fresh engine over s and returns the engine, whose best
+// is the run's outcome.
+func tune(t *testing.T, tn baselines.Tuner, s *sim.Simulator, ds *dataset.Dataset, seed int64, stop func() bool) *engine.Engine {
+	t.Helper()
+	eng := engine.New(s)
+	if err := tn.Tune(context.Background(), eng, ds, seed, stop); err != nil {
+		t.Fatalf("%s: %v", tn.Name(), err)
+	}
+	return eng
+}
+
 // TestAllTunersBeatRandom: every method must find something clearly better
 // than the median random setting — the minimum bar for calling it a tuner.
 func TestAllTunersBeatRandom(t *testing.T) {
@@ -52,11 +65,8 @@ func TestAllTunersBeatRandom(t *testing.T) {
 	median := ds.Samples[idx[len(idx)/2]].TimeMS
 
 	for _, tn := range allTuners() {
-		best, ms, err := tn.Tune(context.Background(), s, ds, 7, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", tn.Name(), err)
-		}
-		if best == nil || ms <= 0 {
+		best, ms, ok := tune(t, tn, s, ds, 7, nil).Best()
+		if !ok || ms <= 0 {
 			t.Fatalf("%s: degenerate result", tn.Name())
 		}
 		if err := s.Space().Validate(best); err != nil {
@@ -78,36 +88,39 @@ func TestTunersHonourStop(t *testing.T) {
 	for _, tn := range allTuners() {
 		var polls int64
 		stop := func() bool { return atomic.AddInt64(&polls, 1) > 25 }
-		_, _, err := tn.Tune(context.Background(), s, ds, 3, stop)
-		// Stopping early may leave no valid measurement for some methods;
-		// both a best-so-far result and a clean error are acceptable, but
-		// the search must not run unbounded.
+		// Stopping early may leave the engine with nothing measured; that
+		// is the caller's verdict, not a tuner error. The search must not
+		// run unbounded.
+		tune(t, tn, s, ds, 3, stop)
 		if polls > 2000 {
-			t.Fatalf("%s: %d stop polls — budget ignored (err=%v)", tn.Name(), polls, err)
+			t.Fatalf("%s: %d stop polls — budget ignored", tn.Name(), polls)
 		}
 	}
 }
 
+// TestTunersDeterministic compares two same-seed runs' whole tally: the
+// engine's best, counters and trajectory.
 func TestTunersDeterministic(t *testing.T) {
 	s, ds := fixture(t)
 	for _, tn := range allTuners() {
-		b1, ms1, err1 := tn.Tune(context.Background(), s, ds, 42, nil)
-		b2, ms2, err2 := tn.Tune(context.Background(), s, ds, 42, nil)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("%s: nondeterministic error", tn.Name())
-		}
-		if err1 != nil {
-			continue
-		}
+		e1, e2 := tune(t, tn, s, ds, 42, nil), tune(t, tn, s, ds, 42, nil)
+		b1, ms1, _ := e1.Best()
+		b2, ms2, _ := e2.Best()
 		if !b1.Equal(b2) || ms1 != ms2 {
 			t.Fatalf("%s: same seed diverged (%.4f vs %.4f)", tn.Name(), ms1, ms2)
+		}
+		if st1, st2 := e1.Stats(), e2.Stats(); st1 != st2 {
+			t.Fatalf("%s: same seed, different stats:\n%+v\n%+v", tn.Name(), st1, st2)
+		}
+		if !reflect.DeepEqual(e1.Trajectory(), e2.Trajectory()) {
+			t.Fatalf("%s: same seed, different trajectory", tn.Name())
 		}
 	}
 }
 
 func TestGarveyRequiresDataset(t *testing.T) {
 	s, _ := fixture(t)
-	if _, _, err := garvey.New().Tune(context.Background(), s, nil, 1, nil); err == nil {
+	if err := garvey.New().Tune(context.Background(), engine.New(s), nil, 1, nil); err == nil {
 		t.Fatal("garvey without dataset should error")
 	}
 }
@@ -116,11 +129,7 @@ func TestOpenTunerEnsemble(t *testing.T) {
 	s, ds := fixture(t)
 	ot := opentuner.NewEnsemble()
 	ot.MaxRounds = 15
-	best, ms, err := ot.Tune(context.Background(), s, ds, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best == nil || ms <= 0 {
+	if _, ms, ok := tune(t, ot, s, ds, 5, nil).Best(); !ok || ms <= 0 {
 		t.Fatal("ensemble found nothing")
 	}
 }
@@ -129,46 +138,7 @@ func TestOpenTunerUnknownTechnique(t *testing.T) {
 	s, _ := fixture(t)
 	ot := opentuner.New()
 	ot.Techniques = []string{"simulated-annealing"}
-	if _, _, err := ot.Tune(context.Background(), s, nil, 1, nil); err == nil {
+	if err := ot.Tune(context.Background(), engine.New(s), nil, 1, nil); err == nil {
 		t.Fatal("unknown technique should error")
-	}
-}
-
-func TestTrackerSemantics(t *testing.T) {
-	var tr baselines.Tracker
-	if tr.Found() {
-		t.Fatal("fresh tracker should be empty")
-	}
-	sp, _ := space.New(stencil.J3D7PT())
-	a := sp.Default()
-	tr.Observe(a, 5)
-	tr.Observe(a, 7) // worse: ignored
-	if !tr.Found() || tr.BestMS != 5 || tr.Evals != 2 {
-		t.Fatalf("tracker state: %+v", tr)
-	}
-	b := sp.Default()
-	b[space.TBX] = 32
-	tr.Observe(b, 3)
-	if tr.BestMS != 3 || !tr.BestSet.Equal(b) {
-		t.Fatal("tracker did not adopt improvement")
-	}
-	// BestSet must be a copy.
-	b[space.TBX] = 1
-	if tr.BestSet[space.TBX] == 1 {
-		t.Fatal("tracker aliases the observed setting")
-	}
-}
-
-func TestCsTunerAdapterKeepsReport(t *testing.T) {
-	s, ds := fixture(t)
-	cs := cstuner.New()
-	cs.Cfg.Sampling.PoolSize = 256
-	cs.Cfg.GA.MaxGenerations = 6
-	cs.Cfg.EmitKernels = false
-	if _, _, err := cs.Tune(context.Background(), s, ds, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if cs.LastReport == nil || len(cs.LastReport.Groups) == 0 {
-		t.Fatal("adapter did not retain the pipeline report")
 	}
 }

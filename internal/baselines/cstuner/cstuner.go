@@ -9,16 +9,12 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/sim"
-	"repro/internal/space"
+	"repro/internal/engine"
 )
 
 // Tuner wraps core.Tune.
 type Tuner struct {
 	Cfg core.Config
-	// LastReport keeps the most recent pipeline report for overhead and
-	// diagnostics inspection (Fig. 12).
-	LastReport *core.Report
 }
 
 // New returns csTuner with the paper's default configuration.
@@ -28,23 +24,16 @@ func New() *Tuner { return &Tuner{Cfg: core.DefaultConfig()} }
 func (t *Tuner) Name() string { return "cstuner" }
 
 // Tune implements baselines.Tuner.
-func (t *Tuner) Tune(ctx context.Context, obj sim.Objective, ds *dataset.Dataset, seed int64, stop func() bool) (space.Setting, float64, error) {
+func (t *Tuner) Tune(ctx context.Context, eng *engine.Engine, ds *dataset.Dataset, seed int64, stop func() bool) error {
 	cfg := t.Cfg
 	cfg.Seed = seed
-	// core.Tune routes every measurement through the evaluation engine
-	// (internal/engine), which memoizes — no extra cache layer needed here.
-	rep, err := core.TuneCtx(ctx, obj, ds, cfg, stop)
-	if err != nil {
-		// A cancelled run with a usable partial best behaves like a
-		// budget-stop: the tuner reports what it found before the cut.
-		if ctx.Err() != nil && rep != nil && rep.Best != nil {
-			t.LastReport = rep
-			return rep.Best, rep.BestMS, nil
-		}
-		return nil, 0, err
+	rep, err := core.TuneCtx(ctx, eng, ds, cfg, stop)
+	if err != nil && ctx.Err() != nil && rep != nil {
+		// A cancelled run ends like a budget stop: its outcome is what the
+		// engine measured before the cut.
+		return nil
 	}
-	t.LastReport = rep
-	return rep.Best, rep.BestMS, nil
+	return err
 }
 
 var _ baselines.Tuner = (*Tuner)(nil)

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/gpu"
 	"repro/internal/kernel"
 	"repro/internal/sim"
@@ -39,29 +41,24 @@ func TestAdapterSeedsConfig(t *testing.T) {
 	a.Cfg.Sampling.PoolSize = 256
 	a.Cfg.GA.MaxGenerations = 6
 	a.Cfg.EmitKernels = false
-	b1, ms1, err := a.Tune(context.Background(), s, ds, 11, nil)
-	if err != nil {
-		t.Fatal(err)
+	tune := func(seed int64) *engine.Engine {
+		eng := engine.New(s)
+		if err := a.Tune(context.Background(), eng, ds, seed, nil); err != nil {
+			t.Fatal(err)
+		}
+		return eng
 	}
-	b2, ms2, err := a.Tune(context.Background(), s, ds, 11, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b1.Equal(b2) || ms1 != ms2 {
+	b1, ms1, ok1 := tune(11).Best()
+	b2, ms2, ok2 := tune(11).Best()
+	if !ok1 || !ok2 || !b1.Equal(b2) || ms1 != ms2 {
 		t.Fatal("adapter not deterministic for a fixed seed")
-	}
-	if a.LastReport == nil || a.LastReport.BestMS != ms2 {
-		t.Fatal("LastReport not retained")
 	}
 	// The adapter must pass the seed through: different seeds explore
 	// differently (same result value is possible, identical eval counts
 	// across many seeds are not).
 	evals := map[int]bool{}
 	for seed := int64(0); seed < 4; seed++ {
-		if _, _, err := a.Tune(context.Background(), s, ds, seed, nil); err != nil {
-			t.Fatal(err)
-		}
-		evals[a.LastReport.Evaluations] = true
+		evals[tune(seed).Evals()] = true
 	}
 	if len(evals) == 1 {
 		t.Log("all seeds evaluated identically (possible but suspicious)")
@@ -83,11 +80,13 @@ func TestAdapterEmitsThroughSimulator(t *testing.T) {
 		_, err := kernel.Build(sp, set, arch)
 		return err == nil
 	}
-	if _, _, err := a.Tune(context.Background(), s, ds, 1, nil); err != nil {
+	// The adapter's path: core.Tune on an engine around the simulator.
+	rep, err := core.Tune(engine.New(s), ds, a.Cfg, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.LastReport.GeneratedCUDA == 0 || a.LastReport.GeneratedCUDA != a.LastReport.SampledSize {
+	if rep.GeneratedCUDA == 0 || rep.GeneratedCUDA != rep.SampledSize {
 		t.Fatalf("codegen emitted %d of %d sampled (prefiltered) settings",
-			a.LastReport.GeneratedCUDA, a.LastReport.SampledSize)
+			rep.GeneratedCUDA, rep.SampledSize)
 	}
 }

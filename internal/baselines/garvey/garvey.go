@@ -16,11 +16,9 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/baselines"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/forest"
-	"repro/internal/sim"
 	"repro/internal/space"
 )
 
@@ -52,36 +50,19 @@ func dimensionGroups() [][]int {
 }
 
 // Tune implements baselines.Tuner.
-func (t *Tuner) Tune(ctx context.Context, obj sim.Objective, ds *dataset.Dataset, seed int64, stop func() bool) (space.Setting, float64, error) {
+func (t *Tuner) Tune(ctx context.Context, eng *engine.Engine, ds *dataset.Dataset, seed int64, stop func() bool) error {
 	if ds == nil || len(ds.Samples) == 0 {
-		return nil, 0, errors.New("garvey: requires an offline experience dataset")
+		return errors.New("garvey: requires an offline experience dataset")
 	}
-	if stop == nil {
-		stop = func() bool { return false }
-	}
-	userStop := stop
-	stop = func() bool { return userStop() || ctx.Err() != nil }
-	eng := engine.From(obj) // memoized: re-probing a known setting is free
+	stop = engine.Stop(ctx, stop)
+	measure := eng.Probe(ctx, stop) // memoized: re-probing a known setting is free
 	sp := eng.Space()
 	rng := rand.New(rand.NewSource(seed))
-	var track baselines.Tracker
-
-	measure := func(s space.Setting) float64 {
-		if stop() {
-			return math.Inf(1)
-		}
-		ms, err := eng.MeasureCtx(ctx, s)
-		if err != nil {
-			return math.Inf(1)
-		}
-		track.Observe(s, ms)
-		return ms
-	}
 
 	// ---- Memory-type prediction with a random forest --------------------
 	useShared, useConstant, err := t.predictMemoryType(ds)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	current := sp.Default()
 	current[space.UseShared] = useShared
@@ -118,11 +99,7 @@ func (t *Tuner) Tune(ctx context.Context, obj sim.Objective, ds *dataset.Dataset
 			sp.Repair(current, rng)
 		}
 	}
-
-	if !track.Found() {
-		return nil, 0, errors.New("garvey: no valid setting found")
-	}
-	return track.BestSet, track.BestMS, nil
+	return nil
 }
 
 // predictMemoryType trains the forest on the experience dataset (features:

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/space"
@@ -114,10 +115,11 @@ func TestSampleRatio(t *testing.T) {
 func TestTuneImprovesOnDefault(t *testing.T) {
 	s, ds := fixture(t)
 	g := New()
-	best, ms, err := g.Tune(context.Background(), s, ds, 5, nil)
-	if err != nil {
+	eng := engine.New(s)
+	if err := g.Tune(context.Background(), eng, ds, 5, nil); err != nil {
 		t.Fatal(err)
 	}
+	best, ms, _ := eng.Best()
 	def, err := s.Measure(s.Space().Default())
 	if err != nil {
 		t.Fatal(err)

@@ -17,10 +17,8 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/baselines"
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/sim"
 	"repro/internal/space"
 )
 
@@ -69,28 +67,11 @@ func NewEnsemble() *Tuner {
 func (t *Tuner) Name() string { return "opentuner" }
 
 // Tune implements baselines.Tuner.
-func (t *Tuner) Tune(ctx context.Context, obj sim.Objective, _ *dataset.Dataset, seed int64, stop func() bool) (space.Setting, float64, error) {
-	if stop == nil {
-		stop = func() bool { return false }
-	}
-	userStop := stop
-	stop = func() bool { return userStop() || ctx.Err() != nil }
-	eng := engine.From(obj) // memoized: re-probing a known setting is free
+func (t *Tuner) Tune(ctx context.Context, eng *engine.Engine, _ *dataset.Dataset, seed int64, stop func() bool) error {
+	stop = engine.Stop(ctx, stop)
+	measure := eng.Probe(ctx, stop) // memoized: re-probing a known setting is free
 	sp := eng.Space()
 	rng := rand.New(rand.NewSource(seed))
-	var track baselines.Tracker
-
-	measure := func(s space.Setting) float64 {
-		if stop() {
-			return math.Inf(1)
-		}
-		ms, err := eng.MeasureCtx(ctx, s)
-		if err != nil {
-			return math.Inf(1)
-		}
-		track.Observe(s, ms)
-		return ms
-	}
 
 	techs := t.Techniques
 	if len(techs) == 0 {
@@ -106,7 +87,7 @@ func (t *Tuner) Tune(ctx context.Context, obj sim.Objective, _ *dataset.Dataset,
 		case TechHill:
 			states = append(states, newHill(sp, rng))
 		default:
-			return nil, 0, errors.New("opentuner: unknown technique " + name)
+			return errors.New("opentuner: unknown technique " + name)
 		}
 	}
 
@@ -134,11 +115,7 @@ func (t *Tuner) Tune(ctx context.Context, obj sim.Objective, _ *dataset.Dataset,
 			credit[pick] += 1
 		}
 	}
-
-	if !track.Found() {
-		return nil, 0, errors.New("opentuner: no valid setting found")
-	}
-	return track.BestSet, track.BestMS, nil
+	return nil
 }
 
 // searcher is one technique; step runs one generation/round of evaluations

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/space"
@@ -138,11 +139,11 @@ func TestBanditPrefersImprovingTechnique(t *testing.T) {
 	obj := objective(t)
 	ot := NewEnsemble()
 	ot.MaxRounds = 10
-	best, ms, err := ot.Tune(context.Background(), obj, nil, 3, nil)
-	if err != nil {
+	eng := engine.New(obj)
+	if err := ot.Tune(context.Background(), eng, nil, 3, nil); err != nil {
 		t.Fatal(err)
 	}
-	if best == nil || ms <= 0 {
+	if _, ms, ok := eng.Best(); !ok || ms <= 0 {
 		t.Fatal("ensemble found nothing")
 	}
 }

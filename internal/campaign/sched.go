@@ -148,8 +148,9 @@ func (s *Scheduler) VTimes() map[string]float64 {
 
 // gate wraps a campaign's simulator so every live measurement passes
 // through the weighted-fair scheduler. It forwards the optional surfaces
-// the engine probes for — context-aware measurement, metric runs and the
-// architecture provider.
+// the engine probes for — context-aware measurement and the architecture
+// provider. It offers no metric runs: a campaign's dataset is its
+// fixture's, never collected through its engine.
 type gate struct {
 	inner  sim.Objective
 	sched  *Scheduler
@@ -170,13 +171,7 @@ func Gate(ctx context.Context, sched *Scheduler, tenant string, weight float64) 
 
 func (g *gate) Space() *space.Space { return g.inner.Space() }
 
-func (g *gate) Measure(s space.Setting) (float64, error) {
-	if err := g.sched.Acquire(g.ctx, g.tenant, g.weight); err != nil {
-		return 0, err
-	}
-	defer g.sched.Release()
-	return g.inner.Measure(s)
-}
+func (g *gate) Measure(s space.Setting) (float64, error) { return g.MeasureCtx(g.ctx, s) }
 
 // MeasureCtx implements engine.CtxObjective so the engine's run context
 // reaches both the slot wait and a context-aware inner objective.
@@ -189,15 +184,6 @@ func (g *gate) MeasureCtx(ctx context.Context, s space.Setting) (float64, error)
 		return co.MeasureCtx(ctx, s)
 	}
 	return g.inner.Measure(s)
-}
-
-// Run forwards metric-producing runs (offline dataset collection is
-// unmetered and ungated by design — it is a one-time step, paper Sec. V-F).
-func (g *gate) Run(s space.Setting) (*sim.Result, error) {
-	if r, ok := g.inner.(engine.Runner); ok {
-		return r.Run(s)
-	}
-	return nil, engine.ErrNoRunner
 }
 
 // Architecture forwards the GPU model so codegen survives the gate.

@@ -136,12 +136,11 @@ func Tune(obj sim.Objective, ds *dataset.Dataset, cfg Config, stop func() bool) 
 // counter snapshot) alongside ctx's error; only a run cancelled before any
 // usable state exists returns a nil Report.
 func TuneCtx(ctx context.Context, obj sim.Objective, ds *dataset.Dataset, cfg Config, stop func() bool) (*Report, error) {
-	if stop == nil {
-		stop = func() bool { return false }
+	stop = engine.Stop(ctx, stop)
+	eng, ok := obj.(*engine.Engine)
+	if !ok {
+		eng = engine.New(obj)
 	}
-	userStop := stop
-	stop = func() bool { return userStop() || ctx.Err() != nil }
-	eng := engine.From(obj)
 	sp := eng.Space()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	statsBefore := eng.Stats()
@@ -350,16 +349,7 @@ func search(ctx context.Context, eng *engine.Engine, sampled *sampling.Sampled, 
 	}
 	dsBest := ds.Best()
 
-	measure := func(s space.Setting) float64 {
-		if stop() {
-			return math.Inf(1)
-		}
-		ms, err := eng.MeasureCtx(ctx, s)
-		if err != nil {
-			return math.Inf(1)
-		}
-		return ms
-	}
+	measure := eng.Probe(ctx, stop)
 	// Best-so-far: the engine tracks every measured setting; the dataset's
 	// best sample is the floor (it may never be re-measured by the search).
 	best := func() (space.Setting, float64) {

@@ -185,7 +185,7 @@ func storeBenchEngine(b *testing.B, n int) (*Engine, *store.Store, []string) {
 }
 
 // BenchmarkStoreLookupHit is the cross-campaign hit primitive: render the
-// composite key into pooled scratch and probe the store's map under its
+// composite key into a stack buffer and probe the store's map under its
 // read lock. The acceptance bar is ~2x BenchmarkMeasureCacheHit — a
 // shared-store hit should cost about as much as a memo-cache hit.
 func BenchmarkStoreLookupHit(b *testing.B) {

@@ -35,6 +35,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/store"
 )
 
 // ErrBudget re-exports the transient budget error tuners test for.
@@ -145,7 +146,7 @@ type Engine struct {
 	// consulted on a memo-cache miss before measuring, published back on
 	// every successful episode. The counters are atomics folded in by
 	// statsLocked, like cacheHits.
-	store       ResultStore
+	store       *store.Store
 	storePrefix string
 	storeHits   atomic.Int64
 	storeMisses atomic.Int64
@@ -192,17 +193,6 @@ func New(obj sim.Objective, opts ...Option) *Engine {
 		e.initReplay()
 	}
 	return e
-}
-
-// From returns obj itself when it already is an engine — tuners call it so
-// stacked layers (harness budget engine → baseline adapter → core pipeline)
-// share one cache, one budget, and one stats surface — and otherwise wraps
-// obj in a fresh engine with the given options.
-func From(obj sim.Objective, opts ...Option) *Engine {
-	if e, ok := obj.(*Engine); ok {
-		return e
-	}
-	return New(obj, opts...)
 }
 
 // Space implements sim.Objective.

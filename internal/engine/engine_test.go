@@ -197,17 +197,6 @@ func TestRunWithoutRunner(t *testing.T) {
 	}
 }
 
-func TestFromReusesEngine(t *testing.T) {
-	f := newFake(t)
-	e := New(f)
-	if From(e) != e {
-		t.Fatal("From must return an existing engine unchanged")
-	}
-	if From(f) == nil || From(f) == e {
-		t.Fatal("From must wrap a plain objective in a fresh engine")
-	}
-}
-
 func TestSpansAggregate(t *testing.T) {
 	f := newFake(t)
 	e := New(f)

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 
 	"repro/internal/space"
 )
@@ -205,4 +206,30 @@ func (e *Engine) measureCtxSlow(ctx context.Context, s space.Setting, key string
 		return 0, ErrBudget
 	}
 	return e.accountEpisode(s, key, e.measureEpisode(ctx, s, key))
+}
+
+// Stop is a tuner's stop poll under its run context: true once stop
+// reports true (a nil stop never does) or ctx has ended.
+func Stop(ctx context.Context, stop func() bool) func() bool {
+	if stop == nil {
+		return func() bool { return ctx.Err() != nil }
+	}
+	return func() bool { return stop() || ctx.Err() != nil }
+}
+
+// Probe is the cost function the tuners search with: it polls stop before
+// every measurement, cached ones included, and scores a stopped search or a
+// failed measurement +Inf. Pass it the poll from Stop, so that a cancelled
+// run stops scoring even the settings it already measured.
+func (e *Engine) Probe(ctx context.Context, stop func() bool) func(space.Setting) float64 {
+	return func(s space.Setting) float64 {
+		if stop() {
+			return math.Inf(1)
+		}
+		ms, err := e.MeasureCtx(ctx, s)
+		if err != nil {
+			return math.Inf(1)
+		}
+		return ms
+	}
 }

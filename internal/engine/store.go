@@ -1,6 +1,6 @@
 package engine
 
-import "sync"
+import "repro/internal/store"
 
 // Cross-campaign result store integration (DESIGN.md §13). The engine's
 // memo cache is per-campaign; the result store (internal/store) is shared
@@ -24,64 +24,30 @@ import "sync"
 // journaled engine, only once the journal sync covering the episode has
 // returned — and other processes' records are only loaded at Open.
 
-// ResultStore is the store surface the engine consumes; *store.Store
-// implements it.
-type ResultStore interface {
-	// GetBytes probes a composite key rendered into a caller-owned buffer;
-	// it must be safe for concurrent use and must not retain the buffer.
-	GetBytes(key []byte) (float64, bool)
-	// Put publishes a successful measurement under a composite key.
-	Put(key string, ms float64)
-	// Degraded reports whether the store has fallen back to read-only mode
-	// (a sticky write failure): Puts still feed its in-memory index, but
-	// nothing persists. The engine counts publishes made in that state
-	// (Stats.StorePutDrops) so operators can see the durability gap grow.
-	Degraded() bool
-}
-
 // WithStore attaches a shared result store. prefix is the campaign's
 // composite-key prefix — store.Prefix(archFP, shapeFP) — prepended to every
 // setting key, so campaigns on different architectures or stencils never
 // alias. A nil store disables the integration.
-func WithStore(st ResultStore, prefix string) Option {
-	return func(e *Engine) {
-		if st == nil {
-			e.store, e.storePrefix = nil, ""
-			return
-		}
-		e.store, e.storePrefix = st, prefix
-	}
+func WithStore(st *store.Store, prefix string) Option {
+	return func(e *Engine) { e.store, e.storePrefix = st, prefix }
 }
 
-// storeScratch sizes the pooled buffers for rendered composite keys: the
-// arch+shape prefix (~200 bytes for the built-in models) plus the setting
-// key. Longer composite keys grow the pooled buffer — an allocation on the
-// first probe, not an error.
+// storeScratch sizes storeProbe's stack buffer for rendered composite keys:
+// the arch+shape prefix (~200 bytes for the built-in models) plus the
+// setting key. Longer composite keys spill the append to the heap — an
+// allocation, not an error.
 const storeScratch = 384
 
-// storeKeyScratch pools composite-key buffers: the probe hands its buffer to
-// an interface method, which defeats stack allocation, so reuse across
-// probes is what keeps the hot path allocation-free. GetBytes's contract is
-// that the buffer is caller-owned (never retained), which makes returning it
-// to the pool safe.
-var storeKeyScratch = sync.Pool{
-	New: func() any { b := make([]byte, 0, storeScratch); return &b },
-}
-
 // storeProbe consults the result store for a setting key. Allocation-free
-// on the steady-state path: the composite key is rendered into pooled
-// scratch and probed via the byte-slice map path.
+// on the steady-state path: the composite key is rendered into a stack
+// buffer, which GetBytes probes without retaining.
 func (e *Engine) storeProbe(key string) (float64, bool) {
 	if e.store == nil {
 		return 0, false
 	}
-	bp := storeKeyScratch.Get().(*[]byte)
-	b := append((*bp)[:0], e.storePrefix...)
-	b = append(b, key...)
-	ms, ok := e.store.GetBytes(b)
-	*bp = b[:0]
-	storeKeyScratch.Put(bp)
-	return ms, ok
+	var kb [storeScratch]byte
+	b := append(kb[:0], e.storePrefix...)
+	return e.store.GetBytes(append(b, key...))
 }
 
 // storePut is one store publish waiting for the journal sync that covers

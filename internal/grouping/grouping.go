@@ -1,7 +1,7 @@
 // Package grouping implements csTuner's parameter-grouping stage (paper
 // Sec. IV-C): quantify the pair-wise correlation of optimization parameters
 // with the coefficient of variation, then aggregate strongly-correlated
-// parameters with the deque-based Algorithm 1.
+// parameters with Algorithm 1.
 package grouping
 
 import (
@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"repro/internal/dataset"
-	"repro/internal/deque"
 	"repro/internal/space"
 	"repro/internal/stats"
 )
@@ -85,10 +84,10 @@ func directionalCV(ds *dataset.Dataset, pi, pj int) float64 {
 	return cv
 }
 
-// Groups runs Algorithm 1: pairs are pushed into a deque in ascending CV
-// order, then consumed alternately from the left (strongest remaining
-// correlation — creates or extends groups) and the right (weakest remaining
-// — its parameters become singleton groups if still ungrouped).
+// Groups runs Algorithm 1: pairs are sorted in ascending CV order, then
+// consumed alternately from the front (strongest remaining correlation —
+// creates or extends groups) and the back (weakest remaining — its
+// parameters become singleton groups if still ungrouped).
 //
 // The alternation is the algorithm's point: strong pairs aggregate early,
 // while weak pairs retire their parameters as singletons before a mediocre
@@ -107,11 +106,6 @@ func Groups(pairs []PairCV, maxGroupSize int) [][]int {
 	sorted := append([]PairCV(nil), pairs...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].CV < sorted[j].CV })
 
-	dq := deque.New[PairCV](len(sorted))
-	for _, p := range sorted {
-		dq.PushBack(p)
-	}
-
 	var groups [][]int
 	find := func(p int) int {
 		for gi, g := range groups {
@@ -124,10 +118,12 @@ func Groups(pairs []PairCV, maxGroupSize int) [][]int {
 		return -1
 	}
 
-	for i := 0; !dq.Empty(); i++ {
+	// sorted[lo:hi] holds the pairs not yet consumed.
+	for i, lo, hi := 0, 0, len(sorted); lo < hi; i++ {
 		if i%2 == 0 {
 			// Strongest remaining pair: group it.
-			pair, _ := dq.PopFront()
+			pair := sorted[lo]
+			lo++
 			ga, gb := find(pair.A), find(pair.B)
 			switch {
 			case ga < 0 && gb < 0:
@@ -149,7 +145,8 @@ func Groups(pairs []PairCV, maxGroupSize int) [][]int {
 			}
 		} else {
 			// Weakest remaining pair: retire its parameters as singletons.
-			pair, _ := dq.PopBack()
+			hi--
+			pair := sorted[hi]
 			if find(pair.A) < 0 {
 				groups = append(groups, []int{pair.A})
 			}

@@ -190,32 +190,33 @@ func (r *CampaignRun) Engine() *engine.Engine { return r.eng }
 func (r *CampaignRun) Journal() *journal.Journal { return r.jr }
 
 // Execute runs the tuner to completion (or cancellation) and returns the
-// canonical result. A cancelled ctx surfaces as ctx.Err() alongside the
-// partial result — the caller decides whether that is a pause, a cancel or
-// a shutdown. A budget-stop with at least one measurement is the normal end
-// of a campaign; an error with nothing measured is a hard failure. On every
-// path the journal is synced before Execute returns, so neither the result
-// nor the state the caller records next can outrun the records behind it.
+// canonical result, read from the run's engine. A cancelled ctx surfaces as
+// ctx.Err() alongside the partial result — the caller decides whether that
+// is a pause, a cancel or a shutdown. A budget-stop with at least one
+// measurement is the normal end of a campaign. A campaign that measured
+// nothing fails with no result: its error wraps the tuner's error, else
+// ctx.Err(), else ErrMeasuredNothing. On every path the journal is synced
+// before Execute returns, so neither the result nor the state the caller
+// records next can outrun the records behind it.
 func (r *CampaignRun) Execute(ctx context.Context) (*CampaignResult, error) {
 	eng := r.eng
-	_, _, tuneErr := r.t.Tune(ctx, eng, r.fx.DS, r.cfg.Seed, eng.Exhausted)
+	tuneErr := r.t.Tune(ctx, eng, r.fx.DS, r.cfg.Seed, eng.Exhausted)
 	if err := eng.SyncJournal(); err != nil {
 		return nil, err
 	}
+	set, ms, ok := eng.Best()
+	if !ok {
+		return nil, fmt.Errorf("harness: campaign %s: %w", r.cfg.Method, measuredNothing(ctx, tuneErr))
+	}
 	res := &CampaignResult{
+		Best:       set,
+		BestMS:     ms,
+		Found:      true,
 		Stats:      eng.Stats(),
 		Trajectory: eng.Trajectory(),
 		Replayed:   eng.Replayed(),
 	}
-	if set, ms, ok := eng.Best(); ok {
-		res.Best, res.BestMS, res.Found = set, ms, true
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-	} else if tuneErr != nil {
-		return nil, fmt.Errorf("harness: campaign %s: %w", r.cfg.Method, tuneErr)
-	}
-	return res, nil
+	return res, ctx.Err()
 }
 
 // Close releases the journal handle, syncing any unsynced tail. After

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gpu"
+	"repro/internal/sim"
 	"repro/internal/space"
 	"repro/internal/stencil"
 )
@@ -353,6 +354,39 @@ func TestCampaignTunerLooksUpMethods(t *testing.T) {
 	}
 	if _, err := CampaignTuner("banana"); err == nil {
 		t.Fatal("unknown method accepted")
+	}
+}
+
+// rejectAll is a campaign objective that rejects every setting.
+type rejectAll struct{ sim.Objective }
+
+func (rejectAll) Measure(space.Setting) (float64, error) { return 0, errors.New("rejected") }
+
+// TestCampaignMeasuredNothing: a campaign whose engine measured nothing
+// fails for every method, with no result and the cause its run gives.
+func TestCampaignMeasuredNothing(t *testing.T) {
+	fx := fixture(t)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name string
+		ctx  context.Context
+		wrap func(sim.Objective) sim.Objective
+		want error
+	}{
+		{"rejects-all", context.Background(), func(obj sim.Objective) sim.Objective { return rejectAll{obj} }, ErrMeasuredNothing},
+		{"cancelled", cancelled, nil, context.Canceled},
+	}
+	for _, m := range Methods() {
+		for _, tc := range cases {
+			t.Run(m.Name()+"/"+tc.name, func(t *testing.T) {
+				cfg := CampaignConfig{Method: m.Name(), BudgetS: 20, Seed: 1, Wrap: tc.wrap}
+				res, err := RunCampaign(tc.ctx, fx, cfg)
+				if res != nil || !errors.Is(err, tc.want) {
+					t.Fatalf("RunCampaign = %+v, %v; want no result and %v", res, err, tc.want)
+				}
+			})
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -42,16 +43,36 @@ func NewFixture(st *stencil.Stencil, arch *gpu.Arch, dsSize int, seed int64) (*F
 	return &Fixture{Stencil: st, Space: sp, Sim: s, DS: ds}, nil
 }
 
+// ErrMeasuredNothing is the verdict on a tuning run whose engine holds no
+// measured setting and whose tuner and context report no other cause.
+var ErrMeasuredNothing = errors.New("measured nothing")
+
+// measuredNothing explains a run whose engine holds no best: the tuner's
+// error, else the run context's, else ErrMeasuredNothing.
+func measuredNothing(ctx context.Context, tuneErr error) error {
+	if tuneErr != nil {
+		return tuneErr
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return ErrMeasuredNothing
+}
+
 // IsoIterationCurve runs one tuner once and returns best-so-far kernel time
 // after each "iteration", where an iteration evaluates popSize settings
 // (paper Sec. V-A2 equalizes all methods at the GA's population size).
 // Missing points (method finished early, paper's "missing points mean the
-// settings were evaluated completely") are NaN.
+// settings were evaluated completely") are NaN. A run whose engine measured
+// nothing fails.
 func IsoIterationCurve(ctx context.Context, t baselines.Tuner, fx *Fixture, iterations, popSize int, seed int64) ([]float64, error) {
 	meter := engine.New(fx.Sim)
 	evalCap := iterations * popSize
 	stop := func() bool { return meter.Evals() >= evalCap }
-	_, _, err := t.Tune(ctx, meter, fx.DS, seed, stop)
+	err := t.Tune(ctx, meter, fx.DS, seed, stop)
+	if _, _, ok := meter.Best(); !ok {
+		err = measuredNothing(ctx, err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", t.Name(), err)
 	}
@@ -80,15 +101,12 @@ type IsoTimeResult struct {
 // samples its best-so-far trajectory on gridN uniform time points.
 func IsoTimeRun(ctx context.Context, t baselines.Tuner, fx *Fixture, budgetS float64, gridN int, seed int64) (*IsoTimeResult, error) {
 	meter := engine.New(fx.Sim, engine.WithBudget(budgetS))
-	_, _, err := t.Tune(ctx, meter, fx.DS, seed, meter.Exhausted)
-	// Budget-stop is the expected way for a run to end; only hard errors
-	// with nothing measured are fatal.
+	err := t.Tune(ctx, meter, fx.DS, seed, meter.Exhausted)
+	// Budget-stop is the expected way for a run to end; only a run that
+	// measured nothing is fatal.
 	_, bestMS, ok := meter.Best()
 	if !ok {
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", t.Name(), err)
-		}
-		return nil, fmt.Errorf("%s: measured nothing within budget", t.Name())
+		return nil, fmt.Errorf("%s: %w", t.Name(), measuredNothing(ctx, err))
 	}
 	res := &IsoTimeResult{Evals: meter.Evals(), BestMS: bestMS}
 	if gridN > 0 {

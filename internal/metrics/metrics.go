@@ -1,9 +1,9 @@
 // Package metrics implements csTuner's metric-combination stage (paper
 // Sec. IV-D, Algorithm 2): GPU metrics collected with the profiler are too
 // numerous to model individually, so pair-wise Pearson-correlated metrics
-// are combined into collections with a deque, and one representative per
-// collection — the metric most correlated with execution time — feeds the
-// PMNF performance models.
+// are combined into collections, and one representative per collection —
+// the metric most correlated with execution time — feeds the PMNF
+// performance models.
 package metrics
 
 import (
@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"repro/internal/dataset"
-	"repro/internal/deque"
 	"repro/internal/stats"
 )
 
@@ -46,8 +45,8 @@ func PairPCCs(ds *dataset.Dataset, names []string) ([]PairPCC, error) {
 	return out, nil
 }
 
-// Combine runs Algorithm 2: metric pairs are pushed into a deque in
-// ascending |PCC| order and popped from the right (most correlated first).
+// Combine runs Algorithm 2: metric pairs are sorted in ascending |PCC|
+// order and consumed from the back (most correlated first).
 // A pair with both metrics unseen opens a new collection while fewer than
 // numCollections exist; a pair bridging a collection and an unseen metric
 // merges the metric into that collection; pairs inside existing collections
@@ -61,10 +60,8 @@ func Combine(pairs []PairPCC, numCollections int) [][]string {
 	sorted := append([]PairPCC(nil), pairs...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].PCC < sorted[j].PCC })
 
-	dq := deque.New[PairPCC](len(sorted))
 	all := map[string]bool{}
 	for _, p := range sorted {
-		dq.PushBack(p)
 		all[p.A] = true
 		all[p.B] = true
 	}
@@ -81,8 +78,8 @@ func Combine(pairs []PairPCC, numCollections int) [][]string {
 		return -1
 	}
 
-	for !dq.Empty() {
-		pair, _ := dq.PopBack()
+	for i := len(sorted) - 1; i >= 0; i-- {
+		pair := sorted[i]
 		ca, cb := find(pair.A), find(pair.B)
 		switch {
 		case ca < 0 && cb < 0:
