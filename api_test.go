@@ -148,7 +148,7 @@ func TestWriteTableIII(t *testing.T) {
 
 // maxTuneAllocs bounds the allocations of one rhs4center/a100 Session.Tune
 // at DatasetSize 64 and seed 1.
-const maxTuneAllocs = 30000
+const maxTuneAllocs = 10000
 
 func TestSessionTuneAllocs(t *testing.T) {
 	if raceEnabled {

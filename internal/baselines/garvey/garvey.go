@@ -122,11 +122,12 @@ func (t *Tuner) predictMemoryType(ds *dataset.Dataset) (useShared, useConstant i
 	}
 	bestShared, bestConstant := space.Off, space.Off
 	bestScore := math.Inf(1)
+	var row []float64 // each dataset row in turn, its memory flags overwritten
 	for _, sh := range []int{space.Off, space.On} {
 		for _, co := range []int{space.Off, space.On} {
 			score := 0.0
 			for i := range x {
-				row := append([]float64(nil), x[i]...)
+				row = append(row[:0], x[i]...)
 				row[space.UseShared] = float64(sh)
 				row[space.UseConstant] = float64(co)
 				p, err := f.Predict(row)

@@ -147,6 +147,10 @@ func TestOptionDefaultsApplied(t *testing.T) {
 	}
 }
 
+// BenchmarkTrain trains the default forest on two shapes: 128 rows of 19
+// continuous features, and Garvey's, 64 dataset settings of 19 parameters
+// whose columns each take two to four powers of two, so a node's columns
+// hold few distinct values.
 func BenchmarkTrain(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var x [][]float64
@@ -159,9 +163,32 @@ func BenchmarkTrain(b *testing.B) {
 		x = append(x, row)
 		y = append(y, rng.Float64())
 	}
+	b.Run("continuous128", func(b *testing.B) { benchTrain(b, x, y) })
+
+	rng = rand.New(rand.NewSource(2))
+	weight := make([]float64, 19)
+	for j := range weight {
+		weight[j] = rng.Float64()
+	}
+	var gx [][]float64
+	var gy []float64
+	for i := 0; i < 64; i++ {
+		row := make([]float64, 19)
+		ms := 1.0
+		for j := range row {
+			e := rng.Intn(2 + j%3)
+			row[j] = float64(int(1) << e)
+			ms += weight[j] * float64(e)
+		}
+		gx = append(gx, row)
+		gy = append(gy, ms+0.1*rng.Float64())
+	}
+	b.Run("garvey64", func(b *testing.B) { benchTrain(b, gx, gy) })
+}
+
+func benchTrain(b *testing.B, x [][]float64, y []float64) {
 	opt := DefaultOptions()
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Train(x, y, opt); err != nil {
 			b.Fatal(err)

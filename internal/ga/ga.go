@@ -13,7 +13,10 @@
 // search space re-indexes every parameter group's value tuples into such a
 // range (Fig. 7) — so one Minimize call tunes one parameter group. When the
 // range is no larger than the whole population the search degenerates to
-// exhaustive evaluation, exactly as the paper prescribes.
+// exhaustive evaluation, exactly as the paper prescribes. The memo of
+// evaluations is an array over the range that keeps the best and the
+// top-n window current as each evaluation arrives, so the stop rule reads
+// them without a scan or a sort.
 package ga
 
 import (
@@ -71,22 +74,22 @@ type Result struct {
 // Minimize searches the index range [0, count) for the smallest value of
 // eval, which runs on the caller's goroutine in an order fixed by the
 // options; +Inf marks an invalid candidate. Results are memoized so
-// Evaluations counts distinct probes.
+// Evaluations counts distinct probes; the memo is dense, so a call holds
+// O(count) memory however few indices it probes.
 func Minimize(count int, eval func(int) float64, opt Options) Result {
 	if count <= 0 {
 		return Result{BestIndex: -1, BestValue: math.Inf(1)}
 	}
-	memo := newMemo(eval)
+	memo := newMemo(count, opt.TopN, eval)
 
 	if count <= opt.SubPopulations*opt.PopSize || opt.SubPopulations < 1 || opt.PopSize < 2 {
 		return exhaustive(count, memo)
 	}
 
 	gens := evolveIslands(count, memo, opt)
-	idx, val := memo.best()
 	return Result{
-		BestIndex: idx, BestValue: val,
-		Evaluations: memo.count(), Generations: gens,
+		BestIndex: memo.bestIndex, BestValue: memo.bestValue,
+		Evaluations: memo.count, Generations: gens,
 	}
 }
 
@@ -94,10 +97,9 @@ func exhaustive(count int, m *memo) Result {
 	for i := 0; i < count; i++ {
 		m.get(i)
 	}
-	idx, val := m.best()
 	return Result{
-		BestIndex: idx, BestValue: val,
-		Evaluations: m.count(), Exhaustive: true,
+		BestIndex: m.bestIndex, BestValue: m.bestValue,
+		Evaluations: m.count, Exhaustive: true,
 	}
 }
 
@@ -167,9 +169,8 @@ func evolveIslands(count int, m *memo, opt Options) int {
 		}
 
 		// Approximation stop: CV of the global top-n fitness values.
-		top := m.topValues(opt.TopN)
-		if len(top) >= opt.TopN {
-			if cv, err := stats.CV(top); err == nil && cv < opt.CVThreshold {
+		if len(m.top) >= opt.TopN {
+			if cv, err := stats.CV(m.top); err == nil && cv < opt.CVThreshold {
 				gen++
 				break
 			}
@@ -271,45 +272,60 @@ func rankByFit(nbrs *[4]individual) {
 	}
 }
 
-// memo caches objective evaluations and tracks global order statistics.
+// memo caches objective evaluations by index and keeps, as each new one
+// arrives, the order statistics the search reads, so no generation scans
+// or sorts the evaluations seen so far.
 type memo struct {
 	eval func(int) float64
-	vals map[int]float64
+	vals []float64 // vals[i] is eval(i) once done[i]
+	done []bool
+
+	count     int       // distinct indices evaluated
+	bestIndex int       // smallest index of the smallest non-NaN value, -1 if none
+	bestValue float64   // +Inf while bestIndex is -1
+	top       []float64 // the smallest finite values, ascending; at most cap(top)
 }
 
-func newMemo(eval func(int) float64) *memo {
-	return &memo{eval: eval, vals: make(map[int]float64)}
+func newMemo(count, topN int, eval func(int) float64) *memo {
+	return &memo{
+		eval: eval, vals: make([]float64, count), done: make([]bool, count),
+		bestIndex: -1, bestValue: math.Inf(1),
+		top: make([]float64, 0, max(topN, 0)),
+	}
 }
 
 func (m *memo) get(i int) float64 {
-	v, ok := m.vals[i]
-	if !ok {
-		v = m.eval(i)
-		m.vals[i] = v
+	if m.done[i] {
+		return m.vals[i]
+	}
+	v := m.eval(i)
+	m.vals[i], m.done[i] = v, true
+	m.count++
+	if v < m.bestValue || (v == m.bestValue && (m.bestIndex < 0 || i < m.bestIndex)) {
+		m.bestIndex, m.bestValue = i, v
+	}
+	if !math.IsInf(v, 0) && !math.IsNaN(v) {
+		m.insertTop(v)
 	}
 	return v
 }
 
-func (m *memo) count() int { return len(m.vals) }
-
-func (m *memo) best() (int, float64) {
-	bi, bv := -1, math.Inf(1)
-	for i, v := range m.vals {
-		if v < bv || (v == bv && (bi < 0 || i < bi)) {
-			bi, bv = i, v
+// insertTop adds a finite value to the ascending top window, dropping the
+// largest when the window is full. Values equal to v may end on either
+// side of it; only -0 and +0 differ in bits, and the CV of the window
+// does not depend on where they stand.
+func (m *memo) insertTop(v float64) {
+	n := len(m.top)
+	if n == cap(m.top) {
+		if n == 0 || v >= m.top[n-1] {
+			return
 		}
+		n-- // the largest leaves the window
 	}
-	return bi, bv
-}
-
-// topValues returns the n smallest finite evaluations seen so far.
-func (m *memo) topValues(n int) []float64 {
-	vals := make([]float64, 0, len(m.vals))
-	//cstlint:allow maporder(stats.TopN fully sorts vals, so collection order cannot reach the result)
-	for _, v := range m.vals {
-		if !math.IsInf(v, 0) && !math.IsNaN(v) {
-			vals = append(vals, v)
-		}
+	m.top = m.top[:n+1]
+	j := n
+	for ; j > 0 && m.top[j-1] > v; j-- {
+		m.top[j] = m.top[j-1]
 	}
-	return stats.TopN(vals, n)
+	m.top[j] = v
 }

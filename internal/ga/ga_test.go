@@ -2,9 +2,12 @@ package ga
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // valley is a smooth objective with a single minimum at m.
@@ -296,6 +299,97 @@ func TestRankByFitMatchesSortSlice(t *testing.T) {
 		for i := range nbrs {
 			if nbrs[i].gene != want[i].gene {
 				t.Fatalf("case %d: ranked %v, sort.Slice gives %v", c, nbrs, want)
+			}
+		}
+	}
+}
+
+// mapMemo is the reference memo: a map of every evaluation, scanned for
+// the best and sorted for the top-n window on each read.
+// TestDenseMemoMatchesMapMemo holds the dense memo to it.
+type mapMemo struct {
+	eval func(int) float64
+	vals map[int]float64
+}
+
+func (m *mapMemo) get(i int) float64 {
+	v, ok := m.vals[i]
+	if !ok {
+		v = m.eval(i)
+		m.vals[i] = v
+	}
+	return v
+}
+
+func (m *mapMemo) best() (int, float64) {
+	bi, bv := -1, math.Inf(1)
+	for i, v := range m.vals {
+		if v < bv || (v == bv && (bi < 0 || i < bi)) {
+			bi, bv = i, v
+		}
+	}
+	return bi, bv
+}
+
+func (m *mapMemo) topValues(n int) []float64 {
+	var vals []float64
+	for _, v := range m.vals {
+		if !math.IsInf(v, 0) && !math.IsNaN(v) {
+			vals = append(vals, v)
+		}
+	}
+	sort.Float64s(vals)
+	return vals[:max(min(n, len(vals)), 0)]
+}
+
+// TestDenseMemoMatchesMapMemo drives the dense memo and the map memo with
+// the same seeded probe sequences, which repeat indices, over values with
+// ties, ±0, ±Inf and NaN, and compares the distinct count, the best and
+// the top-n window after every probe. Equal values may swap places in the
+// window, so the windows must be equal under == and give the same CV, bit
+// for bit.
+func TestDenseMemoMatchesMapMemo(t *testing.T) {
+	pick := []float64{1, 2, 2, 2.5, 0, math.Copysign(0, -1), -3, math.Inf(1), math.Inf(-1), math.NaN()}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		count := 1 + rng.Intn(120)
+		topN := rng.Intn(10)
+		table := make([]float64, count)
+		for i := range table {
+			if rng.Intn(4) == 0 {
+				table[i] = float64(rng.Intn(5)) + rng.Float64()
+			} else {
+				table[i] = pick[rng.Intn(len(pick))]
+			}
+		}
+		eval := func(i int) float64 { return table[i] }
+		dense := newMemo(count, topN, eval)
+		ref := &mapMemo{eval: eval, vals: map[int]float64{}}
+		for step := 0; step < 3*count; step++ {
+			i := rng.Intn(count)
+			if got, want := dense.get(i), ref.get(i); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d step %d: get(%d) = %v, map memo %v", seed, step, i, got, want)
+			}
+			if dense.count != len(ref.vals) {
+				t.Fatalf("seed %d step %d: count %d, map memo %d", seed, step, dense.count, len(ref.vals))
+			}
+			bi, bv := ref.best()
+			if dense.bestIndex != bi || math.Float64bits(dense.bestValue) != math.Float64bits(bv) {
+				t.Fatalf("seed %d step %d: best (%d, %v), map memo (%d, %v)", seed, step, dense.bestIndex, dense.bestValue, bi, bv)
+			}
+			top := ref.topValues(topN)
+			if len(dense.top) != len(top) {
+				t.Fatalf("seed %d step %d: top %v, map memo %v", seed, step, dense.top, top)
+			}
+			for k := range top {
+				if dense.top[k] != top[k] {
+					t.Fatalf("seed %d step %d: top %v, map memo %v", seed, step, dense.top, top)
+				}
+			}
+			gotCV, gotErr := stats.CV(dense.top)
+			wantCV, wantErr := stats.CV(top)
+			if math.Float64bits(gotCV) != math.Float64bits(wantCV) || (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("seed %d step %d: CV %v (%v), map memo %v (%v)", seed, step, gotCV, gotErr, wantCV, wantErr)
 			}
 		}
 	}

@@ -33,6 +33,8 @@ type Config struct {
 	// plugs in the implicit resource-constraint check here ("csTuner
 	// checks the above constraints before generating the search codes so
 	// that only non-spilled parameter settings are explored", Sec. IV-B).
+	// It may not keep its argument: the next candidate is drawn into the
+	// same setting.
 	Prefilter func(space.Setting) bool
 }
 
@@ -103,7 +105,6 @@ func Build(ds *dataset.Dataset, sp *space.Space, groups [][]int,
 		}
 	}
 
-	order := rank(score)
 	keep := int(math.Ceil(cfg.Ratio * float64(len(pool))))
 	if keep < 1 {
 		keep = 1
@@ -111,16 +112,23 @@ func Build(ds *dataset.Dataset, sp *space.Space, groups [][]int,
 	if keep > len(pool) {
 		keep = len(pool)
 	}
-	out := &Sampled{Groups: groups, Settings: make([]space.Setting, 0, keep)}
-	for _, r := range order[:keep] {
-		out.Settings = append(out.Settings, pool[r.index])
+	// The kept settings are copied into one array of their own, so the
+	// pool's array is garbage once Build returns.
+	n := sp.N()
+	flat := make([]int, keep*n)
+	out := &Sampled{Groups: groups, Settings: make([]space.Setting, keep)}
+	for k, r := range smallest(score, keep) {
+		out.Settings[k] = flat[k*n : (k+1)*n : (k+1)*n]
+		copy(out.Settings[k], pool[r.index])
 	}
 	out.reindex()
 	return out, nil
 }
 
 // candidates returns the pool Build scores: the measured dataset settings
-// plus fresh random valid settings, deduplicated. A candidate is looked up
+// plus fresh random valid settings, deduplicated. The random settings are
+// drawn into one array; a draw that cfg.Prefilter rejects or that repeats
+// a pool entry leaves its slot to the next draw. A candidate is looked up
 // by its Hash and told apart from colliding entries by Equal, so none
 // renders a key: head maps a hash to 1 + the last pool index with that
 // hash, and prev[i] links pool index i to the one before it (0 ends the
@@ -130,26 +138,32 @@ func candidates(ds *dataset.Dataset, sp *space.Space, rng space.RNG, cfg Config)
 	pool := make([]space.Setting, 0, size)
 	head := make(map[uint64]int, size)
 	prev := make([]int, 0, size)
-	add := func(s space.Setting) {
+	add := func(s space.Setting) bool {
 		h := s.Hash()
 		for i := head[h]; i > 0; i = prev[i-1] {
 			if pool[i-1].Equal(s) {
-				return
+				return false
 			}
 		}
 		prev = append(prev, head[h])
 		head[h] = len(pool) + 1
 		pool = append(pool, s)
+		return true
 	}
 	for _, s := range ds.Samples {
 		add(s.Setting) // measured settings passed every constraint already
 	}
+	n := sp.N()
+	free := make([]int, (size-len(pool))*n) // one slot per pool entry still missing
 	for tries := 0; len(pool) < size && tries < 50*cfg.PoolSize; tries++ {
-		cand := sp.Random(rng)
+		cand := space.Setting(free[:n:n])
+		sp.RandomInto(cand, rng)
 		if cfg.Prefilter != nil && !cfg.Prefilter(cand) {
 			continue
 		}
-		add(cand)
+		if add(cand) {
+			free = free[n:]
+		}
 	}
 	return pool
 }
@@ -158,6 +172,62 @@ func candidates(ds *dataset.Dataset, sp *space.Space, rng space.RNG, cfg Config)
 type ranked struct {
 	score float64
 	index int
+}
+
+// smallest returns the first keep entries of rank(score) without sorting
+// the whole pool. Without a NaN, (score, pool index) orders the candidates
+// totally and rank's stable sort is that order, so a max-heap of the keep
+// smallest pairs seen so far, heap-sorted at the end, gives the same
+// prefix. A NaN compares equal to every score under <, and only rank
+// reproduces where sort.SliceStable puts it.
+func smallest(score []float64, keep int) []ranked {
+	if slices.ContainsFunc(score, math.IsNaN) {
+		return rank(score)[:keep]
+	}
+	h := make([]ranked, keep)
+	for i := range h {
+		h[i] = ranked{score: score[i], index: i}
+	}
+	for i := keep/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for i := keep; i < len(score); i++ {
+		// Every index in h is below i, so an equal score ranks after h[0].
+		if score[i] < h[0].score {
+			h[0] = ranked{score: score[i], index: i}
+			siftDown(h, 0)
+		}
+	}
+	for end := keep - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftDown(h[:end], 0)
+	}
+	return h
+}
+
+// before reports whether a ranks ahead of b: a lower score, or an equal
+// one (-0 and +0 are equal) earlier in the pool.
+func before(a, b ranked) bool {
+	return a.score < b.score || (a.score == b.score && a.index < b.index)
+}
+
+// siftDown moves h[i] down until no child of it ranks after it, keeping
+// the last-ranked pair of h at h[0].
+func siftDown(h []ranked, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && before(h[c], h[c+1]) {
+			c++
+		}
+		if !before(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // rank orders the candidates by ascending score, ties in pool order.

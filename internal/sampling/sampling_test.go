@@ -288,18 +288,75 @@ func TestTupleIndexMissAndBounds(t *testing.T) {
 	}
 }
 
+// TestCandidatesMatchFreshDraws checks the pool drawn into one array
+// against pools drawn with a fresh Space.Random per candidate, under
+// prefilters that reject nothing, a third and every draw: redrawing into a
+// rejected or duplicate slot must give the same candidates in the same
+// order, each drawn one in memory of its own.
+func TestCandidatesMatchFreshDraws(t *testing.T) {
+	ds, sp, _, _, _, _ := pipelineTo(t)
+	for _, reject := range []uint64{0, 3, 1} {
+		cfg := Config{Ratio: 0.1, PoolSize: 500}
+		if reject > 0 {
+			cfg.Prefilter = func(s space.Setting) bool { return s.Hash()%reject != 0 }
+		}
+		got := candidates(ds, sp, rand.New(rand.NewSource(9)), cfg)
+
+		want := make([]space.Setting, 0, len(ds.Samples)+cfg.PoolSize)
+		seen := map[string]bool{}
+		for _, s := range ds.Samples {
+			if !seen[s.Setting.Key()] {
+				seen[s.Setting.Key()] = true
+				want = append(want, s.Setting)
+			}
+		}
+		fromDS := len(want)
+		rng := rand.New(rand.NewSource(9))
+		for tries := 0; len(want) < cap(want) && tries < 50*cfg.PoolSize; tries++ {
+			s := sp.Random(rng)
+			if (cfg.Prefilter == nil || cfg.Prefilter(s)) && !seen[s.Key()] {
+				seen[s.Key()] = true
+				want = append(want, s)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("reject 1/%d: pool of %d, fresh draws give %d", reject, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("reject 1/%d: candidate %d is %v, fresh draws give %v", reject, i, got[i], want[i])
+			}
+		}
+		for i := fromDS; i < len(got); i++ { // no two drawn candidates share memory
+			got[i][0] = -1 - i
+		}
+		for i := fromDS; i < len(got); i++ {
+			if got[i][0] != -1-i {
+				t.Fatalf("reject 1/%d: candidate %d shares memory with a later one", reject, i)
+			}
+		}
+	}
+}
+
 // TestRankMatchesSliceStable pins rank to the permutation sort.SliceStable
-// gave the pool, over scores with many ties, ±Inf and NaN, at sizes on both
-// sides of the 20-element insertion-sort blocks.
+// gave the pool, and smallest's keep entries to its prefix for keep 1, 2,
+// 20, 416, n-1 and n, over scores with many ties, ±0, ±Inf and NaN, at
+// sizes on both sides of the 20-element insertion-sort blocks. Odd
+// repetitions draw no NaN, so smallest selects instead of falling back to
+// rank.
 func TestRankMatchesSliceStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	values := []float64{-1, 0, 0.5, 2, math.Inf(1), math.Inf(-1), math.NaN()}
-	for _, n := range []int{1, 7, 20, 21, 64, 333, 4160} {
+	values := []float64{-1, 0, math.Copysign(0, -1), 0.5, 2, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, n := range []int{1, 2, 7, 20, 21, 64, 333, 417, 4160} {
 		for rep := 0; rep < 20; rep++ {
+			pick := values
+			if rep%2 == 1 {
+				pick = values[:len(values)-1]
+			}
 			score := make([]float64, n)
 			for i := range score {
 				if rng.Intn(2) == 0 {
-					score[i] = values[rng.Intn(len(values))]
+					score[i] = pick[rng.Intn(len(pick))]
 				} else {
 					score[i] = rng.NormFloat64()
 				}
@@ -312,6 +369,21 @@ func TestRankMatchesSliceStable(t *testing.T) {
 			for i, r := range rank(score) {
 				if r.index != want[i] {
 					t.Fatalf("n=%d rep %d: rank position %d holds %d, sort.SliceStable %d", n, rep, i, r.index, want[i])
+				}
+			}
+			for _, keep := range []int{1, 2, 20, 416, n - 1, n} {
+				if keep < 1 || keep > n {
+					continue
+				}
+				got := smallest(score, keep)
+				if len(got) != keep {
+					t.Fatalf("n=%d rep %d: smallest(%d) kept %d", n, rep, keep, len(got))
+				}
+				for i, r := range got {
+					if r.index != want[i] || math.Float64bits(r.score) != math.Float64bits(score[r.index]) {
+						t.Fatalf("n=%d rep %d: smallest(%d) position %d holds %d (score %v), sort.SliceStable %d",
+							n, rep, keep, i, r.index, r.score, want[i])
+					}
 				}
 			}
 		}

@@ -546,8 +546,16 @@ type RNG interface {
 // way. Structural rules are repaired in place; residual numeric conflicts
 // fall back to rejection, which terminates quickly.
 func (sp *Space) Random(rng RNG) Setting {
-	s := make(Setting, len(sp.Params)) // redrawn in place after a rejection
-	for {
+	s := make(Setting, len(sp.Params))
+	sp.RandomInto(s, rng)
+	return s
+}
+
+// RandomInto draws what Random returns into s, which must hold one value
+// per parameter; its old values are overwritten unread, so a caller can
+// redraw into a setting it rejected.
+func (sp *Space) RandomInto(s Setting, rng RNG) {
+	for { // redrawn in place after a rejection
 		for i := range s {
 			vals := sp.Params[i].Values
 			if sp.Params[i].Biased {
@@ -558,7 +566,7 @@ func (sp *Space) Random(rng RNG) Setting {
 		}
 		sp.Repair(s, rng)
 		if sp.Validate(s) == nil {
-			return s
+			return
 		}
 	}
 }

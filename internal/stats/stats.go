@@ -177,20 +177,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	return s[lo]*(1-frac) + s[hi]*frac, nil
 }
 
-// TopN returns the n smallest values of xs in ascending order (n capped at
-// len(xs)). Used by the GA approximation rule over top-n fitness values.
-func TopN(xs []float64, n int) []float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n > len(s) {
-		n = len(s)
-	}
-	if n < 0 {
-		n = 0
-	}
-	return s[:n]
-}
-
 // Histogram bins xs into len(edges)-1 bins with half-open intervals
 // [edges[i], edges[i+1]), the final bin closed on the right. Values outside
 // the edge range are dropped. It returns per-bin counts.

@@ -177,26 +177,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestTopN(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	top := TopN(xs, 3)
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if top[i] != want[i] {
-			t.Fatalf("TopN = %v", top)
-		}
-	}
-	if got := TopN(xs, 99); len(got) != 5 {
-		t.Fatalf("TopN over-capped len = %d", len(got))
-	}
-	if got := TopN(xs, -1); len(got) != 0 {
-		t.Fatalf("TopN(-1) len = %d", len(got))
-	}
-	if xs[0] != 5 {
-		t.Fatal("TopN mutated its input")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	edges := []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
 	xs := []float64{0, 0.1, 0.2, 0.5, 0.99, 1.0, -0.5, 1.5}
