@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 
 	"repro/internal/campaign"
@@ -21,6 +20,7 @@ import (
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 	"repro/internal/store"
 	"repro/internal/temporal"
@@ -205,7 +205,7 @@ func (s *Session) ResumeTune(ctx context.Context, path string, cfg Config, budge
 // through an engine under the virtual budget, journaled to path unless it
 // is empty.
 func (s *Session) tuneBudgeted(ctx context.Context, path string, cfg Config, budgetS float64) (*Report, error) {
-	ds, err := dataset.Collect(s.sim, rand.New(rand.NewSource(cfg.Seed)), cfg.DatasetSize, 0)
+	ds, err := dataset.Collect(s.sim, stats.NewRand(cfg.Seed), cfg.DatasetSize, 0)
 	if err != nil {
 		return nil, err
 	}

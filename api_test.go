@@ -2,6 +2,7 @@ package cstuner
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -146,9 +147,13 @@ func TestWriteTableIII(t *testing.T) {
 	}
 }
 
-// maxTuneAllocs bounds the allocations of one rhs4center/a100 Session.Tune
-// at DatasetSize 64 and seed 1.
-const maxTuneAllocs = 10000
+// maxTuneAllocs and maxTuneKB bound the allocations and the allocated
+// kilobytes of one rhs4center/a100 Session.Tune at DatasetSize 64 and
+// seed 1.
+const (
+	maxTuneAllocs = 7650
+	maxTuneKB     = 2200
+)
 
 func TestSessionTuneAllocs(t *testing.T) {
 	if raceEnabled {
@@ -161,13 +166,28 @@ func TestSessionTuneAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DatasetSize = 64
 	cfg.Seed = 1
-	allocs := testing.AllocsPerRun(3, func() {
+	tune := func() {
 		if _, err := s.Tune(cfg); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	allocs := testing.AllocsPerRun(3, tune)
+	// Bytes the same way: one goroutine, three tunes after AllocsPerRun's
+	// warm-up, averaged.
+	const runs = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		tune()
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
 	if allocs > maxTuneAllocs {
 		t.Fatalf("one Session.Tune made %.0f allocations, want at most %d", allocs, maxTuneAllocs)
 	}
-	t.Logf("one Session.Tune made %.0f allocations", allocs)
+	if kb > maxTuneKB {
+		t.Fatalf("one Session.Tune allocated %.0f KB, want at most %d", kb, maxTuneKB)
+	}
+	t.Logf("one Session.Tune made %.0f allocations of %.0f KB", allocs, kb)
 }

@@ -11,7 +11,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"repro/internal/core"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -76,7 +76,7 @@ func main() {
 			fail(fmt.Errorf("dataset is for stencil %q, tuning %q", ds.Stencil, st.Name))
 		}
 	} else {
-		ds, err = dataset.Collect(simulator, rand.New(rand.NewSource(*seed)), *dsSize, 0)
+		ds, err = dataset.Collect(simulator, stats.NewRand(*seed), *dsSize, 0)
 		if err != nil {
 			fail(err)
 		}

@@ -69,7 +69,7 @@ func runNoDeterm(pass *Pass) {
 						// Source constructors carry the seed; fine on their own.
 					default:
 						pass.Reportf(call.Pos(),
-							"global math/rand.%s call shares process-wide state; draw from a seeded rand.New(rand.NewSource(seed)) instead", fn.Name())
+							"global math/rand.%s call shares process-wide state; draw from a seeded stats.NewRand(seed) instead", fn.Name())
 					}
 				}
 				return true

@@ -9,12 +9,12 @@ package artemis
 import (
 	"context"
 	"math"
-	"math/rand"
 	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/space"
+	"repro/internal/stats"
 )
 
 // Tuner is the Artemis comparator.
@@ -40,7 +40,7 @@ func (t *Tuner) Tune(ctx context.Context, eng *engine.Engine, _ *dataset.Dataset
 	stop = engine.Stop(ctx, stop)
 	measure := eng.Probe(ctx, stop) // memoized: re-probing a known setting is free
 	sp := eng.Space()
-	rng := rand.New(rand.NewSource(seed))
+	rng := stats.NewRand(seed)
 
 	// ---- Level 1: high impact — thread-block geometry × streaming -------
 	level1 := t.tbStreamingCandidates(sp)

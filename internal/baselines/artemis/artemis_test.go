@@ -2,13 +2,13 @@ package artemis
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -29,7 +29,7 @@ func TestLevel1CandidatesAreExpertCurated(t *testing.T) {
 	if len(cands) != 20*5 {
 		t.Fatalf("level-1 candidates = %d, want 100", len(cands))
 	}
-	rng := rand.New(rand.NewSource(2))
+	rng := stats.NewRand(2)
 	valid := 0
 	for _, c := range cands {
 		sp.Repair(c, rng)

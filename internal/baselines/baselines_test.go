@@ -2,7 +2,6 @@ package baselines_test
 
 import (
 	"context"
-	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -27,7 +27,7 @@ func fixture(t testing.TB) (*sim.Simulator, *dataset.Dataset) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, rand.New(rand.NewSource(101)), 64, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(101), 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package cstuner
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -22,7 +22,7 @@ func fixture(t testing.TB) (*sim.Simulator, *dataset.Dataset) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, rand.New(rand.NewSource(51)), 64, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(51), 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,12 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/rand"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/forest"
 	"repro/internal/space"
+	"repro/internal/stats"
 )
 
 // Tuner is the Garvey comparator.
@@ -57,7 +57,7 @@ func (t *Tuner) Tune(ctx context.Context, eng *engine.Engine, ds *dataset.Datase
 	stop = engine.Stop(ctx, stop)
 	measure := eng.Probe(ctx, stop) // memoized: re-probing a known setting is free
 	sp := eng.Space()
-	rng := rand.New(rand.NewSource(seed))
+	rng := stats.NewRand(seed)
 
 	// ---- Memory-type prediction with a random forest --------------------
 	useShared, useConstant, err := t.predictMemoryType(ds)
@@ -162,7 +162,7 @@ func enumerate(sp *space.Space, group []int) [][]int {
 }
 
 // sample keeps a uniformly random ratio fraction (at least one combo).
-func sample(combos [][]int, ratio float64, rng *rand.Rand) [][]int {
+func sample(combos [][]int, ratio float64, rng *stats.Rand) [][]int {
 	if ratio >= 1 {
 		return combos
 	}

@@ -2,7 +2,6 @@ package garvey
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -20,7 +20,7 @@ func fixture(t testing.TB) (*sim.Simulator, *dataset.Dataset) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, rand.New(rand.NewSource(31)), 64, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(31), 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestEnumerateSize(t *testing.T) {
 }
 
 func TestSampleRatio(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := stats.NewRand(1)
 	combos := make([][]int, 100)
 	for i := range combos {
 		combos[i] = []int{i}

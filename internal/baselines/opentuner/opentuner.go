@@ -15,11 +15,11 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/rand"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/space"
+	"repro/internal/stats"
 )
 
 // Technique names.
@@ -71,7 +71,7 @@ func (t *Tuner) Tune(ctx context.Context, eng *engine.Engine, _ *dataset.Dataset
 	stop = engine.Stop(ctx, stop)
 	measure := eng.Probe(ctx, stop) // memoized: re-probing a known setting is free
 	sp := eng.Space()
-	rng := rand.New(rand.NewSource(seed))
+	rng := stats.NewRand(seed)
 
 	techs := t.Techniques
 	if len(techs) == 0 {

@@ -3,13 +3,13 @@ package opentuner
 import (
 	"context"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -25,7 +25,7 @@ func objective(t testing.TB) *sim.Simulator {
 func TestGlobalGAStepImproves(t *testing.T) {
 	obj := objective(t)
 	sp := obj.Space()
-	rng := rand.New(rand.NewSource(3))
+	rng := stats.NewRand(3)
 	g := newGlobalGA(sp, rng, New())
 	best := math.Inf(1)
 	measure := func(s space.Setting) float64 {
@@ -55,7 +55,7 @@ func TestGlobalGAStepImproves(t *testing.T) {
 
 func TestDEStep(t *testing.T) {
 	obj := objective(t)
-	rng := rand.New(rand.NewSource(5))
+	rng := stats.NewRand(5)
 	d := newDE(obj.Space(), rng, New())
 	best := math.Inf(1)
 	measure := func(s space.Setting) float64 {
@@ -85,7 +85,7 @@ func TestDEStep(t *testing.T) {
 
 func TestHillClimberMovesDownhill(t *testing.T) {
 	obj := objective(t)
-	rng := rand.New(rand.NewSource(7))
+	rng := stats.NewRand(7)
 	h := newHill(obj.Space(), rng)
 	measure := func(s space.Setting) float64 {
 		ms, err := obj.Measure(s)
@@ -119,7 +119,7 @@ func TestLessNaNOrdering(t *testing.T) {
 func TestMutateAndCrossProduceInRange(t *testing.T) {
 	obj := objective(t)
 	sp := obj.Space()
-	rng := rand.New(rand.NewSource(11))
+	rng := stats.NewRand(11)
 	a := sp.Random(rng)
 	b := sp.Random(rng)
 	for i := 0; i < 50; i++ {

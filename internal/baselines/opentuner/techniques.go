@@ -2,10 +2,10 @@ package opentuner
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 
 	"repro/internal/space"
+	"repro/internal/stats"
 )
 
 // ---- shared helpers --------------------------------------------------------
@@ -16,7 +16,7 @@ type scored struct {
 }
 
 // mutate redraws each parameter with probability rate, then repairs.
-func mutate(sp *space.Space, s space.Setting, rate float64, rng *rand.Rand) space.Setting {
+func mutate(sp *space.Space, s space.Setting, rate float64, rng *stats.Rand) space.Setting {
 	out := s.Clone()
 	for i := range out {
 		if rng.Float64() < rate {
@@ -29,7 +29,7 @@ func mutate(sp *space.Space, s space.Setting, rate float64, rng *rand.Rand) spac
 }
 
 // uniformCross mixes two settings parameter-wise, then repairs.
-func uniformCross(sp *space.Space, a, b space.Setting, rng *rand.Rand) space.Setting {
+func uniformCross(sp *space.Space, a, b space.Setting, rng *stats.Rand) space.Setting {
 	child := a.Clone()
 	for i := range child {
 		if rng.Intn(2) == 1 {
@@ -44,14 +44,14 @@ func uniformCross(sp *space.Space, a, b space.Setting, rng *rand.Rand) space.Set
 
 type globalGA struct {
 	sp   *space.Space
-	rng  *rand.Rand
+	rng  *stats.Rand
 	pop  []scored
 	t    *Tuner
 	best float64
 	init bool
 }
 
-func newGlobalGA(sp *space.Space, rng *rand.Rand, t *Tuner) *globalGA {
+func newGlobalGA(sp *space.Space, rng *stats.Rand, t *Tuner) *globalGA {
 	g := &globalGA{sp: sp, rng: rng, t: t, best: math.Inf(1)}
 	for i := 0; i < t.PopSize; i++ {
 		g.pop = append(g.pop, scored{set: sp.Random(rng), ms: math.NaN()})
@@ -117,13 +117,13 @@ func less(a, b float64) bool {
 
 type de struct {
 	sp   *space.Space
-	rng  *rand.Rand
+	rng  *stats.Rand
 	pop  []scored
 	best float64
 	init bool
 }
 
-func newDE(sp *space.Space, rng *rand.Rand, t *Tuner) *de {
+func newDE(sp *space.Space, rng *stats.Rand, t *Tuner) *de {
 	d := &de{sp: sp, rng: rng, best: math.Inf(1)}
 	for i := 0; i < t.PopSize; i++ {
 		d.pop = append(d.pop, scored{set: sp.Random(rng), ms: math.NaN()})
@@ -180,13 +180,13 @@ func (d *de) step(measure func(space.Setting) float64) bool {
 
 type hill struct {
 	sp   *space.Space
-	rng  *rand.Rand
+	rng  *stats.Rand
 	cur  scored
 	best float64
 	init bool
 }
 
-func newHill(sp *space.Space, rng *rand.Rand) *hill {
+func newHill(sp *space.Space, rng *stats.Rand) *hill {
 	return &hill{sp: sp, rng: rng, best: math.Inf(1)}
 }
 

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 	"time"
@@ -27,6 +26,7 @@ import (
 	"repro/internal/sampling"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stats"
 )
 
 // Config bundles the pipeline's knobs; DefaultConfig mirrors the paper's
@@ -142,7 +142,7 @@ func TuneCtx(ctx context.Context, obj sim.Objective, ds *dataset.Dataset, cfg Co
 		eng = engine.New(obj)
 	}
 	sp := eng.Space()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := stats.NewRand(cfg.Seed)
 	statsBefore := eng.Stats()
 	started := eng.Now()
 

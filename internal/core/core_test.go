@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/grouping"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -60,7 +60,7 @@ func TestTuneEndToEnd(t *testing.T) {
 	// The tuned setting must beat the measured best of the random dataset
 	// it started from — otherwise the search added nothing. (Compare with
 	// a fresh dataset of the same size for an unbiased reference.)
-	ds, err := dataset.Collect(s, rand.New(rand.NewSource(123)), 64, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(123), 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestTuneWithProvidedDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, rand.New(rand.NewSource(9)), 64, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(9), 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestTuneWithProvidedDataset(t *testing.T) {
 func TestTuneSmallDatasetRejected(t *testing.T) {
 	sp, _ := space.New(stencil.J3D7PT())
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, rand.New(rand.NewSource(2)), 4, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(2), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -10,6 +9,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -43,7 +43,7 @@ func TestTuneSurvivesFlakyMeasurements(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, rand.New(rand.NewSource(61)), 64, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(61), 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestTuneAllMeasurementsFail(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, rand.New(rand.NewSource(62)), 32, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(62), 32, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestTuneRejectsMismatchedDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, rand.New(rand.NewSource(71)), 16, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(71), 16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

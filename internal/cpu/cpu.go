@@ -159,7 +159,7 @@ func (w *Workload) validate(s space.Setting) error {
 	return nil
 }
 
-func (w *Workload) repair(s space.Setting, rng space.RNG) {
+func (w *Workload) repair(s space.Setting, rng *stats.Rand) {
 	for s[UnrollX] > s[TX] {
 		s[UnrollX] >>= 1
 	}

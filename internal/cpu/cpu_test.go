@@ -2,12 +2,12 @@ package cpu
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -74,7 +74,7 @@ func TestExplicitConstraints(t *testing.T) {
 
 func TestRandomValid(t *testing.T) {
 	w := workload(t)
-	rng := rand.New(rand.NewSource(3))
+	rng := stats.NewRand(3)
 	for i := 0; i < 200; i++ {
 		s := w.Space().Random(rng)
 		if err := w.Space().Validate(s); err != nil {
@@ -168,7 +168,7 @@ func TestOversubscriptionPenalty(t *testing.T) {
 // TestCsTunerTunesCPU: the pipeline tunes the CPU workload unchanged.
 func TestCsTunerTunesCPU(t *testing.T) {
 	w := workload(t)
-	ds, err := dataset.Collect(w, rand.New(rand.NewSource(19)), 80, 0)
+	ds, err := dataset.Collect(w, stats.NewRand(19), 80, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,13 @@ package dataset
 
 import (
 	"bytes"
-	"math/rand"
+	"errors"
 	"testing"
 
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -18,7 +19,7 @@ func collect(t *testing.T, n int) (*Dataset, *sim.Simulator) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := Collect(s, rand.New(rand.NewSource(3)), n, 0)
+	ds, err := Collect(s, stats.NewRand(3), n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +52,11 @@ func TestCollectBasics(t *testing.T) {
 
 func TestCollectRejectsBadArgs(t *testing.T) {
 	_, s := collect(t, 4)
-	if _, err := Collect(s, rand.New(rand.NewSource(1)), 0, 0); err == nil {
+	if _, err := Collect(s, stats.NewRand(1), 0, 0); err == nil {
 		t.Fatal("n=0 should error")
 	}
 	// Impossible budget: 8 samples within 3 tries.
-	if _, err := Collect(s, rand.New(rand.NewSource(1)), 8, 3); err == nil {
+	if _, err := Collect(s, stats.NewRand(1), 8, 3); err == nil {
 		t.Fatal("tiny try budget should error")
 	}
 }
@@ -153,5 +154,74 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewBufferString(`{"stencil":"x","samples":[]}`)); err == nil {
 		t.Fatal("empty dataset should error")
+	}
+}
+
+// tinyRunner runs a 24-setting custom space and fails about a quarter of
+// its settings, so draws repeat kept and failed settings often.
+type tinyRunner struct{ sp *space.Space }
+
+func (r tinyRunner) Space() *space.Space { return r.sp }
+
+func (r tinyRunner) Run(s space.Setting) (*sim.Result, error) {
+	if s.Hash()%4 == 0 {
+		return nil, errors.New("tiny: rejected")
+	}
+	return &sim.Result{TimeMS: float64(1 + s.Hash()%100)}, nil
+}
+
+// TestCollectMatchesKeyedReference checks Collect against the loop it
+// replaced, a fresh Space.Random per draw deduplicated by setting key, in
+// a space small enough that most draws repeat a kept or a failed setting:
+// the same settings in the same order, or the same failure, and no two
+// kept settings sharing memory.
+func TestCollectMatchesKeyedReference(t *testing.T) {
+	sp, err := space.NewCustom([]space.Param{
+		{Name: "a", Values: []int{1, 2, 4}},
+		{Name: "b", Values: []int{1, 2, 4, 8}, Biased: true},
+		{Name: "c", Values: []int{space.Off, space.On}},
+	}, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := tinyRunner{sp}
+	for _, n := range []int{1, 5, 12, 30} {
+		for seed := int64(1); seed <= 3; seed++ {
+			var want []space.Setting
+			rng := stats.NewRand(seed)
+			seen := map[string]bool{}
+			for tries := 0; len(want) < n && tries < 200; tries++ {
+				set := sp.Random(rng)
+				if seen[set.Key()] {
+					continue
+				}
+				if _, err := r.Run(set); err != nil {
+					continue
+				}
+				seen[set.Key()] = true
+				want = append(want, set)
+			}
+			ds, err := Collect(r, stats.NewRand(seed), n, 200)
+			if len(want) < n {
+				if err == nil {
+					t.Fatalf("n=%d seed %d: Collect kept %d samples, the reference found only %d", n, seed, len(ds.Samples), len(want))
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("n=%d seed %d: %v", n, seed, err)
+			}
+			for i, s := range ds.Samples {
+				if !s.Setting.Equal(want[i]) {
+					t.Fatalf("n=%d seed %d: sample %d is %v, the reference %v", n, seed, i, s.Setting, want[i])
+				}
+				s.Setting[0] = -1 - i
+			}
+			for i, s := range ds.Samples {
+				if s.Setting[0] != -1-i {
+					t.Fatalf("n=%d seed %d: sample %d shares memory with a later one", n, seed, i)
+				}
+			}
+		}
 	}
 }

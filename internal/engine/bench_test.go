@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -9,6 +8,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 	"repro/internal/store"
 )
@@ -69,7 +69,7 @@ func BenchmarkMeasureMissSim(b *testing.B) {
 		b.Fatal(err)
 	}
 	obj := sim.New(sp, gpu.A100())
-	rng := rand.New(rand.NewSource(1))
+	rng := stats.NewRand(1)
 	pool := make([]space.Setting, 0, 1024)
 	seen := map[string]bool{}
 	for len(pool) < cap(pool) {
@@ -245,7 +245,7 @@ func BenchmarkStoreOpen(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
+	rng := stats.NewRand(1)
 	for _, sten := range stencil.Suite() {
 		sp, err := space.New(sten)
 		if err != nil {

@@ -8,7 +8,6 @@ package engine_test
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -36,7 +35,7 @@ func tortureSpace(t testing.TB) (*space.Space, *sim.Simulator) {
 // keys: most measurements are cache hits on a key measured (or failed)
 // earlier in the same run.
 func duplicateHeavyBatch(sp *space.Space, n int, seed int64) []space.Setting {
-	rng := rand.New(rand.NewSource(seed))
+	rng := stats.NewRand(seed)
 	uniq := make([]space.Setting, 0, n)
 	for i := 0; i < n; i++ {
 		uniq = append(uniq, sp.Random(rng))
@@ -45,7 +44,10 @@ func duplicateHeavyBatch(sp *space.Space, n int, seed int64) []space.Setting {
 	for _, s := range uniq {
 		out = append(out, s, s.Clone(), s.Clone())
 	}
-	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	for i := len(out) - 1; i > 0; i-- { // Fisher-Yates
+		j := rng.Intn(i + 1)
+		out[i], out[j] = out[j], out[i]
+	}
 	return out
 }
 

@@ -7,8 +7,9 @@ package forest
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"sort"
+
+	"repro/internal/stats"
 )
 
 // Options configures training.
@@ -68,7 +69,7 @@ func Train(x [][]float64, y []float64, opt Options) (*Forest, error) {
 	mtry := int(math.Ceil(opt.FeatureFrac * float64(nFeat)))
 
 	f := &Forest{nFeat: nFeat}
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := stats.NewRand(opt.Seed)
 	for t := 0; t < opt.Trees; t++ {
 		// Bootstrap sample.
 		idx := make([]int, len(x))
@@ -81,7 +82,7 @@ func Train(x [][]float64, y []float64, opt Options) (*Forest, error) {
 }
 
 // grow recursively builds one CART tree.
-func grow(x [][]float64, y []float64, idx []int, depth int, opt Options, mtry int, rng *rand.Rand) *node {
+func grow(x [][]float64, y []float64, idx []int, depth int, opt Options, mtry int, rng *stats.Rand) *node {
 	mean := 0.0
 	for _, i := range idx {
 		mean += y[i]

@@ -2,8 +2,9 @@ package forest
 
 import (
 	"math"
-	"math/rand"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 func TestTrainValidation(t *testing.T) {
@@ -35,7 +36,7 @@ func TestConstantTarget(t *testing.T) {
 }
 
 func TestLearnsStepFunction(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	rng := stats.NewRand(3)
 	var x [][]float64
 	var y []float64
 	for i := 0; i < 400; i++ {
@@ -68,7 +69,7 @@ func TestLearnsStepFunction(t *testing.T) {
 
 func TestLearnsInteraction(t *testing.T) {
 	// y = a*b needs splits on both features.
-	rng := rand.New(rand.NewSource(4))
+	rng := stats.NewRand(4)
 	var x [][]float64
 	var y []float64
 	for i := 0; i < 600; i++ {
@@ -152,7 +153,7 @@ func TestOptionDefaultsApplied(t *testing.T) {
 // whose columns each take two to four powers of two, so a node's columns
 // hold few distinct values.
 func BenchmarkTrain(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
+	rng := stats.NewRand(1)
 	var x [][]float64
 	var y []float64
 	for i := 0; i < 128; i++ {
@@ -165,7 +166,7 @@ func BenchmarkTrain(b *testing.B) {
 	}
 	b.Run("continuous128", func(b *testing.B) { benchTrain(b, x, y) })
 
-	rng = rand.New(rand.NewSource(2))
+	rng = stats.NewRand(2)
 	weight := make([]float64, 19)
 	for j := range weight {
 		weight[j] = rng.Float64()

@@ -22,7 +22,6 @@ package ga
 import (
 	"math"
 	"math/bits"
-	"math/rand"
 
 	"repro/internal/stats"
 )
@@ -120,11 +119,11 @@ func evolveIslands(count int, m *memo, opt Options) int {
 	// and the two swap.
 	type popState struct {
 		pop, spare []individual
-		rng        *rand.Rand
+		rng        *stats.Rand
 	}
 	states := make([]*popState, opt.SubPopulations)
 	for r := range states {
-		rng := rand.New(rand.NewSource(opt.Seed + int64(r)*7919))
+		rng := stats.NewRand(opt.Seed + int64(r)*7919)
 		pop := make([]individual, opt.PopSize)
 		for i := range pop {
 			pop[i].gene = uint64(rng.Intn(count))
@@ -205,15 +204,20 @@ func replaceWorst(pop []individual, imm individual) {
 // length, with cellular neighbourhood selection: the parents of slot i come
 // from its four ring neighbours (i±1, i±2), chosen by rank-weighted roulette
 // (higher fitness → higher chance), genes cross over uniformly bit-by-bit,
-// then mutate.
-func breed(next, pop []individual, rng *rand.Rand, opt Options, geneBits, count int, m *memo) {
+// then mutate. Both parents are drawn from one ranking of the slot's
+// neighbours.
+func breed(next, pop []individual, rng *stats.Rand, opt Options, geneBits, count int, m *memo) {
 	n := len(pop)
 	for i := 0; i < n; i++ {
 		if rng.Float64() > opt.CrossoverRate {
 			next[i] = pop[i] // survives unchanged (minus mutation below)
 		} else {
-			p1 := selectNeighbour(pop, i, rng)
-			p2 := selectNeighbour(pop, i, rng)
+			nbrs := [4]individual{
+				pop[(i-2+n)%n], pop[(i-1+n)%n], pop[(i+1)%n], pop[(i+2)%n],
+			}
+			rankByFit(&nbrs)
+			p1 := selectNeighbour(&nbrs, rng)
+			p2 := selectNeighbour(&nbrs, rng)
 			var child uint64
 			for b := 0; b < geneBits; b++ {
 				src := p1
@@ -238,15 +242,10 @@ func breed(next, pop []individual, rng *rand.Rand, opt Options, geneBits, count 
 	replaceWorst(next, eb)
 }
 
-// selectNeighbour picks one of the four ring neighbours of slot i with
+// selectNeighbour picks one of four neighbours ranked by rankByFit with
 // probability proportional to fitness rank (best neighbour weight 4 … worst
 // weight 1).
-func selectNeighbour(pop []individual, i int, rng *rand.Rand) individual {
-	n := len(pop)
-	nbrs := [4]individual{
-		pop[(i-2+n)%n], pop[(i-1+n)%n], pop[(i+1)%n], pop[(i+2)%n],
-	}
-	rankByFit(&nbrs)
+func selectNeighbour(nbrs *[4]individual, rng *stats.Rand) individual {
 	// Rank weights 4,3,2,1 over the sorted neighbours.
 	r := rng.Intn(10)
 	switch {

@@ -2,7 +2,6 @@ package ga
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -351,7 +350,7 @@ func (m *mapMemo) topValues(n int) []float64 {
 func TestDenseMemoMatchesMapMemo(t *testing.T) {
 	pick := []float64{1, 2, 2, 2.5, 0, math.Copysign(0, -1), -3, math.Inf(1), math.Inf(-1), math.NaN()}
 	for seed := int64(1); seed <= 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+		rng := stats.NewRand(seed)
 		count := 1 + rng.Intn(120)
 		topN := rng.Intn(10)
 		table := make([]float64, count)

@@ -111,7 +111,7 @@ func (w *Workload) validate(s space.Setting) error {
 
 // repair canonicalizes a raw draw: clamp the thread-tile and SplitK factors
 // down until the structural rules hold.
-func (w *Workload) repair(s space.Setting, rng space.RNG) {
+func (w *Workload) repair(s space.Setting, rng *stats.Rand) {
 	for s[TM] > s[BM] {
 		s[TM] >>= 1
 	}

@@ -2,13 +2,13 @@ package gemm
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/gpu"
 	"repro/internal/space"
+	"repro/internal/stats"
 )
 
 func workload(t testing.TB) *Workload {
@@ -88,7 +88,7 @@ func TestExplicitConstraints(t *testing.T) {
 
 func TestRandomValid(t *testing.T) {
 	w := workload(t)
-	rng := rand.New(rand.NewSource(4))
+	rng := stats.NewRand(4)
 	for i := 0; i < 200; i++ {
 		s := w.Space().Random(rng)
 		if err := w.Space().Validate(s); err != nil {
@@ -160,7 +160,7 @@ func TestV100Slower(t *testing.T) {
 // non-stencil workload through the same Objective surface.
 func TestCsTunerTunesGEMM(t *testing.T) {
 	w := workload(t)
-	ds, err := dataset.Collect(w, rand.New(rand.NewSource(8)), 96, 0)
+	ds, err := dataset.Collect(w, stats.NewRand(8), 96, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/baselines"
 	"repro/internal/dataset"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -36,7 +36,7 @@ func NewFixture(st *stencil.Stencil, arch *gpu.Arch, dsSize int, seed int64) (*F
 	s := sim.New(sp, arch)
 	// Collected on the simulator itself, so nothing from collection leaks
 	// into the metered tuning runs built on this fixture.
-	ds, err := dataset.Collect(s, rand.New(rand.NewSource(seed)), dsSize, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(seed), dsSize, 0)
 	if err != nil {
 		return nil, err
 	}

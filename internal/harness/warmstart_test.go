@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/exec"
 	"strconv"
@@ -11,6 +10,7 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 	"repro/internal/store"
 )
@@ -161,7 +161,7 @@ func TestWarmStartReachesColdBestWithFewerMeasurements(t *testing.T) {
 // validSettings draws n distinct valid settings from the fixture's space.
 func validSettings(t *testing.T, fx *Fixture, n int, seed int64) []space.Setting {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
+	rng := stats.NewRand(seed)
 	seen := map[string]bool{}
 	var out []space.Setting
 	for len(out) < n {
@@ -179,7 +179,7 @@ func validSettings(t *testing.T, fx *Fixture, n int, seed int64) []space.Setting
 // candidate must be to survive re-ranking.
 func buildableSettings(t *testing.T, fx *Fixture, n int, seed int64) []space.Setting {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
+	rng := stats.NewRand(seed)
 	seen := map[string]bool{}
 	var out []space.Setting
 	for len(out) < n {

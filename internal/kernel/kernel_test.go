@@ -2,12 +2,12 @@ package kernel
 
 import (
 	"errors"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/gpu"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -258,7 +258,7 @@ func TestGuardFracPartialBlocks(t *testing.T) {
 // valid settings, the transformed iteration order computes exactly the
 // reference sweep and touches every interior point exactly once.
 func TestExecuteEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
+	rng := stats.NewRand(42)
 	stencils := []*stencil.Stencil{
 		stencil.Shrink(stencil.J3D7PT(), 16, 16, 16),
 		stencil.Shrink(stencil.Helmholtz(), 16, 12, 16),
@@ -383,7 +383,7 @@ func BenchmarkBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	arch := gpu.A100()
-	rng := rand.New(rand.NewSource(1))
+	rng := stats.NewRand(1)
 	settings := make([]space.Setting, 64)
 	for i := range settings {
 		settings[i] = sp.Random(rng)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -224,7 +225,7 @@ func TestBuildConcurrentFootprintMemo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(int64(500 + si)))
+		rng := stats.NewRand(int64(500 + si))
 		settings := make([]space.Setting, 200)
 		want := make([]string, len(settings))
 		for i := range settings {

@@ -2,12 +2,12 @@ package kernel
 
 import (
 	"bytes"
-	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/gpu"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -23,7 +23,7 @@ func buildSweep(t *testing.T, perStencil int) []*Kernel {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(20260808))
+		rng := stats.NewRand(20260808)
 		kept := 0
 		for i := 0; i < 400 && kept < perStencil; i++ {
 			s := sp.Random(rng)
@@ -95,7 +95,7 @@ func TestEmitCUDAParallelRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(100 + g)))
+			rng := stats.NewRand(int64(100 + g))
 			for n := 0; n < 200; n++ {
 				i := rng.Intn(len(kernels))
 				if got := kernels[i].EmitCUDA(); got != refs[i] {

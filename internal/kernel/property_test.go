@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -21,10 +22,9 @@ func TestGeometryInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(99))
 		checked := 0
 		f := func(seed int64) bool {
-			r := rand.New(rand.NewSource(seed))
+			r := stats.NewRand(seed)
 			s := sp.Random(r)
 			k, err := Build(sp, s, arch)
 			if err != nil {
@@ -67,7 +67,7 @@ func TestGeometryInvariants(t *testing.T) {
 			}
 			return true
 		}
-		cfg := &quick.Config{MaxCount: 60, Rand: rng}
+		cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(99))}
 		if err := quick.Check(f, cfg); err != nil {
 			t.Fatalf("%s: %v", st.Name, err)
 		}

@@ -5,12 +5,12 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/gpu"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -59,7 +59,7 @@ func sweepBuilds(t *testing.T, visit func(arch *gpu.Arch, st *stencil.Stencil, s
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(int64(1000 + si)))
+			rng := stats.NewRand(int64(1000 + si))
 			for n := 0; n < 500; n++ {
 				s := sp.Random(rng)
 				k, err := Build(sp, s, arch)

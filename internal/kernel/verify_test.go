@@ -1,13 +1,13 @@
 package kernel
 
 import (
-	"math/rand"
 	"regexp"
 	"strconv"
 	"testing"
 
 	"repro/internal/gpu"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -151,7 +151,7 @@ func TestEmittedSourceInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := rand.New(rand.NewSource(20260805))
+		r := stats.NewRand(20260805)
 		verified := 0
 		for i := 0; i < 600 && verified < 250; i++ {
 			s := sp.Random(r)

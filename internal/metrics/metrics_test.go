@@ -2,13 +2,13 @@ package metrics
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -19,7 +19,7 @@ func testDataset(t *testing.T) *dataset.Dataset {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, rand.New(rand.NewSource(21)), 64, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(21), 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestLstsqExact(t *testing.T) {
 
 func TestLstsqOverdetermined(t *testing.T) {
 	// Noisy line: slope must come out close.
-	rng := rand.New(rand.NewSource(5))
+	rng := stats.NewRand(5)
 	var x [][]float64
 	var y []float64
 	for i := 0; i < 200; i++ {
@@ -78,7 +78,7 @@ func TestLstsqDegenerate(t *testing.T) {
 
 // synthDataset builds a dataset whose target is an exact PMNF function, so
 // Fit must recover it with near-zero RSE and the right exponents.
-func synthDataset(t *testing.T, groups [][]int, i, j int, rng *rand.Rand) (*dataset.Dataset, []float64) {
+func synthDataset(t *testing.T, groups [][]int, i, j int, rng *stats.Rand) (*dataset.Dataset, []float64) {
 	t.Helper()
 	sp, err := space.New(stencil.J3D7PT())
 	if err != nil {
@@ -104,7 +104,7 @@ func TestFitRecoversSyntheticFunction(t *testing.T) {
 	groups := [][]int{{space.TBX, space.TBY}, {space.UFX}, {space.UseShared}}
 	// Cover the remaining parameters as singletons so groups partition the
 	// space is not required by Fit — it only reads the listed groups.
-	rng := rand.New(rand.NewSource(77))
+	rng := stats.NewRand(77)
 	for _, exp := range []struct{ i, j int }{{1, 0}, {2, 0}, {1, 1}, {0, 1}} {
 		ds, target := synthDataset(t, groups, exp.i, exp.j, rng)
 		ms, err := Fit(ds, groups, [][]float64{target}, nil, nil)
@@ -123,7 +123,7 @@ func TestFitRecoversSyntheticFunction(t *testing.T) {
 
 func TestPredictMatchesTraining(t *testing.T) {
 	groups := [][]int{{space.TBX}, {space.UFY, space.BMY}}
-	rng := rand.New(rand.NewSource(13))
+	rng := stats.NewRand(13)
 	ds, target := synthDataset(t, groups, 1, 1, rng)
 	ms, err := Fit(ds, groups, [][]float64{target}, nil, nil)
 	if err != nil {
@@ -157,7 +157,7 @@ func TestPredictBitIdentical(t *testing.T) {
 		{space.UFZ, space.BMZ}, {space.UseShared, space.UseStreaming}, {space.SB, space.SD},
 		{space.CMX, space.CMY, space.CMZ}, {space.UseConstant}, {space.UseRetiming},
 	}
-	rng := rand.New(rand.NewSource(21))
+	rng, norm := stats.NewRand(21), rand.New(rand.NewSource(21))
 	ds, target := synthDataset(t, groups, 1, 1, rng)
 	sp, err := space.New(stencil.Hypterm())
 	if err != nil {
@@ -168,9 +168,9 @@ func TestPredictBitIdentical(t *testing.T) {
 			models := []*Model{{Groups: groups, I: i, J: j}}
 			m := models[0]
 			for c := 0; c <= len(groups); c++ {
-				m.Coef = append(m.Coef, rng.NormFloat64()*100)
-				m.Mean = append(m.Mean, rng.NormFloat64()*1000)
-				m.Std = append(m.Std, math.Exp(rng.NormFloat64()*5))
+				m.Coef = append(m.Coef, norm.NormFloat64()*100)
+				m.Mean = append(m.Mean, norm.NormFloat64()*1000)
+				m.Std = append(m.Std, math.Exp(norm.NormFloat64()*5))
 			}
 			if fitted, err := fitOne(ds, groups, target, i, j); err == nil {
 				models = append(models, fitted)
@@ -191,7 +191,7 @@ func TestPredictBitIdentical(t *testing.T) {
 
 func TestPredictAllocs(t *testing.T) {
 	groups := [][]int{{space.TBX, space.TBY}, {space.UFX}, {space.UseShared}}
-	rng := rand.New(rand.NewSource(3))
+	rng := stats.NewRand(3)
 	ds, target := synthDataset(t, groups, 2, 1, rng)
 	ms, err := Fit(ds, groups, [][]float64{target}, nil, nil)
 	if err != nil {
@@ -212,7 +212,7 @@ func TestFitOnSimulatorMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, rand.New(rand.NewSource(31)), 96, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(31), 96, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestFitErrors(t *testing.T) {
 	if _, err := Fit(ds, [][]int{{0}}, [][]float64{nil}, nil, nil); err == nil {
 		t.Fatal("empty dataset should error")
 	}
-	rng := rand.New(rand.NewSource(1))
+	rng := stats.NewRand(1)
 	ds.Samples = append(ds.Samples, dataset.Sample{Setting: sp.Random(rng), TimeMS: 1})
 	if _, err := Fit(ds, [][]int{{0}}, [][]float64{{1, 2}}, nil, nil); err == nil {
 		t.Fatal("target length mismatch should error")
@@ -295,7 +295,7 @@ func BenchmarkFit(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, rand.New(rand.NewSource(1)), 128, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(1), 128, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package sampling
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -13,6 +15,7 @@ import (
 	"repro/internal/pmnf"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -24,7 +27,7 @@ func pipelineTo(tb testing.TB) (*dataset.Dataset, *space.Space, [][]int, []metri
 		tb.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, rand.New(rand.NewSource(41)), 96, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(41), 96, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -68,7 +71,7 @@ func fitModels(tb testing.TB, ds *dataset.Dataset, sp *space.Space) ([][]int, []
 func TestBuildRespectsRatio(t *testing.T) {
 	ds, sp, groups, sel, models, _ := pipelineTo(t)
 	cfg := Config{Ratio: 0.1, PoolSize: 1000}
-	rng := rand.New(rand.NewSource(5))
+	rng := stats.NewRand(5)
 	s, err := Build(ds, sp, groups, sel, models, rng, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +92,7 @@ func TestBuildRespectsRatio(t *testing.T) {
 // time of the kept fraction must beat the mean of a random sample.
 func TestSamplingImprovesQuality(t *testing.T) {
 	ds, sp, groups, sel, models, simulator := pipelineTo(t)
-	rng := rand.New(rand.NewSource(6))
+	rng := stats.NewRand(6)
 	s, err := Build(ds, sp, groups, sel, models, rng, Config{Ratio: 0.1, PoolSize: 600})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +124,7 @@ func TestSamplingImprovesQuality(t *testing.T) {
 
 func TestBuildArgumentValidation(t *testing.T) {
 	ds, sp, groups, sel, models, _ := pipelineTo(t)
-	rng := rand.New(rand.NewSource(7))
+	rng := stats.NewRand(7)
 	if _, err := Build(ds, sp, groups, sel, models, rng, Config{Ratio: 0}); err == nil {
 		t.Fatal("ratio 0 should error")
 	}
@@ -203,7 +206,7 @@ func TestBest(t *testing.T) {
 // becomes reachable through the gene ranges.
 func TestIncludeAddsMissingSettings(t *testing.T) {
 	ds, sp, groups, sel, models, _ := pipelineTo(t)
-	rng := rand.New(rand.NewSource(5))
+	rng := stats.NewRand(5)
 	s, err := Build(ds, sp, groups, sel, models, rng, Config{Ratio: 0.1, PoolSize: 400})
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +218,7 @@ func TestIncludeAddsMissingSettings(t *testing.T) {
 	for _, set := range s.Settings {
 		present[set.Key()] = true
 	}
-	r := rand.New(rand.NewSource(99))
+	r := stats.NewRand(99)
 	for present[fresh.Key()] {
 		fresh = sp.Random(r)
 	}
@@ -262,7 +265,7 @@ func TestIncludeAddsMissingSettings(t *testing.T) {
 // -1, never panic.
 func TestTupleIndexMissAndBounds(t *testing.T) {
 	ds, sp, groups, sel, models, _ := pipelineTo(t)
-	rng := rand.New(rand.NewSource(5))
+	rng := stats.NewRand(5)
 	s, err := Build(ds, sp, groups, sel, models, rng, Config{Ratio: 0.1, PoolSize: 400})
 	if err != nil {
 		t.Fatal(err)
@@ -288,51 +291,159 @@ func TestTupleIndexMissAndBounds(t *testing.T) {
 	}
 }
 
-// TestCandidatesMatchFreshDraws checks the pool drawn into one array
-// against pools drawn with a fresh Space.Random per candidate, under
-// prefilters that reject nothing, a third and every draw: redrawing into a
-// rejected or duplicate slot must give the same candidates in the same
-// order, each drawn one in memory of its own.
+// freshPool is the candidate pool as it was drawn before the pool was
+// coded: the dataset settings, then a fresh Space.Random per draw, each
+// kept unless cfg.Prefilter rejects it or an earlier candidate has its
+// key, drawn from a generator seeded with seed.
+func freshPool(ds *dataset.Dataset, sp *space.Space, seed int64, cfg Config) []space.Setting {
+	want := make([]space.Setting, 0, len(ds.Samples)+cfg.PoolSize)
+	seen := map[string]bool{}
+	for _, s := range ds.Samples {
+		if !seen[s.Setting.Key()] {
+			seen[s.Setting.Key()] = true
+			want = append(want, s.Setting)
+		}
+	}
+	rng := stats.NewRand(seed)
+	for tries := 0; len(want) < cap(want) && tries < 50*cfg.PoolSize; tries++ {
+		s := sp.Random(rng)
+		if (cfg.Prefilter == nil || cfg.Prefilter(s)) && !seen[s.Key()] {
+			seen[s.Key()] = true
+			want = append(want, s)
+		}
+	}
+	return want
+}
+
+// prefilters are the prefilters the pool tests run under: none, one
+// rejecting a third of the draws, and one rejecting every draw.
+var prefilters = []struct {
+	name   string
+	accept func(space.Setting) bool
+}{
+	{"none", nil},
+	{"third", func(s space.Setting) bool { return s.Hash()%3 != 0 }},
+	{"all", func(space.Setting) bool { return false }},
+}
+
+// TestCandidatesMatchFreshDraws checks the coded pool, drawn into one
+// reused setting and deduplicated by its codes, against pools drawn with
+// a fresh Space.Random per candidate and deduplicated by key, under
+// prefilters that reject nothing, a third and every draw: decoding must
+// give the same candidates in the same order. Real pools hold almost no
+// repeats, so two cases make them: a dataset of the pool's own first
+// draws, each twice, and a space of 24 settings, whose pool fills with
+// repeats until the try budget ends. A fourth adds dataset settings with
+// values outside their parameters' Param.Values.
 func TestCandidatesMatchFreshDraws(t *testing.T) {
 	ds, sp, _, _, _, _ := pipelineTo(t)
-	for _, reject := range []uint64{0, 3, 1} {
-		cfg := Config{Ratio: 0.1, PoolSize: 500}
-		if reject > 0 {
-			cfg.Prefilter = func(s space.Setting) bool { return s.Hash()%reject != 0 }
+	foreign := &dataset.Dataset{Samples: slices.Clone(ds.Samples)}
+	for i, v := range []int{3, 5, 3} {
+		s := ds.Samples[i].Setting.Clone()
+		s[space.TBX], s[space.UFY] = v, 6
+		foreign.Samples = append(foreign.Samples, dataset.Sample{Setting: s})
+	}
+	echo := &dataset.Dataset{}
+	rng := stats.NewRand(9)
+	for range 40 {
+		s := sp.Random(rng)
+		echo.Samples = append(echo.Samples, dataset.Sample{Setting: s}, dataset.Sample{Setting: s.Clone()})
+	}
+	tiny, err := space.NewCustom([]space.Param{
+		{Name: "a", Values: []int{1, 2, 4}},
+		{Name: "b", Values: []int{1, 2, 4, 8}, Biased: true},
+		{Name: "c", Values: []int{space.Off, space.On}},
+	}, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tinyDS := &dataset.Dataset{Samples: []dataset.Sample{{Setting: tiny.Default()}}}
+	for _, tc := range []struct {
+		name string
+		ds   *dataset.Dataset
+		sp   *space.Space
+	}{{"helmholtz", ds, sp}, {"echo", echo, sp}, {"tiny", tinyDS, tiny}, {"foreign", foreign, sp}} {
+		for _, f := range prefilters {
+			cfg := Config{Ratio: 0.1, PoolSize: 500, Prefilter: f.accept}
+			got, err := candidates(tc.ds, tc.sp, stats.NewRand(9), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := freshPool(tc.ds, tc.sp, 9, cfg)
+			if got.Len() != len(want) {
+				t.Fatalf("%s, prefilter %s: pool of %d, fresh draws give %d", tc.name, f.name, got.Len(), len(want))
+			}
+			s := make(space.Setting, tc.sp.N())
+			for i := range want {
+				if got.Decode(i, s); !s.Equal(want[i]) {
+					t.Fatalf("%s, prefilter %s: candidate %d is %v, fresh draws give %v", tc.name, f.name, i, s, want[i])
+				}
+			}
 		}
-		got := candidates(ds, sp, rand.New(rand.NewSource(9)), cfg)
+	}
+}
 
-		want := make([]space.Setting, 0, len(ds.Samples)+cfg.PoolSize)
-		seen := map[string]bool{}
-		for _, s := range ds.Samples {
-			if !seen[s.Setting.Key()] {
-				seen[s.Setting.Key()] = true
-				want = append(want, s.Setting)
-			}
+// referenceBuild is Build over the candidate pool as it was before the
+// pool was coded: freshPool's settings, each scored with Model.Predict
+// (which the settings-based pmnf.Pool matched bit for bit), ranked by
+// sort.SliceStable, the best fraction kept and re-indexed.
+func referenceBuild(t *testing.T, ds *dataset.Dataset, sp *space.Space, groups [][]int,
+	sel []metrics.Selected, models map[string]*pmnf.Model, seed int64, cfg Config) *Sampled {
+	t.Helper()
+	pool := freshPool(ds, sp, seed, cfg)
+	score := make([]float64, len(pool))
+	preds := make([]float64, len(pool))
+	for _, m := range sel {
+		for i, s := range pool {
+			preds[i] = models[m.Name].Predict(s)
 		}
-		fromDS := len(want)
-		rng := rand.New(rand.NewSource(9))
-		for tries := 0; len(want) < cap(want) && tries < 50*cfg.PoolSize; tries++ {
-			s := sp.Random(rng)
-			if (cfg.Prefilter == nil || cfg.Prefilter(s)) && !seen[s.Key()] {
-				seen[s.Key()] = true
-				want = append(want, s)
-			}
+		mu, _ := stats.Mean(preds)
+		sd, _ := stats.StdDev(preds)
+		if sd == 0 {
+			continue
 		}
-		if len(got) != len(want) {
-			t.Fatalf("reject 1/%d: pool of %d, fresh draws give %d", reject, len(got), len(want))
+		for i := range pool {
+			score[i] += m.TimePCC * (preds[i] - mu) / sd
 		}
-		for i := range want {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("reject 1/%d: candidate %d is %v, fresh draws give %v", reject, i, got[i], want[i])
-			}
-		}
-		for i := fromDS; i < len(got); i++ { // no two drawn candidates share memory
-			got[i][0] = -1 - i
-		}
-		for i := fromDS; i < len(got); i++ {
-			if got[i][0] != -1-i {
-				t.Fatalf("reject 1/%d: candidate %d shares memory with a later one", reject, i)
+	}
+	order := make([]int, len(pool))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return score[order[a]] < score[order[b]] })
+	keep := min(max(int(math.Ceil(cfg.Ratio*float64(len(pool)))), 1), len(pool))
+	kept := make([]space.Setting, keep)
+	for k := range kept {
+		kept[k] = pool[order[k]].Clone()
+	}
+	return FromSettings(kept, groups)
+}
+
+// TestBuildMatchesSettingPool runs Build against referenceBuild on the
+// same seeds, under prefilters that reject nothing, a third and every
+// draw, and with one metric's weight NaN, which makes every score NaN and
+// sends the ranking through rank: the kept settings, their order and the
+// re-indexed Values must be equal.
+func TestBuildMatchesSettingPool(t *testing.T) {
+	ds, sp, groups, sel, models, _ := pipelineTo(t)
+	nan := slices.Clone(sel)
+	nan[len(nan)-1].TimePCC = math.NaN()
+	for _, f := range prefilters {
+		for _, selected := range [][]metrics.Selected{sel, nan} {
+			for _, seed := range []int64{1, 2} {
+				cfg := Config{Ratio: 0.1, PoolSize: 700, Prefilter: f.accept}
+				got, err := Build(ds, sp, groups, selected, models, stats.NewRand(seed), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := referenceBuild(t, ds, sp, groups, selected, models, seed, cfg)
+				where := fmt.Sprintf("prefilter %s, NaN weight %v, seed %d", f.name, math.IsNaN(selected[len(selected)-1].TimePCC), seed)
+				if !slices.EqualFunc(got.Settings, want.Settings, space.Setting.Equal) {
+					t.Fatalf("%s: kept %d settings, the reference %d, or in another order", where, len(got.Settings), len(want.Settings))
+				}
+				if !slices.EqualFunc(got.Values, want.Values, func(a, b [][]int) bool { return slices.EqualFunc(a, b, slices.Equal[[]int]) }) {
+					t.Fatalf("%s: Values differ from the reference", where)
+				}
 			}
 		}
 	}
@@ -393,8 +504,8 @@ func TestRankMatchesSliceStable(t *testing.T) {
 // TestPoolScoringMatchesPredict scores the real candidate pools of tunes of
 // every Table III stencil on the A100 and the V100 at seeds 1 and 2 and
 // checks every candidate's prediction against Model.Predict, bit for bit.
-// One extra candidate holds a value Param.Index cannot place, which forces
-// its groups onto setting-by-setting scoring.
+// One extra candidate holds a value Param.Index cannot place, which takes
+// a code after its parameter's own.
 func TestPoolScoringMatchesPredict(t *testing.T) {
 	for _, arch := range []*gpu.Arch{gpu.A100(), gpu.V100()} {
 		for _, st := range stencil.Suite() {
@@ -403,25 +514,42 @@ func TestPoolScoringMatchesPredict(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rng := rand.New(rand.NewSource(seed))
+				rng := stats.NewRand(seed)
 				ds, err := dataset.Collect(sim.New(sp, arch), rng, 64, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				groups, sel, models := fitModels(t, ds, sp)
-				pool := candidates(ds, sp, rng, DefaultConfig())
-				odd := pool[0].Clone()
+				cands, err := candidates(ds, sp, rng, DefaultConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				settings := make([]space.Setting, cands.Len())
+				for i := range settings {
+					settings[i] = make(space.Setting, sp.N())
+					cands.Decode(i, settings[i])
+				}
+				odd := settings[0].Clone()
 				odd[space.TBX] = 3
-				for _, settings := range [][]space.Setting{pool, append(pool[:len(pool):len(pool)], odd)} {
-					indexed := pmnf.NewPool(sp, groups, settings)
-					preds := make([]float64, len(settings))
+				withOdd := sp.NewCoded(len(settings) + 1)
+				for _, s := range append(settings, odd) {
+					if _, err := withOdd.Add(s); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, tc := range []struct {
+					pool     *space.Coded
+					settings []space.Setting
+				}{{cands, settings}, {withOdd, append(settings, odd)}} {
+					indexed := pmnf.NewPool(tc.pool, groups)
+					preds := make([]float64, len(tc.settings))
 					for _, m := range sel {
 						model := models[m.Name]
 						indexed.Predict(model, preds)
-						for i, s := range settings {
+						for i, s := range tc.settings {
 							if want := model.Predict(s); math.Float64bits(preds[i]) != math.Float64bits(want) {
 								t.Fatalf("%s/%s seed %d, %s, candidate %d of %d: pool %v, Predict %v",
-									st.Name, arch.Name, seed, m.Name, i, len(settings), preds[i], want)
+									st.Name, arch.Name, seed, m.Name, i, len(tc.settings), preds[i], want)
 							}
 						}
 					}
@@ -439,7 +567,7 @@ func BenchmarkBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(ds, sp, groups, sel, models, rand.New(rand.NewSource(5)), cfg); err != nil {
+		if _, err := Build(ds, sp, groups, sel, models, stats.NewRand(5), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

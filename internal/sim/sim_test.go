@@ -2,11 +2,11 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/gpu"
 	"repro/internal/space"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -64,7 +64,7 @@ func TestMeasureMatchesRun(t *testing.T) {
 	for _, arch := range []*gpu.Arch{gpu.A100(), gpu.V100()} {
 		for _, st := range stencil.Suite() {
 			s := simFor(t, st, arch)
-			rng := rand.New(rand.NewSource(3))
+			rng := stats.NewRand(3)
 			for n := 0; n < 50; n++ {
 				set := s.Space().Random(rng)
 				ms, err := s.Measure(set)
@@ -322,7 +322,7 @@ func TestMetricsCorrelateWithTime(t *testing.T) {
 	// Across random settings, duration must equal TimeMS (unit conversion)
 	// and occupancy must vary — otherwise the PMNF stage has nothing to model.
 	s := simFor(t, stencil.Cheby(), gpu.A100())
-	rng := rand.New(rand.NewSource(9))
+	rng := stats.NewRand(9)
 	occs := map[float64]bool{}
 	n := 0
 	for n < 40 {
@@ -348,7 +348,7 @@ func BenchmarkSimulatorRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := New(sp, gpu.A100())
-	rng := rand.New(rand.NewSource(1))
+	rng := stats.NewRand(1)
 	settings := make([]space.Setting, 128)
 	for i := range settings {
 		settings[i] = sp.Random(rng)

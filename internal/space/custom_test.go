@@ -2,8 +2,9 @@ package space
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 func customSpace(t *testing.T) *Space {
@@ -19,7 +20,7 @@ func customSpace(t *testing.T) *Space {
 		}
 		return nil
 	}
-	repair := func(s Setting, rng RNG) {
+	repair := func(s Setting, rng *stats.Rand) {
 		for s[0]*s[1] > 16 {
 			s[0] >>= 1
 		}
@@ -99,7 +100,7 @@ func TestCustomSpaceConstraints(t *testing.T) {
 
 func TestCustomSpaceRandomAndRepair(t *testing.T) {
 	sp := customSpace(t)
-	rng := rand.New(rand.NewSource(17))
+	rng := stats.NewRand(17)
 	sawBig, sawFlag := false, false
 	for i := 0; i < 300; i++ {
 		s := sp.Random(rng)
@@ -126,7 +127,7 @@ func TestCustomSpaceRandomAndRepair(t *testing.T) {
 
 func TestCustomSpaceBiasedSampling(t *testing.T) {
 	sp := customSpace(t)
-	rng := rand.New(rand.NewSource(23))
+	rng := stats.NewRand(23)
 	ones := 0
 	const n = 1000
 	for i := 0; i < n; i++ {

@@ -39,6 +39,15 @@ func (sp *Space) Footprint(ax, ay, az int) int {
 	return n
 }
 
+// UniqueOffsets returns sp.Stencil.UniqueOffsets(). New counts it once per
+// space; for a space built otherwise it is counted on every call.
+func (sp *Space) UniqueOffsets() int {
+	if sp.uniqueOffsets > 0 {
+		return sp.uniqueOffsets
+	}
+	return sp.Stencil.UniqueOffsets()
+}
+
 // footprintSlot returns the memo slot of a cluster, or false when an extent
 // is not a power of two below 2^footprintAxis.
 func footprintSlot(ax, ay, az int) (int, bool) {

@@ -2,16 +2,16 @@ package space
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
 // randomStencil builds a structurally-valid stencil with randomized grid
 // extents and order, so the properties below range over many distinct
 // constrained spaces, not just the Table III suite.
-func randomStencil(rng *rand.Rand, i int) *stencil.Stencil {
+func randomStencil(rng *stats.Rand, i int) *stencil.Stencil {
 	dims := []int{16, 32, 64, 128, 256, 512}
 	order := 1 + rng.Intn(3)
 	return &stencil.Stencil{
@@ -39,7 +39,7 @@ func propertySpaces(t *testing.T) []*Space {
 		}
 		out = append(out, sp)
 	}
-	rng := rand.New(rand.NewSource(1234))
+	rng := stats.NewRand(1234)
 	for i := 0; i < 12; i++ {
 		sp, err := New(randomStencil(rng, i))
 		if err != nil {
@@ -51,7 +51,7 @@ func propertySpaces(t *testing.T) []*Space {
 }
 
 func TestPropertyKeyParseKeyRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := stats.NewRand(7)
 	for _, sp := range propertySpaces(t) {
 		for i := 0; i < 50; i++ {
 			s := sp.Random(rng)
@@ -101,7 +101,7 @@ func TestParseKeyRejectsNonCanonical(t *testing.T) {
 }
 
 func TestPropertyRandomAlwaysValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
+	rng := stats.NewRand(99)
 	for _, sp := range propertySpaces(t) {
 		for i := 0; i < 50; i++ {
 			s := sp.Random(rng)
@@ -113,7 +113,7 @@ func TestPropertyRandomAlwaysValid(t *testing.T) {
 }
 
 func TestPropertyNeighborStaysInSpace(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
+	rng := stats.NewRand(41)
 	for _, sp := range propertySpaces(t) {
 		s := sp.Default()
 		for i := 0; i < 60; i++ {
@@ -130,7 +130,7 @@ func TestPropertyNeighborStaysInSpace(t *testing.T) {
 }
 
 func TestPropertyRepairIdempotentAndCanonical(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
+	rng := stats.NewRand(23)
 	for _, sp := range propertySpaces(t) {
 		for i := 0; i < 50; i++ {
 			// Draw a raw (unrepaired, possibly invalid) assignment.

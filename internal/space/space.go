@@ -223,10 +223,11 @@ type Space struct {
 	// CustomValidate and CustomRepair replace the stencil constraint rules
 	// for custom spaces; CustomDefault replaces the canonical baseline.
 	CustomValidate func(Setting) error
-	CustomRepair   func(Setting, RNG)
+	CustomRepair   func(Setting, *stats.Rand)
 	CustomDefault  func() Setting
 
-	footprints *footprints // New's memo of Stencil.Footprint
+	footprints    *footprints // New's memo of Stencil.Footprint
+	uniqueOffsets int         // Stencil.UniqueOffsets(), counted by New
 }
 
 // N returns the number of parameters in this space.
@@ -259,7 +260,7 @@ func (sp *Space) Format(s Setting) string {
 // checked first); repair canonicalizes a raw draw before validation and may
 // be nil; def produces the baseline setting and may be nil (first value of
 // every parameter).
-func NewCustom(params []Param, validate func(Setting) error, repair func(Setting, RNG), def func() Setting) (*Space, error) {
+func NewCustom(params []Param, validate func(Setting) error, repair func(Setting, *stats.Rand), def func() Setting) (*Space, error) {
 	if len(params) == 0 {
 		return nil, errors.New("space: no parameters")
 	}
@@ -334,7 +335,10 @@ func New(st *stencil.Stencil) (*Space, error) {
 	for i := UFX; i <= BMZ; i++ {
 		params[i].Biased = true
 	}
-	return &Space{Stencil: st, Params: params, MaxThreadsPerBlock: 1024, footprints: new(footprints)}, nil
+	return &Space{
+		Stencil: st, Params: params, MaxThreadsPerBlock: 1024,
+		footprints: new(footprints), uniqueOffsets: st.UniqueOffsets(),
+	}, nil
 }
 
 func minInt(a, b int) int {
@@ -531,13 +535,6 @@ func cyclicOf(sd int) int {
 	panic(fmt.Sprintf("space: invalid streaming dimension %d", sd))
 }
 
-// RNG is the subset of math/rand.Rand the space needs, accepted as an
-// interface so deterministic test doubles can drive sampling.
-type RNG interface {
-	Intn(n int) int
-	Float64() float64
-}
-
 // Random returns a random *valid* setting. Thread-block extents and flags
 // are drawn uniformly; the nine per-thread work multipliers (unroll, cyclic
 // and block merging) are drawn geometrically towards small factors, because
@@ -545,7 +542,7 @@ type RNG interface {
 // register-spill territory — real samplers (Garvey'15, AN5D) bias the same
 // way. Structural rules are repaired in place; residual numeric conflicts
 // fall back to rejection, which terminates quickly.
-func (sp *Space) Random(rng RNG) Setting {
+func (sp *Space) Random(rng *stats.Rand) Setting {
 	s := make(Setting, len(sp.Params))
 	sp.RandomInto(s, rng)
 	return s
@@ -554,7 +551,7 @@ func (sp *Space) Random(rng RNG) Setting {
 // RandomInto draws what Random returns into s, which must hold one value
 // per parameter; its old values are overwritten unread, so a caller can
 // redraw into a setting it rejected.
-func (sp *Space) RandomInto(s Setting, rng RNG) {
+func (sp *Space) RandomInto(s Setting, rng *stats.Rand) {
 	for { // redrawn in place after a rejection
 		for i := range s {
 			vals := sp.Params[i].Values
@@ -573,7 +570,7 @@ func (sp *Space) RandomInto(s Setting, rng RNG) {
 
 // geomIndex draws an index in [0, n) with P(i) ∝ 2^-i (renormalized by
 // clamping the tail into the last slot).
-func geomIndex(rng RNG, n int) int {
+func geomIndex(rng *stats.Rand, n int) int {
 	i := 0
 	for i < n-1 && rng.Float64() < 0.5 {
 		i++
@@ -585,7 +582,7 @@ func geomIndex(rng RNG, n int) int {
 // parameter nudged to an adjacent legal value, followed by canonical repair.
 // When no repairable single-step move exists (or s itself is degenerate) it
 // falls back to a fresh random draw, so the result is always valid.
-func (sp *Space) Neighbor(s Setting, rng RNG) Setting {
+func (sp *Space) Neighbor(s Setting, rng *stats.Rand) Setting {
 	for tries := 0; tries < 64; tries++ {
 		n := s.Clone()
 		i := rng.Intn(len(sp.Params))
@@ -616,7 +613,7 @@ func (sp *Space) Neighbor(s Setting, rng RNG) Setting {
 // Repair rewrites s in place into canonical streaming form and clamps the
 // easily-repaired numeric constraints, leaving only rare residual conflicts
 // to rejection. The result may still be invalid; callers must re-Validate.
-func (sp *Space) Repair(s Setting, rng RNG) {
+func (sp *Space) Repair(s Setting, rng *stats.Rand) {
 	if sp.CustomValidate != nil {
 		if sp.CustomRepair != nil {
 			sp.CustomRepair(s, rng)

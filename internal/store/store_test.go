@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/frame"
+	"repro/internal/stats"
 )
 
 // The two-process test re-execs this test binary with childDirEnv set; the
@@ -308,7 +308,7 @@ func bruteBest(ref map[string]float64, shape, arch string, n int) []Entry {
 // shape, both archs and "", and several n against bruteBest over a plain
 // map fed the same Puts.
 func TestStoreBestMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
+	rng := stats.NewRand(23)
 	archs := []string{"archA", "archB"}
 	shapes := []string{"shape0", "shape1", "shape2", "shape3"}
 	ref := map[string]float64{}

@@ -115,7 +115,7 @@ func (w *Workload) validate(s space.Setting) error {
 	return nil
 }
 
-func (w *Workload) repair(s space.Setting, rng space.RNG) {
+func (w *Workload) repair(s space.Setting, rng *stats.Rand) {
 	for s[TBX]*s[TBY] > 1024 {
 		if s[TBX] >= s[TBY] {
 			s[TBX] >>= 1

@@ -2,12 +2,12 @@ package temporal
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/gpu"
+	"repro/internal/stats"
 	"repro/internal/stencil"
 )
 
@@ -76,7 +76,7 @@ func TestExplicitConstraints(t *testing.T) {
 
 func TestRandomValid(t *testing.T) {
 	w := workload(t)
-	rng := rand.New(rand.NewSource(5))
+	rng := stats.NewRand(5)
 	degreesSeen := map[int]bool{}
 	for i := 0; i < 300; i++ {
 		s := w.Space().Random(rng)
@@ -151,7 +151,7 @@ func TestHighOrderLimitsDegree(t *testing.T) {
 
 func TestCsTunerTunesTemporal(t *testing.T) {
 	w := workload(t)
-	ds, err := dataset.Collect(w, rand.New(rand.NewSource(23)), 80, 0)
+	ds, err := dataset.Collect(w, stats.NewRand(23), 80, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
