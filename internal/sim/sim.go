@@ -110,7 +110,7 @@ func (sim *Simulator) Run(s space.Setting) (*Result, error) {
 }
 
 // RunKernel simulates a launch of an already-built kernel and reports its
-// metrics.
+// metrics. k must have been built in sim.Sp (kernel.Build(sim.Sp, ...)).
 func (sim *Simulator) RunKernel(k *kernel.Kernel) *Result {
 	m := sim.model(k)
 	return &Result{TimeMS: m.timeMS, Kernel: k, Metrics: sim.metrics(k, &m)}
