@@ -205,7 +205,7 @@ func (s *Session) ResumeTune(ctx context.Context, path string, cfg Config, budge
 // through an engine under the virtual budget, journaled to path unless it
 // is empty.
 func (s *Session) tuneBudgeted(ctx context.Context, path string, cfg Config, budgetS float64) (*Report, error) {
-	ds, err := dataset.Collect(s.sim, stats.NewRand(cfg.Seed), cfg.DatasetSize, 0)
+	ds, err := dataset.Collect(s.sim, stats.NewRand(cfg.Seed), cfg.DatasetSize)
 	if err != nil {
 		return nil, err
 	}
@@ -229,15 +229,15 @@ func (s *Session) tuneBudgeted(ctx context.Context, path string, cfg Config, bud
 }
 
 // tuneFingerprint identifies a resumable tuning campaign: every explicit
-// scalar knob that changes the measurement sequence. Built field by field —
-// never by reflective struct formatting, which would print the Prefilter
-// function pointer and change between processes.
+// scalar knob that changes the measurement sequence, built field by field.
+// The nmc, is, js and prefilter fields are literals: the pipeline fixes
+// those values, and they stay so that journals written while they were
+// settable still resume.
 func (s *Session) tuneFingerprint(cfg Config, budgetS float64) string {
 	return fmt.Sprintf(
-		"cstuner-tune|v1|stencil=%s|arch=%s|seed=%d|budget=%g|ds=%d|nmc=%d|mgs=%d|is=%v|js=%v|ratio=%g|pool=%d|prefilter=%v|ga=%d,%d,%g,%g,%d,%g,%d|emit=%v",
+		"cstuner-tune|v1|stencil=%s|arch=%s|seed=%d|budget=%g|ds=%d|nmc=4|mgs=%d|is=[0 1 2]|js=[0 1]|ratio=%g|pool=%d|prefilter=false|ga=%d,%d,%g,%g,%d,%g,%d|emit=%v",
 		s.stencil.Name, s.sim.Arch.Name, cfg.Seed, budgetS, cfg.DatasetSize,
-		cfg.NumMetricCollections, cfg.MaxGroupSize, cfg.IS, cfg.JS,
-		cfg.Sampling.Ratio, cfg.Sampling.PoolSize, cfg.Sampling.Prefilter != nil,
+		cfg.MaxGroupSize, cfg.Sampling.Ratio, cfg.Sampling.PoolSize,
 		cfg.GA.SubPopulations, cfg.GA.PopSize, cfg.GA.CrossoverRate, cfg.GA.MutationRate,
 		cfg.GA.TopN, cfg.GA.CVThreshold, cfg.GA.MaxGenerations, cfg.EmitKernels)
 }

@@ -111,6 +111,33 @@ func TestResumeTuneFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestResumeTuneFingerprintPinned pins the journal identity ResumeTune
+// writes for j3d7pt/a100, at the default config and with three knobs
+// changed, so a journal written before a change to Config still resumes
+// after it. The nmc, is, js and prefilter fields are literals.
+func TestResumeTuneFingerprintPinned(t *testing.T) {
+	s, err := NewSessionFor("j3d7pt", "a100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := DefaultConfig()
+	edited.MaxGroupSize = 2
+	edited.Sampling.Ratio = 0.25
+	edited.GA.CVThreshold = 0
+	for _, tc := range []struct {
+		cfg     Config
+		budgetS float64
+		want    string
+	}{
+		{DefaultConfig(), 40, "cstuner-tune|v1|stencil=j3d7pt|arch=A100|seed=1|budget=40|ds=128|nmc=4|mgs=4|is=[0 1 2]|js=[0 1]|ratio=0.1|pool=4096|prefilter=false|ga=2,16,0.8,0.005,8,0.05,64|emit=true"},
+		{edited, 12.5, "cstuner-tune|v1|stencil=j3d7pt|arch=A100|seed=1|budget=12.5|ds=128|nmc=4|mgs=2|is=[0 1 2]|js=[0 1]|ratio=0.25|pool=4096|prefilter=false|ga=2,16,0.8,0.005,8,0,64|emit=true"},
+	} {
+		if got := s.tuneFingerprint(tc.cfg, tc.budgetS); got != tc.want {
+			t.Errorf("budget %g: fingerprint\n%s\nwant\n%s", tc.budgetS, got, tc.want)
+		}
+	}
+}
+
 // TestResumeTuneCorruptHeaderRefused: a file that is not a journal fails
 // cleanly with ErrJournalCorrupt.
 func TestResumeTuneCorruptHeaderRefused(t *testing.T) {

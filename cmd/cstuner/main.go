@@ -76,7 +76,7 @@ func main() {
 			fail(fmt.Errorf("dataset is for stencil %q, tuning %q", ds.Stencil, st.Name))
 		}
 	} else {
-		ds, err = dataset.Collect(simulator, stats.NewRand(*seed), *dsSize, 0)
+		ds, err = dataset.Collect(simulator, stats.NewRand(*seed), *dsSize)
 		if err != nil {
 			fail(err)
 		}

@@ -17,15 +17,15 @@ import (
 	"repro/internal/stats"
 )
 
+// topK candidates survive each hierarchy level (Artemis keeps "a few
+// high-performance candidates").
+const topK = 5
+
 // Tuner is the Artemis comparator.
-type Tuner struct {
-	// TopK candidates survive each hierarchy level (Artemis keeps "a few
-	// high-performance candidates").
-	TopK int
-}
+type Tuner struct{}
 
 // New returns the paper's configuration.
-func New() *Tuner { return &Tuner{TopK: 5} }
+func New() *Tuner { return &Tuner{} }
 
 // Name implements baselines.Tuner.
 func (t *Tuner) Name() string { return "artemis" }
@@ -43,7 +43,7 @@ func (t *Tuner) Tune(ctx context.Context, eng *engine.Engine, _ *dataset.Dataset
 	rng := stats.NewRand(seed)
 
 	// ---- Level 1: high impact — thread-block geometry × streaming -------
-	level1 := t.tbStreamingCandidates(sp)
+	level1 := tbStreamingCandidates(sp)
 	var pool []candidate
 	for _, set := range level1 {
 		if stop() {
@@ -57,7 +57,7 @@ func (t *Tuner) Tune(ctx context.Context, eng *engine.Engine, _ *dataset.Dataset
 			pool = append(pool, candidate{set: set, ms: ms})
 		}
 	}
-	pool = top(pool, t.TopK)
+	pool = top(pool, topK)
 	if len(pool) == 0 {
 		return nil // no valid level-1 candidate: nothing to refine
 	}
@@ -84,7 +84,7 @@ func (t *Tuner) Tune(ctx context.Context, eng *engine.Engine, _ *dataset.Dataset
 		}
 	}
 	if len(pool2) > 0 {
-		pool = top(pool2, t.TopK)
+		pool = top(pool2, topK)
 	}
 
 	// ---- Level 3: low impact — greedy refinement of the remainder -------
@@ -119,7 +119,7 @@ func (t *Tuner) Tune(ctx context.Context, eng *engine.Engine, _ *dataset.Dataset
 
 // tbStreamingCandidates enumerates the expert-curated high-impact level:
 // warp-friendly thread-block shapes crossed with streaming configurations.
-func (t *Tuner) tbStreamingCandidates(sp *space.Space) []space.Setting {
+func tbStreamingCandidates(sp *space.Space) []space.Setting {
 	tbShapes := [][3]int{
 		{32, 2, 1}, {32, 4, 1}, {32, 8, 1}, {64, 2, 1}, {64, 4, 1},
 		{64, 8, 1}, {128, 1, 1}, {128, 2, 1}, {128, 4, 1}, {256, 1, 1},

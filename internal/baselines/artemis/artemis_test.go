@@ -24,8 +24,7 @@ func objective(t testing.TB, st *stencil.Stencil) *sim.Simulator {
 func TestLevel1CandidatesAreExpertCurated(t *testing.T) {
 	obj := objective(t, stencil.J3D7PT())
 	sp := obj.Space()
-	a := New()
-	cands := a.tbStreamingCandidates(sp)
+	cands := tbStreamingCandidates(sp)
 	if len(cands) != 20*5 {
 		t.Fatalf("level-1 candidates = %d, want 100", len(cands))
 	}

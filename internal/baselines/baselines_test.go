@@ -27,7 +27,7 @@ func fixture(t testing.TB) (*sim.Simulator, *dataset.Dataset) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, stats.NewRand(101), 64, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(101), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +40,7 @@ func allTuners() []baselines.Tuner {
 	cs.Cfg.Sampling.PoolSize = 512
 	cs.Cfg.GA.MaxGenerations = 10
 	cs.Cfg.EmitKernels = false
-	ot := opentuner.New()
-	ot.MaxRounds = 12
-	return []baselines.Tuner{cs, ot, garvey.New(), artemis.New()}
+	return []baselines.Tuner{cs, opentuner.New(), garvey.New(), artemis.New()}
 }
 
 // tune runs tn on a fresh engine over s and returns the engine, whose best
@@ -122,23 +120,5 @@ func TestGarveyRequiresDataset(t *testing.T) {
 	s, _ := fixture(t)
 	if err := garvey.New().Tune(context.Background(), engine.New(s), nil, 1, nil); err == nil {
 		t.Fatal("garvey without dataset should error")
-	}
-}
-
-func TestOpenTunerEnsemble(t *testing.T) {
-	s, ds := fixture(t)
-	ot := opentuner.NewEnsemble()
-	ot.MaxRounds = 15
-	if _, ms, ok := tune(t, ot, s, ds, 5, nil).Best(); !ok || ms <= 0 {
-		t.Fatal("ensemble found nothing")
-	}
-}
-
-func TestOpenTunerUnknownTechnique(t *testing.T) {
-	s, _ := fixture(t)
-	ot := opentuner.New()
-	ot.Techniques = []string{"simulated-annealing"}
-	if err := ot.Tune(context.Background(), engine.New(s), nil, 1, nil); err == nil {
-		t.Fatal("unknown technique should error")
 	}
 }

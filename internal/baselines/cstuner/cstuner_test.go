@@ -8,7 +8,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/gpu"
-	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/space"
 	"repro/internal/stats"
@@ -22,7 +21,7 @@ func fixture(t testing.TB) (*sim.Simulator, *dataset.Dataset) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, stats.NewRand(51), 64, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(51), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,25 +67,16 @@ func TestAdapterSeedsConfig(t *testing.T) {
 func TestAdapterEmitsThroughSimulator(t *testing.T) {
 	s, ds := fixture(t)
 	a := New()
-	a.Cfg.Sampling.PoolSize = 256
 	a.Cfg.GA.MaxGenerations = 4
 	a.Cfg.EmitKernels = true
-	// Resource-prefilter the candidate pool so every sampled setting is
-	// buildable; this both exercises the sampling hook and guarantees the
-	// codegen stage emits kernels.
-	sp := s.Space()
-	arch := s.Arch
-	a.Cfg.Sampling.Prefilter = func(set space.Setting) bool {
-		_, err := kernel.Build(sp, set, arch)
-		return err == nil
-	}
-	// The adapter's path: core.Tune on an engine around the simulator.
+	// The candidate pool is not filtered by the resource constraints, so
+	// codegen emits only the sampled settings that build: 7 of 416 from
+	// the default 4,096-candidate pool here, none of 32 from a 256 one.
 	rep, err := core.Tune(engine.New(s), ds, a.Cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.GeneratedCUDA == 0 || rep.GeneratedCUDA != rep.SampledSize {
-		t.Fatalf("codegen emitted %d of %d sampled (prefiltered) settings",
-			rep.GeneratedCUDA, rep.SampledSize)
+	if rep.GeneratedCUDA == 0 || rep.GeneratedCUDA > rep.SampledSize {
+		t.Fatalf("codegen emitted %d of %d sampled settings", rep.GeneratedCUDA, rep.SampledSize)
 	}
 }

@@ -22,19 +22,15 @@ import (
 	"repro/internal/stats"
 )
 
+// samplingRatio is the fraction of each group's cartesian product that is
+// evaluated (paper: 10%).
+const samplingRatio = 0.10
+
 // Tuner is the Garvey comparator.
-type Tuner struct {
-	// SamplingRatio is the fraction of each group's cartesian product that
-	// is evaluated (paper: 10%).
-	SamplingRatio float64
-	// Forest options for the memory-type predictor.
-	Forest forest.Options
-}
+type Tuner struct{}
 
 // New returns the paper's configuration.
-func New() *Tuner {
-	return &Tuner{SamplingRatio: 0.10, Forest: forest.DefaultOptions()}
-}
+func New() *Tuner { return &Tuner{} }
 
 // Name implements baselines.Tuner.
 func (t *Tuner) Name() string { return "garvey" }
@@ -60,7 +56,7 @@ func (t *Tuner) Tune(ctx context.Context, eng *engine.Engine, ds *dataset.Datase
 	rng := stats.NewRand(seed)
 
 	// ---- Memory-type prediction with a random forest --------------------
-	useShared, useConstant, err := t.predictMemoryType(ds)
+	useShared, useConstant, err := predictMemoryType(ds)
 	if err != nil {
 		return err
 	}
@@ -75,7 +71,7 @@ func (t *Tuner) Tune(ctx context.Context, eng *engine.Engine, ds *dataset.Datase
 			break
 		}
 		combos := enumerate(sp, group)
-		sampled := sample(combos, t.SamplingRatio, rng)
+		sampled := sample(combos, samplingRatio, rng)
 		bestMS := math.Inf(1)
 		var bestCombo []int
 		for _, combo := range sampled {
@@ -102,10 +98,11 @@ func (t *Tuner) Tune(ctx context.Context, eng *engine.Engine, ds *dataset.Datase
 	return nil
 }
 
-// predictMemoryType trains the forest on the experience dataset (features:
-// the full setting; target: time) and returns the memory-flag pair with the
-// lowest predicted time averaged over the dataset's settings.
-func (t *Tuner) predictMemoryType(ds *dataset.Dataset) (useShared, useConstant int, err error) {
+// predictMemoryType trains a forest with the default options on the
+// experience dataset (features: the full setting; target: time) and returns
+// the memory-flag pair with the lowest predicted time averaged over the
+// dataset's settings.
+func predictMemoryType(ds *dataset.Dataset) (useShared, useConstant int, err error) {
 	x := make([][]float64, len(ds.Samples))
 	y := make([]float64, len(ds.Samples))
 	for i, s := range ds.Samples {
@@ -116,7 +113,7 @@ func (t *Tuner) predictMemoryType(ds *dataset.Dataset) (useShared, useConstant i
 		x[i] = row
 		y[i] = s.TimeMS
 	}
-	f, err := forest.Train(x, y, t.Forest)
+	f, err := forest.Train(x, y, forest.DefaultOptions())
 	if err != nil {
 		return 0, 0, err
 	}

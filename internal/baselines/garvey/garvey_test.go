@@ -20,7 +20,7 @@ func fixture(t testing.TB) (*sim.Simulator, *dataset.Dataset) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, stats.NewRand(31), 64, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(31), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +55,7 @@ func TestDimensionGroupsCoverSearchedParams(t *testing.T) {
 
 func TestPredictMemoryType(t *testing.T) {
 	_, ds := fixture(t)
-	g := New()
-	sh, co, err := g.predictMemoryType(ds)
+	sh, co, err := predictMemoryType(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +65,7 @@ func TestPredictMemoryType(t *testing.T) {
 		}
 	}
 	// Deterministic: the forest is seeded.
-	sh2, co2, err := g.predictMemoryType(ds)
+	sh2, co2, err := predictMemoryType(ds)
 	if err != nil || sh != sh2 || co != co2 {
 		t.Fatal("memory prediction not deterministic")
 	}

@@ -1,11 +1,9 @@
 package opentuner
 
 import (
-	"context"
 	"math"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/space"
@@ -26,7 +24,7 @@ func TestGlobalGAStepImproves(t *testing.T) {
 	obj := objective(t)
 	sp := obj.Space()
 	rng := stats.NewRand(3)
-	g := newGlobalGA(sp, rng, New())
+	g := newGlobalGA(sp, rng)
 	best := math.Inf(1)
 	measure := func(s space.Setting) float64 {
 		ms, err := obj.Measure(s)
@@ -50,57 +48,6 @@ func TestGlobalGAStepImproves(t *testing.T) {
 	}
 	if best > first {
 		t.Fatal("best-so-far regressed")
-	}
-}
-
-func TestDEStep(t *testing.T) {
-	obj := objective(t)
-	rng := stats.NewRand(5)
-	d := newDE(obj.Space(), rng, New())
-	best := math.Inf(1)
-	measure := func(s space.Setting) float64 {
-		ms, err := obj.Measure(s)
-		if err != nil {
-			return math.Inf(1)
-		}
-		if ms < best {
-			best = ms
-		}
-		return ms
-	}
-	for i := 0; i < 4; i++ {
-		d.step(measure)
-	}
-	if math.IsInf(best, 1) {
-		t.Fatal("DE never measured a valid setting")
-	}
-	// DE population entries must hold measured values (greedy replacement
-	// never adopts a worse candidate).
-	for _, ind := range d.pop {
-		if math.IsNaN(ind.ms) {
-			t.Fatal("unevaluated individual after stepping")
-		}
-	}
-}
-
-func TestHillClimberMovesDownhill(t *testing.T) {
-	obj := objective(t)
-	rng := stats.NewRand(7)
-	h := newHill(obj.Space(), rng)
-	measure := func(s space.Setting) float64 {
-		ms, err := obj.Measure(s)
-		if err != nil {
-			return math.Inf(1)
-		}
-		return ms
-	}
-	h.step(measure)
-	start := h.cur.ms
-	for i := 0; i < 10; i++ {
-		h.step(measure)
-	}
-	if h.cur.ms > start {
-		t.Fatalf("hill climber went uphill: %.3f -> %.3f", start, h.cur.ms)
 	}
 }
 
@@ -130,20 +77,5 @@ func TestMutateAndCrossProduceInRange(t *testing.T) {
 				t.Fatalf("mutation produced out-of-range %s=%d", sp.Params[p].Name, m[p])
 			}
 		}
-	}
-}
-
-func TestBanditPrefersImprovingTechnique(t *testing.T) {
-	// With the ensemble enabled, Tune must still find something decent —
-	// the bandit can shift budget but never starve everything.
-	obj := objective(t)
-	ot := NewEnsemble()
-	ot.MaxRounds = 10
-	eng := engine.New(obj)
-	if err := ot.Tune(context.Background(), eng, nil, 3, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, ms, ok := eng.Best(); !ok || ms <= 0 {
-		t.Fatal("ensemble found nothing")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -35,12 +34,8 @@ type Config struct {
 	// DatasetSize is the number of randomly sampled settings measured for
 	// the stencil dataset (paper: 128).
 	DatasetSize int
-	// NumMetricCollections bounds Algorithm 2's collection count.
-	NumMetricCollections int
 	// MaxGroupSize caps Algorithm 1 group growth (PMNF term width).
 	MaxGroupSize int
-	// IS and JS are the PMNF exponent ranges (paper: {0,1,2} and {0,1}).
-	IS, JS []int
 	// Sampling holds the ratio (paper: 10%) and candidate pool size.
 	Sampling sampling.Config
 	// GA holds the genetic-algorithm options (paper: 2×16, 0.8, 0.005).
@@ -61,18 +56,18 @@ type Config struct {
 	WarmStart []space.Setting
 }
 
+// numMetricCollections bounds Algorithm 2's collection count (paper: 4).
+const numMetricCollections = 4
+
 // DefaultConfig returns the paper's configuration.
 func DefaultConfig() Config {
 	return Config{
-		DatasetSize:          128,
-		NumMetricCollections: 4,
-		MaxGroupSize:         4,
-		IS:                   slices.Clone(pmnf.DefaultI),
-		JS:                   slices.Clone(pmnf.DefaultJ),
-		Sampling:             sampling.DefaultConfig(),
-		GA:                   ga.DefaultOptions(),
-		Seed:                 1,
-		EmitKernels:          true,
+		DatasetSize:  128,
+		MaxGroupSize: 4,
+		Sampling:     sampling.DefaultConfig(),
+		GA:           ga.DefaultOptions(),
+		Seed:         1,
+		EmitKernels:  true,
 	}
 }
 
@@ -155,7 +150,7 @@ func TuneCtx(ctx context.Context, obj sim.Objective, ds *dataset.Dataset, cfg Co
 		// Collected through the engine with the pipeline rng, which
 		// continues into the sampling stage; the results pre-warm the
 		// measurement cache.
-		ds, err = dataset.Collect(eng, rng, cfg.DatasetSize, 0)
+		ds, err = dataset.Collect(eng, rng, cfg.DatasetSize)
 		stopSpan()
 		if err != nil {
 			return nil, fmt.Errorf("core: dataset collection: %w", err)
@@ -199,7 +194,7 @@ func TuneCtx(ctx context.Context, obj sim.Objective, ds *dataset.Dataset, cfg Co
 	if err != nil {
 		return nil, fmt.Errorf("core: metric PCCs: %w", err)
 	}
-	collections := metrics.Combine(mpairs, cfg.NumMetricCollections)
+	collections := metrics.Combine(mpairs, numMetricCollections)
 	selected, err := metrics.Select(ds, collections)
 	if err != nil {
 		return nil, fmt.Errorf("core: metric selection: %w", err)
@@ -212,7 +207,7 @@ func TuneCtx(ctx context.Context, obj sim.Objective, ds *dataset.Dataset, cfg Co
 			return nil, err
 		}
 	}
-	models, err := pmnf.Fit(ds, groups, cols, cfg.IS, cfg.JS)
+	models, err := pmnf.Fit(ds, groups, cols)
 	if err != nil {
 		var te *pmnf.TargetError
 		if errors.As(err, &te) {
@@ -224,15 +219,14 @@ func TuneCtx(ctx context.Context, obj sim.Objective, ds *dataset.Dataset, cfg Co
 		rep.Models[sel.Name] = models[k]
 	}
 
-	// Note on the implicit-constraint prefilter: Config.Sampling.Prefilter
-	// can reject spill/capacity-invalid candidates before scoring, but it
-	// is intentionally NOT installed by default. Sampled-but-unbuildable
-	// settings still contribute per-group value tuples that recombine into
-	// valid, fast compositions during the group search; measured ablations
-	// show pool-level filtering costs final quality while saving only
-	// constraint checks the search rejects for free anyway (Sec. IV-B's
-	// check happens before code generation and measurement, which this
-	// pipeline honours at the kernel.Build boundary).
+	// The candidate pool is not filtered by the implicit resource
+	// constraints. Sampled-but-unbuildable settings still contribute
+	// per-group value tuples that recombine into valid, fast compositions
+	// during the group search; measured ablations show pool-level
+	// filtering costs final quality while saving only constraint checks the
+	// search rejects for free anyway (Sec. IV-B's check happens before code
+	// generation and measurement, which this pipeline honours at the
+	// kernel.Build boundary).
 	sampled, err := sampling.Build(ds, sp, groups, selected, rep.Models, rng, cfg.Sampling)
 	if err != nil {
 		return nil, fmt.Errorf("core: sampling: %w", err)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -60,7 +59,7 @@ func TestTuneEndToEnd(t *testing.T) {
 	// The tuned setting must beat the measured best of the random dataset
 	// it started from — otherwise the search added nothing. (Compare with
 	// a fresh dataset of the same size for an unbiased reference.)
-	ds, err := dataset.Collect(s, stats.NewRand(123), 64, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(123), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +94,7 @@ func TestTuneWithProvidedDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, stats.NewRand(9), 64, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(9), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +115,7 @@ func TestTuneWithProvidedDataset(t *testing.T) {
 func TestTuneSmallDatasetRejected(t *testing.T) {
 	sp, _ := space.New(stencil.J3D7PT())
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, stats.NewRand(2), 4, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(2), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,17 +169,5 @@ func TestGroupOrderLargestFirst(t *testing.T) {
 	}
 	if len(rep.GroupOrder) != len(rep.Groups) {
 		t.Fatalf("group order covers %d of %d groups", len(rep.GroupOrder), len(rep.Groups))
-	}
-}
-
-// TestDefaultConfigExponentsAreCopies edits one default config's exponent
-// ranges and checks that the next default config, and with it pmnf.Fit's
-// fallback, still has the paper's ranges.
-func TestDefaultConfigExponentsAreCopies(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.IS[0], cfg.JS[0] = 7, 7
-	next := DefaultConfig()
-	if !slices.Equal(next.IS, []int{0, 1, 2}) || !slices.Equal(next.JS, []int{0, 1}) {
-		t.Fatalf("DefaultConfig after an edit: IS %v JS %v, want [0 1 2] [0 1]", next.IS, next.JS)
 	}
 }

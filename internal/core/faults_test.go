@@ -43,7 +43,7 @@ func TestTuneSurvivesFlakyMeasurements(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, stats.NewRand(61), 64, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(61), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestTuneAllMeasurementsFail(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, stats.NewRand(62), 32, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(62), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestTuneRejectsMismatchedDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, stats.NewRand(71), 16, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(71), 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,7 +168,7 @@ func TestOversubscriptionPenalty(t *testing.T) {
 // TestCsTunerTunesCPU: the pipeline tunes the CPU workload unchanged.
 func TestCsTunerTunesCPU(t *testing.T) {
 	w := workload(t)
-	ds, err := dataset.Collect(w, stats.NewRand(19), 80, 0)
+	ds, err := dataset.Collect(w, stats.NewRand(19), 80)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,20 +40,16 @@ type Runner interface {
 }
 
 // Collect randomly samples the constrained space until n valid settings have
-// been measured (deduplicated by setting). maxTries bounds the rejection
-// loop; <=0 means 1000·n.
+// been measured (deduplicated by setting), giving up after 1000·n draws.
 //
 // The kept settings share one array, and each draw is made into the next
 // free slot of it: a draw that repeats a kept setting, or that r fails to
 // run, leaves its slot to the next draw, so only kept settings take
 // memory. The kept settings are looked up in a space.Coded, so no draw
 // renders a key.
-func Collect(r Runner, rng *stats.Rand, n, maxTries int) (*Dataset, error) {
+func Collect(r Runner, rng *stats.Rand, n int) (*Dataset, error) {
 	if n <= 0 {
 		return nil, errors.New("dataset: non-positive sample count")
-	}
-	if maxTries <= 0 {
-		maxTries = 1000 * n
 	}
 	sp := r.Space()
 	ds := &Dataset{Samples: make([]Sample, 0, n)}
@@ -62,7 +58,7 @@ func Collect(r Runner, rng *stats.Rand, n, maxTries int) (*Dataset, error) {
 	}
 	kept := sp.NewCoded(n)
 	free := make([]int, n*sp.N())
-	for tries := 0; len(ds.Samples) < n && tries < maxTries; tries++ {
+	for tries := 0; len(ds.Samples) < n && tries < 1000*n; tries++ {
 		set := space.Setting(free[:sp.N():sp.N()])
 		sp.RandomInto(set, rng)
 		if kept.Has(set) {
@@ -146,29 +142,6 @@ func (d *Dataset) Times() []float64 {
 		out[i] = s.TimeMS
 	}
 	return out
-}
-
-// ParamColumn extracts one parameter's raw value across all samples.
-func (d *Dataset) ParamColumn(p int) ([]float64, error) {
-	if p < 0 || len(d.Samples) == 0 || p >= len(d.Samples[0].Setting) {
-		return nil, fmt.Errorf("dataset: parameter index %d out of range", p)
-	}
-	out := make([]float64, len(d.Samples))
-	for i, s := range d.Samples {
-		out[i] = float64(s.Setting[p])
-	}
-	return out, nil
-}
-
-// Lookup returns the sample with the given setting, if present.
-func (d *Dataset) Lookup(s space.Setting) (Sample, bool) {
-	key := s.Key()
-	for i := range d.Samples {
-		if d.Samples[i].Setting.Key() == key {
-			return d.Samples[i], true
-		}
-	}
-	return Sample{}, false
 }
 
 // Save serializes the dataset as JSON.

@@ -160,7 +160,7 @@ func TestV100Slower(t *testing.T) {
 // non-stencil workload through the same Objective surface.
 func TestCsTunerTunesGEMM(t *testing.T) {
 	w := workload(t)
-	ds, err := dataset.Collect(w, stats.NewRand(8), 96, 0)
+	ds, err := dataset.Collect(w, stats.NewRand(8), 96)
 	if err != nil {
 		t.Fatal(err)
 	}

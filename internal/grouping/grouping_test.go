@@ -20,7 +20,7 @@ func testDataset(t *testing.T, n int) (*dataset.Dataset, *space.Space) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, stats.NewRand(11), n, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(11), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func BenchmarkPairCVs(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, stats.NewRand(1), 128, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(1), 128)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/baselines"
@@ -81,8 +80,9 @@ func Methods() []baselines.Tuner {
 	return []baselines.Tuner{cstuner.New(), garvey.New(), opentuner.New(), artemis.New()}
 }
 
-// quickMethods trims csTuner's pools so repeated harness runs stay fast
-// while preserving the pipeline structure.
+// methodsFor returns Methods with csTuner's dataset sized by o and, under
+// budgets below 100 s, its candidate pool trimmed to 1,024, so repeated
+// harness runs stay fast while preserving the pipeline structure.
 func methodsFor(o Options) []baselines.Tuner {
 	ms := Methods()
 	cs := ms[0].(*cstuner.Tuner)
@@ -417,14 +417,4 @@ func formatCurve(xs []float64) string {
 		}
 	}
 	return out
-}
-
-// RankMethods returns method names ordered by their value in m (ascending).
-func RankMethods(m map[string]float64) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(a, b int) bool { return m[names[a]] < m[names[b]] })
-	return names
 }

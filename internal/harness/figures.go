@@ -22,7 +22,7 @@ type MotivationSample struct {
 // stencil and measures them one at a time (paper Sec. III samples >20,000
 // per stencil; the sample size is a knob so tests stay fast).
 func CollectMotivation(fx *Fixture, n int, seed int64) (*MotivationSample, error) {
-	ds, err := dataset.Collect(fx.Sim, stats.NewRand(seed), n, 1000*n)
+	ds, err := dataset.Collect(fx.Sim, stats.NewRand(seed), n)
 	if err != nil {
 		return nil, fmt.Errorf("harness: motivation sample: %w", err)
 	}

@@ -389,10 +389,3 @@ func TestCampaignMeasuredNothing(t *testing.T) {
 		}
 	}
 }
-
-func TestRankMethods(t *testing.T) {
-	order := RankMethods(map[string]float64{"a": 3, "b": 1, "c": 2})
-	if order[0] != "b" || order[1] != "c" || order[2] != "a" {
-		t.Fatalf("RankMethods = %v", order)
-	}
-}

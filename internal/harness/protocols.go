@@ -36,7 +36,7 @@ func NewFixture(st *stencil.Stencil, arch *gpu.Arch, dsSize int, seed int64) (*F
 	s := sim.New(sp, arch)
 	// Collected on the simulator itself, so nothing from collection leaks
 	// into the metered tuning runs built on this fixture.
-	ds, err := dataset.Collect(s, stats.NewRand(seed), dsSize, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(seed), dsSize)
 	if err != nil {
 		return nil, err
 	}

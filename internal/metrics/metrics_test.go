@@ -19,7 +19,7 @@ func testDataset(t *testing.T) *dataset.Dataset {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, stats.NewRand(21), 64, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(21), 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func forEachTune(t *testing.T, visit func(name string, sp *space.Space, ds *data
 				if err != nil {
 					t.Fatal(err)
 				}
-				ds, err := dataset.Collect(sim.New(sp, arch), stats.NewRand(seed), 64, 0)
+				ds, err := dataset.Collect(sim.New(sp, arch), stats.NewRand(seed), 64)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,13 +85,13 @@ func sameBits(a, b []float64) bool {
 func TestFitMatchesPerTargetReference(t *testing.T) {
 	forEachTune(t, func(name string, _ *space.Space, ds *dataset.Dataset, groups [][]int, sel []metrics.Selected) {
 		cols := metricColumns(t, ds, sel)
-		models, err := Fit(ds, groups, cols, nil, nil)
+		models, err := Fit(ds, groups, cols)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for k, col := range cols {
 			got := models[k]
-			want, err := referenceFit(ds, groups, col, DefaultI, DefaultJ)
+			want, err := referenceFit(ds, groups, col)
 			if err != nil {
 				t.Fatalf("%s %s: reference: %v", name, sel[k].Name, err)
 			}
@@ -121,7 +121,7 @@ func TestPoolPredictMatchesPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := dataset.Collect(sim.New(sp, gpu.A100()), stats.NewRand(3), 96, 0)
+	ds, err := dataset.Collect(sim.New(sp, gpu.A100()), stats.NewRand(3), 96)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestPoolPredictMatchesPredict(t *testing.T) {
 	// One wide group whose code range (11·11·7·11 values) exceeds any pool
 	// below, and the parameter of the value outside its list alone.
 	groups = append(groups, []int{space.TBX, space.TBY, space.TBZ, space.SB}, []int{space.UFY})
-	models, err := Fit(ds, groups, metricColumns(t, ds, sel), nil, nil)
+	models, err := Fit(ds, groups, metricColumns(t, ds, sel))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,10 +23,11 @@ import (
 	"repro/internal/stats"
 )
 
-// DefaultI and DefaultJ are the paper's exponent ranges (Sec. V-A2).
+// exponentsI and exponentsJ are the paper's exponent ranges I and J
+// (Sec. V-A2).
 var (
-	DefaultI = []int{0, 1, 2}
-	DefaultJ = []int{0, 1}
+	exponentsI = [...]int{0, 1, 2}
+	exponentsJ = [...]int{0, 1}
 )
 
 // Model is one fitted PMNF function for a single target (a GPU metric or
@@ -44,14 +45,15 @@ type Model struct {
 
 // Fit fits one model per target and returns them in the order of targets;
 // every target must align with ds.Samples. For each target it enumerates
-// the (i, j) candidates, fits each by least squares on the dataset, and
-// keeps the one with the smallest RSE, the first in (i, j) order on a tie.
+// the (i, j) candidates of I×J, fits each by least squares on the dataset,
+// and keeps the one with the smallest RSE, the first in (i, j) order on a
+// tie.
 //
 // A candidate's design, the standardized feature rows and the eliminated
 // normal equations, depends only on the settings, so Fit builds it once and
 // solves it for every target. Each target's solution takes the same float
 // operations in the same order as a fit of that target alone.
-func Fit(ds *dataset.Dataset, groups [][]int, targets [][]float64, is, js []int) ([]*Model, error) {
+func Fit(ds *dataset.Dataset, groups [][]int, targets [][]float64) ([]*Model, error) {
 	if len(targets) == 0 {
 		return nil, errors.New("pmnf: no targets")
 	}
@@ -63,17 +65,11 @@ func Fit(ds *dataset.Dataset, groups [][]int, targets [][]float64, is, js []int)
 	if len(ds.Samples) == 0 {
 		return nil, errors.New("pmnf: empty dataset")
 	}
-	if len(is) == 0 {
-		is = DefaultI
-	}
-	if len(js) == 0 {
-		js = DefaultJ
-	}
 
 	d := newDesign(len(ds.Samples), len(groups)+1)
 	models := make([]*Model, len(targets))
-	for _, i := range is {
-		for _, j := range js {
+	for _, i := range exponentsI {
+		for _, j := range exponentsJ {
 			if i == 0 && j == 0 {
 				// Every term degenerates to a constant; nothing to fit.
 				continue

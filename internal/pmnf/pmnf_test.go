@@ -107,7 +107,7 @@ func TestFitRecoversSyntheticFunction(t *testing.T) {
 	rng := stats.NewRand(77)
 	for _, exp := range []struct{ i, j int }{{1, 0}, {2, 0}, {1, 1}, {0, 1}} {
 		ds, target := synthDataset(t, groups, exp.i, exp.j, rng)
-		ms, err := Fit(ds, groups, [][]float64{target}, nil, nil)
+		ms, err := Fit(ds, groups, [][]float64{target})
 		if err != nil {
 			t.Fatalf("(i=%d,j=%d): %v", exp.i, exp.j, err)
 		}
@@ -125,7 +125,7 @@ func TestPredictMatchesTraining(t *testing.T) {
 	groups := [][]int{{space.TBX}, {space.UFY, space.BMY}}
 	rng := stats.NewRand(13)
 	ds, target := synthDataset(t, groups, 1, 1, rng)
-	ms, err := Fit(ds, groups, [][]float64{target}, nil, nil)
+	ms, err := Fit(ds, groups, [][]float64{target})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestPredictAllocs(t *testing.T) {
 	groups := [][]int{{space.TBX, space.TBY}, {space.UFX}, {space.UseShared}}
 	rng := stats.NewRand(3)
 	ds, target := synthDataset(t, groups, 2, 1, rng)
-	ms, err := Fit(ds, groups, [][]float64{target}, nil, nil)
+	ms, err := Fit(ds, groups, [][]float64{target})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestFitOnSimulatorMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, stats.NewRand(31), 96, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(31), 96)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestFitOnSimulatorMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := Fit(ds, groups, [][]float64{col}, nil, nil)
+	ms, err := Fit(ds, groups, [][]float64{col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,15 +254,15 @@ func TestFitOnSimulatorMetrics(t *testing.T) {
 func TestFitErrors(t *testing.T) {
 	sp, _ := space.New(stencil.J3D7PT())
 	ds := &dataset.Dataset{}
-	if _, err := Fit(ds, [][]int{{0}}, [][]float64{nil}, nil, nil); err == nil {
+	if _, err := Fit(ds, [][]int{{0}}, [][]float64{nil}); err == nil {
 		t.Fatal("empty dataset should error")
 	}
 	rng := stats.NewRand(1)
 	ds.Samples = append(ds.Samples, dataset.Sample{Setting: sp.Random(rng), TimeMS: 1})
-	if _, err := Fit(ds, [][]int{{0}}, [][]float64{{1, 2}}, nil, nil); err == nil {
+	if _, err := Fit(ds, [][]int{{0}}, [][]float64{{1, 2}}); err == nil {
 		t.Fatal("target length mismatch should error")
 	}
-	if _, err := Fit(ds, [][]int{{0}}, nil, nil, nil); err == nil {
+	if _, err := Fit(ds, [][]int{{0}}, nil); err == nil {
 		t.Fatal("no targets should error")
 	}
 
@@ -272,7 +272,7 @@ func TestFitErrors(t *testing.T) {
 	ds, target := synthDataset(t, groups, 1, 0, rng)
 	bad := append([]float64(nil), target...)
 	bad[3] = math.NaN()
-	_, err := Fit(ds, groups, [][]float64{target, bad}, nil, nil)
+	_, err := Fit(ds, groups, [][]float64{target, bad})
 	var te *TargetError
 	if !errors.As(err, &te) || te.Target != 1 {
 		t.Fatalf("Fit with a NaN second target: %v, want a TargetError for target 1", err)
@@ -295,7 +295,7 @@ func BenchmarkFit(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, stats.NewRand(1), 128, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(1), 128)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func BenchmarkFit(b *testing.B) {
 		targets := [][]float64{ds.Times()}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Fit(ds, groups, targets, nil, nil); err != nil {
+			if _, err := Fit(ds, groups, targets); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -317,7 +317,7 @@ func BenchmarkFit(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := Fit(ds, groups, targets, nil, nil); err != nil {
+			if _, err := Fit(ds, groups, targets); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -63,11 +63,12 @@ func fitOne(ds *dataset.Dataset, groups [][]int, target []float64, i, j int) (*M
 }
 
 // referenceFit is the single-target Fit of the reference: every candidate
-// fitted by fitOne, the smallest RSE kept, the first on a tie.
-func referenceFit(ds *dataset.Dataset, groups [][]int, target []float64, is, js []int) (*Model, error) {
+// of the paper's I = {0,1,2} and J = {0,1} fitted by fitOne, the smallest
+// RSE kept, the first on a tie.
+func referenceFit(ds *dataset.Dataset, groups [][]int, target []float64) (*Model, error) {
 	var best *Model
-	for _, i := range is {
-		for _, j := range js {
+	for _, i := range []int{0, 1, 2} {
+		for _, j := range []int{0, 1} {
 			if i == 0 && j == 0 {
 				continue
 			}

@@ -29,13 +29,6 @@ type Config struct {
 	// PoolSize is the number of candidate settings scored (dataset samples
 	// are always included on top). Default 4096.
 	PoolSize int
-	// Prefilter, when set, rejects candidates before scoring — csTuner
-	// plugs in the implicit resource-constraint check here ("csTuner
-	// checks the above constraints before generating the search codes so
-	// that only non-spilled parameter settings are explored", Sec. IV-B).
-	// It may not keep its argument: the next candidate is drawn into the
-	// same setting.
-	Prefilter func(space.Setting) bool
 }
 
 // DefaultConfig mirrors the paper's evaluation setup.
@@ -130,9 +123,8 @@ func Build(ds *dataset.Dataset, sp *space.Space, groups [][]int,
 
 // candidates returns the pool Build scores, coded: the measured dataset
 // settings plus fresh random valid settings, deduplicated, in that order.
-// The random settings are drawn into one setting; a draw that
-// cfg.Prefilter rejects or that repeats a pool entry is overwritten by the
-// next.
+// The random settings are drawn into one setting; a draw that repeats a
+// pool entry is overwritten by the next.
 func candidates(ds *dataset.Dataset, sp *space.Space, rng *stats.Rand, cfg Config) (*space.Coded, error) {
 	n := sp.N()
 	size := cfg.PoolSize + len(ds.Samples)
@@ -149,9 +141,6 @@ func candidates(ds *dataset.Dataset, sp *space.Space, rng *stats.Rand, cfg Confi
 	cand := make(space.Setting, n)
 	for tries := 0; pool.Len() < size && tries < 50*cfg.PoolSize; tries++ {
 		sp.RandomInto(cand, rng)
-		if cfg.Prefilter != nil && !cfg.Prefilter(cand) {
-			continue
-		}
 		if _, err := pool.Add(cand); err != nil {
 			return nil, err
 		}

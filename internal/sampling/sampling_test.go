@@ -27,7 +27,7 @@ func pipelineTo(tb testing.TB) (*dataset.Dataset, *space.Space, [][]int, []metri
 		tb.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	ds, err := dataset.Collect(s, stats.NewRand(41), 96, 0)
+	ds, err := dataset.Collect(s, stats.NewRand(41), 96)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func fitModels(tb testing.TB, ds *dataset.Dataset, sp *space.Space) ([][]int, []
 			tb.Fatal(err)
 		}
 	}
-	fits, err := pmnf.Fit(ds, groups, cols, nil, nil)
+	fits, err := pmnf.Fit(ds, groups, cols)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -293,8 +293,8 @@ func TestTupleIndexMissAndBounds(t *testing.T) {
 
 // freshPool is the candidate pool as it was drawn before the pool was
 // coded: the dataset settings, then a fresh Space.Random per draw, each
-// kept unless cfg.Prefilter rejects it or an earlier candidate has its
-// key, drawn from a generator seeded with seed.
+// kept unless an earlier candidate has its key, drawn from a generator
+// seeded with seed.
 func freshPool(ds *dataset.Dataset, sp *space.Space, seed int64, cfg Config) []space.Setting {
 	want := make([]space.Setting, 0, len(ds.Samples)+cfg.PoolSize)
 	seen := map[string]bool{}
@@ -307,7 +307,7 @@ func freshPool(ds *dataset.Dataset, sp *space.Space, seed int64, cfg Config) []s
 	rng := stats.NewRand(seed)
 	for tries := 0; len(want) < cap(want) && tries < 50*cfg.PoolSize; tries++ {
 		s := sp.Random(rng)
-		if (cfg.Prefilter == nil || cfg.Prefilter(s)) && !seen[s.Key()] {
+		if !seen[s.Key()] {
 			seen[s.Key()] = true
 			want = append(want, s)
 		}
@@ -315,22 +315,10 @@ func freshPool(ds *dataset.Dataset, sp *space.Space, seed int64, cfg Config) []s
 	return want
 }
 
-// prefilters are the prefilters the pool tests run under: none, one
-// rejecting a third of the draws, and one rejecting every draw.
-var prefilters = []struct {
-	name   string
-	accept func(space.Setting) bool
-}{
-	{"none", nil},
-	{"third", func(s space.Setting) bool { return s.Hash()%3 != 0 }},
-	{"all", func(space.Setting) bool { return false }},
-}
-
 // TestCandidatesMatchFreshDraws checks the coded pool, drawn into one
 // reused setting and deduplicated by its codes, against pools drawn with
-// a fresh Space.Random per candidate and deduplicated by key, under
-// prefilters that reject nothing, a third and every draw: decoding must
-// give the same candidates in the same order. Real pools hold almost no
+// a fresh Space.Random per candidate and deduplicated by key: decoding
+// must give the same candidates in the same order. Real pools hold almost no
 // repeats, so two cases make them: a dataset of the pool's own first
 // draws, each twice, and a space of 24 settings, whose pool fills with
 // repeats until the try budget ends. A fourth adds dataset settings with
@@ -363,21 +351,19 @@ func TestCandidatesMatchFreshDraws(t *testing.T) {
 		ds   *dataset.Dataset
 		sp   *space.Space
 	}{{"helmholtz", ds, sp}, {"echo", echo, sp}, {"tiny", tinyDS, tiny}, {"foreign", foreign, sp}} {
-		for _, f := range prefilters {
-			cfg := Config{Ratio: 0.1, PoolSize: 500, Prefilter: f.accept}
-			got, err := candidates(tc.ds, tc.sp, stats.NewRand(9), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := freshPool(tc.ds, tc.sp, 9, cfg)
-			if got.Len() != len(want) {
-				t.Fatalf("%s, prefilter %s: pool of %d, fresh draws give %d", tc.name, f.name, got.Len(), len(want))
-			}
-			s := make(space.Setting, tc.sp.N())
-			for i := range want {
-				if got.Decode(i, s); !s.Equal(want[i]) {
-					t.Fatalf("%s, prefilter %s: candidate %d is %v, fresh draws give %v", tc.name, f.name, i, s, want[i])
-				}
+		cfg := Config{Ratio: 0.1, PoolSize: 500}
+		got, err := candidates(tc.ds, tc.sp, stats.NewRand(9), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := freshPool(tc.ds, tc.sp, 9, cfg)
+		if got.Len() != len(want) {
+			t.Fatalf("%s: pool of %d, fresh draws give %d", tc.name, got.Len(), len(want))
+		}
+		s := make(space.Setting, tc.sp.N())
+		for i := range want {
+			if got.Decode(i, s); !s.Equal(want[i]) {
+				t.Fatalf("%s: candidate %d is %v, fresh draws give %v", tc.name, i, s, want[i])
 			}
 		}
 	}
@@ -420,30 +406,27 @@ func referenceBuild(t *testing.T, ds *dataset.Dataset, sp *space.Space, groups [
 }
 
 // TestBuildMatchesSettingPool runs Build against referenceBuild on the
-// same seeds, under prefilters that reject nothing, a third and every
-// draw, and with one metric's weight NaN, which makes every score NaN and
-// sends the ranking through rank: the kept settings, their order and the
-// re-indexed Values must be equal.
+// same seeds, and with one metric's weight NaN, which makes every score
+// NaN and sends the ranking through rank: the kept settings, their order
+// and the re-indexed Values must be equal.
 func TestBuildMatchesSettingPool(t *testing.T) {
 	ds, sp, groups, sel, models, _ := pipelineTo(t)
 	nan := slices.Clone(sel)
 	nan[len(nan)-1].TimePCC = math.NaN()
-	for _, f := range prefilters {
-		for _, selected := range [][]metrics.Selected{sel, nan} {
-			for _, seed := range []int64{1, 2} {
-				cfg := Config{Ratio: 0.1, PoolSize: 700, Prefilter: f.accept}
-				got, err := Build(ds, sp, groups, selected, models, stats.NewRand(seed), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := referenceBuild(t, ds, sp, groups, selected, models, seed, cfg)
-				where := fmt.Sprintf("prefilter %s, NaN weight %v, seed %d", f.name, math.IsNaN(selected[len(selected)-1].TimePCC), seed)
-				if !slices.EqualFunc(got.Settings, want.Settings, space.Setting.Equal) {
-					t.Fatalf("%s: kept %d settings, the reference %d, or in another order", where, len(got.Settings), len(want.Settings))
-				}
-				if !slices.EqualFunc(got.Values, want.Values, func(a, b [][]int) bool { return slices.EqualFunc(a, b, slices.Equal[[]int]) }) {
-					t.Fatalf("%s: Values differ from the reference", where)
-				}
+	for _, selected := range [][]metrics.Selected{sel, nan} {
+		for _, seed := range []int64{1, 2} {
+			cfg := Config{Ratio: 0.1, PoolSize: 700}
+			got, err := Build(ds, sp, groups, selected, models, stats.NewRand(seed), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceBuild(t, ds, sp, groups, selected, models, seed, cfg)
+			where := fmt.Sprintf("NaN weight %v, seed %d", math.IsNaN(selected[len(selected)-1].TimePCC), seed)
+			if !slices.EqualFunc(got.Settings, want.Settings, space.Setting.Equal) {
+				t.Fatalf("%s: kept %d settings, the reference %d, or in another order", where, len(got.Settings), len(want.Settings))
+			}
+			if !slices.EqualFunc(got.Values, want.Values, func(a, b [][]int) bool { return slices.EqualFunc(a, b, slices.Equal[[]int]) }) {
+				t.Fatalf("%s: Values differ from the reference", where)
 			}
 		}
 	}
@@ -515,7 +498,7 @@ func TestPoolScoringMatchesPredict(t *testing.T) {
 					t.Fatal(err)
 				}
 				rng := stats.NewRand(seed)
-				ds, err := dataset.Collect(sim.New(sp, arch), rng, 64, 0)
+				ds, err := dataset.Collect(sim.New(sp, arch), rng, 64)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -112,23 +112,6 @@ func TestPropertyRandomAlwaysValid(t *testing.T) {
 	}
 }
 
-func TestPropertyNeighborStaysInSpace(t *testing.T) {
-	rng := stats.NewRand(41)
-	for _, sp := range propertySpaces(t) {
-		s := sp.Default()
-		for i := 0; i < 60; i++ {
-			n := sp.Neighbor(s, rng)
-			if err := sp.Validate(n); err != nil {
-				t.Fatalf("%s: Neighbor left the space: %v (%v)", sp.Stencil.Name, err, n)
-			}
-			if n.Equal(s) {
-				t.Fatalf("%s: Neighbor returned the input unchanged", sp.Stencil.Name)
-			}
-			s = n // walk
-		}
-	}
-}
-
 func TestPropertyRepairIdempotentAndCanonical(t *testing.T) {
 	rng := stats.NewRand(23)
 	for _, sp := range propertySpaces(t) {

@@ -578,38 +578,6 @@ func geomIndex(rng *stats.Rand, n int) int {
 	return i
 }
 
-// Neighbor returns a valid setting one local move away from s: a single
-// parameter nudged to an adjacent legal value, followed by canonical repair.
-// When no repairable single-step move exists (or s itself is degenerate) it
-// falls back to a fresh random draw, so the result is always valid.
-func (sp *Space) Neighbor(s Setting, rng *stats.Rand) Setting {
-	for tries := 0; tries < 64; tries++ {
-		n := s.Clone()
-		i := rng.Intn(len(sp.Params))
-		vals := sp.Params[i].Values
-		j := sp.Params[i].Index(n[i])
-		if j < 0 || len(vals) < 2 {
-			continue
-		}
-		switch {
-		case j == 0:
-			j++
-		case j == len(vals)-1:
-			j--
-		case rng.Intn(2) == 0:
-			j--
-		default:
-			j++
-		}
-		n[i] = vals[j]
-		sp.Repair(n, rng)
-		if sp.Validate(n) == nil && !n.Equal(s) {
-			return n
-		}
-	}
-	return sp.Random(rng)
-}
-
 // Repair rewrites s in place into canonical streaming form and clamps the
 // easily-repaired numeric constraints, leaving only rare residual conflicts
 // to rejection. The result may still be invalid; callers must re-Validate.

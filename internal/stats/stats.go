@@ -125,58 +125,6 @@ func RSE(observed, predicted []float64, p int) (float64, error) {
 	return math.Sqrt(rss / float64(n-p)), nil
 }
 
-// Min returns the smallest element of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest element of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between closest ranks. xs is not modified.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 {
-		return 0, errors.New("stats: quantile out of [0,1]")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0], nil
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo], nil
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
-}
-
 // Histogram bins xs into len(edges)-1 bins with half-open intervals
 // [edges[i], edges[i+1]), the final bin closed on the right. Values outside
 // the edge range are dropped. It returns per-bin counts.
@@ -232,9 +180,6 @@ func Normalize(counts []int) []float64 {
 // construction (paper Sec. IV-B starts bool/enum parameters at 1 so the log
 // is legitimate); callers must uphold that invariant.
 func Log2(x float64) float64 { return math.Log2(x) }
-
-// IsPow2 reports whether v is a positive power of two.
-func IsPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 
 // NextPow2 returns the smallest power of two >= v (v >= 1).
 func NextPow2(v int) int {

@@ -41,15 +41,6 @@ func TestEmptyErrors(t *testing.T) {
 	if _, err := PCC(nil, nil); err != ErrEmpty {
 		t.Fatalf("PCC(nil,nil) err = %v, want ErrEmpty", err)
 	}
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Fatalf("Min(nil) err = %v, want ErrEmpty", err)
-	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Fatalf("Max(nil) err = %v, want ErrEmpty", err)
-	}
-	if _, err := Quantile(nil, 0.5); err != ErrEmpty {
-		t.Fatalf("Quantile(nil) err = %v, want ErrEmpty", err)
-	}
 }
 
 func TestCV(t *testing.T) {
@@ -144,39 +135,6 @@ func TestRSE(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if m, _ := Min(xs); m != -1 {
-		t.Fatalf("Min = %v", m)
-	}
-	if m, _ := Max(xs); m != 7 {
-		t.Fatalf("Max = %v", m)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if q, _ := Quantile(xs, 0); q != 1 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q, _ := Quantile(xs, 1); q != 5 {
-		t.Fatalf("q1 = %v", q)
-	}
-	if q, _ := Quantile(xs, 0.5); q != 3 {
-		t.Fatalf("q0.5 = %v", q)
-	}
-	if q, _ := Quantile(xs, 0.25); q != 2 {
-		t.Fatalf("q0.25 = %v", q)
-	}
-	if _, err := Quantile(xs, 1.5); err == nil {
-		t.Fatal("Quantile(1.5) should error")
-	}
-	// Input must not be reordered.
-	if xs[0] != 1 || xs[4] != 5 {
-		t.Fatal("Quantile mutated its input")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	edges := []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
 	xs := []float64{0, 0.1, 0.2, 0.5, 0.99, 1.0, -0.5, 1.5}
@@ -241,9 +199,6 @@ func TestNormalize(t *testing.T) {
 }
 
 func TestPow2Helpers(t *testing.T) {
-	if !IsPow2(1) || !IsPow2(1024) || IsPow2(0) || IsPow2(3) || IsPow2(-4) {
-		t.Fatal("IsPow2 misbehaves")
-	}
 	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 5: 8, 1024: 1024, 1025: 2048}
 	for in, want := range cases {
 		if got := NextPow2(in); got != want {
@@ -262,37 +217,6 @@ func TestPow2Helpers(t *testing.T) {
 	}
 	if got := Pow2sUpTo(0); got != nil {
 		t.Fatalf("Pow2sUpTo(0) = %v, want nil", got)
-	}
-}
-
-func TestSplitMix64Deterministic(t *testing.T) {
-	a := NewSplitMix64(42)
-	b := NewSplitMix64(42)
-	for i := 0; i < 100; i++ {
-		if a.Next() != b.Next() {
-			t.Fatal("same seed must generate same sequence")
-		}
-	}
-	c := NewSplitMix64(43)
-	same := 0
-	a = NewSplitMix64(42)
-	for i := 0; i < 100; i++ {
-		if a.Next() == c.Next() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("different seeds collide too often: %d/100", same)
-	}
-}
-
-func TestSplitMix64Float64Range(t *testing.T) {
-	g := NewSplitMix64(7)
-	for i := 0; i < 10000; i++ {
-		f := g.Float64()
-		if f < 0 || f >= 1 {
-			t.Fatalf("Float64 out of range: %v", f)
-		}
 	}
 }
 
@@ -335,7 +259,7 @@ func TestKeyHashIsFNV1a(t *testing.T) {
 
 func BenchmarkCV(b *testing.B) {
 	xs := make([]float64, 1024)
-	g := NewSplitMix64(1)
+	g := NewRand(1)
 	for i := range xs {
 		xs[i] = g.Float64() + 0.5
 	}
@@ -350,7 +274,7 @@ func BenchmarkCV(b *testing.B) {
 func BenchmarkPCC(b *testing.B) {
 	xs := make([]float64, 1024)
 	ys := make([]float64, 1024)
-	g := NewSplitMix64(1)
+	g := NewRand(1)
 	for i := range xs {
 		xs[i] = g.Float64()
 		ys[i] = g.Float64()

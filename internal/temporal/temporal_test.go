@@ -151,7 +151,7 @@ func TestHighOrderLimitsDegree(t *testing.T) {
 
 func TestCsTunerTunesTemporal(t *testing.T) {
 	w := workload(t)
-	ds, err := dataset.Collect(w, stats.NewRand(23), 80, 0)
+	ds, err := dataset.Collect(w, stats.NewRand(23), 80)
 	if err != nil {
 		t.Fatal(err)
 	}
