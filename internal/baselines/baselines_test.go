@@ -3,6 +3,7 @@ package baselines_test
 import (
 	"context"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -59,8 +60,9 @@ func tune(t *testing.T, tn baselines.Tuner, s *sim.Simulator, ds *dataset.Datase
 func TestAllTunersBeatRandom(t *testing.T) {
 	s, ds := fixture(t)
 	// Median of the dataset as the random reference.
-	idx := ds.SortedByTime()
-	median := ds.Samples[idx[len(idx)/2]].TimeMS
+	times := ds.Times()
+	slices.Sort(times)
+	median := times[len(times)/2]
 
 	for _, tn := range allTuners() {
 		best, ms, ok := tune(t, tn, s, ds, 7, nil).Best()

@@ -60,17 +60,6 @@ func (l *Ledgers) tenantLocked(tenant string) *tenantAcct {
 	return a
 }
 
-// SetBudget overrides one tenant's budget; 0 makes the tenant unmetered.
-// Shrinking a budget below the tenant's current position is allowed — it
-// refuses future admissions but never claws back admitted work.
-func (l *Ledgers) SetBudget(tenant string, budgetS float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	a := l.tenantLocked(tenant)
-	a.budgetS = budgetS
-	a.hasBudget = budgetS > 0
-}
-
 // Reserve admits a campaign of budgetS against the tenant's ledger, or
 // refuses with ErrTenantBudget. force bypasses the check — the registry
 // uses it on restart to re-admit campaigns that were admitted before the

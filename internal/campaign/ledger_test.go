@@ -66,6 +66,17 @@ func TestLedgerForceBypassesAdmission(t *testing.T) {
 	}
 }
 
+// setBudget overrides one tenant's budget; 0 makes the tenant unmetered.
+// Shrinking a budget below the tenant's current position is allowed — it
+// refuses future admissions but never claws back admitted work.
+func (l *Ledgers) setBudget(tenant string, budgetS float64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	a := l.tenantLocked(tenant)
+	a.budgetS = budgetS
+	a.hasBudget = budgetS > 0
+}
+
 func TestLedgerUnmeteredTenant(t *testing.T) {
 	l := NewLedgers(0)
 	for i := 0; i < 50; i++ {
@@ -73,7 +84,7 @@ func TestLedgerUnmeteredTenant(t *testing.T) {
 			t.Fatalf("unmetered tenant refused: %v", err)
 		}
 	}
-	l.SetBudget("free", 1)
+	l.setBudget("free", 1)
 	if err := l.Reserve("free", 1, false); !errors.Is(err, ErrTenantBudget) {
 		t.Fatalf("newly-metered tenant should be refused, got %v", err)
 	}

@@ -33,6 +33,9 @@ func (c *countingObjective) Measure(s space.Setting) (float64, error) {
 // the metered search phase, after the dataset exists.
 func (c *countingObjective) Run(s space.Setting) (*sim.Result, error) { return c.inner.Run(s) }
 
+// Architecture names the simulator's GPU, so codegen runs behind the wrapper.
+func (c *countingObjective) Architecture() *gpu.Arch { return c.inner.Architecture() }
+
 func TestTuneCtxPreCancelled(t *testing.T) {
 	sp, err := space.New(stencil.Helmholtz())
 	if err != nil {

@@ -13,11 +13,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/ga"
+	"repro/internal/gpu"
 	"repro/internal/grouping"
 	"repro/internal/kernel"
 	"repro/internal/metrics"
@@ -73,7 +75,11 @@ func DefaultConfig() Config {
 
 // Overhead is the wall-clock breakdown of the pre-processing stages
 // (Fig. 12): parameter grouping, search-space sampling (metric combination +
-// PMNF fitting + filtering), and code generation.
+// PMNF fitting + the candidate pool's draw + filtering), and code
+// generation. Each field is its stage's own elapsed time, read through the
+// engine's clock on the goroutine that ran the stage. The pool draw runs
+// beside grouping and fitting, and codegen beside the search, so the
+// stage times may add up to more than the tune's wall time.
 type Overhead struct {
 	Grouping time.Duration
 	Sampling time.Duration
@@ -148,7 +154,7 @@ func TuneCtx(ctx context.Context, obj sim.Objective, ds *dataset.Dataset, cfg Co
 		stopSpan := eng.Time("dataset")
 		var err error
 		// Collected through the engine with the pipeline rng, which
-		// continues into the sampling stage; the results pre-warm the
+		// continues into the pool draw; the results pre-warm the
 		// measurement cache.
 		ds, err = dataset.Collect(eng, rng, cfg.DatasetSize)
 		stopSpan()
@@ -171,24 +177,44 @@ func TuneCtx(ctx context.Context, obj sim.Objective, ds *dataset.Dataset, cfg Co
 		return partial(rep, eng, ds, statsBefore, started), err
 	}
 
+	// ---- Pre-processing: the candidate pool, drawn aside (Sec. IV-D) -----
+	// The pool needs only the dataset, and the pipeline rng draws nothing
+	// else from here on, so a second goroutine draws it while this one
+	// groups the parameters and fits the models. It owns the rng until the
+	// join; the deferred Wait joins it on every return path.
+	var (
+		draw     sync.WaitGroup
+		pool     *space.Coded
+		drawErr  error
+		drawTime time.Duration
+	)
+	draw.Add(1)
+	go func() {
+		defer draw.Done()
+		t0 := eng.Now()
+		pool, drawErr = sampling.Draw(ds, sp, rng, cfg.Sampling)
+		drawTime = eng.Now().Sub(t0)
+	}()
+	defer draw.Wait()
+
 	// ---- Pre-processing: parameter grouping (Sec. IV-C) -----------------
 	t0 := eng.Now()
-	stopSpan := eng.Time("grouping")
 	pairs := grouping.PairCVs(ds, sp)
 	groups := grouping.Groups(pairs, cfg.MaxGroupSize)
 	if err := grouping.ValidateN(groups, sp.N()); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	rep.Groups = groups
-	stopSpan()
 	rep.Overhead.Grouping = eng.Now().Sub(t0)
+	eng.ObserveSpan("grouping", rep.Overhead.Grouping)
 	if err := ctx.Err(); err != nil {
 		return partial(rep, eng, ds, statsBefore, started), err
 	}
 
 	// ---- Pre-processing: search-space sampling (Sec. IV-D) --------------
+	// The stage's time is this goroutine's metric combination, fitting and
+	// scoring plus the draw's own time on its goroutine, not the wait for it.
 	t0 = eng.Now()
-	stopSpan = eng.Time("sampling")
 	names := metricNames(ds)
 	mpairs, err := metrics.PairPCCs(ds, names)
 	if err != nil {
@@ -218,6 +244,11 @@ func TuneCtx(ctx context.Context, obj sim.Objective, ds *dataset.Dataset, cfg Co
 	for k, sel := range selected {
 		rep.Models[sel.Name] = models[k]
 	}
+	fitTime := eng.Now().Sub(t0)
+	draw.Wait()
+	if drawErr != nil {
+		return nil, fmt.Errorf("core: sampling: %w", drawErr)
+	}
 
 	// The candidate pool is not filtered by the implicit resource
 	// constraints. Sampled-but-unbuildable settings still contribute
@@ -227,7 +258,8 @@ func TuneCtx(ctx context.Context, obj sim.Objective, ds *dataset.Dataset, cfg Co
 	// search rejects for free anyway (Sec. IV-B's check happens before code
 	// generation and measurement, which this pipeline honours at the
 	// kernel.Build boundary).
-	sampled, err := sampling.Build(ds, sp, groups, selected, rep.Models, rng, cfg.Sampling)
+	t0 = eng.Now()
+	sampled, err := sampling.Score(pool, groups, selected, rep.Models, cfg.Sampling)
 	if err != nil {
 		return nil, fmt.Errorf("core: sampling: %w", err)
 	}
@@ -239,36 +271,48 @@ func TuneCtx(ctx context.Context, obj sim.Objective, ds *dataset.Dataset, cfg Co
 		eng.AddWarmStartSeeds(len(warm))
 	}
 	rep.SampledSize = len(sampled.Settings)
-	stopSpan()
-	rep.Overhead.Sampling = eng.Now().Sub(t0)
+	rep.Overhead.Sampling = fitTime + drawTime + eng.Now().Sub(t0)
+	eng.ObserveSpan("sampling", rep.Overhead.Sampling)
 	if err := ctx.Err(); err != nil {
 		return partial(rep, eng, ds, statsBefore, started), err
 	}
 
-	// ---- Pre-processing: code generation ---------------------------------
-	// The engine forwards sim.ArchProvider from the wrapped objective, so
-	// codegen reaches the target arch through any wrapper chain.
+	// ---- Pre-processing: code generation, aside ---------------------------
+	// The search reads nothing codegen makes, so a second goroutine builds
+	// and emits the sampled kernels while this one searches; the deferred
+	// Wait joins it on every return path. The engine forwards
+	// sim.ArchProvider from the wrapped objective, so codegen reaches the
+	// target arch through any wrapper chain.
+	var (
+		gen       sync.WaitGroup
+		arch      *gpu.Arch
+		generated int
+		genTime   time.Duration
+	)
+	defer gen.Wait()
 	if cfg.EmitKernels && sp.Stencil != nil {
-		if arch := sim.ArchOf(eng); arch != nil {
-			t0 = eng.Now()
-			stopSpan = eng.Time("codegen")
-			for _, set := range sampled.Settings {
-				k, err := kernel.Build(sp, set, arch)
-				if err != nil {
-					continue // resource-invalid sampled candidates are dropped at build time
-				}
-				_ = k.EmitCUDA()
-				rep.GeneratedCUDA++
-			}
-			stopSpan()
-			rep.Overhead.Codegen = eng.Now().Sub(t0)
-		}
+		arch = sim.ArchOf(eng)
+	}
+	if arch != nil {
+		gen.Add(1)
+		go func() {
+			defer gen.Done()
+			t0 := eng.Now()
+			generated = emitKernels(sp, arch, sampled.Settings)
+			genTime = eng.Now().Sub(t0)
+		}()
 	}
 
 	// ---- Evolutionary search (Sec. IV-E) ---------------------------------
-	stopSpan = eng.Time("search")
+	t0 = eng.Now()
 	best, bestMS, err := search(ctx, eng, sampled, ds, cfg, rep, stop)
-	stopSpan()
+	searchTime := eng.Now().Sub(t0)
+	gen.Wait()
+	if arch != nil {
+		rep.GeneratedCUDA, rep.Overhead.Codegen = generated, genTime
+		eng.ObserveSpan("codegen", genTime)
+	}
+	eng.ObserveSpan("search", searchTime)
 	if err != nil {
 		return nil, err
 	}
@@ -308,6 +352,22 @@ func partial(rep *Report, eng *engine.Engine, ds *dataset.Dataset, statsBefore e
 	rep.Evaluations = rep.Engine.Evaluations - statsBefore.Evaluations
 	rep.Spans = eng.Spans()
 	return rep
+}
+
+// emitKernels builds the kernel of every setting and emits its CUDA
+// source, and returns how many it emitted. Settings that fail the implicit
+// resource constraints are dropped at build time.
+func emitKernels(sp *space.Space, arch *gpu.Arch, settings []space.Setting) int {
+	n := 0
+	for _, set := range settings {
+		k, err := kernel.Build(sp, set, arch)
+		if err != nil {
+			continue
+		}
+		_ = k.EmitCUDA()
+		n++
+	}
+	return n
 }
 
 // metricNames lists the metric keys present in the dataset's first sample,

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/sim"
 	"repro/internal/space"
@@ -106,18 +105,6 @@ func (d *Dataset) Best() Sample {
 		}
 	}
 	return d.Samples[best]
-}
-
-// SortedByTime returns sample indices ordered fastest-first.
-func (d *Dataset) SortedByTime() []int {
-	idx := make([]int, len(d.Samples))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return d.Samples[idx[a]].TimeMS < d.Samples[idx[b]].TimeMS
-	})
-	return idx
 }
 
 // MetricColumn extracts one metric across all samples, in sample order.

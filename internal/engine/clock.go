@@ -10,7 +10,7 @@ import (
 // wall-clock read that can reach a report (timing spans, the overhead
 // breakdown, journal checkpoint stamps) goes through the engine's clock, so
 //
-//   - tests drive spans deterministically by installing a fake clock, and
+//   - tests drive spans by installing a fake clock (see Now for a tune's), and
 //   - the nodeterm static analyzer can ban raw time.Now/time.Since calls in
 //     result-affecting packages outright: referencing time.Now as a *value*
 //     (to install it as the default Clock) is the one sanctioned pattern.
@@ -30,8 +30,12 @@ func WithClock(c Clock) Option {
 }
 
 // Now reads the engine's wall clock. Pipeline stages use it (instead of raw
-// time.Now) for the Overhead breakdown, so a fake clock makes the whole
-// report — spans included — reproducible byte-for-byte.
+// time.Now) for the Overhead breakdown and their spans. A tune reads it
+// from two goroutines at once, since the pool draw and codegen time
+// themselves beside the tuning goroutine, so a Clock must be safe for
+// concurrent use, as time.Now and FakeClock are. A fake clock therefore
+// does not reproduce a tune's stage times byte for byte: which goroutine
+// takes which tick depends on the schedule. No result depends on them.
 func (e *Engine) Now() time.Time { return e.clock() }
 
 // FakeClock returns a deterministic Clock that advances by step on every

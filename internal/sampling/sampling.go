@@ -11,9 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
-	"strconv"
 
 	"repro/internal/dataset"
 	"repro/internal/metrics"
@@ -43,25 +42,55 @@ type Sampled struct {
 	// Values[g] lists the distinct value tuples of group g present in the
 	// sampled space, sorted ascending — the re-indexed gene range [0, len).
 	Values [][][]int
+
+	sp *space.Space // the space Settings belong to
 }
 
-// Build scores a candidate pool with the per-metric PMNF models and keeps
-// the best cfg.Ratio fraction.
+// Draw returns the candidate pool Score scores, coded: the measured
+// dataset settings plus cfg.PoolSize fresh random valid settings drawn
+// from rng, deduplicated, in that order. The random settings are drawn
+// into one setting; a draw that repeats a pool entry is overwritten by the
+// next. Draw needs neither the grouping nor the models, so a tune draws
+// the pool while it fits them.
+func Draw(ds *dataset.Dataset, sp *space.Space, rng *stats.Rand, cfg Config) (*space.Coded, error) {
+	if cfg.PoolSize <= 0 {
+		cfg.PoolSize = 4096
+	}
+	n := sp.N()
+	size := cfg.PoolSize + len(ds.Samples)
+	pool := sp.NewCoded(size)
+	for i, s := range ds.Samples {
+		if len(s.Setting) != n {
+			return nil, fmt.Errorf("sampling: dataset sample %d has %d parameters, space has %d", i, len(s.Setting), n)
+		}
+		// Measured settings passed every constraint already.
+		if _, err := pool.Add(s.Setting); err != nil {
+			return nil, err
+		}
+	}
+	cand := make(space.Setting, n)
+	for tries := 0; pool.Len() < size && tries < 50*cfg.PoolSize; tries++ {
+		sp.RandomInto(cand, rng)
+		if _, err := pool.Add(cand); err != nil {
+			return nil, err
+		}
+	}
+	return pool, nil
+}
+
+// Score scores a candidate pool from Draw with the per-metric PMNF models
+// and keeps the best cfg.Ratio fraction.
 //
 // Each selected metric contributes sign(TimePCC)·zscore(prediction) to a
 // setting's score: a metric positively correlated with time votes against
 // settings predicted to raise it, and vice versa. Keeping the lowest-scored
 // fraction is equivalent to the paper's per-metric thresholds with the
 // thresholds set at the ratio quantile of the combined evidence.
-func Build(ds *dataset.Dataset, sp *space.Space, groups [][]int,
-	selected []metrics.Selected, models map[string]*pmnf.Model,
-	rng *stats.Rand, cfg Config) (*Sampled, error) {
+func Score(pool *space.Coded, groups [][]int, selected []metrics.Selected,
+	models map[string]*pmnf.Model, cfg Config) (*Sampled, error) {
 
 	if cfg.Ratio <= 0 || cfg.Ratio > 1 {
 		return nil, fmt.Errorf("sampling: ratio %v outside (0,1]", cfg.Ratio)
-	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 4096
 	}
 	if len(selected) == 0 {
 		return nil, errors.New("sampling: no selected metrics")
@@ -74,11 +103,6 @@ func Build(ds *dataset.Dataset, sp *space.Space, groups [][]int,
 		if !slices.EqualFunc(m.Groups, groups, slices.Equal[[]int]) {
 			return nil, fmt.Errorf("sampling: model for metric %q was fitted over other groups", sel.Name)
 		}
-	}
-
-	pool, err := candidates(ds, sp, rng, cfg)
-	if err != nil {
-		return nil, err
 	}
 	size := pool.Len()
 
@@ -110,42 +134,16 @@ func Build(ds *dataset.Dataset, sp *space.Space, groups [][]int,
 		keep = size
 	}
 	// Only the kept candidates are decoded into settings, into one array.
+	sp := pool.Space()
 	n := sp.N()
 	flat := make([]int, keep*n)
-	out := &Sampled{Groups: groups, Settings: make([]space.Setting, keep)}
+	out := &Sampled{Groups: groups, Settings: make([]space.Setting, keep), sp: sp}
 	for k, r := range smallest(score, keep) {
 		out.Settings[k] = flat[k*n : (k+1)*n : (k+1)*n]
 		pool.Decode(r.index, out.Settings[k])
 	}
 	out.reindex()
 	return out, nil
-}
-
-// candidates returns the pool Build scores, coded: the measured dataset
-// settings plus fresh random valid settings, deduplicated, in that order.
-// The random settings are drawn into one setting; a draw that repeats a
-// pool entry is overwritten by the next.
-func candidates(ds *dataset.Dataset, sp *space.Space, rng *stats.Rand, cfg Config) (*space.Coded, error) {
-	n := sp.N()
-	size := cfg.PoolSize + len(ds.Samples)
-	pool := sp.NewCoded(size)
-	for i, s := range ds.Samples {
-		if len(s.Setting) != n {
-			return nil, fmt.Errorf("sampling: dataset sample %d has %d parameters, space has %d", i, len(s.Setting), n)
-		}
-		// Measured settings passed every constraint already.
-		if _, err := pool.Add(s.Setting); err != nil {
-			return nil, err
-		}
-	}
-	cand := make(space.Setting, n)
-	for tries := 0; pool.Len() < size && tries < 50*cfg.PoolSize; tries++ {
-		sp.RandomInto(cand, rng)
-		if _, err := pool.Add(cand); err != nil {
-			return nil, err
-		}
-	}
-	return pool, nil
 }
 
 // ranked is one pool candidate's combined score and pool index.
@@ -232,53 +230,100 @@ func rank(score []float64) []ranked {
 	return order
 }
 
-// FromSettings builds a Sampled directly from explicit settings (tests and
-// the degenerate no-model path use this).
-func FromSettings(settings []space.Setting, groups [][]int) *Sampled {
-	s := &Sampled{Settings: settings, Groups: groups}
-	s.reindex()
-	return s
-}
-
-// reindex computes Values: the sorted distinct tuples per group. Each
-// tuple is keyed by its values rendered into one reused buffer, so only
-// the first sighting of a tuple allocates.
+// reindex computes Values: the sorted distinct tuples per group.
+//
+// A tuple is numbered mixed radix over its parameters' value codes
+// (Param.Index), the group's first parameter the most significant digit.
+// Param.Values ascend, so the numbers order as the tuples do: a bitmap
+// over a group's numbers marks the tuples present, and its set bits, read
+// in order, decode to the distinct tuples sorted, which share one array.
+// The bitmap holds at most 64 bits per setting. A group with more numbers
+// than that, or holding a value outside its parameters' Values, sorts its
+// tuples instead.
 func (s *Sampled) reindex() {
 	s.Values = make([][][]int, len(s.Groups))
-	var key []byte
+	limit := 64 * len(s.Settings)
+	var seen []uint64 // bit x is set when some setting's tuple numbers x
 	for gi, g := range s.Groups {
-		seen := map[string][]int{}
-		for _, set := range s.Settings {
-			key = key[:0]
-			for _, p := range g {
-				key = strconv.AppendInt(key, int64(set[p]), 10)
-				key = append(key, ',')
-			}
-			if _, dup := seen[string(key)]; dup {
-				continue
-			}
-			tuple := make([]int, len(g))
-			for i, p := range g {
-				tuple[i] = set[p]
-			}
-			seen[string(key)] = tuple
+		span := s.span(g, limit)
+		if span <= limit {
+			seen = slices.Grow(seen[:0], (span+63)/64)[:(span+63)/64]
 		}
-		tuples := make([][]int, 0, len(seen))
-		for _, t := range seen {
-			tuples = append(tuples, t)
+		if span > limit || !s.mark(g, seen) {
+			s.Values[gi] = sortedTuples(s.Settings, g)
+			continue
 		}
-		sort.Slice(tuples, func(a, b int) bool { return lessTuple(tuples[a], tuples[b]) })
+		distinct := 0
+		for _, w := range seen {
+			distinct += bits.OnesCount64(w)
+		}
+		m := len(g)
+		flat := make([]int, distinct*m)
+		tuples := make([][]int, distinct)
+		k := 0
+		for i, w := range seen {
+			for ; w != 0; w &= w - 1 {
+				t := flat[k*m : (k+1)*m : (k+1)*m]
+				x := i*64 + bits.TrailingZeros64(w)
+				for d := m - 1; d >= 0; d-- {
+					vals := s.sp.Params[g[d]].Values
+					t[d] = vals[x%len(vals)]
+					x /= len(vals)
+				}
+				tuples[k] = t
+				k++
+			}
+		}
 		s.Values[gi] = tuples
 	}
 }
 
-func lessTuple(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+// span returns how many numbers group g's tuples can take, or limit+1
+// when that exceeds limit.
+func (s *Sampled) span(g []int, limit int) int {
+	span := 1
+	for _, p := range g {
+		r := len(s.sp.Params[p].Values)
+		if r > 0 && span > limit/r {
+			return limit + 1
+		}
+		span *= r
+	}
+	return span
+}
+
+// mark clears seen, which holds a bit per number of a group-g tuple, and
+// sets the bit of every setting's tuple. It reports false, leaving seen
+// part set, when a setting holds a value outside its parameter's Values.
+func (s *Sampled) mark(g []int, seen []uint64) bool {
+	clear(seen)
+	for _, set := range s.Settings {
+		x := 0
+		for _, p := range g {
+			param := &s.sp.Params[p]
+			c := param.Index(set[p])
+			if c < 0 {
+				return false
+			}
+			x = x*len(param.Values) + c
+		}
+		seen[x/64] |= 1 << (x % 64)
+	}
+	return true
+}
+
+// sortedTuples returns the sorted distinct group-g tuples of settings by
+// comparing the tuples themselves.
+func sortedTuples(settings []space.Setting, g []int) [][]int {
+	tuples := make([][]int, len(settings))
+	for i, set := range settings {
+		tuples[i] = make([]int, len(g))
+		for k, p := range g {
+			tuples[i][k] = set[p]
 		}
 	}
-	return false
+	slices.SortFunc(tuples, slices.Compare[[]int])
+	return slices.CompactFunc(tuples, slices.Equal[[]int])
 }
 
 // Include appends settings absent from the sampled space (deduplicated by
@@ -324,9 +369,7 @@ func (s *Sampled) TupleIndex(set space.Setting, gi int) int {
 		}
 		tuple[i] = set[p]
 	}
-	tuples := s.Values[gi]
-	idx := sort.Search(len(tuples), func(k int) bool { return !lessTuple(tuples[k], tuple) })
-	if idx < len(tuples) && !lessTuple(tuple, tuples[idx]) {
+	if idx, found := slices.BinarySearchFunc(s.Values[gi], tuple, slices.Compare[[]int]); found {
 		return idx
 	}
 	return -1

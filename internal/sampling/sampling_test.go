@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 
 	"repro/internal/dataset"
@@ -68,11 +69,28 @@ func fitModels(tb testing.TB, ds *dataset.Dataset, sp *space.Space) ([][]int, []
 	return groups, sel, models
 }
 
+// build draws a pool from rng and scores it, as a tune does.
+func build(ds *dataset.Dataset, sp *space.Space, groups [][]int, sel []metrics.Selected,
+	models map[string]*pmnf.Model, rng *stats.Rand, cfg Config) (*Sampled, error) {
+	pool, err := Draw(ds, sp, rng, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return Score(pool, groups, sel, models, cfg)
+}
+
+// fromSettings builds a Sampled directly from explicit settings of sp.
+func fromSettings(sp *space.Space, settings []space.Setting, groups [][]int) *Sampled {
+	s := &Sampled{Settings: settings, Groups: groups, sp: sp}
+	s.reindex()
+	return s
+}
+
 func TestBuildRespectsRatio(t *testing.T) {
 	ds, sp, groups, sel, models, _ := pipelineTo(t)
 	cfg := Config{Ratio: 0.1, PoolSize: 1000}
 	rng := stats.NewRand(5)
-	s, err := Build(ds, sp, groups, sel, models, rng, cfg)
+	s, err := build(ds, sp, groups, sel, models, rng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +111,7 @@ func TestBuildRespectsRatio(t *testing.T) {
 func TestSamplingImprovesQuality(t *testing.T) {
 	ds, sp, groups, sel, models, simulator := pipelineTo(t)
 	rng := stats.NewRand(6)
-	s, err := Build(ds, sp, groups, sel, models, rng, Config{Ratio: 0.1, PoolSize: 600})
+	s, err := build(ds, sp, groups, sel, models, rng, Config{Ratio: 0.1, PoolSize: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,21 +142,28 @@ func TestSamplingImprovesQuality(t *testing.T) {
 
 func TestBuildArgumentValidation(t *testing.T) {
 	ds, sp, groups, sel, models, _ := pipelineTo(t)
-	rng := stats.NewRand(7)
-	if _, err := Build(ds, sp, groups, sel, models, rng, Config{Ratio: 0}); err == nil {
+	pool, err := Draw(ds, sp, stats.NewRand(7), Config{PoolSize: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Score(pool, groups, sel, models, Config{Ratio: 0}); err == nil {
 		t.Fatal("ratio 0 should error")
 	}
-	if _, err := Build(ds, sp, groups, sel, models, rng, Config{Ratio: 1.5}); err == nil {
+	if _, err := Score(pool, groups, sel, models, Config{Ratio: 1.5}); err == nil {
 		t.Fatal("ratio >1 should error")
 	}
-	if _, err := Build(ds, sp, groups, nil, models, rng, Config{Ratio: 0.1}); err == nil {
+	if _, err := Score(pool, groups, nil, models, Config{Ratio: 0.1}); err == nil {
 		t.Fatal("no selected metrics should error")
 	}
-	if _, err := Build(ds, sp, groups, sel, map[string]*pmnf.Model{}, rng, Config{Ratio: 0.1}); err == nil {
+	if _, err := Score(pool, groups, sel, map[string]*pmnf.Model{}, Config{Ratio: 0.1}); err == nil {
 		t.Fatal("missing model should error")
 	}
-	if _, err := Build(ds, sp, groups[1:], sel, models, rng, Config{Ratio: 0.1}); err == nil {
+	if _, err := Score(pool, groups[1:], sel, models, Config{Ratio: 0.1}); err == nil {
 		t.Fatal("models fitted over other groups should error")
+	}
+	short := &dataset.Dataset{Samples: []dataset.Sample{{Setting: space.Setting{1}}}}
+	if _, err := Draw(short, sp, stats.NewRand(7), Config{}); err == nil {
+		t.Fatal("a dataset sample of the wrong arity should error")
 	}
 }
 
@@ -153,7 +178,7 @@ func TestReindexAndApply(t *testing.T) {
 	c := sp.Default()
 	c[space.TBX], c[space.TBY] = 32, 8
 	groups := [][]int{{space.TBX, space.TBY}, {space.UseShared}}
-	s := FromSettings([]space.Setting{a, b, c, a /*dup*/}, groups)
+	s := fromSettings(sp, []space.Setting{a, b, c, a /*dup*/}, groups)
 
 	if len(s.Values[0]) != 3 {
 		t.Fatalf("group 0 has %d tuples, want 3 (dedup)", len(s.Values[0]))
@@ -163,7 +188,7 @@ func TestReindexAndApply(t *testing.T) {
 	}
 	// Tuples sorted ascending lexicographically.
 	for i := 1; i < len(s.Values[0]); i++ {
-		if !lessTuple(s.Values[0][i-1], s.Values[0][i]) {
+		if slices.Compare(s.Values[0][i-1], s.Values[0][i]) >= 0 {
 			t.Fatal("tuples not sorted")
 		}
 	}
@@ -183,13 +208,126 @@ func TestReindexAndApply(t *testing.T) {
 	}
 }
 
+// referenceReindex is reindex as it was before tuples were numbered from
+// their value codes: each group tuple keyed by its values rendered as
+// decimal text, in one map per group, the distinct tuples then sorted.
+func referenceReindex(settings []space.Setting, groups [][]int) [][][]int {
+	values := make([][][]int, len(groups))
+	var key []byte
+	for gi, g := range groups {
+		seen := map[string][]int{}
+		for _, set := range settings {
+			key = key[:0]
+			for _, p := range g {
+				key = strconv.AppendInt(key, int64(set[p]), 10)
+				key = append(key, ',')
+			}
+			if _, dup := seen[string(key)]; dup {
+				continue
+			}
+			tuple := make([]int, len(g))
+			for i, p := range g {
+				tuple[i] = set[p]
+			}
+			seen[string(key)] = tuple
+		}
+		tuples := make([][]int, 0, len(seen))
+		for _, t := range seen {
+			tuples = append(tuples, t)
+		}
+		sort.Slice(tuples, func(a, b int) bool { return slices.Compare(tuples[a], tuples[b]) < 0 })
+		values[gi] = tuples
+	}
+	return values
+}
+
+// TestReindexMatchesKeyedReference checks reindex against referenceReindex
+// on random settings of every Table III stencil's space and of two custom
+// spaces, under random groupings, at three seeds, and again after Include
+// adds warm-start settings. Some settings repeat, and some hold a value
+// outside its parameter's Values. One grouping per seed puts every
+// parameter in one group; in the wide custom space (16^17 tuples) its
+// numbers would not fit in 64 bits. Those two cases sort their tuples
+// instead of numbering them.
+func TestReindexMatchesKeyedReference(t *testing.T) {
+	var spaces []*space.Space
+	for _, st := range stencil.Suite() {
+		sp, err := space.New(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spaces = append(spaces, sp)
+	}
+	custom, err := space.NewCustom([]space.Param{
+		{Name: "a", Values: []int{1, 2, 4, 8, 16}},
+		{Name: "b", Values: []int{1, 3, 5, 7}, Biased: true},
+		{Name: "c", Values: []int{space.Off, space.On}},
+	}, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wideParams []space.Param
+	for p := range 17 {
+		wideParams = append(wideParams, space.Param{Name: fmt.Sprint("w", p), Values: []int{
+			1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}})
+	}
+	wide, err := space.NewCustom(wideParams, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaces = append(spaces, custom, wide)
+	equal := func(a, b [][][]int) bool {
+		return slices.EqualFunc(a, b, func(x, y [][]int) bool { return slices.EqualFunc(x, y, slices.Equal[[]int]) })
+	}
+	for _, sp := range spaces {
+		for _, seed := range []int64{1, 2, 3} {
+			rng := stats.NewRand(seed)
+			for trial := range 12 {
+				groups := [][]int{}
+				if trial == 0 {
+					groups = append(groups, rng.Perm(sp.N()))
+				} else {
+					perm := rng.Perm(sp.N())
+					for len(perm) > 0 {
+						k := min(1+rng.Intn(5), len(perm))
+						groups, perm = append(groups, perm[:k]), perm[k:]
+					}
+				}
+				settings := make([]space.Setting, 1+rng.Intn(500))
+				for i := range settings {
+					switch {
+					case i > 0 && rng.Intn(4) == 0:
+						settings[i] = settings[rng.Intn(i)].Clone()
+					default:
+						settings[i] = sp.Random(rng)
+					}
+				}
+				if trial%3 == 1 {
+					odd := settings[rng.Intn(len(settings))]
+					odd[rng.Intn(sp.N())] = 1<<20 + rng.Intn(3)
+				}
+				where := fmt.Sprintf("space of %d parameters, seed %d, trial %d", sp.N(), seed, trial)
+				got := fromSettings(sp, settings, groups)
+				if !equal(got.Values, referenceReindex(settings, groups)) {
+					t.Fatalf("%s: Values differ from the keyed reference", where)
+				}
+				warm := []space.Setting{sp.Random(rng), settings[0].Clone(), sp.Default()}
+				got.Include(warm)
+				if !equal(got.Values, referenceReindex(got.Settings, groups)) {
+					t.Fatalf("%s: Values after Include differ from the keyed reference", where)
+				}
+			}
+		}
+	}
+}
+
 func TestBest(t *testing.T) {
 	sp, _ := space.New(stencil.J3D7PT())
-	s := FromSettings(nil, [][]int{{0}})
+	s := fromSettings(sp, nil, [][]int{{0}})
 	if _, err := s.Best(); err == nil {
 		t.Fatal("empty sampled space should error")
 	}
-	s = FromSettings([]space.Setting{sp.Default()}, [][]int{{0}})
+	s = fromSettings(sp, []space.Setting{sp.Default()}, [][]int{{0}})
 	b, err := s.Best()
 	if err != nil || !b.Equal(sp.Default()) {
 		t.Fatalf("Best = %v, %v", b, err)
@@ -207,7 +345,7 @@ func TestBest(t *testing.T) {
 func TestIncludeAddsMissingSettings(t *testing.T) {
 	ds, sp, groups, sel, models, _ := pipelineTo(t)
 	rng := stats.NewRand(5)
-	s, err := Build(ds, sp, groups, sel, models, rng, Config{Ratio: 0.1, PoolSize: 400})
+	s, err := build(ds, sp, groups, sel, models, rng, Config{Ratio: 0.1, PoolSize: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +404,7 @@ func TestIncludeAddsMissingSettings(t *testing.T) {
 func TestTupleIndexMissAndBounds(t *testing.T) {
 	ds, sp, groups, sel, models, _ := pipelineTo(t)
 	rng := stats.NewRand(5)
-	s, err := Build(ds, sp, groups, sel, models, rng, Config{Ratio: 0.1, PoolSize: 400})
+	s, err := build(ds, sp, groups, sel, models, rng, Config{Ratio: 0.1, PoolSize: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +490,7 @@ func TestCandidatesMatchFreshDraws(t *testing.T) {
 		sp   *space.Space
 	}{{"helmholtz", ds, sp}, {"echo", echo, sp}, {"tiny", tinyDS, tiny}, {"foreign", foreign, sp}} {
 		cfg := Config{Ratio: 0.1, PoolSize: 500}
-		got, err := candidates(tc.ds, tc.sp, stats.NewRand(9), cfg)
+		got, err := Draw(tc.ds, tc.sp, stats.NewRand(9), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,10 +507,11 @@ func TestCandidatesMatchFreshDraws(t *testing.T) {
 	}
 }
 
-// referenceBuild is Build over the candidate pool as it was before the
-// pool was coded: freshPool's settings, each scored with Model.Predict
-// (which the settings-based pmnf.Pool matched bit for bit), ranked by
-// sort.SliceStable, the best fraction kept and re-indexed.
+// referenceBuild is Draw and Score over the candidate pool as it was
+// before the pool was coded: freshPool's settings, each scored with
+// Model.Predict (which the settings-based pmnf.Pool matched bit for bit),
+// ranked by sort.SliceStable, the best fraction kept and re-indexed by
+// referenceReindex.
 func referenceBuild(t *testing.T, ds *dataset.Dataset, sp *space.Space, groups [][]int,
 	sel []metrics.Selected, models map[string]*pmnf.Model, seed int64, cfg Config) *Sampled {
 	t.Helper()
@@ -402,10 +541,10 @@ func referenceBuild(t *testing.T, ds *dataset.Dataset, sp *space.Space, groups [
 	for k := range kept {
 		kept[k] = pool[order[k]].Clone()
 	}
-	return FromSettings(kept, groups)
+	return &Sampled{Settings: kept, Groups: groups, Values: referenceReindex(kept, groups)}
 }
 
-// TestBuildMatchesSettingPool runs Build against referenceBuild on the
+// TestBuildMatchesSettingPool runs Draw and Score against referenceBuild on the
 // same seeds, and with one metric's weight NaN, which makes every score
 // NaN and sends the ranking through rank: the kept settings, their order
 // and the re-indexed Values must be equal.
@@ -416,7 +555,7 @@ func TestBuildMatchesSettingPool(t *testing.T) {
 	for _, selected := range [][]metrics.Selected{sel, nan} {
 		for _, seed := range []int64{1, 2} {
 			cfg := Config{Ratio: 0.1, PoolSize: 700}
-			got, err := Build(ds, sp, groups, selected, models, stats.NewRand(seed), cfg)
+			got, err := build(ds, sp, groups, selected, models, stats.NewRand(seed), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -503,7 +642,7 @@ func TestPoolScoringMatchesPredict(t *testing.T) {
 					t.Fatal(err)
 				}
 				groups, sel, models := fitModels(t, ds, sp)
-				cands, err := candidates(ds, sp, rng, DefaultConfig())
+				cands, err := Draw(ds, sp, rng, DefaultConfig())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -542,15 +681,15 @@ func TestPoolScoringMatchesPredict(t *testing.T) {
 	}
 }
 
-// BenchmarkBuild samples the helmholtz/a100 fixture's space at the default
-// ratio and pool size.
+// BenchmarkBuild draws and scores the helmholtz/a100 fixture's pool at the
+// default ratio and pool size.
 func BenchmarkBuild(b *testing.B) {
 	ds, sp, groups, sel, models, _ := pipelineTo(b)
 	cfg := DefaultConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(ds, sp, groups, sel, models, stats.NewRand(5), cfg); err != nil {
+		if _, err := build(ds, sp, groups, sel, models, stats.NewRand(5), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

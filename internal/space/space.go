@@ -519,9 +519,6 @@ func unrollOf(sd int) int {
 	panic(fmt.Sprintf("space: invalid streaming dimension %d", sd))
 }
 
-// UnrollOf is exported for the kernel resource model.
-func UnrollOf(sd int) int { return unrollOf(sd) }
-
 // cyclicOf maps a streaming dimension (1..3) to the cyclic-merge parameter.
 func cyclicOf(sd int) int {
 	switch sd {
@@ -572,7 +569,7 @@ func (sp *Space) RandomInto(s Setting, rng *stats.Rand) {
 // clamping the tail into the last slot).
 func geomIndex(rng *stats.Rand, n int) int {
 	i := 0
-	for i < n-1 && rng.Float64() < 0.5 {
+	for i < n-1 && rng.BelowHalf() {
 		i++
 	}
 	return i

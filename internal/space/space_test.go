@@ -409,15 +409,15 @@ func TestSizeUpperBoundExceeds100M(t *testing.T) {
 }
 
 func TestUnrollOf(t *testing.T) {
-	if UnrollOf(1) != UFX || UnrollOf(2) != UFY || UnrollOf(3) != UFZ {
-		t.Fatal("UnrollOf mapping wrong")
+	if unrollOf(1) != UFX || unrollOf(2) != UFY || unrollOf(3) != UFZ {
+		t.Fatal("unrollOf mapping wrong")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("UnrollOf(0) should panic")
+			t.Fatal("unrollOf(0) should panic")
 		}
 	}()
-	UnrollOf(0)
+	unrollOf(0)
 }
 
 // Property: Repair is idempotent — repairing an arbitrary raw draw twice

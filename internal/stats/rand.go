@@ -146,6 +146,23 @@ again:
 	return f
 }
 
+// BelowHalf reports whether Float64() < 0.5, drawing exactly what Float64
+// draws. Float64 rounds x/2⁶³ for a draw x to 53 bits, so the quotient is
+// below one half exactly when x < 2⁶²−256; x ≥ 2⁶³−512 rounds to 1, which
+// Float64 redraws, and so does BelowHalf. One int63 and two comparisons
+// replace a conversion, a division and a float comparison.
+func (r *Rand) BelowHalf() bool {
+	for {
+		x := r.int63()
+		if x < 1<<62-256 {
+			return true
+		}
+		if x < 1<<63-512 {
+			return false
+		}
+	}
+}
+
 // Perm returns, as a slice of n ints, a pseudo-random permutation of the
 // integers in the half-open interval [0,n).
 func (r *Rand) Perm(n int) []int {

@@ -118,13 +118,6 @@ func (s *Stencil) BytesMoved() int64 {
 	return s.Points() * int64(s.Inputs+s.Outputs) * fp64
 }
 
-// ArithmeticIntensity returns FLOPs per compulsory byte, the roofline
-// abscissa used by the simulator to position a stencil between memory- and
-// compute-bound regimes.
-func (s *Stencil) ArithmeticIntensity() float64 {
-	return float64(s.TotalFLOPs()) / float64(s.BytesMoved())
-}
-
 // UniqueOffsets returns the number of distinct (Array, DX, DY, DZ) reads,
 // i.e. the per-point load count before any reuse optimization.
 func (s *Stencil) UniqueOffsets() int {

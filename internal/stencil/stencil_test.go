@@ -135,6 +135,13 @@ func TestDimAndPoints(t *testing.T) {
 	s.Dim(0)
 }
 
+// arithmeticIntensity returns FLOPs per compulsory byte, the roofline
+// abscissa that places a stencil between the memory- and compute-bound
+// regimes.
+func arithmeticIntensity(s *Stencil) float64 {
+	return float64(s.TotalFLOPs()) / float64(s.BytesMoved())
+}
+
 func TestWorkAndIntensity(t *testing.T) {
 	s := J3D7PT()
 	if got := s.TotalFLOPs(); got != 512*512*512*10 {
@@ -143,13 +150,13 @@ func TestWorkAndIntensity(t *testing.T) {
 	if got := s.BytesMoved(); got != 512*512*512*2*8 {
 		t.Fatalf("BytesMoved = %d", got)
 	}
-	ai := s.ArithmeticIntensity()
+	ai := arithmeticIntensity(s)
 	if math.Abs(ai-10.0/16.0) > 1e-12 {
 		t.Fatalf("AI = %v", ai)
 	}
 	// High-FLOP stencils must have much higher intensity — that is what
 	// drives the compute/memory-bound split in the simulator.
-	if RHS4Center().ArithmeticIntensity() <= 4*ai {
+	if arithmeticIntensity(RHS4Center()) <= 4*ai {
 		t.Fatal("rhs4center should be far more compute-intense than j3d7pt")
 	}
 }
