@@ -357,9 +357,10 @@ type CampaignRegistry = campaign.Registry
 type RegistryOptions = campaign.Options
 
 // OpenCampaignRegistry opens (or reopens) a campaign registry rooted at
-// dir: existing campaign directories are scanned, corrupt journals are
-// quarantined per-campaign, and interrupted campaigns resume through the
-// journal replay path.
+// dir: each campaign is one journal file, which the scan reads once (a
+// campaign whose file cannot be read loads Failed, alone), directories
+// written in the earlier layout of JSON files are upgraded in place, and
+// interrupted campaigns resume through the journal replay path.
 func OpenCampaignRegistry(dir string, opts RegistryOptions) (*CampaignRegistry, error) {
 	return campaign.Open(dir, opts)
 }

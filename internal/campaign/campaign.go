@@ -1,20 +1,25 @@
 package campaign
 
 import (
+	"cmp"
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/harness"
+	"repro/internal/journal"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
 
 // Campaign is one tuning campaign owned by the registry: a durable spec, a
-// lifecycle state machine, a journal-backed directory, and (while running)
-// a live engine for progress polling.
+// lifecycle state machine, one journal file holding both, and (while
+// running) a live engine for progress polling.
 type Campaign struct {
 	// ID is the registry-assigned identifier, also the directory name.
 	ID string
@@ -24,16 +29,13 @@ type Campaign struct {
 
 	dir string
 	lc  *Lifecycle
-	// fs is the registry's filesystem seam; dirSyncErrs points at the
-	// registry-wide directory-fsync failure counter every atomic persist
-	// feeds.
-	fs          vfs.FS
-	dirSyncErrs *atomic.Int64
+	fs  vfs.FS // the registry's filesystem seam
 
-	// persistMu serializes state.json writes. A finishing runner and the
-	// caller resuming or cancelling the campaign can write it at once, and
-	// the writes share one temp file.
-	persistMu sync.Mutex
+	// fileMu is held by the one writer of the campaign's journal: its
+	// runner, for the whole run, or a caller appending outside a run. So a
+	// resume records Running, and its run opens the journal, only after a
+	// pausing runner's last record.
+	fileMu sync.Mutex
 
 	mu        sync.Mutex
 	cancel    context.CancelFunc // non-nil while a runner owns the campaign
@@ -44,62 +46,79 @@ type Campaign struct {
 	settledS  float64 // spend settled against the tenant ledger (terminal states)
 }
 
-func (c *Campaign) specPath() string    { return filepath.Join(c.dir, "spec.json") }
-func (c *Campaign) statePath() string   { return filepath.Join(c.dir, "state.json") }
-func (c *Campaign) resultPath() string  { return filepath.Join(c.dir, "result.json") }
 func (c *Campaign) journalPath() string { return filepath.Join(c.dir, "journal.wal") }
 
 // State returns the campaign's current lifecycle state.
 func (c *Campaign) State() State { return c.lc.State() }
 
-// specFile is spec.json as it stands.
-func (c *Campaign) specFile() jsonFile { return jsonFile{path: c.specPath(), v: c.Spec} }
-
-// persistState writes state.json atomically, after the files in with,
-// which share its directory fsync: the lifecycle position plus the settled
-// spend, everything a restart needs beyond spec and journal. The state is
-// read under persistMu, so the last write renders the latest state.
-func (c *Campaign) persistState(with ...jsonFile) error {
-	c.persistMu.Lock()
-	defer c.persistMu.Unlock()
-	c.mu.Lock()
-	settled := c.settledS
-	c.mu.Unlock()
-	return writeFileAtomic(c.fs, c.dirSyncErrs, append(with, jsonFile{path: c.statePath(), v: persistedState{
-		State:       c.lc.State(),
-		SettledS:    settled,
-		Transitions: c.lc.History(),
-	}})...)
+// record is one owner record of a campaign's journal. Submit writes the
+// spec with the Pending state, the first run the spec with its warm keys
+// and fingerprint, each recorded transition its state, and completion the
+// result with the Completed state. On restart the last of each decides.
+type record struct {
+	Spec   *Spec            `json:"spec,omitempty"`
+	State  *persistedState  `json:"state,omitempty"`
+	Result *persistedResult `json:"result,omitempty"`
 }
 
-// persistSpec writes spec.json atomically.
-func (c *Campaign) persistSpec() error {
-	return writeFileAtomic(c.fs, c.dirSyncErrs, c.specFile())
+// persistedState is a state record: the lifecycle position, its history
+// and the settled tenant spend.
+type persistedState struct {
+	State State `json:"state"`
+	// SettledS is the virtual spend settled against the tenant ledger when
+	// the campaign reached a terminal state (capped at the reservation).
+	SettledS    float64      `json:"settled_s,omitempty"`
+	Transitions []Transition `json:"transitions"`
 }
 
-// persistedResult is the result.json payload: the canonical string the
-// resume acceptance criteria compare byte-for-byte, alongside the full
-// structured result.
+// persistedResult is a result record: the canonical string the resume
+// acceptance criteria compare byte-for-byte, alongside the full structured
+// result.
 type persistedResult struct {
 	Canonical string                  `json:"canonical"`
 	Result    *harness.CampaignResult `json:"result"`
 }
 
-// persistResult writes result.json atomically.
-func (c *Campaign) persistResult(res *harness.CampaignResult) error {
-	return writeFileAtomic(c.fs, c.dirSyncErrs, jsonFile{path: c.resultPath(), v: persistedResult{Canonical: res.Canonical(), Result: res}})
+// stateRecord renders the lifecycle as it stands, with the settled spend.
+func (c *Campaign) stateRecord() *persistedState {
+	c.mu.Lock()
+	settled := c.settledS
+	c.mu.Unlock()
+	return &persistedState{State: c.lc.State(), SettledS: settled, Transitions: c.lc.History()}
 }
 
-// loadResult restores a completed campaign's result from result.json.
-func (c *Campaign) loadResult() error {
-	var pr persistedResult
-	if err := readJSON(c.fs, c.resultPath(), &pr); err != nil {
-		return err
+// persist appends rec to the campaign's journal: through jr when the run
+// holds it open, and otherwise through journal.OpenFS, which first
+// truncates a torn tail, and a Close that syncs. The caller holds fileMu.
+// It is best effort: the in-memory state stands, and a restart that finds
+// an older record resumes the campaign to the same outcome.
+func (c *Campaign) persist(jr *journal.Journal, rec record) {
+	if jr != nil {
+		_ = jr.AppendOwner(rec) // the run's Close syncs it
+		return
 	}
-	c.mu.Lock()
-	c.result, c.canonical = pr.Result, pr.Canonical
-	c.mu.Unlock()
-	return nil
+	if jr, err := journal.OpenFS(c.fs, c.journalPath(), ""); err == nil {
+		_ = jr.AppendOwner(rec)
+		_ = jr.Close()
+	}
+}
+
+// read folds the owner records of the campaign's journal into one: the
+// last spec, state and result they hold. A missing journal holds none.
+func (c *Campaign) read() (record, error) {
+	recs, err := journal.Scan(c.fs, c.journalPath())
+	if errors.Is(err, os.ErrNotExist) {
+		err = nil
+	}
+	var last record
+	for _, raw := range recs {
+		var rec record
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			return last, fmt.Errorf("campaign: unreadable record: %w", err)
+		}
+		last = record{Spec: cmp.Or(rec.Spec, last.Spec), State: cmp.Or(rec.State, last.State), Result: cmp.Or(rec.Result, last.Result)}
+	}
+	return last, err
 }
 
 // config maps the spec onto the harness campaign configuration. wrap is the

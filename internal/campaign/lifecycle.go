@@ -1,9 +1,9 @@
 // Package campaign turns the single-shot tuning library into a long-running
 // multi-tenant campaign service substrate: an explicit lifecycle state
 // machine (extracted from the previously ad-hoc harness.RunCampaign flow), a
-// registry that owns one journal directory per campaign and survives
-// kill -9 by deterministically resuming interrupted campaigns through the
-// journal replay path, per-tenant virtual-budget ledgers, and a
+// registry that keeps each campaign in one append-only journal file and
+// survives kill -9 by deterministically resuming interrupted campaigns
+// through the journal replay path, per-tenant virtual-budget ledgers, and a
 // weighted-fair scheduler that interleaves measurement work across every
 // active campaign instead of running them FIFO. internal/service fronts
 // this package with HTTP; cmd/cstunerd is the daemon.
@@ -104,10 +104,10 @@ func NewLifecycle(clock engine.Clock) *Lifecycle {
 // campaign whose owning process died mid-run. That campaign is restored as
 // StatePending (the registry re-runs it through journal replay) with the
 // restoration stamped into the history. It is a persisted StateRunning, or
-// a persisted StatePending whose journal exists (journaled): the registry
-// does not write the Pending → Running transition, and only a run creates
-// the journal.
-func RestoreLifecycle(clock engine.Clock, state State, hist []Transition, journaled bool) (*Lifecycle, error) {
+// a persisted StatePending whose run had started: the registry does not
+// record the Pending → Running transition, and only a run records the
+// campaign's fingerprint.
+func RestoreLifecycle(clock engine.Clock, state State, hist []Transition, started bool) (*Lifecycle, error) {
 	if clock == nil {
 		clock = time.Now // value use: the sanctioned wall-clock seam (engine.Clock)
 	}
@@ -115,7 +115,7 @@ func RestoreLifecycle(clock engine.Clock, state State, hist []Transition, journa
 		return nil, fmt.Errorf("campaign: restore: unknown state %q", state)
 	}
 	l := &Lifecycle{clock: clock, state: state, hist: append([]Transition(nil), hist...)}
-	if state == StateRunning || (state == StatePending && journaled) {
+	if state == StateRunning || (state == StatePending && started) {
 		l.state = StatePending
 		l.hist = append(l.hist, Transition{
 			From: StateRunning, To: StatePending,

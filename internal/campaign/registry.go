@@ -1,12 +1,15 @@
 package campaign
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,19 +52,20 @@ type Options struct {
 	// directory layout is multi-process safe — several registries may share
 	// one root.
 	EnableStore bool
-	// FS is the filesystem seam for every durable operation the registry,
-	// its campaigns' journals, and the shared store perform (nil = the real
-	// filesystem, vfs.OS). Chaos tests inject a vfs.FaultFS here.
+	// FS is the filesystem seam for every durable operation: campaign
+	// journals, the upgrade of an earlier layout and the shared store (nil =
+	// the real filesystem, vfs.OS). Chaos tests inject a vfs.FaultFS here.
 	FS vfs.FS
 }
 
 // Registry owns every campaign under one root directory: one subdirectory
-// per campaign holding spec.json, state.json, journal.wal and (once
-// completed) result.json. Open scans the root, quarantines campaigns whose
-// journal cannot be trusted, reconstructs tenant ledgers, and resumes every
-// campaign that was pending or running when the previous process died —
-// through the deterministic journal replay path, so the registry as a whole
-// survives kill -9 with no lost work beyond unaccounted episodes.
+// per campaign holding one file, journal.wal, whose owner records carry the
+// spec, each persisted lifecycle state and the result beside the measured
+// episodes. Open scans the root, reading each file once, reconstructs
+// tenant ledgers, and resumes every campaign that was pending or running
+// when the previous process died — through the deterministic journal replay
+// path, so the registry as a whole survives kill -9 with no lost work
+// beyond unaccounted episodes.
 type Registry struct {
 	root    string
 	fs      vfs.FS
@@ -71,10 +75,9 @@ type Registry struct {
 	opts    Options
 	store   *store.Store // shared result store; nil when disabled
 
-	// dirSyncErrs counts directory-fsync failures across the registry's own
-	// persistence (spec/state/result writes, quarantine renames) — durable
-	// data whose directory entry may not survive a power loss. Surfaced by
-	// Health.
+	// dirSyncErrs counts directory-fsync failures of campaign creates and
+	// of the upgrade — durable data whose directory entry may not survive a
+	// power loss. Surfaced by Health.
 	dirSyncErrs atomic.Int64
 
 	baseCtx    context.Context
@@ -89,8 +92,9 @@ type Registry struct {
 }
 
 // Open creates (or reopens) the registry rooted at dir, scans existing
-// campaign directories, reconstructs ledgers, and — unless autostart is
-// disabled — resumes interrupted campaigns.
+// campaign directories, upgrading any written in the earlier layout of
+// JSON files, reconstructs ledgers, and — unless autostart is disabled —
+// resumes interrupted campaigns.
 func Open(dir string, opts Options) (*Registry, error) {
 	fsys := vfs.Or(opts.FS)
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
@@ -152,170 +156,93 @@ func (r *Registry) StoreStats() (store.Stats, bool) {
 	return r.store.Stats(), true
 }
 
-// scan loads every campaign directory under the root. A campaign whose
-// journal is corrupt or was written under a different fingerprint is
-// quarantined — journal renamed to journal.wal.bad, state Failed with the
-// reason recorded — and the scan continues; one bad campaign never aborts
-// registry startup.
+// scan loads every campaign directory under the root in the order their
+// ids were issued. A campaign whose file cannot be read loads as Failed
+// with the reason, and the scan goes on: one bad campaign never aborts
+// registry startup. A directory whose file holds no spec is no campaign —
+// no Submit that returned success leaves one — but its id stays used.
 func (r *Registry) scan() error {
 	entries, err := r.fs.ReadDir(r.root)
 	if err != nil {
 		return fmt.Errorf("campaign: scan: %w", err)
 	}
-	names := make([]string, 0, len(entries))
+	slices.SortFunc(entries, func(a, b os.DirEntry) int {
+		return cmp.Or(cmp.Compare(idSeq(a.Name()), idSeq(b.Name())), strings.Compare(a.Name(), b.Name()))
+	})
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
 		}
-		// The shared result store lives under the root too, at <root>/store;
-		// its directory is not a campaign. Skip the reserved name even when
-		// the store is disabled this run — a root that once ran with a store
-		// must not resurrect it as a failed campaign.
-		if e.Name() == "store" {
-			continue
-		}
-		names = append(names, e.Name())
-	}
-	sort.Strings(names) // deterministic load order; ids sort as submission order
-	for _, name := range names {
-		c, err := r.load(name)
-		if err != nil {
-			return err
-		}
-		r.campaigns[c.ID] = c
-		r.order = append(r.order, c.ID)
-		if n := idSeq(c.ID); n > r.seq {
-			r.seq = n
+		r.seq = max(r.seq, idSeq(e.Name()))
+		if c := r.load(e.Name()); c != nil {
+			r.campaigns[c.ID] = c
+			r.order = append(r.order, c.ID)
 		}
 	}
 	return nil
 }
 
-// idSeq parses the numeric sequence out of a campaign id ("c000042" → 42);
-// 0 for foreign names.
+// idSeq parses the sequence number of a campaign id ("c000042" → 42,
+// "c1000000" → 1000000); 0 for foreign names.
 func idSeq(id string) int {
-	var n int
-	if _, err := fmt.Sscanf(id, "c%06d", &n); err != nil {
+	digits, ok := strings.CutPrefix(id, "c")
+	n, err := strconv.ParseUint(digits, 10, 31)
+	if !ok || err != nil {
 		return 0
 	}
-	return n
+	return int(n)
 }
 
-// load reconstructs one campaign from its directory. Load failures are
-// quarantined into a Failed campaign rather than propagated: startup
-// hygiene demands the registry come up with every loadable campaign intact.
-func (r *Registry) load(id string) (*Campaign, error) {
-	c := &Campaign{ID: id, dir: filepath.Join(r.root, id), fs: r.fs, dirSyncErrs: &r.dirSyncErrs}
-
-	if err := readJSON(r.fs, c.specPath(), &c.Spec); err != nil {
-		c.lc = NewLifecycle(r.clock)
-		r.failLoaded(c, fmt.Sprintf("unreadable spec.json: %v", err))
-		return c, nil
+// load reconstructs one campaign from its directory, or returns nil for a
+// directory that holds none (the shared store's, or a failed Submit's). It
+// reads the journal once, decodes no episode and writes nothing: a torn
+// tail is the next run's or append's to truncate.
+func (r *Registry) load(id string) *Campaign {
+	c := &Campaign{ID: id, dir: filepath.Join(r.root, id), fs: r.fs, lc: NewLifecycle(r.clock)}
+	f, err := c.read()
+	if err == nil && f.Spec == nil {
+		f, err = r.upgrade(c)
 	}
-
-	var ps persistedState
-	serr := readJSON(r.fs, c.statePath(), &ps)
-	// The journal of a campaign that may not be terminal is validated below,
-	// and its existence tells a Pending campaign that was running when its
-	// process died from one that never started (RestoreLifecycle).
-	journaled := false
-	if serr != nil || !ps.State.Terminal() {
-		_, statErr := r.fs.Stat(c.journalPath())
-		journaled = statErr == nil
+	if err == nil && f.Spec == nil {
+		return nil
 	}
-	switch {
-	case serr == nil:
-		lc, lerr := RestoreLifecycle(r.clock, ps.State, ps.Transitions, journaled)
-		if lerr != nil {
-			c.lc = NewLifecycle(r.clock)
-			r.failLoaded(c, fmt.Sprintf("unreadable state.json: %v", lerr))
-			return c, nil
+	if f.Spec != nil {
+		c.Spec = *f.Spec
+	}
+	if f.Result != nil {
+		c.result, c.canonical = f.Result.Result, f.Result.Canonical
+	}
+	if err == nil && f.State != nil {
+		// A Pending campaign whose fingerprint is assigned was running when
+		// its process died: the registry does not record Pending → Running.
+		var lc *Lifecycle
+		if lc, err = RestoreLifecycle(r.clock, f.State.State, f.State.Transitions, c.Spec.Fingerprint != ""); err == nil {
+			c.lc, c.settledS = lc, f.State.SettledS
 		}
-		c.lc = lc
-		c.settledS = ps.SettledS
-	case errors.Is(serr, os.ErrNotExist):
-		// Crash between mkdir and the first state write: a fresh pending
-		// campaign.
-		c.lc = NewLifecycle(r.clock)
-	default:
-		c.lc = NewLifecycle(r.clock)
-		r.failLoaded(c, fmt.Sprintf("unreadable state.json: %v", serr))
-		return c, nil
 	}
-
-	// Startup hygiene: validate the journal before trusting the campaign.
-	// ErrCorrupt (untrustable header) and ErrFingerprint (journal from a
-	// differently-configured campaign) quarantine this one campaign; torn
-	// tails are not errors — journal.Open truncates and recovers them.
-	if journaled && !c.lc.State().Terminal() {
-		jr, jerr := journal.OpenFS(r.fs, c.journalPath(), c.Spec.Fingerprint)
-		switch {
-		case jerr == nil:
-			_ = jr.Close() // validation-only open; nothing was written
-		case errors.Is(jerr, journal.ErrCorrupt), errors.Is(jerr, journal.ErrFingerprint):
-			r.quarantineJournal(c, jerr)
-			return c, nil
-		default:
-			r.failLoaded(c, fmt.Sprintf("journal unreadable: %v", jerr))
-			return c, nil
-		}
+	if err != nil {
+		_ = c.lc.To(StateFailed, fmt.Sprintf("unreadable campaign: %v", err)) // Pending → Failed is legal
+		return c
 	}
 
 	// Ledger reconstruction: terminal campaigns re-apply their settled
 	// spend; live ones re-reserve their full budget (forced — they were
 	// admitted before the crash, and a restart never orphans admitted work).
-	switch c.lc.State() {
-	case StateCompleted:
-		if err := c.loadResult(); err != nil {
-			r.failLoaded(c, fmt.Sprintf("completed campaign without readable result.json: %v", err))
-			return c, nil
-		}
+	if c.lc.State().Terminal() {
 		r.ledgers.RestoreSpent(c.Spec.Tenant, c.settledS)
-	case StateFailed, StateCanceled:
-		r.ledgers.RestoreSpent(c.Spec.Tenant, c.settledS)
-	default:
+	} else {
 		_ = r.ledgers.Reserve(c.Spec.Tenant, c.Spec.BudgetS, true) // forced: cannot fail
 	}
-	return c, nil
+	return c
 }
 
-// failLoaded forces a loaded campaign into StateFailed with the reason and
-// persists the state (best-effort — the load itself must not fail).
-func (r *Registry) failLoaded(c *Campaign, reason string) {
-	if err := c.lc.To(StateFailed, reason); err != nil {
-		// Terminal already (e.g. a Failed campaign whose journal rotted
-		// later): the recorded state stands.
-		return
-	}
-	// Best-effort persistence: the disk is already misbehaving for this
-	// campaign, and the in-memory Failed state and reason still stand.
-	_ = c.persistState()
-}
-
-// quarantineJournal renames the untrusted journal to journal.wal.bad and
-// fails the campaign with the precise reason, preserving the bytes for
-// post-mortem. The registry keeps serving every other campaign.
-func (r *Registry) quarantineJournal(c *Campaign, cause error) {
-	bad := c.journalPath() + ".bad"
-	if err := r.fs.Rename(c.journalPath(), bad); err != nil {
-		r.failLoaded(c, fmt.Sprintf("journal quarantine failed: %v (original error: %v)", err, cause))
-		return
-	}
-	r.syncDir(bad)
-	r.failLoaded(c, fmt.Sprintf("journal quarantined to %s: %v", filepath.Base(bad), cause))
-}
-
-// syncDir fsyncs path's directory so a rename or create is durable.
+// syncDir fsyncs path's directory so a create or remove in it is durable.
 // Best-effort — the data already hit its file — but counted, never silent.
 func (r *Registry) syncDir(path string) {
 	if err := vfs.SyncDirOf(r.fs, path); err != nil {
 		r.dirSyncErrs.Add(1)
 	}
 }
-
-// DirSyncErrs returns the count of directory-fsync failures across the
-// registry's persistence operations.
-func (r *Registry) DirSyncErrs() int64 { return r.dirSyncErrs.Load() }
 
 // Health is the registry's per-subsystem health snapshot — the body behind
 // the service's /v1/healthz.
@@ -329,8 +256,8 @@ type Health struct {
 	Store         string `json:"store"`
 	StoreWriteErr string `json:"store_write_err,omitempty"`
 	StorePutDrops int    `json:"store_put_drops,omitempty"`
-	// DirSyncErrs counts directory-fsync failures across registry
-	// persistence (spec/state/result writes, quarantine renames).
+	// DirSyncErrs counts directory-fsync failures of campaign creates and
+	// of the upgrade of an earlier layout.
 	DirSyncErrs int64 `json:"dir_sync_errs,omitempty"`
 	// Degraded is true when any durable subsystem is below full fidelity.
 	// The daemon keeps serving either way — that is the point.
@@ -363,8 +290,9 @@ func (r *Registry) Health() Health {
 }
 
 // Submit validates and admits a new campaign: the tenant ledger reserves
-// its budget, the campaign directory and spec are persisted, and (unless
-// autostart is disabled) a runner starts it immediately.
+// its budget, the campaign's journal is created holding the spec and the
+// Pending state, and (unless autostart is disabled) a runner starts it
+// immediately. The registry lists the campaign once its file is durable.
 func (r *Registry) Submit(spec Spec) (*Campaign, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -381,43 +309,33 @@ func (r *Registry) Submit(spec Spec) (*Campaign, error) {
 	}
 	r.seq++
 	id := fmt.Sprintf("c%06d", r.seq)
-	c := &Campaign{
-		ID: id, Spec: spec, dir: filepath.Join(r.root, id),
-		lc: NewLifecycle(r.clock), fs: r.fs, dirSyncErrs: &r.dirSyncErrs,
+	r.mu.Unlock()
+
+	// The spec and the Pending state become durable under one file fsync,
+	// then the campaign directory's and the root's. The exclusive create
+	// refuses a reused id.
+	c := &Campaign{ID: id, Spec: spec, dir: filepath.Join(r.root, id), lc: NewLifecycle(r.clock), fs: r.fs}
+	err := r.fs.MkdirAll(c.dir, 0o755)
+	var jr *journal.Journal
+	if err == nil {
+		jr, err = journal.CreateFS(r.fs, c.journalPath(), "", record{Spec: &c.Spec, State: c.stateRecord()})
 	}
+	if err != nil {
+		_ = r.fs.Remove(c.dir) // best effort: the scan skips a directory without a spec
+		r.ledgers.Settle(spec.Tenant, spec.BudgetS, 0)
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	r.dirSyncErrs.Add(jr.DirSyncErrs())
+	_ = jr.Close()   // the create synced every frame: closing cannot lose one
+	r.syncDir(c.dir) // fsyncs the root, durably recording the new directory in it
+	r.mu.Lock()
 	r.campaigns[id] = c
 	r.order = append(r.order, id)
 	r.mu.Unlock()
-
-	if err := r.fs.MkdirAll(c.dir, 0o755); err != nil {
-		r.evict(c)
-		return nil, fmt.Errorf("campaign: mkdir: %w", err)
-	}
-	// spec.json and the Pending state.json share one directory fsync.
-	if err := c.persistState(c.specFile()); err != nil {
-		r.evict(c)
-		return nil, err
-	}
-	r.syncDir(c.dir) // fsyncs the root, durably recording the new directory in it
 	if !r.opts.DisableAutostart {
 		r.start(c)
 	}
 	return c, nil
-}
-
-// evict rolls back a failed admission: the reservation is released and the
-// campaign disappears from the registry.
-func (r *Registry) evict(c *Campaign) {
-	r.ledgers.Settle(c.Spec.Tenant, c.Spec.BudgetS, 0)
-	r.mu.Lock()
-	delete(r.campaigns, c.ID)
-	for i, oid := range r.order {
-		if oid == c.ID {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	r.mu.Unlock()
 }
 
 // StartPending starts a runner for every pending campaign (used by Open's
@@ -470,12 +388,14 @@ func (r *Registry) start(c *Campaign) {
 	r.wg.Add(1)
 	r.mu.Unlock()
 	// Running is advisory on disk, like live progress. Pending → Running
-	// writes nothing: load restores a Pending campaign whose journal exists
-	// as interrupted. Paused → Running must be written, or a crash would
-	// bring the resumed campaign back paused. Persistence trouble is not
-	// fatal to the run: the journal still makes the campaign resumable.
+	// writes nothing: load restores a Pending campaign whose fingerprint is
+	// assigned as interrupted. Paused → Running must be written, or a crash
+	// would bring the resumed campaign back paused. Persistence trouble is
+	// not fatal to the run: the journal still makes the campaign resumable.
 	if resumed {
-		_ = c.persistState()
+		c.fileMu.Lock()
+		c.persist(nil, record{State: c.stateRecord()})
+		c.fileMu.Unlock()
 	}
 	go func() {
 		defer r.wg.Done()
@@ -485,148 +405,138 @@ func (r *Registry) start(c *Campaign) {
 }
 
 // run executes one campaign to an outcome and settles the lifecycle,
-// persistence and ledger for it. It owns c.cancel until it returns.
+// persistence and ledger for it. It owns c.cancel until it has an outcome,
+// and c.fileMu until it returns.
 func (r *Registry) run(ctx context.Context, c *Campaign) {
-	finishInterrupt := func() {
+	c.fileMu.Lock()
+	defer c.fileMu.Unlock()
+	// release ends the runner's ownership and returns the interrupt a
+	// caller requested, if any.
+	release := func() State {
 		c.mu.Lock()
+		defer c.mu.Unlock()
 		intent := c.intent
 		c.cancel, c.intent = nil, ""
-		c.mu.Unlock()
-		switch intent {
-		case StateCanceled:
-			r.settleTerminal(c, StateCanceled, "canceled by request")
-		case StatePaused:
-			if err := c.lc.To(StatePaused, "paused by request"); err == nil {
-				_ = c.persistState() // best-effort; journal already holds the episodes
-			}
-		default:
-			// Registry shutdown: no transition. The persisted state is
-			// Pending (with a journal, or never started) or Running (after
-			// a resume from pause), and the next Open resumes either.
-		}
+		return intent
+	}
+	fail := func(reason string) {
+		release()
+		r.finish(c, nil, StateFailed, reason)
 	}
 
 	fx, err := c.Spec.fixture()
 	if err != nil {
-		c.mu.Lock()
-		c.cancel, c.intent = nil, ""
-		c.mu.Unlock()
-		r.settleTerminal(c, StateFailed, fmt.Sprintf("fixture: %v", err))
+		fail(fmt.Sprintf("fixture: %v", err))
 		return
 	}
-
 	cfg := c.config(Gate(ctx, r.sched, c.Spec.Tenant, c.Spec.Weight))
+	first := c.Spec.Fingerprint == ""
 	if r.store != nil {
 		cfg.Store = r.store
-		if c.Spec.WarmStart > 0 && c.Spec.Fingerprint == "" && c.Spec.WarmKeys == nil {
+		if c.Spec.WarmStart > 0 && first && c.Spec.WarmKeys == nil {
 			// Resolve warm seeds exactly once, before the fingerprint below
-			// freezes them into the campaign identity. ResolveWarmKeys
-			// returns a non-nil slice even when the store has nothing, so an
-			// empty resolution persists as "resolved, cold" and is never
-			// retried against a store that has since grown.
+			// freezes them into the campaign identity; the recorded
+			// fingerprint marks them resolved, even when the store had none.
 			c.Spec.WarmKeys = harness.ResolveWarmKeys(r.store, fx, c.Spec.WarmStart)
 		}
 		cfg.WarmStart = harness.ParseWarmKeys(fx.Space, c.Spec.WarmKeys)
 	}
-	fp := harness.CampaignFingerprint(fx, cfg)
-	if c.Spec.Fingerprint == "" {
-		c.Spec.Fingerprint = fp
-		_ = c.persistSpec() // journal identity is still enforced by the journal itself
-	}
 
+	fp := harness.CampaignFingerprint(fx, cfg)
+	if !first && fp != c.Spec.Fingerprint {
+		fail(fmt.Sprintf("prepare: %v:\n  journal: %s\n  campaign: %s", journal.ErrFingerprint, c.Spec.Fingerprint, fp))
+		return
+	}
 	cr, err := harness.PrepareCampaign(fx, cfg)
 	if err != nil {
-		c.mu.Lock()
-		c.cancel, c.intent = nil, ""
-		c.mu.Unlock()
-		if errors.Is(err, journal.ErrCorrupt) || errors.Is(err, journal.ErrFingerprint) {
-			r.quarantineJournal(c, err)
-			r.settleTerminalLedgerOnly(c)
+		fail(fmt.Sprintf("prepare: %v", err))
+		return
+	}
+	if first {
+		// One record holds the warm keys and the fingerprint computed from
+		// them, in place of a spec rewrite: a restart neither resolves the
+		// keys again nor runs the journal under another identity.
+		spec := c.Spec
+		spec.Fingerprint = fp
+		if err := cr.Journal().AppendOwner(record{Spec: &spec}); err != nil {
+			_ = cr.Close() // the append error is the one to report
+			fail(fmt.Sprintf("record identity: %v", err))
 			return
 		}
-		r.settleTerminal(c, StateFailed, fmt.Sprintf("prepare: %v", err))
-		return
+		c.Spec.Fingerprint = fp
 	}
 	c.mu.Lock()
 	c.eng = cr.Engine()
 	c.mu.Unlock()
 
 	res, err := cr.Execute(ctx)
-	_ = cr.Close() // teardown after Execute synced every frame; nothing can act on the error
 	c.mu.Lock()
 	c.eng = nil
 	c.mu.Unlock()
 
 	if ctx.Err() != nil {
-		finishInterrupt()
+		_ = cr.Close() // teardown after Execute synced every frame
+		switch release() {
+		case StateCanceled:
+			r.finish(c, nil, StateCanceled, "canceled by request")
+		case StatePaused:
+			if err := c.lc.To(StatePaused, "paused by request"); err == nil {
+				c.persist(nil, record{State: c.stateRecord()})
+			}
+		default:
+			// Registry shutdown: no transition. The recorded state is
+			// Pending (interrupted once the fingerprint is assigned) or
+			// Running (after a resume from pause), and the next Open
+			// resumes either.
+		}
 		return
 	}
-	c.mu.Lock()
-	c.cancel, c.intent = nil, ""
-	c.mu.Unlock()
 	if err != nil {
-		r.settleTerminal(c, StateFailed, fmt.Sprintf("execute: %v", err))
+		_ = cr.Close() // the execute error is the one to report
+		fail(fmt.Sprintf("execute: %v", err))
 		return
 	}
+	release()
 	c.mu.Lock()
 	c.result, c.canonical = res, res.Canonical()
 	c.mu.Unlock()
-	if perr := c.persistResult(res); perr != nil {
-		r.settleTerminal(c, StateFailed, fmt.Sprintf("persist result: %v", perr))
-		return
-	}
 	if r.store != nil {
 		// Make this campaign's published measurements visible to concurrent
 		// processes sharing the store directory. Best-effort: the store is a
 		// cache, and a flush failure must not fail a completed campaign.
 		_ = r.store.Flush()
 	}
-	r.settleTerminalWithSpend(c, StateCompleted, "", res.Stats.SpentS)
+	// The result and the Completed state share one record, which the
+	// journal's Close syncs.
+	r.finish(c, cr.Journal(), StateCompleted, "")
+	_ = cr.Close() // a Completed state that misses the disk resumes to the same result
 }
 
-// settleTerminal moves c to a terminal state, settles the tenant ledger
-// (charging the engine's actual spend when a live engine or result is
-// available, else zero), and persists the state.
-func (r *Registry) settleTerminal(c *Campaign, s State, reason string) {
-	spent := 0.0
+// finish moves c to the terminal state s, settles the tenant's reservation
+// to the spend of the campaign's result or live engine (zero without
+// either), capped at the reservation, and records the state — with the
+// result, for Completed — through jr when the run holds its journal open.
+// A campaign already terminal keeps its state. The caller holds c.fileMu.
+func (r *Registry) finish(c *Campaign, jr *journal.Journal, s State, reason string) {
+	if err := c.lc.To(s, reason); err != nil {
+		return // already terminal; ledger settled by whoever got there first
+	}
 	c.mu.Lock()
+	spent := 0.0
 	if c.result != nil {
 		spent = c.result.Stats.SpentS
 	} else if c.eng != nil {
 		spent = c.eng.SpentS()
 	}
-	c.mu.Unlock()
-	r.settleTerminalWithSpend(c, s, reason, spent)
-}
-
-// settleTerminalWithSpend is settleTerminal with an explicit spend.
-func (r *Registry) settleTerminalWithSpend(c *Campaign, s State, reason string, spentS float64) {
-	if err := c.lc.To(s, reason); err != nil {
-		return // already terminal; ledger settled by whoever got there first
+	c.settledS = min(max(spent, 0), c.Spec.BudgetS)
+	settled := c.settledS
+	var res *persistedResult
+	if s == StateCompleted {
+		res = &persistedResult{Canonical: c.canonical, Result: c.result}
 	}
-	settled := spentS
-	if settled > c.Spec.BudgetS {
-		settled = c.Spec.BudgetS
-	}
-	if settled < 0 {
-		settled = 0
-	}
-	c.mu.Lock()
-	c.settledS = settled
 	c.mu.Unlock()
 	r.ledgers.Settle(c.Spec.Tenant, c.Spec.BudgetS, settled)
-	_ = c.persistState() // in-memory state stands; a restart re-settles from the journal
-}
-
-// settleTerminalLedgerOnly releases the ledger reservation for a campaign
-// whose terminal transition already happened (quarantine path).
-func (r *Registry) settleTerminalLedgerOnly(c *Campaign) {
-	c.mu.Lock()
-	already := c.settledS
-	c.mu.Unlock()
-	if already == 0 {
-		r.ledgers.Settle(c.Spec.Tenant, c.Spec.BudgetS, 0)
-	}
+	c.persist(jr, record{State: c.stateRecord(), Result: res})
 }
 
 // Get returns the campaign by id.
@@ -694,7 +604,9 @@ func (r *Registry) interrupt(id string, want State) error {
 	if want == StateCanceled {
 		state := c.lc.State()
 		if state == StatePaused || state == StatePending {
-			r.settleTerminal(c, StateCanceled, "canceled by request")
+			c.fileMu.Lock()
+			r.finish(c, nil, StateCanceled, "canceled by request")
+			c.fileMu.Unlock()
 			return nil
 		}
 	}
@@ -730,10 +642,9 @@ func (r *Registry) ResumeCampaign(id string) error {
 // every running campaign's context is cancelled (in-flight episodes abort
 // as ClassCanceled — never journaled, so at most unaccounted work is
 // re-measured on resume), and runner goroutines are drained; each runner's
-// Execute synced its journal before returning. No state file is written:
-// on disk an interrupted campaign is still Pending (or Running after a
-// resume from pause), which is precisely what makes the next Open resume
-// it.
+// Execute synced its journal before returning. No state is recorded: on
+// disk an interrupted campaign is still Pending (or Running after a resume
+// from pause), which is precisely what makes the next Open resume it.
 func (r *Registry) Close() error {
 	r.mu.Lock()
 	if r.closed {

@@ -1,16 +1,19 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/vfs"
 )
 
 // testSpec is a small, fast campaign: random search on helmholtz/a100 with
@@ -25,6 +28,40 @@ func testSpec(tenant string, seed int64) Spec {
 		BudgetS:     4,
 		Seed:        seed,
 	}
+}
+
+// recorded reads the campaign's journal as a restart does and returns the
+// last state it records.
+func recorded(t *testing.T, root, id string) State {
+	t.Helper()
+	f, err := (&Campaign{dir: filepath.Join(root, id), fs: vfs.OS}).read()
+	if err != nil || f.Spec == nil || f.State == nil {
+		t.Fatalf("%s records no spec or no state: %+v, %v", id, f, err)
+	}
+	return f.State.State
+}
+
+// writeCampaign writes the directory of campaign id under root by hand: a
+// journal with fingerprint fp holding the owner records recs.
+func writeCampaign(t *testing.T, root, id, fp string, recs ...any) string {
+	t.Helper()
+	dir := filepath.Join(root, id)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	jr, err := journal.CreateFS(vfs.OS, filepath.Join(dir, "journal.wal"), fp, recs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(dir, "journal.wal")
+}
+
+// submitted is the record Submit writes for spec.
+func submitted(spec Spec) record {
+	return record{Spec: &spec, State: &persistedState{State: StatePending, Transitions: NewLifecycle(nil).History()}}
 }
 
 func openTestRegistry(t *testing.T, dir string, opts Options) *Registry {
@@ -165,11 +202,10 @@ func TestRegistryPauseResume(t *testing.T) {
 	if err := reg.ResumeCampaign(c.ID); err != nil {
 		t.Fatal(err)
 	}
-	// Resuming from pause is written before ResumeCampaign returns: a
-	// Paused state.json would bring the campaign back paused after a crash.
-	var ps persistedState
-	if err := readJSON(nil, filepath.Join(root, c.ID, "state.json"), &ps); err != nil || ps.State == StatePaused {
-		t.Fatalf("state.json after resume: %v, %v", ps.State, err)
+	// Resuming from pause is recorded before ResumeCampaign returns: a
+	// recorded Paused would bring the campaign back paused after a crash.
+	if got := recorded(t, root, c.ID); got == StatePaused {
+		t.Fatalf("recorded state after resume: %s", got)
 	}
 	waitState(t, reg, c.ID, StateCompleted)
 	_, canonical, _ := c.Result()
@@ -179,66 +215,6 @@ func TestRegistryPauseResume(t *testing.T) {
 	// Resuming a completed campaign is an illegal transition.
 	if err := reg.ResumeCampaign(c.ID); !errors.Is(err, ErrTransition) {
 		t.Fatalf("resume of completed campaign: got %v, want ErrTransition", err)
-	}
-}
-
-// TestRegistryResumesSpecWithRetiredWorkersField reopens a campaign whose
-// spec.json still carries the retired "workers", "checkpoint_every",
-// "repeats" and "quarantine" knobs. The unknown fields are ignored on load,
-// so the campaign resumes and completes to the same canonical result as a
-// fresh run of the spec.
-func TestRegistryResumesSpecWithRetiredWorkersField(t *testing.T) {
-	spec := testSpec("acme", 9)
-	golden := goldenCanonical(t, spec)
-
-	dir := t.TempDir()
-	reg, err := Open(dir, Options{Slots: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hold the only slot so the campaign is still running when the
-	// registry closes, as after a process death.
-	if err := reg.Scheduler().Acquire(context.Background(), "holder", 1); err != nil {
-		t.Fatal(err)
-	}
-	c, err := reg.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := c.ID
-	waitState(t, reg, id, StateRunning)
-	if err := reg.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(dir, id, "spec.json")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fields map[string]any
-	if err := json.Unmarshal(raw, &fields); err != nil {
-		t.Fatal(err)
-	}
-	fields["workers"] = 4
-	fields["checkpoint_every"] = 5
-	fields["repeats"] = 3
-	fields["quarantine"] = 1
-	if raw, err = json.Marshal(fields); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	reg2 := openTestRegistry(t, dir, Options{Slots: 1})
-	waitState(t, reg2, id, StateCompleted)
-	c2, err := reg2.Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, canonical, _ := c2.Result(); canonical != golden {
-		t.Fatalf("resumed canonical differs from a fresh run:\n%s\n%s", canonical, golden)
 	}
 }
 
@@ -342,107 +318,85 @@ func TestRegistryValidationErrors(t *testing.T) {
 	}
 }
 
-// TestRegistryStartupHygiene is the quarantine table: a campaign directory
-// whose journal is corrupt or from a different fingerprint must come up
-// Failed with the journal renamed to .bad — and must not stop sibling
-// campaigns from loading.
+// TestRegistryStartupHygiene is the containment table: a campaign whose
+// journal cannot be trusted comes up Failed with the reason, on this
+// restart and the next, with its bytes left on disk for post-mortem — and
+// it never stops a sibling campaign from loading. A header or spec that
+// cannot be read fails the campaign at load, on every restart; a
+// fingerprint mismatch fails it at run start, and that Failed is recorded.
 func TestRegistryStartupHygiene(t *testing.T) {
+	spec := testSpec("acme", 7)
 	cases := []struct {
-		name    string
-		corrupt func(t *testing.T, dir string, spec *Spec)
-		wantBad bool
+		name   string
+		write  func(t *testing.T, root string) string // writes c000001, returns its journal path
+		atRun  bool
+		reason string
 	}{
 		{
 			name: "corrupt-journal",
-			corrupt: func(t *testing.T, dir string, spec *Spec) {
-				if err := os.WriteFile(filepath.Join(dir, "journal.wal"), []byte("not a journal at all"), 0o644); err != nil {
+			write: func(t *testing.T, root string) string {
+				path := writeCampaign(t, root, "c000001", "", submitted(spec))
+				if err := os.WriteFile(path, []byte("not a journal at all"), 0o644); err != nil {
 					t.Fatal(err)
 				}
+				return path
 			},
-			wantBad: true,
+			reason: "corrupt journal",
 		},
 		{
 			name: "fingerprint-mismatch",
-			corrupt: func(t *testing.T, dir string, spec *Spec) {
-				jr, err := journal.OpenOrCreate(filepath.Join(dir, "journal.wal"), "someone-else-entirely|v1")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := jr.Close(); err != nil {
-					t.Fatal(err)
-				}
-				spec.Fingerprint = "the-expected-campaign|v1"
+			write: func(t *testing.T, root string) string {
+				foreign := spec
+				foreign.Fingerprint = "someone-else-entirely|v1"
+				return writeCampaign(t, root, "c000001", "", submitted(foreign))
 			},
-			wantBad: true,
+			atRun:  true,
+			reason: "fingerprint mismatch",
 		},
 		{
 			name: "unreadable-spec",
-			corrupt: func(t *testing.T, dir string, spec *Spec) {
-				if err := os.WriteFile(filepath.Join(dir, "spec.json"), []byte("{truncated"), 0o644); err != nil {
-					t.Fatal(err)
-				}
+			write: func(t *testing.T, root string) string {
+				return writeCampaign(t, root, "c000001", "", json.RawMessage(`{"spec":"{truncated"}`))
 			},
-			wantBad: false,
+			reason: "unreadable record",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			root := t.TempDir()
-			dir := filepath.Join(root, "c000001")
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			spec := testSpec("acme", 7)
-			c := &Campaign{ID: "c000001", Spec: spec, dir: dir, lc: NewLifecycle(nil)}
-			if err := c.lc.To(StateRunning, ""); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.persistSpec(); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.persistState(); err != nil {
-				t.Fatal(err)
-			}
-			tc.corrupt(t, dir, &c.Spec)
-			if err := c.persistSpec(); err != nil { // corrupt may have set Fingerprint
-				t.Fatal(err)
-			}
-			if tc.name == "unreadable-spec" { // re-corrupt after the persist above
-				tc.corrupt(t, dir, &c.Spec)
-			}
-
+			path := tc.write(t, root)
 			// A healthy sibling proves one bad campaign never aborts the scan.
-			sib := &Campaign{ID: "c000002", Spec: testSpec("acme", 8), dir: filepath.Join(root, "c000002"), lc: NewLifecycle(nil)}
-			if err := os.MkdirAll(sib.dir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := sib.persistSpec(); err != nil {
-				t.Fatal(err)
-			}
-			if err := sib.persistState(); err != nil {
+			writeCampaign(t, root, "c000002", "", submitted(testSpec("acme", 8)))
+			before, err := os.ReadFile(path)
+			if err != nil {
 				t.Fatal(err)
 			}
 
-			reg := openTestRegistry(t, root, Options{DisableAutostart: true})
+			reg := openTestRegistry(t, root, Options{Slots: 1, DisableAutostart: true})
 			bad, err := reg.Get("c000001")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bad.State() != StateFailed {
-				t.Fatalf("bad campaign state %s, want failed", bad.State())
-			}
-			if bad.lc.Reason() == "" {
-				t.Fatal("quarantine reason not recorded")
-			}
-			if tc.wantBad {
-				if _, err := os.Stat(filepath.Join(dir, "journal.wal.bad")); err != nil {
-					t.Fatalf("journal not renamed to .bad: %v", err)
+			if tc.atRun {
+				if err := reg.Cancel("c000002"); err != nil { // leaves the one slot to c000001
+					t.Fatal(err)
 				}
-				if _, err := os.Stat(filepath.Join(dir, "journal.wal")); !errors.Is(err, os.ErrNotExist) {
-					t.Fatalf("original journal still present: %v", err)
+				reg.StartPending()
+				for deadline := time.Now().Add(30 * time.Second); !bad.State().Terminal() && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
 				}
 			}
-			// The persisted state must agree after a second restart.
+			if bad.State() != StateFailed || !strings.Contains(bad.lc.Reason(), tc.reason) {
+				t.Fatalf("bad campaign is %s (%q), want failed naming %q", bad.State(), bad.lc.Reason(), tc.reason)
+			}
+			if sib, err := reg.Get("c000002"); err != nil || (!tc.atRun && sib.State() != StatePending) {
+				t.Fatalf("healthy sibling did not survive the scan: %v", err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil || !bytes.HasPrefix(after, before) {
+				t.Fatalf("the untrusted journal's bytes did not stay on disk: %v", err)
+			}
+			// The verdict must stand after a second restart.
 			if err := reg.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -451,11 +405,8 @@ func TestRegistryStartupHygiene(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bad2.State() != StateFailed {
-				t.Fatalf("state after second restart %s, want failed", bad2.State())
-			}
-			if sib2, err := reg2.Get("c000002"); err != nil || sib2.State() != StatePending {
-				t.Fatalf("healthy sibling did not survive the scan: %v (state %v)", err, sib2.State())
+			if bad2.State() != StateFailed || bad2.lc.Reason() != bad.lc.Reason() {
+				t.Fatalf("after a second restart: %s (%q), want failed (%q)", bad2.State(), bad2.lc.Reason(), bad.lc.Reason())
 			}
 		})
 	}
@@ -496,11 +447,11 @@ func TestRegistrySubmitAfterCloseRefused(t *testing.T) {
 }
 
 // TestRegistryRestartClassifiesOnDiskState opens a root holding one
-// campaign per pair of on-disk state.json and journal, all of one spec,
-// and checks how Open classifies each before anything runs. A Pending
-// campaign with a journal was running when its process died: the registry
-// does not write the Pending → Running transition. Every resumable
-// campaign then completes to the spec's uninterrupted result.
+// campaign per recorded state, all of one spec, and checks how Open
+// classifies each before anything runs. A Pending campaign whose
+// fingerprint is assigned was running when its process died: the registry
+// does not record Pending → Running. Every resumable campaign then
+// completes to the spec's uninterrupted result.
 func TestRegistryRestartClassifiesOnDiskState(t *testing.T) {
 	spec := testSpec("acme", 11)
 	spec.BudgetS = 40
@@ -508,9 +459,9 @@ func TestRegistryRestartClassifiesOnDiskState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One uninterrupted run provides the golden result and the files the
-	// rows are built from; half its journal is a mid-run kill point, whose
-	// torn tail Open truncates.
+	// One uninterrupted run provides the golden result and the journal the
+	// rows are built from; half of it is a mid-run kill point, whose torn
+	// tail the next run or append truncates.
 	goldRoot := t.TempDir()
 	gold := openTestRegistry(t, goldRoot, Options{Slots: 1})
 	gc, err := gold.Submit(spec)
@@ -522,64 +473,49 @@ func TestRegistryRestartClassifiesOnDiskState(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, golden, _ := gc.Result()
-	read := func(name string) []byte {
-		t.Helper()
-		data, err := os.ReadFile(filepath.Join(goldRoot, gc.ID, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+	goldJournal, err := os.ReadFile(filepath.Join(goldRoot, gc.ID, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	goldSpec, goldJournal := read("spec.json"), read("journal.wal")
 	killed := goldJournal[:len(goldJournal)/2]
 
 	const interrupted = "interrupted by process death; queued for deterministic resume"
 	rows := []struct {
 		name    string
-		path    []State // transitions from Pending to the on-disk state
-		journal []byte  // nil: no journal.wal
+		path    []State // transitions from Pending to the recorded state
+		journal []byte  // nil: never started
 		state   State   // after Open
 		last    Transition
 	}{
-		{"pending-no-journal", nil, nil, StatePending, Transition{To: StatePending}},
-		{"pending-journal", nil, killed, StatePending, Transition{From: StateRunning, To: StatePending, Reason: interrupted}},
-		{"running-journal", []State{StateRunning}, killed, StatePending, Transition{From: StateRunning, To: StatePending, Reason: interrupted}},
-		{"paused-journal", []State{StateRunning, StatePaused}, killed, StatePaused, Transition{From: StateRunning, To: StatePaused}},
+		{"pending-never-started", nil, nil, StatePending, Transition{To: StatePending}},
+		{"pending-interrupted", nil, killed, StatePending, Transition{From: StateRunning, To: StatePending, Reason: interrupted}},
+		{"running", []State{StateRunning}, killed, StatePending, Transition{From: StateRunning, To: StatePending, Reason: interrupted}},
+		{"paused", []State{StateRunning, StatePaused}, killed, StatePaused, Transition{From: StateRunning, To: StatePaused}},
 		{"completed", nil, goldJournal, StateCompleted, Transition{From: StateRunning, To: StateCompleted}},
 	}
 	root := t.TempDir()
 	for i, row := range rows {
-		dir := filepath.Join(root, fmt.Sprintf("c%06d", i+1))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		files := map[string][]byte{"spec.json": goldSpec, "journal.wal": row.journal}
-		if row.journal == nil {
-			// Never started: no fingerprint yet either.
-			c := &Campaign{Spec: spec, dir: dir}
-			if err := c.persistSpec(); err != nil {
+		path := writeCampaign(t, root, fmt.Sprintf("c%06d", i+1), "", submitted(spec))
+		if row.journal != nil {
+			if err := os.WriteFile(path, row.journal, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			delete(files, "spec.json")
 		}
-		if row.state == StateCompleted {
-			files["state.json"], files["result.json"] = read("state.json"), read("result.json")
-		} else {
-			c := &Campaign{dir: dir, lc: NewLifecycle(nil)}
+		if row.path != nil {
+			lc := NewLifecycle(nil)
 			for _, s := range row.path {
-				if err := c.lc.To(s, ""); err != nil {
+				if err := lc.To(s, ""); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := c.persistState(); err != nil {
+			jr, err := journal.Open(path, "")
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for name, data := range files {
-			if data == nil {
-				continue
+			if err := jr.AppendOwner(record{State: &persistedState{State: lc.State(), Transitions: lc.History()}}); err != nil {
+				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			if err := jr.Close(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -621,5 +557,75 @@ func TestRegistryRestartClassifiesOnDiskState(t *testing.T) {
 		if row.journal != nil && row.state != StateCompleted && st.Replayed == 0 {
 			t.Errorf("%s: resumed without replaying its journal", row.name)
 		}
+	}
+}
+
+func TestIDSeq(t *testing.T) {
+	for _, tc := range []struct {
+		id   string
+		want int
+	}{
+		{"c000001", 1},
+		{"c000042", 42},
+		{"c999999", 999999},
+		{"c1000000", 1000000},
+		{"c12345678", 12345678},
+		{"store", 0},
+		{"c", 0},
+		{"c12x", 0},
+		{"c-1", 0},
+		{"c+1", 0},
+		{"x000001", 0},
+	} {
+		if got := idSeq(tc.id); got != tc.want {
+			t.Errorf("idSeq(%q) = %d, want %d", tc.id, got, tc.want)
+		}
+	}
+}
+
+// TestRegistryIDsPastSixDigits reopens a root holding c999999 and c1000000:
+// the scan lists them in the order they were issued, and the next Submit
+// takes c1000001 instead of landing on an existing campaign.
+func TestRegistryIDsPastSixDigits(t *testing.T) {
+	root := t.TempDir()
+	reg, err := Open(root, Options{DisableAutostart: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tenant := range []string{"alice", "bob"} {
+		if _, err := reg.Submit(testSpec(tenant, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for from, to := range map[string]string{"c000001": "c999999", "c000002": "c1000000"} {
+		if err := os.Rename(filepath.Join(root, from), filepath.Join(root, to)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reg2, err := Open(root, Options{DisableAutostart: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	carol, err := reg2.Submit(testSpec("carol", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if carol.ID != "c1000001" {
+		t.Errorf("the next id is %s, want c1000001", carol.ID)
+	}
+	if err := reg2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg3 := openTestRegistry(t, root, Options{DisableAutostart: true})
+	var got []string
+	for _, st := range reg3.List("") {
+		got = append(got, st.ID+":"+st.Tenant)
+	}
+	if want := "c999999:alice c1000000:bob c1000001:carol"; strings.Join(got, " ") != want {
+		t.Errorf("listed %q, want %q", strings.Join(got, " "), want)
 	}
 }

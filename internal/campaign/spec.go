@@ -1,23 +1,18 @@
 package campaign
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync/atomic"
 
 	"repro/internal/gpu"
 	"repro/internal/harness"
 	"repro/internal/stencil"
-	"repro/internal/vfs"
 )
 
 // Spec is the durable description of one campaign: everything needed to run
 // it — and, because every field is deterministic, to *re*-run it
-// byte-identically after a crash. It is persisted as spec.json in the
-// campaign's directory at submit time.
+// byte-identically after a crash. Submit records it in the campaign's
+// journal.
 type Spec struct {
 	// Tenant owns the campaign; budgets and fairness are tenant-scoped.
 	Tenant string `json:"tenant"`
@@ -46,9 +41,9 @@ type Spec struct {
 	// submitter.
 	WarmKeys []string `json:"warm_keys,omitempty"`
 	// Fingerprint is the journal identity computed on the campaign's first
-	// run (harness.CampaignFingerprint) and persisted so a restart can
-	// validate the on-disk journal without rebuilding the fixture. Empty
-	// until the first run reaches its fixture.
+	// run (harness.CampaignFingerprint), which assigns it to the journal
+	// (journal.Assign); a restart reads it back from there. Empty until the
+	// first run reaches its fixture.
 	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
@@ -103,92 +98,4 @@ func (s *Spec) fixture() (*harness.Fixture, error) {
 		return nil, err
 	}
 	return harness.NewFixture(st, arch, s.DatasetSize, s.Seed)
-}
-
-// persistedState is the state.json payload: the lifecycle position plus the
-// settled tenant spend, written atomically at submit, at pause, at resume
-// from pause and at the terminal state, so a restart reconstructs both the
-// state machine and the ledger.
-type persistedState struct {
-	State State `json:"state"`
-	// SettledS is the virtual spend settled against the tenant ledger when
-	// the campaign reached a terminal state (capped at the reservation).
-	SettledS    float64      `json:"settled_s,omitempty"`
-	Transitions []Transition `json:"transitions"`
-}
-
-// jsonFile is one file for writeFileAtomic: its path and the value it holds
-// as indented JSON.
-type jsonFile struct {
-	path string
-	v    any
-}
-
-// writeFileAtomic writes files, which share one directory, via the
-// temp-file + rename + dir-sync dance: every temp file is written and
-// fsynced, then each is renamed into place, then one directory fsync makes
-// all the renames durable. A kill -9 at any instant leaves each file either
-// old and intact or new and intact, never a torn hybrid. A directory-fsync
-// failure after the renames does not fail the write (the bytes are durable
-// in the files); it bumps dirSyncErrs (when non-nil) so the degradation is
-// visible instead of silently dropped.
-func writeFileAtomic(fsys vfs.FS, dirSyncErrs *atomic.Int64, files ...jsonFile) error {
-	fsys = vfs.Or(fsys) // nil-tolerant: hand-built campaigns default to the real fs
-	data := make([][]byte, len(files))
-	for i, f := range files {
-		b, err := json.MarshalIndent(f.v, "", "  ")
-		if err != nil {
-			return fmt.Errorf("campaign: marshal %s: %w", filepath.Base(f.path), err)
-		}
-		data[i] = append(b, '\n')
-	}
-	// Leftover-tmp cleanup is best-effort everywhere in this helper: the
-	// next atomic write reopens a temp file with O_TRUNC, and loads never
-	// read *.tmp names.
-	removeTmps := func(files []jsonFile) {
-		for _, f := range files {
-			_ = fsys.Remove(f.path + ".tmp")
-		}
-	}
-	for i, f := range files {
-		fh, err := fsys.OpenFile(f.path+".tmp", os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			removeTmps(files[:i])
-			return fmt.Errorf("campaign: write %s: %w", filepath.Base(f.path), err)
-		}
-		op := "write"
-		_, err = fh.Write(data[i])
-		if err == nil {
-			op, err = "sync", fh.Sync()
-		}
-		if cerr := fh.Close(); err == nil && cerr != nil {
-			op, err = "close", cerr
-		}
-		if err != nil {
-			removeTmps(files[:i+1])
-			return fmt.Errorf("campaign: %s %s: %w", op, filepath.Base(f.path), err)
-		}
-	}
-	for i, f := range files {
-		if err := fsys.Rename(f.path+".tmp", f.path); err != nil {
-			removeTmps(files[i:])
-			return fmt.Errorf("campaign: rename %s: %w", filepath.Base(f.path), err)
-		}
-	}
-	if err := vfs.SyncDirOf(fsys, files[0].path); err != nil && dirSyncErrs != nil {
-		dirSyncErrs.Add(1)
-	}
-	return nil
-}
-
-// readJSON reads and unmarshals path into v.
-func readJSON(fsys vfs.FS, path string, v any) error {
-	data, err := vfs.Or(fsys).ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("campaign: parse %s: %w", filepath.Base(path), err)
-	}
-	return nil
 }

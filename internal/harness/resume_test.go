@@ -349,8 +349,8 @@ func TestCampaignResumeFoldedJournal(t *testing.T) {
 }
 
 // TestCampaignFingerprintPinned pins the journal identity. Journals and
-// persisted specs written by earlier versions carry this string, so any
-// change to it sends every in-flight campaign to journal.wal.bad on upgrade.
+// campaign specs written by earlier versions carry this string, so any
+// change to it fails every in-flight campaign on upgrade.
 func TestCampaignFingerprintPinned(t *testing.T) {
 	got := CampaignFingerprint(resumeFixture(t), CampaignConfig{Method: "cstuner", BudgetS: 30, Seed: 5})
 	// "repeats=0|quar=0" keeps journals written before those knobs were retired resumable.

@@ -8,13 +8,15 @@ import (
 	"testing"
 
 	"repro/internal/frame"
+	"repro/internal/vfs"
 )
 
-// FuzzJournalRecord throws arbitrary bytes at Open: whatever the file
-// holds, Open must recover a prefix or fail with a clean error — never
-// panic, never hang. When it does open, the round-trip property must hold:
-// appending an episode and reopening recovers exactly the recovered prefix
-// plus the new episode.
+// FuzzJournalRecord throws arbitrary bytes at Open and Scan: whatever the
+// file holds, each must recover a prefix or fail with a clean error — never
+// panic, never hang. When Open succeeds, the round-trip property must hold:
+// appending an episode and an owner record and reopening recovers exactly
+// the recovered prefix plus the new episode, and Scan ends with the new
+// owner record.
 func FuzzJournalRecord(f *testing.F) {
 	// Seed corpus: a journal in the legacy checkpointed layout, its header
 	// alone, torn and corrupted variants, and adversarial non-journals.
@@ -34,11 +36,36 @@ func FuzzJournalRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("go test fuzz corpus is not a journal"))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	// The registry's layout: a header without a fingerprint, owner records
+	// and episodes between them.
+	owned := func() []byte {
+		p := filepath.Join(f.TempDir(), "owned.wal")
+		j, err := CreateFS(vfs.OS, p, "", note{0})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, err := range []error{j.AppendOwner(note{1}), j.Append(ep("a", 1)), j.AppendOwner(note{2})} {
+			if err != nil {
+				f.Fatal(err)
+			}
+		}
+		j.Close()
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}()
+	f.Add(owned)
+	f.Add(owned[:len(owned)-5])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := filepath.Join(t.TempDir(), "fuzz.wal")
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Skip()
+		}
+		if _, err := Scan(vfs.OS, p); err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("unclassified scan error: %v", err)
 		}
 		jr, err := Open(p, "fuzz-fp")
 		if err != nil {
@@ -54,7 +81,13 @@ func FuzzJournalRecord(f *testing.F) {
 		if err := jr.Append(extra); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
+		if err := jr.AppendOwner(note{-1}); err != nil {
+			t.Fatalf("owner append after recovery: %v", err)
+		}
 		jr.Close()
+		if raw, err := Scan(vfs.OS, p); err != nil || len(raw) == 0 || string(raw[len(raw)-1]) != `{"n":-1}` {
+			t.Fatalf("Scan after append: %d records (%v)", len(raw), err)
+		}
 		jr2, err := Open(p, "fuzz-fp")
 		if err != nil {
 			t.Fatalf("reopen after append: %v", err)

@@ -21,14 +21,20 @@
 //	[u32le payload length][u32le CRC32C of payload][payload]
 //
 // The payload is a JSON-encoded tagged record: a header (magic, version,
-// campaign fingerprint) or an evaluation episode. A crash can tear or drop
-// only frames after the last Sync; Open verifies every frame's CRC,
-// truncates the torn tail back to the last intact record, and syncs what it
-// recovered. Corruption of the header itself (or a fingerprint that does
-// not match the resuming campaign's configuration) fails cleanly — never a
-// panic, and never a silently wrong resume. Journals written by older
-// versions may also hold checkpoint frames (the compacted history up to
-// that point); Open still decodes them, and nothing writes them any more.
+// campaign fingerprint), an evaluation episode, or an owner record. Owner
+// records are opaque JSON values the journal's owner appends beside the
+// episodes (the campaign registry keeps a campaign's spec, lifecycle state
+// and result in them); replay and the episode count skip them, and Scan
+// reads them back without decoding a single episode. A header may leave the
+// fingerprint empty, for an owner that keeps the campaign identity in its
+// own records. A crash can tear or drop only frames after the last Sync; Open verifies
+// every frame's CRC, truncates the torn tail back to the last intact record,
+// and syncs what it recovered. Corruption of the header itself (or a
+// fingerprint that does not match the resuming campaign's configuration)
+// fails cleanly — never a panic, and never a silently wrong resume.
+// Journals written by older versions may also hold checkpoint frames (the
+// compacted history up to that point); Open still decodes them, and nothing
+// writes them any more.
 //
 // The journal stores measurement *outcomes*, not engine state machines:
 // resume works by re-running the (deterministic) campaign from the start
@@ -90,7 +96,8 @@ type Header struct {
 	Version int    `json:"version"`
 	// Fingerprint is an opaque campaign-identity string (stencil, arch,
 	// configuration, seed, budget). Open refuses a journal whose
-	// fingerprint differs from the resuming campaign's.
+	// fingerprint differs from the resuming campaign's; an empty one
+	// matches any.
 	Fingerprint string `json:"fingerprint"`
 }
 
@@ -122,11 +129,17 @@ type legacyCheckpoint struct {
 
 // record is the tagged union every frame payload decodes into.
 type record struct {
-	T    string            `json:"t"` // "hdr", "ep" or the legacy "ckpt"
-	Hdr  *Header           `json:"hdr,omitempty"`
-	Ep   *Episode          `json:"ep,omitempty"`
-	Ckpt *legacyCheckpoint `json:"ckpt,omitempty"`
+	T     string            `json:"t"` // "hdr", "ep", "owner" or the legacy "ckpt"
+	Hdr   *Header           `json:"hdr,omitempty"`
+	Ep    *Episode          `json:"ep,omitempty"`
+	Owner json.RawMessage   `json:"owner,omitempty"`
+	Ckpt  *legacyCheckpoint `json:"ckpt,omitempty"`
 }
+
+// ownerPrefix starts every owner record's payload: writeFrame marshals a
+// record with its tag first, and an owner record sets no other field, so
+// the payload is ownerPrefix, the owner's value and a closing brace.
+var ownerPrefix = []byte(`{"t":"owner","owner":`)
 
 // Journal is one campaign's crash-safe measurement log. It is safe for
 // concurrent use; the engine appends under its own accounting lock, so
@@ -162,87 +175,155 @@ func Create(path, fingerprint string) (*Journal, error) {
 	return CreateFS(vfs.OS, path, fingerprint)
 }
 
-// CreateFS is Create through an explicit filesystem seam.
-func CreateFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
+// CreateFS is Create through an explicit filesystem seam. The header and an
+// owner record for each of owner reach the file in one write and one fsync,
+// so a crash leaves either all of them or a prefix that holds no complete
+// owner record. A failed create removes the file it made.
+func CreateFS(fsys vfs.FS, path, fingerprint string, owner ...any) (*Journal, error) {
+	j := &Journal{fs: fsys, path: path, hdr: Header{Magic: Magic, Version: Version, Fingerprint: fingerprint}}
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, record{T: "hdr", Hdr: &j.hdr}); err != nil {
+		return nil, err
+	}
+	for _, v := range owner {
+		if err := writeOwner(&buf, v); err != nil {
+			return nil, err
+		}
+	}
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: create: %w", err)
 	}
-	j := &Journal{
-		fs:   fsys,
-		path: path,
-		f:    f,
-		hdr:  Header{Magic: Magic, Version: Version, Fingerprint: fingerprint},
+	if _, err = f.Write(buf.Bytes()); err == nil {
+		err = f.Sync()
 	}
-	if err := writeFrame(f, record{T: "hdr", Hdr: &j.hdr}); err != nil {
+	if err != nil {
 		_ = f.Close()
-		// Best-effort cleanup of the half-created file; if it survives,
-		// OpenOrCreate treats a zero-length journal as never-created.
+		// Best-effort cleanup; a file that survives it holds no complete
+		// owner record, and OpenOrCreate treats a zero-length journal as
+		// never created.
 		_ = fsys.Remove(path)
-		return nil, err
+		return nil, fmt.Errorf("journal: create: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("journal: sync: %w", err)
-	}
+	j.f = f
 	j.syncDir()
 	return j, nil
 }
 
 // Open opens an existing journal for resume: it validates the header,
-// rejects a foreign fingerprint (unless fingerprint is empty, which skips
-// the check), replays episode frames (and legacy checkpoints) into the
-// recovered history, truncates any torn tail back to the last intact frame,
-// syncs the recovered frames, and positions the file for further appends.
+// rejects a foreign fingerprint (unless either fingerprint is empty, which
+// skips the check), replays episode frames
+// (and legacy checkpoints) into the recovered history, truncates any torn
+// tail back to the last intact frame, syncs what it recovered or truncated,
+// and positions the file for further appends.
 func Open(path, fingerprint string) (*Journal, error) {
 	return OpenFS(vfs.OS, path, fingerprint)
 }
 
 // OpenFS is Open through an explicit filesystem seam.
-func OpenFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
+func OpenFS(fsys vfs.FS, path, fingerprint string) (j *Journal, err error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: open: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			_ = f.Close() // the open's error is the one to report
+		}
+	}()
 	data, err := io.ReadAll(f)
 	if err != nil {
-		_ = f.Close()
 		return nil, fmt.Errorf("journal: read: %w", err)
 	}
-
-	// The header frame must be intact and trusted; everything after it is
-	// recoverable.
-	payload, next, err := frame.Next(data, 0)
+	hdr, good, err := header(data)
 	if err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("%w: unreadable header frame: %v", ErrCorrupt, err)
+		return nil, err
 	}
-	var hr record
-	if err := json.Unmarshal(payload, &hr); err != nil || hr.T != "hdr" || hr.Hdr == nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("%w: first frame is not a journal header", ErrCorrupt)
-	}
-	hdr := *hr.Hdr
-	if hdr.Magic != Magic {
-		_ = f.Close()
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr.Magic)
-	}
-	if hdr.Version > Version || hdr.Version < 1 {
-		_ = f.Close()
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, hdr.Version)
-	}
-	if fingerprint != "" && hdr.Fingerprint != fingerprint {
-		_ = f.Close()
+	history, good := replay(data, good)
+	if fingerprint != "" && hdr.Fingerprint != "" && hdr.Fingerprint != fingerprint {
 		return nil, fmt.Errorf("%w:\n  journal: %s\n  campaign: %s", ErrFingerprint, hdr.Fingerprint, fingerprint)
 	}
+	if good < len(data) {
+		if err := f.Truncate(int64(good)); err != nil {
+			return nil, fmt.Errorf("journal: truncate torn tail: %w", err)
+		}
+	}
+	// The recovered episodes may still live only in the page cache — their
+	// writer can have been killed before its next sync — and replay is about
+	// to publish them to the result store.
+	if len(history) > 0 || good < len(data) {
+		if err := f.Sync(); err != nil {
+			return nil, fmt.Errorf("journal: sync: %w", err)
+		}
+	}
+	if _, err := f.Seek(int64(good), io.SeekStart); err != nil {
+		return nil, fmt.Errorf("journal: seek: %w", err)
+	}
+	return &Journal{fs: fsys, path: path, f: f, hdr: hdr, recovered: history, records: len(history)}, nil
+}
 
-	// Verify every frame up to the first bad one, then decode the intact
-	// payloads as one stream through a single json.Decoder, which allocates
-	// far less than a json.Unmarshal per frame.
+// Scan reads the journal at path in one read, for its owner: the owner
+// records in the order they were appended, up to the first frame that is
+// not intact, behind a header that must be. It decodes no other frame,
+// taking each owner value straight out of the payload writeFrame wrote, and
+// writes nothing: a torn tail stays until the next Open truncates it. A
+// zero-length file, the trace of a create that wrote nothing, holds no
+// records.
+func Scan(fsys vfs.FS, path string) ([]json.RawMessage, error) {
+	data, err := fsys.ReadFile(path)
+	if err != nil || len(data) == 0 {
+		return nil, err
+	}
+	_, off, err := header(data)
+	if err != nil {
+		return nil, err
+	}
+	var owned []json.RawMessage
+	for off < len(data) {
+		payload, next, err := frame.Next(data, off)
+		if err != nil {
+			break
+		}
+		if bytes.HasPrefix(payload, ownerPrefix) {
+			if len(payload) == len(ownerPrefix) || payload[len(payload)-1] != '}' {
+				break // not a payload writeFrame wrote
+			}
+			owned = append(owned, payload[len(ownerPrefix):len(payload)-1])
+		}
+		off = next
+	}
+	return owned, nil
+}
+
+// header decodes the header frame that starts data, which must be intact
+// and trusted, and returns it with the offset of the next frame.
+func header(data []byte) (Header, int, error) {
+	payload, next, err := frame.Next(data, 0)
+	if err != nil {
+		return Header{}, 0, fmt.Errorf("%w: unreadable header frame: %v", ErrCorrupt, err)
+	}
+	var hr record
+	switch {
+	case json.Unmarshal(payload, &hr) != nil || hr.T != "hdr" || hr.Hdr == nil:
+		return Header{}, 0, fmt.Errorf("%w: first frame is not a journal header", ErrCorrupt)
+	case hr.Hdr.Magic != Magic:
+		return Header{}, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hr.Hdr.Magic)
+	case hr.Hdr.Version > Version || hr.Hdr.Version < 1:
+		return Header{}, 0, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, hr.Hdr.Version)
+	}
+	return *hr.Hdr, next, nil
+}
+
+// replay recovers the episode history from the frames after the header at
+// off, up to the first that is not intact, and returns it with the end of
+// the last intact frame. It verifies every frame first, then decodes the
+// intact payloads as one stream through a single json.Decoder, which
+// allocates far less than a json.Unmarshal per frame.
+func replay(data []byte, off int) (history []Episode, good int) {
 	type span struct{ end, next int } // payload end in stream, frame end in data
-	stream := make([]byte, 0, len(data)-next)
+	stream := make([]byte, 0, len(data)-off)
 	var spans []span
-	for off := next; off < len(data); {
+	for good = off; off < len(data); {
 		payload, n, err := frame.Next(data, off)
 		if err != nil {
 			break // torn or corrupt tail: recover the intact prefix
@@ -251,8 +332,6 @@ func OpenFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
 		spans = append(spans, span{end: len(stream), next: n})
 		off = n
 	}
-	var history []Episode
-	good := next
 	dec := json.NewDecoder(bytes.NewReader(stream))
 	for _, sp := range spans {
 		var r record
@@ -261,54 +340,26 @@ func OpenFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
 		if err := dec.Decode(&r); err != nil || dec.InputOffset() != int64(sp.end) {
 			break
 		}
-		var err error
+		ok := false
 		switch r.T {
 		case "ep":
-			if r.Ep == nil {
-				err = fmt.Errorf("episode frame without episode")
-			} else {
+			if ok = r.Ep != nil; ok {
 				history = append(history, *r.Ep)
 			}
+		case "owner":
+			ok = r.Owner != nil // the owner's to read (Scan)
 		case "ckpt":
-			if r.Ckpt == nil {
-				err = fmt.Errorf("checkpoint frame without checkpoint")
-			} else {
+			if ok = r.Ckpt != nil; ok {
 				// A legacy checkpoint compacts everything before it.
 				history = r.Ckpt.Episodes
 			}
-		default:
-			err = fmt.Errorf("unknown record type %q", r.T)
 		}
-		if err != nil {
+		if !ok {
 			break
 		}
 		good = sp.next
 	}
-	if good < len(data) {
-		if err := f.Truncate(int64(good)); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("journal: truncate torn tail: %w", err)
-		}
-	}
-	// The recovered frames may still live only in the page cache — their
-	// writer can have been killed before its next sync — and replay is about
-	// to publish them to the result store.
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("journal: sync: %w", err)
-	}
-	if _, err := f.Seek(int64(good), io.SeekStart); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("journal: seek: %w", err)
-	}
-	return &Journal{
-		fs:        fsys,
-		path:      path,
-		f:         f,
-		hdr:       hdr,
-		recovered: history,
-		records:   len(history),
-	}, nil
+	return history, good
 }
 
 // OpenOrCreate resumes the journal at path when it exists and starts a
@@ -345,6 +396,15 @@ func writeFrame(w io.Writer, r record) error {
 	return nil
 }
 
+// writeOwner appends v as one owner record frame.
+func writeOwner(w io.Writer, v any) error {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("journal: marshal: %w", err)
+	}
+	return writeFrame(w, record{T: "owner", Owner: raw})
+}
+
 // Append logs one evaluation episode: the frame is written before Append
 // returns, so a killed process can always replay the episode. It survives a
 // power cut only once a later Sync or Close returns.
@@ -363,6 +423,22 @@ func (j *Journal) Append(ep Episode) error {
 		//cstlint:allow lockorder(OnAppend's documented contract is test-only, fast, and runs under j.mu by design)
 		j.OnAppend(j.records)
 	}
+	return nil
+}
+
+// AppendOwner writes v, JSON-encoded, as one owner record: a frame that
+// replay and the episode count skip and Scan returns. Like Append it is
+// durable once a later Sync or Close returns.
+func (j *Journal) AppendOwner(v any) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.closed {
+		return ErrClosed
+	}
+	if err := writeOwner(j.f, v); err != nil {
+		return err
+	}
+	j.unsynced = true
 	return nil
 }
 

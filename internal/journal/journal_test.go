@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -425,16 +426,31 @@ func TestCorruptionRecovery(t *testing.T) {
 }
 
 // TestEveryPrefixOpensCleanly sweeps every byte-length prefix of a real
-// journal: each either opens (recovering some prefix of the episodes, in
-// order) or fails with a clean error. This is the byte-granular version of
-// the crash model — a torn write can stop anywhere.
+// journal, episodes with owner records between them: each either opens (recovering some prefix of the episodes,
+// in order) or fails with a clean error, and Scan returns a prefix of the
+// owner records, in order. This is the byte-granular version of the crash
+// model — a torn write can stop anywhere.
 func TestEveryPrefixOpensCleanly(t *testing.T) {
-	_, data := writeJournal(t, 5)
-	lastRecovered := -1
+	_, data := writeOwnedJournal(t)
+	lastRecovered, lastNotes := -1, -1
 	for n := 0; n <= len(data); n++ {
 		p := filepath.Join(t.TempDir(), "prefix.wal")
 		if err := os.WriteFile(p, data[:n], 0o644); err != nil {
 			t.Fatal(err)
+		}
+		raw, err := Scan(vfs.OS, p)
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("prefix %d: unexpected scan error %v", n, err)
+		}
+		got := notes(t, raw)
+		if len(got) < lastNotes {
+			t.Fatalf("prefix %d: scanned %d owner records, fewer than a shorter prefix's %d", n, len(got), lastNotes)
+		}
+		lastNotes = len(got)
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("prefix %d: owner record %d is %d", n, i, v)
+			}
 		}
 		j, err := Open(p, "fp")
 		if err != nil {
@@ -455,7 +471,122 @@ func TestEveryPrefixOpensCleanly(t *testing.T) {
 			}
 		}
 	}
-	if lastRecovered != 5 {
-		t.Fatalf("full file recovered %d episodes, want 5", lastRecovered)
+	if lastRecovered != 3 || lastNotes != 4 {
+		t.Fatalf("full file recovered %d episodes and %d owner records, want 3 and 4", lastRecovered, lastNotes)
+	}
+}
+
+// note is an owner record for the tests: the journal only stores it.
+type note struct {
+	N int `json:"n"`
+}
+
+// writeOwnedJournal builds the journal a campaign registry keeps: a header
+// without a fingerprint, created with an owner record, then episodes with
+// owner records between them.
+func writeOwnedJournal(t *testing.T) (string, []byte) {
+	t.Helper()
+	path := tmpPath(t)
+	j, err := CreateFS(vfs.OS, path, "", note{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []func() error{
+		func() error { return j.AppendOwner(note{1}) },
+		func() error { return j.Append(ep("a", 0)) },
+		func() error { return j.Append(ep("b", 1)) },
+		func() error { return j.AppendOwner(note{2}) },
+		func() error { return j.Append(ep("c", 2)) },
+		func() error { return j.AppendOwner(note{3}) },
+	}
+	for _, step := range steps {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, data
+}
+
+// notes decodes the owner records Scan returns.
+func notes(t *testing.T, raw []json.RawMessage) []int {
+	t.Helper()
+	var out []int
+	for _, r := range raw {
+		var n note
+		if err := json.Unmarshal(r, &n); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, n.N)
+	}
+	return out
+}
+
+// TestOwnerRecordsBesideEpisodes: replay and the episode count skip owner
+// records, Scan returns them in order, a header without a fingerprint
+// opens under any, and appends after a reopen land behind both kinds.
+func TestOwnerRecordsBesideEpisodes(t *testing.T) {
+	path, _ := writeOwnedJournal(t)
+	raw, err := Scan(vfs.OS, path)
+	if err != nil || !reflect.DeepEqual(notes(t, raw), []int{0, 1, 2, 3}) {
+		t.Fatalf("Scan: notes %v (%v)", notes(t, raw), err)
+	}
+	j, err := Open(path, "any-fingerprint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, e := range j.Recovered() {
+		keys = append(keys, e.Key)
+	}
+	if strings.Join(keys, ",") != "a,b,c" {
+		t.Fatalf("recovered %v, want the three episodes alone", keys)
+	}
+	var counts []int
+	j.OnAppend = func(n int) { counts = append(counts, n) }
+	if err := j.AppendOwner(note{4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(ep("d", 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(counts, []int{4}) {
+		t.Fatalf("OnAppend saw %v, want one call at episode 4", counts)
+	}
+	if raw, err = Scan(vfs.OS, path); err != nil || !reflect.DeepEqual(notes(t, raw), []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("after a reopen, Scan found %v (%v)", notes(t, raw), err)
+	}
+}
+
+// TestScanWritesNothing: Scan of a torn journal returns the intact owner
+// records and leaves the torn tail for Open to truncate; a zero-length
+// file holds no records.
+func TestScanWritesNothing(t *testing.T) {
+	path, data := writeOwnedJournal(t)
+	torn := data[:len(data)-3]
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := Scan(vfs.OS, path)
+	if err != nil || !reflect.DeepEqual(notes(t, raw), []int{0, 1, 2}) {
+		t.Fatalf("torn journal scanned to %v (%v)", notes(t, raw), err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, torn) {
+		t.Fatal("Scan changed the file")
+	}
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := Scan(vfs.OS, path); err != nil || raw != nil {
+		t.Fatalf("zero-length journal scanned to %v, %v", raw, err)
 	}
 }

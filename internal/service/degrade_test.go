@@ -3,6 +3,7 @@ package service
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/campaign"
@@ -78,13 +79,15 @@ func TestServiceStoreDegradedKeepsServing(t *testing.T) {
 // TestServiceSubmitNoSpace507 refuses one campaign's durable admission with
 // ENOSPC and proves the honest status: that submit answers 507 Insufficient
 // Storage, while submissions whose disk writes succeed — before and after —
-// are admitted and run to completion.
+// are admitted and run to completion. The refused campaign leaves nothing a
+// restart would list.
 func TestServiceSubmitNoSpace507(t *testing.T) {
 	// Campaign ids are sequential (c000001, c000002, …): fail exactly the
-	// second campaign's spec persist.
+	// second campaign's file creation.
 	fsys := vfs.NewFaultFS(vfs.OS, 0,
-		vfs.Fault{Op: vfs.OpCreate, Path: "c000002/spec.json", Err: vfs.ENoSpace(), Rate: 1})
-	reg, err := campaign.Open(t.TempDir(), campaign.Options{Slots: 2, FS: fsys})
+		vfs.Fault{Op: vfs.OpCreate, Path: "c000002/", Err: vfs.ENoSpace(), Rate: 1})
+	root := t.TempDir()
+	reg, err := campaign.Open(root, campaign.Options{Slots: 2, FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,5 +114,23 @@ func TestServiceSubmitNoSpace507(t *testing.T) {
 	pollUntil(t, ts, third.ID, campaign.StateCompleted)
 	if h := getHealth(t, ts); h.Status != "ok" {
 		t.Fatalf("a refused submit must not degrade the daemon: %+v", h)
+	}
+
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := campaign.Open(root, campaign.Options{DisableAutostart: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, st := range reopened.List("") {
+		ids = append(ids, st.ID)
+	}
+	if err := reopened.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(ids, " "); got != first.ID+" "+third.ID {
+		t.Fatalf("after a restart the registry lists %q, want %q", got, first.ID+" "+third.ID)
 	}
 }

@@ -65,7 +65,7 @@ func writeErr(w http.ResponseWriter, err error) {
 		code = http.StatusServiceUnavailable
 	case vfs.IsNoSpace(err):
 		// A full disk refused the campaign's durable admission (mkdir or
-		// spec/state persist). The honest status is 507: the request was
+		// the campaign file's create). The honest status is 507: the request was
 		// well-formed, the storage was not there for it. Other tenants'
 		// campaigns keep running.
 		code = http.StatusInsufficientStorage

@@ -84,8 +84,8 @@ type FS interface {
 	ReadFile(name string) ([]byte, error)
 	// ReadDir is os.ReadDir.
 	ReadDir(name string) ([]os.DirEntry, error)
-	// Rename is os.Rename — the atomic-replace primitive of the
-	// registry's JSON writes and of every quarantine.
+	// Rename is os.Rename — the store's quarantine moves a segment aside
+	// with it.
 	Rename(oldpath, newpath string) error
 	// Remove is os.Remove.
 	Remove(name string) error
