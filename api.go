@@ -24,6 +24,7 @@ import (
 	"repro/internal/stencil"
 	"repro/internal/store"
 	"repro/internal/temporal"
+	"repro/internal/vfs"
 )
 
 // Stencil describes one stencil computation; see internal/stencil for the
@@ -211,7 +212,7 @@ func (s *Session) tuneBudgeted(ctx context.Context, path string, cfg Config, bud
 	}
 	opts := []engine.Option{engine.WithBudget(budgetS)}
 	if path != "" {
-		jr, err := journal.OpenOrCreate(path, s.tuneFingerprint(cfg, budgetS))
+		jr, err := journal.OpenOrCreateFS(vfs.OS, path, s.tuneFingerprint(cfg, budgetS))
 		if err != nil {
 			return nil, err
 		}

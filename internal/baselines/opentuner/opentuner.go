@@ -1,8 +1,14 @@
 // Package opentuner re-implements the OpenTuner comparator (Ansel et al.,
 // PACT'14) at the fidelity the paper uses it: a global genetic algorithm
 // over the *raw* parameter space, the one OpenTuner technique the paper pins
-// for its comparison, with csTuner's population, crossover and mutation
-// rates.
+// for its comparison, with csTuner's population and crossover rate.
+//
+// Its mutation rate is not csTuner's 0.005. Each child redraws each
+// parameter with probability max(0.005, 1/space.NumParams) = 1/19 ≈ 0.053,
+// so about one parameter per child, roughly ten times csTuner's rate. The
+// floor stays: dropping it would change every OpenTuner result, the
+// iso-time figures (Figs. 8–10) and both daemon benchmark digests, which is
+// a change of its own to make and measure.
 //
 // Being general-purpose, it has no notion of parameter grouping, GPU metrics
 // or sampled sub-spaces: the GA manipulates full settings, which is exactly

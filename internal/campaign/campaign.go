@@ -122,19 +122,16 @@ func (c *Campaign) read() (record, error) {
 }
 
 // config maps the spec onto the harness campaign configuration. wrap is the
-// fairness gate (nil for ungated runs).
+// fairness gate.
 func (c *Campaign) config(wrap func(sim.Objective) sim.Objective) harness.CampaignConfig {
-	cfg := harness.CampaignConfig{
+	return harness.CampaignConfig{
 		Method:      c.Spec.Method,
 		BudgetS:     c.Spec.BudgetS,
 		Seed:        c.Spec.Seed,
 		JournalPath: c.journalPath(),
 		FS:          c.fs,
+		Wrap:        wrap,
 	}
-	if wrap != nil {
-		cfg.Wrap = wrap
-	}
-	return cfg
 }
 
 // Status is one campaign's externally-visible snapshot: spec identity,

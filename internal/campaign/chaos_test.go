@@ -22,8 +22,8 @@ import (
 // Submit's own create of the file stays clean: a Submit whose fsync fails
 // is refused (TestRegistryFaultPointWalker).
 func TestRegistryJournalFaultFailsOnlyCampaign(t *testing.T) {
-	fsys := admitted{FS: vfs.OS, faults: vfs.NewFaultFS(vfs.OS, 0,
-		vfs.Fault{Op: vfs.OpSync, Path: "c000001/journal.wal", Err: vfs.EIO(), Rate: 1})}
+	fsys := admitted{FS: vfs.OS, faults: vfs.NewFaultFS(vfs.OS,
+		vfs.Fault{Op: vfs.OpSync, Path: "c000001/journal.wal", Err: vfs.EIO(), Every: true})}
 	reg := openTestRegistry(t, t.TempDir(), Options{Slots: 2, FS: fsys})
 
 	doomed, err := reg.Submit(testSpec("acme", 1))
@@ -285,7 +285,7 @@ func TestRegistryFaultPointWalker(t *testing.T) {
 	spec := testSpec("acme", 1)
 	want := goldenCanonical(t, spec)
 	opts := Options{Slots: 1, TenantBudgetS: spec.BudgetS, DisableAutostart: true}
-	first, n, err := walkCampaign(t, t.TempDir(), vfs.NewFaultFS(vfs.OS, 0), opts, spec)
+	first, n, err := walkCampaign(t, t.TempDir(), vfs.NewFaultFS(vfs.OS), opts, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestRegistryFaultPointWalker(t *testing.T) {
 		fl := walkFlavors[int(i)%len(walkFlavors)]
 		f := fl.fault
 		f.AtIndex = i
-		ff := vfs.NewFaultFS(vfs.OS, 0, f)
+		ff := vfs.NewFaultFS(vfs.OS, f)
 		root := t.TempDir()
 		_, _, serr := walkCampaign(t, root, ff, opts, spec)
 		injected += ff.Injected()
@@ -334,7 +334,7 @@ func TestRegistryFaultPointWalker(t *testing.T) {
 	}
 	for i := first; i < n; i++ {
 		keep := []float64{0, 0.5}[i%2]
-		ff := vfs.NewFaultFS(vfs.OS, 0)
+		ff := vfs.NewFaultFS(vfs.OS)
 		ff.CutAt(i, keep)
 		root := t.TempDir()
 		_, _, serr := walkCampaign(t, root, ff, opts, spec)
@@ -366,9 +366,9 @@ func TestRegistryReopenWritesNothing(t *testing.T) {
 
 	var faults []vfs.Fault
 	for _, op := range []vfs.Op{vfs.OpCreate, vfs.OpWrite, vfs.OpTruncate, vfs.OpRename, vfs.OpRemove, vfs.OpSync, vfs.OpSyncDir} {
-		faults = append(faults, vfs.Fault{Op: op, Err: vfs.EIO(), Rate: 1})
+		faults = append(faults, vfs.Fault{Op: op, Err: vfs.EIO(), Every: true})
 	}
-	fsys := vfs.NewFaultFS(vfs.OS, 0, faults...)
+	fsys := vfs.NewFaultFS(vfs.OS, faults...)
 	got := openTestRegistry(t, root, Options{FS: fsys, DisableAutostart: true}).List("")
 	if len(got) != len(want) {
 		t.Fatalf("reopened %d campaigns, want %d", len(got), len(want))

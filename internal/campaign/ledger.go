@@ -22,8 +22,7 @@ type LedgerSnapshot struct {
 }
 
 type tenantAcct struct {
-	budgetS   float64
-	hasBudget bool
+	budgetS   float64 // 0 = unmetered
 	reservedS float64
 	spentS    float64
 }
@@ -54,7 +53,7 @@ func NewLedgers(defaultBudgetS float64) *Ledgers {
 func (l *Ledgers) tenantLocked(tenant string) *tenantAcct {
 	a := l.acct[tenant]
 	if a == nil {
-		a = &tenantAcct{budgetS: l.defaultBudgetS, hasBudget: l.defaultBudgetS > 0}
+		a = &tenantAcct{budgetS: l.defaultBudgetS}
 		l.acct[tenant] = a
 	}
 	return a
@@ -68,7 +67,7 @@ func (l *Ledgers) Reserve(tenant string, budgetS float64, force bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	a := l.tenantLocked(tenant)
-	if !force && a.hasBudget && a.reservedS+a.spentS+budgetS > a.budgetS {
+	if !force && a.budgetS > 0 && a.reservedS+a.spentS+budgetS > a.budgetS {
 		return fmt.Errorf("%w: tenant %q has %.3gs of %.3gs uncommitted, campaign wants %.3gs",
 			ErrTenantBudget, tenant, a.budgetS-a.reservedS-a.spentS, a.budgetS, budgetS)
 	}

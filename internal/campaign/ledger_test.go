@@ -74,7 +74,6 @@ func (l *Ledgers) setBudget(tenant string, budgetS float64) {
 	defer l.mu.Unlock()
 	a := l.tenantLocked(tenant)
 	a.budgetS = budgetS
-	a.hasBudget = budgetS > 0
 }
 
 func TestLedgerUnmeteredTenant(t *testing.T) {

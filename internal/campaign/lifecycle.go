@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/engine"
 )
@@ -88,12 +87,8 @@ type Lifecycle struct {
 	hist  []Transition
 }
 
-// NewLifecycle returns a lifecycle in StatePending. A nil clock defaults to
-// the real wall clock (the sanctioned value-reference of time.Now).
+// NewLifecycle returns a lifecycle in StatePending, stamped by clock.
 func NewLifecycle(clock engine.Clock) *Lifecycle {
-	if clock == nil {
-		clock = time.Now // value use: the sanctioned wall-clock seam (engine.Clock)
-	}
 	l := &Lifecycle{clock: clock, state: StatePending}
 	l.hist = append(l.hist, Transition{From: "", To: StatePending, AtUnixNano: clock().UnixNano()})
 	return l
@@ -108,9 +103,6 @@ func NewLifecycle(clock engine.Clock) *Lifecycle {
 // record the Pending → Running transition, and only a run records the
 // campaign's fingerprint.
 func RestoreLifecycle(clock engine.Clock, state State, hist []Transition, started bool) (*Lifecycle, error) {
-	if clock == nil {
-		clock = time.Now // value use: the sanctioned wall-clock seam (engine.Clock)
-	}
 	if !state.Valid() {
 		return nil, fmt.Errorf("campaign: restore: unknown state %q", state)
 	}

@@ -40,8 +40,8 @@ type Options struct {
 	// Slots bounds concurrent live measurements across all campaigns
 	// (the weighted-fair scheduler's capacity). 0 or less means 8.
 	Slots int
-	// TenantBudgetS is the default per-tenant virtual budget (0 = tenants
-	// are unmetered unless SetTenantBudget is called).
+	// TenantBudgetS is every tenant's virtual budget (0 = tenants are
+	// unmetered).
 	TenantBudgetS float64
 	// Autostart, default true via Open, runs pending campaigns immediately.
 	// Tests set DisableAutostart to drive campaigns by hand.
@@ -138,7 +138,7 @@ func Open(dir string, opts Options) (*Registry, error) {
 }
 
 // Ledgers exposes the tenant budget ledgers (the service layer reads
-// snapshots and sets budgets through it).
+// snapshots through it).
 func (r *Registry) Ledgers() *Ledgers { return r.ledgers }
 
 // Scheduler exposes the fairness scheduler (diagnostics).

@@ -61,7 +61,7 @@ func writeCampaign(t *testing.T, root, id, fp string, recs ...any) string {
 
 // submitted is the record Submit writes for spec.
 func submitted(spec Spec) record {
-	return record{Spec: &spec, State: &persistedState{State: StatePending, Transitions: NewLifecycle(nil).History()}}
+	return record{Spec: &spec, State: &persistedState{State: StatePending, Transitions: NewLifecycle(time.Now).History()}}
 }
 
 func openTestRegistry(t *testing.T, dir string, opts Options) *Registry {
@@ -502,13 +502,13 @@ func TestRegistryRestartClassifiesOnDiskState(t *testing.T) {
 			}
 		}
 		if row.path != nil {
-			lc := NewLifecycle(nil)
+			lc := NewLifecycle(time.Now)
 			for _, s := range row.path {
 				if err := lc.To(s, ""); err != nil {
 					t.Fatal(err)
 				}
 			}
-			jr, err := journal.Open(path, "")
+			jr, err := journal.OpenFS(vfs.OS, path, "")
 			if err != nil {
 				t.Fatal(err)
 			}

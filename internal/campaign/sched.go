@@ -48,9 +48,6 @@ func NewScheduler(slots int) *Scheduler {
 // Acquire blocks until the tenant is granted a measurement slot or ctx is
 // done. weight scales the tenant's share; values <= 0 behave as 1.
 func (s *Scheduler) Acquire(ctx context.Context, tenant string, weight float64) error {
-	if s == nil {
-		return nil
-	}
 	if weight <= 0 {
 		weight = 1
 	}
@@ -97,9 +94,6 @@ func (s *Scheduler) Acquire(ctx context.Context, tenant string, weight float64) 
 
 // Release returns a slot acquired by Acquire.
 func (s *Scheduler) Release() {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	s.inUse--
 	s.mu.Unlock()

@@ -238,11 +238,3 @@ func TestSchedulerAcquireHonorsCancel(t *testing.T) {
 		t.Fatalf("after cancellation: inUse=%d waiting=%v", s.inUse, s.waiting)
 	}
 }
-
-func TestNilSchedulerIsUngated(t *testing.T) {
-	var s *Scheduler
-	if err := s.Acquire(context.Background(), "x", 1); err != nil {
-		t.Fatal(err)
-	}
-	s.Release()
-}

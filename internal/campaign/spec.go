@@ -41,9 +41,9 @@ type Spec struct {
 	// submitter.
 	WarmKeys []string `json:"warm_keys,omitempty"`
 	// Fingerprint is the journal identity computed on the campaign's first
-	// run (harness.CampaignFingerprint), which assigns it to the journal
-	// (journal.Assign); a restart reads it back from there. Empty until the
-	// first run reaches its fixture.
+	// run (harness.CampaignFingerprint), which records it in a spec owner
+	// record of the campaign's journal; a restart reads it back from there.
+	// Empty until the first run reaches its fixture.
 	Fingerprint string `json:"fingerprint,omitempty"`
 }
 

@@ -139,12 +139,17 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 // tinyRunner runs a 24-setting custom space and fails about a quarter of
-// its settings, so draws repeat kept and failed settings often.
-type tinyRunner struct{ sp *space.Space }
+// its settings, so draws repeat kept and failed settings often. It logs the
+// key of every Run call to calls.
+type tinyRunner struct {
+	sp    *space.Space
+	calls *[]string
+}
 
 func (r tinyRunner) Space() *space.Space { return r.sp }
 
 func (r tinyRunner) Run(s space.Setting) (*sim.Result, error) {
+	*r.calls = append(*r.calls, s.Key())
 	if s.Hash()%4 == 0 {
 		return nil, errors.New("tiny: rejected")
 	}
@@ -154,8 +159,10 @@ func (r tinyRunner) Run(s space.Setting) (*sim.Result, error) {
 // TestCollectMatchesKeyedReference checks Collect against the loop it
 // replaced, a fresh Space.Random per draw deduplicated by setting key, in
 // a space small enough that most draws repeat a kept or a failed setting:
-// the same settings in the same order, or the same failure, and no two
-// kept settings sharing memory.
+// the same Run calls in the same order, the same settings in the same
+// order, or the same failure, and no two kept settings sharing memory.
+// Collect runs each kept setting once, so the engine's Run never needs to
+// serve a cached result.
 func TestCollectMatchesKeyedReference(t *testing.T) {
 	sp, err := space.NewCustom([]space.Param{
 		{Name: "a", Values: []int{1, 2, 4}},
@@ -165,9 +172,10 @@ func TestCollectMatchesKeyedReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := tinyRunner{sp}
 	for _, n := range []int{1, 5, 12, 30} {
 		for seed := int64(1); seed <= 3; seed++ {
+			var wantCalls, calls []string
+			r := tinyRunner{sp, &wantCalls}
 			var want []space.Setting
 			rng := stats.NewRand(seed)
 			seen := map[string]bool{}
@@ -182,7 +190,10 @@ func TestCollectMatchesKeyedReference(t *testing.T) {
 				seen[set.Key()] = true
 				want = append(want, set)
 			}
-			ds, err := Collect(r, stats.NewRand(seed), n)
+			ds, err := Collect(tinyRunner{sp, &calls}, stats.NewRand(seed), n)
+			if !slices.Equal(calls, wantCalls) {
+				t.Fatalf("n=%d seed %d: Collect ran %v, the reference %v", n, seed, calls, wantCalls)
+			}
 			if len(want) < n {
 				if err == nil {
 					t.Fatalf("n=%d seed %d: Collect kept %d samples, the reference found only %d", n, seed, len(ds.Samples), len(want))
@@ -192,7 +203,14 @@ func TestCollectMatchesKeyedReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d seed %d: %v", n, seed, err)
 			}
+			runs := map[string]int{}
+			for _, k := range calls {
+				runs[k]++
+			}
 			for i, s := range ds.Samples {
+				if runs[s.Setting.Key()] != 1 {
+					t.Fatalf("n=%d seed %d: kept sample %d was run %d times", n, seed, i, runs[s.Setting.Key()])
+				}
 				if !s.Setting.Equal(want[i]) {
 					t.Fatalf("n=%d seed %d: sample %d is %v, the reference %v", n, seed, i, s.Setting, want[i])
 				}

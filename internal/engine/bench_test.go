@@ -11,6 +11,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/stencil"
 	"repro/internal/store"
+	"repro/internal/vfs"
 )
 
 // The engine microbenchmarks below are the inputs to cmd/benchsnap, which
@@ -101,7 +102,7 @@ func BenchmarkMeasureMissSim(b *testing.B) {
 // batch durable. This is the price of crash safety per evaluation.
 func BenchmarkJournalAppend(b *testing.B) {
 	f := newFake(b)
-	j, err := journal.Create(filepath.Join(b.TempDir(), "bench.wal"), "bench-fp")
+	j, err := journal.CreateFS(vfs.OS, filepath.Join(b.TempDir(), "bench.wal"), "bench-fp")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func BenchmarkJournalReplay256(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "replay.wal")
 	{
 		f := newFake(b)
-		j, err := journal.Create(path, "bench-fp")
+		j, err := journal.CreateFS(vfs.OS, path, "bench-fp")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +143,7 @@ func BenchmarkJournalReplay256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j, err := journal.Open(path, "bench-fp")
+		j, err := journal.OpenFS(vfs.OS, path, "bench-fp")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,18 +1,14 @@
 package engine
 
-import (
-	"repro/internal/sim"
-)
-
 // This file is the engine's memo store: a plain map from setting key to
 // cacheEntry (DESIGN.md §12). Only the goroutine that measures reads or
 // writes it — Measure, MeasureCtx, Run and the accounting they drive — so
 // it needs no lock, and entries are updated in place.
 //
-// The same key may carry a measured time (Measure), a cached permanent
-// error, and a full metric result (Run); the two views below preserve the
-// historical lookup precedence of the separate maps (Measure: time before
-// error; Run: result before error, a bare time is not a Run hit).
+// The same key may carry a measured time (Measure or Run) and a cached
+// permanent error; measureView serves a cached time before an error. Run
+// serves only a cached error: dataset collection never runs a setting it
+// already kept, so a result cached for Run would never be served.
 //
 // The cache carries no accounting state. Budget, counters and trajectory
 // are updated under Engine.mu; the cache only memoizes outcomes those
@@ -23,7 +19,6 @@ type cacheEntry struct {
 	ms      float64
 	hasTime bool
 	err     error
-	res     *sim.Result
 }
 
 // measureView projects a key's entry onto the Measure result surface,
@@ -37,19 +32,6 @@ func measureView(e cacheEntry) (float64, error, bool) {
 		return 0, e.err, true
 	}
 	return 0, nil, false
-}
-
-// runView projects a key's entry onto the Run surface: a stored metric
-// result, else a cached error. A bare measured time is not a Run hit (Run
-// needs the full metrics).
-func runView(e cacheEntry) (*sim.Result, error, bool) {
-	switch {
-	case e.res != nil:
-		return e.res, nil, true
-	case e.err != nil:
-		return nil, e.err, true
-	}
-	return nil, nil, false
 }
 
 // cacheTime memoizes a successful measurement of key.

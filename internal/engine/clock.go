@@ -8,7 +8,8 @@ import (
 // Clock is the engine's injectable wall-clock source: the single sanctioned
 // seam through which engine- and pipeline-level code reads real time. Every
 // wall-clock read that can reach a report (timing spans, the overhead
-// breakdown, journal checkpoint stamps) goes through the engine's clock, so
+// breakdown) goes through the engine's clock, and the campaign registry
+// stamps lifecycle transitions through a Clock of its own, so
 //
 //   - tests drive spans by installing a fake clock (see Now for a tune's), and
 //   - the nodeterm static analyzer can ban raw time.Now/time.Since calls in

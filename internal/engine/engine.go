@@ -6,7 +6,7 @@
 //     invalid-setting errors (deterministic: the same setting always fails)
 //     but never sim.ErrBudget (transient: a later run of the same engine
 //     family may still measure the setting);
-//   - unified virtual-budget enforcement — the harness cost model charges a
+//   - unified virtual-budget enforcement — the cost constants charge a
 //     compilation cost per distinct measured setting and a check cost per
 //     rejected one, and the engine refuses further measurements once the
 //     budget is spent;
@@ -41,23 +41,19 @@ import (
 // ErrBudget re-exports the transient budget error tuners test for.
 var ErrBudget = sim.ErrBudget
 
-// CostModel prices one evaluation on the virtual clock (folded in from the
-// harness meter; see DESIGN.md — compilation dominates real auto-tuning).
-type CostModel struct {
+// The cost model prices one evaluation on the virtual clock. It
+// approximates the paper's testbed: a few seconds of nvcc per variant
+// dominates real auto-tuning, with kernels re-run a handful of times
+// (DESIGN.md §4). A measured setting costs CompileS + Reps·ms/1000.
+const (
 	// CompileS is charged per distinct measured setting (nvcc + load).
-	CompileS float64
+	CompileS = 1.5
 	// Reps is how many times the kernel runs per measurement; the run time
 	// itself is the simulated kernel time.
-	Reps int
+	Reps = 3
 	// CheckS is charged per rejected setting (constraint check only).
-	CheckS float64
-}
-
-// DefaultCostModel approximates the paper's testbed: a few seconds of nvcc
-// per variant dominates, with kernels re-run a handful of times.
-func DefaultCostModel() CostModel {
-	return CostModel{CompileS: 1.5, Reps: 3, CheckS: 0.005}
-}
+	CheckS = 0.005
+)
 
 // Point is one trajectory sample: after spending CostS virtual seconds and
 // Evals measurements, the best time seen so far was BestMS.
@@ -118,9 +114,6 @@ type Span struct {
 // Option configures an Engine at construction time.
 type Option func(*Engine)
 
-// WithCost sets the virtual cost model (defaults to DefaultCostModel).
-func WithCost(c CostModel) Option { return func(e *Engine) { e.cost = c } }
-
 // WithBudget stops the engine once the virtual clock passes budgetS seconds;
 // 0 means unlimited (iso-iteration runs use evaluation counts instead).
 func WithBudget(budgetS float64) Option { return func(e *Engine) { e.budgetS = budgetS } }
@@ -131,7 +124,6 @@ func WithBudget(budgetS float64) Option { return func(e *Engine) { e.budgetS = b
 // pollers do.
 type Engine struct {
 	obj     sim.Objective
-	cost    CostModel
 	budgetS float64
 	jr      *journal.Journal
 	clock   Clock
@@ -180,7 +172,6 @@ type Engine struct {
 func New(obj sim.Objective, opts ...Option) *Engine {
 	e := &Engine{
 		obj:   obj,
-		cost:  DefaultCostModel(),
 		best:  -1,
 		cache: map[string]cacheEntry{},
 		spans: map[string]*Span{},

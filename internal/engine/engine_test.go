@@ -87,7 +87,7 @@ func TestMeasureMemoizes(t *testing.T) {
 
 func TestInvalidErrorsAreCached(t *testing.T) {
 	f := newFake(t)
-	e := New(f, WithCost(CostModel{CompileS: 1, CheckS: 0.25}))
+	e := New(f)
 	bad := variant(f.sp, 999, 1)
 	_, err1 := e.Measure(bad)
 	_, err2 := e.Measure(bad)
@@ -101,7 +101,7 @@ func TestInvalidErrorsAreCached(t *testing.T) {
 	if st.Invalid != 1 || st.CacheHits != 1 || st.Evaluations != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.SpentS != 0.25 {
+	if st.SpentS != CheckS {
 		t.Fatalf("invalid setting charged %v, want one CheckS", st.SpentS)
 	}
 }
@@ -125,7 +125,9 @@ func TestErrBudgetIsNotCached(t *testing.T) {
 
 func TestBudgetEnforcement(t *testing.T) {
 	f := newFake(t)
-	e := New(f, WithCost(CostModel{CompileS: 10}), WithBudget(15))
+	// Each measurement costs a little over CompileS: the first leaves
+	// budget, the second spends it.
+	e := New(f, WithBudget(2*CompileS))
 	a := variant(f.sp, 64, 4)
 	if _, err := e.Measure(a); err != nil {
 		t.Fatal(err)
@@ -137,7 +139,7 @@ func TestBudgetEnforcement(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !e.Exhausted() {
-		t.Fatalf("spent %v of 15, should be exhausted", e.SpentS())
+		t.Fatalf("spent %v of %v, should be exhausted", e.SpentS(), 2*CompileS)
 	}
 	if _, err := e.Measure(variant(f.sp, 16, 1)); !errors.Is(err, ErrBudget) {
 		t.Fatalf("fresh setting after exhaustion: %v", err)
@@ -157,7 +159,7 @@ func TestRunIsUnmeteredAndPrewarmsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sim.New(sp, gpu.A100())
-	e := New(s, WithBudget(5), WithCost(CostModel{CompileS: 10}))
+	e := New(s, WithBudget(5))
 	if !e.CanCollect() {
 		t.Fatal("simulator-backed engine must collect")
 	}
@@ -169,20 +171,14 @@ func TestRunIsUnmeteredAndPrewarmsCache(t *testing.T) {
 	if st := e.Stats(); st.SpentS != 0 || st.Evaluations != 0 {
 		t.Fatalf("offline Run was metered: %+v", st)
 	}
-	// Second Run serves the cached result.
-	if _, err := e.Run(set); err != nil {
-		t.Fatal(err)
-	}
-	if e.Stats().CacheHits != 1 {
-		t.Fatalf("CacheHits = %d", e.Stats().CacheHits)
-	}
-	// Run pre-warms the Measure cache: no budget charge, same time.
+	// Run pre-warms the Measure cache: a cache hit, no budget charge, same
+	// time.
 	ms, err := e.Measure(set)
 	if err != nil || ms != res.TimeMS {
 		t.Fatalf("Measure after Run = %v/%v, want %v", ms, err, res.TimeMS)
 	}
-	if e.SpentS() != 0 {
-		t.Fatal("pre-warmed Measure consumed budget")
+	if st := e.Stats(); st.SpentS != 0 || st.CacheHits != 1 {
+		t.Fatalf("pre-warmed Measure: %+v, want one free cache hit", st)
 	}
 }
 

@@ -171,18 +171,6 @@ func recordFromEpisode(key string, ep episode, costS float64) journal.Episode {
 	return r
 }
 
-// episodeCostS prices one journaled episode exactly as accountEpisode will
-// charge it, so the record carries the true cost.
-func (e *Engine) episodeCostS(ep episode) float64 {
-	switch {
-	case ep.fromStore:
-		return 0 // the measurement was paid for by a previous campaign
-	case ep.err == nil:
-		return e.cost.CompileS + float64(e.cost.Reps)*ep.ms/1000
-	}
-	return e.cost.CheckS
-}
-
 // journalEpisodeLocked write-ahead logs one live finished episode, unless
 // it is a cancelled abort or a constraint rejection: the record is written
 // before accountEpisode mutates any state. A journal
@@ -208,7 +196,7 @@ func (e *Engine) journalEpisodeLocked(key string, ep episode) error {
 	if e.journalErr != nil {
 		return e.journalErr
 	}
-	if err := e.jr.Append(recordFromEpisode(key, ep, e.episodeCostS(ep))); err != nil {
+	if err := e.jr.Append(recordFromEpisode(key, ep, episodeCostS(ep))); err != nil {
 		e.journalErr = err
 		return err
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/space"
 	"repro/internal/stencil"
+	"repro/internal/vfs"
 )
 
 // scriptObj fails each key in errs with its error on every call and
@@ -100,12 +101,10 @@ func TestJournalConstraintRejectionsAreNotJournaled(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "rejections.wal")
-	j, err := journal.Create(path, "fp")
+	j, err := journal.CreateFS(vfs.OS, path, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := 0
-	j.OnAppend = func(n int) { records = n }
 	eng, _ := newEngine(j)
 	want := run(eng)
 	if err := j.Close(); err != nil {
@@ -114,13 +113,9 @@ func TestJournalConstraintRejectionsAreNotJournaled(t *testing.T) {
 	if best, _, _ := eng.Best(); best.Key() != ok.Key() || eng.Stats().Evaluations != 1 || eng.Stats().Invalid != 3 {
 		t.Fatalf("the four outcomes did not happen as scripted:\n%s", want)
 	}
-	if records != 2 { // ok, plain
-		t.Fatalf("journaled %d records, want 2", records)
-	}
-
 	reopen := func(path string) *journal.Journal {
 		t.Helper()
-		j, err := journal.Open(path, "fp")
+		j, err := journal.OpenFS(vfs.OS, path, "fp")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,6 +124,10 @@ func TestJournalConstraintRejectionsAreNotJournaled(t *testing.T) {
 	}
 	j2 := reopen(path)
 	recovered := j2.Recovered()
+	records := len(recovered)
+	if records != 2 { // ok, plain
+		t.Fatalf("journaled %d records, want 2", records)
+	}
 	for _, r := range recovered {
 		if rejected[r.Key] {
 			t.Fatalf("rejection of %s was journaled: %+v", r.Key, r)
@@ -155,14 +154,13 @@ func TestJournalConstraintRejectionsAreNotJournaled(t *testing.T) {
 	// after the success: they replay as permanent failures, and nothing
 	// reaches the objective.
 	legacy := filepath.Join(t.TempDir(), "legacy.wal")
-	lj, err := journal.Create(legacy, "fp")
+	lj, err := journal.CreateFS(vfs.OS, legacy, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkS := engine.DefaultCostModel().CheckS
 	eps := append([]journal.Episode{recovered[0],
-		{Key: invalid.Key(), Class: journal.ClassPermanent, Err: invalidErr.Error(), CostS: checkS},
-		{Key: resource.Key(), Class: journal.ClassPermanent, Err: resourceErr.Error(), CostS: checkS},
+		{Key: invalid.Key(), Class: journal.ClassPermanent, Err: invalidErr.Error(), CostS: engine.CheckS},
+		{Key: resource.Key(), Class: journal.ClassPermanent, Err: resourceErr.Error(), CostS: engine.CheckS},
 	}, recovered[1:]...)
 	for _, ep := range eps {
 		if err := lj.Append(ep); err != nil {

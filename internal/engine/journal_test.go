@@ -13,12 +13,13 @@ import (
 	"repro/internal/frame"
 	"repro/internal/journal"
 	"repro/internal/space"
+	"repro/internal/vfs"
 )
 
 func journalAt(t *testing.T, fp string) (*journal.Journal, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "engine.wal")
-	j, err := journal.Create(path, fp)
+	j, err := journal.CreateFS(vfs.OS, path, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestJournalReplayReproducesRunWithoutObjectiveCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, err := journal.Open(path, "fp")
+	j2, err := journal.OpenFS(vfs.OS, path, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +110,10 @@ func TestJournalReplayBudgetClass(t *testing.T) {
 	obj := newFake(t)
 	sp := obj.Space()
 	// Budget admits the first measurement, refuses at the stacked layer for
-	// the second via an inner engine returning ErrBudget.
-	inner := New(obj, WithCost(CostModel{CompileS: 5, Reps: 1}), WithBudget(5))
-	eng := New(inner, WithJournal(j), WithCost(CostModel{CompileS: 1, Reps: 1, CheckS: 0.5}))
+	// the second via an inner engine returning ErrBudget: one measurement
+	// costs more than CompileS.
+	inner := New(obj, WithBudget(CompileS))
+	eng := New(inner, WithJournal(j))
 	eng.Measure(variant(sp, 2, 4)) //nolint:errcheck
 	eng.Measure(variant(sp, 4, 2)) //nolint:errcheck — inner budget refuses
 	want := snap(eng)
@@ -120,14 +122,14 @@ func TestJournalReplayBudgetClass(t *testing.T) {
 	}
 	j.Close()
 
-	j2, err := journal.Open(path, "fp")
+	j2, err := journal.OpenFS(vfs.OS, path, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
 	obj2 := newFake(t)
-	inner2 := New(obj2, WithCost(CostModel{CompileS: 5, Reps: 1}), WithBudget(5))
-	eng2 := New(inner2, WithJournal(j2), WithCost(CostModel{CompileS: 1, Reps: 1, CheckS: 0.5}))
+	inner2 := New(obj2, WithBudget(CompileS))
+	eng2 := New(inner2, WithJournal(j2))
 	eng2.Measure(variant(sp, 2, 4)) //nolint:errcheck
 	eng2.Measure(variant(sp, 4, 2)) //nolint:errcheck
 	if got := snap(eng2); !reflect.DeepEqual(got, want) {
@@ -152,7 +154,7 @@ func TestJournalCanceledEpisodesAreNotJournaled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	j.Close()
-	j2, err := journal.Open(path, "fp")
+	j2, err := journal.OpenFS(vfs.OS, path, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +175,9 @@ func TestJournalReplaysRecordWithRetiredTimeoutsField(t *testing.T) {
 	obj := newFake(t)
 	sp := obj.Space()
 	s := variant(sp, 2, 4) // fakeObj time 2.04 ms
-	const ms, backoffS = 2.04, 0.5
-	cost := DefaultCostModel()
-	want := cost.CompileS + float64(cost.Reps)*ms/1000
+	const backoffS = 0.5
+	ms := 2.04
+	want := CompileS + Reps*ms/1000
 	var buf bytes.Buffer
 	for _, fr := range []any{
 		map[string]any{"t": "hdr", "hdr": journal.Header{Magic: journal.Magic, Version: journal.Version, Fingerprint: "fp"}},
@@ -192,7 +194,7 @@ func TestJournalReplaysRecordWithRetiredTimeoutsField(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, err := journal.Open(path, "fp")
+	j, err := journal.OpenFS(vfs.OS, path, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,37 +246,52 @@ func TestJournalWriteFailureIsStickyAndFailsFast(t *testing.T) {
 	}
 }
 
-// TestEngineKillAtEveryRecordBoundary snapshots the journal file after every
-// written record of a mixed run — each a legal SIGKILL point — and resumes
-// each snapshot: every prefix must replay to a state consistent with the
-// original run's history (and the full snapshot must reproduce it exactly).
+// frameCuts returns every prefix of the finished journal at path that ends
+// at a frame boundary, the header's end first. The journal is append-only,
+// so each is the file exactly as a kill right after that frame's write
+// leaves it.
+func frameCuts(t *testing.T, path string) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cuts [][]byte
+	for off := 0; off < len(data); {
+		_, next, err := frame.Next(data, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts = append(cuts, data[:next])
+		off = next
+	}
+	return cuts
+}
+
+// TestEngineKillAtEveryRecordBoundary cuts the journal of a mixed run at
+// every frame boundary — each a legal SIGKILL point — and resumes from each
+// cut: every prefix must replay to the original run's exact outcome.
 func TestEngineKillAtEveryRecordBoundary(t *testing.T) {
 	j, path := journalAt(t, "fp")
-	var snaps [][]byte
-	j.OnAppend = func(int) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Errorf("snapshot: %v", err)
-			return
-		}
-		snaps = append(snaps, data)
-	}
 	obj := newFake(t)
 	sp := obj.Space()
 	eng := New(obj, WithJournal(j))
 	runSequence(t, eng, sp)
 	want := snap(eng)
-	j.Close()
-
-	if len(snaps) == 0 {
-		t.Fatal("no kill points captured")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
-	for i, data := range snaps {
+
+	cuts := frameCuts(t, path)
+	if len(cuts) != 5 { // the header and four records (one measurement is a cache hit)
+		t.Fatalf("journal has %d frame boundaries, want 5", len(cuts))
+	}
+	for i, data := range cuts {
 		p := filepath.Join(t.TempDir(), fmt.Sprintf("kill-%d.wal", i))
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j2, err := journal.Open(p, "fp")
+		j2, err := journal.OpenFS(vfs.OS, p, "fp")
 		if err != nil {
 			t.Fatalf("kill point %d: %v", i, err)
 		}
@@ -285,6 +302,9 @@ func TestEngineKillAtEveryRecordBoundary(t *testing.T) {
 		j2.Close()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("kill point %d diverged:\n got %+v\nwant %+v", i, got, want)
+		}
+		if eng2.Replayed() != i {
+			t.Fatalf("kill point %d replayed %d records, want %d", i, eng2.Replayed(), i)
 		}
 	}
 }

@@ -100,6 +100,18 @@ func (e *Engine) measureEpisode(ctx context.Context, s space.Setting, key string
 	return ep
 }
 
+// episodeCostS prices one finished episode on the virtual clock: what
+// accountEpisode charges and the episode's journal record carries.
+func episodeCostS(ep episode) float64 {
+	switch {
+	case ep.fromStore:
+		return 0 // the measurement was paid for by a previous campaign
+	case ep.err == nil:
+		return CompileS + Reps*ep.ms/1000
+	}
+	return CheckS
+}
+
 // accountEpisode applies virtual cost, counters, caching and best tracking
 // for one finished episode. Everything a reader can see changes in one
 // critical section under e.mu; the cache needs no lock, since only the
@@ -150,11 +162,11 @@ func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float6
 		}
 		// A permanent error, or a stacked engine's budget refusal, which is
 		// charged like a rejected setting but never cached.
-		e.spentS += e.cost.CheckS
+		e.spentS += episodeCostS(ep)
 		e.stats.Invalid++
 		return 0, ep.err
 	}
-	e.spentS += e.cost.CompileS + float64(e.cost.Reps)*ep.ms/1000
+	e.spentS += episodeCostS(ep)
 	e.evals++
 	e.stats.Evaluations++
 	if e.best < 0 || ep.ms < e.best {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/space"
 	"repro/internal/stencil"
+	"repro/internal/vfs"
 )
 
 // blockingObj counts calls per key and measures TBx. While block is
@@ -93,7 +94,7 @@ func TestPermanentErrorIsNeverRetried(t *testing.T) {
 	if n := f.callCount(bad); n != 1 {
 		t.Fatalf("permanent error retried: %d inner calls", n)
 	}
-	if st := e.Stats(); st.Invalid != 1 || st.SpentS != DefaultCostModel().CheckS {
+	if st := e.Stats(); st.Invalid != 1 || st.SpentS != CheckS {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -206,7 +207,7 @@ func TestPlainMeasureOutcomeStandsAfterCancel(t *testing.T) {
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
 			}
-			j2, err := journal.Open(path, "fp")
+			j2, err := journal.OpenFS(vfs.OS, path, "fp")
 			if err != nil {
 				t.Fatal(err)
 			}

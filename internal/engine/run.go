@@ -30,16 +30,18 @@ func (e *Engine) CanCollect() bool {
 // Run implements Runner by forwarding to the inner objective. Collection is
 // an offline step (paper Sec. V-F): it is neither charged to the virtual
 // budget nor counted as an evaluation, but successful results pre-warm the
-// measurement cache so the search re-probes dataset settings for free.
+// measurement cache so the search re-probes dataset settings for free. A
+// cached error is served as a cache hit; a result is not kept, since
+// dataset.Collect never runs a setting it already kept.
 func (e *Engine) Run(s space.Setting) (*sim.Result, error) {
 	r, ok := e.obj.(Runner)
 	if !ok {
 		return nil, ErrNoRunner
 	}
 	key := s.Key()
-	if res, err, ok := runView(e.cache[key]); ok {
+	if err := e.cache[key].err; err != nil {
 		e.cacheHits.Add(1)
-		return res, err
+		return nil, err
 	}
 	res, err := r.Run(s)
 	if err != nil {
@@ -48,9 +50,6 @@ func (e *Engine) Run(s space.Setting) (*sim.Result, error) {
 		}
 		return nil, err
 	}
-	// A collected result also pre-warms the Measure view with its time.
-	c := e.cache[key]
-	c.res, c.ms, c.hasTime = res, res.TimeMS, true
-	e.cache[key] = c
+	e.cacheTime(key, res.TimeMS)
 	return res, nil
 }

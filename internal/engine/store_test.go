@@ -28,7 +28,7 @@ func TestStoreHitServesWithoutMeasuringOrCharging(t *testing.T) {
 
 	// Campaign A pays for two measurements and publishes them.
 	fa := newFake(t)
-	ea := New(fa, WithCost(CostModel{CompileS: 2}), WithStore(st, testPrefix))
+	ea := New(fa, WithStore(st, testPrefix))
 	s1, s2 := variant(fa.sp, 16, 1), variant(fa.sp, 64, 4)
 	ms1, err := ea.Measure(s1)
 	if err != nil {
@@ -44,7 +44,7 @@ func TestStoreHitServesWithoutMeasuringOrCharging(t *testing.T) {
 
 	// Campaign B shares the store: both settings are free hits.
 	fb := newFake(t)
-	eb := New(fb, WithCost(CostModel{CompileS: 2}), WithStore(st, testPrefix))
+	eb := New(fb, WithStore(st, testPrefix))
 	got2, err := eb.Measure(s2)
 	if err != nil || got2 != ms2 {
 		t.Fatalf("hit = %v/%v want %v", got2, err, ms2)
@@ -116,7 +116,7 @@ func TestStoreHitsJournalAndReplayWithoutStore(t *testing.T) {
 	st.Put(testPrefix+hit.Key(), 0.5)
 
 	j, path := journalAt(t, "fp")
-	e := New(f, WithJournal(j), WithStore(st, testPrefix), WithCost(CostModel{CompileS: 1}))
+	e := New(f, WithJournal(j), WithStore(st, testPrefix))
 	if ms, err := e.Measure(hit); err != nil || ms != 0.5 {
 		t.Fatalf("store hit = %v/%v", ms, err)
 	}
@@ -132,13 +132,13 @@ func TestStoreHitsJournalAndReplayWithoutStore(t *testing.T) {
 	// Resume WITHOUT any store: the replayed ClassStore episode serves the
 	// recorded time; the replayed live episode still counts no store miss
 	// (no store attached).
-	j2, err := journal.Open(path, "fp")
+	j2, err := journal.OpenFS(vfs.OS, path, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
 	f2 := newFake(t)
-	e2 := New(f2, WithJournal(j2), WithCost(CostModel{CompileS: 1}))
+	e2 := New(f2, WithJournal(j2))
 	if ms, err := e2.Measure(hit); err != nil || ms != 0.5 {
 		t.Fatalf("replayed store hit = %v/%v", ms, err)
 	}
@@ -160,13 +160,13 @@ func TestStoreHitsJournalAndReplayWithoutStore(t *testing.T) {
 	// — replay must never re-probe, or resumed runs would depend on store
 	// growth.
 	st.Put(testPrefix+hit.Key(), 0.0625)
-	j3, err := journal.Open(path, "fp")
+	j3, err := journal.OpenFS(vfs.OS, path, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j3.Close()
 	f3 := newFake(t)
-	e3 := New(f3, WithJournal(j3), WithStore(st, testPrefix), WithCost(CostModel{CompileS: 1}))
+	e3 := New(f3, WithJournal(j3), WithStore(st, testPrefix))
 	if ms, err := e3.Measure(hit); err != nil || ms != 0.5 {
 		t.Fatalf("replay re-probed a grown store: %v/%v want the journaled 0.5", ms, err)
 	}
@@ -187,7 +187,7 @@ func TestStorePublishBackfillsOnReplay(t *testing.T) {
 	j.Close()
 
 	st := storeAt(t)
-	j2, err := journal.Open(path, "fp")
+	j2, err := journal.OpenFS(vfs.OS, path, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestStorePublishWaitsForJournalSync(t *testing.T) {
 	}
 
 	// The uninterrupted run, noting the op count after every episode.
-	counter := vfs.NewFaultFS(vfs.OS, 0)
+	counter := vfs.NewFaultFS(vfs.OS)
 	e, j, st := open(counter, t.TempDir(), true)
 	opsAfter := make([]int64, n)
 	for i, s := range seq {
@@ -258,7 +258,7 @@ func TestStorePublishWaitsForJournalSync(t *testing.T) {
 
 	for k := 1; k < n; k++ {
 		dir := t.TempDir()
-		ff := vfs.NewFaultFS(vfs.OS, 0)
+		ff := vfs.NewFaultFS(vfs.OS)
 		ff.CutAt(opsAfter[k-1], 0)
 		e, j, st := open(ff, dir, true)
 		for _, s := range seq {

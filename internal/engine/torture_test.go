@@ -19,6 +19,7 @@ import (
 	"repro/internal/space"
 	"repro/internal/stats"
 	"repro/internal/stencil"
+	"repro/internal/vfs"
 )
 
 func tortureSpace(t testing.TB) (*space.Space, *sim.Simulator) {
@@ -99,7 +100,7 @@ func TestTortureJournalReplayMatrix(t *testing.T) {
 		return engine.New(brokenTenth{s}, engine.WithJournal(j))
 	}
 	// Record the reference run.
-	j, err := journal.Create(walPath, "torture")
+	j, err := journal.CreateFS(vfs.OS, walPath, "torture")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestTortureJournalReplayMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	classes := map[string]int{}
-	jr, err := journal.Open(walPath, "torture")
+	jr, err := journal.OpenFS(vfs.OS, walPath, "torture")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestTortureJournalReplayMatrix(t *testing.T) {
 	}
 
 	// Resume from it.
-	j2, err := journal.Open(walPath, "torture")
+	j2, err := journal.OpenFS(vfs.OS, walPath, "torture")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,10 +40,6 @@ type CampaignConfig struct {
 	// enters the fingerprint — where the bytes land is environment, not
 	// campaign identity.
 	FS vfs.FS
-	// OnJournal, when set, is invoked with the opened journal before any
-	// measurement — the seam crash-matrix tests use to install snapshot
-	// hooks. Production callers leave it nil.
-	OnJournal func(*journal.Journal)
 	// Wrap, when set, wraps the campaign's simulator in one more layer
 	// before the engine is built on top. The campaign service uses it to
 	// insert its weighted-fair measurement gate. Wrap never enters the
@@ -169,9 +165,6 @@ func PrepareCampaign(fx *Fixture, cfg CampaignConfig) (*CampaignRun, error) {
 		jr, err = journal.OpenOrCreateFS(vfs.Or(cfg.FS), cfg.JournalPath, CampaignFingerprint(fx, cfg))
 		if err != nil {
 			return nil, err
-		}
-		if cfg.OnJournal != nil {
-			cfg.OnJournal(jr)
 		}
 		opts = append(opts, engine.WithJournal(jr))
 	}

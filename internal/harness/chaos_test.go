@@ -29,16 +29,15 @@ func chaosConfig() CampaignConfig {
 // at least two of them.
 func chaosGolden(t *testing.T, fx *Fixture) (string, int64) {
 	t.Helper()
-	counter := vfs.NewFaultFS(vfs.OS, 0)
+	counter := vfs.NewFaultFS(vfs.OS)
 	cfg := chaosConfig()
 	cfg.JournalPath = filepath.Join(t.TempDir(), "golden.wal")
 	cfg.FS = counter
-	episodes := 0
-	cfg.OnJournal = func(j *journal.Journal) { j.OnAppend = func(n int) { episodes = n } }
 	golden, err := RunCampaign(context.Background(), fx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	episodes := len(frameCuts(t, cfg.JournalPath)) - 1
 	if episodes <= 2*32 {
 		t.Fatalf("chaos campaign journaled %d episodes; the sweeps need more than two 32-record batches", episodes)
 	}
@@ -112,7 +111,7 @@ func TestCampaignFaultPointWalker(t *testing.T) {
 		fl := chaosFlavors[int(i)%len(chaosFlavors)]
 		f := fl.fault
 		f.AtIndex = i
-		ff := vfs.NewFaultFS(vfs.OS, 0, f)
+		ff := vfs.NewFaultFS(vfs.OS, f)
 		path := filepath.Join(t.TempDir(), "walk.wal")
 		ctx := fmt.Sprintf("op=%d fault=%s", i, fl.name)
 
@@ -147,7 +146,7 @@ func TestCampaignPowerLossSweep(t *testing.T) {
 	keeps := []float64{0, 0.5} // clean cut at the last fsync; torn in-flight frame
 	for i := int64(0); i < n; i += stride {
 		keep := keeps[int(i/stride)%len(keeps)]
-		ff := vfs.NewFaultFS(vfs.OS, 0)
+		ff := vfs.NewFaultFS(vfs.OS)
 		ff.CutAt(i, keep)
 		path := filepath.Join(t.TempDir(), "cut.wal")
 		ctx := fmt.Sprintf("cut=%d keep=%g", i, keep)

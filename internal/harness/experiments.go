@@ -11,7 +11,7 @@
 //
 // The metering itself lives in internal/engine — the unified evaluation
 // engine every tuner measures through; the harness "meter" is an engine
-// with the default cost model and a budget.
+// with its constant cost model and a budget.
 package harness
 
 import (

@@ -29,15 +29,14 @@ func fixture(t testing.TB) *Fixture {
 
 func TestMeterAccounting(t *testing.T) {
 	fx := fixture(t)
-	cost := engine.CostModel{CompileS: 2, Reps: 4, CheckS: 0.5}
-	m := engine.New(fx.Sim, engine.WithCost(cost))
+	m := engine.New(fx.Sim)
 
 	set := fx.Space.Default()
 	ms, err := m.Measure(set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCost := 2 + 4*ms/1000
+	wantCost := engine.CompileS + engine.Reps*ms/1000
 	if got := m.SpentS(); math.Abs(got-wantCost) > 1e-12 {
 		t.Fatalf("SpentS = %v, want %v", got, wantCost)
 	}
@@ -51,7 +50,7 @@ func TestMeterAccounting(t *testing.T) {
 	if _, err := m.Measure(bad); err == nil {
 		t.Fatal("invalid setting should error")
 	}
-	if got := m.SpentS(); math.Abs(got-wantCost-0.5) > 1e-12 {
+	if got := m.SpentS(); math.Abs(got-wantCost-engine.CheckS) > 1e-12 {
 		t.Fatalf("SpentS after reject = %v", got)
 	}
 	if m.Evals() != 1 {
@@ -66,7 +65,9 @@ func TestMeterAccounting(t *testing.T) {
 
 func TestMeterBudget(t *testing.T) {
 	fx := fixture(t)
-	m := engine.New(fx.Sim, engine.WithCost(engine.CostModel{CompileS: 10, Reps: 1}), engine.WithBudget(15))
+	// Each measurement costs a little over CompileS: the first leaves
+	// budget, the second spends it.
+	m := engine.New(fx.Sim, engine.WithBudget(2*engine.CompileS))
 	set := fx.Space.Default()
 	if _, err := m.Measure(set); err != nil {
 		t.Fatal(err)
@@ -80,7 +81,7 @@ func TestMeterBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !m.Exhausted() {
-		t.Fatalf("budget (%v spent of 15) should be exhausted", m.SpentS())
+		t.Fatalf("budget (%v spent of %v) should be exhausted", m.SpentS(), 2*engine.CompileS)
 	}
 	// A fresh setting is refused once the budget is spent...
 	fresh := set.Clone()
@@ -104,7 +105,7 @@ func TestMeterBudget(t *testing.T) {
 
 func TestMeterTrajectoryQueries(t *testing.T) {
 	fx := fixture(t)
-	m := engine.New(fx.Sim, engine.WithCost(engine.CostModel{CompileS: 1, Reps: 0}))
+	m := engine.New(fx.Sim)
 	sets := []space.Setting{fx.Space.Default()}
 	a := fx.Space.Default()
 	a[space.TBX] = 32
@@ -132,10 +133,11 @@ func TestMeterTrajectoryQueries(t *testing.T) {
 	if _, ok := m.BestAtEvals(0); ok {
 		t.Fatal("BestAtEvals(0) should be empty")
 	}
-	if v, ok := m.BestAtCost(2.5); !ok || v != traj[1].BestMS {
-		t.Fatalf("BestAtCost(2.5) = %v/%v", v, ok)
+	mid := (traj[1].CostS + traj[2].CostS) / 2
+	if v, ok := m.BestAtCost(mid); !ok || v != traj[1].BestMS {
+		t.Fatalf("BestAtCost(%v) = %v/%v", mid, v, ok)
 	}
-	if _, ok := m.BestAtCost(0.5); ok {
+	if _, ok := m.BestAtCost(traj[0].CostS / 2); ok {
 		t.Fatal("BestAtCost before first point should be empty")
 	}
 }

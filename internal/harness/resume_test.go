@@ -5,16 +5,17 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"repro/internal/baselines/cstuner"
+	"repro/internal/frame"
 	"repro/internal/gpu"
 	"repro/internal/journal"
 	"repro/internal/sim"
 	"repro/internal/space"
 	"repro/internal/stats"
 	"repro/internal/stencil"
+	"repro/internal/vfs"
 )
 
 // brokenTenth fails a fixed, hash-selected tenth of the settings the
@@ -46,53 +47,51 @@ func resumeFixture(t testing.TB) *Fixture {
 	return fx
 }
 
-// snapshotter records the journal's on-disk bytes after every written
-// record: each snapshot is one legal kill point (the file exactly as a
-// SIGKILL immediately after that write would leave it — written bytes
-// outlive the process, synced or not).
-type snapshotter struct {
-	mu    sync.Mutex
-	path  string
-	snaps [][]byte
-}
-
-func (s *snapshotter) hook(j *journal.Journal) {
-	s.path = j.Path()
-	j.OnAppend = func(int) {
-		data, err := os.ReadFile(s.path)
-		if err != nil {
-			panic(err)
-		}
-		s.mu.Lock()
-		s.snaps = append(s.snaps, data)
-		s.mu.Unlock()
+// frameCuts returns every prefix of the finished journal at path that ends
+// at a frame boundary, the header's end first: cut k holds k records. The
+// journal is append-only, so each cut is one legal kill point — the file
+// exactly as a SIGKILL right after that frame's write leaves it (written
+// bytes outlive the process, synced or not).
+func frameCuts(t *testing.T, path string) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var cuts [][]byte
+	for off := 0; off < len(data); {
+		_, next, err := frame.Next(data, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts = append(cuts, data[:next])
+		off = next
+	}
+	return cuts
 }
 
 // runGolden runs one uninterrupted journaled campaign, returning its
-// canonical result and the byte snapshot at every record boundary.
+// canonical result and its journal cut at every frame boundary.
 func runGolden(t *testing.T, fx *Fixture, cfg CampaignConfig) (*CampaignResult, [][]byte) {
 	t.Helper()
-	snap := &snapshotter{}
 	cfg.JournalPath = filepath.Join(t.TempDir(), "golden.wal")
-	cfg.OnJournal = snap.hook
 	res, err := RunCampaign(context.Background(), fx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.snaps) == 0 {
+	cuts := frameCuts(t, cfg.JournalPath)
+	if len(cuts) < 2 {
 		t.Fatal("golden campaign journaled nothing")
 	}
-	return res, snap.snaps
+	return res, cuts
 }
 
-// resumeFrom writes one kill-point snapshot to a fresh path and resumes
-// the campaign from it.
-func resumeFrom(t *testing.T, fx *Fixture, cfg CampaignConfig, dir string, snap []byte) (*CampaignResult, error) {
+// resumeFrom writes one kill-point cut to a fresh path and resumes the
+// campaign from it.
+func resumeFrom(t *testing.T, fx *Fixture, cfg CampaignConfig, dir string, cut []byte) (*CampaignResult, error) {
 	t.Helper()
 	cfg.JournalPath = filepath.Join(dir, "resume.wal")
-	cfg.OnJournal = nil
-	if err := os.WriteFile(cfg.JournalPath, snap, 0o644); err != nil {
+	if err := os.WriteFile(cfg.JournalPath, cut, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return RunCampaign(context.Background(), fx, cfg)
@@ -105,7 +104,7 @@ func journalClasses(t *testing.T, snap []byte) map[string]int {
 	if err := os.WriteFile(path, snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, err := journal.Open(path, "")
+	j, err := journal.OpenFS(vfs.OS, path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +117,9 @@ func journalClasses(t *testing.T, snap []byte) map[string]int {
 }
 
 // TestCampaignResumeKillMatrix is the acceptance matrix: a csTuner campaign
-// whose objective fails a tenth of its settings, killed after every written
-// record, must resume to a byte-identical canonical result — best setting,
-// stats and trajectory.
+// whose objective fails a tenth of its settings, killed at every frame
+// boundary of its journal, must resume to a byte-identical canonical result
+// — best setting, stats and trajectory.
 func TestCampaignResumeKillMatrix(t *testing.T) {
 	fx := resumeFixture(t)
 	base := CampaignConfig{
@@ -129,33 +128,34 @@ func TestCampaignResumeKillMatrix(t *testing.T) {
 		Seed:    5,
 		Wrap:    withBrokenTenth,
 	}
-	golden, snaps := runGolden(t, fx, base)
+	golden, cuts := runGolden(t, fx, base)
 	want := golden.Canonical()
 	if !golden.Found {
 		t.Fatal("golden campaign found no best")
 	}
-	classes := journalClasses(t, snaps[len(snaps)-1])
+	records := len(cuts) - 1
+	classes := journalClasses(t, cuts[records])
 	if classes[journal.ClassOK] == 0 || classes[journal.ClassPermanent] == 0 || golden.Stats.Invalid == 0 {
 		t.Fatalf("golden run journaled %v with %+v; want ok and permanent records and Invalid > 0",
 			classes, golden.Stats)
 	}
-	t.Logf("golden run: %d records %v, %+v", len(snaps), classes, golden.Stats)
+	t.Logf("golden run: %d records %v, %+v", records, classes, golden.Stats)
 
 	stride := 1
 	if testing.Short() {
 		stride = 5
 	}
-	for i := 0; i < len(snaps); i += stride {
-		res, err := resumeFrom(t, fx, base, t.TempDir(), snaps[i])
+	for k := 0; k <= records; k += stride {
+		res, err := resumeFrom(t, fx, base, t.TempDir(), cuts[k])
 		if err != nil {
-			t.Fatalf("kill=%d/%d: %v", i, len(snaps), err)
+			t.Fatalf("kill=%d/%d: %v", k, records, err)
 		}
 		if got := res.Canonical(); got != want {
 			t.Fatalf("kill=%d/%d: resumed result diverged\n got: %s\nwant: %s",
-				i, len(snaps), got, want)
+				k, records, got, want)
 		}
-		if i > 0 && res.Replayed == 0 {
-			t.Fatalf("kill=%d: resume replayed nothing", i)
+		if res.Replayed != k {
+			t.Fatalf("kill=%d: resume replayed %d records", k, res.Replayed)
 		}
 	}
 }
@@ -172,9 +172,9 @@ func TestCampaignResumeAllMethods(t *testing.T) {
 				Seed:    3,
 				Wrap:    withBrokenTenth,
 			}
-			golden, snaps := runGolden(t, fx, base)
+			golden, cuts := runGolden(t, fx, base)
 			want := golden.Canonical()
-			res, err := resumeFrom(t, fx, base, t.TempDir(), snaps[len(snaps)/2])
+			res, err := resumeFrom(t, fx, base, t.TempDir(), cuts[len(cuts)/2])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,9 +221,9 @@ func TestCampaignResumePrefixSweep(t *testing.T) {
 		Seed:    4,
 		Wrap:    withBrokenTenth,
 	}
-	golden, snaps := runGolden(t, fx, base)
+	golden, cuts := runGolden(t, fx, base)
 	want := golden.Canonical()
-	full := snaps[len(snaps)-1]
+	full := cuts[len(cuts)-1]
 
 	stride := 41
 	if testing.Short() {
@@ -266,15 +266,15 @@ func foldedCsTuner() *cstuner.Tuner {
 // search instead of quarantining it. That is safe because replay is per key
 // and every journaled outcome is a pure function of (space, setting, arch):
 // keys the new search asks for replay as a live measurement would answer,
-// and the rest are never replayed. A folded campaign is cut after every
-// record k, and each cut must resume to the uninterrupted 2×16 campaign's
-// canonical result.
+// and the rest are never replayed. A folded campaign's journal is cut after
+// every record k, and each cut must resume to the uninterrupted 2×16
+// campaign's canonical result.
 func TestCampaignResumeFoldedJournal(t *testing.T) {
 	stride := 1
 	if testing.Short() {
 		stride = 7
 	}
-	differs, cuts := 0, 0
+	differs, resumed := 0, 0
 	for _, st := range []*stencil.Stencil{stencil.Helmholtz(), stencil.Hypterm(), stencil.J3D7PT()} {
 		for _, seed := range []int64{1, 5} {
 			fx, err := NewFixture(st, gpu.A100(), 64, seed)
@@ -288,46 +288,29 @@ func TestCampaignResumeFoldedJournal(t *testing.T) {
 			}
 			want := golden.Canonical()
 
-			// runFolded journals the folded campaign to path, cancelling it
-			// once record cutAt is written (0 = never), and returns its
-			// result and the number of records written.
-			runFolded := func(path string, cutAt int) (*CampaignResult, int) {
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				records := 0
-				folded := cfg
-				folded.JournalPath = path
-				folded.OnJournal = func(j *journal.Journal) {
-					j.OnAppend = func(n int) {
-						if records = n; n == cutAt {
-							cancel()
-						}
-					}
-				}
-				r, err := PrepareCampaign(fx, folded)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r.t = foldedCsTuner()
-				res, err := r.Execute(ctx)
-				if err != nil && !errors.Is(err, context.Canceled) {
-					t.Fatal(err)
-				}
-				if err := r.Close(); err != nil {
-					t.Fatal(err)
-				}
-				return res, records
+			// The folded campaign, journaled once; its frame-boundary cuts
+			// are what killing it after each record leaves.
+			folded := cfg
+			folded.JournalPath = filepath.Join(t.TempDir(), "folded.wal")
+			r, err := PrepareCampaign(fx, folded)
+			if err != nil {
+				t.Fatal(err)
 			}
-			full, n := runFolded(filepath.Join(t.TempDir(), "full.wal"), 0)
+			r.t = foldedCsTuner()
+			full, err := r.Execute(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
 			if full.Canonical() != want {
 				differs++
 			}
+			cuts := frameCuts(t, folded.JournalPath)
+			n := len(cuts) - 1
 			for k := 1; k <= n; k += stride {
-				path := filepath.Join(t.TempDir(), "cut.wal")
-				runFolded(path, k)
-				resumed := cfg
-				resumed.JournalPath = path
-				res, err := RunCampaign(context.Background(), fx, resumed)
+				res, err := resumeFrom(t, fx, cfg, t.TempDir(), cuts[k])
 				if err != nil {
 					t.Fatalf("%s seed %d cut %d/%d: %v", st.Name, seed, k, n, err)
 				}
@@ -338,14 +321,14 @@ func TestCampaignResumeFoldedJournal(t *testing.T) {
 				if res.Replayed == 0 {
 					t.Fatalf("%s seed %d cut %d/%d: resume replayed nothing", st.Name, seed, k, n)
 				}
-				cuts++
+				resumed++
 			}
 		}
 	}
 	if differs == 0 {
 		t.Fatal("every folded campaign matched its 2×16 campaign; the test would prove nothing")
 	}
-	t.Logf("%d cuts resumed; %d of 6 folded campaigns differ from their 2×16 campaign", cuts, differs)
+	t.Logf("%d cuts resumed; %d of 6 folded campaigns differ from their 2×16 campaign", resumed, differs)
 }
 
 // TestCampaignFingerprintPinned pins the journal identity. Journals and
@@ -366,11 +349,11 @@ func TestCampaignFingerprintPinned(t *testing.T) {
 func TestCampaignFingerprintMismatchRefused(t *testing.T) {
 	fx := resumeFixture(t)
 	base := CampaignConfig{Method: "garvey", BudgetS: 10, Seed: 6}
-	_, snaps := runGolden(t, fx, base)
+	_, cuts := runGolden(t, fx, base)
 
 	other := base
 	other.Seed = 7
-	_, err := resumeFrom(t, fx, other, t.TempDir(), snaps[len(snaps)-1])
+	_, err := resumeFrom(t, fx, other, t.TempDir(), cuts[len(cuts)-1])
 	if !errors.Is(err, journal.ErrFingerprint) {
 		t.Fatalf("err = %v, want ErrFingerprint", err)
 	}

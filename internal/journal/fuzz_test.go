@@ -67,7 +67,7 @@ func FuzzJournalRecord(f *testing.F) {
 		if _, err := Scan(vfs.OS, p); err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("unclassified scan error: %v", err)
 		}
-		jr, err := Open(p, "fuzz-fp")
+		jr, err := OpenFS(vfs.OS, p, "fuzz-fp")
 		if err != nil {
 			// Any failure must be a wrapped journal error, never a panic
 			// (a panic fails the fuzz run on its own).
@@ -88,7 +88,7 @@ func FuzzJournalRecord(f *testing.F) {
 		if raw, err := Scan(vfs.OS, p); err != nil || len(raw) == 0 || string(raw[len(raw)-1]) != `{"n":-1}` {
 			t.Fatalf("Scan after append: %d records (%v)", len(raw), err)
 		}
-		jr2, err := Open(p, "fuzz-fp")
+		jr2, err := OpenFS(vfs.OS, p, "fuzz-fp")
 		if err != nil {
 			t.Fatalf("reopen after append: %v", err)
 		}

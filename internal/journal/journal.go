@@ -24,17 +24,22 @@
 // campaign fingerprint), an evaluation episode, or an owner record. Owner
 // records are opaque JSON values the journal's owner appends beside the
 // episodes (the campaign registry keeps a campaign's spec, lifecycle state
-// and result in them); replay and the episode count skip them, and Scan
-// reads them back without decoding a single episode. A header may leave the
-// fingerprint empty, for an owner that keeps the campaign identity in its
-// own records. A crash can tear or drop only frames after the last Sync; Open verifies
-// every frame's CRC, truncates the torn tail back to the last intact record,
-// and syncs what it recovered. Corruption of the header itself (or a
+// and result in them); replay skips them, and Scan reads them back without
+// decoding a single episode. A header may leave the fingerprint empty, for
+// an owner that keeps the campaign identity in its own records. A crash can
+// tear or drop only frames after the last Sync; OpenFS verifies every
+// frame's CRC, truncates the torn tail back to the last intact record, and
+// syncs what it recovered. Corruption of the header itself (or a
 // fingerprint that does not match the resuming campaign's configuration)
 // fails cleanly — never a panic, and never a silently wrong resume.
 // Journals written by older versions may also hold checkpoint frames (the
-// compacted history up to that point); Open still decodes them, and nothing
-// writes them any more.
+// compacted history up to that point); OpenFS still decodes them, and
+// nothing writes them any more.
+//
+// The journal is append-only, so the file up to the end of any frame is
+// exactly what a kill right after that frame's write leaves behind: the
+// crash matrices take their kill points from a finished journal's frame
+// boundaries (DESIGN.md §6).
 //
 // The journal stores measurement *outcomes*, not engine state machines:
 // resume works by re-running the (deterministic) campaign from the start
@@ -95,7 +100,7 @@ type Header struct {
 	Magic   string `json:"magic"`
 	Version int    `json:"version"`
 	// Fingerprint is an opaque campaign-identity string (stencil, arch,
-	// configuration, seed, budget). Open refuses a journal whose
+	// configuration, seed, budget). OpenFS refuses a journal whose
 	// fingerprint differs from the resuming campaign's; an empty one
 	// matches any.
 	Fingerprint string `json:"fingerprint"`
@@ -116,8 +121,7 @@ type Episode struct {
 	Err string `json:"err,omitempty"`
 	// CostS is the total virtual cost the engine charged for the episode
 	// (compile/run or check cost). Informational: replay recomputes the
-	// charge from the same inputs, and the cost model is pinned by the
-	// campaign fingerprint.
+	// charge from the same inputs with the engine's constant cost model.
 	CostS float64 `json:"cost_s"`
 }
 
@@ -149,9 +153,7 @@ type Journal struct {
 	fs        vfs.FS
 	path      string
 	f         vfs.File
-	hdr       Header
-	recovered []Episode // the history recovered at Open time
-	records   int       // recovered plus appended episodes
+	recovered []Episode // the history recovered at OpenFS time
 	unsynced  bool      // a frame was written since the last Sync
 	closed    bool
 
@@ -161,28 +163,16 @@ type Journal struct {
 	// but the *name* may not survive a power loss. Atomic so the engine can
 	// fold it into Stats without nesting locks with j.mu.
 	dirSyncErrs atomic.Int64
-
-	// OnAppend, when set, is called (outside locks held by callers, but
-	// under the journal's own) after every appended frame is written, with
-	// the current record count. Each call is a legal SIGKILL point: the
-	// written bytes outlive the process. It exists for crash-matrix tests
-	// that snapshot the file at every record; production code leaves it nil.
-	OnAppend func(records int)
 }
 
-// Create starts a fresh journal at path, failing if the file exists.
-func Create(path, fingerprint string) (*Journal, error) {
-	return CreateFS(vfs.OS, path, fingerprint)
-}
-
-// CreateFS is Create through an explicit filesystem seam. The header and an
-// owner record for each of owner reach the file in one write and one fsync,
-// so a crash leaves either all of them or a prefix that holds no complete
-// owner record. A failed create removes the file it made.
+// CreateFS starts a fresh journal at path on fsys, failing if the file
+// exists. The header and an owner record for each of owner reach the file
+// in one write and one fsync, so a crash leaves either all of them or a
+// prefix that holds no complete owner record. A failed create removes the
+// file it made.
 func CreateFS(fsys vfs.FS, path, fingerprint string, owner ...any) (*Journal, error) {
-	j := &Journal{fs: fsys, path: path, hdr: Header{Magic: Magic, Version: Version, Fingerprint: fingerprint}}
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, record{T: "hdr", Hdr: &j.hdr}); err != nil {
+	if err := writeFrame(&buf, record{T: "hdr", Hdr: &Header{Magic: Magic, Version: Version, Fingerprint: fingerprint}}); err != nil {
 		return nil, err
 	}
 	for _, v := range owner {
@@ -200,27 +190,22 @@ func CreateFS(fsys vfs.FS, path, fingerprint string, owner ...any) (*Journal, er
 	if err != nil {
 		_ = f.Close()
 		// Best-effort cleanup; a file that survives it holds no complete
-		// owner record, and OpenOrCreate treats a zero-length journal as
+		// owner record, and OpenOrCreateFS treats a zero-length journal as
 		// never created.
 		_ = fsys.Remove(path)
 		return nil, fmt.Errorf("journal: create: %w", err)
 	}
-	j.f = f
+	j := &Journal{fs: fsys, path: path, f: f}
 	j.syncDir()
 	return j, nil
 }
 
-// Open opens an existing journal for resume: it validates the header,
-// rejects a foreign fingerprint (unless either fingerprint is empty, which
-// skips the check), replays episode frames
-// (and legacy checkpoints) into the recovered history, truncates any torn
-// tail back to the last intact frame, syncs what it recovered or truncated,
-// and positions the file for further appends.
-func Open(path, fingerprint string) (*Journal, error) {
-	return OpenFS(vfs.OS, path, fingerprint)
-}
-
-// OpenFS is Open through an explicit filesystem seam.
+// OpenFS opens an existing journal on fsys for resume: it validates the
+// header, rejects a foreign fingerprint (unless either fingerprint is empty,
+// which skips the check), replays episode frames (and legacy checkpoints)
+// into the recovered history, truncates any torn tail back to the last
+// intact frame, syncs what it recovered or truncated, and positions the
+// file for further appends.
 func OpenFS(fsys vfs.FS, path, fingerprint string) (j *Journal, err error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -259,14 +244,14 @@ func OpenFS(fsys vfs.FS, path, fingerprint string) (j *Journal, err error) {
 	if _, err := f.Seek(int64(good), io.SeekStart); err != nil {
 		return nil, fmt.Errorf("journal: seek: %w", err)
 	}
-	return &Journal{fs: fsys, path: path, f: f, hdr: hdr, recovered: history, records: len(history)}, nil
+	return &Journal{fs: fsys, path: path, f: f, recovered: history}, nil
 }
 
 // Scan reads the journal at path in one read, for its owner: the owner
 // records in the order they were appended, up to the first frame that is
 // not intact, behind a header that must be. It decodes no other frame,
 // taking each owner value straight out of the payload writeFrame wrote, and
-// writes nothing: a torn tail stays until the next Open truncates it. A
+// writes nothing: a torn tail stays until the next OpenFS truncates it. A
 // zero-length file, the trace of a create that wrote nothing, holds no
 // records.
 func Scan(fsys vfs.FS, path string) ([]json.RawMessage, error) {
@@ -362,17 +347,11 @@ func replay(data []byte, off int) (history []Episode, good int) {
 	return history, good
 }
 
-// OpenOrCreate resumes the journal at path when it exists and starts a
-// fresh one otherwise — the ergonomic entry point for "just re-run the
-// same command after a crash" campaigns.
-func OpenOrCreate(path, fingerprint string) (*Journal, error) {
-	return OpenOrCreateFS(vfs.OS, path, fingerprint)
-}
-
-// OpenOrCreateFS is OpenOrCreate through an explicit filesystem seam. A
-// zero-length existing file is the artifact of a crash between create and
-// the header fsync — zero durable frames — so it is removed and recreated
-// rather than rejected as corrupt.
+// OpenOrCreateFS resumes the journal at path on fsys when it exists and
+// starts a fresh one otherwise — the entry point for "just re-run the same
+// command after a crash" campaigns. A zero-length existing file is the
+// artifact of a crash between create and the header fsync — zero durable
+// frames — so it is removed and recreated rather than rejected as corrupt.
 func OpenOrCreateFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
 	if fi, err := fsys.Stat(path); err == nil {
 		if fi.Size() == 0 {
@@ -418,17 +397,12 @@ func (j *Journal) Append(ep Episode) error {
 		return err
 	}
 	j.unsynced = true
-	j.records++
-	if j.OnAppend != nil {
-		//cstlint:allow lockorder(OnAppend's documented contract is test-only, fast, and runs under j.mu by design)
-		j.OnAppend(j.records)
-	}
 	return nil
 }
 
 // AppendOwner writes v, JSON-encoded, as one owner record: a frame that
-// replay and the episode count skip and Scan returns. Like Append it is
-// durable once a later Sync or Close returns.
+// replay skips and Scan returns. Like Append it is durable once a later
+// Sync or Close returns.
 func (j *Journal) AppendOwner(v any) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -464,19 +438,13 @@ func (j *Journal) syncLocked() error {
 	return nil
 }
 
-// Recovered returns the episodes recovered at Open time — the replay set a
-// resumed engine consumes. A freshly created journal recovers nothing.
+// Recovered returns the episodes recovered at OpenFS time — the replay set
+// a resumed engine consumes. A freshly created journal recovers nothing.
 func (j *Journal) Recovered() []Episode {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return append([]Episode(nil), j.recovered...)
 }
-
-// Fingerprint returns the campaign fingerprint stored in the header.
-func (j *Journal) Fingerprint() string { return j.hdr.Fingerprint }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Close syncs the unsynced tail and releases the file handle. It returns
 // the sync error first, since that is the one that loses records.

@@ -23,7 +23,7 @@ func tmpPath(t *testing.T) string {
 
 func mustCreate(t *testing.T, path, fp string) *Journal {
 	t.Helper()
-	j, err := Create(path, fp)
+	j, err := CreateFS(vfs.OS, path, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := Open(path, "fp1")
+	r, err := OpenFS(vfs.OS, path, "fp1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,23 +75,23 @@ func TestFingerprintMismatchRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	if _, err := Open(path, "fp-different"); !errors.Is(err, ErrFingerprint) {
+	if _, err := OpenFS(vfs.OS, path, "fp-different"); !errors.Is(err, ErrFingerprint) {
 		t.Fatalf("Open with wrong fingerprint: err = %v, want ErrFingerprint", err)
 	}
-	// Empty fingerprint skips the check (inspection tooling).
-	r, err := Open(path, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-	if r.Fingerprint() != "fp-original" {
-		t.Fatalf("Fingerprint = %q", r.Fingerprint())
+	// Empty fingerprint skips the check (inspection tooling); the header
+	// still holds the original one.
+	for _, fp := range []string{"", "fp-original"} {
+		r, err := OpenFS(vfs.OS, path, fp)
+		if err != nil {
+			t.Fatalf("Open with fingerprint %q: %v", fp, err)
+		}
+		r.Close()
 	}
 }
 
 func TestOpenOrCreate(t *testing.T) {
 	path := tmpPath(t)
-	j, err := OpenOrCreate(path, "fp")
+	j, err := OpenOrCreateFS(vfs.OS, path, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestOpenOrCreate(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	j2, err := OpenOrCreate(path, "fp")
+	j2, err := OpenOrCreateFS(vfs.OS, path, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,29 +162,13 @@ func TestOpenRecoversLegacyCheckpoint(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := Open(path, "fp")
+	j2, err := OpenFS(vfs.OS, path, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
 	if got := j2.Recovered(); !reflect.DeepEqual(got, append(want, extra)) {
 		t.Fatalf("after append, recovered %+v", got)
-	}
-}
-
-func TestOnAppendHookFires(t *testing.T) {
-	path := tmpPath(t)
-	j := mustCreate(t, path, "fp")
-	var counts []int
-	j.OnAppend = func(n int) { counts = append(counts, n) }
-	for i := 0; i < 3; i++ {
-		if err := j.Append(ep(string(rune('a'+i)), 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	j.Close()
-	if len(counts) != 3 || counts[2] != 3 {
-		t.Fatalf("OnAppend counts = %v", counts)
 	}
 }
 
@@ -197,7 +181,7 @@ func TestSyncBoundsPowerCutLoss(t *testing.T) {
 		want  int
 	}{{"cut", false, 2}, {"close", true, 3}} {
 		t.Run(tc.name, func(t *testing.T) {
-			ff := vfs.NewFaultFS(vfs.OS, 0)
+			ff := vfs.NewFaultFS(vfs.OS)
 			path := tmpPath(t)
 			j, err := CreateFS(ff, path, "fp")
 			if err != nil {
@@ -223,7 +207,7 @@ func TestSyncBoundsPowerCutLoss(t *testing.T) {
 				t.Fatalf("power cut did not fire: %v", err)
 			}
 			_ = j.Close() // after the cut: nothing more reaches the disk
-			r, err := Open(path, "fp")
+			r, err := OpenFS(vfs.OS, path, "fp")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,7 +234,7 @@ func TestOpenStopsAtPayloadRunningIntoNextFrame(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, err := Open(path, "fp")
+	j, err := OpenFS(vfs.OS, path, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +376,7 @@ func TestCorruptionRecovery(t *testing.T) {
 			if err := os.WriteFile(p, tc.mutate(buf), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			j, err := Open(p, "fp")
+			j, err := OpenFS(vfs.OS, p, "fp")
 			if tc.corrupt {
 				if !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("err = %v, want ErrCorrupt", err)
@@ -412,7 +396,7 @@ func TestCorruptionRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			j.Close()
-			j2, err := Open(p, "fp")
+			j2, err := OpenFS(vfs.OS, p, "fp")
 			if err != nil {
 				t.Fatalf("reopen after recovery append: %v", err)
 			}
@@ -452,7 +436,7 @@ func TestEveryPrefixOpensCleanly(t *testing.T) {
 				t.Fatalf("prefix %d: owner record %d is %d", n, i, v)
 			}
 		}
-		j, err := Open(p, "fp")
+		j, err := OpenFS(vfs.OS, p, "fp")
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !strings.Contains(err.Error(), "journal:") {
 				t.Fatalf("prefix %d: unexpected error %v", n, err)
@@ -537,7 +521,7 @@ func TestOwnerRecordsBesideEpisodes(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(notes(t, raw), []int{0, 1, 2, 3}) {
 		t.Fatalf("Scan: notes %v (%v)", notes(t, raw), err)
 	}
-	j, err := Open(path, "any-fingerprint")
+	j, err := OpenFS(vfs.OS, path, "any-fingerprint")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,8 +532,6 @@ func TestOwnerRecordsBesideEpisodes(t *testing.T) {
 	if strings.Join(keys, ",") != "a,b,c" {
 		t.Fatalf("recovered %v, want the three episodes alone", keys)
 	}
-	var counts []int
-	j.OnAppend = func(n int) { counts = append(counts, n) }
 	if err := j.AppendOwner(note{4}); err != nil {
 		t.Fatal(err)
 	}
@@ -559,11 +541,20 @@ func TestOwnerRecordsBesideEpisodes(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(counts, []int{4}) {
-		t.Fatalf("OnAppend saw %v, want one call at episode 4", counts)
-	}
 	if raw, err = Scan(vfs.OS, path); err != nil || !reflect.DeepEqual(notes(t, raw), []int{0, 1, 2, 3, 4}) {
 		t.Fatalf("after a reopen, Scan found %v (%v)", notes(t, raw), err)
+	}
+	j, err = OpenFS(vfs.OS, path, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	keys = keys[:0]
+	for _, e := range j.Recovered() {
+		keys = append(keys, e.Key)
+	}
+	if strings.Join(keys, ",") != "a,b,c,d" {
+		t.Fatalf("after a reopen, recovered %v, want the four episodes alone", keys)
 	}
 }
 

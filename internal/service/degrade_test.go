@@ -28,8 +28,8 @@ func getHealth(t *testing.T, ts *httptest.Server) HealthResponse {
 // store serves read-only, and /v1/healthz reports status=degraded with the
 // store subsystem called out — while still answering 200.
 func TestServiceStoreDegradedKeepsServing(t *testing.T) {
-	fsys := vfs.NewFaultFS(vfs.OS, 0,
-		vfs.Fault{Op: vfs.OpCreate, Path: ".seg", Err: vfs.ENoSpace(), Rate: 1})
+	fsys := vfs.NewFaultFS(vfs.OS,
+		vfs.Fault{Op: vfs.OpCreate, Path: ".seg", Err: vfs.ENoSpace(), Every: true})
 	reg, err := campaign.Open(t.TempDir(), campaign.Options{Slots: 2, EnableStore: true, FS: fsys})
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +84,8 @@ func TestServiceStoreDegradedKeepsServing(t *testing.T) {
 func TestServiceSubmitNoSpace507(t *testing.T) {
 	// Campaign ids are sequential (c000001, c000002, …): fail exactly the
 	// second campaign's file creation.
-	fsys := vfs.NewFaultFS(vfs.OS, 0,
-		vfs.Fault{Op: vfs.OpCreate, Path: "c000002/", Err: vfs.ENoSpace(), Rate: 1})
+	fsys := vfs.NewFaultFS(vfs.OS,
+		vfs.Fault{Op: vfs.OpCreate, Path: "c000002/", Err: vfs.ENoSpace(), Every: true})
 	root := t.TempDir()
 	reg, err := campaign.Open(root, campaign.Options{Slots: 2, FS: fsys})
 	if err != nil {

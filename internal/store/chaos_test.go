@@ -13,8 +13,8 @@ import (
 // drops are counted, Degraded()/Stats expose the mode, and the sticky write
 // error surfaces from Close as the ENOSPC it was.
 func TestStoreDegradedReadOnly(t *testing.T) {
-	ff := vfs.NewFaultFS(vfs.OS, 0,
-		vfs.Fault{Op: vfs.OpCreate, Path: ".seg", Err: vfs.ENoSpace(), Rate: 1})
+	ff := vfs.NewFaultFS(vfs.OS,
+		vfs.Fault{Op: vfs.OpCreate, Path: ".seg", Err: vfs.ENoSpace(), Every: true})
 	s, err := OpenFS(ff, filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatal(err)

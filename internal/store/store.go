@@ -241,9 +241,8 @@ func (s *Store) loadRecord(key []byte, ms float64) {
 }
 
 // quarantine renames a damaged segment to <name>.bad so Open keeps working
-// and the bytes survive for post-mortem — mirroring the registry's journal
-// quarantine. A rename failure just leaves the file in place; it will be
-// re-quarantined on the next Open.
+// and the bytes survive for post-mortem. A rename failure just leaves the
+// file in place; it will be re-quarantined on the next Open.
 func (s *Store) quarantine(path, reason string) {
 	bad := path + ".bad"
 	if err := s.fs.Rename(path, bad); err != nil {
@@ -437,9 +436,6 @@ func (s *Store) Close() error {
 	}
 	return s.writeErr
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Degraded reports whether the store has fallen back to read-only-degraded
 // mode: a sticky write failure stopped persistence, while the in-memory

@@ -6,11 +6,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
-
-	"repro/internal/stats"
 )
 
 // ErrInjected tags every fault FaultFS injects, so tests can tell an
@@ -31,10 +30,9 @@ func EIO() error { return fmt.Errorf("%w: %w", ErrInjected, syscall.EIO) }
 func ENoSpace() error { return fmt.Errorf("%w: %w", ErrInjected, syscall.ENOSPC) }
 
 // Fault is one injection rule. Matching is by operation class and path
-// substring; firing is either probabilistic (Rate > 0: a pure function of
-// (seed, op, path base name, op index) — re-running the same deterministic
-// workload re-injects the same faults) or positional (Rate == 0: fire
-// exactly at global op index AtIndex — the fault-point walker's mode).
+// substring; a matching rule fires either on every matching operation
+// (Every) or exactly once, at global op index AtIndex (the fault-point
+// walker's mode).
 type Fault struct {
 	// Op restricts the rule to one operation class ("" = any).
 	Op Op
@@ -43,11 +41,10 @@ type Fault struct {
 	// Err is the injected error. Use EIO()/ENoSpace() for errno-class
 	// faults; any non-nil error works.
 	Err error
-	// Rate is the per-matching-operation firing probability in [0, 1].
-	// Rate == 0 selects positional mode: the rule fires exactly once, at
-	// global op index AtIndex.
-	Rate float64
-	// AtIndex is the global op index to fire at in positional mode.
+	// Every fires the rule on every matching operation. Without it the rule
+	// fires exactly once, at global op index AtIndex.
+	Every bool
+	// AtIndex is the global op index to fire at when Every is false.
 	AtIndex int64
 	// Short turns a firing write fault into a short write: half the payload
 	// reaches the file, then Err is returned — the torn-frame generator.
@@ -74,10 +71,9 @@ type wtrack struct {
 // filesystem operations in a deterministic order — true for a single
 // campaign (journal appends and store publishes happen in accounting
 // order), not across concurrently-running campaigns. Concurrent workloads
-// should use Rate/Path rules, which don't depend on global ordering.
+// should use Every rules, which don't depend on global ordering.
 type FaultFS struct {
 	inner  FS
-	seed   uint64
 	faults []Fault
 
 	ops      atomic.Int64
@@ -92,8 +88,8 @@ type FaultFS struct {
 
 // NewFaultFS wraps inner. With no fault rules it is a pure op counter —
 // the walker's enumeration pass.
-func NewFaultFS(inner FS, seed uint64, faults ...Fault) *FaultFS {
-	return &FaultFS{inner: inner, seed: seed, faults: faults, track: map[string]*wtrack{}, cutAt: -1}
+func NewFaultFS(inner FS, faults ...Fault) *FaultFS {
+	return &FaultFS{inner: inner, faults: faults, track: map[string]*wtrack{}, cutAt: -1}
 }
 
 // Ops returns the number of operations performed so far.
@@ -140,14 +136,10 @@ func (f *FaultFS) step(op Op, path string) (*Fault, error) {
 		if fl.Op != "" && fl.Op != op {
 			continue
 		}
-		if fl.Path != "" && !contains(path, fl.Path) {
+		if fl.Path != "" && !strings.Contains(path, fl.Path) {
 			continue
 		}
-		if fl.Rate > 0 {
-			if faultU(f.seed, op, filepath.Base(path), idx) >= fl.Rate {
-				continue
-			}
-		} else if idx != fl.AtIndex {
+		if !fl.Every && idx != fl.AtIndex {
 			continue
 		}
 		f.injected.Add(1)
@@ -195,28 +187,6 @@ func (f *FaultFS) trackOpenLocked(path string, flag int) *wtrack {
 		}
 	}
 	return w
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
-// faultU hashes (seed, op, path base, index) to [0, 1) — the pure decision
-// function behind Rate rules. stats.KeyHash over "op|base", mixed with the
-// seed and index splitmix64-style.
-func faultU(seed uint64, op Op, base string, idx int64) float64 {
-	x := stats.KeyHash(string(op)+"|"+base) ^ seed ^ uint64(idx)*0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / float64(1<<53)
 }
 
 // OpenFile opens through the seam, classifying creation separately and

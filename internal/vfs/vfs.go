@@ -9,12 +9,13 @@
 //
 //   - OS, the pass-through production implementation over the real
 //     filesystem, and
-//   - FaultFS (faultfs.go), a deterministic, seeded fault injector that
-//     turns "what happens when the disk misbehaves" from folklore into a
+//   - FaultFS (faultfs.go), a deterministic fault injector that turns
+//     "what happens when the disk misbehaves" from folklore into a
 //     sweepable test axis: EIO, ENOSPC, short writes, fsync failures,
-//     rename failures — each a pure function of (seed, op, path, op index)
-//     — plus a power-loss model that drops or truncates buffered-but-
-//     unsynced bytes at a chosen cut point.
+//     rename failures — each fired at one global op index or on every
+//     operation matching its op class and path — plus a power-loss model
+//     that drops or truncates buffered-but-unsynced bytes at a chosen cut
+//     point.
 //
 // The interface is deliberately narrow: exactly the operations the three
 // durable subsystems use (open/create-exclusive/read/write/sync/rename/

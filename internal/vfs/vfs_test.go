@@ -72,7 +72,7 @@ func TestOr(t *testing.T) {
 	if Or(nil) != OS {
 		t.Fatal("Or(nil) != OS")
 	}
-	ff := NewFaultFS(OS, 1)
+	ff := NewFaultFS(OS)
 	if Or(ff) != FS(ff) {
 		t.Fatal("Or(ff) != ff")
 	}
@@ -93,12 +93,12 @@ func TestIsNoSpace(t *testing.T) {
 	}
 }
 
-// TestFaultAtIndex proves positional mode fires exactly once, at the named
-// global op index, and nowhere else.
+// TestFaultAtIndex proves a rule without Every fires exactly once, at the
+// named global op index, and nowhere else.
 func TestFaultAtIndex(t *testing.T) {
 	dir := t.TempDir()
 	// Count the ops of the reference workload first.
-	count := NewFaultFS(OS, 7)
+	count := NewFaultFS(OS)
 	workload := func(fsys FS, root string) error {
 		f, err := fsys.OpenFile(filepath.Join(root, "x"), os.O_RDWR|os.O_CREATE, 0o644)
 		if err != nil {
@@ -127,7 +127,7 @@ func TestFaultAtIndex(t *testing.T) {
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		ff := NewFaultFS(OS, 7, Fault{Err: EIO(), AtIndex: i})
+		ff := NewFaultFS(OS, Fault{Err: EIO(), AtIndex: i})
 		if err := workload(ff, sub); !errors.Is(err, ErrInjected) {
 			t.Fatalf("index %d: err = %v, want injected", i, err)
 		}
@@ -140,49 +140,13 @@ func TestFaultAtIndex(t *testing.T) {
 	}
 }
 
-// TestFaultRateDeterministic proves rate-mode decisions are a pure function
-// of (seed, op, path, index): two identical runs inject identically, a
-// different seed injects differently.
-func TestFaultRateDeterministic(t *testing.T) {
-	decisions := func(seed uint64) []bool {
-		var out []bool
-		for i := int64(0); i < 200; i++ {
-			out = append(out, faultU(seed, OpWrite, "journal.wal", i) < 0.25)
-		}
-		return out
-	}
-	a, b, c := decisions(1), decisions(1), decisions(2)
-	same := func(x, y []bool) bool {
-		for i := range x {
-			if x[i] != y[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if !same(a, b) {
-		t.Fatal("same seed produced different decisions")
-	}
-	if same(a, c) {
-		t.Fatal("different seeds produced identical decisions (astronomically unlikely)")
-	}
-	fired := 0
-	for _, d := range a {
-		if d {
-			fired++
-		}
-	}
-	if fired < 20 || fired > 90 {
-		t.Fatalf("rate 0.25 fired %d/200 — hash badly skewed", fired)
-	}
-}
-
-// TestFaultMatching checks Op and Path filters restrict where a rule fires.
+// TestFaultMatching checks Op and Path filters restrict where a rule fires,
+// and that an Every rule fires on every matching op.
 func TestFaultMatching(t *testing.T) {
 	dir := t.TempDir()
-	ff := NewFaultFS(OS, 3,
-		Fault{Op: OpSync, Err: EIO(), Rate: 1},
-		Fault{Op: OpWrite, Path: "store", Err: ENoSpace(), Rate: 1},
+	ff := NewFaultFS(OS,
+		Fault{Op: OpSync, Err: EIO(), Every: true},
+		Fault{Op: OpWrite, Path: "store", Err: ENoSpace(), Every: true},
 	)
 	f, err := ff.OpenFile(filepath.Join(dir, "journal.wal"), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -191,8 +155,10 @@ func TestFaultMatching(t *testing.T) {
 	if _, err := f.Write([]byte("ok")); err != nil {
 		t.Fatalf("write to non-store path should pass: %v", err)
 	}
-	if err := f.Sync(); !errors.Is(err, syscall.EIO) {
-		t.Fatalf("sync should inject EIO, got %v", err)
+	for i := 0; i < 2; i++ {
+		if err := f.Sync(); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("sync %d should inject EIO, got %v", i, err)
+		}
 	}
 	_ = f.Close()
 	g, err := ff.OpenFile(filepath.Join(dir, "store.seg"), os.O_WRONLY|os.O_CREATE, 0o644)
@@ -209,7 +175,7 @@ func TestFaultMatching(t *testing.T) {
 func TestShortWrite(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "f")
-	ff := NewFaultFS(OS, 5, Fault{Op: OpWrite, Err: EIO(), AtIndex: 1, Short: true})
+	ff := NewFaultFS(OS, Fault{Op: OpWrite, Err: EIO(), AtIndex: 1, Short: true})
 	f, err := ff.OpenFile(p, os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +200,7 @@ func TestShortWrite(t *testing.T) {
 func TestPowerCut(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "wal")
-	ff := NewFaultFS(OS, 9)
+	ff := NewFaultFS(OS)
 	f, err := ff.OpenFile(p, os.O_WRONLY|os.O_CREATE, 0o644) // op 0
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +236,7 @@ func TestPowerCut(t *testing.T) {
 func TestPowerCutKeepFraction(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "wal")
-	ff := NewFaultFS(OS, 9)
+	ff := NewFaultFS(OS)
 	f, err := ff.OpenFile(p, os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +266,7 @@ func TestPowerCutKeepFraction(t *testing.T) {
 func TestPowerCutFollowsRename(t *testing.T) {
 	dir := t.TempDir()
 	tmp, final := filepath.Join(dir, "f.tmp"), filepath.Join(dir, "f")
-	ff := NewFaultFS(OS, 11)
+	ff := NewFaultFS(OS)
 	f, err := ff.OpenFile(tmp, os.O_WRONLY|os.O_CREATE, 0o644) // op 0
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +305,7 @@ func TestPowerCutExistingBytesDurable(t *testing.T) {
 	if err := os.WriteFile(p, []byte("old"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ff := NewFaultFS(OS, 13)
+	ff := NewFaultFS(OS)
 	f, err := ff.OpenFile(p, os.O_RDWR, 0) // op 0
 	if err != nil {
 		t.Fatal(err)
