@@ -14,6 +14,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/journal"
 	"repro/internal/sim"
+	"repro/internal/space"
 	"repro/internal/vfs"
 )
 
@@ -41,7 +42,7 @@ type Campaign struct {
 	cancel    context.CancelFunc // non-nil while a runner owns the campaign
 	intent    State              // StatePaused or StateCanceled when an interrupt was requested
 	eng       *engine.Engine     // live engine while running
-	result    *harness.CampaignResult
+	summary   *summary           // the completed campaign's outcome
 	canonical string
 	settledS  float64 // spend settled against the tenant ledger (terminal states)
 }
@@ -72,11 +73,58 @@ type persistedState struct {
 }
 
 // persistedResult is a result record: the canonical string the resume
-// acceptance criteria compare byte-for-byte, alongside the full structured
-// result.
+// acceptance criteria compare byte-for-byte, and the summary Status serves.
+// A record written before the summary, like the result.json the upgrade
+// reads, carries the structured result under "result" instead.
 type persistedResult struct {
-	Canonical string                  `json:"canonical"`
-	Result    *harness.CampaignResult `json:"result"`
+	Canonical string        `json:"canonical"`
+	Summary   *summary      `json:"summary,omitempty"`
+	Legacy    *legacyResult `json:"result,omitempty"`
+}
+
+// summary is what Status serves of a completed campaign's outcome, under
+// Status's JSON names.
+type summary struct {
+	Found          bool    `json:"found"`
+	BestKey        string  `json:"best_key,omitempty"`
+	BestMS         float64 `json:"best_ms,omitempty"`
+	SpentS         float64 `json:"spent_s"`
+	Evals          int     `json:"evals"`
+	Replayed       int     `json:"replayed"`
+	StoreHits      int     `json:"store_hits,omitempty"`
+	StoreMisses    int     `json:"store_misses,omitempty"`
+	WarmStartSeeds int     `json:"warm_start_seeds,omitempty"`
+}
+
+// summarize condenses a campaign's outcome, final or live, to its summary.
+func summarize(best space.Setting, bestMS float64, found bool, st engine.Stats, replayed int) summary {
+	s := summary{Found: found, SpentS: st.SpentS, Evals: st.Evaluations, Replayed: replayed,
+		StoreHits: st.StoreHits, StoreMisses: st.StoreMisses, WarmStartSeeds: st.WarmStartSeeds}
+	if found {
+		s.BestKey, s.BestMS = best.Key(), bestMS
+	}
+	return s
+}
+
+// legacyResult is a structured harness.CampaignResult without its
+// Trajectory, which decoding therefore skips without building it.
+type legacyResult struct {
+	Best     space.Setting
+	BestMS   float64
+	Found    bool
+	Stats    engine.Stats
+	Replayed int
+}
+
+// current returns the record in the form written today: a legacy record's
+// structured result condensed to its summary.
+func (r *persistedResult) current() *persistedResult {
+	if r.Summary != nil || r.Legacy == nil {
+		return r
+	}
+	l := r.Legacy
+	s := summarize(l.Best, l.BestMS, l.Found, l.Stats, l.Replayed)
+	return &persistedResult{Canonical: r.Canonical, Summary: &s}
 }
 
 // stateRecord renders the lifecycle as it stands, with the settled spend.
@@ -115,6 +163,9 @@ func (c *Campaign) read() (record, error) {
 		var rec record
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			return last, fmt.Errorf("campaign: unreadable record: %w", err)
+		}
+		if rec.Result != nil {
+			rec.Result = rec.Result.current()
 		}
 		last = record{Spec: cmp.Or(rec.Spec, last.Spec), State: cmp.Or(rec.State, last.State), Result: cmp.Or(rec.Result, last.Result)}
 	}
@@ -186,44 +237,18 @@ func (c *Campaign) Status() Status {
 		History: c.lc.History(),
 	}
 	c.mu.Lock()
-	eng, res, canonical := c.eng, c.result, c.canonical
+	eng, sum, canonical := c.eng, c.summary, c.canonical
 	c.mu.Unlock()
-	switch {
-	case res != nil:
-		st.SpentS = res.Stats.SpentS
-		st.Evals = res.Stats.Evaluations
-		st.Replayed = res.Replayed
-		st.StoreHits = res.Stats.StoreHits
-		st.StoreMisses = res.Stats.StoreMisses
-		st.WarmStartSeeds = res.Stats.WarmStartSeeds
-		st.Found = res.Found
-		if res.Found {
-			st.BestKey = res.Best.Key()
-			st.BestMS = res.BestMS
-		}
-		st.Canonical = canonical
-	case eng != nil:
-		st.SpentS = eng.SpentS()
-		st.Evals = eng.Evals()
-		st.Replayed = eng.Replayed()
-		es := eng.Stats()
-		st.StoreHits = es.StoreHits
-		st.StoreMisses = es.StoreMisses
-		st.WarmStartSeeds = es.WarmStartSeeds
-		if set, ms, ok := eng.Best(); ok {
-			st.Found, st.BestKey, st.BestMS = true, set.Key(), ms
-		}
+	if sum == nil && eng != nil {
+		set, ms, ok := eng.Best()
+		live := summarize(set, ms, ok, eng.Stats(), eng.Replayed())
+		sum = &live
 	}
+	if sum != nil {
+		st.Found, st.BestKey, st.BestMS = sum.Found, sum.BestKey, sum.BestMS
+		st.SpentS, st.Evals, st.Replayed = sum.SpentS, sum.Evals, sum.Replayed
+		st.StoreHits, st.StoreMisses, st.WarmStartSeeds = sum.StoreHits, sum.StoreMisses, sum.WarmStartSeeds
+	}
+	st.Canonical = canonical
 	return st
-}
-
-// Result returns the completed campaign's result and canonical string, or
-// ok=false while the campaign has not completed.
-func (c *Campaign) Result() (*harness.CampaignResult, string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.result == nil {
-		return nil, "", false
-	}
-	return c.result, c.canonical, true
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -345,7 +346,9 @@ func TestRegistryFaultPointWalker(t *testing.T) {
 // TestRegistryReopenWritesNothing opens a root of completed campaigns
 // through a filesystem that fails every create, write, truncate, rename,
 // remove, sync and directory sync. A reopen only reads each campaign's
-// file, so every campaign still loads Completed with its canonical.
+// file, so every campaign still loads with every Status field it had. Each
+// result record holds the canonical and the summary, and no structured
+// trajectory.
 func TestRegistryReopenWritesNothing(t *testing.T) {
 	root := t.TempDir()
 	reg, err := Open(root, Options{Slots: 2})
@@ -363,6 +366,9 @@ func TestRegistryReopenWritesNothing(t *testing.T) {
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
 	}
+	for _, st := range want {
+		checkResultRecord(t, filepath.Join(root, st.ID, "journal.wal"))
+	}
 
 	var faults []vfs.Fault
 	for _, op := range []vfs.Op{vfs.OpCreate, vfs.OpWrite, vfs.OpTruncate, vfs.OpRename, vfs.OpRemove, vfs.OpSync, vfs.OpSyncDir} {
@@ -374,8 +380,8 @@ func TestRegistryReopenWritesNothing(t *testing.T) {
 		t.Fatalf("reopened %d campaigns, want %d", len(got), len(want))
 	}
 	for i, st := range got {
-		if st.State != StateCompleted || st.Canonical != want[i].Canonical {
-			t.Errorf("%s reopened as %s (%q)", st.ID, st.State, st.Reason)
+		if st.State != StateCompleted || !reflect.DeepEqual(st, want[i]) {
+			t.Errorf("%s reopened as %+v, was %+v", st.ID, st, want[i])
 		}
 	}
 	if n := fsys.Injected(); n != 0 {

@@ -210,7 +210,7 @@ func (r *Registry) load(id string) *Campaign {
 		c.Spec = *f.Spec
 	}
 	if f.Result != nil {
-		c.result, c.canonical = f.Result.Result, f.Result.Canonical
+		c.summary, c.canonical = f.Result.Summary, f.Result.Canonical
 	}
 	if err == nil && f.State != nil {
 		// A Pending campaign whose fingerprint is assigned was running when
@@ -497,8 +497,9 @@ func (r *Registry) run(ctx context.Context, c *Campaign) {
 		return
 	}
 	release()
+	sum := summarize(res.Best, res.BestMS, res.Found, res.Stats, res.Replayed)
 	c.mu.Lock()
-	c.result, c.canonical = res, res.Canonical()
+	c.summary, c.canonical = &sum, res.Canonical()
 	c.mu.Unlock()
 	if r.store != nil {
 		// Make this campaign's published measurements visible to concurrent
@@ -513,9 +514,10 @@ func (r *Registry) run(ctx context.Context, c *Campaign) {
 }
 
 // finish moves c to the terminal state s, settles the tenant's reservation
-// to the spend of the campaign's result or live engine (zero without
+// to the spend of the campaign's summary or live engine (zero without
 // either), capped at the reservation, and records the state — with the
-// result, for Completed — through jr when the run holds its journal open.
+// canonical and the summary, for Completed — through jr when the run holds
+// its journal open.
 // A campaign already terminal keeps its state. The caller holds c.fileMu.
 func (r *Registry) finish(c *Campaign, jr *journal.Journal, s State, reason string) {
 	if err := c.lc.To(s, reason); err != nil {
@@ -523,8 +525,8 @@ func (r *Registry) finish(c *Campaign, jr *journal.Journal, s State, reason stri
 	}
 	c.mu.Lock()
 	spent := 0.0
-	if c.result != nil {
-		spent = c.result.Stats.SpentS
+	if c.summary != nil {
+		spent = c.summary.SpentS
 	} else if c.eng != nil {
 		spent = c.eng.SpentS()
 	}
@@ -532,7 +534,7 @@ func (r *Registry) finish(c *Campaign, jr *journal.Journal, s State, reason stri
 	settled := c.settledS
 	var res *persistedResult
 	if s == StateCompleted {
-		res = &persistedResult{Canonical: c.canonical, Result: c.result}
+		res = &persistedResult{Canonical: c.canonical, Summary: c.summary}
 	}
 	c.mu.Unlock()
 	r.ledgers.Settle(c.Spec.Tenant, c.Spec.BudgetS, settled)

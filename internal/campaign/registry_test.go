@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -57,6 +58,43 @@ func writeCampaign(t *testing.T, root, id, fp string, recs ...any) string {
 		t.Fatal(err)
 	}
 	return filepath.Join(dir, "journal.wal")
+}
+
+// checkResultRecord requires the journal at path to hold a result record
+// whose object has exactly the keys canonical and summary, and no
+// structured trajectory anywhere.
+func checkResultRecord(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte("Trajectory")) {
+		t.Errorf("%s holds a structured trajectory", path)
+	}
+	recs, err := journal.Scan(vfs.OS, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, raw := range recs {
+		var rec struct {
+			Result map[string]json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Result != nil {
+			keys = keys[:0]
+			for k := range rec.Result {
+				keys = append(keys, k)
+			}
+		}
+	}
+	slices.Sort(keys)
+	if !slices.Equal(keys, []string{"canonical", "summary"}) {
+		t.Errorf("%s: result record keys %q, want canonical and summary", path, keys)
+	}
 }
 
 // submitted is the record Submit writes for spec.
@@ -110,8 +148,8 @@ func goldenCanonical(t *testing.T, spec Spec) string {
 		t.Fatal(err)
 	}
 	waitState(t, reg, c.ID, StateCompleted)
-	_, canonical, ok := c.Result()
-	if !ok || canonical == "" {
+	canonical := c.Status().Canonical
+	if canonical == "" {
 		t.Fatal("completed campaign has no canonical result")
 	}
 	return canonical
@@ -167,12 +205,8 @@ func TestRegistryRestartResumesInterrupted(t *testing.T) {
 	if interrupted && st.Replayed == 0 {
 		t.Error("interrupted campaign resumed without replaying any journaled episode")
 	}
-	_, canonical, ok := c2.Result()
-	if !ok {
-		t.Fatal("resumed campaign has no result")
-	}
-	if canonical != golden {
-		t.Fatalf("resumed canonical differs from uninterrupted run:\n%s\n%s", canonical, golden)
+	if st.Canonical != golden {
+		t.Fatalf("resumed canonical differs from uninterrupted run:\n%s\n%s", st.Canonical, golden)
 	}
 	checkInvariant(t, reg2.Ledgers())
 }
@@ -208,8 +242,7 @@ func TestRegistryPauseResume(t *testing.T) {
 		t.Fatalf("recorded state after resume: %s", got)
 	}
 	waitState(t, reg, c.ID, StateCompleted)
-	_, canonical, _ := c.Result()
-	if canonical != golden {
+	if canonical := c.Status().Canonical; canonical != golden {
 		t.Fatalf("pause/resume changed the result:\n%s\n%s", canonical, golden)
 	}
 	// Resuming a completed campaign is an illegal transition.
@@ -472,7 +505,7 @@ func TestRegistryRestartClassifiesOnDiskState(t *testing.T) {
 	if err := gold.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, golden, _ := gc.Result()
+	golden := gc.Status().Canonical
 	goldJournal, err := os.ReadFile(filepath.Join(goldRoot, gc.ID, "journal.wal"))
 	if err != nil {
 		t.Fatal(err)
@@ -536,8 +569,8 @@ func TestRegistryRestartClassifiesOnDiskState(t *testing.T) {
 			t.Errorf("%s: loaded as %s, last transition %+v; want %s, %+v", row.name, c.State(), last, row.state, row.last)
 		}
 	}
-	if _, canonical, ok := camps[4].Result(); !ok || canonical != golden {
-		t.Errorf("completed: result not restored (ok %v)", ok)
+	if camps[4].Status().Canonical != golden {
+		t.Error("completed: result not restored")
 	}
 	if t.Failed() {
 		return

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -106,6 +107,7 @@ func TestRegistryWarmStartResolvesOnceAndPersists(t *testing.T) {
 	if fp == "" {
 		t.Fatal("completed campaign has no fingerprint")
 	}
+	statuses := reg.List("")
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +121,10 @@ func TestRegistryWarmStartResolvesOnceAndPersists(t *testing.T) {
 	}
 	if warm2.Spec.Fingerprint != fp {
 		t.Fatalf("fingerprint changed across restart: %q vs %q", warm2.Spec.Fingerprint, fp)
+	}
+	// The store counters and warm seeds reload from the result records.
+	if again := reg2.List(""); !reflect.DeepEqual(again, statuses) {
+		t.Fatalf("statuses changed across restart:\n%+v\nwere\n%+v", again, statuses)
 	}
 	if len(warm2.Spec.WarmKeys) != len(keys) {
 		t.Fatalf("warm keys changed across restart: %v vs %v", warm2.Spec.WarmKeys, keys)

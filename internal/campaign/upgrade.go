@@ -14,7 +14,8 @@ import (
 // one journal file, removes the JSON files and reads the journal back
 // (Campaign.read); a directory without a spec.json holds no record. It is
 // the only reader of those files, and
-// it runs once: an upgraded journal holds a spec. Spec fields retired
+// it runs once: an upgraded journal holds a spec. The structured result
+// in result.json is recorded as its summary. Spec fields retired
 // before the change (workers, checkpoint_every, repeats, quarantine) are
 // tolerated here and dropped from the record. A journal that cannot be
 // opened fails the upgrade, and the campaign loads Failed with the files
@@ -44,10 +45,11 @@ func (r *Registry) upgrade(c *Campaign) (record, error) {
 	}
 	rec := record{Spec: &spec, State: st}
 	if st.State == StateCompleted {
-		rec.Result = &persistedResult{}
-		if err := read("result.json", rec.Result); err != nil {
+		var res persistedResult
+		if err := read("result.json", &res); err != nil {
 			return record{}, err
 		}
+		rec.Result = res.current()
 	}
 
 	path := c.journalPath()

@@ -3,6 +3,7 @@ package campaign
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -44,8 +45,9 @@ func copyRoot(t *testing.T, from string) string {
 // tenant ledgers come out as the earlier registry read them, and every
 // campaign that was not over resumes to its uninterrupted canonical —
 // c000008's spec.json still carries the retired workers, checkpoint_every,
-// repeats and quarantine fields. A further reopen finds no JSON file left
-// and every status unchanged.
+// repeats and quarantine fields. c000005's result is recorded as its
+// summary. A further reopen finds no JSON file left and every status
+// unchanged.
 func TestRegistryUpgradesOldLayout(t *testing.T) {
 	big := func(tenant string, seed int64) Spec {
 		s := testSpec(tenant, seed)
@@ -88,9 +90,10 @@ func TestRegistryUpgradesOldLayout(t *testing.T) {
 				tc.id, st.Tenant, st.Seed, st.State, last, tc.spec.Tenant, tc.spec.Seed, tc.state, tc.last)
 		}
 	}
-	if _, canonical, ok := mustGet(t, reg, "c000005").Result(); !ok || canonical != goldenCanonical(t, testSpec("alice", 25)) {
-		t.Errorf("c000005: completed canonical not kept (ok %v)", ok)
+	if mustGet(t, reg, "c000005").Status().Canonical != goldenCanonical(t, testSpec("alice", 25)) {
+		t.Error("c000005: completed canonical not kept")
 	}
+	checkResultRecord(t, filepath.Join(root, "c000005", "journal.wal"))
 	ledgers := map[string]LedgerSnapshot{
 		"alice": {Tenant: "alice", ReservedS: 4 + 40, SpentS: 4},
 		"bob":   {Tenant: "bob", ReservedS: 80},
@@ -118,7 +121,7 @@ func TestRegistryUpgradesOldLayout(t *testing.T) {
 			continue
 		}
 		waitState(t, reg, tc.id, StateCompleted)
-		if _, canonical, _ := mustGet(t, reg, tc.id).Result(); canonical != goldenCanonical(t, tc.spec) {
+		if mustGet(t, reg, tc.id).Status().Canonical != goldenCanonical(t, tc.spec) {
 			t.Errorf("%s: resumed to a canonical other than its uninterrupted run's", tc.id)
 		}
 	}
@@ -153,4 +156,31 @@ func mustGet(t *testing.T, reg *Registry, id string) *Campaign {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestRegistryLoadsLegacyResultRecord opens testdata/legacyresult: one
+// campaign, interrupted once and resumed to completion by the registry
+// whose result record carried the structured result beside the canonical.
+// A reopen serves every Status field that registry served after its own
+// reopen, and the canonical of the spec's uninterrupted run.
+func TestRegistryLoadsLegacyResultRecord(t *testing.T) {
+	spec := testSpec("legacy", 31)
+	spec.BudgetS = 40
+	want := Status{
+		ID: "c000001", Tenant: "legacy", Method: "opentuner", Stencil: "helmholtz", Arch: "a100",
+		Weight: 1, BudgetS: 40, Seed: 31, State: StateCompleted,
+		SpentS: 40.19588723694944, Evals: 26, Replayed: 3,
+		Found: true, BestKey: "16,8,2,2,1,1,1,1,2,2,1,2,1,2,1,2,1,1,1", BestMS: 1.6940651208794897,
+		Canonical: goldenCanonical(t, spec),
+		History: []Transition{
+			{To: StatePending, AtUnixNano: 1792394640558866041},
+			{From: StateRunning, To: StatePending, AtUnixNano: 1792394640563140941, Reason: "interrupted by process death; queued for deterministic resume"},
+			{From: StatePending, To: StateRunning, AtUnixNano: 1792394640563148620},
+			{From: StateRunning, To: StateCompleted, AtUnixNano: 1792394640564932237},
+		},
+	}
+	reg := openTestRegistry(t, copyRoot(t, filepath.Join("testdata", "legacyresult")), Options{DisableAutostart: true})
+	if got := mustGet(t, reg, "c000001").Status(); !reflect.DeepEqual(got, want) {
+		t.Errorf("reopened as\n%+v\nwant\n%+v", got, want)
+	}
 }

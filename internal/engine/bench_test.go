@@ -148,8 +148,8 @@ func BenchmarkJournalReplay256(b *testing.B) {
 			b.Fatal(err)
 		}
 		e := New(f, WithJournal(j))
-		if e.ReplayPending() != episodes {
-			b.Fatalf("ReplayPending = %d, want %d", e.ReplayPending(), episodes)
+		if e.pendingReplays() != episodes {
+			b.Fatalf("pendingReplays = %d, want %d", e.pendingReplays(), episodes)
 		}
 		for k := 0; k < episodes; k++ {
 			if _, err := e.Measure(benchVariant(f.sp, k)); err != nil {

@@ -74,10 +74,10 @@ func (e *Engine) replayPop(key string) (episode, bool) {
 	return episodeFromRecord(r), true
 }
 
-// ReplayPending returns how many journaled episodes are still waiting to be
-// replayed; a resumed campaign that re-executes deterministically drains
+// pendingReplays returns how many journaled episodes are still waiting to
+// be replayed; a resumed campaign that re-executes deterministically drains
 // this to zero before its first live measurement of a journaled key.
-func (e *Engine) ReplayPending() int {
+func (e *Engine) pendingReplays() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.replayPending

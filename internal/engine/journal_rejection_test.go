@@ -137,8 +137,8 @@ func TestJournalConstraintRejectionsAreNotJournaled(t *testing.T) {
 	if got := run(eng2); got != want {
 		t.Fatalf("resume diverged:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if eng2.Replayed() != records || eng2.ReplayPending() != 0 {
-		t.Fatalf("Replayed = %d, pending %d; want %d, 0", eng2.Replayed(), eng2.ReplayPending(), records)
+	if eng2.Replayed() != records || engine.PendingReplays(eng2) != 0 {
+		t.Fatalf("Replayed = %d, pending %d; want %d, 0", eng2.Replayed(), engine.PendingReplays(eng2), records)
 	}
 	for _, s := range keys {
 		wantCalls := 0

@@ -76,8 +76,8 @@ func TestJournalReplayReproducesRunWithoutObjectiveCalls(t *testing.T) {
 	defer j2.Close()
 	obj2 := newFake(t)
 	eng2 := New(obj2, WithJournal(j2))
-	if eng2.ReplayPending() != 4 { // 5 measurements, one a cache hit
-		t.Fatalf("ReplayPending = %d, want 4", eng2.ReplayPending())
+	if eng2.pendingReplays() != 4 { // 5 measurements, one a cache hit
+		t.Fatalf("pendingReplays = %d, want 4", eng2.pendingReplays())
 	}
 	runSequence(t, eng2, sp)
 	if got := snap(eng2); !reflect.DeepEqual(got, want) {
@@ -86,8 +86,8 @@ func TestJournalReplayReproducesRunWithoutObjectiveCalls(t *testing.T) {
 	if eng2.Replayed() != 4 {
 		t.Fatalf("Replayed = %d, want 4", eng2.Replayed())
 	}
-	if eng2.ReplayPending() != 0 {
-		t.Fatalf("ReplayPending after replay = %d, want 0", eng2.ReplayPending())
+	if eng2.pendingReplays() != 0 {
+		t.Fatalf("pendingReplays after replay = %d, want 0", eng2.pendingReplays())
 	}
 	// The whole point: the resumed run re-measured nothing.
 	for _, s := range []space.Setting{variant(sp, 2, 4), variant(sp, 1, 8), variant(sp, 999, 0), variant(sp, 4, 2)} {
@@ -200,8 +200,8 @@ func TestJournalReplaysRecordWithRetiredTimeoutsField(t *testing.T) {
 	}
 	defer j.Close()
 	eng := New(obj, WithJournal(j))
-	if n := eng.ReplayPending(); n != 1 {
-		t.Fatalf("ReplayPending = %d, want 1", n)
+	if n := eng.pendingReplays(); n != 1 {
+		t.Fatalf("pendingReplays = %d, want 1", n)
 	}
 	if got, err := eng.Measure(s); err != nil || got != ms {
 		t.Fatalf("Measure = %v/%v, want %v replayed", got, err, ms)

@@ -130,7 +130,7 @@ func TestTortureJournalReplayMatrix(t *testing.T) {
 	}
 	defer j2.Close()
 	eng := newEngine(j2)
-	pending := eng.ReplayPending()
+	pending := engine.PendingReplays(eng)
 	if pending == 0 {
 		t.Fatal("journal recovered no episodes")
 	}
@@ -140,7 +140,7 @@ func TestTortureJournalReplayMatrix(t *testing.T) {
 	if eng.Replayed() != pending {
 		t.Fatalf("replayed %d of %d recovered episodes", eng.Replayed(), pending)
 	}
-	if eng.ReplayPending() != 0 {
-		t.Fatalf("left %d episodes unreplayed", eng.ReplayPending())
+	if engine.PendingReplays(eng) != 0 {
+		t.Fatalf("left %d episodes unreplayed", engine.PendingReplays(eng))
 	}
 }

@@ -132,8 +132,7 @@ func TestServiceKillRestartByteIdentical(t *testing.T) {
 			if c.State() != campaign.StateCompleted {
 				t.Fatalf("golden campaign seed %d ended %s", specSeeds[i], c.State())
 			}
-			_, canonical, _ := c.Result()
-			goldens[specSeeds[i]] = canonical
+			goldens[specSeeds[i]] = c.Status().Canonical
 		}
 		if err := reg.Close(); err != nil {
 			t.Fatal(err)
@@ -202,17 +201,17 @@ func TestServiceKillRestartByteIdentical(t *testing.T) {
 			t.Errorf("campaign %s ended %s (reason %q), want completed", s.id, c.State(), c.Status().Reason)
 			continue
 		}
-		if st := c.Status(); st.Replayed > 0 {
+		st := c.Status()
+		if st.Replayed > 0 {
 			resumed++
 		}
-		_, canonical, ok := c.Result()
-		if !ok {
+		if st.Canonical == "" {
 			t.Errorf("campaign %s completed without a result", s.id)
 			continue
 		}
-		if canonical != goldens[s.seed] {
+		if st.Canonical != goldens[s.seed] {
 			t.Errorf("campaign %s (seed %d): canonical differs from uninterrupted run\n got: %s\nwant: %s",
-				s.id, s.seed, canonical, goldens[s.seed])
+				s.id, s.seed, st.Canonical, goldens[s.seed])
 		}
 	}
 	t.Logf("%d/%d campaigns resumed journaled episodes after the kill", resumed, total)

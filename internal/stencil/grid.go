@@ -51,13 +51,6 @@ func (g *Grid) FillFunc(f func(x, y, z int) float64) {
 	}
 }
 
-// Clone returns a deep copy of the grid.
-func (g *Grid) Clone() *Grid {
-	ng := *g
-	ng.data = append([]float64(nil), g.data...)
-	return &ng
-}
-
 // MaxAbsDiff returns the largest absolute difference over the interiors of
 // g and h, which must have identical extents.
 func (g *Grid) MaxAbsDiff(h *Grid) (float64, error) {

@@ -199,16 +199,6 @@ func TestGridRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGridCloneIndependent(t *testing.T) {
-	g := NewGrid(3, 3, 3, 1)
-	g.Set(1, 1, 1, 7)
-	c := g.Clone()
-	c.Set(1, 1, 1, 8)
-	if g.At(1, 1, 1) != 7 {
-		t.Fatal("Clone shares storage with original")
-	}
-}
-
 func TestGridMaxAbsDiff(t *testing.T) {
 	g := NewGrid(3, 3, 3, 0)
 	h := NewGrid(3, 3, 3, 0)
