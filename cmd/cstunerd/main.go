@@ -45,6 +45,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -70,6 +71,7 @@ func run() error {
 	)
 	flag.Parse()
 
+	start := time.Now()
 	reg, err := campaign.Open(*root, campaign.Options{
 		Slots:         *slots,
 		TenantBudgetS: *tenantBudget,
@@ -78,6 +80,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(os.Stderr, "cstunerd: %s\n", opened(reg, time.Since(start)))
 	if h := reg.Health(); h.Degraded {
 		// Startup found the storage already limping (e.g. a store segment
 		// could not be created). Serve anyway — degradation is visible in
@@ -117,4 +120,29 @@ func run() error {
 	}
 	fmt.Fprintln(os.Stderr, "cstunerd: stopped; campaigns resume on next start")
 	return nil
+}
+
+// opened describes what the registry's open loaded and how long it took:
+// the campaigns by state, in lifecycle order, and the store's loaded and
+// skipped records and its keys when the store is on.
+func opened(reg *campaign.Registry, took time.Duration) string {
+	h := reg.Health()
+	var b strings.Builder
+	fmt.Fprintf(&b, "opened %d campaigns", h.Campaigns)
+	sep := " ("
+	for _, s := range []campaign.State{campaign.StatePending, campaign.StateRunning, campaign.StatePaused,
+		campaign.StateCompleted, campaign.StateFailed, campaign.StateCanceled} {
+		if n := h.ByState[s]; n > 0 {
+			fmt.Fprintf(&b, "%s%s %d", sep, s, n)
+			sep = ", "
+		}
+	}
+	if sep == ", " {
+		b.WriteString(")")
+	}
+	if st, ok := reg.StoreStats(); ok {
+		fmt.Fprintf(&b, "; store: %d records loaded, %d skipped, %d keys", st.LoadedRecords, st.SkippedRecords, st.Keys)
+	}
+	fmt.Fprintf(&b, " in %v", took.Round(10*time.Microsecond))
+	return b.String()
 }

@@ -152,24 +152,30 @@ func (c *Campaign) persist(jr *journal.Journal, rec record) {
 }
 
 // read folds the owner records of the campaign's journal into one: the
-// last spec, state and result they hold. A missing journal holds none.
-func (c *Campaign) read() (record, error) {
-	recs, err := journal.Scan(c.fs, c.journalPath())
+// last spec, state and result they hold. A missing journal holds none. It
+// reads the file into buf and returns the buffer for the next read; nothing
+// it returns points into the buffer. A record in json.Marshal's image takes
+// decodeRecord's fast path, and any other goes to json.Unmarshal, whose
+// verdict decides.
+func (c *Campaign) read(buf []byte) (record, []byte, error) {
+	recs, buf, err := journal.Scan(c.fs, c.journalPath(), buf)
 	if errors.Is(err, os.ErrNotExist) {
 		err = nil
 	}
 	var last record
 	for _, raw := range recs {
-		var rec record
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return last, fmt.Errorf("campaign: unreadable record: %w", err)
+		rec, ok := decodeRecord(raw)
+		if !ok {
+			if err := json.Unmarshal(raw, &rec); err != nil {
+				return last, buf, fmt.Errorf("campaign: unreadable record: %w", err)
+			}
 		}
 		if rec.Result != nil {
 			rec.Result = rec.Result.current()
 		}
 		last = record{Spec: cmp.Or(rec.Spec, last.Spec), State: cmp.Or(rec.State, last.State), Result: cmp.Or(rec.Result, last.Result)}
 	}
-	return last, err
+	return last, buf, err
 }
 
 // config maps the spec onto the harness campaign configuration. wrap is the

@@ -116,21 +116,34 @@ func Open(dir string, opts Options) (*Registry, error) {
 		baseCancel: cancel,
 		campaigns:  map[string]*Campaign{},
 	}
+	// The store loads on a second goroutine while this one scans the
+	// campaigns. The goroutine touches only the store it builds, and the
+	// scan never reads r.store (DESIGN.md §10).
+	var (
+		st    *store.Store
+		stErr error
+		load  sync.WaitGroup
+	)
 	if opts.EnableStore {
-		st, err := store.OpenFS(fsys, filepath.Join(dir, "store"))
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		r.store = st
+		load.Add(1)
+		go func() {
+			defer load.Done()
+			st, stErr = store.OpenFS(fsys, filepath.Join(dir, "store"))
+		}()
 	}
-	if err := r.scan(); err != nil {
+	err := r.scan()
+	load.Wait()
+	if stErr != nil || err != nil {
 		cancel()
-		if r.store != nil {
-			_ = r.store.Close()
+		if stErr != nil {
+			return nil, stErr
+		}
+		if st != nil {
+			_ = st.Close() // the scan's error is the one to report
 		}
 		return nil, err
 	}
+	r.store = st
 	if !opts.DisableAutostart {
 		r.StartPending()
 	}
@@ -169,12 +182,14 @@ func (r *Registry) scan() error {
 	slices.SortFunc(entries, func(a, b os.DirEntry) int {
 		return cmp.Or(cmp.Compare(idSeq(a.Name()), idSeq(b.Name())), strings.Compare(a.Name(), b.Name()))
 	})
+	var buf []byte // every journal is read into this one buffer
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
 		}
 		r.seq = max(r.seq, idSeq(e.Name()))
-		if c := r.load(e.Name()); c != nil {
+		var c *Campaign
+		if c, buf = r.load(e.Name(), buf); c != nil {
 			r.campaigns[c.ID] = c
 			r.order = append(r.order, c.ID)
 		}
@@ -195,16 +210,17 @@ func idSeq(id string) int {
 
 // load reconstructs one campaign from its directory, or returns nil for a
 // directory that holds none (the shared store's, or a failed Submit's). It
-// reads the journal once, decodes no episode and writes nothing: a torn
-// tail is the next run's or append's to truncate.
-func (r *Registry) load(id string) *Campaign {
+// reads the journal once, into buf, decodes no episode and writes nothing:
+// a torn tail is the next run's or append's to truncate. It returns the
+// buffer for the next load.
+func (r *Registry) load(id string, buf []byte) (*Campaign, []byte) {
 	c := &Campaign{ID: id, dir: filepath.Join(r.root, id), fs: r.fs, lc: NewLifecycle(r.clock)}
-	f, err := c.read()
+	f, buf, err := c.read(buf)
 	if err == nil && f.Spec == nil {
 		f, err = r.upgrade(c)
 	}
 	if err == nil && f.Spec == nil {
-		return nil
+		return nil, buf
 	}
 	if f.Spec != nil {
 		c.Spec = *f.Spec
@@ -222,7 +238,7 @@ func (r *Registry) load(id string) *Campaign {
 	}
 	if err != nil {
 		_ = c.lc.To(StateFailed, fmt.Sprintf("unreadable campaign: %v", err)) // Pending → Failed is legal
-		return c
+		return c, buf
 	}
 
 	// Ledger reconstruction: terminal campaigns re-apply their settled
@@ -233,7 +249,7 @@ func (r *Registry) load(id string) *Campaign {
 	} else {
 		_ = r.ledgers.Reserve(c.Spec.Tenant, c.Spec.BudgetS, true) // forced: cannot fail
 	}
-	return c
+	return c, buf
 }
 
 // syncDir fsyncs path's directory so a create or remove in it is durable.

@@ -35,7 +35,7 @@ func testSpec(tenant string, seed int64) Spec {
 // last state it records.
 func recorded(t *testing.T, root, id string) State {
 	t.Helper()
-	f, err := (&Campaign{dir: filepath.Join(root, id), fs: vfs.OS}).read()
+	f, _, err := (&Campaign{dir: filepath.Join(root, id), fs: vfs.OS}).read(nil)
 	if err != nil || f.Spec == nil || f.State == nil {
 		t.Fatalf("%s records no spec or no state: %+v, %v", id, f, err)
 	}
@@ -72,7 +72,7 @@ func checkResultRecord(t *testing.T, path string) {
 	if bytes.Contains(data, []byte("Trajectory")) {
 		t.Errorf("%s holds a structured trajectory", path)
 	}
-	recs, err := journal.Scan(vfs.OS, path)
+	recs, _, err := journal.Scan(vfs.OS, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

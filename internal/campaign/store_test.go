@@ -1,8 +1,16 @@
 package campaign
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/vfs"
 )
 
 // TestRegistryStoreSharedAcrossCampaigns: with the shared store enabled, a
@@ -183,5 +191,84 @@ func TestScanSkipsStoreDir(t *testing.T) {
 		if err := reg2.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// rootReadDirFails is an FS whose ReadDir of root alone fails.
+type rootReadDirFails struct {
+	vfs.FS
+	root string
+}
+
+func (f rootReadDirFails) ReadDir(name string) ([]os.DirEntry, error) {
+	if name == f.root {
+		return nil, vfs.EIO()
+	}
+	return f.FS.ReadDir(name)
+}
+
+// TestRegistryOpenJoinsStoreLoad fails a store-on Open while the store
+// loads on its second goroutine beside the campaign scan. A failed store
+// read fails Open with the store's error, whether the scan succeeds or
+// fails too; a failed scan alone fails it with the scan's. Either way no
+// goroutine outlives the call, and a clean reopen lists the same campaigns
+// in the same states.
+func TestRegistryOpenJoinsStoreLoad(t *testing.T) {
+	root := t.TempDir()
+	reg, err := Open(root, Options{Slots: 2, EnableStore: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		c, err := reg.Submit(testSpec("acme", seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, reg, c.ID, StateCompleted)
+	}
+	want := reg.List("")
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		fsys vfs.FS
+		err  string // the prefix of the error Open must return
+	}{
+		{"store ReadDir fails", vfs.NewFaultFS(vfs.OS,
+			vfs.Fault{Op: vfs.OpReadDir, Path: filepath.Join(root, "store"), Err: vfs.EIO(), Every: true}), "store: "},
+		{"every ReadDir fails", vfs.NewFaultFS(vfs.OS,
+			vfs.Fault{Op: vfs.OpReadDir, Err: vfs.EIO(), Every: true}), "store: "},
+		{"root ReadDir fails", rootReadDirFails{FS: vfs.OS, root: root}, "campaign: scan: "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			reg, err := Open(root, Options{Slots: 2, EnableStore: true, FS: tc.fsys})
+			if err == nil {
+				_ = reg.Close()
+				t.Fatal("Open succeeded through a failing ReadDir")
+			}
+			if !errors.Is(err, vfs.ErrInjected) || !strings.HasPrefix(err.Error(), tc.err) {
+				t.Fatalf("Open returned %q, want the injected error behind %q", err, tc.err)
+			}
+			// A joined goroutine has called Done but may not have exited
+			// yet, so the count may take a moment to fall.
+			for ms := 0; runtime.NumGoroutine() > before; ms++ {
+				if ms == 2000 {
+					t.Fatalf("%d goroutines before Open, %d two seconds after it failed", before, runtime.NumGoroutine())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			got := openTestRegistry(t, root, Options{Slots: 2, EnableStore: true, DisableAutostart: true}).List("")
+			if len(got) != len(want) {
+				t.Fatalf("a clean reopen lists %d campaigns, want %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i].ID != want[i].ID || got[i].State != want[i].State {
+					t.Errorf("a clean reopen lists %s %s, want %s %s", got[i].ID, got[i].State, want[i].ID, want[i].State)
+				}
+			}
+		})
 	}
 }

@@ -74,5 +74,6 @@ func (r *Registry) upgrade(c *Campaign) (record, error) {
 		}
 	}
 	r.syncDir(path)
-	return c.read()
+	rec, _, err = c.read(nil)
+	return rec, err
 }

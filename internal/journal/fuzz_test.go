@@ -64,7 +64,7 @@ func FuzzJournalRecord(f *testing.F) {
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Skip()
 		}
-		if _, err := Scan(vfs.OS, p); err != nil && !errors.Is(err, ErrCorrupt) {
+		if _, _, err := Scan(vfs.OS, p, nil); err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("unclassified scan error: %v", err)
 		}
 		jr, err := OpenFS(vfs.OS, p, "fuzz-fp")
@@ -85,7 +85,7 @@ func FuzzJournalRecord(f *testing.F) {
 			t.Fatalf("owner append after recovery: %v", err)
 		}
 		jr.Close()
-		if raw, err := Scan(vfs.OS, p); err != nil || len(raw) == 0 || string(raw[len(raw)-1]) != `{"n":-1}` {
+		if raw, _, err := Scan(vfs.OS, p, nil); err != nil || len(raw) == 0 || string(raw[len(raw)-1]) != `{"n":-1}` {
 			t.Fatalf("Scan after append: %d records (%v)", len(raw), err)
 		}
 		jr2, err := OpenFS(vfs.OS, p, "fuzz-fp")

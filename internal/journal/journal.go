@@ -24,14 +24,17 @@
 // campaign fingerprint), an evaluation episode, or an owner record. Owner
 // records are opaque JSON values the journal's owner appends beside the
 // episodes (the campaign registry keeps a campaign's spec, lifecycle state
-// and result in them); replay skips them, and Scan reads them back without
-// decoding a single episode. A header may leave the fingerprint empty, for
-// an owner that keeps the campaign identity in its own records. A crash can
-// tear or drop only frames after the last Sync; OpenFS verifies every
-// frame's CRC, truncates the torn tail back to the last intact record, and
-// syncs what it recovered. Corruption of the header itself (or a
-// fingerprint that does not match the resuming campaign's configuration)
-// fails cleanly — never a panic, and never a silently wrong resume.
+// and result in them); replay skips them, and Scan reads them back, into a
+// buffer its caller reuses from one journal to the next, without decoding a
+// single episode. A header in the image writeFrame writes is read without
+// reflection; any other goes to encoding/json. A header may leave the
+// fingerprint empty, for an owner that keeps the campaign identity in its
+// own records. A crash can tear or drop only frames after the last Sync;
+// OpenFS verifies every frame's CRC, truncates the torn tail back to the
+// last intact record, and syncs what it recovered. Corruption of the header
+// itself (or a fingerprint that does not match the resuming campaign's
+// configuration) fails cleanly — never a panic, and never a silently wrong
+// resume.
 // Journals written by older versions may also hold checkpoint frames (the
 // compacted history up to that point); OpenFS still decodes them, and
 // nothing writes them any more.
@@ -54,6 +57,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -247,21 +252,24 @@ func OpenFS(fsys vfs.FS, path, fingerprint string) (j *Journal, err error) {
 	return &Journal{fs: fsys, path: path, f: f, recovered: history}, nil
 }
 
-// Scan reads the journal at path in one read, for its owner: the owner
-// records in the order they were appended, up to the first frame that is
-// not intact, behind a header that must be. It decodes no other frame,
-// taking each owner value straight out of the payload writeFrame wrote, and
-// writes nothing: a torn tail stays until the next OpenFS truncates it. A
-// zero-length file, the trace of a create that wrote nothing, holds no
-// records.
-func Scan(fsys vfs.FS, path string) ([]json.RawMessage, error) {
-	data, err := fsys.ReadFile(path)
+// Scan reads the journal at path for its owner, in one pass over the file
+// read into buf (its capacity reused, grown if the file needs more), and
+// returns the owner records in the order they were appended, up to the
+// first frame that is not intact, behind a header that must be, together
+// with the buffer to pass to the next Scan. The records are subslices of
+// that buffer: a caller copies out what it keeps before it reuses the
+// buffer. Scan decodes no other frame, taking each owner value straight out
+// of the payload writeFrame wrote, and writes nothing: a torn tail stays
+// until the next OpenFS truncates it. A zero-length file, the trace of a
+// create that wrote nothing, holds no records.
+func Scan(fsys vfs.FS, path string, buf []byte) ([]json.RawMessage, []byte, error) {
+	data, err := readInto(fsys, path, buf[:0])
 	if err != nil || len(data) == 0 {
-		return nil, err
+		return nil, data, err
 	}
 	_, off, err := header(data)
 	if err != nil {
-		return nil, err
+		return nil, data, err
 	}
 	var owned []json.RawMessage
 	for off < len(data) {
@@ -277,7 +285,53 @@ func Scan(fsys vfs.FS, path string) ([]json.RawMessage, error) {
 		}
 		off = next
 	}
-	return owned, nil
+	return owned, data, nil
+}
+
+// readInto appends the whole file at path to buf.
+func readInto(fsys vfs.FS, path string, buf []byte) ([]byte, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return buf, err
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, max(cap(buf), 4096))
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			cerr := f.Close()
+			if err == io.EOF {
+				err = cerr
+			}
+			return buf, err
+		}
+	}
+}
+
+// hdrHead and hdrTail are the bytes writeFrame writes around a header's
+// fingerprint at the current version.
+var (
+	hdrHead = []byte(`{"t":"hdr","hdr":{"magic":"` + Magic + `","version":` + strconv.Itoa(Version) + `,"fingerprint":"`)
+	hdrTail = []byte(`"}}`)
+)
+
+// exactHeader reads a header payload in the image writeFrame writes at the
+// current version, with a fingerprint of printable ASCII free of '"' and
+// '\', which holds no escape to undo. Anything else is for json.Unmarshal
+// to judge.
+func exactHeader(payload []byte) (Header, bool) {
+	if !bytes.HasPrefix(payload, hdrHead) || !bytes.HasSuffix(payload, hdrTail) || len(payload) < len(hdrHead)+len(hdrTail) {
+		return Header{}, false
+	}
+	fp := payload[len(hdrHead) : len(payload)-len(hdrTail)]
+	for _, c := range fp {
+		if c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			return Header{}, false
+		}
+	}
+	return Header{Magic: Magic, Version: Version, Fingerprint: string(fp)}, true
 }
 
 // header decodes the header frame that starts data, which must be intact
@@ -286,6 +340,9 @@ func header(data []byte) (Header, int, error) {
 	payload, next, err := frame.Next(data, 0)
 	if err != nil {
 		return Header{}, 0, fmt.Errorf("%w: unreadable header frame: %v", ErrCorrupt, err)
+	}
+	if h, ok := exactHeader(payload); ok {
+		return h, next, nil
 	}
 	var hr record
 	switch {

@@ -422,7 +422,7 @@ func TestEveryPrefixOpensCleanly(t *testing.T) {
 		if err := os.WriteFile(p, data[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		raw, err := Scan(vfs.OS, p)
+		raw, _, err := Scan(vfs.OS, p, nil)
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("prefix %d: unexpected scan error %v", n, err)
 		}
@@ -517,7 +517,7 @@ func notes(t *testing.T, raw []json.RawMessage) []int {
 // opens under any, and appends after a reopen land behind both kinds.
 func TestOwnerRecordsBesideEpisodes(t *testing.T) {
 	path, _ := writeOwnedJournal(t)
-	raw, err := Scan(vfs.OS, path)
+	raw, _, err := Scan(vfs.OS, path, nil)
 	if err != nil || !reflect.DeepEqual(notes(t, raw), []int{0, 1, 2, 3}) {
 		t.Fatalf("Scan: notes %v (%v)", notes(t, raw), err)
 	}
@@ -541,7 +541,7 @@ func TestOwnerRecordsBesideEpisodes(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if raw, err = Scan(vfs.OS, path); err != nil || !reflect.DeepEqual(notes(t, raw), []int{0, 1, 2, 3, 4}) {
+	if raw, _, err = Scan(vfs.OS, path, nil); err != nil || !reflect.DeepEqual(notes(t, raw), []int{0, 1, 2, 3, 4}) {
 		t.Fatalf("after a reopen, Scan found %v (%v)", notes(t, raw), err)
 	}
 	j, err = OpenFS(vfs.OS, path, "")
@@ -567,7 +567,7 @@ func TestScanWritesNothing(t *testing.T) {
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := Scan(vfs.OS, path)
+	raw, _, err := Scan(vfs.OS, path, nil)
 	if err != nil || !reflect.DeepEqual(notes(t, raw), []int{0, 1, 2}) {
 		t.Fatalf("torn journal scanned to %v (%v)", notes(t, raw), err)
 	}
@@ -577,7 +577,78 @@ func TestScanWritesNothing(t *testing.T) {
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if raw, err := Scan(vfs.OS, path); err != nil || raw != nil {
+	if raw, _, err := Scan(vfs.OS, path, nil); err != nil || raw != nil {
 		t.Fatalf("zero-length journal scanned to %v, %v", raw, err)
+	}
+}
+
+// TestHeaderExactImageAndFallback: a header frame in writeFrame's image
+// takes exactHeader, and one that is reordered, spaced, escaped or of an
+// unknown version goes to json.Unmarshal, which reads the same header.
+// Either way Scan returns the owner records behind it and OpenFS recovers
+// the episodes and checks the fingerprint.
+func TestHeaderExactImageAndFallback(t *testing.T) {
+	_, owned := writeOwnedJournal(t)
+	_, rest, err := frame.Next(owned, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	for _, tc := range []struct {
+		name, payload string
+		exact         bool
+		fp            string
+	}{
+		{"exact", `{"t":"hdr","hdr":{"magic":"csjournal","version":1,"fingerprint":"fp|a=1"}}`, true, "fp|a=1"},
+		{"exact, no fingerprint", `{"t":"hdr","hdr":{"magic":"csjournal","version":1,"fingerprint":""}}`, true, ""},
+		{"reordered", `{"hdr":{"fingerprint":"fp|a=1","version":1,"magic":"csjournal"},"t":"hdr"}`, false, "fp|a=1"},
+		{"spaced", `{ "t" : "hdr", "hdr" : { "magic" : "csjournal", "version" : 1, "fingerprint" : "fp|a=1" } }`, false, "fp|a=1"},
+		{"escaped fingerprint", `{"t":"hdr","hdr":{"magic":"csjournal","version":1,"fingerprint":"fp\u003ca"}}`, false, "fp<a"},
+		{"version 1.0", `{"t":"hdr","hdr":{"magic":"csjournal","version":1.0,"fingerprint":"fp"}}`, false, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, ok := exactHeader([]byte(tc.payload))
+			if ok != tc.exact {
+				t.Fatalf("exactHeader accepted=%v, want %v", ok, tc.exact)
+			}
+			var hr record
+			jsonErr := json.Unmarshal([]byte(tc.payload), &hr)
+			if ok && (jsonErr != nil || hr.Hdr == nil || h != *hr.Hdr) {
+				t.Fatalf("exactHeader read %+v, json.Unmarshal %+v (%v)", h, hr.Hdr, jsonErr)
+			}
+			var hdr [frame.HeaderLen]byte
+			binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(tc.payload)))
+			binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum([]byte(tc.payload), castagnoli))
+			data := append(append(hdr[:], tc.payload...), owned[rest:]...)
+			path := tmpPath(t)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			raw, _, err := Scan(vfs.OS, path, nil)
+			if jsonErr != nil {
+				// json.Unmarshal refuses it, and so must the journal.
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("Scan of an unreadable header: %v", err)
+				}
+				return
+			}
+			if err != nil || !reflect.DeepEqual(notes(t, raw), []int{0, 1, 2, 3}) {
+				t.Fatalf("Scan: notes %v (%v)", notes(t, raw), err)
+			}
+			j, err := OpenFS(vfs.OS, path, tc.fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(j.Recovered())
+			_ = j.Close() // only read
+			if n != 3 {
+				t.Fatalf("recovered %d episodes, want 3", n)
+			}
+			if tc.fp != "" {
+				if _, err := OpenFS(vfs.OS, path, "other"); !errors.Is(err, ErrFingerprint) {
+					t.Fatalf("OpenFS under another fingerprint: %v", err)
+				}
+			}
+		})
 	}
 }

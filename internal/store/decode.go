@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"strconv"
+
+	"repro/internal/frame"
 )
 
 // The fast record decoder. Open reads every record of every segment, and
@@ -28,13 +30,18 @@ var (
 // ok == false when p is not a record in Put's image. The key must be
 // non-empty printable ASCII without a double quote, a backslash, '<', '>'
 // or '&': exactly the keys json.Marshal copies verbatim, with no escape to
-// undo.
-func decodeRecord(p []byte) (key []byte, ms float64, ok bool) {
+// undo. checked holds bytes already found verbatim, the arch|shape prefix
+// of an earlier key: a key that starts with them has only the rest
+// checked, byte by byte.
+func decodeRecord(p, checked []byte) (key []byte, ms float64, ok bool) {
 	if !bytes.HasPrefix(p, recHead) || !bytes.HasSuffix(p, recTail) {
 		return nil, 0, false
 	}
 	body := p[len(recHead) : len(p)-len(recTail)]
 	end := 0
+	if bytes.HasPrefix(body, checked) {
+		end = len(checked)
+	}
 	for end < len(body) && verbatim[body[end]] {
 		end++
 	}
@@ -44,7 +51,7 @@ func decodeRecord(p []byte) (key []byte, ms float64, ok bool) {
 		return nil, 0, false
 	}
 	num := body[end+len(recMid):]
-	if !jsonNumber(num) {
+	if n := frame.NumberLen(num); n == 0 || n != len(num) {
 		return nil, 0, false
 	}
 	// encoding/json parses a float64 field the same way, so the bits agree;
@@ -54,6 +61,20 @@ func decodeRecord(p []byte) (key []byte, ms float64, ok bool) {
 		return nil, 0, false
 	}
 	return body[:end], ms, true
+}
+
+// prefixLen returns the length of key's arch|shape prefix, through its
+// second '|', or 0 for a key without one.
+func prefixLen(key []byte) int {
+	i := bytes.IndexByte(key, '|')
+	if i < 0 {
+		return 0
+	}
+	j := bytes.IndexByte(key[i+1:], '|')
+	if j < 0 {
+		return 0
+	}
+	return i + j + 2
 }
 
 // verbatim marks the bytes json.Marshal copies into a string unescaped:
@@ -67,47 +88,3 @@ var verbatim = func() (t [256]bool) {
 	}
 	return t
 }()
-
-// jsonNumber reports whether b is one number in JSON's grammar:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func jsonNumber(b []byte) bool {
-	i := 0
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
-	default:
-		return false
-	}
-	if i < len(b) && b[i] == '.' {
-		if j := digits(b, i+1); j > i+1 {
-			i = j
-		} else {
-			return false
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if j := digits(b, i); j > i {
-			i = j
-		} else {
-			return false
-		}
-	}
-	return i == len(b)
-}
-
-// digits returns the index of the first non-digit in b at or after i.
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
-}

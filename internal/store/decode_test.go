@@ -29,10 +29,16 @@ func putImage(t testing.TB, key string, ms float64) []byte {
 // directions. Whenever the fast path accepts a payload, json.Unmarshal
 // accepts it too, with the same key and a bit-identical ms; and whenever
 // json.Unmarshal reads a record whose key json.Marshal writes verbatim, the
-// bytes Put writes for that record take the fast path.
+// bytes Put writes for that record take the fast path. A checked prefix
+// changes no verdict and no result.
 func FuzzStoreRecordFastPath(f *testing.F) {
 	for _, seed := range []string{
 		`{"t":"rec","rec":{"key":"arch:A100|shape:j3d7pt|bx=32,by=4","ms":3.0068784344584887}}`,
+		`{"t":"rec","rec":{"key":"arch:A|shape:S|bx=32,by=4","ms":2}}`,
+		`{"t":"rec","rec":{"key":"arch:A|shape:S|","ms":2}}`,
+		`{"t":"rec","rec":{"key":"arch:A|shape:S|a\u003cb","ms":2}}`,
+		`{"t":"rec","rec":{"key":"arch:A|shape:S|a\"b","ms":2}}`,
+		`{"t":"rec","rec":{"key":"arch:A|shape:\n|x","ms":2}}`,
 		`{"t":"rec","rec":{"key":"a\u003cb|s|x","ms":1}}`, // json.Marshal's escape for '<'
 		`{"t":"rec","rec":{"key":"a<b|s|x","ms":1}}`,
 		`{"t":"rec","rec":{"key":"a\"b","ms":1}}`,
@@ -62,7 +68,12 @@ func FuzzStoreRecordFastPath(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var r record
 		jsonErr := json.Unmarshal(payload, &r)
-		if key, ms, ok := decodeRecord(payload); ok {
+		key, ms, ok := decodeRecord(payload, nil)
+		ckey, cms, cok := decodeRecord(payload, []byte("arch:A|shape:S|"))
+		if cok != ok || string(ckey) != string(key) || math.Float64bits(cms) != math.Float64bits(ms) {
+			t.Fatalf("a checked prefix changed the fast path's reading of %q: (%q, %v, %v), without (%q, %v, %v)", payload, ckey, cms, cok, key, ms, ok)
+		}
+		if ok {
 			if jsonErr != nil || r.T != "rec" || r.Rec == nil {
 				t.Fatalf("fast path accepted %q; json.Unmarshal: %v, %+v", payload, jsonErr, r)
 			}
@@ -79,7 +90,7 @@ func FuzzStoreRecordFastPath(f *testing.F) {
 			}
 		}
 		img := putImage(t, r.Rec.Key, r.Rec.MS)
-		if key, ms, ok := decodeRecord(img); !ok || string(key) != r.Rec.Key || math.Float64bits(ms) != math.Float64bits(r.Rec.MS) {
+		if key, ms, ok := decodeRecord(img, nil); !ok || string(key) != r.Rec.Key || math.Float64bits(ms) != math.Float64bits(r.Rec.MS) {
 			t.Fatalf("Put's image %q of a verbatim key missed the fast path: (%q, %v, %v)", img, key, ms, ok)
 		}
 	})
@@ -126,7 +137,10 @@ func referenceLoad(t *testing.T, segs [][]byte) (index map[string]float64, loade
 // TestStoreLoadMatchesReferenceDecoder pins that Open, fast path and
 // fallback together, builds the index the all-json.Unmarshal loader built
 // from the same segments: Put's own records, records only the fallback can
-// read, keys shared between the two, and a record neither accepts.
+// read, keys shared between the two, and a record neither accepts. Two more
+// cases pin the prefix check: a key that reuses a checked arch|shape prefix
+// and carries an escaped byte after it, and a key whose prefix differs from
+// a checked one by a byte json.Marshal escapes.
 func TestStoreLoadMatchesReferenceDecoder(t *testing.T) {
 	hdr := buildSegment(t)
 	segs := [][]byte{
@@ -151,8 +165,46 @@ func TestStoreLoadMatchesReferenceDecoder(t *testing.T) {
 				rawFrame(`{"t":"rec","rec":{"key":"arch:A|shape:S|after","ms":1}}`),
 			}, nil)...),
 	}
-	want, wantLoaded, wantSkipped := referenceLoad(t, segs)
+	keys, loaded, skipped := checkLoadMatchesReference(t, segs)
+	if loaded != 10 || skipped != 1 || keys != 7 {
+		t.Fatalf("fixture drifted: reference loaded %d records into %d keys, skipped %d", loaded, keys, skipped)
+	}
 
+	for _, tc := range []struct {
+		name   string
+		frames []string
+	}{
+		{"escape after a checked prefix", []string{
+			`{"t":"rec","rec":{"key":"arch:A|shape:S|bx=1","ms":1}}`,
+			`{"t":"rec","rec":{"key":"arch:A|shape:S|a\u003cb","ms":2}}`,
+			`{"t":"rec","rec":{"key":"arch:A|shape:S|a\"b","ms":3}}`,
+			`{"t":"rec","rec":{"key":"arch:A|shape:S|bx=2","ms":4}}`,
+		}},
+		{"prefix differs by an escaped byte", []string{
+			`{"t":"rec","rec":{"key":"arch:A|shape:ab|x","ms":1}}`,
+			`{"t":"rec","rec":{"key":"arch:A|shape:\n|x","ms":2}}`,
+			`{"t":"rec","rec":{"key":"arch:A|shape:\"|x","ms":3}}`,
+			`{"t":"rec","rec":{"key":"arch:A|shape:ab|y","ms":4}}`,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seg := append([]byte(nil), hdr...)
+			for _, f := range tc.frames {
+				seg = append(seg, rawFrame(f)...)
+			}
+			if keys, loaded, skipped := checkLoadMatchesReference(t, [][]byte{seg}); keys != 4 || loaded != 4 || skipped != 0 {
+				t.Fatalf("fixture drifted: reference loaded %d records into %d keys, skipped %d", loaded, keys, skipped)
+			}
+		})
+	}
+}
+
+// checkLoadMatchesReference writes segs to a store directory, opens it and
+// requires the index and counts referenceLoad builds from the same
+// segments. It returns the reference's key, loaded and skipped counts.
+func checkLoadMatchesReference(t *testing.T, segs [][]byte) (keys, loaded, skipped int) {
+	t.Helper()
+	want, wantLoaded, wantSkipped := referenceLoad(t, segs)
 	dir := t.TempDir()
 	for i, data := range segs {
 		if err := os.WriteFile(filepath.Join(dir, "seg-1-000"+strconv.Itoa(i)+".seg"), data, 0o644); err != nil {
@@ -173,7 +225,5 @@ func TestStoreLoadMatchesReferenceDecoder(t *testing.T) {
 			t.Errorf("%q = %v,%v; reference %v", k, got, ok, ms)
 		}
 	}
-	if wantLoaded != 10 || wantSkipped != 1 || len(want) != 7 {
-		t.Fatalf("fixture drifted: reference loaded %d records into %d keys, skipped %d", wantLoaded, len(want), wantSkipped)
-	}
+	return len(want), wantLoaded, wantSkipped
 }

@@ -30,14 +30,18 @@
 // The in-memory index is one plain map behind one sync.RWMutex, filled at
 // Open by a record decoder that reads Put's own bytes without reflection
 // (decode.go), and per-shape key lists keep the warm-start query Best off
-// the rest of the index (DESIGN.md §13). A probe takes the read lock, so a
-// cross-campaign hit costs about what an engine cache hit costs (pinned by
-// BenchmarkStoreLookupHit).
+// the rest of the index (DESIGN.md §13). Open loads a segment in two
+// passes: the first checks every frame and counts the records, so an empty
+// index is made once at its final size, and the second decodes them,
+// checking a key's arch|shape prefix once per run of keys that share it. A
+// probe takes the read lock, so a cross-campaign hit costs about what an
+// engine cache hit costs (pinned by BenchmarkStoreLookupHit).
 package store
 
 import (
 	"bufio"
 	"cmp"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -98,8 +102,10 @@ type Stats struct {
 	LoadedRecords int `json:"loaded_records"`
 	// AppendedRecords counts records this process wrote to its own segment.
 	AppendedRecords int `json:"appended_records"`
-	// SkippedRecords counts records dropped at Open from torn or corrupt
-	// segment tails (a live writer's in-flight frame, or real damage).
+	// SkippedRecords counts the segments whose load stopped early at Open:
+	// one per segment that ends in a torn or corrupt frame (a live writer's
+	// in-flight frame, or real damage) or holds a record neither decoder
+	// accepts, however many frames follow the stop.
 	SkippedRecords int `json:"skipped_records,omitempty"`
 	// Quarantined lists segment files renamed to .bad at Open.
 	Quarantined []string `json:"quarantined,omitempty"`
@@ -185,6 +191,8 @@ func OpenFS(fsys vfs.FS, dir string) (*Store, error) {
 // file (it may be a live writer's partially-flushed frame). A record in
 // Put's own image takes decodeRecord's fast path; anything else goes
 // through json.Unmarshal, whose verdict decides whether the scan goes on.
+// The first of its two passes checks each frame's length and CRC, up to the
+// first bad frame; the second decodes the frames the first found intact.
 func (s *Store) loadSegment(path string) {
 	data, err := s.fs.ReadFile(path)
 	if err != nil {
@@ -194,7 +202,7 @@ func (s *Store) loadSegment(path string) {
 	if len(data) == 0 {
 		return
 	}
-	payload, next, err := frame.Next(data, 0)
+	payload, start, err := frame.Next(data, 0)
 	if err != nil {
 		s.quarantine(path, fmt.Sprintf("unreadable header frame: %v", err))
 		return
@@ -206,14 +214,28 @@ func (s *Store) loadSegment(path string) {
 		return
 	}
 	s.segments++
-	for next < len(data) {
-		payload, n, err := frame.Next(data, next)
+	end, records := start, 0
+	for end < len(data) {
+		_, n, err := frame.Next(data, end)
 		if err != nil {
-			s.skipped++
-			return
+			break
 		}
-		if key, ms, ok := decodeRecord(payload); ok {
+		end, records = n, records+1
+	}
+	if len(s.index) == 0 {
+		s.index = make(map[string]float64, records)
+	}
+	// checked is the arch|shape prefix of the last key the fast path
+	// accepted: keys come in runs that share one, and its bytes need no
+	// second check.
+	var checked []byte
+	for off := start; off < end; {
+		size := int(binary.LittleEndian.Uint32(data[off:]))
+		payload := data[off+frame.HeaderLen : off+frame.HeaderLen+size]
+		off += frame.HeaderLen + size
+		if key, ms, ok := decodeRecord(payload, checked); ok {
 			s.loadRecord(key, ms)
+			checked = key[:prefixLen(key)]
 		} else {
 			var r record
 			if err := json.Unmarshal(payload, &r); err != nil || r.T != "rec" || r.Rec == nil || r.Rec.Key == "" {
@@ -223,7 +245,9 @@ func (s *Store) loadSegment(path string) {
 			s.loadRecord([]byte(r.Rec.Key), r.Rec.MS)
 		}
 		s.loaded++
-		next = n
+	}
+	if end < len(data) {
+		s.skipped++
 	}
 }
 
