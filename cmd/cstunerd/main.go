@@ -123,8 +123,8 @@ func run() error {
 }
 
 // opened describes what the registry's open loaded and how long it took:
-// the campaigns by state, in lifecycle order, and the store's loaded and
-// skipped records and its keys when the store is on.
+// the campaigns by state, in lifecycle order, and, when the store is on,
+// its loaded records, the segments whose load stopped early and its keys.
 func opened(reg *campaign.Registry, took time.Duration) string {
 	h := reg.Health()
 	var b strings.Builder
@@ -141,7 +141,7 @@ func opened(reg *campaign.Registry, took time.Duration) string {
 		b.WriteString(")")
 	}
 	if st, ok := reg.StoreStats(); ok {
-		fmt.Fprintf(&b, "; store: %d records loaded, %d skipped, %d keys", st.LoadedRecords, st.SkippedRecords, st.Keys)
+		fmt.Fprintf(&b, "; store: %d records loaded, %d segments cut short, %d keys", st.LoadedRecords, st.SkippedSegments, st.Keys)
 	}
 	fmt.Fprintf(&b, " in %v", took.Round(10*time.Microsecond))
 	return b.String()

@@ -35,7 +35,7 @@ func primeWarmRoot(b *testing.B) string {
 			time.Sleep(time.Millisecond)
 		}
 		if c.State() != StateCompleted {
-			b.Fatalf("priming campaign %s ended %s (%q)", c.ID, c.State(), c.lc.Reason())
+			b.Fatalf("priming campaign %s ended %s (%q)", c.ID, c.State(), c.Status().Reason)
 		}
 	}
 	if err := reg.Close(); err != nil {

@@ -18,9 +18,9 @@ import (
 	"repro/internal/vfs"
 )
 
-// Campaign is one tuning campaign owned by the registry: a durable spec, a
-// lifecycle state machine, one journal file holding both, and (while
-// running) a live engine for progress polling.
+// Campaign is one tuning campaign owned by the registry: a durable spec, its
+// lifecycle, one journal file holding both, and (while running) a live
+// engine for progress polling.
 type Campaign struct {
 	// ID is the registry-assigned identifier, also the directory name.
 	ID string
@@ -29,7 +29,6 @@ type Campaign struct {
 	Spec Spec
 
 	dir string
-	lc  *Lifecycle
 	fs  vfs.FS // the registry's filesystem seam
 
 	// fileMu is held by the one writer of the campaign's journal: its
@@ -38,9 +37,14 @@ type Campaign struct {
 	// pausing runner's last record.
 	fileMu sync.Mutex
 
+	// mu guards the lifecycle together with runner ownership, so a claim,
+	// an interrupt and a runner's release each decide in one section
+	// (DESIGN.md §10). A campaign a runner owns is Running.
 	mu        sync.Mutex
+	state     State
+	hist      []Transition       // every stamped edge, the first into Pending
 	cancel    context.CancelFunc // non-nil while a runner owns the campaign
-	intent    State              // StatePaused or StateCanceled when an interrupt was requested
+	intent    State              // StatePaused or StateCanceled once an interrupt is requested of the owning runner
 	eng       *engine.Engine     // live engine while running
 	summary   *summary           // the completed campaign's outcome
 	canonical string
@@ -50,7 +54,11 @@ type Campaign struct {
 func (c *Campaign) journalPath() string { return filepath.Join(c.dir, "journal.wal") }
 
 // State returns the campaign's current lifecycle state.
-func (c *Campaign) State() State { return c.lc.State() }
+func (c *Campaign) State() State {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.state
+}
 
 // record is one owner record of a campaign's journal. Submit writes the
 // spec with the Pending state, the first run the spec with its warm keys
@@ -127,12 +135,10 @@ func (r *persistedResult) current() *persistedResult {
 	return &persistedResult{Canonical: r.Canonical, Summary: &s}
 }
 
-// stateRecord renders the lifecycle as it stands, with the settled spend.
-func (c *Campaign) stateRecord() *persistedState {
-	c.mu.Lock()
-	settled := c.settledS
-	c.mu.Unlock()
-	return &persistedState{State: c.lc.State(), SettledS: settled, Transitions: c.lc.History()}
+// stateRecordLocked renders the lifecycle as it stands, with the settled
+// spend. The caller holds c.mu.
+func (c *Campaign) stateRecordLocked() *persistedState {
+	return &persistedState{State: c.state, SettledS: c.settledS, Transitions: append([]Transition(nil), c.hist...)}
 }
 
 // persist appends rec to the campaign's journal: through jr when the run
@@ -227,7 +233,9 @@ type Status struct {
 	History   []Transition `json:"history"`
 }
 
-// Status snapshots the campaign.
+// Status snapshots the campaign, reading state, history and outcome in one
+// section of c.mu: a poll never pairs one moment's state with another's
+// history.
 func (c *Campaign) Status() Status {
 	st := Status{
 		ID:      c.ID,
@@ -238,12 +246,13 @@ func (c *Campaign) Status() Status {
 		Weight:  c.Spec.Weight,
 		BudgetS: c.Spec.BudgetS,
 		Seed:    c.Spec.Seed,
-		State:   c.lc.State(),
-		Reason:  c.lc.Reason(),
-		History: c.lc.History(),
 	}
 	c.mu.Lock()
-	eng, sum, canonical := c.eng, c.summary, c.canonical
+	st.State, st.History, st.Canonical = c.state, append([]Transition(nil), c.hist...), c.canonical
+	if n := len(c.hist); n > 0 {
+		st.Reason = c.hist[n-1].Reason
+	}
+	eng, sum := c.eng, c.summary
 	c.mu.Unlock()
 	if sum == nil && eng != nil {
 		set, ms, ok := eng.Best()
@@ -255,6 +264,5 @@ func (c *Campaign) Status() Status {
 		st.SpentS, st.Evals, st.Replayed = sum.SpentS, sum.Evals, sum.Replayed
 		st.StoreHits, st.StoreMisses, st.WarmStartSeeds = sum.StoreHits, sum.StoreMisses, sum.WarmStartSeeds
 	}
-	st.Canonical = canonical
 	return st
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -196,6 +197,62 @@ func TestRegistryFsyncsPerCampaign(t *testing.T) {
 	if got := fsyncs(fsys.logged()[len(submit):]); !slices.Equal(got, want) {
 		t.Fatalf("run fsyncs:\n got %q\nwant %q", got, want)
 	}
+}
+
+// TestRegistryFsyncsPauseResumeCancel pins the fsyncs of a pause, a resume
+// and a cancel of a paused campaign, in TestRegistryFsyncsPerCampaign's
+// style. The only slot is held, so no episode is journaled and the counts
+// are exact. The first pause syncs the run's journal as Execute returns,
+// for the fingerprint's record, then the Paused record; a later run
+// journals nothing, so its pause syncs the Paused record alone. A resume
+// syncs its Running record before ResumeCampaign returns, and a cancel of
+// a paused campaign its Canceled record. None syncs a directory.
+func TestRegistryFsyncsPauseResumeCancel(t *testing.T) {
+	root := t.TempDir()
+	fsys := &dirOpFS{FS: vfs.OS}
+	reg := openTestRegistry(t, root, Options{Slots: 1, FS: fsys})
+	if err := reg.Scheduler().Acquire(context.Background(), "holder", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Scheduler().Release()
+	c, err := reg.Submit(testSpec("acme", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := "sync " + filepath.Join(root, c.ID, "journal.wal")
+	mark := len(fsys.logged())
+	check := func(what string, want ...string) {
+		t.Helper()
+		ops := fsys.logged()
+		if got := fsyncs(ops[mark:]); !slices.Equal(got, want) {
+			t.Errorf("%s fsyncs:\n got %q\nwant %q", what, got, want)
+		}
+		mark = len(ops)
+	}
+	// pause returns once the runner has recorded Paused and let go of the
+	// journal, which it holds until it returns.
+	pause := func() {
+		t.Helper()
+		if err := reg.Pause(c.ID); err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, reg, c.ID, StatePaused)
+		c.fileMu.Lock()
+		c.fileMu.Unlock()
+	}
+
+	pause()
+	check("pause", file, file)
+	if err := reg.ResumeCampaign(c.ID); err != nil {
+		t.Fatal(err)
+	}
+	check("resume", file)
+	pause()
+	check("second pause", file)
+	if err := reg.Cancel(c.ID); err != nil {
+		t.Fatal(err)
+	}
+	check("cancel of the paused campaign", file)
 }
 
 // walkFlavors are the disk faults the walker injects, cycled across its

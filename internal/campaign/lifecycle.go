@@ -1,20 +1,18 @@
 // Package campaign turns the single-shot tuning library into a long-running
 // multi-tenant campaign service substrate: an explicit lifecycle state
-// machine (extracted from the previously ad-hoc harness.RunCampaign flow), a
-// registry that keeps each campaign in one append-only journal file and
-// survives kill -9 by deterministically resuming interrupted campaigns
-// through the journal replay path, per-tenant virtual-budget ledgers, and a
-// weighted-fair scheduler that interleaves measurement work across every
-// active campaign instead of running them FIFO. internal/service fronts
-// this package with HTTP; cmd/cstunerd is the daemon.
+// machine, a registry that keeps each campaign in one append-only journal
+// file and survives kill -9 by deterministically resuming interrupted
+// campaigns through the journal replay path, per-tenant virtual-budget
+// ledgers, and a weighted-fair scheduler that interleaves measurement work
+// across every active campaign instead of running them FIFO.
+// internal/service fronts this package with HTTP; cmd/cstunerd is the
+// daemon.
 package campaign
 
 import (
 	"errors"
 	"fmt"
-	"sync"
-
-	"repro/internal/engine"
+	"time"
 )
 
 // State is one campaign lifecycle state.
@@ -69,7 +67,7 @@ var legal = map[State]map[State]bool{
 var ErrTransition = errors.New("campaign: illegal lifecycle transition")
 
 // Transition is one recorded lifecycle edge with its wall-clock stamp (read
-// through the injected engine.Clock, so tests pin it exactly).
+// through the registry's engine.Clock, so tests pin it exactly).
 type Transition struct {
 	From       State  `json:"from"`
 	To         State  `json:"to"`
@@ -77,81 +75,45 @@ type Transition struct {
 	Reason     string `json:"reason,omitempty"`
 }
 
-// Lifecycle is one campaign's state machine: current state, the reason it
-// got there, and the full stamped transition history. It is safe for
-// concurrent use.
-type Lifecycle struct {
-	mu    sync.Mutex
-	clock engine.Clock
-	state State
-	hist  []Transition
+// pendingSince is the history of a campaign submitted at now: the one edge
+// into Pending.
+func pendingSince(now time.Time) []Transition {
+	return []Transition{{To: StatePending, AtUnixNano: now.UnixNano()}}
 }
 
-// NewLifecycle returns a lifecycle in StatePending, stamped by clock.
-func NewLifecycle(clock engine.Clock) *Lifecycle {
-	l := &Lifecycle{clock: clock, state: StatePending}
-	l.hist = append(l.hist, Transition{From: "", To: StatePending, AtUnixNano: clock().UnixNano()})
-	return l
-}
-
-// RestoreLifecycle rebuilds a lifecycle from persisted state: the recorded
-// history is kept verbatim and the current state trusted, except for a
-// campaign whose owning process died mid-run. That campaign is restored as
-// StatePending (the registry re-runs it through journal replay) with the
-// restoration stamped into the history. It is a persisted StateRunning, or
-// a persisted StatePending whose run had started: the registry does not
-// record the Pending → Running transition, and only a run records the
-// campaign's fingerprint.
-func RestoreLifecycle(clock engine.Clock, state State, hist []Transition, started bool) (*Lifecycle, error) {
-	if !state.Valid() {
-		return nil, fmt.Errorf("campaign: restore: unknown state %q", state)
+// toLocked moves c to s, stamping the edge at now, which the registry reads
+// from its clock before it takes c.mu. An edge outside legal returns
+// ErrTransition, wrapped with the attempted edge, and changes nothing. The
+// caller holds c.mu.
+func (c *Campaign) toLocked(s State, now time.Time, reason string) error {
+	if !legal[c.state][s] {
+		return fmt.Errorf("%w: %s → %s", ErrTransition, c.state, s)
 	}
-	l := &Lifecycle{clock: clock, state: state, hist: append([]Transition(nil), hist...)}
-	if state == StateRunning || (state == StatePending && started) {
-		l.state = StatePending
-		l.hist = append(l.hist, Transition{
-			From: StateRunning, To: StatePending,
-			AtUnixNano: clock().UnixNano(),
-			Reason:     "interrupted by process death; queued for deterministic resume",
-		})
-	}
-	return l, nil
-}
-
-// State returns the current state.
-func (l *Lifecycle) State() State {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.state
-}
-
-// Reason returns the reason attached to the most recent transition.
-func (l *Lifecycle) Reason() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.hist) == 0 {
-		return ""
-	}
-	return l.hist[len(l.hist)-1].Reason
-}
-
-// To transitions to state s, stamping the edge. Illegal transitions return
-// ErrTransition (wrapped with the attempted edge) and change nothing.
-func (l *Lifecycle) To(s State, reason string) error {
-	now := l.clock() // read outside the lock: the clock is an injected callback
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !legal[l.state][s] {
-		return fmt.Errorf("%w: %s → %s", ErrTransition, l.state, s)
-	}
-	l.hist = append(l.hist, Transition{From: l.state, To: s, AtUnixNano: now.UnixNano(), Reason: reason})
-	l.state = s
+	c.hist = append(c.hist, Transition{From: c.state, To: s, AtUnixNano: now.UnixNano(), Reason: reason})
+	c.state = s
 	return nil
 }
 
-// History returns a copy of the stamped transition history.
-func (l *Lifecycle) History() []Transition {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Transition(nil), l.hist...)
+// restore sets a loading campaign's lifecycle from its last state record:
+// the recorded history is kept verbatim and the state trusted, except for
+// a campaign whose owning process died mid-run. That campaign comes back
+// Pending, for the registry to re-run through journal replay, with the
+// restoration stamped at now. It is a recorded Running, or a recorded
+// Pending whose run had started: the registry does not record Pending →
+// Running, and only a run records the campaign's fingerprint. An unknown
+// state is an error and changes nothing.
+func (c *Campaign) restore(st *persistedState, now time.Time) error {
+	if !st.State.Valid() {
+		return fmt.Errorf("campaign: restore: unknown state %q", st.State)
+	}
+	c.state, c.hist, c.settledS = st.State, st.Transitions, st.SettledS
+	if st.State == StateRunning || (st.State == StatePending && c.Spec.Fingerprint != "") {
+		c.state = StatePending
+		c.hist = append(c.hist, Transition{
+			From: StateRunning, To: StatePending,
+			AtUnixNano: now.UnixNano(),
+			Reason:     "interrupted by process death; queued for deterministic resume",
+		})
+	}
+	return nil
 }

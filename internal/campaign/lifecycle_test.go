@@ -16,6 +16,11 @@ func fakeClock() func() time.Time {
 	}
 }
 
+// submittedAt returns a campaign just submitted, stamped by clock.
+func submittedAt(clock func() time.Time) *Campaign {
+	return (&Registry{}).newCampaign("c000001", clock())
+}
+
 func TestLifecycleTransitions(t *testing.T) {
 	cases := []struct {
 		name string
@@ -39,10 +44,11 @@ func TestLifecycleTransitions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			lc := NewLifecycle(fakeClock())
+			clock := fakeClock()
+			c := submittedAt(clock)
 			var err error
 			for _, s := range tc.path {
-				if err = lc.To(s, "t"); err != nil {
+				if err = c.toLocked(s, clock(), "t"); err != nil {
 					break
 				}
 			}
@@ -62,13 +68,14 @@ func TestLifecycleTransitions(t *testing.T) {
 }
 
 func TestLifecycleHistory(t *testing.T) {
-	lc := NewLifecycle(fakeClock())
+	clock := fakeClock()
+	c := submittedAt(clock)
 	for _, s := range []State{StateRunning, StatePaused, StateRunning, StateCompleted} {
-		if err := lc.To(s, "because"); err != nil {
+		if err := c.toLocked(s, clock(), "because"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	hist := lc.History()
+	hist := c.Status().History
 	if len(hist) != 5 { // initial →pending entry plus four transitions
 		t.Fatalf("history length %d, want 5", len(hist))
 	}
@@ -82,42 +89,69 @@ func TestLifecycleHistory(t *testing.T) {
 	if hist[0].To != StatePending || hist[4].To != StateCompleted {
 		t.Fatalf("history endpoints wrong: %+v", hist)
 	}
-	if !lc.State().Terminal() {
-		t.Fatal("completed lifecycle not terminal")
+	if st := c.Status(); !st.State.Terminal() || st.Reason != "because" {
+		t.Fatalf("completed lifecycle is %s (%q), want terminal with the last edge's reason", st.State, st.Reason)
+	}
+	// An illegal edge changes nothing.
+	if err := c.toLocked(StateRunning, clock(), "again"); !errors.Is(err, ErrTransition) {
+		t.Fatalf("completed → running: got %v, want ErrTransition", err)
+	}
+	if got := len(c.Status().History); got != 5 {
+		t.Fatalf("an illegal edge grew the history to %d", got)
 	}
 }
 
+// restored loads rec into a freshly submitted campaign, as load does; a
+// fingerprint marks a campaign whose run had started.
+func restored(t *testing.T, rec *persistedState, fingerprint string) *Campaign {
+	t.Helper()
+	c := submittedAt(fakeClock())
+	c.Spec.Fingerprint = fingerprint
+	if err := c.restore(rec, time.Unix(100, 0)); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestRestoreLifecycleMapsRunningToPending(t *testing.T) {
-	lc := NewLifecycle(fakeClock())
-	if err := lc.To(StateRunning, ""); err != nil {
+	clock := fakeClock()
+	c := submittedAt(clock)
+	if err := c.toLocked(StateRunning, clock(), ""); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreLifecycle(fakeClock(), lc.State(), lc.History(), true)
-	if err != nil {
+	back := restored(t, c.stateRecordLocked(), "fp")
+	if st := back.Status(); st.State != StatePending || st.Reason == "" || len(st.History) != 3 {
+		t.Fatalf("restored %s (%q) after %d edges, want pending with the interruption recorded (interrupted runs re-queue)",
+			st.State, st.Reason, len(st.History))
+	}
+	// A recorded Pending whose run had started is interrupted too; one
+	// that never started comes back as it was.
+	pending := submittedAt(clock).stateRecordLocked()
+	if st := restored(t, pending, "fp").Status(); st.State != StatePending || st.Reason == "" {
+		t.Fatalf("started pending restored %s (%q), want pending with the interruption recorded", st.State, st.Reason)
+	}
+	if st := restored(t, pending, "").Status(); st.State != StatePending || len(st.History) != 1 {
+		t.Fatalf("unstarted pending restored %s after %d edges, want pending as recorded", st.State, len(st.History))
+	}
+	// Terminal states restore verbatim, settled spend included.
+	if err := c.toLocked(StateCompleted, clock(), ""); err != nil {
 		t.Fatal(err)
 	}
-	if restored.State() != StatePending {
-		t.Fatalf("restored state %s, want pending (interrupted runs re-queue)", restored.State())
-	}
-	if restored.Reason() == "" {
-		t.Fatal("interruption reason not recorded")
-	}
-	// Terminal states restore verbatim.
-	if err := lc.To(StateCompleted, ""); err != nil {
-		t.Fatal(err)
-	}
-	restored, err = RestoreLifecycle(fakeClock(), lc.State(), lc.History(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.State() != StateCompleted {
-		t.Fatalf("restored state %s, want completed", restored.State())
+	done := c.stateRecordLocked()
+	done.SettledS = 2.5
+	back = restored(t, done, "fp")
+	if st := back.Status(); st.State != StateCompleted || len(st.History) != 3 || back.settledS != 2.5 {
+		t.Fatalf("restored %s after %d edges, settled %v; want completed as recorded, settled 2.5", st.State, len(st.History), back.settledS)
 	}
 }
 
 func TestRestoreLifecycleRejectsGarbage(t *testing.T) {
-	if _, err := RestoreLifecycle(fakeClock(), State("bogus"), nil, false); err == nil {
+	c := submittedAt(fakeClock())
+	if err := c.restore(&persistedState{State: "bogus"}, time.Unix(100, 0)); err == nil {
 		t.Fatal("bogus state restored without error")
+	}
+	if st := c.Status(); st.State != StatePending || len(st.History) != 1 {
+		t.Fatalf("a refused restore left %s after %d edges, want the campaign as it was", st.State, len(st.History))
 	}
 }
 

@@ -157,9 +157,6 @@ func (r *Registry) Ledgers() *Ledgers { return r.ledgers }
 // Scheduler exposes the fairness scheduler (diagnostics).
 func (r *Registry) Scheduler() *Scheduler { return r.sched }
 
-// Store exposes the shared result store; nil when disabled.
-func (r *Registry) Store() *store.Store { return r.store }
-
 // StoreStats snapshots the shared store's counters; enabled=false when the
 // registry was opened without a store.
 func (r *Registry) StoreStats() (store.Stats, bool) {
@@ -214,7 +211,8 @@ func idSeq(id string) int {
 // a torn tail is the next run's or append's to truncate. It returns the
 // buffer for the next load.
 func (r *Registry) load(id string, buf []byte) (*Campaign, []byte) {
-	c := &Campaign{ID: id, dir: filepath.Join(r.root, id), fs: r.fs, lc: NewLifecycle(r.clock)}
+	now := r.clock()
+	c := r.newCampaign(id, now)
 	f, buf, err := c.read(buf)
 	if err == nil && f.Spec == nil {
 		f, err = r.upgrade(c)
@@ -229,27 +227,27 @@ func (r *Registry) load(id string, buf []byte) (*Campaign, []byte) {
 		c.summary, c.canonical = f.Result.Summary, f.Result.Canonical
 	}
 	if err == nil && f.State != nil {
-		// A Pending campaign whose fingerprint is assigned was running when
-		// its process died: the registry does not record Pending → Running.
-		var lc *Lifecycle
-		if lc, err = RestoreLifecycle(r.clock, f.State.State, f.State.Transitions, c.Spec.Fingerprint != ""); err == nil {
-			c.lc, c.settledS = lc, f.State.SettledS
-		}
+		err = c.restore(f.State, now)
 	}
 	if err != nil {
-		_ = c.lc.To(StateFailed, fmt.Sprintf("unreadable campaign: %v", err)) // Pending → Failed is legal
+		_ = c.toLocked(StateFailed, now, fmt.Sprintf("unreadable campaign: %v", err)) // Pending → Failed is legal
 		return c, buf
 	}
 
 	// Ledger reconstruction: terminal campaigns re-apply their settled
 	// spend; live ones re-reserve their full budget (forced — they were
 	// admitted before the crash, and a restart never orphans admitted work).
-	if c.lc.State().Terminal() {
+	if c.state.Terminal() {
 		r.ledgers.RestoreSpent(c.Spec.Tenant, c.settledS)
 	} else {
 		_ = r.ledgers.Reserve(c.Spec.Tenant, c.Spec.BudgetS, true) // forced: cannot fail
 	}
 	return c, buf
+}
+
+// newCampaign returns campaign id in StatePending, entered at now.
+func (r *Registry) newCampaign(id string, now time.Time) *Campaign {
+	return &Campaign{ID: id, dir: filepath.Join(r.root, id), fs: r.fs, state: StatePending, hist: pendingSince(now)}
 }
 
 // syncDir fsyncs path's directory so a create or remove in it is durable.
@@ -288,7 +286,7 @@ func (r *Registry) Health() Health {
 	r.mu.Lock()
 	h.Campaigns = len(r.campaigns)
 	for _, c := range r.campaigns {
-		h.ByState[c.lc.State()]++ // pure counting: map order cannot leak
+		h.ByState[c.State()]++ // pure counting: map order cannot leak
 	}
 	r.mu.Unlock()
 	if r.store != nil {
@@ -330,11 +328,13 @@ func (r *Registry) Submit(spec Spec) (*Campaign, error) {
 	// The spec and the Pending state become durable under one file fsync,
 	// then the campaign directory's and the root's. The exclusive create
 	// refuses a reused id.
-	c := &Campaign{ID: id, Spec: spec, dir: filepath.Join(r.root, id), lc: NewLifecycle(r.clock), fs: r.fs}
+	c := r.newCampaign(id, r.clock())
+	c.Spec = spec
 	err := r.fs.MkdirAll(c.dir, 0o755)
 	var jr *journal.Journal
 	if err == nil {
-		jr, err = journal.CreateFS(r.fs, c.journalPath(), "", record{Spec: &c.Spec, State: c.stateRecord()})
+		// Not yet listed, c is this goroutine's alone.
+		jr, err = journal.CreateFS(r.fs, c.journalPath(), "", record{Spec: &c.Spec, State: c.stateRecordLocked()})
 	}
 	if err != nil {
 		_ = r.fs.Remove(c.dir) // best effort: the scan skips a directory without a spec
@@ -349,7 +349,7 @@ func (r *Registry) Submit(spec Spec) (*Campaign, error) {
 	r.order = append(r.order, id)
 	r.mu.Unlock()
 	if !r.opts.DisableAutostart {
-		r.start(c)
+		_ = r.start(c, StatePending) // refused only once Close began: the next Open starts it
 	}
 	return c, nil
 }
@@ -361,56 +361,52 @@ func (r *Registry) StartPending() {
 	var pending []*Campaign
 	for _, id := range r.order {
 		c := r.campaigns[id]
-		if c.lc.State() == StatePending {
+		if c.State() == StatePending {
 			pending = append(pending, c)
 		}
 	}
 	r.mu.Unlock()
 	for _, c := range pending {
-		r.start(c)
+		_ = r.start(c, StatePending) // a lost race leaves c to whoever won it
 	}
 }
 
-// start transitions a pending or paused campaign to Running and spawns its
-// runner goroutine. Lost races (someone else started it) are no-ops.
-func (r *Registry) start(c *Campaign) {
+// start claims c for a new runner and spawns it. In one section of c.mu it
+// checks that no runner owns c and that c is in from, moves c to Running
+// and sets the runner's cancel, so a claim and an interrupt never
+// interleave. It returns ErrClosed or ErrTransition on failure. Running is
+// advisory on disk, like live progress: Pending → Running writes nothing,
+// since load restores a Pending campaign whose fingerprint is assigned as
+// interrupted. Paused → Running is recorded before start returns, or a
+// crash would bring the resumed campaign back paused. Persistence trouble
+// is not fatal to the run: the journal still makes the campaign resumable.
+func (r *Registry) start(c *Campaign, from State) error {
+	now := r.clock() // read outside the locks: the clock is an injected callback
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		return
+		return ErrClosed
 	}
-	ctx, cancel := context.WithCancel(r.baseCtx)
 	c.mu.Lock()
-	if c.cancel != nil { // already owned by a runner
+	if c.cancel != nil || c.state != from {
+		err := fmt.Errorf("%w: %s → %s", ErrTransition, c.state, StateRunning)
 		c.mu.Unlock()
 		r.mu.Unlock()
-		cancel()
-		return
+		return err
 	}
+	_ = c.toLocked(StateRunning, now, "") // Pending and Paused both lead to Running
+	ctx, cancel := context.WithCancel(r.baseCtx)
 	c.cancel = cancel
-	c.intent = ""
-	c.mu.Unlock()
-	// Owning c.cancel, this runner is the only one that can move c out of
-	// Pending or Paused toward Running.
-	resumed := c.lc.State() == StatePaused
-	if err := c.lc.To(StateRunning, ""); err != nil {
-		c.mu.Lock()
-		c.cancel, c.intent = nil, ""
-		c.mu.Unlock()
-		r.mu.Unlock()
-		cancel()
-		return
+	var rec *persistedState
+	if from == StatePaused {
+		rec = c.stateRecordLocked()
 	}
+	c.mu.Unlock()
 	r.wg.Add(1)
 	r.mu.Unlock()
-	// Running is advisory on disk, like live progress. Pending → Running
-	// writes nothing: load restores a Pending campaign whose fingerprint is
-	// assigned as interrupted. Paused → Running must be written, or a crash
-	// would bring the resumed campaign back paused. Persistence trouble is
-	// not fatal to the run: the journal still makes the campaign resumable.
-	if resumed {
+	if rec != nil {
 		c.fileMu.Lock()
-		c.persist(nil, record{State: c.stateRecord()})
+		c.persist(nil, record{State: rec})
 		c.fileMu.Unlock()
 	}
 	go func() {
@@ -418,27 +414,16 @@ func (r *Registry) start(c *Campaign) {
 		defer cancel()
 		r.run(ctx, c)
 	}()
+	return nil
 }
 
 // run executes one campaign to an outcome and settles the lifecycle,
-// persistence and ledger for it. It owns c.cancel until it has an outcome,
-// and c.fileMu until it returns.
+// persistence and ledger for it. It owns c.cancel until end decides the
+// outcome, and c.fileMu until it returns.
 func (r *Registry) run(ctx context.Context, c *Campaign) {
 	c.fileMu.Lock()
 	defer c.fileMu.Unlock()
-	// release ends the runner's ownership and returns the interrupt a
-	// caller requested, if any.
-	release := func() State {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		intent := c.intent
-		c.cancel, c.intent = nil, ""
-		return intent
-	}
-	fail := func(reason string) {
-		release()
-		r.finish(c, nil, StateFailed, reason)
-	}
+	fail := func(reason string) { r.end(c, nil, StateFailed, reason, nil) }
 
 	fx, err := c.Spec.fixture()
 	if err != nil {
@@ -470,8 +455,8 @@ func (r *Registry) run(ctx context.Context, c *Campaign) {
 	}
 	if first {
 		// One record holds the warm keys and the fingerprint computed from
-		// them, in place of a spec rewrite: a restart neither resolves the
-		// keys again nor runs the journal under another identity.
+		// them, so a restart neither resolves the keys again nor runs the
+		// journal under another identity.
 		spec := c.Spec
 		spec.Fingerprint = fp
 		if err := cr.Journal().AppendOwner(record{Spec: &spec}); err != nil {
@@ -492,19 +477,7 @@ func (r *Registry) run(ctx context.Context, c *Campaign) {
 
 	if ctx.Err() != nil {
 		_ = cr.Close() // teardown after Execute synced every frame
-		switch release() {
-		case StateCanceled:
-			r.finish(c, nil, StateCanceled, "canceled by request")
-		case StatePaused:
-			if err := c.lc.To(StatePaused, "paused by request"); err == nil {
-				c.persist(nil, record{State: c.stateRecord()})
-			}
-		default:
-			// Registry shutdown: no transition. The recorded state is
-			// Pending (interrupted once the fingerprint is assigned) or
-			// Running (after a resume from pause), and the next Open
-			// resumes either.
-		}
+		r.end(c, nil, "", "", nil)
 		return
 	}
 	if err != nil {
@@ -512,11 +485,7 @@ func (r *Registry) run(ctx context.Context, c *Campaign) {
 		fail(fmt.Sprintf("execute: %v", err))
 		return
 	}
-	release()
 	sum := summarize(res.Best, res.BestMS, res.Found, res.Stats, res.Replayed)
-	c.mu.Lock()
-	c.summary, c.canonical = &sum, res.Canonical()
-	c.mu.Unlock()
 	if r.store != nil {
 		// Make this campaign's published measurements visible to concurrent
 		// processes sharing the store directory. Best-effort: the store is a
@@ -525,36 +494,42 @@ func (r *Registry) run(ctx context.Context, c *Campaign) {
 	}
 	// The result and the Completed state share one record, which the
 	// journal's Close syncs.
-	r.finish(c, cr.Journal(), StateCompleted, "")
+	r.end(c, cr.Journal(), StateCompleted, "", &persistedResult{Canonical: res.Canonical(), Summary: &sum})
 	_ = cr.Close() // a Completed state that misses the disk resumes to the same result
 }
 
-// finish moves c to the terminal state s, settles the tenant's reservation
-// to the spend of the campaign's summary or live engine (zero without
-// either), capped at the reservation, and records the state — with the
-// canonical and the summary, for Completed — through jr when the run holds
-// its journal open.
-// A campaign already terminal keeps its state. The caller holds c.fileMu.
-func (r *Registry) finish(c *Campaign, jr *journal.Journal, s State, reason string) {
-	if err := c.lc.To(s, reason); err != nil {
-		return // already terminal; ledger settled by whoever got there first
-	}
+// end releases the runner's ownership of c and moves c to its outcome in
+// one section of c.mu, so no Pause or Cancel is accepted and then ignored:
+// a requested interrupt decides the outcome, even over a run that has just
+// finished. Otherwise the outcome is s, with the result res for Completed;
+// an empty s, a run the registry's Close interrupted, moves nothing, and
+// the next Open resumes the campaign from its recorded Pending or Running.
+// A terminal outcome settles the tenant's reservation to the completed
+// result's spend, capped at the reservation, and to zero without one. The
+// state is recorded through jr when the run holds its journal open. The
+// caller is c's runner and holds c.fileMu.
+func (r *Registry) end(c *Campaign, jr *journal.Journal, s State, reason string, res *persistedResult) {
+	now := r.clock() // read outside the lock: the clock is an injected callback
 	c.mu.Lock()
-	spent := 0.0
-	if c.summary != nil {
-		spent = c.summary.SpentS
-	} else if c.eng != nil {
-		spent = c.eng.SpentS()
+	if c.intent != "" {
+		s, reason, res = c.intent, string(c.intent)+" by request", nil
 	}
-	c.settledS = min(max(spent, 0), c.Spec.BudgetS)
-	settled := c.settledS
-	var res *persistedResult
-	if s == StateCompleted {
-		res = &persistedResult{Canonical: c.canonical, Summary: c.summary}
+	c.cancel, c.intent = nil, ""
+	if s == "" {
+		c.mu.Unlock()
+		return
 	}
+	if res != nil {
+		c.summary, c.canonical = res.Summary, res.Canonical
+		c.settledS = min(max(res.Summary.SpentS, 0), c.Spec.BudgetS)
+	}
+	_ = c.toLocked(s, now, reason) // an owned campaign is Running, which leads to every outcome
+	rec := record{State: c.stateRecordLocked(), Result: res}
 	c.mu.Unlock()
-	r.ledgers.Settle(c.Spec.Tenant, c.Spec.BudgetS, settled)
-	c.persist(jr, record{State: c.stateRecord(), Result: res})
+	if s.Terminal() {
+		r.ledgers.Settle(c.Spec.Tenant, c.Spec.BudgetS, rec.State.SettledS)
+	}
+	c.persist(jr, rec)
 }
 
 // Get returns the campaign by id.
@@ -588,47 +563,54 @@ func (r *Registry) List(tenant string) []Status {
 	return out
 }
 
-// Cancel requests cancellation of a campaign. A pending or running campaign
-// is interrupted and lands in StateCanceled; a paused one cancels directly.
-// Cancelling a terminal campaign — or re-cancelling one whose cancellation
-// is already in flight — returns ErrTransition.
+// Cancel requests cancellation of a campaign. A campaign a runner owns is
+// interrupted and lands in StateCanceled; a pending or paused one that no
+// runner owns cancels directly. Cancelling a terminal campaign — or one
+// whose pause or cancellation is already in flight — returns ErrTransition.
 func (r *Registry) Cancel(id string) error { return r.interrupt(id, StateCanceled) }
 
 // Pause requests a pause: the run context is cancelled, the journal keeps
 // every paid-for episode, and ResumeCampaign later re-runs through replay.
 func (r *Registry) Pause(id string) error { return r.interrupt(id, StatePaused) }
 
+// interrupt decides in one section of c.mu: a runner that owns c is asked
+// to stop, unless an interrupt is already requested; a Pending or Paused
+// campaign no runner owns cancels directly; anything else is refused. The
+// ledger settle and the record come after c.mu is released, and fileMu is
+// taken only around the append: a runner holds it for its whole run.
 func (r *Registry) interrupt(id string, want State) error {
 	c, err := r.Get(id)
 	if err != nil {
 		return err
 	}
+	now := r.clock() // read outside the lock: the clock is an injected callback
+	var rec *persistedState
 	c.mu.Lock()
-	cancel, intent := c.cancel, c.intent
-	if cancel != nil && intent == "" {
+	runner := c.cancel
+	switch {
+	case runner != nil && c.intent != "":
+		err = fmt.Errorf("%w: %s already requested", ErrTransition, c.intent)
+	case runner != nil:
 		c.intent = want
+	case want == StateCanceled && (c.state == StatePending || c.state == StatePaused):
+		_ = c.toLocked(StateCanceled, now, "canceled by request") // legal from both
+		rec = c.stateRecordLocked()
+	default:
+		err = fmt.Errorf("%w: %s → %s", ErrTransition, c.state, want)
 	}
 	c.mu.Unlock()
-
-	if cancel != nil {
-		if intent != "" {
-			return fmt.Errorf("%w: %s already requested", ErrTransition, intent)
-		}
-		cancel()
-		return nil
+	switch {
+	case err != nil:
+		return err
+	case rec != nil:
+		r.ledgers.Settle(c.Spec.Tenant, c.Spec.BudgetS, rec.SettledS)
+		c.fileMu.Lock()
+		c.persist(nil, record{State: rec})
+		c.fileMu.Unlock()
+	default:
+		runner()
 	}
-	// No runner owns the campaign: transition directly (paused → canceled
-	// is the meaningful case; everything illegal is refused here).
-	if want == StateCanceled {
-		state := c.lc.State()
-		if state == StatePaused || state == StatePending {
-			c.fileMu.Lock()
-			r.finish(c, nil, StateCanceled, "canceled by request")
-			c.fileMu.Unlock()
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %s → %s", ErrTransition, c.lc.State(), want)
+	return nil
 }
 
 // ResumeCampaign restarts a paused campaign through the journal replay
@@ -640,20 +622,7 @@ func (r *Registry) ResumeCampaign(id string) error {
 	if err != nil {
 		return err
 	}
-	r.mu.Lock()
-	closed := r.closed
-	r.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	c.mu.Lock()
-	owned := c.cancel != nil
-	c.mu.Unlock()
-	if owned || c.lc.State() != StatePaused {
-		return fmt.Errorf("%w: %s → %s", ErrTransition, c.lc.State(), StateRunning)
-	}
-	r.start(c)
-	return nil
+	return r.start(c, StatePaused)
 }
 
 // Close gracefully shuts the registry down: new submissions are refused,

@@ -99,7 +99,7 @@ func checkResultRecord(t *testing.T, path string) {
 
 // submitted is the record Submit writes for spec.
 func submitted(spec Spec) record {
-	return record{Spec: &spec, State: &persistedState{State: StatePending, Transitions: NewLifecycle(time.Now).History()}}
+	return record{Spec: &spec, State: &persistedState{State: StatePending, Transitions: pendingSince(time.Now())}}
 }
 
 func openTestRegistry(t *testing.T, dir string, opts Options) *Registry {
@@ -131,7 +131,7 @@ func waitState(t *testing.T, reg *Registry, id string, want State) {
 			return
 		}
 		if s.Terminal() {
-			t.Fatalf("campaign %s landed in %s (reason %q), want %s", id, s, c.lc.Reason(), want)
+			t.Fatalf("campaign %s landed in %s (reason %q), want %s", id, s, c.Status().Reason, want)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -298,6 +298,107 @@ func TestRegistryCancelPending(t *testing.T) {
 	}
 }
 
+// TestRegistryCancelRacesResume races ResumeCampaign against Cancel on a
+// paused campaign that no runner owns, one fresh campaign per round. The
+// only measurement slot is held, so a runner can do nothing but wait on its
+// first live measurement until the round frees the slot. A Cancel that
+// returns nil must leave the campaign Canceled, with no runner owning it
+// once the slot is free and nothing found; the tenant's spend must equal
+// its campaigns' settled spend; and every poll must read a state equal to
+// the last edge of its own history. State and ownership change in one
+// section of c.mu: were a Cancel to read "Paused, no owner" in one section
+// and move the campaign in another, a Resume could claim it in between,
+// and its runner would measure on in the Canceled state.
+func TestRegistryCancelRacesResume(t *testing.T) {
+	const rounds = 100
+	reg := openTestRegistry(t, t.TempDir(), Options{Slots: 1})
+	sched := reg.Scheduler()
+	owned := func(c *Campaign) bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.cancel != nil
+	}
+	poll := func(c *Campaign) Status {
+		st := c.Status()
+		if n := len(st.History); n == 0 || st.History[n-1].To != st.State {
+			t.Fatalf("%s: polled state %s, but its history ends %+v", c.ID, st.State, st.History)
+		}
+		return st
+	}
+	wait := func(c *Campaign, what string, done func(Status) bool) Status {
+		for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Microsecond) {
+			if st := poll(c); done(st) {
+				return st
+			}
+		}
+		t.Fatalf("%s never %s: %+v", c.ID, what, poll(c))
+		return Status{}
+	}
+
+	spec := testSpec("racer", 1)
+	var camps []*Campaign
+	bad, both := 0, 0
+	for i := range rounds {
+		if err := sched.Acquire(context.Background(), "holder", 1); err != nil {
+			t.Fatal(err)
+		}
+		spec.Seed = int64(i + 1)
+		c, err := reg.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		camps = append(camps, c)
+		if err := reg.Pause(c.ID); err != nil {
+			t.Fatal(err)
+		}
+		wait(c, "paused with no runner", func(st Status) bool { return st.State == StatePaused && !owned(c) })
+
+		resumed, canceled := make(chan error, 1), make(chan error, 1)
+		go func() { resumed <- reg.ResumeCampaign(c.ID) }()
+		go func() { canceled <- reg.Cancel(c.ID) }()
+		resumeErr := <-resumed
+		var cancelErr error
+		blocked := false
+		select {
+		case cancelErr = <-canceled:
+		case <-time.After(10 * time.Second):
+			blocked = true // Cancel waits on a runner that waits on the held slot
+		}
+		// A campaign that reads terminal while a runner owns it is one the
+		// Cancel left running.
+		stranded := poll(c).State.Terminal() && owned(c)
+		sched.Release()
+		if blocked {
+			cancelErr = <-canceled
+		}
+		if resumeErr == nil && cancelErr == nil {
+			both++
+		}
+		st := wait(c, "left by its runner", func(st Status) bool { return !owned(c) && st.State.Terminal() })
+		if cancelErr == nil && (blocked || stranded || st.State != StateCanceled || st.Found || st.Evals > 0) {
+			bad++
+			t.Errorf("round %d: Cancel returned nil, resume returned %v; blocked %v, stranded %v, ended %s, found %v after %d evaluations",
+				i, resumeErr, blocked, stranded, st.State, st.Found, st.Evals)
+		}
+	}
+
+	// A runner settles its tenant just after the section that ends its
+	// campaign; Close returns once every runner has.
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var settled float64
+	for _, c := range camps {
+		c.mu.Lock()
+		settled += c.settledS
+		c.mu.Unlock()
+	}
+	if snap := reg.Ledgers().Snapshot("racer"); snap.SpentS != settled || snap.ReservedS != 0 {
+		t.Errorf("tenant ledger %+v, want spent %v (its campaigns' settled spend) and nothing reserved", snap, settled)
+	}
+	t.Logf("%d rounds: both calls succeeded in %d, %d bad", rounds, both, bad)
+}
+
 func TestRegistryUnknownCampaign(t *testing.T) {
 	reg := openTestRegistry(t, t.TempDir(), Options{})
 	if _, err := reg.Get("c999999"); !errors.Is(err, ErrUnknownCampaign) {
@@ -419,8 +520,8 @@ func TestRegistryStartupHygiene(t *testing.T) {
 					time.Sleep(time.Millisecond)
 				}
 			}
-			if bad.State() != StateFailed || !strings.Contains(bad.lc.Reason(), tc.reason) {
-				t.Fatalf("bad campaign is %s (%q), want failed naming %q", bad.State(), bad.lc.Reason(), tc.reason)
+			if bad.State() != StateFailed || !strings.Contains(bad.Status().Reason, tc.reason) {
+				t.Fatalf("bad campaign is %s (%q), want failed naming %q", bad.State(), bad.Status().Reason, tc.reason)
 			}
 			if sib, err := reg.Get("c000002"); err != nil || (!tc.atRun && sib.State() != StatePending) {
 				t.Fatalf("healthy sibling did not survive the scan: %v", err)
@@ -438,8 +539,8 @@ func TestRegistryStartupHygiene(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bad2.State() != StateFailed || bad2.lc.Reason() != bad.lc.Reason() {
-				t.Fatalf("after a second restart: %s (%q), want failed (%q)", bad2.State(), bad2.lc.Reason(), bad.lc.Reason())
+			if bad2.State() != StateFailed || bad2.Status().Reason != bad.Status().Reason {
+				t.Fatalf("after a second restart: %s (%q), want failed (%q)", bad2.State(), bad2.Status().Reason, bad.Status().Reason)
 			}
 		})
 	}
@@ -535,9 +636,9 @@ func TestRegistryRestartClassifiesOnDiskState(t *testing.T) {
 			}
 		}
 		if row.path != nil {
-			lc := NewLifecycle(time.Now)
+			c := submittedAt(time.Now)
 			for _, s := range row.path {
-				if err := lc.To(s, ""); err != nil {
+				if err := c.toLocked(s, time.Now(), ""); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -545,7 +646,7 @@ func TestRegistryRestartClassifiesOnDiskState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := jr.AppendOwner(record{State: &persistedState{State: lc.State(), Transitions: lc.History()}}); err != nil {
+			if err := jr.AppendOwner(record{State: c.stateRecordLocked()}); err != nil {
 				t.Fatal(err)
 			}
 			if err := jr.Close(); err != nil {

@@ -55,7 +55,7 @@ func TestRegistryStoreSharedAcrossCampaigns(t *testing.T) {
 // holds no store, campaigns never touch one, and StoreStats says so.
 func TestRegistryStoreDisabledReportsDisabled(t *testing.T) {
 	reg := openTestRegistry(t, t.TempDir(), Options{Slots: 2})
-	if reg.Store() != nil {
+	if reg.store != nil {
 		t.Fatal("store open without EnableStore")
 	}
 	if _, enabled := reg.StoreStats(); enabled {

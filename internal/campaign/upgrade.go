@@ -13,14 +13,13 @@ import (
 // state.json and, once completed, result.json beside journal.wal — as the
 // one journal file, removes the JSON files and reads the journal back
 // (Campaign.read); a directory without a spec.json holds no record. It is
-// the only reader of those files, and
-// it runs once: an upgraded journal holds a spec. The structured result
-// in result.json is recorded as its summary. Spec fields retired
-// before the change (workers, checkpoint_every, repeats, quarantine) are
-// tolerated here and dropped from the record. A journal that cannot be
-// opened fails the upgrade, and the campaign loads Failed with the files
-// left as they are; a crash before the removals leaves JSON files that
-// nothing reads again.
+// the only reader of those files, and it runs once: an upgraded journal
+// holds a spec. The structured result in result.json is recorded as its
+// summary. The retired spec fields (workers, checkpoint_every, repeats,
+// quarantine) are tolerated here and dropped from the record. A journal
+// that cannot be opened fails the upgrade, and the campaign loads Failed
+// with the files left as they are; a crash before the removals leaves
+// JSON files that nothing reads again.
 func (r *Registry) upgrade(c *Campaign) (record, error) {
 	read := func(name string, v any) error {
 		data, err := r.fs.ReadFile(filepath.Join(c.dir, name))
@@ -39,7 +38,7 @@ func (r *Registry) upgrade(c *Campaign) (record, error) {
 	}
 	// A campaign that died between its directory and its first state write
 	// is a fresh Pending one.
-	st := &persistedState{State: StatePending, Transitions: NewLifecycle(r.clock).History()}
+	st := &persistedState{State: StatePending, Transitions: pendingSince(r.clock())}
 	if err := read("state.json", st); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return record{}, err
 	}

@@ -95,7 +95,7 @@ func TestTwoProcessCampaignsShareStore(t *testing.T) {
 	}
 	defer st.Close()
 	stats := st.Stats()
-	if stats.Quarantined != nil || stats.SkippedRecords != 0 {
+	if stats.Quarantined != nil || stats.SkippedSegments != 0 {
 		t.Fatalf("shared store corrupted by concurrent campaigns: %+v", stats)
 	}
 	if stats.Keys == 0 || stats.Segments != 2 {

@@ -217,7 +217,7 @@ func checkLoadMatchesReference(t *testing.T, segs [][]byte) (keys, loaded, skipp
 	}
 	defer s.Close()
 	st := s.Stats()
-	if st.Keys != len(want) || st.LoadedRecords != wantLoaded || st.SkippedRecords != wantSkipped {
+	if st.Keys != len(want) || st.LoadedRecords != wantLoaded || st.SkippedSegments != wantSkipped {
 		t.Fatalf("stats %+v; reference loaded %d keys from %d records, skipped %d", st, len(want), wantLoaded, wantSkipped)
 	}
 	for k, ms := range want {

@@ -102,11 +102,11 @@ type Stats struct {
 	LoadedRecords int `json:"loaded_records"`
 	// AppendedRecords counts records this process wrote to its own segment.
 	AppendedRecords int `json:"appended_records"`
-	// SkippedRecords counts the segments whose load stopped early at Open:
+	// SkippedSegments counts the segments whose load stopped early at Open:
 	// one per segment that ends in a torn or corrupt frame (a live writer's
 	// in-flight frame, or real damage) or holds a record neither decoder
 	// accepts, however many frames follow the stop.
-	SkippedRecords int `json:"skipped_records,omitempty"`
+	SkippedSegments int `json:"skipped_segments,omitempty"`
 	// Quarantined lists segment files renamed to .bad at Open.
 	Quarantined []string `json:"quarantined,omitempty"`
 	// WriteErr is the sticky append failure, if any; the in-memory index
@@ -478,7 +478,7 @@ func (s *Store) Stats() Stats {
 		Segments:        s.segments,
 		LoadedRecords:   s.loaded,
 		AppendedRecords: s.appended,
-		SkippedRecords:  s.skipped,
+		SkippedSegments: s.skipped,
 		PutDrops:        s.putDrops,
 		DirSyncErrs:     s.dirSyncErrs,
 		Quarantined:     append([]string(nil), s.quarantined...),

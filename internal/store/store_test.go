@@ -95,7 +95,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("reopened Get = %v,%v want 1.25,true", ms, ok)
 	}
 	st := s2.Stats()
-	if st.Keys != 1 || st.Quarantined != nil || st.SkippedRecords != 0 {
+	if st.Keys != 1 || st.Quarantined != nil || st.SkippedSegments != 0 {
 		t.Fatalf("reopened stats = %+v", st)
 	}
 	_ = s2.Close()
@@ -209,7 +209,7 @@ func TestStoreTwoProcessSharedDir(t *testing.T) {
 	}
 	defer m.Close()
 	st := m.Stats()
-	if st.Quarantined != nil || st.SkippedRecords != 0 {
+	if st.Quarantined != nil || st.SkippedSegments != 0 {
 		t.Fatalf("shared dir corrupted: %+v", st)
 	}
 	// 3 writers × 200 own keys + 20 contended keys.
@@ -413,7 +413,7 @@ func TestStoreRefusesNonFinite(t *testing.T) {
 			t.Fatalf("reopened %s = %v,%v want %v", k, ms, ok, want)
 		}
 	}
-	if st := r.Stats(); st.Keys != 2 || st.SkippedRecords != 0 {
+	if st := r.Stats(); st.Keys != 2 || st.SkippedSegments != 0 {
 		t.Fatalf("reopened stats = %+v", st)
 	}
 }
@@ -591,8 +591,8 @@ func TestStoreCorruption(t *testing.T) {
 			if tc.wantLoaded != 0 && st.LoadedRecords != tc.wantLoaded {
 				t.Fatalf("LoadedRecords = %d want %d", st.LoadedRecords, tc.wantLoaded)
 			}
-			if (st.SkippedRecords > 0) != tc.wantSkip {
-				t.Fatalf("SkippedRecords = %d, wantSkip=%v", st.SkippedRecords, tc.wantSkip)
+			if (st.SkippedSegments > 0) != tc.wantSkip {
+				t.Fatalf("SkippedSegments = %d, wantSkip=%v", st.SkippedSegments, tc.wantSkip)
 			}
 			if (len(st.Quarantined) > 0) != tc.wantQuar {
 				t.Fatalf("Quarantined = %v, wantQuar=%v", st.Quarantined, tc.wantQuar)
