@@ -3,7 +3,9 @@
 // predicts the optimal memory-type configuration from measured experience,
 // the remaining parameters are grouped *by dimension* using expert
 // knowledge, and each group is searched exhaustively over a random sample of
-// its settings (the paper sets the sampling ratio to 10%).
+// its settings (the paper sets the sampling ratio to 10%). The sample is drawn
+// as indices into the group's product and decoded one by one, so the product
+// itself is never built.
 //
 // Its two structural weaknesses — expert grouping that ignores measured
 // correlation, and unguided random sampling that can drop the optimum — are
@@ -70,28 +72,25 @@ func (t *Tuner) Tune(ctx context.Context, eng *engine.Engine, ds *dataset.Datase
 		if stop() {
 			break
 		}
-		combos := enumerate(sp, group)
-		sampled := sample(combos, samplingRatio, rng)
 		bestMS := math.Inf(1)
-		var bestCombo []int
-		for _, combo := range sampled {
-			cand := current.Clone()
-			for i, p := range group {
-				cand[p] = combo[i]
-			}
+		bestIdx := -1
+		// One candidate per group, reset from current before each decode:
+		// the engine clones the settings it keeps and keys everything else.
+		cand := make(space.Setting, len(current))
+		for _, k := range sampleIndices(groupSize(sp, group), rng) {
+			copy(cand, current)
+			decode(sp, group, k, cand)
 			sp.Repair(cand, rng)
 			if sp.Validate(cand) != nil {
 				continue
 			}
 			if ms := measure(cand); ms < bestMS {
 				bestMS = ms
-				bestCombo = combo
+				bestIdx = k
 			}
 		}
-		if bestCombo != nil {
-			for i, p := range group {
-				current[p] = bestCombo[i]
-			}
+		if bestIdx >= 0 {
+			decode(sp, group, bestIdx, current)
 			sp.Repair(current, rng)
 		}
 	}
@@ -141,36 +140,31 @@ func predictMemoryType(ds *dataset.Dataset) (useShared, useConstant int, err err
 	return bestShared, bestConstant, nil
 }
 
-// enumerate lists the cartesian product of the group's raw value ranges.
-func enumerate(sp *space.Space, group []int) [][]int {
-	combos := [][]int{{}}
+// groupSize returns the size of the cartesian product of the group's raw
+// value ranges.
+func groupSize(sp *space.Space, group []int) int {
+	n := 1
 	for _, p := range group {
-		vals := sp.Params[p].Values
-		next := make([][]int, 0, len(combos)*len(vals))
-		for _, c := range combos {
-			for _, v := range vals {
-				nc := append(append([]int{}, c...), v)
-				next = append(next, nc)
-			}
-		}
-		combos = next
+		n *= len(sp.Params[p].Values)
 	}
-	return combos
+	return n
 }
 
-// sample keeps a uniformly random ratio fraction (at least one combo).
-func sample(combos [][]int, ratio float64, rng *stats.Rand) [][]int {
-	if ratio >= 1 {
-		return combos
+// sampleIndices draws a uniformly random samplingRatio fraction of a product
+// of n combinations, as indices into it: the first ⌈0.1·n⌉ entries of
+// rng.Perm(n).
+func sampleIndices(n int, rng *stats.Rand) []int {
+	return rng.Perm(n)[:int(math.Ceil(samplingRatio*float64(n)))]
+}
+
+// decode writes the k-th combination of the group's product into s. The
+// product is listed in mixed radix with the group's last parameter varying
+// fastest, the order a nested loop over the group's parameters, first
+// outermost, visits it.
+func decode(sp *space.Space, group []int, k int, s space.Setting) {
+	for j := len(group) - 1; j >= 0; j-- {
+		vals := sp.Params[group[j]].Values
+		s[group[j]] = vals[k%len(vals)]
+		k /= len(vals)
 	}
-	n := int(math.Ceil(ratio * float64(len(combos))))
-	if n < 1 {
-		n = 1
-	}
-	idx := rng.Perm(len(combos))[:n]
-	out := make([][]int, n)
-	for i, j := range idx {
-		out[i] = combos[j]
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package garvey
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -74,40 +75,42 @@ func TestPredictMemoryType(t *testing.T) {
 func TestEnumerateSize(t *testing.T) {
 	s, _ := fixture(t)
 	sp := s.Space()
-	combos := enumerate(sp, []int{space.UseStreaming, space.SD})
-	if len(combos) != 2*3 {
-		t.Fatalf("enumerate = %d combos, want 6", len(combos))
+	group := []int{space.UseStreaming, space.SD}
+	n := groupSize(sp, group)
+	if n != 2*3 {
+		t.Fatalf("groupSize = %d combos, want 6", n)
 	}
-	for _, c := range combos {
-		if len(c) != 2 {
-			t.Fatalf("combo width %d", len(c))
+	// Decoding every index lists each combination once, last parameter
+	// fastest.
+	seen := map[[2]int]bool{}
+	set := sp.Default()
+	for k := range n {
+		decode(sp, group, k, set)
+		c := [2]int{set[space.UseStreaming], set[space.SD]}
+		if seen[c] {
+			t.Fatalf("index %d decodes to %v again", k, c)
+		}
+		seen[c] = true
+		if want := sp.Params[space.SD].Values[k%3]; c[1] != want {
+			t.Fatalf("index %d: SD = %d, want %d", k, c[1], want)
 		}
 	}
 }
 
 func TestSampleRatio(t *testing.T) {
-	rng := stats.NewRand(1)
-	combos := make([][]int, 100)
-	for i := range combos {
-		combos[i] = []int{i}
-	}
-	out := sample(combos, 0.1, rng)
+	out := sampleIndices(100, stats.NewRand(1))
 	if len(out) != 10 {
 		t.Fatalf("sampled %d of 100 at 10%%", len(out))
 	}
-	// No duplicates.
 	seen := map[int]bool{}
-	for _, c := range out {
-		if seen[c[0]] {
-			t.Fatal("duplicate sample")
+	for _, k := range out {
+		if k < 0 || k >= 100 || seen[k] {
+			t.Fatalf("index %d out of range or repeated", k)
 		}
-		seen[c[0]] = true
+		seen[k] = true
 	}
-	if got := sample(combos, 1.0, rng); len(got) != 100 {
-		t.Fatal("ratio 1 should keep everything")
-	}
-	if got := sample(combos, 0.0001, rng); len(got) != 1 {
-		t.Fatal("tiny ratio keeps at least one")
+	if got := sampleIndices(1, stats.NewRand(1)); len(got) != 1 {
+		t.Fatal("a product of one combination keeps it")
 	}
 }
 
@@ -128,5 +131,70 @@ func TestTuneImprovesOnDefault(t *testing.T) {
 	}
 	if err := s.Space().Validate(best); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// maxTuneAllocs and maxTuneKB bound the allocations and the allocated
+// kilobytes of one Tune on the package fixture (helmholtz/a100, dataset 64)
+// at budget 400 s and seed 1.
+const (
+	maxTuneAllocs = 2000
+	maxTuneKB     = 580
+)
+
+func TestTuneAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	s, ds := fixture(t)
+	tune := func() {
+		if err := New().Tune(context.Background(), engine.New(s, engine.WithBudget(400)), ds, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(3, tune)
+	// Bytes the same way: one goroutine, three tunes after AllocsPerRun's
+	// warm-up, averaged.
+	const runs = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		tune()
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+	if allocs > maxTuneAllocs {
+		t.Fatalf("one Tune made %.0f allocations, want at most %d", allocs, maxTuneAllocs)
+	}
+	if kb > maxTuneKB {
+		t.Fatalf("one Tune allocated %.0f KB, want at most %d", kb, maxTuneKB)
+	}
+	t.Logf("one Tune made %.0f allocations of %.0f KB", allocs, kb)
+}
+
+// BenchmarkTune runs one Garvey campaign on the package fixture at budget
+// 400 s, the seed cycling through 1 to 8.
+func BenchmarkTune(b *testing.B) {
+	s, ds := fixture(b)
+	g := New()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := g.Tune(context.Background(), engine.New(s, engine.WithBudget(400)), ds, int64(1+i%8), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPredictMemoryType trains the forest on the fixture's dataset, the
+// shape Tune trains on: 64 settings whose columns hold 2 to 9 distinct
+// values, and predicts each flag pair over it.
+func BenchmarkPredictMemoryType(b *testing.B) {
+	_, ds := fixture(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := predictMemoryType(ds); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -149,9 +149,10 @@ func TestOptionDefaultsApplied(t *testing.T) {
 }
 
 // BenchmarkTrain trains the default forest on two shapes: 128 rows of 19
-// continuous features, and Garvey's, 64 dataset settings of 19 parameters
-// whose columns each take two to four powers of two, so a node's columns
-// hold few distinct values.
+// continuous features, and 64 rows of 19 columns that each take two to four
+// powers of two, so a node's columns hold few distinct values. Garvey's own
+// dataset columns hold two to nine; BenchmarkPredictMemoryType
+// (internal/baselines/garvey) trains on that.
 func BenchmarkTrain(b *testing.B) {
 	rng := stats.NewRand(1)
 	var x [][]float64

@@ -167,12 +167,18 @@ func (r *Rand) BelowHalf() bool {
 // integers in the half-open interval [0,n).
 func (r *Rand) Perm(n int) []int {
 	m := make([]int, n)
+	r.PermInto(m)
+	return m
+}
+
+// PermInto fills m with the permutation Perm(len(m)) would return, drawing
+// the same values.
+func (r *Rand) PermInto(m []int) {
 	// The i=0 iteration swaps m[0] with itself but draws, as math/rand's
 	// does, so the stream stays the same.
-	for i := 0; i < n; i++ {
+	for i := range m {
 		j := r.Intn(i + 1)
 		m[i] = m[j]
 		m[j] = i
 	}
-	return m
 }

@@ -46,6 +46,20 @@ func TestRandMatchesMathRand(t *testing.T) {
 	}
 }
 
+// TestPermIntoMatchesPerm fills one reused buffer, left holding the last
+// permutation, and requires each fill to be the permutation Perm returns
+// from the same stream.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	got, want := NewRand(7), NewRand(7)
+	buf := make([]int, 19)
+	for range 1000 {
+		got.PermInto(buf)
+		if w := want.Perm(len(buf)); !slices.Equal(buf, w) {
+			t.Fatalf("PermInto = %v, Perm %v", buf, w)
+		}
+	}
+}
+
 // rigged returns a Rand whose next int63 draws return xs, in order: the
 // k-th draw adds feed word rngLen-rngTap-1-k, set to xs[k], and tap word
 // rngLen-1-k, left zero.
