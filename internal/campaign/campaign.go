@@ -160,9 +160,8 @@ func (c *Campaign) persist(jr *journal.Journal, rec record) {
 // read folds the owner records of the campaign's journal into one: the
 // last spec, state and result they hold. A missing journal holds none. It
 // reads the file into buf and returns the buffer for the next read; nothing
-// it returns points into the buffer. A record in json.Marshal's image takes
-// decodeRecord's fast path, and any other goes to json.Unmarshal, whose
-// verdict decides.
+// it returns points into the buffer, since json.Unmarshal copies out every
+// value it decodes.
 func (c *Campaign) read(buf []byte) (record, []byte, error) {
 	recs, buf, err := journal.Scan(c.fs, c.journalPath(), buf)
 	if errors.Is(err, os.ErrNotExist) {
@@ -170,11 +169,9 @@ func (c *Campaign) read(buf []byte) (record, []byte, error) {
 	}
 	var last record
 	for _, raw := range recs {
-		rec, ok := decodeRecord(raw)
-		if !ok {
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				return last, buf, fmt.Errorf("campaign: unreadable record: %w", err)
-			}
+		var rec record
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			return last, buf, fmt.Errorf("campaign: unreadable record: %w", err)
 		}
 		if rec.Result != nil {
 			rec.Result = rec.Result.current()

@@ -1,12 +1,13 @@
-// Package frame is the one record codec behind the campaign journal and
-// the result store's segments. A file is a sequence of frames:
+// Package frame is the framing behind the campaign journal and the result
+// store's segments. A file is a sequence of frames:
 //
 //	[u32le payload length][u32le CRC32C-Castagnoli of payload][JSON payload]
 //
-// Next validates one frame — length bounds, then the CRC — so a torn or
-// bit-flipped frame is always an error, never a wrong payload. What to do
-// about a bad frame is the caller's policy: the journal truncates its torn
-// tail, the store skips it (the tail may be a live writer's).
+// Write JSON-encodes one value into a frame, and Next validates one frame —
+// length bounds, then the CRC — so a torn or bit-flipped frame is always an
+// error, never a wrong payload. Decoding a payload, and what to do about a
+// bad frame, is the caller's: the journal truncates its torn tail, the
+// store skips it (the tail may be a live writer's).
 package frame
 
 import (
@@ -68,50 +69,4 @@ func Write(w io.Writer, v any) error {
 		return fmt.Errorf("write: %w", err)
 	}
 	return nil
-}
-
-// NumberLen returns the length of the number in JSON's grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, that starts b, or 0 when
-// b starts with none. The payload decoders that read json.Marshal's bytes
-// without reflection check a number with it before strconv parses it.
-func NumberLen(b []byte) int {
-	i := 0
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
-	default:
-		return 0
-	}
-	if i < len(b) && b[i] == '.' {
-		j := digits(b, i+1)
-		if j == i+1 {
-			return 0
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		j := i + 1
-		if j < len(b) && (b[j] == '+' || b[j] == '-') {
-			j++
-		}
-		k := digits(b, j)
-		if k == j {
-			return 0
-		}
-		i = k
-	}
-	return i
-}
-
-// digits returns the index of the first non-digit in b at or after i.
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
 }

@@ -26,15 +26,13 @@
 // episodes (the campaign registry keeps a campaign's spec, lifecycle state
 // and result in them); replay skips them, and Scan reads them back, into a
 // buffer its caller reuses from one journal to the next, without decoding a
-// single episode. A header in the image writeFrame writes is read without
-// reflection; any other goes to encoding/json. A header may leave the
-// fingerprint empty, for an owner that keeps the campaign identity in its
-// own records. A crash can tear or drop only frames after the last Sync;
-// OpenFS verifies every frame's CRC, truncates the torn tail back to the
-// last intact record, and syncs what it recovered. Corruption of the header
-// itself (or a fingerprint that does not match the resuming campaign's
-// configuration) fails cleanly — never a panic, and never a silently wrong
-// resume.
+// single episode. A header may leave the fingerprint empty, for an owner
+// that keeps the campaign identity in its own records. A crash can tear or
+// drop only frames after the last Sync; OpenFS verifies every frame's CRC,
+// truncates the torn tail back to the last intact record, and syncs what it
+// recovered. Corruption of the header itself (or a fingerprint that does not
+// match the resuming campaign's configuration) fails cleanly — never a
+// panic, and never a silently wrong resume.
 // Journals written by older versions may also hold checkpoint frames (the
 // compacted history up to that point); OpenFS still decodes them, and
 // nothing writes them any more.
@@ -58,7 +56,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -310,39 +307,12 @@ func readInto(fsys vfs.FS, path string, buf []byte) ([]byte, error) {
 	}
 }
 
-// hdrHead and hdrTail are the bytes writeFrame writes around a header's
-// fingerprint at the current version.
-var (
-	hdrHead = []byte(`{"t":"hdr","hdr":{"magic":"` + Magic + `","version":` + strconv.Itoa(Version) + `,"fingerprint":"`)
-	hdrTail = []byte(`"}}`)
-)
-
-// exactHeader reads a header payload in the image writeFrame writes at the
-// current version, with a fingerprint of printable ASCII free of '"' and
-// '\', which holds no escape to undo. Anything else is for json.Unmarshal
-// to judge.
-func exactHeader(payload []byte) (Header, bool) {
-	if !bytes.HasPrefix(payload, hdrHead) || !bytes.HasSuffix(payload, hdrTail) || len(payload) < len(hdrHead)+len(hdrTail) {
-		return Header{}, false
-	}
-	fp := payload[len(hdrHead) : len(payload)-len(hdrTail)]
-	for _, c := range fp {
-		if c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
-			return Header{}, false
-		}
-	}
-	return Header{Magic: Magic, Version: Version, Fingerprint: string(fp)}, true
-}
-
 // header decodes the header frame that starts data, which must be intact
 // and trusted, and returns it with the offset of the next frame.
 func header(data []byte) (Header, int, error) {
 	payload, next, err := frame.Next(data, 0)
 	if err != nil {
 		return Header{}, 0, fmt.Errorf("%w: unreadable header frame: %v", ErrCorrupt, err)
-	}
-	if h, ok := exactHeader(payload); ok {
-		return h, next, nil
 	}
 	var hr record
 	switch {

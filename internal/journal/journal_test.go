@@ -582,12 +582,12 @@ func TestScanWritesNothing(t *testing.T) {
 	}
 }
 
-// TestHeaderExactImageAndFallback: a header frame in writeFrame's image
-// takes exactHeader, and one that is reordered, spaced, escaped or of an
-// unknown version goes to json.Unmarshal, which reads the same header.
-// Either way Scan returns the owner records behind it and OpenFS recovers
-// the episodes and checks the fingerprint.
-func TestHeaderExactImageAndFallback(t *testing.T) {
+// TestHeaderImages: a header frame in writeFrame's image, or reordered,
+// spaced or escaped, reads as encoding/json reads it, so Scan returns the
+// owner records behind it and OpenFS recovers the episodes and checks the
+// fingerprint. A header encoding/json cannot read into a Header, or one of
+// a foreign magic or an unsupported version, both refuse with ErrCorrupt.
+func TestHeaderImages(t *testing.T) {
 	_, owned := writeOwnedJournal(t)
 	_, rest, err := frame.Next(owned, 0)
 	if err != nil {
@@ -596,26 +596,20 @@ func TestHeaderExactImageAndFallback(t *testing.T) {
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	for _, tc := range []struct {
 		name, payload string
-		exact         bool
 		fp            string
+		refused       bool
 	}{
-		{"exact", `{"t":"hdr","hdr":{"magic":"csjournal","version":1,"fingerprint":"fp|a=1"}}`, true, "fp|a=1"},
-		{"exact, no fingerprint", `{"t":"hdr","hdr":{"magic":"csjournal","version":1,"fingerprint":""}}`, true, ""},
-		{"reordered", `{"hdr":{"fingerprint":"fp|a=1","version":1,"magic":"csjournal"},"t":"hdr"}`, false, "fp|a=1"},
-		{"spaced", `{ "t" : "hdr", "hdr" : { "magic" : "csjournal", "version" : 1, "fingerprint" : "fp|a=1" } }`, false, "fp|a=1"},
-		{"escaped fingerprint", `{"t":"hdr","hdr":{"magic":"csjournal","version":1,"fingerprint":"fp\u003ca"}}`, false, "fp<a"},
-		{"version 1.0", `{"t":"hdr","hdr":{"magic":"csjournal","version":1.0,"fingerprint":"fp"}}`, false, ""},
+		{"exact", `{"t":"hdr","hdr":{"magic":"csjournal","version":1,"fingerprint":"fp|a=1"}}`, "fp|a=1", false},
+		{"exact, no fingerprint", `{"t":"hdr","hdr":{"magic":"csjournal","version":1,"fingerprint":""}}`, "", false},
+		{"reordered", `{"hdr":{"fingerprint":"fp|a=1","version":1,"magic":"csjournal"},"t":"hdr"}`, "fp|a=1", false},
+		{"spaced", `{ "t" : "hdr", "hdr" : { "magic" : "csjournal", "version" : 1, "fingerprint" : "fp|a=1" } }`, "fp|a=1", false},
+		{"escaped fingerprint", `{"t":"hdr","hdr":{"magic":"csjournal","version":1,"fingerprint":"fp\u003ca"}}`, "fp<a", false},
+		{"version 1.0", `{"t":"hdr","hdr":{"magic":"csjournal","version":1.0,"fingerprint":"fp"}}`, "", true},
+		{"bad magic", `{"t":"hdr","hdr":{"magic":"csjournax","version":1,"fingerprint":"fp"}}`, "", true},
+		{"version 0", `{"t":"hdr","hdr":{"magic":"csjournal","version":0,"fingerprint":"fp"}}`, "", true},
+		{"version 2", `{"t":"hdr","hdr":{"magic":"csjournal","version":2,"fingerprint":"fp"}}`, "", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h, ok := exactHeader([]byte(tc.payload))
-			if ok != tc.exact {
-				t.Fatalf("exactHeader accepted=%v, want %v", ok, tc.exact)
-			}
-			var hr record
-			jsonErr := json.Unmarshal([]byte(tc.payload), &hr)
-			if ok && (jsonErr != nil || hr.Hdr == nil || h != *hr.Hdr) {
-				t.Fatalf("exactHeader read %+v, json.Unmarshal %+v (%v)", h, hr.Hdr, jsonErr)
-			}
 			var hdr [frame.HeaderLen]byte
 			binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(tc.payload)))
 			binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum([]byte(tc.payload), castagnoli))
@@ -625,10 +619,12 @@ func TestHeaderExactImageAndFallback(t *testing.T) {
 				t.Fatal(err)
 			}
 			raw, _, err := Scan(vfs.OS, path, nil)
-			if jsonErr != nil {
-				// json.Unmarshal refuses it, and so must the journal.
+			if tc.refused {
 				if !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("Scan of an unreadable header: %v", err)
+					t.Fatalf("Scan of a refused header: %v", err)
+				}
+				if _, err := OpenFS(vfs.OS, path, ""); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("OpenFS of a refused header: %v", err)
 				}
 				return
 			}

@@ -3,8 +3,6 @@ package store
 import (
 	"bytes"
 	"strconv"
-
-	"repro/internal/frame"
 )
 
 // The fast record decoder. Open reads every record of every segment, and
@@ -51,7 +49,7 @@ func decodeRecord(p, checked []byte) (key []byte, ms float64, ok bool) {
 		return nil, 0, false
 	}
 	num := body[end+len(recMid):]
-	if n := frame.NumberLen(num); n == 0 || n != len(num) {
+	if !jsonNumber(num) {
 		return nil, 0, false
 	}
 	// encoding/json parses a float64 field the same way, so the bits agree;
@@ -88,3 +86,47 @@ var verbatim = func() (t [256]bool) {
 	}
 	return t
 }()
+
+// jsonNumber reports whether b is one number in JSON's grammar:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+func jsonNumber(b []byte) bool {
+	i := 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = digits(b, i+1)
+	default:
+		return false
+	}
+	if i < len(b) && b[i] == '.' {
+		j := digits(b, i+1)
+		if j == i+1 {
+			return false
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		j := i + 1
+		if j < len(b) && (b[j] == '+' || b[j] == '-') {
+			j++
+		}
+		k := digits(b, j)
+		if k == j {
+			return false
+		}
+		i = k
+	}
+	return i == len(b)
+}
+
+// digits returns the index of the first non-digit in b at or after i.
+func digits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
