@@ -46,9 +46,8 @@ type Campaign struct {
 	cancel    context.CancelFunc // non-nil while a runner owns the campaign
 	intent    State              // StatePaused or StateCanceled once an interrupt is requested of the owning runner
 	eng       *engine.Engine     // live engine while running
-	summary   *summary           // the completed campaign's outcome
-	canonical string
-	settledS  float64 // spend settled against the tenant ledger (terminal states)
+	summary   summary            // the last run's engine summary, or an earlier one showing more spend
+	canonical string             // the completed campaign's
 }
 
 func (c *Campaign) journalPath() string { return filepath.Join(c.dir, "journal.wal") }
@@ -62,36 +61,35 @@ func (c *Campaign) State() State {
 
 // record is one owner record of a campaign's journal. Submit writes the
 // spec with the Pending state, the first run the spec with its warm keys
-// and fingerprint, each recorded transition its state, and completion the
-// result with the Completed state. On restart the last of each decides.
+// and fingerprint, each recorded transition its state, and every run's end
+// its outcome's state with the result: the summary, and the canonical for
+// Completed. On restart the last of each decides.
 type record struct {
 	Spec   *Spec            `json:"spec,omitempty"`
 	State  *persistedState  `json:"state,omitempty"`
 	Result *persistedResult `json:"result,omitempty"`
 }
 
-// persistedState is a state record: the lifecycle position, its history
-// and the settled tenant spend.
+// persistedState is a state record: the lifecycle position and its
+// history. Decoding ignores the settled_s of older records.
 type persistedState struct {
-	State State `json:"state"`
-	// SettledS is the virtual spend settled against the tenant ledger when
-	// the campaign reached a terminal state (capped at the reservation).
-	SettledS    float64      `json:"settled_s,omitempty"`
+	State       State        `json:"state"`
 	Transitions []Transition `json:"transitions"`
 }
 
-// persistedResult is a result record: the canonical string the resume
-// acceptance criteria compare byte-for-byte, and the summary Status serves.
-// A record written before the summary, like the result.json the upgrade
-// reads, carries the structured result under "result" instead.
+// persistedResult is a result record: the summary Status serves and, for a
+// completed campaign, the canonical string the resume acceptance criteria
+// compare byte-for-byte. A record written before the summary, like the
+// result.json the upgrade reads, carries the structured result under
+// "result" instead.
 type persistedResult struct {
-	Canonical string        `json:"canonical"`
+	Canonical string        `json:"canonical,omitempty"`
 	Summary   *summary      `json:"summary,omitempty"`
 	Legacy    *legacyResult `json:"result,omitempty"`
 }
 
-// summary is what Status serves of a completed campaign's outcome, under
-// Status's JSON names.
+// summary is what Status serves of a run's outcome, under Status's JSON
+// names.
 type summary struct {
 	Found          bool    `json:"found"`
 	BestKey        string  `json:"best_key,omitempty"`
@@ -112,6 +110,13 @@ func summarize(best space.Setting, bestMS float64, found bool, st engine.Stats, 
 		s.BestKey, s.BestMS = best.Key(), bestMS
 	}
 	return s
+}
+
+// engineSummary condenses what eng has measured so far.
+func engineSummary(eng *engine.Engine) *summary {
+	set, ms, ok := eng.Best()
+	s := summarize(set, ms, ok, eng.Stats(), eng.Replayed())
+	return &s
 }
 
 // legacyResult is a structured harness.CampaignResult without its
@@ -135,21 +140,21 @@ func (r *persistedResult) current() *persistedResult {
 	return &persistedResult{Canonical: r.Canonical, Summary: &s}
 }
 
-// stateRecordLocked renders the lifecycle as it stands, with the settled
-// spend. The caller holds c.mu.
+// stateRecordLocked renders the lifecycle as it stands. The caller holds
+// c.mu.
 func (c *Campaign) stateRecordLocked() *persistedState {
-	return &persistedState{State: c.state, SettledS: c.settledS, Transitions: append([]Transition(nil), c.hist...)}
+	return &persistedState{State: c.state, Transitions: append([]Transition(nil), c.hist...)}
 }
 
-// persist appends rec to the campaign's journal: through jr when the run
-// holds it open, and otherwise through journal.OpenFS, which first
-// truncates a torn tail, and a Close that syncs. The caller holds fileMu.
-// It is best effort: the in-memory state stands, and a restart that finds
-// an older record resumes the campaign to the same outcome.
+// persist appends rec to the campaign's journal: through jr, the run's
+// own, unless there is none or it has failed, and otherwise through
+// journal.OpenFS, which first truncates a torn tail, and a Close that
+// syncs. The caller holds fileMu. It is best effort: the in-memory state
+// stands, and a restart that finds an older record resumes the campaign to
+// the same outcome.
 func (c *Campaign) persist(jr *journal.Journal, rec record) {
-	if jr != nil {
-		_ = jr.AppendOwner(rec) // the run's Close syncs it
-		return
+	if jr != nil && jr.AppendOwner(rec) == nil {
+		return // the run's Close syncs it
 	}
 	if jr, err := journal.OpenFS(c.fs, c.journalPath(), ""); err == nil {
 		_ = jr.AppendOwner(rec)
@@ -195,8 +200,8 @@ func (c *Campaign) config(wrap func(sim.Objective) sim.Objective) harness.Campai
 }
 
 // Status is one campaign's externally-visible snapshot: spec identity,
-// lifecycle position, live progress while running, and the canonical result
-// once completed.
+// lifecycle position, live progress while running, what the last run
+// measured otherwise, and the canonical result once completed.
 type Status struct {
 	ID      string  `json:"id"`
 	Tenant  string  `json:"tenant"`
@@ -210,8 +215,9 @@ type Status struct {
 	State  State  `json:"state"`
 	Reason string `json:"reason,omitempty"`
 
-	// SpentS and Evals are live engine progress while running, final
-	// numbers once terminal. Replayed counts journal-served episodes.
+	// SpentS, Evals and the counts below are live engine progress while a
+	// run measures, otherwise the last run's: final numbers once terminal,
+	// whichever the state. Replayed counts journal-served episodes.
 	SpentS   float64 `json:"spent_s"`
 	Evals    int     `json:"evals"`
 	Replayed int     `json:"replayed"`
@@ -232,7 +238,8 @@ type Status struct {
 
 // Status snapshots the campaign, reading state, history and outcome in one
 // section of c.mu: a poll never pairs one moment's state with another's
-// history.
+// history. A run's end swaps its engine for its summary in one section,
+// so within a run no poll's spend or evaluations fall.
 func (c *Campaign) Status() Status {
 	st := Status{
 		ID:      c.ID,
@@ -251,15 +258,11 @@ func (c *Campaign) Status() Status {
 	}
 	eng, sum := c.eng, c.summary
 	c.mu.Unlock()
-	if sum == nil && eng != nil {
-		set, ms, ok := eng.Best()
-		live := summarize(set, ms, ok, eng.Stats(), eng.Replayed())
-		sum = &live
+	if eng != nil {
+		sum = *engineSummary(eng)
 	}
-	if sum != nil {
-		st.Found, st.BestKey, st.BestMS = sum.Found, sum.BestKey, sum.BestMS
-		st.SpentS, st.Evals, st.Replayed = sum.SpentS, sum.Evals, sum.Replayed
-		st.StoreHits, st.StoreMisses, st.WarmStartSeeds = sum.StoreHits, sum.StoreMisses, sum.WarmStartSeeds
-	}
+	st.Found, st.BestKey, st.BestMS = sum.Found, sum.BestKey, sum.BestMS
+	st.SpentS, st.Evals, st.Replayed = sum.SpentS, sum.Evals, sum.Replayed
+	st.StoreHits, st.StoreMisses, st.WarmStartSeeds = sum.StoreHits, sum.StoreMisses, sum.WarmStartSeeds
 	return st
 }

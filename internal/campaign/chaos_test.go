@@ -76,8 +76,8 @@ func (f admitted) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, e
 	return f.faults.OpenFile(name, flag, perm)
 }
 
-// dirOpFS is an FS that logs every MkdirAll, SyncDir, Rename, create and
-// file Sync, in order, each with its path.
+// dirOpFS is an FS that logs every MkdirAll, SyncDir, Rename, create, open
+// of an existing file and file Sync, in order, each with its path.
 type dirOpFS struct {
 	vfs.FS
 	mu  sync.Mutex
@@ -114,6 +114,8 @@ func (f *dirOpFS) Rename(oldpath, newpath string) error {
 func (f *dirOpFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
 	if flag&os.O_CREATE != 0 {
 		f.log("create " + name)
+	} else {
+		f.log("open " + name)
 	}
 	fh, err := f.FS.OpenFile(name, flag, perm)
 	if err != nil {
@@ -255,6 +257,43 @@ func TestRegistryFsyncsPauseResumeCancel(t *testing.T) {
 	check("cancel of the paused campaign", file)
 }
 
+// TestRegistryPauseOpensNoJournal pauses a campaign whose run has
+// journaled episodes past 4 KB. The run records Paused through the journal
+// it holds open, and its Close syncs the record, so nothing opens
+// journal.wal after the pause request: no reopen decodes the episodes
+// again. The fsyncs are not pinned, since a pause that lands just after a
+// group commit makes one fewer.
+func TestRegistryPauseOpensNoJournal(t *testing.T) {
+	root := t.TempDir()
+	fsys := &dirOpFS{FS: vfs.OS}
+	reg := openTestRegistry(t, root, Options{Slots: 1, FS: fsys})
+	spec := testSpec("acme", 1)
+	spec.BudgetS = 100000
+	c, err := reg.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(root, c.ID, "journal.wal")
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(time.Millisecond) {
+		if fi, err := os.Stat(path); err == nil && fi.Size() > 4096 {
+			break
+		}
+		if time.Now().After(deadline) || c.State() != StateRunning {
+			t.Fatalf("the journal never passed 4 KB; the campaign is %s", c.State())
+		}
+	}
+	mark := len(fsys.logged())
+	if err := reg.Pause(c.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, reg, c.ID, StatePaused)
+	c.fileMu.Lock() // the runner holds it until its Close returns
+	c.fileMu.Unlock()
+	if opens := slices.Index(fsys.logged()[mark:], "open "+path); opens >= 0 {
+		t.Errorf("the pause opened the journal: %q", fsys.logged()[mark:])
+	}
+}
+
 // walkFlavors are the disk faults the walker injects, cycled across its
 // op indices; a short write fires only where the index lands on a write.
 var walkFlavors = []struct {
@@ -268,8 +307,9 @@ var walkFlavors = []struct {
 
 // walkCampaign opens a registry at root through fsys, submits spec, runs it
 // to a terminal state and closes the registry. It returns the op index
-// Submit started at, the op count at the end and Submit's error.
-func walkCampaign(t *testing.T, root string, fsys *vfs.FaultFS, opts Options, spec Spec) (int64, int64, error) {
+// Submit started at, the op count at the end, the campaign (nil when Submit
+// failed) and Submit's error.
+func walkCampaign(t *testing.T, root string, fsys *vfs.FaultFS, opts Options, spec Spec) (int64, int64, *Campaign, error) {
 	t.Helper()
 	opts.FS = fsys
 	reg, err := Open(root, opts)
@@ -287,7 +327,7 @@ func walkCampaign(t *testing.T, root string, fsys *vfs.FaultFS, opts Options, sp
 		}
 	}
 	_ = reg.Close() // a faulted run may fail its close; the reopen below judges the disk
-	return first, fsys.Ops(), serr
+	return first, fsys.Ops(), c, serr
 }
 
 // settleAll reopens root on the real filesystem, runs every pending
@@ -343,7 +383,7 @@ func TestRegistryFaultPointWalker(t *testing.T) {
 	spec := testSpec("acme", 1)
 	want := goldenCanonical(t, spec)
 	opts := Options{Slots: 1, TenantBudgetS: spec.BudgetS, DisableAutostart: true}
-	first, n, err := walkCampaign(t, t.TempDir(), vfs.NewFaultFS(vfs.OS), opts, spec)
+	first, n, _, err := walkCampaign(t, t.TempDir(), vfs.NewFaultFS(vfs.OS), opts, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +423,7 @@ func TestRegistryFaultPointWalker(t *testing.T) {
 		f.AtIndex = i
 		ff := vfs.NewFaultFS(vfs.OS, f)
 		root := t.TempDir()
-		_, _, serr := walkCampaign(t, root, ff, opts, spec)
+		_, _, _, serr := walkCampaign(t, root, ff, opts, spec)
 		injected += ff.Injected()
 		check(root, serr, fmt.Sprintf("op=%d fault=%s", i, fl.name))
 	}
@@ -395,8 +435,48 @@ func TestRegistryFaultPointWalker(t *testing.T) {
 		ff := vfs.NewFaultFS(vfs.OS)
 		ff.CutAt(i, keep)
 		root := t.TempDir()
-		_, _, serr := walkCampaign(t, root, ff, opts, spec)
+		_, _, _, serr := walkCampaign(t, root, ff, opts, spec)
 		check(root, serr, fmt.Sprintf("cut=%d keep=%g", i, keep))
+	}
+}
+
+// TestRegistryTornAppendStaysFailed tears each write of one registry
+// campaign's run with a short write. A tear the run cannot get past fails
+// the campaign, and the journal takes nothing more: the Failed record goes
+// through a fresh open, which truncates the tear first. Appended behind
+// the tear, the record would be invisible to the reopen's scan, which
+// stops there, and the campaign would come back Pending. So every
+// campaign a tear failed, an episode append's included, reopens Failed
+// with the Status it had, summary and reason included.
+func TestRegistryTornAppendStaysFailed(t *testing.T) {
+	spec := testSpec("acme", 1)
+	opts := Options{Slots: 1, DisableAutostart: true}
+	first, n, _, err := walkCampaign(t, t.TempDir(), vfs.NewFaultFS(vfs.OS), opts, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failed []int64
+	episodes := 0
+	for i := first; i < n; i++ {
+		ff := vfs.NewFaultFS(vfs.OS, vfs.Fault{Op: vfs.OpWrite, Path: "journal.wal", Err: vfs.EIO(), Short: true, AtIndex: i})
+		root := t.TempDir()
+		_, _, c, serr := walkCampaign(t, root, ff, opts, spec)
+		if serr != nil || ff.Injected() == 0 || c.State() != StateFailed {
+			continue // no tear, one Submit refused, or one the run got past
+		}
+		want := c.Status()
+		failed = append(failed, i)
+		if strings.HasPrefix(want.Reason, "execute: ") {
+			episodes++
+		}
+		got := openTestRegistry(t, root, opts).List("")
+		if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+			t.Errorf("op=%d: the failed campaign\n%+v\nreopened as\n%+v", i, want, got)
+		}
+	}
+	t.Logf("tears at ops %v failed the campaign, %d of them in an episode append", failed, episodes)
+	if episodes == 0 {
+		t.Fatal("no torn episode append failed the campaign")
 	}
 }
 

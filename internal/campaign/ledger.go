@@ -29,11 +29,11 @@ type tenantAcct struct {
 
 // Ledgers is the per-tenant virtual-budget accounting layer on top of the
 // engine's per-campaign budgets. Admission is by reservation: submitting a
-// campaign reserves its full budget, and completion settles the reservation
-// into actual spend (capped at the reservation — the engine may overshoot a
-// campaign budget by at most one episode's cost, and that overshoot is
-// accounted to the campaign, never to the tenant). The ledger invariant,
-// which the stress tests assert continuously, is therefore
+// campaign reserves its full budget, and any terminal state settles the
+// reservation into measured spend (capped at the reservation — the engine
+// may overshoot a campaign budget by at most one episode's cost, and that
+// overshoot is accounted to the campaign, never to the tenant). The ledger
+// invariant, which the stress tests assert continuously, is therefore
 //
 //	SpentS + ReservedS <= BudgetS
 //
@@ -76,8 +76,8 @@ func (l *Ledgers) Reserve(tenant string, budgetS float64, force bool) error {
 }
 
 // Settle converts a reservation into actual spend: the reservation is
-// released in full and min(spentS, reservedS) is charged. Campaigns that
-// end early (cancelled, failed, tiny searches) refund their headroom here.
+// released in full and min(spentS, reservedS) is charged, so an early end
+// (cancelled, failed, a tiny search) refunds only the unmeasured headroom.
 func (l *Ledgers) Settle(tenant string, reservedS, spentS float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -59,7 +59,7 @@ func (s State) Terminal() bool {
 var legal = map[State]map[State]bool{
 	StatePending: {StateRunning: true, StateCanceled: true, StateFailed: true},
 	StateRunning: {StatePaused: true, StateCompleted: true, StateFailed: true, StateCanceled: true},
-	StatePaused:  {StateRunning: true, StateCanceled: true, StateFailed: true},
+	StatePaused:  {StateRunning: true, StateCanceled: true},
 }
 
 // ErrTransition is returned for an illegal lifecycle transition (e.g.
@@ -106,7 +106,7 @@ func (c *Campaign) restore(st *persistedState, now time.Time) error {
 	if !st.State.Valid() {
 		return fmt.Errorf("campaign: restore: unknown state %q", st.State)
 	}
-	c.state, c.hist, c.settledS = st.State, st.Transitions, st.SettledS
+	c.state, c.hist = st.State, st.Transitions
 	if st.State == StateRunning || (st.State == StatePending && c.Spec.Fingerprint != "") {
 		c.state = StatePending
 		c.hist = append(c.hist, Transition{

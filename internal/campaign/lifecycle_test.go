@@ -32,6 +32,7 @@ func TestLifecycleTransitions(t *testing.T) {
 		{"run-cancel", []State{StateRunning, StateCanceled}, true},
 		{"run-pause-run-complete", []State{StateRunning, StatePaused, StateRunning, StateCompleted}, true},
 		{"pause-cancel", []State{StateRunning, StatePaused, StateCanceled}, true},
+		{"pause-fail", []State{StateRunning, StatePaused, StateFailed}, false},
 		{"pending-cancel", []State{StateCanceled}, true},
 		{"pending-fail", []State{StateFailed}, true},
 		{"pending-complete", []State{StateCompleted}, false},
@@ -133,15 +134,13 @@ func TestRestoreLifecycleMapsRunningToPending(t *testing.T) {
 	if st := restored(t, pending, "").Status(); st.State != StatePending || len(st.History) != 1 {
 		t.Fatalf("unstarted pending restored %s after %d edges, want pending as recorded", st.State, len(st.History))
 	}
-	// Terminal states restore verbatim, settled spend included.
+	// Terminal states restore verbatim.
 	if err := c.toLocked(StateCompleted, clock(), ""); err != nil {
 		t.Fatal(err)
 	}
-	done := c.stateRecordLocked()
-	done.SettledS = 2.5
-	back = restored(t, done, "fp")
-	if st := back.Status(); st.State != StateCompleted || len(st.History) != 3 || back.settledS != 2.5 {
-		t.Fatalf("restored %s after %d edges, settled %v; want completed as recorded, settled 2.5", st.State, len(st.History), back.settledS)
+	back = restored(t, c.stateRecordLocked(), "fp")
+	if st := back.Status(); st.State != StateCompleted || len(st.History) != 3 {
+		t.Fatalf("restored %s after %d edges; want completed as recorded", st.State, len(st.History))
 	}
 }
 

@@ -223,8 +223,8 @@ func (r *Registry) load(id string, buf []byte) (*Campaign, []byte) {
 	if f.Spec != nil {
 		c.Spec = *f.Spec
 	}
-	if f.Result != nil {
-		c.summary, c.canonical = f.Result.Summary, f.Result.Canonical
+	if r := f.Result; r != nil && r.Summary != nil {
+		c.summary, c.canonical = *r.Summary, r.Canonical
 	}
 	if err == nil && f.State != nil {
 		err = c.restore(f.State, now)
@@ -234,11 +234,12 @@ func (r *Registry) load(id string, buf []byte) (*Campaign, []byte) {
 		return c, buf
 	}
 
-	// Ledger reconstruction: terminal campaigns re-apply their settled
-	// spend; live ones re-reserve their full budget (forced — they were
-	// admitted before the crash, and a restart never orphans admitted work).
+	// Ledger reconstruction: terminal campaigns re-apply their summary's
+	// spend, capped at the budget as Settle caps it; live ones re-reserve
+	// their full budget (forced — they were admitted before the crash, and
+	// a restart never orphans admitted work).
 	if c.state.Terminal() {
-		r.ledgers.RestoreSpent(c.Spec.Tenant, c.settledS)
+		r.ledgers.RestoreSpent(c.Spec.Tenant, min(c.summary.SpentS, c.Spec.BudgetS))
 	} else {
 		_ = r.ledgers.Reserve(c.Spec.Tenant, c.Spec.BudgetS, true) // forced: cannot fail
 	}
@@ -418,12 +419,13 @@ func (r *Registry) start(c *Campaign, from State) error {
 }
 
 // run executes one campaign to an outcome and settles the lifecycle,
-// persistence and ledger for it. It owns c.cancel until end decides the
-// outcome, and c.fileMu until it returns.
+// persistence and ledger for it: every outcome after PrepareCampaign goes
+// through one end and the run's one Close. It owns c.cancel until end
+// decides the outcome, and c.fileMu until it returns.
 func (r *Registry) run(ctx context.Context, c *Campaign) {
 	c.fileMu.Lock()
 	defer c.fileMu.Unlock()
-	fail := func(reason string) { r.end(c, nil, StateFailed, reason, nil) }
+	fail := func(reason string) { r.end(c, nil, nil, StateFailed, reason, "") }
 
 	fx, err := c.Spec.fixture()
 	if err != nil {
@@ -453,6 +455,16 @@ func (r *Registry) run(ctx context.Context, c *Campaign) {
 		fail(fmt.Sprintf("prepare: %v", err))
 		return
 	}
+	s, reason, canonical := r.execute(ctx, c, cr, fp, first)
+	r.end(c, cr.Journal(), cr.Engine(), s, reason, canonical)
+	_ = cr.Close() // an outcome whose record misses the disk is decided again by the next Open
+}
+
+// execute records the first run's identity, publishes the run's engine for
+// polling and runs the campaign. It returns the outcome for end: Completed
+// with the canonical, Failed with a reason, or nothing for an interrupted
+// run, whose intent, if any, end takes.
+func (r *Registry) execute(ctx context.Context, c *Campaign, cr *harness.CampaignRun, fp string, first bool) (s State, reason, canonical string) {
 	if first {
 		// One record holds the warm keys and the fingerprint computed from
 		// them, so a restart neither resolves the keys again nor runs the
@@ -460,9 +472,7 @@ func (r *Registry) run(ctx context.Context, c *Campaign) {
 		spec := c.Spec
 		spec.Fingerprint = fp
 		if err := cr.Journal().AppendOwner(record{Spec: &spec}); err != nil {
-			_ = cr.Close() // the append error is the one to report
-			fail(fmt.Sprintf("record identity: %v", err))
-			return
+			return StateFailed, fmt.Sprintf("record identity: %v", err), ""
 		}
 		c.Spec.Fingerprint = fp
 	}
@@ -471,63 +481,57 @@ func (r *Registry) run(ctx context.Context, c *Campaign) {
 	c.mu.Unlock()
 
 	res, err := cr.Execute(ctx)
-	c.mu.Lock()
-	c.eng = nil
-	c.mu.Unlock()
-
-	if ctx.Err() != nil {
-		_ = cr.Close() // teardown after Execute synced every frame
-		r.end(c, nil, "", "", nil)
-		return
+	switch {
+	case ctx.Err() != nil:
+		return "", "", ""
+	case err != nil:
+		return StateFailed, fmt.Sprintf("execute: %v", err), ""
 	}
-	if err != nil {
-		_ = cr.Close() // the execute error is the one to report
-		fail(fmt.Sprintf("execute: %v", err))
-		return
-	}
-	sum := summarize(res.Best, res.BestMS, res.Found, res.Stats, res.Replayed)
 	if r.store != nil {
 		// Make this campaign's published measurements visible to concurrent
 		// processes sharing the store directory. Best-effort: the store is a
 		// cache, and a flush failure must not fail a completed campaign.
 		_ = r.store.Flush()
 	}
-	// The result and the Completed state share one record, which the
-	// journal's Close syncs.
-	r.end(c, cr.Journal(), StateCompleted, "", &persistedResult{Canonical: res.Canonical(), Summary: &sum})
-	_ = cr.Close() // a Completed state that misses the disk resumes to the same result
+	return StateCompleted, "", res.Canonical()
 }
 
 // end releases the runner's ownership of c and moves c to its outcome in
 // one section of c.mu, so no Pause or Cancel is accepted and then ignored:
 // a requested interrupt decides the outcome, even over a run that has just
-// finished. Otherwise the outcome is s, with the result res for Completed;
+// finished. Otherwise the outcome is s, with the canonical for Completed;
 // an empty s, a run the registry's Close interrupted, moves nothing, and
-// the next Open resumes the campaign from its recorded Pending or Running.
-// A terminal outcome settles the tenant's reservation to the completed
-// result's spend, capped at the reservation, and to zero without one. The
-// state is recorded through jr when the run holds its journal open. The
-// caller is c's runner and holds c.fileMu.
-func (r *Registry) end(c *Campaign, jr *journal.Journal, s State, reason string, res *persistedResult) {
+// the next Open resumes it. The section also swaps the live engine for the
+// summary of what eng measured, which the outcome's record carries, unless
+// the last summary shows more spend (a resumed run cut short before its
+// replay caught up) or there is no engine. A terminal outcome settles the
+// summary's spend, capped at the reservation. The record goes through jr,
+// the run's journal, if any. The caller is c's runner and holds c.fileMu.
+func (r *Registry) end(c *Campaign, jr *journal.Journal, eng *engine.Engine, s State, reason, canonical string) {
 	now := r.clock() // read outside the lock: the clock is an injected callback
+	var sum *summary
+	if eng != nil {
+		sum = engineSummary(eng)
+	}
 	c.mu.Lock()
 	if c.intent != "" {
-		s, reason, res = c.intent, string(c.intent)+" by request", nil
+		s, reason, canonical = c.intent, string(c.intent)+" by request", ""
 	}
-	c.cancel, c.intent = nil, ""
+	c.cancel, c.intent, c.eng = nil, "", nil
 	if s == "" {
 		c.mu.Unlock()
 		return
 	}
-	if res != nil {
-		c.summary, c.canonical = res.Summary, res.Canonical
-		c.settledS = min(max(res.Summary.SpentS, 0), c.Spec.BudgetS)
+	if sum != nil && sum.SpentS >= c.summary.SpentS {
+		c.summary = *sum
 	}
+	kept := c.summary
+	c.canonical = canonical
 	_ = c.toLocked(s, now, reason) // an owned campaign is Running, which leads to every outcome
-	rec := record{State: c.stateRecordLocked(), Result: res}
+	rec := record{State: c.stateRecordLocked(), Result: &persistedResult{Canonical: canonical, Summary: &kept}}
 	c.mu.Unlock()
 	if s.Terminal() {
-		r.ledgers.Settle(c.Spec.Tenant, c.Spec.BudgetS, rec.State.SettledS)
+		r.ledgers.Settle(c.Spec.Tenant, c.Spec.BudgetS, kept.SpentS)
 	}
 	c.persist(jr, rec)
 }
@@ -585,6 +589,7 @@ func (r *Registry) interrupt(id string, want State) error {
 	}
 	now := r.clock() // read outside the lock: the clock is an injected callback
 	var rec *persistedState
+	var spent float64
 	c.mu.Lock()
 	runner := c.cancel
 	switch {
@@ -594,7 +599,7 @@ func (r *Registry) interrupt(id string, want State) error {
 		c.intent = want
 	case want == StateCanceled && (c.state == StatePending || c.state == StatePaused):
 		_ = c.toLocked(StateCanceled, now, "canceled by request") // legal from both
-		rec = c.stateRecordLocked()
+		rec, spent = c.stateRecordLocked(), c.summary.SpentS
 	default:
 		err = fmt.Errorf("%w: %s → %s", ErrTransition, c.state, want)
 	}
@@ -603,7 +608,7 @@ func (r *Registry) interrupt(id string, want State) error {
 	case err != nil:
 		return err
 	case rec != nil:
-		r.ledgers.Settle(c.Spec.Tenant, c.Spec.BudgetS, rec.SettledS)
+		r.ledgers.Settle(c.Spec.Tenant, c.Spec.BudgetS, spent)
 		c.fileMu.Lock()
 		c.persist(nil, record{State: rec})
 		c.fileMu.Unlock()

@@ -305,7 +305,8 @@ func TestRegistryCancelPending(t *testing.T) {
 // returns nil must leave the campaign Canceled, with no runner owning it
 // once the slot is free and nothing found; the tenant's spend must equal
 // its campaigns' settled spend; and every poll must read a state equal to
-// the last edge of its own history. State and ownership change in one
+// the last edge of its own history. Each campaign settles what its Status
+// reports it spent, capped at its budget. State and ownership change in one
 // section of c.mu: were a Cancel to read "Paused, no owner" in one section
 // and move the campaign in another, a Resume could claim it in between,
 // and its runner would measure on in the Canceled state.
@@ -389,14 +390,206 @@ func TestRegistryCancelRacesResume(t *testing.T) {
 	}
 	var settled float64
 	for _, c := range camps {
-		c.mu.Lock()
-		settled += c.settledS
-		c.mu.Unlock()
+		settled += min(c.Status().SpentS, spec.BudgetS)
 	}
 	if snap := reg.Ledgers().Snapshot("racer"); snap.SpentS != settled || snap.ReservedS != 0 {
 		t.Errorf("tenant ledger %+v, want spent %v (its campaigns' settled spend) and nothing reserved", snap, settled)
 	}
 	t.Logf("%d rounds: both calls succeeded in %d, %d bad", rounds, both, bad)
+}
+
+// waitEvals polls c until it has made at least k evaluations, failing if
+// it stops running first.
+func waitEvals(t *testing.T, c *Campaign, k int) {
+	t.Helper()
+	for deadline := time.Now().Add(60 * time.Second); c.Status().Evals < k; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) || c.State() != StateRunning {
+			t.Fatalf("%s is %s after %d evaluations, want running to %d", c.ID, c.State(), c.Status().Evals, k)
+		}
+	}
+}
+
+// cancelAfter cancels c, which runs alone on a one-slot registry, once it
+// has made at least k evaluations. The test takes the slot between the
+// run's measurements, so the run cannot end while its count is read and
+// the Cancel lands.
+func cancelAfter(t *testing.T, reg *Registry, c *Campaign, k int) {
+	t.Helper()
+	sched := reg.Scheduler()
+	for deadline := time.Now().Add(60 * time.Second); ; {
+		if err := sched.Acquire(context.Background(), "holder", 1); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		evals := c.Status().Evals
+		if evals >= k {
+			err = reg.Cancel(c.ID)
+		}
+		sched.Release()
+		switch {
+		case err != nil:
+			t.Fatal(err)
+		case evals >= k:
+			return
+		case time.Now().After(deadline) || c.State() != StateRunning:
+			t.Fatalf("%s is %s after %d evaluations, want running to %d", c.ID, c.State(), evals, k)
+		}
+	}
+}
+
+// TestRegistryCancelSettlesMeasuredSpend cancels one running campaign per
+// method once it has made at least 5 evaluations. Each ends Canceled, and
+// its tenant settles what its Status reports it spent: more than nothing,
+// at most the budget, with nothing left reserved. A reopen reads the same,
+// so no tenant can measure for free by canceling before completion.
+func TestRegistryCancelSettlesMeasuredSpend(t *testing.T) {
+	const k = 5
+	root := t.TempDir()
+	opts := Options{Slots: 1, TenantBudgetS: 100000}
+	reg, err := Open(root, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var camps []*Campaign
+	for i, method := range []string{"opentuner", "cstuner", "garvey", "artemis"} {
+		c, err := reg.Submit(Spec{Tenant: method, Method: method, Stencil: "helmholtz", Arch: "a100", DatasetSize: 64, BudgetS: 4000, Seed: int64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cancelAfter(t, reg, c, k)
+		waitState(t, reg, c.ID, StateCanceled)
+		camps = append(camps, c)
+	}
+	check := func(reg *Registry, when string) {
+		t.Helper()
+		for _, c := range camps {
+			st := mustGet(t, reg, c.ID).Status()
+			snap := reg.Ledgers().Snapshot(st.Tenant)
+			if st.State != StateCanceled || st.Evals < k || st.SpentS <= 0 || st.SpentS > st.BudgetS || snap.SpentS != st.SpentS || snap.ReservedS != 0 {
+				t.Errorf("%s %s: %s after %d evaluations and %g s spent; ledger %+v", when, st.Method, st.State, st.Evals, st.SpentS, snap)
+			}
+			t.Logf("%s %s: %d evaluations, %.1f s settled", when, st.Method, st.Evals, snap.SpentS)
+		}
+	}
+	check(reg, "after the cancels")
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opts.DisableAutostart = true
+	check(openTestRegistry(t, root, opts), "after a reopen")
+}
+
+// TestRegistryPauseKeepsMeasuredSpend pauses two running campaigns after at
+// least 5 evaluations. Once the runner is gone, and again after a reopen,
+// each Status keeps the spend and evaluations of the paused run, and the
+// reservation stays. One is resumed, and canceled once the replay of its
+// journal has charged the paused spend again: the tenant settles what the
+// resumed engine spent, which Status reports. The other is resumed and
+// canceled at once: a run that ends before its replay catches up keeps
+// the paused summary, so that is what its tenant settles.
+func TestRegistryPauseKeepsMeasuredSpend(t *testing.T) {
+	const k = 5
+	root := t.TempDir()
+	reg, err := Open(root, Options{Slots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var camps []*Campaign
+	for _, tenant := range []string{"replayed", "cut-short"} {
+		spec := testSpec(tenant, 3)
+		spec.BudgetS = 100000
+		c, err := reg.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		camps = append(camps, c)
+	}
+	paused := make([]Status, len(camps))
+	for i, c := range camps {
+		waitEvals(t, c, k)
+		if err := reg.Pause(c.ID); err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, reg, c.ID, StatePaused)
+		c.fileMu.Lock() // the runner holds it until it returns
+		c.fileMu.Unlock()
+		if paused[i] = c.Status(); paused[i].Evals < k || paused[i].SpentS <= 0 {
+			t.Fatalf("%s paused with %d evaluations and %g s spent", c.ID, paused[i].Evals, paused[i].SpentS)
+		}
+	}
+	check := func(reg *Registry, when string) {
+		t.Helper()
+		for i, c := range camps {
+			st := mustGet(t, reg, c.ID).Status()
+			snap := reg.Ledgers().Snapshot(st.Tenant)
+			if st.State != StatePaused || st.Evals != paused[i].Evals || st.SpentS != paused[i].SpentS || snap.ReservedS != st.BudgetS || snap.SpentS != 0 {
+				t.Errorf("%s %s: %s after %d evaluations and %g s spent, ledger %+v; paused after %d and %g s",
+					when, c.ID, st.State, st.Evals, st.SpentS, snap, paused[i].Evals, paused[i].SpentS)
+			}
+		}
+	}
+	check(reg, "once the runner is gone")
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg = openTestRegistry(t, root, Options{Slots: 2})
+	check(reg, "after a reopen")
+
+	replayed, cut := mustGet(t, reg, camps[0].ID), mustGet(t, reg, camps[1].ID)
+	if err := reg.ResumeCampaign(replayed.ID); err != nil {
+		t.Fatal(err)
+	}
+	// Live progress restarts with the resumed engine and replays back up.
+	for deadline := time.Now().Add(60 * time.Second); replayed.Status().Replayed == 0 || replayed.Status().SpentS < paused[0].SpentS; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) || replayed.State() != StateRunning {
+			t.Fatalf("%s is %s, %+v, short of its paused spend %g", replayed.ID, replayed.State(), replayed.Status(), paused[0].SpentS)
+		}
+	}
+	if err := reg.ResumeCampaign(cut.ID); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Campaign{replayed, cut} {
+		if err := reg.Cancel(c.ID); err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, reg, c.ID, StateCanceled)
+	}
+	for i, c := range []*Campaign{replayed, cut} {
+		st := c.Status()
+		snap := reg.Ledgers().Snapshot(st.Tenant)
+		if snap.SpentS != st.SpentS || st.SpentS < paused[i].SpentS || snap.ReservedS != 0 {
+			t.Errorf("%s: canceled after %g s spent (paused after %g), ledger %+v", c.ID, st.SpentS, paused[i].SpentS, snap)
+		}
+	}
+}
+
+// TestRegistryPollsNeverFall polls campaigns through their runs and their
+// ends, store on, and requires every poll's evaluations and spend to be at
+// least the previous poll's: a run's end replaces its live engine with the
+// summary of what it measured in one section, so no poll falls between
+// the two.
+func TestRegistryPollsNeverFall(t *testing.T) {
+	reg := openTestRegistry(t, t.TempDir(), Options{Slots: 1, EnableStore: true})
+	for seed := int64(1); seed <= 50; seed++ {
+		spec := testSpec("acme", seed)
+		spec.BudgetS = 40
+		c, err := reg.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last Status
+		for done := false; !done; {
+			done = c.State().Terminal()
+			st := c.Status()
+			if st.Evals < last.Evals || st.SpentS < last.SpentS {
+				t.Fatalf("%s: a poll fell from %d evaluations and %g s to %d and %g s (%s)", c.ID, last.Evals, last.SpentS, st.Evals, st.SpentS, st.State)
+			}
+			last = st
+		}
+		if last.State != StateCompleted || last.Evals == 0 {
+			t.Fatalf("%s ended %s after %d evaluations", c.ID, last.State, last.Evals)
+		}
+	}
 }
 
 func TestRegistryUnknownCampaign(t *testing.T) {

@@ -317,20 +317,17 @@ func TuneCtx(ctx context.Context, obj sim.Objective, ds *dataset.Dataset, cfg Co
 		return nil, err
 	}
 	rep.Best, rep.BestMS = best, bestMS
-	if err := ctx.Err(); err != nil {
+	err = ctx.Err()
+	if err != nil {
 		// The run was cut during the search: mark the cancellation point as a
 		// span so resumed runs can account the wall-time this partial run
 		// actually covered.
 		eng.ObserveSpan("canceled", eng.Now().Sub(started))
-		rep.Engine = eng.Stats()
-		rep.Evaluations = rep.Engine.Evaluations - statsBefore.Evaluations
-		rep.Spans = eng.Spans()
-		return rep, err
 	}
 	rep.Engine = eng.Stats()
 	rep.Evaluations = rep.Engine.Evaluations - statsBefore.Evaluations
 	rep.Spans = eng.Spans()
-	return rep, nil
+	return rep, err
 }
 
 // partial finalizes a report for a run cut short by context cancellation:

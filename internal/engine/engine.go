@@ -153,7 +153,6 @@ type Engine struct {
 	replay        map[string][]journal.Episode
 	replayPending int
 	replayed      int
-	journalErr    error
 	unsynced      int
 	queued        []storePut
 

@@ -99,10 +99,10 @@ const journalSyncEvery = 32
 // SyncJournal makes every journaled episode durable and then publishes the
 // store results those records cover. Callers sync before anything outside
 // the engine can observe the run: a returned result, or a paused or
-// terminal state. It returns the sticky journal error, if any: once an
-// append or sync fails, the engine refuses further measurements rather than
-// silently running an unjournaled (unresumable) campaign. Unjournaled
-// engines return nil.
+// terminal state. It returns the journal's sticky failure, if any: once an
+// append or sync fails, the journal refuses every later one, so the engine
+// refuses further measurements rather than silently running an unjournaled
+// (unresumable) campaign. Unjournaled engines return nil.
 func (e *Engine) SyncJournal() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -110,20 +110,15 @@ func (e *Engine) SyncJournal() error {
 }
 
 // syncJournalLocked syncs the journal and releases the queued store
-// publishes. A failed sync is sticky and drops the queue: the store is a
-// cache, and the campaign fails on the error. Callers hold e.mu.
+// publishes. A failed sync drops the queue: the store is a cache, and the
+// campaign fails on the error. Callers hold e.mu.
 func (e *Engine) syncJournalLocked() error {
 	if e.jr == nil {
 		return nil
 	}
-	if e.journalErr == nil {
-		if err := e.jr.Sync(); err != nil {
-			e.journalErr = err
-		}
-	}
-	if e.journalErr != nil {
+	if err := e.jr.Sync(); err != nil {
 		e.queued = nil
-		return e.journalErr
+		return err
 	}
 	e.unsynced = 0
 	for _, p := range e.queued {
@@ -173,8 +168,8 @@ func recordFromEpisode(key string, ep episode, costS float64) journal.Episode {
 
 // journalEpisodeLocked write-ahead logs one live finished episode, unless
 // it is a cancelled abort or a constraint rejection: the record is written
-// before accountEpisode mutates any state. A journal
-// write failure is sticky — the engine fails fast rather than silently
+// before accountEpisode mutates any state. A journal write failure is
+// sticky in the journal — the engine fails fast rather than silently
 // continuing a campaign whose journal no longer matches its state. Callers
 // hold e.mu; a non-nil error means the caller must abort accounting.
 func (e *Engine) journalEpisodeLocked(key string, ep episode) error {
@@ -193,11 +188,7 @@ func (e *Engine) journalEpisodeLocked(key string, ep episode) error {
 			}
 		}
 	}
-	if e.journalErr != nil {
-		return e.journalErr
-	}
 	if err := e.jr.Append(recordFromEpisode(key, ep, episodeCostS(ep))); err != nil {
-		e.journalErr = err
 		return err
 	}
 	e.unsynced++

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 
+	"repro/internal/dataset"
 	"repro/internal/sim"
 	"repro/internal/space"
 )
@@ -15,10 +16,7 @@ var ErrNoRunner = errors.New("engine: objective cannot produce metric reports")
 // implement (the simulator and the GEMM/CPU/temporal workloads all do):
 // Run returns the full simulated result — time plus Nsight-style metrics —
 // that offline dataset collection stores.
-type Runner interface {
-	Run(s space.Setting) (*sim.Result, error)
-	Space() *space.Space
-}
+type Runner = dataset.Runner
 
 // CanCollect reports whether the inner objective can produce the metric
 // reports offline dataset collection needs.

@@ -16,6 +16,11 @@
 // to sync: before anything another party can observe depends on a record
 // (the engine syncs every few dozen records and before a run returns).
 //
+// The first failed write or sync is sticky: every later Append,
+// AppendOwner and Sync returns it and writes nothing, since a short write
+// can leave a torn frame, and replay and Scan stop at the first frame that
+// is not intact. A fresh OpenFS truncates the tear and appends again.
+//
 // On-disk format. The file is a sequence of internal/frame frames:
 //
 //	[u32le payload length][u32le CRC32C of payload][payload]
@@ -142,9 +147,16 @@ type record struct {
 	Ckpt  *legacyCheckpoint `json:"ckpt,omitempty"`
 }
 
-// ownerPrefix starts every owner record's payload: writeFrame marshals a
-// record with its tag first, and an owner record sets no other field, so
-// the payload is ownerPrefix, the owner's value and a closing brace.
+// ownerFrame is the image an owner record is written in: a record with
+// only its tag and the owner's value, which marshals straight into it.
+type ownerFrame struct {
+	T     string `json:"t"`
+	Owner any    `json:"owner"`
+}
+
+// ownerPrefix starts every owner record's payload: the tag comes first,
+// and no other field is set, so the payload is ownerPrefix, the owner's
+// value and a closing brace.
 var ownerPrefix = []byte(`{"t":"owner","owner":`)
 
 // Journal is one campaign's crash-safe measurement log. It is safe for
@@ -158,6 +170,7 @@ type Journal struct {
 	recovered []Episode // the history recovered at OpenFS time
 	unsynced  bool      // a frame was written since the last Sync
 	closed    bool
+	err       error // the first failed write or sync, returned ever after
 
 	// dirSyncErrs counts directory-fsync failures at create. These were
 	// once silently dropped; they are now counted so the engine can surface
@@ -178,7 +191,7 @@ func CreateFS(fsys vfs.FS, path, fingerprint string, owner ...any) (*Journal, er
 		return nil, err
 	}
 	for _, v := range owner {
-		if err := writeOwner(&buf, v); err != nil {
+		if err := writeFrame(&buf, ownerFrame{T: "owner", Owner: v}); err != nil {
 			return nil, err
 		}
 	}
@@ -394,50 +407,38 @@ func OpenOrCreateFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
 	return CreateFS(fsys, path, fingerprint)
 }
 
-// writeFrame appends one record frame at w's current position.
-func writeFrame(w io.Writer, r record) error {
+// writeFrame appends one record frame, a record or an ownerFrame, at w's
+// current position.
+func writeFrame(w io.Writer, r any) error {
 	if err := frame.Write(w, r); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
 }
 
-// writeOwner appends v as one owner record frame.
-func writeOwner(w io.Writer, v any) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("journal: marshal: %w", err)
-	}
-	return writeFrame(w, record{T: "owner", Owner: raw})
-}
-
 // Append logs one evaluation episode: the frame is written before Append
 // returns, so a killed process can always replay the episode. It survives a
 // power cut only once a later Sync or Close returns.
-func (j *Journal) Append(ep Episode) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	if err := writeFrame(j.f, record{T: "ep", Ep: &ep}); err != nil {
-		return err
-	}
-	j.unsynced = true
-	return nil
-}
+func (j *Journal) Append(ep Episode) error { return j.append(record{T: "ep", Ep: &ep}) }
 
 // AppendOwner writes v, JSON-encoded, as one owner record: a frame that
 // replay skips and Scan returns. Like Append it is durable once a later
 // Sync or Close returns.
-func (j *Journal) AppendOwner(v any) error {
+func (j *Journal) AppendOwner(v any) error { return j.append(ownerFrame{T: "owner", Owner: v}) }
+
+// append writes r's frame, unless the journal is closed or has failed; a
+// failed append is sticky.
+func (j *Journal) append(r any) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
+	switch {
+	case j.closed:
 		return ErrClosed
+	case j.err != nil:
+		return j.err
 	}
-	if err := writeOwner(j.f, v); err != nil {
-		return err
+	if j.err = writeFrame(j.f, r); j.err != nil {
+		return j.err
 	}
 	j.unsynced = true
 	return nil
@@ -454,12 +455,14 @@ func (j *Journal) Sync() error {
 	return j.syncLocked()
 }
 
+// syncLocked fsyncs unless the journal has failed; a failed fsync sticks.
 func (j *Journal) syncLocked() error {
-	if !j.unsynced {
-		return nil
+	if j.err != nil || !j.unsynced {
+		return j.err
 	}
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: sync: %w", err)
+		j.err = fmt.Errorf("journal: sync: %w", err)
+		return j.err
 	}
 	j.unsynced = false
 	return nil
@@ -473,8 +476,9 @@ func (j *Journal) Recovered() []Episode {
 	return append([]Episode(nil), j.recovered...)
 }
 
-// Close syncs the unsynced tail and releases the file handle. It returns
-// the sync error first, since that is the one that loses records.
+// Close syncs the unsynced tail and releases the file handle, a failed
+// journal's too. It returns the sync error or sticky failure first, since
+// that is the one that loses records.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -259,6 +259,43 @@ func TestClosedJournalRefusesWrites(t *testing.T) {
 	}
 }
 
+// TestFailedWriteIsSticky tears an Append with a short write. Its error is
+// the journal's answer to every later Append, AppendOwner and Sync, none of
+// which touches the file, so no record can land behind the torn frame,
+// where replay and Scan would never reach it. Close returns the error too,
+// and still closes the file.
+func TestFailedWriteIsSticky(t *testing.T) {
+	path := tmpPath(t)
+	if err := mustCreate(t, path, "fp").Close(); err != nil {
+		t.Fatal(err)
+	}
+	ff := vfs.NewFaultFS(vfs.OS, vfs.Fault{Op: vfs.OpWrite, Err: vfs.EIO(), Short: true, Every: true})
+	j, err := OpenFS(ff, path, "fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := j.Append(ep("a", 1))
+	if failed == nil || ff.Injected() != 1 {
+		t.Fatalf("the short write returned %v after %d injected faults", failed, ff.Injected())
+	}
+	ops := ff.Ops()
+	later := []error{j.Append(ep("b", 2)), j.AppendOwner("note"), j.Sync()}
+	for i, err := range later {
+		if err != failed {
+			t.Errorf("%s after the failure: %v, want %v", []string{"Append", "AppendOwner", "Sync"}[i], err, failed)
+		}
+	}
+	if n := ff.Ops() - ops; n != 0 {
+		t.Errorf("the failed journal issued %d filesystem ops", n)
+	}
+	if err := j.Close(); err != failed || ff.Ops() != ops+1 {
+		t.Errorf("Close returned %v after %d ops, want %v after one, the file's close", err, ff.Ops()-ops, failed)
+	}
+	if err := j.Append(ep("c", 3)); !errors.Is(err, ErrClosed) {
+		t.Errorf("Append after Close: %v", err)
+	}
+}
+
 // writeJournal builds a journal with n episodes and returns its raw bytes.
 func writeJournal(t *testing.T, n int) (string, []byte) {
 	t.Helper()
