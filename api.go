@@ -390,7 +390,7 @@ type ResultStoreEntry = store.Entry
 // each appends to its own segment file. The registry manages its own store
 // when RegistryOptions.EnableStore is set — open one directly only for
 // engine-level wiring via engine.WithStore or offline inspection.
-func OpenResultStore(dir string) (*ResultStore, error) { return store.Open(dir) }
+func OpenResultStore(dir string) (*ResultStore, error) { return store.OpenFS(vfs.OS, dir) }
 
 // FormatGroups renders a grouping (from Report.Groups) with parameter names.
 func FormatGroups(groups [][]int) string { return grouping.Format(groups) }

@@ -124,7 +124,7 @@ func main() {
 		rep.Overhead.Grouping, rep.Overhead.Sampling, rep.Overhead.Codegen)
 	fmt.Printf("evaluations   %d\n", rep.Evaluations)
 	if meter != nil {
-		fmt.Printf("virtual time  %.1fs of %.1fs budget\n", meter.SpentS(), *budget)
+		fmt.Printf("virtual time  %.1fs of %.1fs budget\n", meter.Stats().SpentS, *budget)
 	}
 	fmt.Printf("best setting  %s\n", rep.Best)
 	fmt.Printf("best time     %.4f ms\n", rep.BestMS)

@@ -57,7 +57,7 @@ func TestAdapterSeedsConfig(t *testing.T) {
 	// across many seeds are not).
 	evals := map[int]bool{}
 	for seed := int64(0); seed < 4; seed++ {
-		evals[tune(seed).Evals()] = true
+		evals[tune(seed).Stats().Evaluations] = true
 	}
 	if len(evals) == 1 {
 		t.Log("all seeds evaluated identically (possible but suspicious)")

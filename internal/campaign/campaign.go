@@ -88,18 +88,26 @@ type persistedResult struct {
 	Legacy    *legacyResult `json:"result,omitempty"`
 }
 
-// summary is what Status serves of a run's outcome, under Status's JSON
-// names.
+// summary is what Status serves of a run's outcome: live engine progress
+// while a run measures, otherwise the last run's, final once the campaign
+// is terminal, whichever the state.
 type summary struct {
-	Found          bool    `json:"found"`
-	BestKey        string  `json:"best_key,omitempty"`
-	BestMS         float64 `json:"best_ms,omitempty"`
-	SpentS         float64 `json:"spent_s"`
-	Evals          int     `json:"evals"`
-	Replayed       int     `json:"replayed"`
-	StoreHits      int     `json:"store_hits,omitempty"`
-	StoreMisses    int     `json:"store_misses,omitempty"`
-	WarmStartSeeds int     `json:"warm_start_seeds,omitempty"`
+	// SpentS and Evals are the virtual seconds spent and the successful
+	// measurements. Replayed counts journal-served episodes.
+	SpentS   float64 `json:"spent_s"`
+	Evals    int     `json:"evals"`
+	Replayed int     `json:"replayed"`
+
+	// StoreHits/StoreMisses count cross-campaign result-store traffic;
+	// WarmStartSeeds counts prior bests injected into this run's search.
+	// All zero when the registry runs without a store.
+	StoreHits      int `json:"store_hits,omitempty"`
+	StoreMisses    int `json:"store_misses,omitempty"`
+	WarmStartSeeds int `json:"warm_start_seeds,omitempty"`
+
+	Found   bool    `json:"found"`
+	BestKey string  `json:"best_key,omitempty"`
+	BestMS  float64 `json:"best_ms,omitempty"`
 }
 
 // summarize condenses a campaign's outcome, final or live, to its summary.
@@ -215,23 +223,8 @@ type Status struct {
 	State  State  `json:"state"`
 	Reason string `json:"reason,omitempty"`
 
-	// SpentS, Evals and the counts below are live engine progress while a
-	// run measures, otherwise the last run's: final numbers once terminal,
-	// whichever the state. Replayed counts journal-served episodes.
-	SpentS   float64 `json:"spent_s"`
-	Evals    int     `json:"evals"`
-	Replayed int     `json:"replayed"`
+	summary
 
-	// StoreHits/StoreMisses count cross-campaign result-store traffic;
-	// WarmStartSeeds counts prior bests injected into this run's search.
-	// All zero when the registry runs without a store.
-	StoreHits      int `json:"store_hits,omitempty"`
-	StoreMisses    int `json:"store_misses,omitempty"`
-	WarmStartSeeds int `json:"warm_start_seeds,omitempty"`
-
-	Found     bool         `json:"found"`
-	BestKey   string       `json:"best_key,omitempty"`
-	BestMS    float64      `json:"best_ms,omitempty"`
 	Canonical string       `json:"canonical,omitempty"`
 	History   []Transition `json:"history"`
 }
@@ -256,13 +249,11 @@ func (c *Campaign) Status() Status {
 	if n := len(c.hist); n > 0 {
 		st.Reason = c.hist[n-1].Reason
 	}
-	eng, sum := c.eng, c.summary
+	eng := c.eng
+	st.summary = c.summary
 	c.mu.Unlock()
 	if eng != nil {
-		sum = *engineSummary(eng)
+		st.summary = *engineSummary(eng)
 	}
-	st.Found, st.BestKey, st.BestMS = sum.Found, sum.BestKey, sum.BestMS
-	st.SpentS, st.Evals, st.Replayed = sum.SpentS, sum.Evals, sum.Replayed
-	st.StoreHits, st.StoreMisses, st.WarmStartSeeds = sum.StoreHits, sum.StoreMisses, sum.WarmStartSeeds
 	return st
 }

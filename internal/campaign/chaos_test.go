@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/vfs"
 )
 
@@ -291,6 +293,219 @@ func TestRegistryPauseOpensNoJournal(t *testing.T) {
 	c.fileMu.Unlock()
 	if opens := slices.Index(fsys.logged()[mark:], "open "+path); opens >= 0 {
 		t.Errorf("the pause opened the journal: %q", fsys.logged()[mark:])
+	}
+}
+
+// TestRegistryFsyncsResumeWithEpisodes pins the fsyncs of a resume and a
+// cancel of a paused campaign whose journal holds episodes past 4 KB. The
+// run's write that first passes 4 KB waits while the test takes the only
+// scheduler slot, so the run's next live measurement waits for the slot and
+// the pause lands on a running campaign. The resumed run then opens its
+// journal, replays what its search asks for before its first live
+// measurement, a constraint check, and waits for the slot. ResumeCampaign
+// syncs its Running record once: the open that appends it decodes the
+// episodes and syncs nothing. The resumed run's open and replay sync
+// nothing either; they leave the recovered records to the run's next sync,
+// which its pause pays before the Paused record's. A cancel of the paused
+// campaign syncs its Canceled record once.
+func TestRegistryFsyncsResumeWithEpisodes(t *testing.T) {
+	root := t.TempDir()
+	fsys := &crossFS{dirOpFS: &dirOpFS{FS: vfs.OS}, crossed: make(chan struct{}), resume: make(chan struct{})}
+	var resumeOnce sync.Once
+	release := func() { resumeOnce.Do(func() { close(fsys.resume) }) }
+	defer release()
+	reg := openTestRegistry(t, root, Options{Slots: 1, FS: fsys})
+	spec := testSpec("acme", 1)
+	spec.Method, spec.BudgetS = "artemis", 100000 // its resumed search replays dozens of episodes first
+	c, err := reg.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-fsys.crossed:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("the journal never passed 4 KB; the campaign is %s", c.State())
+	}
+	sched := reg.Scheduler()
+	if err := sched.Acquire(context.Background(), "holder", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer sched.Release()
+	release()
+	pause := func() {
+		t.Helper()
+		if err := reg.Pause(c.ID); err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, reg, c.ID, StatePaused)
+		c.fileMu.Lock() // the runner holds it until its Close returns
+		c.fileMu.Unlock()
+	}
+	pause()
+
+	file := "sync " + filepath.Join(root, c.ID, "journal.wal")
+	mark := len(fsys.logged())
+	check := func(what string, want ...string) {
+		t.Helper()
+		ops := fsys.logged()
+		if got := fsyncs(ops[mark:]); !slices.Equal(got, want) {
+			t.Errorf("%s fsyncs:\n got %q\nwant %q", what, got, want)
+		}
+		mark = len(ops)
+	}
+	if err := reg.ResumeCampaign(c.ID); err != nil {
+		t.Fatal(err)
+	}
+	check("resume", file)
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(time.Millisecond) {
+		sched.mu.Lock()
+		waiting := sched.waiting[spec.Tenant] > 0
+		sched.mu.Unlock()
+		if waiting {
+			break
+		}
+		if time.Now().After(deadline) || c.State() != StateRunning {
+			t.Fatalf("the resumed run never waited for the slot; the campaign is %s", c.State())
+		}
+	}
+	if n := c.Status().Replayed; n == 0 {
+		t.Fatal("the resumed run replayed nothing before it waited for the slot")
+	} else {
+		t.Logf("the resumed run replayed %d episodes before it waited for the slot", n)
+	}
+	check("the resumed run's open and replay")
+	pause()
+	check("second pause", file, file)
+	if err := reg.Cancel(c.ID); err != nil {
+		t.Fatal(err)
+	}
+	check("cancel of the paused campaign", file)
+}
+
+// crossFS is a dirOpFS whose first write to leave a file past 4 KB closes
+// crossed and returns only once resume is closed.
+type crossFS struct {
+	*dirOpFS
+	crossed chan struct{}
+	resume  chan struct{}
+	once    sync.Once
+}
+
+func (f *crossFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	fh, err := f.dirOpFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return crossFile{File: fh, fs: f}, nil
+}
+
+type crossFile struct {
+	vfs.File
+	fs *crossFS
+}
+
+func (f crossFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	if end, serr := f.Seek(0, io.SeekCurrent); serr == nil && end > 4096 {
+		f.fs.once.Do(func() {
+			close(f.fs.crossed)
+			<-f.fs.resume
+		})
+	}
+	return n, err
+}
+
+// episodeTap is a FaultFS whose files note the op index of the first write
+// that carries an episode frame's payload.
+type episodeTap struct {
+	*vfs.FaultFS
+	mu    sync.Mutex
+	first int64 // -1 until an episode is written
+}
+
+func (f *episodeTap) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	fh, err := f.FaultFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return tapFile{File: fh, tap: f}, nil
+}
+
+func (f *episodeTap) seen() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.first
+}
+
+type tapFile struct {
+	vfs.File
+	tap *episodeTap
+}
+
+func (f tapFile) Write(p []byte) (int, error) {
+	f.tap.mu.Lock()
+	if f.tap.first < 0 && strings.HasPrefix(string(p), `{"t":"ep"`) {
+		f.tap.first = f.tap.Ops() // the index this write takes
+	}
+	f.tap.mu.Unlock()
+	return f.File.Write(p)
+}
+
+// firstEpisodeWrite returns the op index, on a fresh FaultFS, of the write
+// of the first episode's payload in spec's run: one slot and no autostart
+// keep the ops before it deterministic. The run is stopped once it is seen.
+func firstEpisodeWrite(t *testing.T, spec Spec, opts Options) int64 {
+	t.Helper()
+	tap := &episodeTap{FaultFS: vfs.NewFaultFS(vfs.OS), first: -1}
+	opts.FS = tap
+	reg := openTestRegistry(t, t.TempDir(), opts)
+	c, err := reg.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.StartPending()
+	for deadline := time.Now().Add(60 * time.Second); tap.seen() < 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) || c.State().Terminal() {
+			t.Fatalf("no episode was written; the campaign is %s", c.State())
+		}
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return tap.seen()
+}
+
+// TestRegistryTornEpisodeChargesNothingMore tears the first episode append
+// of testSpec's run with a FaultFS short write, at budgets 400 and 4,000 s.
+// Once its journal has failed, the run's engine refuses every cache miss
+// before measuring, so the campaign ends Failed on the journal's error with
+// no evaluation, and its tenant settles only what the run charged before
+// the tear: the two constraint rejections its search checks first, 2·CheckS,
+// whatever the budget.
+func TestRegistryTornEpisodeChargesNothingMore(t *testing.T) {
+	for _, budget := range []float64{400, 4000} {
+		spec := testSpec("acme", 1)
+		spec.BudgetS = budget
+		opts := Options{Slots: 1, TenantBudgetS: 100000, DisableAutostart: true}
+		at := firstEpisodeWrite(t, spec, opts)
+		ff := vfs.NewFaultFS(vfs.OS, vfs.Fault{Op: vfs.OpWrite, Path: "journal.wal", Err: vfs.EIO(), Short: true, AtIndex: at})
+		opts.FS = ff
+		reg := openTestRegistry(t, t.TempDir(), opts)
+		c, err := reg.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg.StartPending()
+		waitState(t, reg, c.ID, StateFailed)
+		st := c.Status()
+		snap := reg.Ledgers().Snapshot(spec.Tenant)
+		t.Logf("budget %g: %q after %d evaluations; %g s settled", budget, st.Reason, st.Evals, snap.SpentS)
+		if ff.Injected() != 1 || !strings.HasPrefix(st.Reason, "execute: ") {
+			t.Fatalf("budget %g: the tear fired %d times and the campaign failed with %q, want one tear of an episode append", budget, ff.Injected(), st.Reason)
+		}
+		if want := 2 * engine.CheckS; st.Evals != 0 || st.SpentS != want || snap.SpentS != want || snap.ReservedS != 0 {
+			t.Errorf("budget %g: %d evaluations and %g s spent; ledger %+v; want none and %g s settled", budget, st.Evals, st.SpentS, snap, want)
+		}
 	}
 }
 

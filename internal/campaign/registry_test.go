@@ -97,6 +97,45 @@ func checkResultRecord(t *testing.T, path string) {
 	}
 }
 
+// TestStatusKeyOrder marshals a Status with every field set and checks its
+// keys in order: the embedded summary's fields come between reason and
+// canonical, where the wire has always carried them.
+func TestStatusKeyOrder(t *testing.T) {
+	st := Status{
+		ID: "c000001", Tenant: "acme", Method: "opentuner", Stencil: "helmholtz", Arch: "a100",
+		Weight: 1, BudgetS: 4, Seed: 1, State: StateCompleted, Reason: "done",
+		summary: summary{SpentS: 4.5, Evals: 2, Replayed: 1, StoreHits: 1, StoreMisses: 1, WarmStartSeeds: 1,
+			Found: true, BestKey: "16,8", BestMS: 1.5},
+		Canonical: "best=…", History: pendingSince(time.Unix(0, 1)),
+	}
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if _, err := dec.Token(); err != nil { // the opening brace
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var value json.RawMessage
+		if err := dec.Decode(&value); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key.(string))
+	}
+	want := []string{"id", "tenant", "method", "stencil", "arch", "weight", "budget_s", "seed", "state", "reason",
+		"spent_s", "evals", "replayed", "store_hits", "store_misses", "warm_start_seeds", "found", "best_key", "best_ms",
+		"canonical", "history"}
+	if !slices.Equal(keys, want) {
+		t.Errorf("Status keys\n got %q\nwant %q", keys, want)
+	}
+}
+
 // submitted is the record Submit writes for spec.
 func submitted(spec Spec) record {
 	return record{Spec: &spec, State: &persistedState{State: StatePending, Transitions: pendingSince(time.Now())}}

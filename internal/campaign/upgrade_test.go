@@ -169,8 +169,8 @@ func TestRegistryLoadsLegacyResultRecord(t *testing.T) {
 	want := Status{
 		ID: "c000001", Tenant: "legacy", Method: "opentuner", Stencil: "helmholtz", Arch: "a100",
 		Weight: 1, BudgetS: 40, Seed: 31, State: StateCompleted,
-		SpentS: 40.19588723694944, Evals: 26, Replayed: 3,
-		Found: true, BestKey: "16,8,2,2,1,1,1,1,2,2,1,2,1,2,1,2,1,1,1", BestMS: 1.6940651208794897,
+		summary: summary{SpentS: 40.19588723694944, Evals: 26, Replayed: 3,
+			Found: true, BestKey: "16,8,2,2,1,1,1,1,2,2,1,2,1,2,1,2,1,1,1", BestMS: 1.6940651208794897},
 		Canonical: goldenCanonical(t, spec),
 		History: []Transition{
 			{To: StatePending, AtUnixNano: 1792394640558866041},

@@ -170,7 +170,7 @@ func BenchmarkJournalReplay256(b *testing.B) {
 // the raw setting keys.
 func storeBenchEngine(b *testing.B, n int) (*Engine, *store.Store, []string) {
 	b.Helper()
-	st, err := store.Open(filepath.Join(b.TempDir(), "store"))
+	st, err := store.OpenFS(vfs.OS, filepath.Join(b.TempDir(), "store"))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 // arch and shape fingerprints — and min-merges it into the index.
 func BenchmarkStoreOpen(b *testing.B) {
 	dir := filepath.Join(b.TempDir(), "store")
-	st, err := store.Open(dir)
+	st, err := store.OpenFS(vfs.OS, dir)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func BenchmarkStoreOpen(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := store.Open(dir)
+		st, err := store.OpenFS(vfs.OS, dir)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -120,8 +120,7 @@ func WithBudget(budgetS float64) Option { return func(e *Engine) { e.budgetS = b
 
 // Engine implements sim.Objective over an inner objective. One goroutine
 // calls Measure, MeasureCtx and Run; any goroutine may call Stats, Best,
-// SpentS, Trajectory, Spans and Exhausted meanwhile, as the daemon's
-// pollers do.
+// Trajectory, Spans and Exhausted meanwhile, as the daemon's pollers do.
 type Engine struct {
 	obj     sim.Objective
 	budgetS float64
@@ -136,32 +135,27 @@ type Engine struct {
 
 	// store is the optional cross-campaign result store (store.go):
 	// consulted on a memo-cache miss before measuring, published back on
-	// every successful episode. The counters are atomics folded in by
-	// statsLocked, like cacheHits.
+	// every successful episode. Its counters are in stats.
 	store       *store.Store
 	storePrefix string
-	storeHits   atomic.Int64
-	storeMisses atomic.Int64
-	warmSeeds   atomic.Int64
-	storeDrops  atomic.Int64
 
 	mu sync.Mutex
 
 	// journal replay/recording state (journal.go). unsynced counts records
 	// appended since the last journal sync; queued holds the store
-	// publishes those records cover until that sync.
-	replay        map[string][]journal.Episode
-	replayPending int
-	replayed      int
-	unsynced      int
-	queued        []storePut
+	// publishes waiting for the next sync, which covers their records.
+	replay   map[string][]journal.Episode
+	replayed int
+	unsynced int
+	queued   []storePut
 
-	spentS  float64
-	evals   int
 	best    float64
 	bestSet space.Setting
 	traj    []Point
 
+	// stats is the run's one tally: the spend and every counter but the
+	// cache hits and the journal's directory-sync failures, which
+	// statsLocked folds in.
 	stats Stats
 	spans map[string]*Span
 	order []string // span first-use order
@@ -212,7 +206,7 @@ func (e *Engine) budgetRefuses() bool {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.spentS < e.budgetS {
+	if e.stats.SpentS < e.budgetS {
 		return false
 	}
 	e.stats.BudgetTrips++
@@ -227,21 +221,7 @@ func (e *Engine) Exhausted() bool {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.spentS >= e.budgetS
-}
-
-// SpentS returns the virtual seconds consumed so far.
-func (e *Engine) SpentS() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.spentS
-}
-
-// Evals returns the number of successful measurements.
-func (e *Engine) Evals() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.evals
+	return e.stats.SpentS >= e.budgetS
 }
 
 // Best returns the best observation, or ok=false when nothing measured.
@@ -297,18 +277,13 @@ func (e *Engine) Stats() Stats {
 	return e.statsLocked()
 }
 
-// statsLocked folds the atomic counters into the mutex-guarded ones.
-// Callers hold e.mu. While a run is measuring the fold is a point-in-time
-// sum; once it returns, every counter is the run's exact count, which is
-// what the determinism goldens compare.
+// statsLocked folds the atomic cache-hit counter into the tally. Callers
+// hold e.mu. While a run is measuring the fold is a point-in-time sum; once
+// it returns, every counter is the run's exact count, which is what the
+// determinism goldens compare.
 func (e *Engine) statsLocked() Stats {
 	st := e.stats
-	st.SpentS = e.spentS
 	st.CacheHits = int(e.cacheHits.Load())
-	st.StoreHits = int(e.storeHits.Load())
-	st.StoreMisses = int(e.storeMisses.Load())
-	st.WarmStartSeeds = int(e.warmSeeds.Load())
-	st.StorePutDrops = int(e.storeDrops.Load())
 	if e.jr != nil {
 		// Degradation weather from the journal: counted there (the append
 		// path owns the failures), folded here so one Stats snapshot carries

@@ -139,7 +139,7 @@ func TestBudgetEnforcement(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !e.Exhausted() {
-		t.Fatalf("spent %v of %v, should be exhausted", e.SpentS(), 2*CompileS)
+		t.Fatalf("spent %v of %v, should be exhausted", e.Stats().SpentS, 2*CompileS)
 	}
 	if _, err := e.Measure(variant(f.sp, 16, 1)); !errors.Is(err, ErrBudget) {
 		t.Fatalf("fresh setting after exhaustion: %v", err)

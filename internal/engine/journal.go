@@ -17,7 +17,7 @@ import (
 // abort, which is the shutdown itself, and a constraint rejection (see
 // rejection), which the resumed run re-checks live at the same point of
 // its search. The engine fsyncs the journal every journalSyncEvery records
-// and in SyncJournal, and holds back each live episode's store publish
+// and in SyncJournal, and holds back each episode's store publish
 // until the sync that covers its record: whatever another party can
 // observe is durable first, and a power cut loses at most
 // journalSyncEvery-1 episodes, which resume re-measures with the same
@@ -49,7 +49,6 @@ func (e *Engine) initReplay() {
 	for _, r := range rec {
 		e.replay[r.Key] = append(e.replay[r.Key], r)
 	}
-	e.replayPending = len(rec)
 }
 
 // replayPop serves the next journaled episode for key, if any.
@@ -69,18 +68,8 @@ func (e *Engine) replayPop(key string) (episode, bool) {
 	} else {
 		e.replay[key] = q[1:]
 	}
-	e.replayPending--
 	e.replayed++
 	return episodeFromRecord(r), true
-}
-
-// pendingReplays returns how many journaled episodes are still waiting to
-// be replayed; a resumed campaign that re-executes deterministically drains
-// this to zero before its first live measurement of a journaled key.
-func (e *Engine) pendingReplays() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.replayPending
 }
 
 // Replayed returns how many measurement episodes were served from the

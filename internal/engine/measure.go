@@ -136,11 +136,11 @@ func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float6
 		// stand still. The result still competes for best (with a trajectory
 		// point only on improvement — free hits advance neither axis) and
 		// lands in the memo cache, so a re-probe is a cache hit.
-		e.storeHits.Add(1)
+		e.stats.StoreHits++
 		if e.best < 0 || ep.ms < e.best {
 			e.best = ep.ms
 			e.bestSet = s.Clone()
-			e.traj = append(e.traj, Point{CostS: e.spentS, Evals: e.evals, BestMS: e.best})
+			e.traj = append(e.traj, Point{CostS: e.stats.SpentS, Evals: e.stats.Evaluations, BestMS: e.best})
 		}
 		e.cacheTime(key, ep.ms)
 		return ep.ms, nil
@@ -149,7 +149,7 @@ func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float6
 		// The episode consulted the store and measured (or failed) live.
 		// Cancelled aborts are excluded: like everywhere else in the
 		// accounting they are the shutdown itself, not an outcome.
-		e.storeMisses.Add(1)
+		e.stats.StoreMisses++
 	}
 	if ep.err != nil {
 		switch Classify(ep.err) {
@@ -162,22 +162,21 @@ func (e *Engine) accountEpisode(s space.Setting, key string, ep episode) (float6
 		}
 		// A permanent error, or a stacked engine's budget refusal, which is
 		// charged like a rejected setting but never cached.
-		e.spentS += episodeCostS(ep)
+		e.stats.SpentS += episodeCostS(ep)
 		e.stats.Invalid++
 		return 0, ep.err
 	}
-	e.spentS += episodeCostS(ep)
-	e.evals++
+	e.stats.SpentS += episodeCostS(ep)
 	e.stats.Evaluations++
 	if e.best < 0 || ep.ms < e.best {
 		e.best = ep.ms
 		e.bestSet = s.Clone()
 	}
-	e.traj = append(e.traj, Point{CostS: e.spentS, Evals: e.evals, BestMS: e.best})
+	e.traj = append(e.traj, Point{CostS: e.stats.SpentS, Evals: e.stats.Evaluations, BestMS: e.best})
 	e.cacheTime(key, ep.ms)
 	// Publish the paid-for measurement to the shared store (sequentially,
 	// and after its journal sync — see storePublishLocked).
-	e.storePublishLocked(key, ep.ms, ep.replayed)
+	e.storePublishLocked(key, ep.ms)
 	return ep.ms, nil
 }
 
@@ -205,8 +204,8 @@ func (e *Engine) MeasureCtx(ctx context.Context, s space.Setting) (float64, erro
 	return e.measureCtxSlow(ctx, s, string(key))
 }
 
-// measureCtxSlow is the uncached gauntlet: run context, budget, then one
-// measurement episode and its accounting.
+// measureCtxSlow is the uncached gauntlet: run context, budget, journal,
+// then one measurement episode and its accounting.
 func (e *Engine) measureCtxSlow(ctx context.Context, s space.Setting, key string) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		e.mu.Lock()
@@ -216,6 +215,13 @@ func (e *Engine) measureCtxSlow(ctx context.Context, s space.Setting, key string
 	}
 	if e.budgetRefuses() {
 		return 0, ErrBudget
+	}
+	if e.jr != nil {
+		// A failed journal takes no more records, so the episode would be
+		// measured and charged for nothing (DESIGN.md §6).
+		if err := e.jr.Err(); err != nil {
+			return 0, err
+		}
 	}
 	return e.accountEpisode(s, key, e.measureEpisode(ctx, s, key))
 }

@@ -59,18 +59,19 @@ type storePut struct {
 
 // storePublishLocked pushes one successful episode's measured time to the
 // shared store. Called from the accounting section (callers hold e.mu),
-// never from an in-flight episode. On a journaled engine a live episode's
-// publish waits for the sync that makes its record durable: Put makes it
-// visible to every campaign sharing the store at once, and a sibling that
-// journaled it as a store hit must never outlive the owner's record in a
-// power cut. Replayed episodes publish at once — their records are already
-// durable, the merge is min-idempotent, and a resumed campaign should
-// backfill a store that was attached after the original run.
-func (e *Engine) storePublishLocked(key string, ms float64, replayed bool) {
+// never from an in-flight episode. On a journaled engine every publish,
+// replayed or live, waits for the journal's next sync, which covers its
+// record: Put makes it visible to every campaign sharing the store at once,
+// and a sibling that journaled it as a store hit must never outlive the
+// owner's record in a power cut. A replayed record may be no more durable
+// than a live one, since OpenFS leaves what it recovered to that sync. So
+// a resumed campaign backfills a store attached after the original run
+// once its replay is synced.
+func (e *Engine) storePublishLocked(key string, ms float64) {
 	if e.store == nil {
 		return
 	}
-	if e.jr != nil && !replayed {
+	if e.jr != nil {
 		e.queued = append(e.queued, storePut{key: key, ms: ms})
 		return
 	}
@@ -87,7 +88,7 @@ func (e *Engine) storePutLocked(key string, ms float64) {
 	if e.store.Degraded() {
 		// Read-only-degraded store: the index took the record (this run and
 		// its neighbors keep their hits), but nothing reached disk.
-		e.storeDrops.Add(1)
+		e.stats.StorePutDrops++
 	}
 }
 
@@ -95,7 +96,7 @@ func (e *Engine) storePutLocked(key string, ms float64) {
 // injected into this run's search (sampling set + GA initial population).
 // The pipeline calls it once per tune; it only feeds the stats surface.
 func (e *Engine) AddWarmStartSeeds(n int) {
-	if n > 0 {
-		e.warmSeeds.Add(int64(n))
-	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.stats.WarmStartSeeds += n
 }

@@ -15,7 +15,7 @@ const testPrefix = "arch:test|shape:test|"
 
 func storeAt(t *testing.T) *store.Store {
 	t.Helper()
-	st, err := store.Open(filepath.Join(t.TempDir(), "store"))
+	st, err := store.OpenFS(vfs.OS, filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,9 @@ func TestStoreHitsJournalAndReplayWithoutStore(t *testing.T) {
 }
 
 // TestStorePublishBackfillsOnReplay: a replayed success publishes to a store
-// attached after the original run, so resume backfills shared state.
+// attached after the original run, so resume backfills shared state. Like
+// a live one, the publish waits for the journal sync that covers its
+// record: OpenFS leaves the recovered records to that sync.
 func TestStorePublishBackfillsOnReplay(t *testing.T) {
 	j, path := journalAt(t, "fp")
 	f := newFake(t)
@@ -194,6 +196,12 @@ func TestStorePublishBackfillsOnReplay(t *testing.T) {
 	defer j2.Close()
 	e2 := New(newFake(t), WithJournal(j2), WithStore(st, testPrefix))
 	if _, err := e2.Measure(s); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := st.Get(testPrefix + s.Key()); ok {
+		t.Fatalf("replayed success published before its journal sync: %v", got)
+	}
+	if err := e2.SyncJournal(); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := st.Get(testPrefix + s.Key()); !ok || got != ms {
@@ -229,7 +237,7 @@ func TestStorePublishWaitsForJournalSync(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := store.Open(filepath.Join(dir, "store"))
+		st, err := store.OpenFS(vfs.OS, filepath.Join(dir, "store"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/engine"
+	"repro/internal/gpu"
 	"repro/internal/journal"
+	"repro/internal/sim"
+	"repro/internal/space"
+	"repro/internal/stencil"
 	"repro/internal/vfs"
 )
 
@@ -164,5 +169,90 @@ func TestCampaignPowerLossSweep(t *testing.T) {
 			t.Fatalf("%s: run failed outside the power-cut model: %v", ctx, err)
 		}
 		recoverAndCheck(t, fx, path, want, ctx)
+	}
+}
+
+// tearWatch wraps a campaign's objective. It counts the calls, and those
+// made once the fault has fired, and notes the engine's tally as each call
+// before the tear starts: the torn call's is the tally the tear must leave
+// unchanged.
+type tearWatch struct {
+	inner  sim.Objective
+	ff     *vfs.FaultFS
+	eng    *engine.Engine
+	calls  int
+	late   int          // calls made after the tear
+	before engine.Stats // the tally as the torn call started
+}
+
+func (w *tearWatch) Space() *space.Space { return w.inner.Space() }
+
+func (w *tearWatch) Measure(s space.Setting) (float64, error) {
+	w.calls++
+	if w.ff.Injected() > 0 {
+		w.late++
+	} else {
+		w.before = w.eng.Stats()
+	}
+	return w.inner.Measure(s)
+}
+
+// Architecture forwards the GPU model, so csTuner's codegen runs.
+func (w *tearWatch) Architecture() *gpu.Arch {
+	return w.inner.(sim.ArchProvider).Architecture()
+}
+
+// TestCampaignTornAppendStopsMeasuring tears each method's first episode
+// append with a FaultFS short write (helmholtz/a100, dataset 16, budget
+// 400 s, seed 1). Once its journal has failed, the engine refuses every
+// cache miss before measuring: the torn episode is the run's last
+// objective call, nothing after it is charged, and the run fails with the
+// journal's error.
+func TestCampaignTornAppendStopsMeasuring(t *testing.T) {
+	fx, err := NewFixture(stencil.Helmholtz(), gpu.A100(), 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range Methods() {
+		t.Run(m.Name(), func(t *testing.T) {
+			cfg := CampaignConfig{Method: m.Name(), BudgetS: 400, Seed: 1}
+			// Everything before the first episode append is the journal's
+			// create, which PrepareCampaign makes: the append is the first
+			// filesystem op of Execute.
+			counter := vfs.NewFaultFS(vfs.OS)
+			cfg.JournalPath, cfg.FS = filepath.Join(t.TempDir(), "count.wal"), counter
+			cr, err := PrepareCampaign(fx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := counter.Ops()
+			if err := cr.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			ff := vfs.NewFaultFS(vfs.OS, vfs.Fault{Op: vfs.OpWrite, Err: vfs.EIO(), Short: true, AtIndex: at})
+			w := &tearWatch{ff: ff}
+			cfg.JournalPath, cfg.FS = filepath.Join(t.TempDir(), "torn.wal"), ff
+			cfg.Wrap = func(obj sim.Objective) sim.Objective { w.inner = obj; return w }
+			cr, err = PrepareCampaign(fx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.eng = cr.Engine()
+			_, err = cr.Execute(context.Background())
+			_ = cr.Close() // the journal's failure, which Execute returned
+			if ff.Injected() != 1 || !errors.Is(err, vfs.ErrInjected) {
+				t.Fatalf("the tear fired %d times and Execute returned %v, want one tear and its error", ff.Injected(), err)
+			}
+			got := cr.Engine().Stats()
+			t.Logf("%d objective calls, %g s spent", w.calls, got.SpentS)
+			if w.late != 0 {
+				t.Errorf("the objective was called %d times after the tear", w.late)
+			}
+			if b := w.before; got.SpentS != b.SpentS || got.Evaluations != b.Evaluations || got.Invalid != b.Invalid {
+				t.Errorf("from the torn call on the engine charged %g s, %d evaluations and %d invalid settings",
+					got.SpentS-b.SpentS, got.Evaluations-b.Evaluations, got.Invalid-b.Invalid)
+			}
+		})
 	}
 }

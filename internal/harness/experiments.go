@@ -306,7 +306,7 @@ func Fig12(w io.Writer, o Options) ([]Fig12Row, error) {
 			Grouping: rep.Overhead.Grouping,
 			Sampling: rep.Overhead.Sampling,
 			Codegen:  rep.Overhead.Codegen,
-			SearchS:  meter.SpentS(),
+			SearchS:  meter.Stats().SpentS,
 		}
 		row.Ratio = rep.Overhead.Total().Seconds() / row.SearchS
 		rows = append(rows, row)

@@ -37,11 +37,11 @@ func TestMeterAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantCost := engine.CompileS + engine.Reps*ms/1000
-	if got := m.SpentS(); math.Abs(got-wantCost) > 1e-12 {
+	if got := m.Stats().SpentS; math.Abs(got-wantCost) > 1e-12 {
 		t.Fatalf("SpentS = %v, want %v", got, wantCost)
 	}
-	if m.Evals() != 1 {
-		t.Fatalf("Evals = %d", m.Evals())
+	if m.Stats().Evaluations != 1 {
+		t.Fatalf("Evals = %d", m.Stats().Evaluations)
 	}
 
 	// Invalid setting: CheckS charged, no eval counted.
@@ -50,10 +50,10 @@ func TestMeterAccounting(t *testing.T) {
 	if _, err := m.Measure(bad); err == nil {
 		t.Fatal("invalid setting should error")
 	}
-	if got := m.SpentS(); math.Abs(got-wantCost-engine.CheckS) > 1e-12 {
+	if got := m.Stats().SpentS; math.Abs(got-wantCost-engine.CheckS) > 1e-12 {
 		t.Fatalf("SpentS after reject = %v", got)
 	}
-	if m.Evals() != 1 {
+	if m.Stats().Evaluations != 1 {
 		t.Fatal("reject counted as eval")
 	}
 
@@ -81,7 +81,7 @@ func TestMeterBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !m.Exhausted() {
-		t.Fatalf("budget (%v spent of %v) should be exhausted", m.SpentS(), 2*engine.CompileS)
+		t.Fatalf("budget (%v spent of %v) should be exhausted", m.Stats().SpentS, 2*engine.CompileS)
 	}
 	// A fresh setting is refused once the budget is spent...
 	fresh := set.Clone()
@@ -91,11 +91,11 @@ func TestMeterBudget(t *testing.T) {
 	}
 	// ...but re-probing an already-measured setting is a free cache hit —
 	// real tuners never recompile a variant they already timed.
-	spent := m.SpentS()
+	spent := m.Stats().SpentS
 	if ms, err := m.Measure(set); err != nil || ms <= 0 {
 		t.Fatalf("cached re-probe = %v/%v", ms, err)
 	}
-	if m.SpentS() != spent {
+	if m.Stats().SpentS != spent {
 		t.Fatal("cache hit must not consume budget")
 	}
 	if hits := m.Stats().CacheHits; hits != 1 {

@@ -68,7 +68,7 @@ func measuredNothing(ctx context.Context, tuneErr error) error {
 func IsoIterationCurve(ctx context.Context, t baselines.Tuner, fx *Fixture, iterations, popSize int, seed int64) ([]float64, error) {
 	meter := engine.New(fx.Sim)
 	evalCap := iterations * popSize
-	stop := func() bool { return meter.Evals() >= evalCap }
+	stop := func() bool { return meter.Stats().Evaluations >= evalCap }
 	err := t.Tune(ctx, meter, fx.DS, seed, stop)
 	if _, _, ok := meter.Best(); !ok {
 		err = measuredNothing(ctx, err)
@@ -108,7 +108,7 @@ func IsoTimeRun(ctx context.Context, t baselines.Tuner, fx *Fixture, budgetS flo
 	if !ok {
 		return nil, fmt.Errorf("%s: %w", t.Name(), measuredNothing(ctx, err))
 	}
-	res := &IsoTimeResult{Evals: meter.Evals(), BestMS: bestMS}
+	res := &IsoTimeResult{Evals: meter.Stats().Evaluations, BestMS: bestMS}
 	if gridN > 0 {
 		res.Grid = make([]float64, gridN)
 		res.Curve = make([]float64, gridN)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/space"
 	"repro/internal/store"
+	"repro/internal/vfs"
 )
 
 // Warm-start resolution: turning a shared result store's history into seed
@@ -141,7 +142,7 @@ type WarmStartReport struct {
 // isolates the warm start from store-hit reuse. It reports how many measured
 // episodes each run needed to reach the cold run's best.
 func WarmStartCompare(ctx context.Context, fx *Fixture, cfg CampaignConfig, storeDir string, n int) (*WarmStartReport, error) {
-	st, err := store.Open(storeDir)
+	st, err := store.OpenFS(vfs.OS, storeDir)
 	if err != nil {
 		return nil, err
 	}

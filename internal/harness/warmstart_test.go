@@ -13,6 +13,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/stencil"
 	"repro/internal/store"
+	"repro/internal/vfs"
 )
 
 // The two-process test re-execs this test binary with these set; the child
@@ -38,7 +39,7 @@ func runChildCampaign(dir, seedStr string) {
 		fmt.Fprintln(os.Stderr, "child: seed:", err)
 		os.Exit(2)
 	}
-	st, err := store.Open(dir)
+	st, err := store.OpenFS(vfs.OS, dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "child: store:", err)
 		os.Exit(2)
@@ -89,7 +90,7 @@ func TestTwoProcessCampaignsShareStore(t *testing.T) {
 		}
 	}
 
-	st, err := store.Open(dir)
+	st, err := store.OpenFS(vfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func buildableSettings(t *testing.T, fx *Fixture, n int, seed int64) []space.Set
 
 func TestResolveWarmKeysSameArchFirst(t *testing.T) {
 	fx := resumeFixture(t)
-	st, err := store.Open(t.TempDir())
+	st, err := store.OpenFS(vfs.OS, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestResolveWarmKeysSameArchFirst(t *testing.T) {
 
 func TestResolveWarmKeysCrossArchTransfer(t *testing.T) {
 	fx := resumeFixture(t)
-	st, err := store.Open(t.TempDir())
+	st, err := store.OpenFS(vfs.OS, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestWarmStartEntersFingerprint(t *testing.T) {
 		t.Fatal("warm seeds did not change the fingerprint")
 	}
 
-	st, err := store.Open(t.TempDir())
+	st, err := store.OpenFS(vfs.OS, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

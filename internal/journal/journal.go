@@ -34,10 +34,11 @@
 // single episode. A header may leave the fingerprint empty, for an owner
 // that keeps the campaign identity in its own records. A crash can tear or
 // drop only frames after the last Sync; OpenFS verifies every frame's CRC,
-// truncates the torn tail back to the last intact record, and syncs what it
-// recovered. Corruption of the header itself (or a fingerprint that does not
-// match the resuming campaign's configuration) fails cleanly — never a
-// panic, and never a silently wrong resume.
+// truncates the torn tail back to the last intact record, and leaves the
+// handle owing a sync for what it recovered or truncated, which its next
+// Sync or Close pays. Corruption of the header itself (or a fingerprint
+// that does not match the resuming campaign's configuration) fails cleanly
+// — never a panic, and never a silently wrong resume.
 // Journals written by older versions may also hold checkpoint frames (the
 // compacted history up to that point); OpenFS still decodes them, and
 // nothing writes them any more.
@@ -168,7 +169,7 @@ type Journal struct {
 	path      string
 	f         vfs.File
 	recovered []Episode // the history recovered at OpenFS time
-	unsynced  bool      // a frame was written since the last Sync
+	unsynced  bool      // a frame written, or OpenFS's recovery or truncation, awaits a Sync
 	closed    bool
 	err       error // the first failed write or sync, returned ever after
 
@@ -219,8 +220,10 @@ func CreateFS(fsys vfs.FS, path, fingerprint string, owner ...any) (*Journal, er
 // header, rejects a foreign fingerprint (unless either fingerprint is empty,
 // which skips the check), replays episode frames (and legacy checkpoints)
 // into the recovered history, truncates any torn tail back to the last
-// intact frame, syncs what it recovered or truncated, and positions the
-// file for further appends.
+// intact frame and positions the file for further appends. It issues no
+// fsync: the recovered episodes may still live only in the page cache,
+// their writer killed before its next sync, so the handle owes a sync for
+// what it recovered or truncated, and its next Sync or Close pays it.
 func OpenFS(fsys vfs.FS, path, fingerprint string) (j *Journal, err error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -248,18 +251,10 @@ func OpenFS(fsys vfs.FS, path, fingerprint string) (j *Journal, err error) {
 			return nil, fmt.Errorf("journal: truncate torn tail: %w", err)
 		}
 	}
-	// The recovered episodes may still live only in the page cache — their
-	// writer can have been killed before its next sync — and replay is about
-	// to publish them to the result store.
-	if len(history) > 0 || good < len(data) {
-		if err := f.Sync(); err != nil {
-			return nil, fmt.Errorf("journal: sync: %w", err)
-		}
-	}
 	if _, err := f.Seek(int64(good), io.SeekStart); err != nil {
 		return nil, fmt.Errorf("journal: seek: %w", err)
 	}
-	return &Journal{fs: fsys, path: path, f: f, recovered: history}, nil
+	return &Journal{fs: fsys, path: path, f: f, recovered: history, unsynced: len(history) > 0 || good < len(data)}, nil
 }
 
 // Scan reads the journal at path for its owner, in one pass over the file
@@ -431,11 +426,8 @@ func (j *Journal) AppendOwner(v any) error { return j.append(ownerFrame{T: "owne
 func (j *Journal) append(r any) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch {
-	case j.closed:
-		return ErrClosed
-	case j.err != nil:
-		return j.err
+	if err := j.errLocked(); err != nil {
+		return err
 	}
 	if j.err = writeFrame(j.f, r); j.err != nil {
 		return j.err
@@ -444,8 +436,26 @@ func (j *Journal) append(r any) error {
 	return nil
 }
 
-// Sync makes every appended frame durable. It fsyncs only when a frame was
-// written since the last Sync.
+// Err returns what the next Append or Sync returns before writing:
+// ErrClosed once the journal is closed, otherwise its sticky failure, or
+// nil. The engine asks it before it measures an episode, so that it never
+// pays for one the journal cannot record.
+func (j *Journal) Err() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.errLocked()
+}
+
+// errLocked is Err for a caller that holds j.mu.
+func (j *Journal) errLocked() error {
+	if j.closed {
+		return ErrClosed
+	}
+	return j.err
+}
+
+// Sync makes every appended frame durable, and what OpenFS recovered or
+// truncated. It fsyncs only when one of them is not yet synced.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -296,6 +296,82 @@ func TestFailedWriteIsSticky(t *testing.T) {
 	}
 }
 
+// syncCounter is an FS that counts the Syncs of the files it opens.
+type syncCounter struct {
+	vfs.FS
+	n int
+}
+
+func (c *syncCounter) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return countedFile{File: f, c: c}, nil
+}
+
+type countedFile struct {
+	vfs.File
+	c *syncCounter
+}
+
+func (f countedFile) Sync() error {
+	f.c.n++
+	return f.File.Sync()
+}
+
+// TestOpenOwesRecoveredSync: OpenFS issues no fsync. A journal that holds
+// episodes, or had a torn tail to truncate, leaves the handle owing one
+// sync, which its first Sync pays and a second does not repeat, or a Close
+// with nothing appended pays. A header-only journal owes nothing.
+func TestOpenOwesRecoveredSync(t *testing.T) {
+	withEpisodes := func(t *testing.T) string {
+		path, _ := writeJournal(t, 3)
+		return path
+	}
+	torn := func(t *testing.T) string {
+		path, data := writeJournal(t, 1) // its one episode torn: nothing to recover
+		if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T) string
+		close bool // Close instead of two Syncs
+		want  []int
+	}{
+		{"episodes", withEpisodes, false, []int{0, 1, 1}},
+		{"torn tail", torn, false, []int{0, 1, 1}},
+		{"episodes, close", withEpisodes, true, []int{0, 1}},
+		{"header only", func(t *testing.T) string { path, _ := writeJournal(t, 0); return path }, false, []int{0, 0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys := &syncCounter{FS: vfs.OS}
+			j, err := OpenFS(fsys, tc.build(t), "fp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := []int{fsys.n}
+			steps := []func() error{j.Sync, j.Sync}
+			if tc.close {
+				steps = []func() error{j.Close}
+			}
+			for _, step := range steps {
+				if err := step(); err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, fsys.n)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("fsyncs after the open and each step: %v, want %v", got, tc.want)
+			}
+			_ = j.Close()
+		})
+	}
+}
+
 // writeJournal builds a journal with n episodes and returns its raw bytes.
 func writeJournal(t *testing.T, n int) (string, []byte) {
 	t.Helper()

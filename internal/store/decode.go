@@ -5,7 +5,7 @@ import (
 	"strconv"
 )
 
-// The fast record decoder. Open reads every record of every segment, and
+// The fast record decoder. OpenFS reads every record of every segment, and
 // nearly all of them are exactly what Put wrote:
 //
 //	{"t":"rec","rec":{"key":"<composite key>","ms":<number>}}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/frame"
+	"repro/internal/vfs"
 )
 
 // putImage is the payload Put writes for (key, ms).
@@ -211,7 +212,7 @@ func checkLoadMatchesReference(t *testing.T, segs [][]byte) (keys, loaded, skipp
 			t.Fatal(err)
 		}
 	}
-	s, err := Open(dir)
+	s, err := OpenFS(vfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@
 // frame is one measurement record {composite key, scored ms}. Each process
 // appends only to its own segment (created O_EXCL, named by pid), so
 // concurrent campaigns sharing one directory never interleave writes into
-// one file. Readers load every segment at Open and merge records by minimum
+// one file. Readers load every segment at OpenFS and merge records by minimum
 // ms per key — a commutative merge, so segment load order cannot matter.
 //
 // Unlike the journal the store is a cache, not a ledger: appends are
@@ -25,12 +25,12 @@
 // *this process's* records — they are re-measurable), torn tails are
 // skipped without truncation (the tail may be a live writer's in-flight
 // frame), and a segment whose header frame cannot be trusted is quarantined
-// to <name>.bad and skipped rather than failing Open.
+// to <name>.bad and skipped rather than failing OpenFS.
 //
 // The in-memory index is one plain map behind one sync.RWMutex, filled at
-// Open by a record decoder that reads Put's own bytes without reflection
+// OpenFS by a record decoder that reads Put's own bytes without reflection
 // (decode.go), and per-shape key lists keep the warm-start query Best off
-// the rest of the index (DESIGN.md §13). Open loads a segment in two
+// the rest of the index (DESIGN.md §13). OpenFS loads a segment in two
 // passes: the first checks every frame and counts the records, so an empty
 // index is made once at its final size, and the second decodes them,
 // checking a key's arch|shape prefix once per run of keys that share it. A
@@ -98,16 +98,16 @@ type Stats struct {
 	Keys int `json:"keys"`
 	// Segments is the number of segment files loaded or created.
 	Segments int `json:"segments"`
-	// LoadedRecords counts records read from disk at Open.
+	// LoadedRecords counts records read from disk at OpenFS.
 	LoadedRecords int `json:"loaded_records"`
 	// AppendedRecords counts records this process wrote to its own segment.
 	AppendedRecords int `json:"appended_records"`
-	// SkippedSegments counts the segments whose load stopped early at Open:
+	// SkippedSegments counts the segments whose load stopped early at OpenFS:
 	// one per segment that ends in a torn or corrupt frame (a live writer's
 	// in-flight frame, or real damage) or holds a record neither decoder
 	// accepts, however many frames follow the stop.
 	SkippedSegments int `json:"skipped_segments,omitempty"`
-	// Quarantined lists segment files renamed to .bad at Open.
+	// Quarantined lists segment files renamed to .bad at OpenFS.
 	Quarantined []string `json:"quarantined,omitempty"`
 	// WriteErr is the sticky append failure, if any; the in-memory index
 	// keeps serving hits after a write failure.
@@ -151,15 +151,10 @@ type Store struct {
 	quarantined []string
 }
 
-// Open loads (creating if needed) the store directory: every *.seg segment
-// is scanned, records min-merge into the index, and untrustable segments
-// are quarantined to .bad. Open never fails on segment content — only on
-// filesystem errors for the directory itself.
-func Open(dir string) (*Store, error) {
-	return OpenFS(vfs.OS, dir)
-}
-
-// OpenFS is Open through an explicit filesystem seam.
+// OpenFS loads (creating if needed) the store directory on fsys: every
+// *.seg segment is scanned, records min-merge into the index, and
+// untrustable segments are quarantined to .bad. OpenFS never fails on
+// segment content — only on filesystem errors for the directory itself.
 func OpenFS(fsys vfs.FS, dir string) (*Store, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
@@ -264,9 +259,9 @@ func (s *Store) loadRecord(key []byte, ms float64) {
 	s.addKeyLocked(string(key), ms)
 }
 
-// quarantine renames a damaged segment to <name>.bad so Open keeps working
+// quarantine renames a damaged segment to <name>.bad so OpenFS keeps working
 // and the bytes survive for post-mortem. A rename failure just leaves the
-// file in place; it will be re-quarantined on the next Open.
+// file in place; it will be re-quarantined on the next OpenFS.
 func (s *Store) quarantine(path, reason string) {
 	bad := path + ".bad"
 	if err := s.fs.Rename(path, bad); err != nil {
@@ -304,7 +299,7 @@ func (s *Store) insertMin(key string, ms float64) bool {
 // addKeyLocked indexes a key the index does not hold yet and lists it under
 // its shape for Best. A key SplitKey cannot split is indexed but never
 // listed, as Best never matched one. Callers hold indexMu for writing, or
-// are Open filling a store nothing else sees yet.
+// are OpenFS filling a store nothing else sees yet.
 func (s *Store) addKeyLocked(key string, ms float64) {
 	s.index[key] = ms
 	if _, shape, _, ok := SplitKey(key); ok {
@@ -407,7 +402,7 @@ func (s *Store) ensureWriterLocked() error {
 		if err != nil {
 			_ = f.Close()
 			// Best-effort: an empty or headerless leftover is skipped (or
-			// quarantined) by the next Open, never trusted.
+			// quarantined) by the next OpenFS, never trusted.
 			_ = s.fs.Remove(path)
 			s.writeErr = fmt.Errorf("store: segment header: %w", err)
 			return s.writeErr

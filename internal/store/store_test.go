@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/frame"
 	"repro/internal/stats"
+	"repro/internal/vfs"
 )
 
 // The two-process test re-execs this test binary with childDirEnv set; the
@@ -36,7 +37,7 @@ func TestMain(m *testing.M) {
 // deterministic record set (some keys unique to this child, some contended
 // with every other writer), flush and exit.
 func runChildWriter(dir, id string) {
-	s, err := Open(dir)
+	s, err := OpenFS(vfs.OS, dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "child: open:", err)
 		os.Exit(2)
@@ -54,7 +55,7 @@ func runChildWriter(dir, id string) {
 
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := OpenFS(vfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 
 	// Persistence: a fresh Open sees the minimum.
-	s2, err := Open(dir)
+	s2, err := OpenFS(vfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 func TestStorePutAfterCloseRefused(t *testing.T) {
-	s, err := Open(t.TempDir())
+	s, err := OpenFS(vfs.OS, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +125,11 @@ func TestStorePutAfterCloseRefused(t *testing.T) {
 // ordinal separates same-pid instances), and a fresh Open min-merges both.
 func TestStoreTwoInstancesOneDir(t *testing.T) {
 	dir := t.TempDir()
-	a, err := Open(dir)
+	a, err := OpenFS(vfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Open(dir)
+	b, err := OpenFS(vfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestStoreTwoInstancesOneDir(t *testing.T) {
 	if len(segs) != 2 {
 		t.Fatalf("want 2 segments (one per instance), got %v", segs)
 	}
-	m, err := Open(dir)
+	m, err := OpenFS(vfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestStoreTwoProcessSharedDir(t *testing.T) {
 	}
 
 	// The parent writes concurrently with both children.
-	p, err := Open(dir)
+	p, err := OpenFS(vfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestStoreTwoProcessSharedDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := Open(dir)
+	m, err := OpenFS(vfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestStoreTwoProcessSharedDir(t *testing.T) {
 }
 
 func TestStoreBest(t *testing.T) {
-	s, err := Open(t.TempDir())
+	s, err := OpenFS(vfs.OS, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +357,7 @@ func TestStoreBestMatchesReference(t *testing.T) {
 			}
 		}
 		var err error
-		if s, err = Open(dir); err != nil {
+		if s, err = OpenFS(vfs.OS, dir); err != nil {
 			t.Fatal(err)
 		}
 		check("reopen")
@@ -382,7 +383,7 @@ func TestStoreBestMatchesReference(t *testing.T) {
 // encoding for it) or pin a key (no time compares less than NaN).
 func TestStoreRefusesNonFinite(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := OpenFS(vfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +404,7 @@ func TestStoreRefusesNonFinite(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(dir)
+	r, err := OpenFS(vfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +422,7 @@ func TestStoreRefusesNonFinite(t *testing.T) {
 // TestStoreConcurrentMinMerge races writers, probes and Best over shared
 // keys: the final value of every key is its minimum, whatever the schedule.
 func TestStoreConcurrentMinMerge(t *testing.T) {
-	s, err := Open(t.TempDir())
+	s, err := OpenFS(vfs.OS, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +460,7 @@ func TestStoreConcurrentMinMerge(t *testing.T) {
 }
 
 func TestStoreGetBytesAllocatesNothing(t *testing.T) {
-	s, err := Open(t.TempDir())
+	s, err := OpenFS(vfs.OS, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,7 +580,7 @@ func TestStoreCorruption(t *testing.T) {
 			if err := os.WriteFile(seg, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			s, err := Open(dir)
+			s, err := OpenFS(vfs.OS, dir)
 			if err != nil {
 				t.Fatalf("Open must survive damage: %v", err)
 			}
@@ -630,7 +631,7 @@ func TestStoreReopenAfterQuarantine(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "seg-9-0000.seg"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(dir)
+	s, err := OpenFS(vfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,7 +641,7 @@ func TestStoreReopenAfterQuarantine(t *testing.T) {
 	s.Put(Key("archA", "shapeA", "x"), 1)
 	_ = s.Close()
 
-	s2, err := Open(dir)
+	s2, err := OpenFS(vfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,7 +674,7 @@ func FuzzStoreRecord(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, "seg-1-0000.seg"), data, 0o644); err != nil {
 			t.Skip()
 		}
-		s, err := Open(dir)
+		s, err := OpenFS(vfs.OS, dir)
 		if err != nil {
 			t.Fatalf("Open returned error on arbitrary bytes: %v", err)
 		}
